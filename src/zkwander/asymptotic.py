@@ -76,14 +76,6 @@ def a_factor_q_form(k: int) -> Fraction:
     return Fraction(k + 2, 2 * k + 1) * (q2_poly(k) / q1_poly(k)) ** 2
 
 
-def p11_poly(k) -> int:
-    return (k + 1) * (2 * k + 3) * (3 * k + 4)
-
-
-def p21_poly(k) -> int:
-    return (k + 1) * (2 * k + 4) * (3 * k + 3)
-
-
 def p1star_poly(k) -> int:
     return (k + 2) * (2 * k + 3) * (3 * k + 4)
 

@@ -24,13 +24,14 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import (CertificateError, DegeneratePairError,
-                     ModeUnsupportedError)
+                     InvalidPatternError, ModeUnsupportedError)
 from .model import (AQuantities, DegreePattern, GeneratorPair, compute_A,
                     construct_F3, inner_product)
-from .reduction import _split_z3, objective_B0
-from .scalars import (FLOAT, INTERVAL, RATIONAL, Interval, Radical, abs_sq,
-                      conj, is_exact_zero, scalar_from_json, scalar_to_json,
-                      strictly_less, to_float)
+from .reduction import a1_from_C, objective_B0
+from .scalars import (FLOAT, INTERVAL, RATIONAL, REGIMES, Interval, Radical,
+                      abs_sq, collapse, conj, excludes_zero, is_zero,
+                      scalar_from_json, scalar_to_json, strictly_less,
+                      to_float)
 from .weights import (WeightSequence, weight, weights_from_dict,
                       weights_to_dict)
 
@@ -52,40 +53,26 @@ def _scale_of(a3) -> float:
 
 
 def _zero_report(x, scale: float, regime: str) -> tuple:
+    # exact values ignore the tolerance
+    tol = (INTERVAL_WIDTH_RTOL if regime == INTERVAL else FLOAT_ZERO_RTOL) * scale
     if regime == RATIONAL:
-        if isinstance(x, Radical):
-            return x.is_zero(), {"exact": True, "value": scalar_to_json(x)}
-        return is_exact_zero(x), {"exact": True, "value": scalar_to_json(x)}
-    if regime == INTERVAL:
-        tol = INTERVAL_WIDTH_RTOL * scale
-        contains = x.contains_zero() if isinstance(x, Interval) else x == 0
-        width = x.width if isinstance(x, Interval) else 0.0
-        return (contains and width <= tol,
-                {"contains_zero": contains, "width": width, "tolerance": tol})
-    r = abs(x)
-    tol = FLOAT_ZERO_RTOL * scale
-    return r <= tol, {"residual": r, "tolerance": tol}
+        info = {"exact": True, "value": scalar_to_json(x)}
+    elif regime == INTERVAL:
+        # in the interval regime every A-quantity is an Interval
+        info = {"contains_zero": x.contains_zero(), "width": x.width,
+                "tolerance": tol}
+    else:
+        info = {"residual": abs(x), "tolerance": tol}
+    return is_zero(x, tol), info
 
 
 def _nonzero_report(x, regime: str) -> tuple:
+    ok = excludes_zero(x)
     if regime == RATIONAL:
-        z = x.is_zero() if isinstance(x, Radical) else is_exact_zero(x)
-        return not z, {"exact": True, "value": scalar_to_json(x)}
+        return ok, {"exact": True, "value": scalar_to_json(x)}
     if regime == INTERVAL:
-        contains = x.contains_zero() if isinstance(x, Interval) else x == 0
-        return not contains, {"excludes_zero": not contains}
-    return abs(x) > 0.0, {"magnitude": abs(x)}
-
-
-def _abs_exact(x):
-    """|x| for a real rational/Radical/Interval/float/complex scalar."""
-    if isinstance(x, complex):
-        return abs(x)
-    if isinstance(x, Radical):
-        return abs(x)
-    if isinstance(x, Interval):
-        return abs(x)
-    return abs(x)
+        return ok, {"excludes_zero": ok}
+    return ok, {"magnitude": abs(x)}
 
 
 @dataclass
@@ -114,7 +101,7 @@ class Certificate:
         for t in idx:
             try:
                 embedded[str(t)] = str(weight(self.seq, t, RATIONAL))
-            except Exception:
+            except ModeUnsupportedError:    # non-integer alpha
                 iv = weight(self.seq, t, INTERVAL)
                 embedded[str(t)] = scalar_to_json(iv)
         a_enc = {}
@@ -199,18 +186,13 @@ def verify(pair: GeneratorPair, seq: WeightSequence, regime: str = RATIONAL,
         reasons.append("A_(1,5) A_(1,2) = 0")
 
     lhs = q1.A3 * q1.A4 - abs_sq(q1.A2)
-    rhs = _abs_exact(coupling)
+    rhs = abs(coupling)
     c_value = None
     try:
-        if isinstance(rhs, Radical):
-            rhs_cmp = rhs.as_fraction()
-        else:
-            rhs_cmp = rhs
+        rhs_cmp = collapse(rhs)
         strict = strictly_less(lhs, rhs_cmp)
         if ok:
-            c_value = lhs / rhs_cmp
-            if isinstance(c_value, Radical) and c_value.is_rational:
-                c_value = c_value.as_fraction()
+            c_value = collapse(lhs / rhs_cmp)
     except ZeroDivisionError:
         strict = False
     conditions["strict_contraction"] = {
@@ -278,7 +260,7 @@ def _membership_sweep(pair: GeneratorPair, seq: WeightSequence, regime: str,
                 if not zok:
                     return {"holds": False,
                             "first_failure": f"<{tag}, z^{k * s} {gname}> != 0"}
-                if regime == INTERVAL and isinstance(v, Interval):
+                if regime == INTERVAL:
                     worst = max(worst, v.width)
                 elif regime == FLOAT:
                     worst = max(worst, abs(v))
@@ -297,40 +279,22 @@ def cross_check(params, s_max: Optional[int] = None) -> dict:
       A_15 (oracle) = A_15 (requested)
       c (oracle) = B_0(C; Z_3, Z_1)
     """
-    from .reduction import pivot_modulus
     rs, c, pair = params.rs, params.c, params.pair
     if pair.has_registers:
         pair = pair.with_registers(Fraction(0), Fraction(0))
     regime = rs.regime
     q1 = compute_A(pair, rs.seq, 1, regime)
     z1, z3 = params.z1, params.z3
-    x, y = _split_z3(z3)
-    z3_sq = abs_sq(x) if y is None else abs_sq(x) + abs_sq(y)
-    a15_sq = abs_sq(params.a15)
-    if isinstance(a15_sq, Radical):
-        a15_sq = a15_sq.as_fraction()
-    mod = pivot_modulus(c, z3)
-
-    pred_a13 = c.C1 + z1 * z1 * c.C2
-    pred_a14 = (a15_sq / (z1 * z1)) * (c.C1 * z3_sq - c.C3 * x + c.C4)
-    pred_a12_sq = (a15_sq / (z1 * z1)) * mod * mod
+    pred_a13, pred_a14, pred_a12_sq, _ = a1_from_C(c, z3, z1,
+                                                   abs_sq(params.a15))
     b0 = objective_B0(c, z3, z1)
     coupling = q1.A5 * conj(q1.A2)
-    rhs = _abs_exact(coupling)
-    if isinstance(rhs, Radical):
-        rhs = rhs.as_fraction()
-    c_oracle = (q1.A3 * q1.A4 - abs_sq(q1.A2)) / rhs
+    c_oracle = (q1.A3 * q1.A4 - abs_sq(q1.A2)) / collapse(abs(coupling))
 
     def signed_square(value):
         """(sign, value**2) for a real exact scalar; square kills the radical."""
-        if isinstance(value, Radical):
-            sq = value.coeff ** 2
-            for atom in value.roots:
-                sq *= atom
-            sign = (value.coeff > 0) - (value.coeff < 0)
-            return sign, sq
-        q = Fraction(value) if not isinstance(value, Fraction) else value
-        return (q > 0) - (q < 0), q * q
+        coeff = Radical.of(value).coeff
+        return (coeff > 0) - (coeff < 0), collapse(value * value)
 
     def cmp(lhs, rhsv):
         if regime == RATIONAL:
@@ -385,43 +349,63 @@ def check_certificate(source) -> dict:
             data = json.load(fh)
     else:
         data = source
-    if data.get("schema") != SCHEMA:
-        raise CertificateError(f"unknown schema {data.get('schema')!r}")
+    schema = data.get("schema") if isinstance(data, dict) else None
+    if schema != SCHEMA:
+        raise CertificateError(f"unknown schema {schema!r}")
     try:
+        regime, s_max = data["regime"], data["s_max"]
+        if regime not in REGIMES:
+            raise ValueError(f"unknown regime {regime!r}")
+        for value in (data["k"], s_max, *data["gamma"]):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(
+                    f"k, gamma and s_max must be integers, got {value!r}")
+        if s_max < 3:
+            raise ValueError(f"s_max must be at least 3, got {s_max}")
         seq = weights_from_dict(data["weights"])
         pair = _pair_from_dict(data)
-        regime = data["regime"]
-        s_max = data["s_max"]
-    except (KeyError, ValueError) as exc:
+        embedded = {}
+        for t_str, enc in data["weights_at_matrix_indices"].items():
+            t = int(t_str)
+            if t < 0:
+                raise ValueError(f"negative weight index {t}")
+            embedded[t] = (Fraction(enc) if isinstance(enc, str)
+                           else Interval(enc["lo"], enc["hi"]))
+        stored_c = data.get("c")
+        if stored_c is not None:
+            stored_c = scalar_from_json(stored_c)
+        report = {"ok": True, "mismatches": [], "schema_ok": True,
+                  "stored_verdict": data["verdict"]}
+    except (KeyError, TypeError, ValueError, AttributeError,
+            InvalidPatternError) as exc:
         raise CertificateError(f"malformed certificate: {exc}") from exc
 
-    report = {"ok": True, "mismatches": [], "schema_ok": True,
-              "stored_verdict": data["verdict"]}
-    for t_str, enc in data["weights_at_matrix_indices"].items():
-        t = int(t_str)
-        if isinstance(enc, str):
-            if weight(seq, t, RATIONAL) != Fraction(enc):
-                report["mismatches"].append(f"embedded weight at t={t}")
-        else:
-            iv = weight(seq, t, INTERVAL)
-            emb = scalar_from_json(enc)
-            if emb.hi < iv.lo or iv.hi < emb.lo:
-                report["mismatches"].append(f"embedded weight enclosure at t={t}")
-
-    redo = verify(pair, seq, regime=regime, s_max=s_max)
+    try:
+        for t, emb in embedded.items():
+            if isinstance(emb, Fraction):
+                if weight(seq, t, RATIONAL) != emb:
+                    report["mismatches"].append(f"embedded weight at t={t}")
+            else:
+                iv = weight(seq, t, INTERVAL)
+                if emb.hi < iv.lo or iv.hi < emb.lo:
+                    report["mismatches"].append(
+                        f"embedded weight enclosure at t={t}")
+        redo = verify(pair, seq, regime=regime, s_max=s_max)
+    except ModeUnsupportedError as exc:
+        raise CertificateError(f"certificate cannot be replayed: {exc}") from exc
     report["recomputed_verdict"] = redo.verdict
     if redo.verdict != data["verdict"]:
         report["mismatches"].append(
             f"verdict: stored {data['verdict']}, recomputed {redo.verdict}")
-    stored_c, new_c = data.get("c"), redo.c_value
+    new_c = redo.c_value
     if (stored_c is None) != (new_c is None):
         report["mismatches"].append("contraction ratio presence differs")
     elif stored_c is not None:
         if regime == RATIONAL:
-            if scalar_from_json(stored_c) != new_c:
+            if stored_c != new_c:
                 report["mismatches"].append("contraction ratio differs")
         else:
-            if abs(to_float(scalar_from_json(stored_c)) - to_float(new_c)) > 1e-12:
+            if abs(to_float(stored_c) - to_float(new_c)) > 1e-12:
                 report["mismatches"].append("contraction ratio differs")
     report["ok"] = not report["mismatches"]
     return report

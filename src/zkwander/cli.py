@@ -23,7 +23,7 @@ from .reduction import (b0_minimum, compute_C, objective_B0, objective_B1,
                         objective_B2, reduce_system, split_e, z1_star)
 from .scalars import FLOAT, INTERVAL, RATIONAL, Interval, to_float
 from .search import SearchConfig, minimize, reproduce_table
-from .weights import dirichlet, override_block
+from .weights import dirichlet, override_block, weight
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,7 +61,8 @@ def _parse_d(text: str) -> tuple:
 def _parse_z3(text: str):
     if "," in text:
         re_s, im_s = text.split(",", 1)
-        return complex(float(Fraction(re_s)), float(Fraction(im_s)))
+        return complex(float(_parse_fraction(re_s)),
+                       float(_parse_fraction(im_s)))
     return _parse_fraction(text)
 
 
@@ -119,7 +120,7 @@ def cmd_eval(args) -> int:
     if args.emit_weights:
         for t in sorted(pattern.matrix_indices()):
             try:
-                print(f"omega[{t}] = {weight_exact(seq, t)}")
+                print(f"omega[{t}] = {weight(seq, t, RATIONAL)}")
             except ZkwanderError:
                 print(f"omega[{t}] = {_fmt(rs.weight_at(t))}")
         return 0
@@ -146,15 +147,12 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def weight_exact(seq, t):
-    from .weights import weight
-    return weight(seq, t, RATIONAL)
-
-
 def _config_from_file(path) -> SearchConfig:
-    with open(path) as fh:
-        raw = json.load(fh)
-    return SearchConfig(**raw)
+    try:
+        with open(path) as fh:
+            return SearchConfig(**json.load(fh))
+    except (OSError, TypeError, ValueError) as exc:
+        raise ZkwanderError(f"bad search config {path}: {exc}") from exc
 
 
 def cmd_search(args) -> int:
@@ -163,8 +161,7 @@ def cmd_search(args) -> int:
     else:
         config = SearchConfig(
             alpha=args.alpha, k=args.k, phi2=args.phi2, phi3=args.phi3,
-            strategy=args.strategy, threshold=float(args.threshold),
-            threads=args.threads)
+            strategy=args.strategy, threshold=float(args.threshold))
     res = minimize(config)
     shown = res.value_repr
     if len(shown) > 72:
@@ -196,8 +193,7 @@ def cmd_pipeline(args) -> int:
         d = args.d
     else:
         config = SearchConfig(alpha=args.alpha, k=pattern.k,
-                              phi2=args.phi2, phi3=args.phi3,
-                              threads=args.threads)
+                              phi2=args.phi2, phi3=args.phi3)
         try:
             found = minimize(config)
         except NoAdmissibleSystemError as exc:
@@ -387,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="coordinate-descent",
                    choices=("grid", "coordinate-descent", "simplex"))
     p.add_argument("--threshold", type=_parse_fraction, default=Fraction(1))
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
 
@@ -399,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z3")
     p.add_argument("--override-base", type=_parse_fraction)
     p.add_argument("--smax", type=int)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_pipeline)
 
@@ -428,14 +422,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
-    try:
         if (args.command == "asymptotic" and not args.minimal
                 and (args.beta is None or args.sigma is None)):
             raise ZkwanderError("--beta and --sigma are required "
                                 "unless --minimal is given")
         return args.func(args)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 1
     except ZkwanderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

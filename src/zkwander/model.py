@@ -21,8 +21,8 @@ from typing import Dict, Optional
 
 from .errors import (DegeneratePairError, InvalidPatternError,
                      NotOrthogonalError)
-from .scalars import (RATIONAL, Interval, Radical, abs_sq, conj,
-                      is_exact_zero, strictly_less, to_regime)
+from .scalars import (RATIONAL, abs_sq, conj, is_exact_zero, is_zero,
+                      strictly_less, to_regime)
 from .weights import WeightSequence, matrix_indices, weight
 
 CoefficientMap = Dict[int, object]
@@ -197,25 +197,17 @@ def compute_A(pair: GeneratorPair, seq: WeightSequence, s: int,
     )
 
 
-def _is_zero_with_tol(x, atol: float) -> bool:
-    if isinstance(x, Interval):
-        return x.contains_zero() and x.width <= atol
-    if isinstance(x, (float, complex)):
-        return abs(x) <= atol
-    return is_exact_zero(x)
-
-
 def _check_engineered(pair: GeneratorPair, seq: WeightSequence, regime: str,
                       atol: float) -> AQuantities:
     """Verify the five orthogonality relations; return the level-1 block."""
     q1 = compute_A(pair, seq, 1, regime)
-    if not _is_zero_with_tol(q1.A1, atol):
+    if not is_zero(q1.A1, atol):
         raise NotOrthogonalError(f"A_(1,1) = {q1.A1!r} is not zero")
     for s in (2, 3):
         qs = compute_A(pair, seq, s, regime)
-        if not _is_zero_with_tol(qs.A1, atol):
+        if not is_zero(qs.A1, atol):
             raise NotOrthogonalError(f"A_({s},1) = {qs.A1!r} is not zero")
-        if not _is_zero_with_tol(qs.A5, atol):
+        if not is_zero(qs.A5, atol):
             raise NotOrthogonalError(f"A_({s},5) = {qs.A5!r} is not zero")
     return q1
 
@@ -233,7 +225,7 @@ def construct_F3(pair: GeneratorPair, seq: WeightSequence,
     q1 = _check_engineered(pair, seq, regime, atol)
     lhs = abs_sq(q1.A2)
     rhs = q1.A3 * q1.A4
-    if _is_zero_with_tol(q1.A3, atol) or _is_zero_with_tol(q1.A4, atol):
+    if is_zero(q1.A3, atol) or is_zero(q1.A4, atol):
         raise DegeneratePairError("a shifted generator has zero norm")
     if not strictly_less(lhs, rhs):
         raise DegeneratePairError(

@@ -25,10 +25,10 @@ from fractions import Fraction
 from .errors import (DegeneratePairError, ModeUnsupportedError,
                      NoAdmissibleSystemError, RegisterTooLargeError)
 from .model import GeneratorPair
-from .reduction import (CQuantities, ReducedSystem, _split_z3, compute_C,
-                        objective_B1, pivot_modulus, split_e, z1_star)
-from .scalars import (FLOAT, INTERVAL, RATIONAL, Interval, Radical, abs_sq,
-                      conj, strictly_less, to_float, to_regime)
+from .reduction import (CQuantities, ReducedSystem, _split_z3, a1_from_C,
+                        compute_C, objective_B1, pivot_modulus, z1_star)
+from .scalars import (FLOAT, RATIONAL, Radical, abs_sq, conj, sqrt,
+                      strictly_less, to_float, to_regime)
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def choose_Z3(c: CQuantities, margin: int = 2) -> Fraction:
     target = margin * math.sqrt(to_float(c.C5) * 2.0 / (1.0 - b1f))
     x = _round_significant((to_float(c.C3) / 2 - target) / to_float(c.C1), 3)
     # confirm the rounded value still clears the margin rule
-    mod = pivot_modulus(c, to_regime(x, RATIONAL) if not isinstance(c.C1, float) else float(x))
+    mod = pivot_modulus(c, x)
     lhs = to_float(c.C5) / to_float(mod) ** 2
     if not lhs < (1.0 - b1f) / 2.0:
         return choose_Z3(c, margin * 2)
@@ -81,23 +81,7 @@ def choose_A15(rs: ReducedSystem, c: CQuantities, z3, z1):
         raise ModeUnsupportedError(
             "exact normalization with complex Z_3 is not supported; "
             "pass an explicit A_15 or use the float regime")
-    ratio = z1 / mod
-    if rs.regime == FLOAT:
-        return math.sqrt(ratio)
-    if rs.regime == INTERVAL:
-        return Interval.exact(ratio).sqrt() if not isinstance(ratio, Interval) else ratio.sqrt()
-    r = Radical.sqrt(Fraction(ratio))
-    return r.as_fraction() if r.is_rational else r
-
-
-def _sqrt_scalar(v, regime: str):
-    if regime == FLOAT:
-        return math.sqrt(v)
-    if regime == INTERVAL:
-        iv = v if isinstance(v, Interval) else Interval.exact(v)
-        return iv.sqrt()
-    r = Radical.sqrt(Fraction(v))
-    return r.as_fraction() if r.is_rational else r
+    return sqrt(to_regime(z1 / mod, rs.regime))
 
 
 def recover(rs: ReducedSystem, d, z3=None, z1=None, a15=None) -> RecoveredParameters:
@@ -110,20 +94,15 @@ def recover(rs: ReducedSystem, d, z3=None, z1=None, a15=None) -> RecoveredParame
     c = compute_C(rs, d)
     regime = rs.regime
     if z3 is None:
-        z3 = choose_Z3(c)
-        z3 = float(z3) if regime == FLOAT else to_regime(z3, regime)
+        z3 = to_regime(choose_Z3(c), regime)
     x, y = _split_z3(z3)
     if y is not None and regime != FLOAT:
         raise ModeUnsupportedError(
             "complex Z_3 is only supported in the float regime")
     if z1 is None:
-        zs = z1_star(c, z3)
-        if regime == RATIONAL:
-            z1 = _round_significant(float(zs))
-        elif regime == INTERVAL:
-            z1 = Interval.exact(_round_significant(to_float(zs)))
-        else:
-            z1 = zs
+        z1 = z1_star(c, z3)
+        if regime != FLOAT:
+            z1 = to_regime(_round_significant(to_float(z1)), regime)
     if not to_float(z1) > 0:
         raise ValueError("Z_1 must be positive")
     if a15 is None:
@@ -132,7 +111,7 @@ def recover(rs: ReducedSystem, d, z3=None, z1=None, a15=None) -> RecoveredParame
         raise DegeneratePairError("A_15 must be nonzero")
 
     dd = c.d
-    a_low = tuple(_sqrt_scalar(dd[i], regime) for i in range(4))
+    a_low = tuple(sqrt(dd[i]) for i in range(4))
     a_high = (z1 / conj(a_low[0]),) + tuple(
         rs.E[i - 1] * z1 / conj(a_low[i]) for i in (1, 2, 3))
     scale = conj(a15) / conj(z1)
@@ -154,6 +133,10 @@ def _register_weights(params: RecoveredParameters):
     return params.rs.weight_at(k + g4), params.rs.weight_at(k + g5)
 
 
+def _core_a1(params: RecoveredParameters):
+    return a1_from_C(params.c, params.z3, params.z1, abs_sq(params.a15))
+
+
 def contraction_terms(params: RecoveredParameters, a_reg=Fraction(0),
                       b_reg=Fraction(0)):
     """(lhs, rhs) of the strict inequality, via the reduction identities.
@@ -161,20 +144,9 @@ def contraction_terms(params: RecoveredParameters, a_reg=Fraction(0),
     lhs = A_13 A_14 - |A_12|^2 including register contributions,
     rhs = |A_15 A_12|.
     """
-    c, z1, z3 = params.c, params.z1, params.z3
-    mod = pivot_modulus(c, z3)
-    a15_sq = abs_sq(params.a15)
-    if isinstance(a15_sq, Radical):
-        a15_sq = a15_sq.as_fraction()
+    a13, a14, a12_sq, rhs = _core_a1(params)
     w4, w5 = _register_weights(params)
-    x, y = _split_z3(z3)
-    z3_sq = abs_sq(x) if y is None else abs_sq(x) + abs_sq(y)
-    a13 = c.C1 + z1 * z1 * c.C2 + abs_sq(a_reg) * w4
-    a14 = (a15_sq / (z1 * z1)) * (c.C1 * z3_sq - c.C3 * x + c.C4) \
-        + abs_sq(b_reg) * w5
-    a12_sq = (a15_sq / (z1 * z1)) * mod * mod
-    lhs = a13 * a14 - a12_sq
-    rhs = (a15_sq / z1) * mod
+    lhs = (a13 + abs_sq(a_reg) * w4) * (a14 + abs_sq(b_reg) * w5) - a12_sq
     return lhs, rhs
 
 
@@ -186,13 +158,7 @@ def max_register_estimate(params: RecoveredParameters) -> float:
     if slack <= 0:
         return 0.0
     w4, w5 = (to_float(w) for w in _register_weights(params))
-    c, z1 = params.c, params.z1
-    a15_sq = to_float(abs_sq(params.a15))
-    x, y = _split_z3(params.z3)
-    z3_sq = to_float(abs_sq(x)) if y is None else to_float(abs_sq(x) + abs_sq(y))
-    a13 = to_float(c.C1) + to_float(z1) ** 2 * to_float(c.C2)
-    a14 = (a15_sq / to_float(z1) ** 2) * (
-        to_float(c.C1) * z3_sq - to_float(c.C3) * to_float(x) + to_float(c.C4))
+    a13, a14 = (to_float(v) for v in _core_a1(params)[:2])
     # slack > u (w4 a14 + w5 a13) + u^2 w4 w5, u = t^2; the root is written
     # in the subtraction-free form because beta^2 dwarfs the slack term.
     beta = w4 * a14 + w5 * a13
@@ -203,8 +169,8 @@ def max_register_estimate(params: RecoveredParameters) -> float:
 def attach_register(params: RecoveredParameters, a_reg, b_reg) -> RecoveredParameters:
     """Set the register coefficients and re-check the strict inequality."""
     if params.regime == RATIONAL:
-        a_reg = Fraction(a_reg) if not isinstance(a_reg, (Fraction, Radical)) else a_reg
-        b_reg = Fraction(b_reg) if not isinstance(b_reg, (Fraction, Radical)) else b_reg
+        a_reg, b_reg = (v if isinstance(v, Radical) else Fraction(v)
+                        for v in (a_reg, b_reg))
     lhs, rhs = contraction_terms(params, a_reg, b_reg)
     if not strictly_less(lhs, rhs):
         est = max_register_estimate(params)

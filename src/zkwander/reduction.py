@@ -25,28 +25,19 @@ from fractions import Fraction
 
 from .errors import DegenerateReductionError, DegenerateZ3Error
 from .model import DegreePattern
-from .scalars import (FLOAT, RATIONAL, Interval, Radical, SmallMatrix, abs_sq,
-                      cramer_solve3, det3, is_exact_zero, to_regime)
+from .scalars import (RATIONAL, SmallMatrix, abs_sq, certainly_positive,
+                      collapse, cramer_solve3, det3, excludes_zero,
+                      is_exact_zero, sqrt, to_regime)
 from .weights import WeightSequence, weight
 
 
 def build_N(seq: WeightSequence, pattern: DegreePattern,
-            regime: str = RATIONAL):
-    """The 3x4 weight matrix N plus its square companions N_0 and N_1.
-
-    N[s][i] = w_{s k + gamma_i};  N_0 prepends the row (1, 0, 0, 0);  N_1
-    drops the first column.  det N_0 = det N_1 by expansion along that row.
-    """
+            regime: str = RATIONAL) -> SmallMatrix:
+    """The 3x3 weight matrix N_1[s][i] = w_{s k + gamma_{i+1}}, s = 1..3."""
     k = pattern.k
     g = pattern.gamma
-    rows = [[weight(seq, s * k + g[i], regime) for i in range(4)]
-            for s in (1, 2, 3)]
-    one = to_regime(Fraction(1), regime)
-    zero = to_regime(Fraction(0), regime)
-    n = SmallMatrix.from_rows(rows)
-    n0 = SmallMatrix.from_rows([[one, zero, zero, zero]] + rows)
-    n1 = SmallMatrix.from_rows([row[1:] for row in rows])
-    return n, n0, n1
+    return SmallMatrix.from_rows([[weight(seq, s * k + g[i], regime)
+                                   for i in (1, 2, 3)] for s in (1, 2, 3)])
 
 
 @dataclass(frozen=True)
@@ -54,8 +45,6 @@ class ReducedSystem:
     pattern: DegreePattern
     seq: WeightSequence
     regime: str
-    N: SmallMatrix
-    N0: SmallMatrix
     N1: SmallMatrix
     det_N1: object
     E: tuple
@@ -72,7 +61,7 @@ def reduce_system(seq: WeightSequence, pattern: DegreePattern,
     """Solve for E, G and derived H, D; raises SingularSystemError when N_1
     is (not certifiably non-) singular, e.g. for the Hardy and Dirichlet
     weights where t -> w_t is affine."""
-    n, n0, n1 = build_N(seq, pattern, regime)
+    n1 = build_N(seq, pattern, regime)
     k = pattern.k
     g0 = pattern.gamma[0]
     rhs_e = [-weight(seq, s * k + g0, regime) for s in (1, 2, 3)]
@@ -81,12 +70,12 @@ def reduce_system(seq: WeightSequence, pattern: DegreePattern,
     e = cramer_solve3(n1, rhs_e)
     gg = cramer_solve3(n1, [one, zero, zero])
     for i, ei in enumerate(e):
-        if is_exact_zero(ei) or (isinstance(ei, Interval) and ei.contains_zero()):
+        if not excludes_zero(ei):
             raise DegenerateReductionError(f"E_{i + 1} vanishes; D undefined")
     h = tuple(ei * ei for ei in e)
     d = tuple(-(gg[i] / e[i]) for i in range(3))
     return ReducedSystem(pattern=pattern, seq=seq, regime=regime,
-                         N=n, N0=n0, N1=n1, det_N1=det3(n1),
+                         N1=n1, det_N1=det3(n1),
                          E=tuple(e), G=tuple(gg), H=h, D=d)
 
 
@@ -106,29 +95,18 @@ def _normalize_d(d) -> tuple:
         vals = (1,) + vals
     if len(vals) != 4:
         raise ValueError("d must supply 3 values (d_0 = 1 implied) or 4")
-    out = []
-    for v in vals:
-        if isinstance(v, float):
-            if v <= 0:
-                raise ValueError("d values must be positive")
-            out.append(v)
-        else:
-            q = Fraction(v)
-            if q <= 0:
-                raise ValueError("d values must be positive")
-            out.append(q)
-    return tuple(out)
+    out = tuple(v if isinstance(v, float) else Fraction(v) for v in vals)
+    if any(v <= 0 for v in out):
+        raise ValueError("d values must be positive")
+    return out
 
 
 def compute_C(rs: ReducedSystem, d) -> CQuantities:
     """The five reduced constants at squared moduli d = (d_0, .., d_3)."""
-    dd = _normalize_d(d)
+    # exact in the rational regime, also for float input
+    dd = tuple(to_regime(v, rs.regime) for v in _normalize_d(d))
     k = rs.pattern.k
     g = rs.pattern.gamma
-    if rs.regime == RATIONAL:
-        dd = tuple(Fraction(v) for v in dd)   # exact, also for float input
-    elif rs.regime != FLOAT:
-        dd = tuple(to_regime(Fraction(v), rs.regime) for v in dd)
     w1 = [rs.weight_at(k + g[i]) for i in range(4)]
     w2 = [rs.weight_at(2 * k + g[i]) for i in range(4)]
     c1 = sum(dd[i] * w1[i] for i in range(4))
@@ -139,9 +117,7 @@ def compute_C(rs: ReducedSystem, d) -> CQuantities:
     c4 = sum(rs.D[i - 1] * rs.D[i - 1] * dd[i] * w1[i] for i in (1, 2, 3))
     c5 = c1 * c4 - c3 * c3 / 4
     for name, v in (("C1", c1), ("C2", c2), ("C4", c4), ("C5", c5)):
-        bad = (v.contains_zero() if isinstance(v, Interval)
-               else not v > 0)
-        if bad:
+        if not certainly_positive(v):
             raise DegenerateReductionError(
                 f"{name} = {v!r} is not certifiably positive")
     return CQuantities(d=dd, C1=c1, C2=c2, C3=c3, C4=c4, C5=c5)
@@ -181,25 +157,18 @@ def _split_z3(z3):
 def pivot_modulus(c: CQuantities, z3):
     """|C_1 Z_3 - C_3/2|, exact for rational data (Radical if complex)."""
     re, im = _pivot(c, z3)
-    if im is None:
-        mod = abs(re)
-    elif isinstance(re, float):
-        mod = (re * re + im * im) ** 0.5
-    elif isinstance(re, Interval):
-        mod = (re * re + im * im).sqrt()
-    else:
-        mod = Radical.sqrt(Fraction(re * re + im * im))
-        if mod.is_rational:
-            mod = mod.as_fraction()
-    if is_exact_zero(mod) or (isinstance(mod, Interval) and mod.contains_zero()):
+    mod = abs(re) if im is None else sqrt(re * re + im * im)
+    if not excludes_zero(mod):
         raise DegenerateZ3Error(
             "C_1 Z_3 - C_3/2 vanishes (or cannot be certified nonzero)")
     return mod
 
 
-def _z3_abs_sq(z3):
+def _quadratic(c: CQuantities, z3):
+    """C_1 |Z_3|^2 - C_3 x + C_4,  x = Re Z_3."""
     x, y = _split_z3(z3)
-    return abs_sq(x) if y is None else abs_sq(x) + abs_sq(y)
+    z3_sq = abs_sq(x) if y is None else abs_sq(x) + abs_sq(y)
+    return c.C1 * z3_sq - c.C3 * x + c.C4
 
 
 def split_e(c: CQuantities, z3):
@@ -209,17 +178,29 @@ def split_e(c: CQuantities, z3):
     e_1 = C_2 (C_1 |Z_3|^2 - C_3 x + C_4) / |C_1 Z_3 - C_3/2|,  x = Re Z_3.
     """
     mod = pivot_modulus(c, z3)
-    x, _ = _split_z3(z3)
-    quad = c.C1 * _z3_abs_sq(z3) - c.C3 * x + c.C4
     e0 = c.C5 / mod
-    e1 = c.C2 * quad / mod
+    e1 = c.C2 * _quadratic(c, z3) / mod
     return e0, e1
+
+
+def a1_from_C(c: CQuantities, z3, z1, a15_sq):
+    """The level-1 products of the engineered pair, without registers:
+
+      A_13 = C_1 + Z_1^2 C_2
+      A_14 = (|A_15|^2/Z_1^2)(C_1 |Z_3|^2 - C_3 x + C_4)
+      |A_12|^2 = (|A_15|^2/Z_1^2) |C_1 Z_3 - C_3/2|^2
+      |A_15 A_12| = (|A_15|^2/Z_1) |C_1 Z_3 - C_3/2|
+    """
+    mod = pivot_modulus(c, z3)
+    a15_sq = collapse(a15_sq)
+    scale = a15_sq / (z1 * z1)
+    return (c.C1 + z1 * z1 * c.C2, scale * _quadratic(c, z3),
+            scale * mod * mod, (a15_sq / z1) * mod)
 
 
 def objective_B0(c: CQuantities, z3, z1):
     """The certified ratio at explicit Z_1 > 0."""
-    pos = (z1.is_positive() if isinstance(z1, Interval) else z1 > 0)
-    if not pos:
+    if not certainly_positive(z1):
         raise ValueError("Z_1 must be positive")
     e0, e1 = split_e(c, z3)
     return e0 / z1 + e1 * z1
@@ -229,26 +210,10 @@ def z1_star(c: CQuantities, z3):
     """Minimizer sqrt(e_0/e_1) of B_0; exact (possibly a Radical) when the
     inputs are rational."""
     e0, e1 = split_e(c, z3)
-    ratio = e0 / e1
-    if isinstance(ratio, float):
-        return ratio ** 0.5
-    if isinstance(ratio, Interval):
-        return ratio.sqrt()
-    if isinstance(ratio, Radical):
-        ratio = ratio.as_fraction()
-    r = Radical.sqrt(Fraction(ratio))
-    return r.as_fraction() if r.is_rational else r
+    return sqrt(e0 / e1)
 
 
 def b0_minimum(c: CQuantities, z3):
     """min over Z_1 of B_0, i.e. 2 sqrt(e_0 e_1)."""
     e0, e1 = split_e(c, z3)
-    prod = e0 * e1
-    if isinstance(prod, float):
-        return 2.0 * prod ** 0.5
-    if isinstance(prod, Interval):
-        return 2 * prod.sqrt()
-    if isinstance(prod, Radical):
-        prod = prod.as_fraction()
-    r = Radical.sqrt(Fraction(prod))
-    return 2 * (r.as_fraction() if r.is_rational else r)
+    return 2 * sqrt(e0 * e1)

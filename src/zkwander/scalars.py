@@ -16,9 +16,13 @@ recovered coefficients; ``Radical`` keeps them exact as c * sqrt(r1*...*rn)
 with rational c and rational root atoms, so that the inner products the
 verifier forms collapse back to plain rationals.
 
-Determinants of the 3x3 and 4x4 weight matrices are taken by cofactor
-expansion.  Entries span ~50 orders of magnitude, which would destroy float
-pivoting anyway; exact or interval entries make expansion the right tool.
+Every choice that depends on the regime -- square roots, the zero and sign
+tests, collapsing a rational ``Radical`` -- is made here, by the type of the
+scalar, so the modules above never branch on it.
+
+Determinants of the 3x3 weight matrix are taken by cofactor expansion.
+Entries span ~50 orders of magnitude, which would destroy float pivoting
+anyway; exact or interval entries make expansion the right tool.
 """
 
 from __future__ import annotations
@@ -296,9 +300,6 @@ class Radical:
             out *= math.sqrt(float(r))
         return out
 
-    def conjugate(self) -> "Radical":
-        return self
-
     # -- arithmetic ------------------------------------------------------
 
     @staticmethod
@@ -409,8 +410,6 @@ def abs_sq(x):
     """x * conj(x) as a real scalar of the same regime."""
     if isinstance(x, complex):
         return (x * x.conjugate()).real
-    if isinstance(x, Radical):
-        return x * x
     return x * x
 
 
@@ -420,6 +419,54 @@ def is_exact_zero(x) -> bool:
     if isinstance(x, Interval):
         return x.lo == 0.0 and x.hi == 0.0
     return x == 0
+
+
+def is_zero(x, tol: float) -> bool:
+    """The regime's zero test: exact for rational and Radical values, |x| <= tol
+    for float and complex, and for an interval "contains 0 and is at most tol
+    wide", which does not prove that the value is zero."""
+    if isinstance(x, Interval):
+        return x.contains_zero() and x.width <= tol
+    if isinstance(x, (float, complex)):
+        return abs(x) <= tol
+    return is_exact_zero(x)
+
+
+def excludes_zero(x) -> bool:
+    """x != 0 as far as the regime can tell; an interval must not contain 0."""
+    if isinstance(x, Interval):
+        return not x.contains_zero()
+    return not is_exact_zero(x)
+
+
+def certainly_positive(x) -> bool:
+    """Certified x > 0; an interval must lie strictly above 0."""
+    if isinstance(x, Interval):
+        return x.is_positive()
+    return x > 0
+
+
+def collapse(x):
+    """A Radical without root atoms as its plain Fraction; anything else as is."""
+    if isinstance(x, Radical) and x.is_rational:
+        return x.coeff
+    return x
+
+
+def sqrt(x):
+    """Square root in the regime of x.
+
+    Correctly rounded for float, an outward enclosure for Interval, and exact
+    for rational or rational-valued Radical input: a Radical, collapsed to a
+    Fraction when the root is rational.
+    """
+    if isinstance(x, float):
+        return math.sqrt(x)
+    if isinstance(x, Interval):
+        return x.sqrt()
+    if isinstance(x, Radical):
+        x = x.as_fraction()
+    return collapse(Radical.sqrt(x))
 
 
 def strictly_less(a, b) -> bool:
@@ -488,30 +535,19 @@ def scalar_from_json(obj):
 
 @dataclass(frozen=True)
 class SmallMatrix:
-    """Dense row-major matrix, 3 or 4 rows/cols, entries in one regime."""
+    """Dense row-major 3x3 matrix, entries in one regime."""
 
-    rows: int
-    cols: int
     entries: tuple
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "SmallMatrix":
-        r = len(rows)
-        c = len(rows[0])
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        if r not in (3, 4) or c not in (3, 4):
-            raise ValueError("only 3x3, 3x4, 4x3, 4x4 supported")
-        return cls(r, c, tuple(tuple(row) for row in rows))
-
-    def entry(self, i: int, j: int):
-        return self.entries[i][j]
+        if len(rows) != 3 or any(len(row) != 3 for row in rows):
+            raise ValueError("only 3x3 matrices are supported")
+        return cls(tuple(tuple(row) for row in rows))
 
     def replace_col(self, j: int, col: Sequence) -> "SmallMatrix":
-        if len(col) != self.rows:
-            raise ValueError("column length mismatch")
         rows = [list(row) for row in self.entries]
-        for i in range(self.rows):
+        for i in range(3):
             rows[i][j] = col[i]
         return SmallMatrix.from_rows(rows)
 
@@ -521,44 +557,19 @@ def _det2(a, b, c, d):
 
 
 def det3(m: SmallMatrix):
-    if (m.rows, m.cols) != (3, 3):
-        raise ValueError("det3 needs a 3x3 matrix")
     e = m.entries
     return (e[0][0] * _det2(e[1][1], e[1][2], e[2][1], e[2][2])
             - e[0][1] * _det2(e[1][0], e[1][2], e[2][0], e[2][2])
             + e[0][2] * _det2(e[1][0], e[1][1], e[2][0], e[2][1]))
 
 
-def det4(m: SmallMatrix):
-    if (m.rows, m.cols) != (4, 4):
-        raise ValueError("det4 needs a 4x4 matrix")
-    e = m.entries
-    total = None
-    sign = 1
-    for j in range(4):
-        sub = SmallMatrix.from_rows(
-            [[e[i][c] for c in range(4) if c != j] for i in (1, 2, 3)])
-        term = sign * e[0][j] * det3(sub)
-        total = term if total is None else total + term
-        sign = -sign
-    return total
-
-
-def _det_is_zero(d) -> bool:
-    if isinstance(d, Interval):
-        # cannot certify invertibility once the enclosure straddles zero
-        return d.contains_zero()
-    return d == 0
-
-
 def cramer_solve3(m: SmallMatrix, rhs: Sequence):
     """Solve m x = rhs by Cramer's rule; raises on (possibly) singular m."""
-    if (m.rows, m.cols) != (3, 3):
-        raise ValueError("cramer_solve3 needs a 3x3 matrix")
     if len(rhs) != 3:
         raise ValueError("rhs must have 3 entries")
     d = det3(m)
-    if _det_is_zero(d):
+    # an interval determinant that straddles zero cannot certify invertibility
+    if not excludes_zero(d):
         raise SingularSystemError(
             "3x3 weight system is singular (or not certifiably nonsingular)")
     return tuple(det3(m.replace_col(j, rhs)) / d for j in range(3))

@@ -8,7 +8,6 @@ that found the point is not.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -52,7 +51,6 @@ class SearchConfig:
     strategy: str = "coordinate-descent"
     target: str = "B1"
     threshold: float = 1.0
-    threads: int = 1
     keep_trace: bool = False
 
     def __post_init__(self):
@@ -100,14 +98,9 @@ def _evaluate(rs, objective, d3) -> float:
         return math.inf
 
 
-def _scan(rs, objective, grids, threads: int):
+def _scan(rs, objective, grids):
     points = [(x, y, z) for x in grids[0] for y in grids[1] for z in grids[2]]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(lambda p: _evaluate(rs, objective, p),
-                                   points))
-    else:
-        values = [_evaluate(rs, objective, p) for p in points]
+    values = [_evaluate(rs, objective, p) for p in points]
     best_i = min(range(len(points)), key=lambda i: values[i])
     return points[best_i], values[best_i], len(points)
 
@@ -152,11 +145,6 @@ def _simplex(rs, objective, seed, seed_value):
     if value <= seed_value:
         return point, value, int(res.nfev) + 1
     return seed, seed_value, int(res.nfev) + 1
-
-
-def _alpha_is_integer(alpha) -> bool:
-    q = Fraction(alpha) if not isinstance(alpha, Fraction) else alpha
-    return q.denominator == 1
 
 
 def confirm_value(seq: WeightSequence, pattern: DegreePattern, d3,
@@ -220,8 +208,7 @@ def minimize(config: SearchConfig, make_sequence=dirichlet) -> SearchResult:
                             ModeUnsupportedError):
                         singular += 1
                         continue
-                    point, value, n = _scan(rs, objective, grids,
-                                            config.threads)
+                    point, value, n = _scan(rs, objective, grids)
                     evals += n
                     if config.strategy == "coordinate-descent":
                         point, value, n = _descend(rs, objective, point,

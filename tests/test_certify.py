@@ -149,9 +149,58 @@ class TestCertificateIO:
         data["schema"] = "zkwander-certificate/v9"
         with pytest.raises(CertificateError):
             check_certificate(data)
+        with pytest.raises(CertificateError):
+            check_certificate([data])
 
     def test_malformed_payload_rejected(self, cert16):
         data = json.loads(cert16.to_json())
         del data["coefficients"]
         with pytest.raises(CertificateError):
             check_certificate(data)
+
+
+def _drop(key):
+    def mutate(data):
+        del data[key]
+    return mutate
+
+
+def _set(key, value):
+    def mutate(data):
+        data[key] = value
+    return mutate
+
+
+def _bad_weight_index(data):
+    data["weights_at_matrix_indices"]["x"] = "1"
+
+
+@pytest.mark.parametrize("mutate", [
+    _drop("verdict"),
+    _drop("weights_at_matrix_indices"),
+    _set("regime", "bogus"),
+    _set("s_max", -1),
+    _set("s_max", 0),
+    _set("s_max", 2),
+    _set("s_max", "3"),
+    _set("s_max", 3.0),
+    _set("k", "6"),
+    _set("k", True),
+    _set("k", 0),
+    _set("gamma", [0, 1, 2, 3, 4, "5"]),
+    _bad_weight_index,
+    _set("c", "x"),
+], ids=["no-verdict", "no-weights", "regime", "s_max-negative", "s_max-0",
+        "s_max-2", "s_max-str", "s_max-float", "k-str", "k-bool",
+        "k-zero", "gamma-str", "weight-index", "c-str"])
+def test_malformed_field_is_a_certificate_error(cert16, mutate):
+    data = json.loads(cert16.to_json())
+    mutate(data)
+    with pytest.raises(CertificateError):
+        check_certificate(data)
+
+
+def test_smallest_sweep_depth_still_replays(cert16):
+    data = json.loads(cert16.to_json())
+    data["s_max"] = 3
+    assert check_certificate(data)["recomputed_verdict"] == "pass"

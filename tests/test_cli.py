@@ -53,6 +53,17 @@ class TestEval:
         assert code == 1
         assert err
 
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--alpha", "x"),
+        ("eval", "--alpha", "-16", "--d", "1,4,x"),
+        ("eval", "--alpha", "-16", "--z3", "1,x"),
+    ])
+    def test_bad_rational_is_an_error_not_a_traceback(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "cannot parse" in err
+
 
 class TestSearch:
 
@@ -73,6 +84,16 @@ class TestSearch:
         code, out, _ = run(capsys, "search", "--config", str(cfg))
         assert code == 0
         assert "landing side vs threshold: below" in out
+
+    @pytest.mark.parametrize("raw", [{"alpha": -16, "threads": 2},
+                                     {"alpha": -16, "strategy": "bogus"},
+                                     [-16]])
+    def test_bad_config_file_is_an_error(self, capsys, tmp_path, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        code, _, err = run(capsys, "search", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("error: bad search config")
 
     def test_nothing_below_threshold(self, capsys):
         code, _, _ = run(capsys, "search", "--alpha", "-16",

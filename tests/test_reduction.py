@@ -32,13 +32,12 @@ def _close(x, ref, rel=1e-12):
 
 class TestReducedSystem:
 
-    def test_matrix_shapes_and_det_identity(self, seq16, pattern6):
-        n, n0, n1 = build_N(seq16, pattern6)
-        assert (n.rows, n.cols) == (3, 4)
-        assert (n0.rows, n0.cols) == (4, 4)
-        assert (n1.rows, n1.cols) == (3, 3)
-        from zkwander.scalars import det4
-        assert det4(n0) == det3(n1)
+    def test_matrix_shapes_and_det_identity(self, seq16, pattern6, rs16):
+        n1 = build_N(seq16, pattern6)
+        assert len(n1.entries) == 3
+        assert all(len(row) == 3 for row in n1.entries)
+        assert n1.entries[0][0] == weight(seq16, 7)
+        assert det3(n1) == rs16.det_N1
 
     def test_det_against_frozen_value(self, rs16):
         assert _close(rs16.det_N1, DET_N1)

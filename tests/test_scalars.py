@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from zkwander.errors import ModeUnsupportedError, SingularSystemError
 from zkwander.scalars import (FLOAT, INTERVAL, RATIONAL, Interval, Radical,
-                              SmallMatrix, abs_sq, conj, cramer_solve3, det3,
-                              det4, is_exact_zero, power_interval,
-                              scalar_from_json, scalar_to_json, strictly_less,
-                              to_float, to_regime)
+                              SmallMatrix, abs_sq, certainly_positive,
+                              collapse, conj, cramer_solve3, det3,
+                              excludes_zero, is_exact_zero, is_zero,
+                              power_interval, scalar_from_json,
+                              scalar_to_json, sqrt, strictly_less, to_float,
+                              to_regime)
 
 rationals = st.fractions(min_value=-1000, max_value=1000,
                          max_denominator=10 ** 6)
@@ -127,10 +129,10 @@ class TestRadical:
         assert Radical.sqrt(2) == Radical(Fraction(1), (Fraction(2),))
         assert hash(Radical.of(3)) == hash(Radical(Fraction(3)))
 
-    def test_abs_and_conjugate(self):
+    def test_abs(self):
         r = Radical(Fraction(-2), (Fraction(3),))
         assert abs(r).coeff == 2
-        assert r.conjugate() == r
+        assert abs(r).roots == r.roots
 
 
 class TestHelpers:
@@ -157,6 +159,57 @@ class TestHelpers:
     def test_to_float_of_interval_is_midpoint(self):
         assert to_float(Interval(1.0, 3.0)) == 2.0
 
+    @given(q=rationals)
+    @settings(max_examples=50)
+    def test_sqrt_of_a_square_is_exact(self, q):
+        root = sqrt(q * q)
+        assert isinstance(root, Fraction)
+        assert root == abs(q)
+
+    def test_sqrt_exact_irrational_and_float(self):
+        root = sqrt(Fraction(2))
+        assert isinstance(root, Radical)
+        assert (root * root).as_fraction() == 2
+        assert sqrt(Radical(Fraction(9, 4))) == Fraction(3, 2)
+        assert sqrt(2.25) == 1.5
+        with pytest.raises(ModeUnsupportedError):
+            sqrt(Radical.sqrt(2))
+
+    @given(a=rationals.filter(lambda q: q > 0))
+    @settings(max_examples=50)
+    def test_sqrt_interval_encloses_true_root(self, a):
+        iv = sqrt(Interval.exact(a))
+        assert Fraction(iv.lo) ** 2 <= a <= Fraction(iv.hi) ** 2
+
+    def test_is_zero_per_regime(self):
+        assert is_zero(Fraction(0), 1.0)
+        assert not is_zero(Fraction(1, 10 ** 30), 1.0)
+        assert is_zero(Radical(Fraction(0)), 0.0)
+        assert is_zero(1e-12, 1e-9) and not is_zero(1e-6, 1e-9)
+        assert is_zero(complex(1e-12, 0.0), 1e-9)
+        # an interval counts as zero only when it contains 0 and is narrow
+        assert is_zero(Interval(-1e-30, 1e-30), 1e-20)
+        assert not is_zero(Interval(-1e-10, 1e-10), 1e-20)
+        assert not is_zero(Interval(1e-30, 2e-30), 1e-20)
+
+    def test_excludes_zero_and_certainly_positive(self):
+        assert excludes_zero(Fraction(-1, 3)) and not excludes_zero(Fraction(0))
+        assert excludes_zero(Radical.sqrt(2))
+        assert excludes_zero(Interval(-2.0, -1.0))
+        assert not excludes_zero(Interval(-1.0, 1.0))
+        assert certainly_positive(Fraction(1, 3)) and certainly_positive(0.5)
+        assert not certainly_positive(Fraction(0))
+        assert certainly_positive(Interval(0.5, 1.0))
+        # touching 0 is not certainly positive
+        assert not certainly_positive(Interval(0.0, 1.0))
+        assert not certainly_positive(Interval(-1.0, 1.0))
+
+    def test_collapse(self):
+        assert collapse(Radical(Fraction(5, 2))) == Fraction(5, 2)
+        assert isinstance(collapse(Radical(Fraction(5, 2))), Fraction)
+        assert isinstance(collapse(Radical.sqrt(2)), Radical)
+        assert collapse(1.5) == 1.5
+
     @pytest.mark.parametrize("value", [
         Fraction(-22, 7),
         Interval(1.25, 1.75),
@@ -180,12 +233,9 @@ class TestSmallMatrix:
                      [0, 0, Fraction(5)]])
         assert det3(m) == 30
 
-    def test_det4_known(self):
-        m = _matrix([[Fraction(1), 0, 0, 0],
-                     [0, Fraction(2), 0, 0],
-                     [0, 0, Fraction(3), 0],
-                     [0, 0, 0, Fraction(4)]])
-        assert det4(m) == 24
+    def test_only_3x3(self):
+        with pytest.raises(ValueError):
+            _matrix([[Fraction(1), 0, 0, 0]] * 3)
 
     @given(entries=st.lists(rationals, min_size=9, max_size=9))
     @settings(max_examples=40)

@@ -62,11 +62,6 @@ class TestMinimize:
         assert again.value == best16.value
         assert again.evaluations == best16.evaluations
 
-    def test_threads_do_not_change_the_result(self, best16):
-        threaded = minimize(SearchConfig(alpha=-16, threads=2))
-        assert threaded.d == best16.d
-        assert threaded.value == best16.value
-
     def test_wider_grid_never_hurts(self):
         small = minimize(SearchConfig(alpha=-16, strategy="grid",
                                       d_grid=(1.0, 100.0, 10000.0)))
