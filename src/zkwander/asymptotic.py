@@ -157,7 +157,7 @@ def check_five_k_readings(lo: int = 10, hi: int = 60) -> dict:
     """The source sentence says the recipe works 'for any k <= 18' but its
     context (decay in k, 'it holds for k=18') reads k >= 18; report which
     interpretation survives computation."""
-    below = all(five_k_rule(k)["holds"] for k in range(10, 19))
+    below = all(five_k_rule(k)["holds"] for k in range(lo, 19))
     above = all(five_k_rule(k)["holds"] for k in range(18, hi + 1))
     return {"k_le_18_reading": below, "k_ge_18_reading": above,
             "checked_up_to": hi}

@@ -25,8 +25,8 @@ from typing import Optional
 
 from .errors import (CertificateError, DegeneratePairError,
                      InvalidPatternError, ModeUnsupportedError)
-from .model import (AQuantities, DegreePattern, GeneratorPair, compute_A,
-                    construct_F3, inner_product)
+from .model import (AQuantities, DegreePattern, GeneratorPair,
+                    _f3_from_level1, compute_A, inner_product)
 from .reduction import a1_from_C, objective_B0
 from .scalars import (FLOAT, INTERVAL, RATIONAL, REGIMES, Interval, Radical,
                       abs_sq, collapse, conj, excludes_zero, is_zero,
@@ -47,14 +47,14 @@ def default_s_max(pattern: DegreePattern) -> int:
     return -(-top // pattern.k) + 2
 
 
-def _scale_of(a3) -> float:
-    v = to_float(abs_sq(a3)) ** 0.5 if isinstance(a3, complex) else abs(to_float(a3))
-    return max(1.0, v)
+def _zero_tolerance(q1: AQuantities, regime: str) -> float:
+    """The regime's relative tolerance times max(1, |A_(1,3)|), A_(1,3)
+    being a real norm; exact values ignore it."""
+    rtol = INTERVAL_WIDTH_RTOL if regime == INTERVAL else FLOAT_ZERO_RTOL
+    return rtol * max(1.0, abs(to_float(q1.A3)))
 
 
-def _zero_report(x, scale: float, regime: str) -> tuple:
-    # exact values ignore the tolerance
-    tol = (INTERVAL_WIDTH_RTOL if regime == INTERVAL else FLOAT_ZERO_RTOL) * scale
+def _zero_report(x, tol: float, regime: str) -> tuple:
     if regime == RATIONAL:
         info = {"exact": True, "value": scalar_to_json(x)}
     elif regime == INTERVAL:
@@ -64,6 +64,30 @@ def _zero_report(x, scale: float, regime: str) -> tuple:
     else:
         info = {"residual": abs(x), "tolerance": tol}
     return is_zero(x, tol), info
+
+
+def _zero_condition(cells, tol: float, regime: str, reasons: list) -> dict:
+    """Zero-test each (key, label, value) cell; a failing cell appends its
+    reason.  Returns {"holds": all cells zero, key: info, ...}."""
+    condition = {"holds": True}
+    for key, label, value in cells:
+        ok, info = _zero_report(value, tol, regime)
+        condition[key] = info
+        if ok:
+            continue
+        condition["holds"] = False
+        if info.get("contains_zero"):
+            reasons.append(f"{label} enclosure contains 0 but its width "
+                           f"{info['width']:.3e} exceeds the certification "
+                           f"tolerance {info['tolerance']:.3e}")
+        else:
+            reasons.append(f"{label} != 0")
+    return condition
+
+
+def _contraction_sides(q1: AQuantities) -> tuple:
+    """(A_13 A_14 - |A_12|^2, A_15 conj(A_12)) of a level-1 block."""
+    return q1.A3 * q1.A4 - abs_sq(q1.A2), q1.A5 * conj(q1.A2)
 
 
 def _nonzero_report(x, regime: str) -> tuple:
@@ -137,55 +161,44 @@ class Certificate:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+# coefficient types each regime's arithmetic cannot multiply
+_FOREIGN = {RATIONAL: ((float, complex, Interval), "exact coefficients"),
+            INTERVAL: ((Radical, complex), "real rational, float or "
+                       "interval coefficients"),
+            FLOAT: ((Radical,), "rational, float or complex coefficients")}
+
+
 def verify(pair: GeneratorPair, seq: WeightSequence, regime: str = RATIONAL,
            s_max: Optional[int] = None) -> Certificate:
     """Evaluate the four conditions from the raw coefficients."""
     if s_max is None:
         s_max = default_s_max(pair.pattern)
-    if regime == RATIONAL:
-        for v in (*pair.a_low, *pair.a_high, *pair.b_low,
-                  pair.a_reg, pair.b_reg):
-            if isinstance(v, (float, complex, Interval)):
-                raise ModeUnsupportedError(
-                    "rational regime needs exact coefficients "
-                    f"(got {type(v).__name__})")
+    if s_max < 3:
+        raise ValueError(f"s_max must be at least 3, got {s_max}")
+    foreign, need = _FOREIGN[regime]
+    for v in (*pair.a_low, *pair.a_high, *pair.b_low,
+              pair.a_reg, pair.b_reg):
+        if isinstance(v, foreign):
+            raise ModeUnsupportedError(
+                f"{regime} regime needs {need} (got {type(v).__name__})")
     a_table = {s: compute_A(pair, seq, s, regime) for s in range(1, s_max + 1)}
     q1 = a_table[1]
-    scale = _scale_of(q1.A3)
-    conditions = {}
+    tol = _zero_tolerance(q1, regime)
     reasons = []
+    conditions = {
+        "adjacent_zero": _zero_condition(
+            [("A_1_1", "A_(1,1)", q1.A1)], tol, regime, reasons),
+        "higher_zero": _zero_condition(
+            [(f"A_({s},{n})", f"A_({s},{n})", getattr(a_table[s], f"A{n}"))
+             for s in (2, 3) for n in (1, 5)], tol, regime, reasons),
+    }
 
-    def zero_reason(label: str, info: dict) -> str:
-        if info.get("contains_zero"):
-            return (f"{label} enclosure contains 0 but its width "
-                    f"{info['width']:.3e} exceeds the certification "
-                    f"tolerance {info['tolerance']:.3e}")
-        return f"{label} != 0"
-
-    holds, info = _zero_report(q1.A1, scale, regime)
-    conditions["adjacent_zero"] = {"holds": holds, "A_1_1": info}
-    if not holds:
-        reasons.append(zero_reason("A_(1,1)", info))
-
-    hz_all = True
-    hz = {}
-    for s in (2, 3):
-        for name, val in (("A1", a_table[s].A1), ("A5", a_table[s].A5)):
-            ok, info = _zero_report(val, scale, regime)
-            label = f"A_({s},{'1' if name == 'A1' else '5'})"
-            hz[label] = info
-            if not ok:
-                hz_all = False
-                reasons.append(zero_reason(label, info))
-    conditions["higher_zero"] = {"holds": hz_all, **hz}
-
-    coupling = q1.A5 * conj(q1.A2)
+    lhs, coupling = _contraction_sides(q1)
     ok, info = _nonzero_report(coupling, regime)
     conditions["coupling_nonzero"] = {"holds": ok, "A15_A12": info}
     if not ok:
         reasons.append("A_(1,5) A_(1,2) = 0")
 
-    lhs = q1.A3 * q1.A4 - abs_sq(q1.A2)
     rhs = abs(coupling)
     c_value = None
     try:
@@ -207,10 +220,11 @@ def verify(pair: GeneratorPair, seq: WeightSequence, regime: str = RATIONAL,
     warnings = []
     for s in range(4, s_max + 1):
         for nm, v in (("1", a_table[s].A1), ("5", a_table[s].A5)):
-            zok, _ = _zero_report(v, scale, regime)
+            zok, _ = _zero_report(v, tol, regime)
             if not zok:
+                shown = v if isinstance(v, complex) else to_float(v)
                 warnings.append(
-                    f"A_({s},{nm}) = {to_float(v) if regime != RATIONAL else float(v):.3e}"
+                    f"A_({s},{nm}) = {shown:.3e}"
                     " is nonzero (harmless: it multiplies a zero coefficient"
                     " in the membership recursion)")
 
@@ -219,7 +233,7 @@ def verify(pair: GeneratorPair, seq: WeightSequence, regime: str = RATIONAL,
                     "strict_contraction"))
     membership = {}
     if all_hold and regime != FLOAT:
-        membership = _membership_sweep(pair, seq, regime, s_max, scale)
+        membership = _membership_sweep(pair, seq, regime, s_max, q1, tol)
         if not membership["holds"]:
             all_hold = False
             reasons.append("membership sweep found a nonzero projection")
@@ -237,16 +251,16 @@ def verify(pair: GeneratorPair, seq: WeightSequence, regime: str = RATIONAL,
 
 
 def _membership_sweep(pair: GeneratorPair, seq: WeightSequence, regime: str,
-                      s_max: int, scale: float) -> dict:
+                      s_max: int, q1: AQuantities, tol: float) -> dict:
     """Check that F_2 and F_3 really live in M (-) z^k M up to level s_max.
 
-    This re-derives the wandering-failure witness independently of the four
-    condition checks; any nonzero projection flags an internal inconsistency.
+    F_3 is built from verify's level-1 block q1, whose zero conditions have
+    passed under the same tolerance; the sweep then tests every projection
+    directly, so any nonzero one flags an internal inconsistency.
     """
     k = pair.pattern.k
-    atol = (INTERVAL_WIDTH_RTOL if regime == INTERVAL else FLOAT_ZERO_RTOL) * scale
     try:
-        f3 = construct_F3(pair, seq, regime, atol=atol)
+        f3 = _f3_from_level1(pair, q1, tol)
     except DegeneratePairError as exc:
         return {"holds": False, "error": str(exc)}
     f1, f2 = pair.f1_map(), pair.f2_map()
@@ -256,7 +270,7 @@ def _membership_sweep(pair: GeneratorPair, seq: WeightSequence, regime: str,
             for gname, gmap in (("F1", f1), ("F2", f2)):
                 v = inner_product(fmap, gmap, seq, regime,
                                   shift_f=0, shift_g=k * s)
-                zok, _ = _zero_report(v, scale, regime)
+                zok, _ = _zero_report(v, tol, regime)
                 if not zok:
                     return {"holds": False,
                             "first_failure": f"<{tag}, z^{k * s} {gname}> != 0"}
@@ -288,8 +302,8 @@ def cross_check(params, s_max: Optional[int] = None) -> dict:
     pred_a13, pred_a14, pred_a12_sq, _ = a1_from_C(c, z3, z1,
                                                    abs_sq(params.a15))
     b0 = objective_B0(c, z3, z1)
-    coupling = q1.A5 * conj(q1.A2)
-    c_oracle = (q1.A3 * q1.A4 - abs_sq(q1.A2)) / collapse(abs(coupling))
+    lhs, coupling = _contraction_sides(q1)
+    c_oracle = lhs / collapse(abs(coupling))
 
     def signed_square(value):
         """(sign, value**2) for a real exact scalar; square kills the radical."""
@@ -345,8 +359,12 @@ def check_certificate(source) -> dict:
     Returns a report dict with "ok" set accordingly.
     """
     if isinstance(source, str):
-        with open(source) as fh:
-            data = json.load(fh)
+        try:
+            with open(source) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise CertificateError(
+                f"cannot read certificate {source}: {exc}") from exc
     else:
         data = source
     schema = data.get("schema") if isinstance(data, dict) else None

@@ -2,8 +2,9 @@
 asymptotics, and table reproduction with stable CSV/JSON outputs.
 
 Exit codes are uniform across subcommands: 0 for a pass/success, 2 for an
-honest negative (fail verdict, nothing found below threshold), 1 for
-usage or computational errors such as a singular system.
+honest negative (fail verdict, nothing found below threshold, a table entry
+off its printed value), 1 for usage or computational errors such as a
+singular system.
 """
 
 import argparse
@@ -55,7 +56,10 @@ def _parse_d(text: str) -> tuple:
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) not in (3, 4):
         raise ZkwanderError("--d wants 3 or 4 comma-separated values")
-    return tuple(_parse_fraction(p) for p in parts)
+    values = tuple(_parse_fraction(p) for p in parts)
+    if any(v <= 0 for v in values):
+        raise ZkwanderError(f"--d values must be positive, got {text!r}")
+    return values
 
 
 def _parse_z3(text: str):
@@ -68,7 +72,12 @@ def _parse_z3(text: str):
 
 def _pattern_from_args(args) -> DegreePattern:
     if getattr(args, "gamma", None):
-        parts = tuple(int(p) for p in args.gamma.split(","))
+        try:
+            parts = tuple(int(p) for p in args.gamma.split(","))
+        except ValueError:
+            raise ZkwanderError(
+                f"--gamma wants 6 comma-separated integers, got {args.gamma!r}"
+            ) from None
         if len(parts) != 6:
             raise ZkwanderError("--gamma wants 6 comma-separated degrees")
         return DegreePattern(args.k, parts)
@@ -186,6 +195,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    if args.smax is not None and args.smax < 3:
+        raise ZkwanderError(f"--smax must be at least 3, got {args.smax}")
     pattern = _pattern_from_args(args)
     seq = _sequence_from_args(args, pattern)
     regime = _default_regime(args.alpha, args.regime)
@@ -248,8 +259,14 @@ def _reproduce_table3(out_path):
     return all(r[4] for r in rows)
 
 
+# relative band every reproduced Table 4 entry must sit in, as in the
+# acceptance test; the printed discrepancies are exempt
+_TABLE4_BAND = 0.15
+
+
 def _reproduce_table4(out_path):
-    from .reference_data import TABLE4_PRINTED, printed_as_fraction
+    from .reference_data import (TABLE4_DISCREPANCIES, TABLE4_PRINTED,
+                                 printed_as_fraction)
     seq = dirichlet(-16)
     pattern = DegreePattern.default(6)
     rs = reduce_system(seq, pattern)
@@ -269,13 +286,16 @@ def _reproduce_table4(out_path):
         "b_2": params.pair.b_low[2], "b_3": params.pair.b_low[3],
     }
     rows = []
+    in_band = True
     for name, printed in TABLE4_PRINTED.items():
         comp = to_float(computed[name])
         ref = float(printed_as_fraction(printed))
         delta = abs(comp - ref) / abs(ref) if ref else abs(comp)
         rows.append([name, repr(comp), printed, f"{delta:.6f}"])
+        if name not in TABLE4_DISCREPANCIES and not delta <= _TABLE4_BAND:
+            in_band = False
     _write_csv(rows, ["name", "computed", "printed", "rel_delta"], out_path)
-    return True
+    return in_band
 
 
 def cmd_reproduce(args) -> int:
@@ -303,8 +323,7 @@ def cmd_reproduce(args) -> int:
     if args.table == 3:
         return 0 if _reproduce_table3(args.out) else 2
     if args.table == 4:
-        _reproduce_table4(args.out)
-        return 0
+        return 0 if _reproduce_table4(args.out) else 2
     if args.table == 5:
         report = asymptotic.reproduce_table5()
         rows = [[e["k"], e["beta"], e["sigma"], e["printed_bound"],

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict
 
 from .errors import (DegeneratePairError, InvalidPatternError,
                      NotOrthogonalError)
@@ -212,6 +212,38 @@ def _check_engineered(pair: GeneratorPair, seq: WeightSequence, regime: str,
     return q1
 
 
+def _shift_multipliers(q1: AQuantities, atol: float) -> tuple:
+    """The z^k multipliers A_15 (A_13, -conj(A_12)) / (|A_12|^2 - A_13 A_14)
+    of F_2 and F_1 in F_3, once the Cauchy-Schwarz gap is certified strict."""
+    if is_zero(q1.A3, atol) or is_zero(q1.A4, atol):
+        raise DegeneratePairError("a shifted generator has zero norm")
+    lhs = abs_sq(q1.A2)
+    rhs = q1.A3 * q1.A4
+    if not strictly_less(lhs, rhs):
+        raise DegeneratePairError(
+            f"|A_12|^2 = {lhs!r} does not sit strictly below "
+            f"A_13*A_14 = {rhs!r}")
+    scale = q1.A5 / (lhs - rhs)
+    return scale * q1.A3, -(scale * conj(q1.A2))
+
+
+def _f1_plus_shifted(pair: GeneratorPair, terms) -> CoefficientMap:
+    """F_1 + z^k sum c F over the (c, coefficient map of F) terms."""
+    k = pair.pattern.k
+    out: CoefficientMap = dict(pair.f1_map())
+    for c, fmap in terms:
+        for d, v in fmap.items():
+            _map_add(out, d + k, c * v)
+    return {d: v for d, v in sorted(out.items()) if not is_exact_zero(v)}
+
+
+def _f3_from_level1(pair: GeneratorPair, q1: AQuantities,
+                    atol: float) -> CoefficientMap:
+    """F_3 from a level-1 block whose orthogonality relations hold."""
+    c2, c1 = _shift_multipliers(q1, atol)
+    return _f1_plus_shifted(pair, ((c2, pair.f2_map()), (c1, pair.f1_map())))
+
+
 def construct_F3(pair: GeneratorPair, seq: WeightSequence,
                  regime: str = RATIONAL, atol: float = 1e-20) -> CoefficientMap:
     """Second spanning element of M (-) z^k M, as a coefficient map.
@@ -222,38 +254,13 @@ def construct_F3(pair: GeneratorPair, seq: WeightSequence,
     Requires the engineered orthogonality relations and a strict
     Cauchy-Schwarz gap |A_12|^2 < A_13 A_14.
     """
-    q1 = _check_engineered(pair, seq, regime, atol)
-    lhs = abs_sq(q1.A2)
-    rhs = q1.A3 * q1.A4
-    if is_zero(q1.A3, atol) or is_zero(q1.A4, atol):
-        raise DegeneratePairError("a shifted generator has zero norm")
-    if not strictly_less(lhs, rhs):
-        raise DegeneratePairError(
-            f"|A_12|^2 = {lhs!r} does not sit strictly below "
-            f"A_13*A_14 = {rhs!r}")
-    k = pair.pattern.k
-    scale = q1.A5 / (lhs - rhs)
-    c2 = scale * q1.A3            # multiplies F_2, shifted by k
-    c1 = -(scale * conj(q1.A2))   # multiplies F_1, shifted by k
-    out: CoefficientMap = dict(pair.f1_map())
-    for d, v in pair.f2_map().items():
-        _map_add(out, d + k, c2 * v)
-    for d, v in pair.f1_map().items():
-        _map_add(out, d + k, c1 * v)
-    return {d: v for d, v in sorted(out.items()) if not is_exact_zero(v)}
+    return _f3_from_level1(pair, _check_engineered(pair, seq, regime, atol),
+                           atol)
 
 
 def construct_F4(pair: GeneratorPair, seq: WeightSequence,
                  regime: str = RATIONAL, atol: float = 1e-20) -> CoefficientMap:
     """Companion element F_4 = F_1 (1 - z^k A_15 conj(A_12) / (|A_12|^2 - A_13 A_14))."""
     q1 = _check_engineered(pair, seq, regime, atol)
-    lhs = abs_sq(q1.A2)
-    rhs = q1.A3 * q1.A4
-    if not strictly_less(lhs, rhs):
-        raise DegeneratePairError("Cauchy-Schwarz gap is not strict")
-    k = pair.pattern.k
-    mu = q1.A5 * conj(q1.A2) / (lhs - rhs)
-    out: CoefficientMap = dict(pair.f1_map())
-    for d, v in pair.f1_map().items():
-        _map_add(out, d + k, -(mu * v))
-    return {d: v for d, v in sorted(out.items()) if not is_exact_zero(v)}
+    c1 = _shift_multipliers(q1, atol)[1]
+    return _f1_plus_shifted(pair, ((c1, pair.f1_map()),))

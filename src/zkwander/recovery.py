@@ -7,7 +7,7 @@ Z_1 > 0, A_15 != 0, the engineered pair is
     a_{k+0} = Z_1 / conj(a_0)
     a_{k+i} = E_i Z_1 / conj(a_i)             i = 1..3
     b_0     = a_0 conj(A_15 Z_3) / conj(Z_1)
-    b_i     = a_i conj(A_15)/conj(Z_1) (conj(Z_3) + G_i/E_i)
+    b_i     = a_i conj(A_15)/conj(Z_1) (conj(Z_3) - D_i),  D_i = -G_i/E_i
 
 In the rational regime the square roots are carried exactly by ``Radical``;
 every inner product the verifier forms then collapses to a plain rational.
@@ -120,7 +120,7 @@ def recover(rs: ReducedSystem, d, z3=None, z1=None, a15=None) -> RecoveredParame
     else:
         z3_conj = complex(to_float(x), -to_float(y))
     b_low = (a_low[0] * scale * z3_conj,) + tuple(
-        a_low[i] * scale * (z3_conj + rs.G[i - 1] / rs.E[i - 1])
+        a_low[i] * scale * (z3_conj - rs.D[i - 1])
         for i in (1, 2, 3))
     pair = GeneratorPair(pattern=rs.pattern, a_low=a_low, a_high=a_high,
                          b_low=b_low)

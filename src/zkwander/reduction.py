@@ -25,19 +25,20 @@ from fractions import Fraction
 
 from .errors import DegenerateReductionError, DegenerateZ3Error
 from .model import DegreePattern
-from .scalars import (RATIONAL, SmallMatrix, abs_sq, certainly_positive,
-                      collapse, cramer_solve3, det3, excludes_zero,
-                      is_exact_zero, sqrt, to_regime)
+from .scalars import (RATIONAL, abs_sq, certainly_positive, collapse,
+                      cramer_solve3, excludes_zero, is_exact_zero, sqrt,
+                      to_regime)
 from .weights import WeightSequence, weight
 
 
-def build_N(seq: WeightSequence, pattern: DegreePattern,
-            regime: str = RATIONAL) -> SmallMatrix:
-    """The 3x3 weight matrix N_1[s][i] = w_{s k + gamma_{i+1}}, s = 1..3."""
+def weight_block(seq: WeightSequence, pattern: DegreePattern,
+                 regime: str = RATIONAL) -> tuple:
+    """The 3x4 block W[s-1][i] = w_{s k + gamma_i}, s = 1..3, i = 0..3;
+    N_1 is its last three columns, -W[.][0] the right-hand side for E."""
     k = pattern.k
     g = pattern.gamma
-    return SmallMatrix.from_rows([[weight(seq, s * k + g[i], regime)
-                                   for i in (1, 2, 3)] for s in (1, 2, 3)])
+    return tuple(tuple(weight(seq, s * k + g[i], regime) for i in range(4))
+                 for s in (1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ class ReducedSystem:
     pattern: DegreePattern
     seq: WeightSequence
     regime: str
-    N1: SmallMatrix
+    W: tuple       # weight_block: W[s-1][i] = w_{s k + gamma_i}
     det_N1: object
     E: tuple
     G: tuple
@@ -61,22 +62,18 @@ def reduce_system(seq: WeightSequence, pattern: DegreePattern,
     """Solve for E, G and derived H, D; raises SingularSystemError when N_1
     is (not certifiably non-) singular, e.g. for the Hardy and Dirichlet
     weights where t -> w_t is affine."""
-    n1 = build_N(seq, pattern, regime)
-    k = pattern.k
-    g0 = pattern.gamma[0]
-    rhs_e = [-weight(seq, s * k + g0, regime) for s in (1, 2, 3)]
+    w = weight_block(seq, pattern, regime)
     one = to_regime(Fraction(1), regime)
     zero = to_regime(Fraction(0), regime)
-    e = cramer_solve3(n1, rhs_e)
-    gg = cramer_solve3(n1, [one, zero, zero])
+    det, e, gg = cramer_solve3([row[1:] for row in w],
+                               [-row[0] for row in w], [one, zero, zero])
     for i, ei in enumerate(e):
         if not excludes_zero(ei):
             raise DegenerateReductionError(f"E_{i + 1} vanishes; D undefined")
     h = tuple(ei * ei for ei in e)
     d = tuple(-(gg[i] / e[i]) for i in range(3))
-    return ReducedSystem(pattern=pattern, seq=seq, regime=regime,
-                         N1=n1, det_N1=det3(n1),
-                         E=tuple(e), G=tuple(gg), H=h, D=d)
+    return ReducedSystem(pattern=pattern, seq=seq, regime=regime, W=w,
+                         det_N1=det, E=e, G=gg, H=h, D=d)
 
 
 @dataclass(frozen=True)
@@ -105,10 +102,7 @@ def compute_C(rs: ReducedSystem, d) -> CQuantities:
     """The five reduced constants at squared moduli d = (d_0, .., d_3)."""
     # exact in the rational regime, also for float input
     dd = tuple(to_regime(v, rs.regime) for v in _normalize_d(d))
-    k = rs.pattern.k
-    g = rs.pattern.gamma
-    w1 = [rs.weight_at(k + g[i]) for i in range(4)]
-    w2 = [rs.weight_at(2 * k + g[i]) for i in range(4)]
+    w1, w2 = rs.W[0], rs.W[1]
     c1 = sum(dd[i] * w1[i] for i in range(4))
     c2 = w2[0] / dd[0]
     for i in (1, 2, 3):

@@ -531,45 +531,34 @@ def scalar_from_json(obj):
 
 
 # ---------------------------------------------------------------------------
-# small matrices
-
-@dataclass(frozen=True)
-class SmallMatrix:
-    """Dense row-major 3x3 matrix, entries in one regime."""
-
-    entries: tuple
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "SmallMatrix":
-        if len(rows) != 3 or any(len(row) != 3 for row in rows):
-            raise ValueError("only 3x3 matrices are supported")
-        return cls(tuple(tuple(row) for row in rows))
-
-    def replace_col(self, j: int, col: Sequence) -> "SmallMatrix":
-        rows = [list(row) for row in self.entries]
-        for i in range(3):
-            rows[i][j] = col[i]
-        return SmallMatrix.from_rows(rows)
-
+# 3x3 determinants, matrices given as sequences of rows
 
 def _det2(a, b, c, d):
     return a * d - b * c
 
 
-def det3(m: SmallMatrix):
-    e = m.entries
-    return (e[0][0] * _det2(e[1][1], e[1][2], e[2][1], e[2][2])
-            - e[0][1] * _det2(e[1][0], e[1][2], e[2][0], e[2][2])
-            + e[0][2] * _det2(e[1][0], e[1][1], e[2][0], e[2][1]))
+def _replace_col(m, j: int, col) -> list:
+    return [[col[i] if c == j else m[i][c] for c in range(3)]
+            for i in range(3)]
 
 
-def cramer_solve3(m: SmallMatrix, rhs: Sequence):
-    """Solve m x = rhs by Cramer's rule; raises on (possibly) singular m."""
-    if len(rhs) != 3:
+def det3(m: Sequence[Sequence]):
+    return (m[0][0] * _det2(m[1][1], m[1][2], m[2][1], m[2][2])
+            - m[0][1] * _det2(m[1][0], m[1][2], m[2][0], m[2][2])
+            + m[0][2] * _det2(m[1][0], m[1][1], m[2][0], m[2][1]))
+
+
+def cramer_solve3(m: Sequence[Sequence], *rhs: Sequence) -> tuple:
+    """(det m, x_1, x_2, ...) with m x_j = rhs[j], by Cramer's rule taking
+    det m once; raises on a (possibly) singular m."""
+    if len(m) != 3 or any(len(row) != 3 for row in m):
+        raise ValueError("only 3x3 matrices are supported")
+    if any(len(b) != 3 for b in rhs):
         raise ValueError("rhs must have 3 entries")
     d = det3(m)
     # an interval determinant that straddles zero cannot certify invertibility
     if not excludes_zero(d):
         raise SingularSystemError(
             "3x3 weight system is singular (or not certifiably nonsingular)")
-    return tuple(det3(m.replace_col(j, rhs)) / d for j in range(3))
+    return (d,) + tuple(tuple(det3(_replace_col(m, j, b)) / d
+                              for j in range(3)) for b in rhs)

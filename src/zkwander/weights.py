@@ -48,10 +48,6 @@ class WeightSequence:
     tail: Optional["WeightSequence"] = None
     label: str = field(default="", compare=False)
 
-    @property
-    def alpha_is_integer(self) -> bool:
-        return self.alpha is not None and self.alpha.denominator == 1
-
     def describe(self) -> str:
         if self.label:
             return self.label

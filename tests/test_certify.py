@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,10 +11,12 @@ from zkwander.errors import CertificateError, ModeUnsupportedError
 from zkwander.model import DegreePattern, GeneratorPair
 from zkwander.recovery import attach_register, recover
 from zkwander.reduction import reduce_system
-from zkwander.scalars import FLOAT, INTERVAL
+from zkwander.scalars import FLOAT, INTERVAL, Radical
 from zkwander.weights import dirichlet
 
 C_FLAGSHIP = 0.18894510966828287
+HEADLINE_CERTIFICATE = Path(__file__).with_name("data").joinpath(
+    "headline_certificate.json")
 
 
 def _trivial_pair():
@@ -67,6 +70,40 @@ class TestVerify:
         )
         with pytest.raises(ModeUnsupportedError):
             verify(pair, seq16)
+
+    @pytest.mark.parametrize("regime,value", [
+        (INTERVAL, Radical.sqrt(2)),
+        (INTERVAL, complex(1.0, 1.0)),
+        (FLOAT, Radical.sqrt(2)),
+    ], ids=["interval-radical", "interval-complex", "float-radical"])
+    def test_regime_rejects_coefficients_it_cannot_multiply(self, seq16,
+                                                            regime, value):
+        pair = GeneratorPair(DegreePattern.default(6),
+                             a_low=(value, 0.0, 0.0, 0.0),
+                             a_high=(0.0,) * 4, b_low=(0.0, 1.0, 0.0, 0.0))
+        with pytest.raises(ModeUnsupportedError):
+            verify(pair, seq16, regime)
+
+    def test_each_level_is_evaluated_once(self, registered16, seq16,
+                                          monkeypatch):
+        # the membership sweep reuses verify's level-1 block
+        import zkwander.certify
+        import zkwander.model
+        levels = []
+        compute_A = zkwander.model.compute_A
+
+        def counted(pair, seq, s, regime):
+            levels.append(s)
+            return compute_A(pair, seq, s, regime)
+        for module in (zkwander.certify, zkwander.model):
+            monkeypatch.setattr(module, "compute_A", counted)
+        cert = verify(registered16.pair, seq16)
+        assert cert.passed
+        assert levels == list(range(1, cert.s_max + 1))
+
+    def test_sweep_depth_below_three_rejected(self, registered16, seq16):
+        with pytest.raises(ValueError):
+            verify(registered16.pair, seq16, s_max=2)
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +189,10 @@ class TestCertificateIO:
         with pytest.raises(CertificateError):
             check_certificate([data])
 
+    def test_headline_bytes_are_pinned(self, cert16):
+        assert cert16.to_json().encode() == HEADLINE_CERTIFICATE.read_bytes()
+        assert check_certificate(str(HEADLINE_CERTIFICATE))["ok"]
+
     def test_malformed_payload_rejected(self, cert16):
         data = json.loads(cert16.to_json())
         del data["coefficients"]
@@ -179,6 +220,8 @@ def _bad_weight_index(data):
     _drop("verdict"),
     _drop("weights_at_matrix_indices"),
     _set("regime", "bogus"),
+    _set("regime", "interval"),
+    _set("regime", "float"),
     _set("s_max", -1),
     _set("s_max", 0),
     _set("s_max", 2),
@@ -190,7 +233,8 @@ def _bad_weight_index(data):
     _set("gamma", [0, 1, 2, 3, 4, "5"]),
     _bad_weight_index,
     _set("c", "x"),
-], ids=["no-verdict", "no-weights", "regime", "s_max-negative", "s_max-0",
+], ids=["no-verdict", "no-weights", "regime", "regime-interval",
+        "regime-float", "s_max-negative", "s_max-0",
         "s_max-2", "s_max-str", "s_max-float", "k-str", "k-bool",
         "k-zero", "gamma-str", "weight-index", "c-str"])
 def test_malformed_field_is_a_certificate_error(cert16, mutate):

@@ -65,6 +65,43 @@ class TestEval:
         assert "cannot parse" in err
 
 
+class TestBadInput:
+    """Bad input prints `error: ...` and exits 1, without a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--alpha", "-16", "--d", "0,4,6"),
+        ("eval", "--alpha", "-16", "--gamma", "0,1,2,3,4,x"),
+        ("pipeline", "--alpha", "-16", "--d", "1,4,6", "--smax", "2"),
+    ], ids=["d-not-positive", "gamma-not-integer", "smax-below-3"])
+    def test_bad_argument(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, *(
+            ("--out", str(tmp_path / "cert.json"))
+            if argv[0] == "pipeline" else ()))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert out == ""
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-json"])
+    def test_unreadable_certificate(self, capsys, tmp_path, kind):
+        path = tmp_path / "cert.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-json":
+            path.write_text("not json\n")
+        code, _, err = run(capsys, "certify", "--check", str(path))
+        assert code == 1
+        assert err.startswith("error: cannot read certificate")
+
+    def test_complex_z3_in_float_regime(self, capsys, tmp_path):
+        # runs to the float soundness gate instead of failing in to_float
+        code, out, _ = run(capsys, "pipeline", "--alpha", "-16",
+                           "--d", "1,4,6", "--regime", "float",
+                           "--z3=-2e13,1e6",
+                           "--out", str(tmp_path / "cert.json"))
+        assert code == 2
+        assert "verdict: fail" in out
+
+
 class TestSearch:
 
     def test_flagship_search(self, capsys, tmp_path):
@@ -160,6 +197,15 @@ class TestReproduce:
         assert code == 0
         text = out.read_text()
         assert text.count("\n") >= 2
+
+    def test_table4_entry_outside_band_exits_2(self, capsys, tmp_path,
+                                                monkeypatch):
+        from zkwander import reference_data
+        # the computed C_4, 2.07e13, sits 17% below a printed 2.5e13
+        monkeypatch.setitem(reference_data.TABLE4_PRINTED, "C4", "2.5e13")
+        code, _, _ = run(capsys, "reproduce", "--table", "4",
+                         "--out", str(tmp_path / "t4.csv"))
+        assert code == 2
 
     def test_output_is_byte_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -6,7 +6,7 @@ import pytest
 from zkwander.errors import (DegenerateReductionError, DegenerateZ3Error,
                              SingularSystemError)
 from zkwander.model import DegreePattern
-from zkwander.reduction import (b0_minimum, build_N, compute_C, objective_B0,
+from zkwander.reduction import (b0_minimum, compute_C, objective_B0,
                                 objective_B1, objective_B2, pivot_modulus,
                                 reduce_system, split_e, z1_star)
 from zkwander.reference_data import (D_SQ_UPPER, DET_N1_INTERVAL, E_INTERVALS,
@@ -33,11 +33,32 @@ def _close(x, ref, rel=1e-12):
 class TestReducedSystem:
 
     def test_matrix_shapes_and_det_identity(self, seq16, pattern6, rs16):
-        n1 = build_N(seq16, pattern6)
-        assert len(n1.entries) == 3
-        assert all(len(row) == 3 for row in n1.entries)
-        assert n1.entries[0][0] == weight(seq16, 7)
-        assert det3(n1) == rs16.det_N1
+        assert len(rs16.W) == 3
+        assert all(len(row) == 4 for row in rs16.W)
+        assert rs16.W[0][1] == weight(seq16, 7)
+        assert rs16.W[2][3] == weight(seq16, 3 * 6 + 3)
+        assert det3([row[1:] for row in rs16.W]) == rs16.det_N1
+
+    def test_one_weight_block_and_one_det_N1(self, seq16, pattern6,
+                                             monkeypatch):
+        import zkwander.reduction
+        import zkwander.scalars
+        calls = {"weight": 0, "det3": 0}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, wrapper)
+        counting(zkwander.reduction, "weight")
+        counting(zkwander.scalars, "det3")
+        rs = reduce_system(seq16, pattern6)
+        # 12 block weights; det N_1 once plus three Cramer numerators per rhs
+        assert calls == {"weight": 12, "det3": 7}
+        compute_C(rs, (1, 4, 6))
+        assert calls["weight"] == 12
 
     def test_det_against_frozen_value(self, rs16):
         assert _close(rs16.det_N1, DET_N1)

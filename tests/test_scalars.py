@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from zkwander.errors import ModeUnsupportedError, SingularSystemError
 from zkwander.scalars import (FLOAT, INTERVAL, RATIONAL, Interval, Radical,
-                              SmallMatrix, abs_sq, certainly_positive,
-                              collapse, conj, cramer_solve3, det3,
-                              excludes_zero, is_exact_zero, is_zero,
-                              power_interval, scalar_from_json,
-                              scalar_to_json, sqrt, strictly_less, to_float,
-                              to_regime)
+                              abs_sq, certainly_positive, collapse, conj,
+                              cramer_solve3, det3, excludes_zero,
+                              is_exact_zero, is_zero, power_interval,
+                              scalar_from_json, scalar_to_json, sqrt,
+                              strictly_less, to_float, to_regime)
 
 rationals = st.fractions(min_value=-1000, max_value=1000,
                          max_denominator=10 ** 6)
@@ -222,39 +221,36 @@ class TestHelpers:
         assert again == value
 
 
-def _matrix(rows):
-    return SmallMatrix.from_rows(rows)
-
-
 class TestSmallMatrix:
 
     def test_det3_known(self):
-        m = _matrix([[Fraction(2), 0, 0], [0, Fraction(3), 0],
-                     [0, 0, Fraction(5)]])
+        m = [[Fraction(2), 0, 0], [0, Fraction(3), 0], [0, 0, Fraction(5)]]
         assert det3(m) == 30
 
     def test_only_3x3(self):
         with pytest.raises(ValueError):
-            _matrix([[Fraction(1), 0, 0, 0]] * 3)
+            cramer_solve3([[Fraction(1), 0, 0, 0]] * 3, (1, 0, 0))
+        with pytest.raises(ValueError):
+            cramer_solve3([[Fraction(1), 0, 0]] * 2, (1, 0, 0))
 
     @given(entries=st.lists(rationals, min_size=9, max_size=9))
     @settings(max_examples=40)
     def test_det_transpose_invariance(self, entries):
         rows = [entries[0:3], entries[3:6], entries[6:9]]
         cols = [[rows[j][i] for j in range(3)] for i in range(3)]
-        assert det3(_matrix(rows)) == det3(_matrix(cols))
+        assert det3(rows) == det3(cols)
 
     @given(entries=st.lists(rationals, min_size=9, max_size=9),
            rhs=st.lists(rationals, min_size=3, max_size=3))
     @settings(max_examples=40)
     def test_cramer_solves_exactly(self, entries, rhs):
         rows = [entries[0:3], entries[3:6], entries[6:9]]
-        m = _matrix(rows)
-        if det3(m) == 0:
+        if det3(rows) == 0:
             with pytest.raises(SingularSystemError):
-                cramer_solve3(m, tuple(rhs))
+                cramer_solve3(rows, tuple(rhs))
             return
-        x = cramer_solve3(m, tuple(rhs))
+        det, x = cramer_solve3(rows, tuple(rhs))
+        assert det == det3(rows)
         for i in range(3):
             assert sum(rows[i][j] * x[j] for j in range(3)) == rhs[i]
 
@@ -263,11 +259,11 @@ class TestSmallMatrix:
     def test_regime_agreement(self, entries):
         """Float dets track the exact value; interval dets enclose it."""
         rows = [entries[0:3], entries[3:6], entries[6:9]]
-        exact = det3(_matrix(rows))
-        fl = det3(_matrix([[float(v) for v in r] for r in rows]))
+        exact = det3(rows)
+        fl = det3([[float(v) for v in r] for r in rows])
         # Cancelation can shrink the det itself, so scale by entry size.
         biggest = max(abs(float(v)) for v in entries)
         scale = max(1.0, biggest ** 3)
         assert abs(fl - float(exact)) / scale < 1e-12
-        iv = det3(_matrix([[Interval.exact(v) for v in r] for r in rows]))
+        iv = det3([[Interval.exact(v) for v in r] for r in rows])
         assert Fraction(iv.lo) <= exact <= Fraction(iv.hi)
