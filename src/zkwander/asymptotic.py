@@ -94,6 +94,8 @@ def objective_bound(k: int, beta, sigma) -> float:
 
 
 def beta_cap(k: int) -> float:
+    if k == 9:
+        raise ValueError("the cap 5k + 700/(k-9)^2 is undefined at k = 9")
     return 5.0 * k + 700.0 / (k - 9) ** 2
 
 

@@ -29,9 +29,8 @@ from .model import (AQuantities, DegreePattern, GeneratorPair,
                     _f3_from_level1, compute_A, inner_product)
 from .reduction import a1_from_C, objective_B0
 from .scalars import (FLOAT, INTERVAL, RATIONAL, REGIMES, Interval, Radical,
-                      abs_sq, collapse, conj, excludes_zero, is_zero,
-                      scalar_from_json, scalar_to_json, strictly_less,
-                      to_float)
+                      abs_sq, conj, excludes_zero, is_zero, scalar_from_json,
+                      scalar_to_json, strictly_less, to_float)
 from .weights import (WeightSequence, weight, weights_from_dict,
                       weights_to_dict)
 
@@ -202,10 +201,9 @@ def verify(pair: GeneratorPair, seq: WeightSequence, regime: str = RATIONAL,
     rhs = abs(coupling)
     c_value = None
     try:
-        rhs_cmp = collapse(rhs)
-        strict = strictly_less(lhs, rhs_cmp)
+        strict = strictly_less(lhs, rhs)
         if ok:
-            c_value = collapse(lhs / rhs_cmp)
+            c_value = lhs / rhs
     except ZeroDivisionError:
         strict = False
     conditions["strict_contraction"] = {
@@ -303,12 +301,12 @@ def cross_check(params, s_max: Optional[int] = None) -> dict:
                                                    abs_sq(params.a15))
     b0 = objective_B0(c, z3, z1)
     lhs, coupling = _contraction_sides(q1)
-    c_oracle = lhs / collapse(abs(coupling))
+    c_oracle = lhs / abs(coupling)
 
     def signed_square(value):
         """(sign, value**2) for a real exact scalar; square kills the radical."""
-        coeff = Radical.of(value).coeff
-        return (coeff > 0) - (coeff < 0), collapse(value * value)
+        sign = value.coeff if isinstance(value, Radical) else value
+        return (sign > 0) - (sign < 0), value * value
 
     def cmp(lhs, rhsv):
         if regime == RATIONAL:
@@ -394,7 +392,7 @@ def check_certificate(source) -> dict:
             stored_c = scalar_from_json(stored_c)
         report = {"ok": True, "mismatches": [], "schema_ok": True,
                   "stored_verdict": data["verdict"]}
-    except (KeyError, TypeError, ValueError, AttributeError,
+    except (KeyError, TypeError, ValueError, AttributeError, ArithmeticError,
             InvalidPatternError) as exc:
         raise CertificateError(f"malformed certificate: {exc}") from exc
 

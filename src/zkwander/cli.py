@@ -353,13 +353,14 @@ def cmd_asymptotic(args) -> int:
         print(f"minimal beta = {beta} at sigma = {sigma} (cap {cap!r})")
         return 0
     sigma = float(args.sigma)
+    cap = asymptotic.beta_cap(args.k)
     cond = asymptotic.sigma_condition(args.k, args.beta, sigma)
     threshold = asymptotic.sigma_threshold(args.k, sigma)
     bound = asymptotic.objective_bound(args.k, args.beta, sigma)
     print(f"sigma condition: {cond} (threshold {threshold!r})")
     print(f"objective bound: {bound!r}")
     print(f"a({args.k}) = {asymptotic.a_factor(args.k)!r}")
-    print(f"cap 5k+700/(k-9)^2 = {asymptotic.beta_cap(args.k)!r}")
+    print(f"cap 5k+700/(k-9)^2 = {cap!r}")
     return 0 if (cond and bound < 1.0) else 2
 
 
@@ -394,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("search", help="minimize the objective over d")
-    p.add_argument("--config", help="JSON file with SearchConfig fields")
+    p.add_argument("--config", help="JSON file with SearchConfig fields; "
+                   "a list gives the values to search, [0, 3] is 0 and 3")
     p.add_argument("--alpha", type=_parse_fraction)
     p.add_argument("--k", type=int, default=6)
     p.add_argument("--phi2", type=int, default=0)
@@ -448,7 +450,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except ZkwanderError as exc:
+    except (ZkwanderError, ValueError) as exc:
+        # ValueError is reserved for plain misuse (see errors.py)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

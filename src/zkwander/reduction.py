@@ -25,9 +25,8 @@ from fractions import Fraction
 
 from .errors import DegenerateReductionError, DegenerateZ3Error
 from .model import DegreePattern
-from .scalars import (RATIONAL, abs_sq, certainly_positive, collapse,
-                      cramer_solve3, excludes_zero, is_exact_zero, sqrt,
-                      to_regime)
+from .scalars import (RATIONAL, abs_sq, certainly_positive, cramer_solve3,
+                      excludes_zero, is_exact_zero, sqrt, to_regime)
 from .weights import WeightSequence, weight
 
 
@@ -186,7 +185,6 @@ def a1_from_C(c: CQuantities, z3, z1, a15_sq):
       |A_15 A_12| = (|A_15|^2/Z_1) |C_1 Z_3 - C_3/2|
     """
     mod = pivot_modulus(c, z3)
-    a15_sq = collapse(a15_sq)
     scale = a15_sq / (z1 * z1)
     return (c.C1 + z1 * z1 * c.C2, scale * _quadratic(c, z3),
             scale * mod * mod, (a15_sq / z1) * mod)

@@ -13,12 +13,14 @@ Three regimes run through the whole package:
 
 Irrational algebraic values (square roots of positive rationals) appear in
 recovered coefficients; ``Radical`` keeps them exact as c * sqrt(r1*...*rn)
-with rational c and rational root atoms, so that the inner products the
-verifier forms collapse back to plain rationals.
+with rational c and rational root atoms.  A ``Radical`` always has an atom
+and a nonzero coefficient: arithmetic that cancels every atom returns a plain
+``Fraction``, so the inner products the verifier forms come back as plain
+rationals.
 
 Every choice that depends on the regime -- square roots, the zero and sign
-tests, collapsing a rational ``Radical`` -- is made here, by the type of the
-scalar, so the modules above never branch on it.
+tests -- is made here, by the type of the scalar, so the modules above never
+branch on it.
 
 Determinants of the 3x3 weight matrix are taken by cofactor expansion.
 Entries span ~50 orders of magnitude, which would destroy float pivoting
@@ -93,23 +95,11 @@ class Interval:
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, value) -> bool:
-        if isinstance(value, Fraction):
-            return Fraction(self.lo) <= value <= Fraction(self.hi)
-        return self.lo <= value <= self.hi
-
     def contains_zero(self) -> bool:
         return self.lo <= 0.0 <= self.hi
 
     def is_positive(self) -> bool:
         return self.lo > 0.0
-
-    def is_negative(self) -> bool:
-        return self.hi < 0.0
-
-    def certainly_lt(self, other) -> bool:
-        other = Interval.exact(other)
-        return self.hi < other.lo
 
     # -- arithmetic ------------------------------------------------------
 
@@ -170,19 +160,6 @@ class Interval:
             return NotImplemented
         return other / self
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("interval pow only supports nonnegative ints")
-        out = Interval(1.0, 1.0)
-        base = self
-        m = n
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base
-            m >>= 1
-        return out
-
     def __abs__(self):
         if self.lo >= 0.0:
             return self
@@ -222,77 +199,34 @@ def power_interval(base, exponent) -> Interval:
     return Interval(lo, hi)
 
 
-def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
-
-
 @dataclass(frozen=True)
 class Radical:
-    """Exact real c * sqrt(r_1) * ... * sqrt(r_n), c and r_i rational, r_i > 0.
+    """Exact c * sqrt(r_1) * ... * sqrt(r_n), c != 0 rational, n >= 1 atoms.
 
     Root atoms are kept as the original rationals (not multiplied out), so a
     product of two values sharing an atom cancels that atom exactly without
-    any integer factoring.  Normal form: atoms sorted, no repeated atom, no
-    atom equal to 1 or to a perfect square of a rational.
+    any integer factoring.  Normal form: atoms sorted, distinct, positive and
+    none of them a rational square.  ``sqrt`` and the JSON decoder establish
+    it and every operation keeps it; a result with no atom left, or with a
+    zero coefficient, is a plain ``Fraction``.  Atoms are not factored, so
+    distinct atoms whose product is a square (sqrt(2) sqrt(8)) stay a
+    Radical.  The constructor trusts its caller.
     """
 
     coeff: Fraction
-    roots: tuple = ()
-
-    def __post_init__(self):
-        coeff = Fraction(self.coeff)
-        kept = []
-        counted: dict[Fraction, int] = {}
-        for r in self.roots:
-            r = Fraction(r)
-            if r <= 0:
-                raise ValueError("radical atoms must be positive")
-            counted[r] = counted.get(r, 0) + 1
-        for r, n in counted.items():
-            coeff *= r ** (n // 2)
-            if n % 2 == 0:
-                continue
-            if _is_square(r.numerator) and _is_square(r.denominator):
-                coeff *= Fraction(math.isqrt(r.numerator), math.isqrt(r.denominator))
-            elif r != 1:
-                kept.append(r)
-        if coeff == 0:
-            kept = []
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "roots", tuple(sorted(kept)))
+    roots: tuple
 
     @classmethod
-    def of(cls, value) -> "Radical":
-        if isinstance(value, Radical):
-            return value
-        return cls(Fraction(value))
-
-    @classmethod
-    def sqrt(cls, value) -> "Radical":
-        """Exact positive square root of a positive rational."""
+    def sqrt(cls, value):
+        """Exact square root of a nonnegative rational; a Fraction when the
+        root is rational."""
         q = Fraction(value)
         if q < 0:
             raise ValueError("sqrt of a negative rational")
-        if q == 0:
-            return cls(Fraction(0))
+        num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+        if num * num == q.numerator and den * den == q.denominator:
+            return Fraction(num, den)
         return cls(Fraction(1), (q,))
-
-    # -- queries ---------------------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return not self.roots
-
-    def as_fraction(self) -> Fraction:
-        if self.roots:
-            raise ModeUnsupportedError(f"{self!r} is irrational")
-        return self.coeff
-
-    def is_zero(self) -> bool:
-        return self.coeff == 0
 
     def __float__(self) -> float:
         out = float(self.coeff)
@@ -302,19 +236,17 @@ class Radical:
 
     # -- arithmetic ------------------------------------------------------
 
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, Radical):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Radical(Fraction(value))
-        return None
-
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, (int, Fraction)):
+            return Radical(self.coeff * other, self.roots) if other else Fraction(0)
+        if not isinstance(other, Radical):
             return NotImplemented
-        return Radical(self.coeff * o.coeff, self.roots + o.roots)
+        # sqrt(r) * sqrt(r) = r: shared atoms move into the coefficient
+        coeff = self.coeff * other.coeff
+        for r in set(self.roots) & set(other.roots):
+            coeff *= r
+        roots = tuple(sorted(set(self.roots) ^ set(other.roots)))
+        return Radical(coeff, roots) if roots else coeff
 
     __rmul__ = __mul__
 
@@ -322,74 +254,47 @@ class Radical:
         return Radical(-self.coeff, self.roots)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.is_zero():
-            return o
-        if o.is_zero():
+        if isinstance(other, (int, Fraction)) and other == 0:
             return self
-        if self.roots != o.roots:
+        if isinstance(other, Radical) and other.roots == self.roots:
+            coeff = self.coeff + other.coeff
+            return Radical(coeff, self.roots) if coeff else Fraction(0)
+        if isinstance(other, (int, Fraction, Radical)):
             raise ModeUnsupportedError(
-                f"cannot add radicals with different root atoms: {self!r} + {o!r}")
-        return Radical(self.coeff + o.coeff, self.roots)
+                f"cannot add radicals with different root atoms: {self!r} + {other!r}")
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self + -other
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return -self + other
+
+    def _inverse(self) -> "Radical":
+        # 1 / (c sqrt(r1..rn)) = (1 / (c r1..rn)) sqrt(r1..rn)
+        prod = self.coeff
+        for r in self.roots:
+            prod *= r
+        return Radical(1 / prod, self.roots)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero radical")
-        # 1 / (c sqrt(r1..rn)) = (1 / (c r1..rn)) sqrt(r1..rn)
-        prod = Fraction(1)
-        for r in o.roots:
-            prod *= r
-        inv = Radical(1 / (o.coeff * prod), o.roots)
-        return self * inv
+        if isinstance(other, Radical):
+            return self * other._inverse()
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("radical pow only supports nonnegative ints")
-        out = Radical(Fraction(1))
-        for _ in range(n):
-            out = out * self
-        return out
+        if isinstance(other, (int, Fraction)):
+            return self._inverse() * other
+        return NotImplemented
 
     def __abs__(self):
         return Radical(abs(self.coeff), self.roots)
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeff == o.coeff and self.roots == o.roots
-
-    def __hash__(self):
-        return hash((self.coeff, self.roots))
-
     def __repr__(self):
-        if not self.roots:
-            return f"Radical({self.coeff})"
         tail = "*".join(f"sqrt({r})" for r in self.roots)
         return f"Radical({self.coeff}*{tail})"
 
@@ -414,8 +319,6 @@ def abs_sq(x):
 
 
 def is_exact_zero(x) -> bool:
-    if isinstance(x, Radical):
-        return x.is_zero()
     if isinstance(x, Interval):
         return x.lo == 0.0 and x.hi == 0.0
     return x == 0
@@ -446,36 +349,28 @@ def certainly_positive(x) -> bool:
     return x > 0
 
 
-def collapse(x):
-    """A Radical without root atoms as its plain Fraction; anything else as is."""
-    if isinstance(x, Radical) and x.is_rational:
-        return x.coeff
-    return x
-
-
 def sqrt(x):
     """Square root in the regime of x.
 
     Correctly rounded for float, an outward enclosure for Interval, and exact
-    for rational or rational-valued Radical input: a Radical, collapsed to a
-    Fraction when the root is rational.
+    for rational input: a Radical, or a Fraction when the root is rational.
     """
     if isinstance(x, float):
         return math.sqrt(x)
     if isinstance(x, Interval):
         return x.sqrt()
     if isinstance(x, Radical):
-        x = x.as_fraction()
-    return collapse(Radical.sqrt(x))
+        raise ModeUnsupportedError(f"no exact square root of {x!r}")
+    return Radical.sqrt(x)
 
 
 def strictly_less(a, b) -> bool:
-    """Certified a < b; for intervals compares outer endpoints."""
+    """Certified a < b; for intervals compares outer endpoints.  Ordering
+    an irrational Radical is not supported."""
     if isinstance(a, Interval) or isinstance(b, Interval):
-        return Interval.exact(a).certainly_lt(Interval.exact(b))
+        return Interval.exact(a).hi < Interval.exact(b).lo
     if isinstance(a, Radical) or isinstance(b, Radical):
-        a = a.as_fraction() if isinstance(a, Radical) else a
-        b = b.as_fraction() if isinstance(b, Radical) else b
+        raise ModeUnsupportedError(f"cannot order irrational {a!r} < {b!r}")
     return a < b
 
 
@@ -503,8 +398,6 @@ def scalar_to_json(x):
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, Radical):
-        if x.is_rational:
-            return str(x.coeff)
         return {"rational": str(x.coeff), "roots": [str(r) for r in x.roots]}
     if isinstance(x, Interval):
         return {"lo": x.lo, "hi": x.hi}
@@ -518,8 +411,14 @@ def scalar_from_json(obj):
         return Fraction(obj)
     if isinstance(obj, dict):
         if "roots" in obj:
-            return Radical(Fraction(obj["rational"]),
-                           tuple(Fraction(r) for r in obj["roots"]))
+            # untrusted atoms: rebuild the normal form through Radical.sqrt
+            value = Fraction(obj["rational"])
+            for r in obj["roots"]:
+                r = Fraction(r)
+                if r <= 0:
+                    raise ValueError("radical atoms must be positive")
+                value = value * Radical.sqrt(r)
+            return value
         if "lo" in obj:
             return Interval(obj["lo"], obj["hi"])
         if "re" in obj:

@@ -33,10 +33,8 @@ _OBJECTIVES = {"B1": objective_B1, "B2": objective_B2}
 
 
 def _as_values(raw) -> tuple:
-    """Normalize a scalar / (lo, hi) pair / explicit list into a tuple."""
+    """A scalar as a 1-tuple; a list or tuple as its own values."""
     if isinstance(raw, (list, tuple)):
-        if len(raw) == 2 and all(isinstance(v, int) for v in raw) and raw[0] <= raw[1]:
-            return tuple(range(raw[0], raw[1] + 1))
         return tuple(raw)
     return (raw,)
 

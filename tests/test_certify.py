@@ -216,6 +216,16 @@ def _bad_weight_index(data):
     data["weights_at_matrix_indices"]["x"] = "1"
 
 
+def _set_in(*path_and_value):
+    *path, key, value = path_and_value
+
+    def mutate(data):
+        for step in path:
+            data = data[step]
+        data[key] = value
+    return mutate
+
+
 @pytest.mark.parametrize("mutate", [
     _drop("verdict"),
     _drop("weights_at_matrix_indices"),
@@ -233,10 +243,21 @@ def _bad_weight_index(data):
     _set("gamma", [0, 1, 2, 3, 4, "5"]),
     _bad_weight_index,
     _set("c", "x"),
+    _set_in("coefficients", "a_low", 0, "1/0"),
+    _set_in("coefficients", "a_low", 3, "rational", "1/0"),
+    _set("c", "1/0"),
+    _set_in("weights", "alpha", "1/0"),
+    _set_in("weights_at_matrix_indices", "10", "1/0"),
+    _set_in("coefficients", "a_low", 3, "roots", 0, float("inf")),
+    _set_in("weights", "alpha", float("inf")),
 ], ids=["no-verdict", "no-weights", "regime", "regime-interval",
         "regime-float", "s_max-negative", "s_max-0",
         "s_max-2", "s_max-str", "s_max-float", "k-str", "k-bool",
-        "k-zero", "gamma-str", "weight-index", "c-str"])
+        "k-zero", "gamma-str", "weight-index", "c-str",
+        "coefficient-zero-denominator", "radical-zero-denominator",
+        "c-zero-denominator", "alpha-zero-denominator",
+        "embedded-weight-zero-denominator", "root-infinite",
+        "alpha-infinite"])
 def test_malformed_field_is_a_certificate_error(cert16, mutate):
     data = json.loads(cert16.to_json())
     mutate(data)

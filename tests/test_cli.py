@@ -81,6 +81,20 @@ class TestBadInput:
         assert err.startswith("error: ")
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("asymptotic", "--k", "5", "--beta", "10", "--sigma", "0.5"),
+        ("asymptotic", "--k", "12", "--beta", "10", "--sigma", "3/2"),
+        ("asymptotic", "--k", "9", "--minimal"),
+        ("asymptotic", "--k", "9", "--beta", "10", "--sigma", "0.5"),
+        ("eval", "--alpha", "-16", "--z3", "-2e13", "--z1", "-1"),
+        ("search", "--alpha", "-16", "--threshold", "0"),
+    ], ids=["k-below-9", "sigma-above-1", "k-9-minimal", "k-9",
+            "z1-not-positive", "threshold-zero"])
+    def test_misuse(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ")
+
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-json"])
     def test_unreadable_certificate(self, capsys, tmp_path, kind):
         path = tmp_path / "cert.json"

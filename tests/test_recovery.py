@@ -34,7 +34,7 @@ class TestEngineeredRelations:
     def test_normalization_makes_unit_coupling(self, params16, seq16):
         q1 = compute_A(params16.pair, seq16, 1)
         prod = abs_sq(q1.A5) * abs_sq(q1.A2)
-        assert prod.as_fraction() == 1
+        assert prod == 1 and isinstance(prod, Fraction)
 
     def test_requested_a15_is_reproduced(self, rs16, z3_main, seq16):
         params = recover(rs16, (1, 4, 6), z3=z3_main, a15=Fraction(3))

@@ -35,11 +35,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SearchConfig(alpha=-16, d_grid=(1.0, -2.0))
 
-    def test_ranges_expand(self):
+    def test_lists_are_literal(self):
         from zkwander.search import _as_values
-        # two ascending ints mean an inclusive range; longer lists are literal
-        assert _as_values((6, 8)) == (6, 7, 8)
-        assert _as_values([0, 2]) == (0, 1, 2)
+        # a list always means its own values, never a range
+        assert _as_values((6, 8)) == (6, 8)
+        assert _as_values([0, 3]) == (0, 3)
         assert _as_values([0, 2, 5]) == (0, 2, 5)
         assert _as_values(-16) == (-16,)
 
