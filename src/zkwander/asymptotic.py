@@ -106,7 +106,7 @@ def _verdict(value: float, limit: float):
     return holds, abs(value - limit) / denom <= MARGINAL_BAND
 
 
-def minimal_beta(k: int, sigma_grid=DEFAULT_SIGMA_GRID):
+def minimal_beta(k: int):
     """Smallest integer beta (up to the cap) admitting a working sigma.
 
     Returns (beta, sigma) or None when no grid point works below the cap;
@@ -114,7 +114,7 @@ def minimal_beta(k: int, sigma_grid=DEFAULT_SIGMA_GRID):
     """
     top = math.ceil(beta_cap(k))
     for beta in range(1, top + 1):
-        for sigma in sigma_grid:
+        for sigma in DEFAULT_SIGMA_GRID:
             if not sigma_condition(k, beta, sigma):
                 continue
             if objective_bound(k, beta, sigma) < 1.0:

@@ -19,7 +19,7 @@ the numerics suggest.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -199,13 +199,8 @@ def verify(pair: GeneratorPair, seq: WeightSequence, regime: str = RATIONAL,
         reasons.append("A_(1,5) A_(1,2) = 0")
 
     rhs = abs(coupling)
-    c_value = None
-    try:
-        strict = strictly_less(lhs, rhs)
-        if ok:
-            c_value = lhs / rhs
-    except ZeroDivisionError:
-        strict = False
+    strict = strictly_less(lhs, rhs)
+    c_value = lhs / rhs if ok else None
     conditions["strict_contraction"] = {
         "holds": strict,
         "lhs": scalar_to_json(lhs),
@@ -274,8 +269,6 @@ def _membership_sweep(pair: GeneratorPair, seq: WeightSequence, regime: str,
                             "first_failure": f"<{tag}, z^{k * s} {gname}> != 0"}
                 if regime == INTERVAL:
                     worst = max(worst, v.width)
-                elif regime == FLOAT:
-                    worst = max(worst, abs(v))
     return {"holds": True, "levels": s_max, "worst_residual": worst}
 
 

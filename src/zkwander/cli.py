@@ -122,6 +122,8 @@ def _write_csv(rows, header, out_path):
 # subcommands
 
 def cmd_eval(args) -> int:
+    if args.z1 is not None and not args.z1 > 0:
+        raise ZkwanderError(f"--z1 must be positive, got {args.z1}")
     pattern = _pattern_from_args(args)
     regime = _default_regime(args.alpha, args.regime)
     seq = _sequence_from_args(args, pattern)
@@ -366,10 +368,9 @@ def cmd_asymptotic(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common_model_flags(p, need_alpha=True):
-    if need_alpha:
-        p.add_argument("--alpha", type=_parse_fraction, required=True,
-                       help="space exponent as a rational, e.g. -16 or -33/2")
+def _add_common_model_flags(p):
+    p.add_argument("--alpha", type=_parse_fraction, required=True,
+                   help="space exponent as a rational, e.g. -16 or -33/2")
     p.add_argument("--k", type=int, default=6)
     p.add_argument("--phi2", type=int, default=0)
     p.add_argument("--phi3", type=int, default=0)

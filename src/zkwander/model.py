@@ -58,16 +58,10 @@ class DegreePattern:
         return cls(k, (0, 1, 2, 3, 4, 5))
 
     @classmethod
-    def from_phi(cls, k: int, phi2: int = 0, phi3: int = 0,
-                 phi4: int = 0, phi5: int = 0) -> "DegreePattern":
-        if min(phi2, phi3, phi4, phi5) < 0:
+    def from_phi(cls, k: int, phi2: int = 0, phi3: int = 0) -> "DegreePattern":
+        if min(phi2, phi3) < 0:
             raise InvalidPatternError("phi multipliers must be >= 0")
-        return cls(k, (0, 1, phi2 * k + 2, phi3 * k + 3,
-                       phi4 * k + 4, phi5 * k + 5))
-
-    @property
-    def low_degrees(self) -> tuple:
-        return self.gamma[:4]
+        return cls(k, (0, 1, phi2 * k + 2, phi3 * k + 3, 4, 5))
 
     @property
     def register_degrees(self) -> tuple:

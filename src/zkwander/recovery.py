@@ -27,15 +27,15 @@ from .errors import (DegeneratePairError, ModeUnsupportedError,
 from .model import GeneratorPair
 from .reduction import (CQuantities, ReducedSystem, _split_z3, a1_from_C,
                         compute_C, objective_B1, pivot_modulus, z1_star)
-from .scalars import (FLOAT, RATIONAL, Radical, abs_sq, conj, sqrt,
-                      strictly_less, to_float, to_regime)
+from .scalars import (FLOAT, RATIONAL, Radical, abs_sq, certainly_positive,
+                      conj, sqrt, strictly_less, to_float, to_regime)
 
 
 @dataclass(frozen=True)
 class RecoveredParameters:
     rs: ReducedSystem
     c: CQuantities
-    z3: object              # real scalar, or (re, im) pair in float regime
+    z3: object              # real scalar, or complex in the float regime
     z1: object
     a15: object
     pair: GeneratorPair     # registers zero until attach_register
@@ -53,35 +53,35 @@ def _round_significant(x: float, digits: int = 9) -> Fraction:
     return Fraction(mant) * Fraction(10) ** exp
 
 
-def choose_Z3(c: CQuantities, margin: int = 2) -> Fraction:
+def choose_Z3(c: CQuantities) -> Fraction:
     """Default real Z_3: negative, with C_5/|C_1 Z_3 - C_3/2|^2 < (1-B_1)/2.
 
     Keeping that ratio under half of 1 - B_1 guarantees the minimized B_0
     stays below 1 (B_0^2 <= B_1 (1 + C_5/|..|^2) < B_1 + (1-B_1) = 1).
+    Z_3 = (C_3/2 - m sqrt(2 C_5/(1-B_1))) / C_1 rounded to three digits, for
+    the first margin m = 2, 4, ..., 2**17 whose rounded value clears the rule.
     """
     b1 = objective_B1(c)
     b1f = to_float(b1)
     if b1f >= 1:
         raise NoAdmissibleSystemError(
             f"B_1 = {b1f:.6g} >= 1; no Z_3 can rescue this point")
-    target = margin * math.sqrt(to_float(c.C5) * 2.0 / (1.0 - b1f))
-    x = _round_significant((to_float(c.C3) / 2 - target) / to_float(c.C1), 3)
-    # confirm the rounded value still clears the margin rule
-    mod = pivot_modulus(c, x)
-    lhs = to_float(c.C5) / to_float(mod) ** 2
-    if not lhs < (1.0 - b1f) / 2.0:
-        return choose_Z3(c, margin * 2)
-    return x
+    bound = math.sqrt(to_float(c.C5) * 2.0 / (1.0 - b1f))
+    for margin in (2 ** n for n in range(1, 18)):
+        x = _round_significant(
+            (to_float(c.C3) / 2 - margin * bound) / to_float(c.C1), 3)
+        # confirm the rounded value still clears the margin rule
+        mod = pivot_modulus(c, x)
+        lhs = to_float(c.C5) / to_float(mod) ** 2
+        if lhs < (1.0 - b1f) / 2.0:
+            return x
+    raise NoAdmissibleSystemError(
+        f"no rounded Z_3 clears the margin rule up to margin {margin}")
 
 
 def choose_A15(rs: ReducedSystem, c: CQuantities, z3, z1):
     """Positive real A_15 with |A_15|^2 = Z_1 / |C_1 Z_3 - C_3/2|."""
-    mod = pivot_modulus(c, z3)
-    if isinstance(mod, Radical):
-        raise ModeUnsupportedError(
-            "exact normalization with complex Z_3 is not supported; "
-            "pass an explicit A_15 or use the float regime")
-    return sqrt(to_regime(z1 / mod, rs.regime))
+    return sqrt(to_regime(z1 / pivot_modulus(c, z3), rs.regime))
 
 
 def recover(rs: ReducedSystem, d, z3=None, z1=None, a15=None) -> RecoveredParameters:
@@ -103,7 +103,7 @@ def recover(rs: ReducedSystem, d, z3=None, z1=None, a15=None) -> RecoveredParame
         z1 = z1_star(c, z3)
         if regime != FLOAT:
             z1 = to_regime(_round_significant(to_float(z1)), regime)
-    if not to_float(z1) > 0:
+    if not certainly_positive(z1):
         raise ValueError("Z_1 must be positive")
     if a15 is None:
         a15 = choose_A15(rs, c, z3, z1)
@@ -115,10 +115,7 @@ def recover(rs: ReducedSystem, d, z3=None, z1=None, a15=None) -> RecoveredParame
     a_high = (z1 / conj(a_low[0]),) + tuple(
         rs.E[i - 1] * z1 / conj(a_low[i]) for i in (1, 2, 3))
     scale = conj(a15) / conj(z1)
-    if y is None:
-        z3_conj = x
-    else:
-        z3_conj = complex(to_float(x), -to_float(y))
+    z3_conj = x if y is None else z3.conjugate()
     b_low = (a_low[0] * scale * z3_conj,) + tuple(
         a_low[i] * scale * (z3_conj - rs.D[i - 1])
         for i in (1, 2, 3))

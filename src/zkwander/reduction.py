@@ -26,7 +26,7 @@ from fractions import Fraction
 from .errors import DegenerateReductionError, DegenerateZ3Error
 from .model import DegreePattern
 from .scalars import (RATIONAL, abs_sq, certainly_positive, cramer_solve3,
-                      excludes_zero, is_exact_zero, sqrt, to_regime)
+                      excludes_zero, sqrt, to_regime)
 from .weights import WeightSequence, weight
 
 
@@ -139,16 +139,13 @@ def _pivot(c: CQuantities, z3):
 
 
 def _split_z3(z3):
-    if isinstance(z3, tuple):
-        x, y = z3
-        return x, (None if is_exact_zero(y) else y)
     if isinstance(z3, complex):
         return z3.real, (None if z3.imag == 0 else z3.imag)
     return z3, None
 
 
 def pivot_modulus(c: CQuantities, z3):
-    """|C_1 Z_3 - C_3/2|, exact for rational data (Radical if complex)."""
+    """|C_1 Z_3 - C_3/2|, exact for rational data, a float for complex Z_3."""
     re, im = _pivot(c, z3)
     mod = abs(re) if im is None else sqrt(re * re + im * im)
     if not excludes_zero(mod):

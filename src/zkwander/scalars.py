@@ -178,7 +178,7 @@ class Interval:
 
 
 def power_interval(base, exponent) -> Interval:
-    """Enclosure of base**exponent for positive rational base, real exponent.
+    """Enclosure of base**exponent for rational base > 0 and exponent.
 
     Computed with mpmath at 80-bit precision and widened by two float ulps on
     each side.  Correctness rests on mpmath staying within a few ulps of its
@@ -189,11 +189,8 @@ def power_interval(base, exponent) -> Interval:
         raise ValueError("power_interval needs a positive base")
     with mpmath.workprec(80):
         mb = mpmath.mpf(b.numerator) / mpmath.mpf(b.denominator)
-        if isinstance(exponent, (int, Fraction)):
-            e = Fraction(exponent)
-            me = mpmath.mpf(e.numerator) / mpmath.mpf(e.denominator)
-        else:
-            me = mpmath.mpf(exponent)
+        e = Fraction(exponent)
+        me = mpmath.mpf(e.numerator) / mpmath.mpf(e.denominator)
         r = float(mpmath.power(mb, me))
     lo, hi = _down(_down(r)), _up(_up(r))
     return Interval(lo, hi)
@@ -343,9 +340,12 @@ def excludes_zero(x) -> bool:
 
 
 def certainly_positive(x) -> bool:
-    """Certified x > 0; an interval must lie strictly above 0."""
+    """Certified x > 0; an interval must lie strictly above 0, and a Radical
+    has the sign of its coefficient, its root atoms being positive."""
     if isinstance(x, Interval):
         return x.is_positive()
+    if isinstance(x, Radical):
+        return x.coeff > 0
     return x > 0
 
 

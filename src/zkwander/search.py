@@ -8,8 +8,9 @@ that found the point is not.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional
 
 from scipy import optimize
@@ -20,11 +21,11 @@ from .errors import (DegenerateReductionError, InvalidPatternError,
 from .model import DegreePattern
 from .recovery import _round_significant
 from .reduction import compute_C, objective_B1, objective_B2, reduce_system
-from .scalars import FLOAT, INTERVAL, RATIONAL, Interval
+from .scalars import FLOAT, INTERVAL, RATIONAL, strictly_less, to_float
 from .weights import WeightSequence, dirichlet
 
 # d ranges over five-plus orders of magnitude in the published tables,
-# so the default grid is logarithmic and wide.
+# so the grid every search scans is logarithmic and wide.
 DEFAULT_D_GRID = tuple(float(10) ** n for n in range(-2, 7))
 
 DESCENT_STEPS = (2.0, 1.1, 1.01)
@@ -45,7 +46,6 @@ class SearchConfig:
     k: object = 6
     phi2: object = 0
     phi3: object = 0
-    d_grid: Optional[tuple] = None          # per-coordinate grids for d1..d3
     strategy: str = "coordinate-descent"
     target: str = "B1"
     threshold: float = 1.0
@@ -58,17 +58,6 @@ class SearchConfig:
             raise ValueError(f"unknown target {self.target!r}")
         if not self.threshold > 0:
             raise ValueError("threshold must be positive")
-        if self.d_grid is not None:
-            for axis in self.grids():
-                if not axis or any(not v > 0 for v in axis):
-                    raise ValueError("d grids must be nonempty and positive")
-
-    def grids(self) -> tuple:
-        if self.d_grid is None:
-            return (DEFAULT_D_GRID,) * 3
-        if self.d_grid and not isinstance(self.d_grid[0], (list, tuple)):
-            return (tuple(self.d_grid),) * 3
-        return tuple(tuple(axis) for axis in self.d_grid)
 
 
 @dataclass(frozen=True)
@@ -96,8 +85,8 @@ def _evaluate(rs, objective, d3) -> float:
         return math.inf
 
 
-def _scan(rs, objective, grids):
-    points = [(x, y, z) for x in grids[0] for y in grids[1] for z in grids[2]]
+def _scan(rs, objective):
+    points = list(product(DEFAULT_D_GRID, repeat=3))
     values = [_evaluate(rs, objective, p) for p in points]
     best_i = min(range(len(points)), key=lambda i: values[i])
     return points[best_i], values[best_i], len(points)
@@ -151,47 +140,41 @@ def confirm_value(seq: WeightSequence, pattern: DegreePattern, d3,
 
     Returns (value_float, value_repr, regime, landing_side). Integer alpha
     goes through exact rationals, anything else through directed-rounding
-    enclosures.
+    enclosures. The side is "undecided" when the regime cannot order the
+    value strictly against the threshold, an exact tie included.
     """
     objective = _OBJECTIVES[target]
     d_exact = tuple(v if isinstance(v, Fraction) else Fraction(str(v))
                     for v in d3)
     try:
         rs = reduce_system(seq, pattern, RATIONAL)
-        value = objective(compute_C(rs, d_exact))
-        thr = Fraction(threshold) if not isinstance(threshold, Fraction) else threshold
-        side = "below" if value < thr else "above"
-        return float(value), str(value), RATIONAL, side
     except ModeUnsupportedError:
-        pass
-    rs = reduce_system(seq, pattern, INTERVAL)
+        rs = reduce_system(seq, pattern, INTERVAL)
     value = objective(compute_C(rs, d_exact))
-    assert isinstance(value, Interval)
-    thr = float(threshold)
-    if value.hi < thr:
+    thr = Fraction(threshold)
+    if strictly_less(value, thr):
         side = "below"
-    elif value.lo > thr:
+    elif strictly_less(thr, value):
         side = "above"
     else:
         side = "undecided"
-    return value.mid, f"[{value.lo!r}, {value.hi!r}]", INTERVAL, side
+    return to_float(value), str(value), rs.regime, side
 
 
-def minimize(config: SearchConfig, make_sequence=dirichlet) -> SearchResult:
+def minimize(config: SearchConfig) -> SearchResult:
     """Search every (alpha, k, phi) combination and return the best point.
 
     Deterministic for a fixed config: grid order is fixed, the descent
     ladder is fixed, and the simplex start is derived from the grid.
     """
     objective = _OBJECTIVES[config.target]
-    grids = config.grids()
     trace = [] if config.keep_trace else None
     best = None          # (value, alpha, k, phi2, phi3, d)
     evals = 0
     singular = 0
     visited = 0
     for alpha in _as_values(config.alpha):
-        seq = make_sequence(alpha)
+        seq = dirichlet(alpha)
         for k in _as_values(config.k):
             for phi2 in _as_values(config.phi2):
                 for phi3 in _as_values(config.phi3):
@@ -206,7 +189,7 @@ def minimize(config: SearchConfig, make_sequence=dirichlet) -> SearchResult:
                             ModeUnsupportedError):
                         singular += 1
                         continue
-                    point, value, n = _scan(rs, objective, grids)
+                    point, value, n = _scan(rs, objective)
                     evals += n
                     if config.strategy == "coordinate-descent":
                         point, value, n = _descend(rs, objective, point,
@@ -225,7 +208,7 @@ def minimize(config: SearchConfig, make_sequence=dirichlet) -> SearchResult:
     reported = tuple(_round_significant(v, 9) for v in point)
     pattern = DegreePattern.from_phi(k, phi2, phi3)
     vf, vrepr, regime, side = confirm_value(
-        make_sequence(alpha), pattern, reported, config.target,
+        dirichlet(alpha), pattern, reported, config.target,
         config.threshold)
     return SearchResult(
         alpha=alpha, k=k, phi2=phi2, phi3=phi3,

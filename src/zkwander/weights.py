@@ -16,8 +16,7 @@ rounded intervals, or plain floats for search work.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -46,16 +45,6 @@ class WeightSequence:
     overrides: tuple = ()          # sorted ((index, Fraction), ...)
     prefix: tuple = ()             # Fractions
     tail: Optional["WeightSequence"] = None
-    label: str = field(default="", compare=False)
-
-    def describe(self) -> str:
-        if self.label:
-            return self.label
-        if self.kind == DIRICHLET:
-            return f"dirichlet({self.alpha})"
-        if self.kind == PERTURBED:
-            return f"perturbed({self.base.describe()}, {len(self.overrides)} overrides)"
-        return f"custom({len(self.prefix)} prefix, tail={self.tail.describe()})"
 
 
 def dirichlet(alpha) -> WeightSequence:
@@ -158,10 +147,7 @@ def override_block(base: WeightSequence, donor: WeightSequence,
     so a perturbed sequence certifies independently of the donor object.
     """
     idx = matrix_indices(pattern.k, pattern.gamma)
-    values = {t: weight(donor, t, RATIONAL) for t in idx}
-    out = perturbed(base, values)
-    return WeightSequence(kind=out.kind, base=out.base, overrides=out.overrides,
-                          label=f"{base.describe()} <- {donor.describe()} on 12")
+    return perturbed(base, {t: weight(donor, t, RATIONAL) for t in idx})
 
 
 def lint_weights(seq: WeightSequence, upto: int = 64) -> list:
@@ -219,11 +205,3 @@ def weights_from_dict(obj: dict) -> WeightSequence:
         return custom([Fraction(v) for v in obj["prefix"]],
                       weights_from_dict(obj["tail"]))
     raise ValueError(f"unknown weight kind {kind!r}")
-
-
-def weights_to_json(seq: WeightSequence) -> str:
-    return json.dumps(weights_to_dict(seq), sort_keys=True)
-
-
-def weights_from_json(text: str) -> WeightSequence:
-    return weights_from_dict(json.loads(text))

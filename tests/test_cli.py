@@ -31,6 +31,12 @@ class TestEval:
         assert "min B0 = 0.18878296729187" in out
         assert "B0 = " in out
 
+    def test_non_integer_alpha_prints_enclosures(self, capsys):
+        code, out, _ = run(capsys, "eval", "--alpha", "-33/2")
+        assert code == 0
+        assert "regime = interval" in out
+        assert "det_N1 = [" in out
+
     def test_emit_weights_exact(self, capsys):
         code, out, _ = run(capsys, "eval", "--alpha", "-16", "--emit-weights")
         assert code == 0
@@ -72,7 +78,9 @@ class TestBadInput:
         ("eval", "--alpha", "-16", "--d", "0,4,6"),
         ("eval", "--alpha", "-16", "--gamma", "0,1,2,3,4,x"),
         ("pipeline", "--alpha", "-16", "--d", "1,4,6", "--smax", "2"),
-    ], ids=["d-not-positive", "gamma-not-integer", "smax-below-3"])
+        ("eval", "--alpha", "-16", "--z3", "-2e13", "--z1", "-1"),
+    ], ids=["d-not-positive", "gamma-not-integer", "smax-below-3",
+            "z1-not-positive"])
     def test_bad_argument(self, capsys, tmp_path, argv):
         code, out, err = run(capsys, *argv, *(
             ("--out", str(tmp_path / "cert.json"))
@@ -86,10 +94,9 @@ class TestBadInput:
         ("asymptotic", "--k", "12", "--beta", "10", "--sigma", "3/2"),
         ("asymptotic", "--k", "9", "--minimal"),
         ("asymptotic", "--k", "9", "--beta", "10", "--sigma", "0.5"),
-        ("eval", "--alpha", "-16", "--z3", "-2e13", "--z1", "-1"),
         ("search", "--alpha", "-16", "--threshold", "0"),
     ], ids=["k-below-9", "sigma-above-1", "k-9-minimal", "k-9",
-            "z1-not-positive", "threshold-zero"])
+            "threshold-zero"])
     def test_misuse(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 1
@@ -234,6 +241,15 @@ class TestReproduce:
         assert lines[0].startswith("alpha,k,phi2,phi3")
         assert len(lines) == 9
         assert all(line.endswith("below") for line in lines[1:])
+
+    def test_table1_re_search(self, capsys):
+        code, out, _ = run(capsys, "reproduce", "--table", "1",
+                           "--mode", "re-search")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].endswith("found_d,landing_side")
+        assert len(lines) == 9
+        assert all(line.endswith(",below") for line in lines[1:])
 
 
 class TestAsymptotic:

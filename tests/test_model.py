@@ -16,7 +16,6 @@ class TestDegreePattern:
     def test_default(self):
         p = DegreePattern.default(6)
         assert p.gamma == (0, 1, 2, 3, 4, 5)
-        assert p.low_degrees == (0, 1, 2, 3)
         assert p.register_degrees == (4, 5)
 
     def test_from_phi(self):

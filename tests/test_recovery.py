@@ -4,7 +4,7 @@ import pytest
 
 from zkwander.certify import cross_check, verify
 from zkwander.errors import (DegeneratePairError, ModeUnsupportedError,
-                             RegisterTooLargeError)
+                             NoAdmissibleSystemError, RegisterTooLargeError)
 from zkwander.model import compute_A
 from zkwander.recovery import (attach_register, auto_register, choose_Z3,
                                contraction_terms, max_register_estimate,
@@ -125,6 +125,14 @@ class TestDefaults:
         ratio = float(c16.C5) / float(pivot_modulus(c16, z3)) ** 2
         assert ratio < (1 - b1) / 2
 
+    def test_choose_z3_gives_up_after_bounded_doublings(self, c16,
+                                                        monkeypatch):
+        # a pivot this small never clears the margin rule
+        monkeypatch.setattr("zkwander.recovery.pivot_modulus",
+                            lambda c, z3: Fraction(1, 10 ** 30))
+        with pytest.raises(NoAdmissibleSystemError):
+            choose_Z3(c16)
+
     def test_default_recovery_certifies(self, rs16, seq16):
         params = recover(rs16, (1, 4, 6))
         done = attach_register(params, auto_register(params), auto_register(params))
@@ -148,7 +156,7 @@ class TestValidation:
 
     def test_complex_z3_needs_float_regime(self, rs16):
         with pytest.raises(ModeUnsupportedError):
-            recover(rs16, (1, 4, 6), z3=(Fraction(1), Fraction(1)))
+            recover(rs16, (1, 4, 6), z3=complex(1, 1))
 
     def test_complex_z3_in_float_regime(self, pattern6):
         rs = reduce_system(dirichlet(-16), pattern6, FLOAT)

@@ -156,13 +156,6 @@ class TestZ3Split:
         assert pivot_modulus(c16, z3_main) == \
             abs(c16.C1 * z3_main - c16.C3 / 2)
 
-    def test_pivot_modulus_complex_rational(self, c16):
-        z3 = (Fraction(10 ** 13), Fraction(10 ** 13))
-        mod = pivot_modulus(c16, z3)
-        want = (c16.C1 * z3[0] - c16.C3 / 2) ** 2 + (c16.C1 * z3[1]) ** 2
-        assert isinstance(mod, Radical)
-        assert mod * mod == want
-
     def test_pivot_modulus_complex_float(self, rs16):
         # same point pushed through the float pipeline
         frs = reduce_system(rs16.seq, rs16.pattern, FLOAT)
@@ -197,6 +190,13 @@ class TestB0:
         val = b0_minimum(c16, z3_main)
         assert val * val == 4 * e0 * e1
         assert _close(val, 0.18878296729187474)
+
+    def test_b0_at_the_exact_minimiser(self, c16, z3_main):
+        z1s = z1_star(c16, z3_main)
+        assert isinstance(z1s, Radical)
+        b0 = objective_B0(c16, z3_main, z1s)
+        assert float(b0) == pytest.approx(float(b0_minimum(c16, z3_main)),
+                                          rel=1e-12)
 
     def test_minimizer_location(self, c16, z3_main):
         z1s = z1_star(c16, z3_main)

@@ -31,10 +31,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SearchConfig(alpha=-16, threshold=0)
 
-    def test_d_grid_validated(self):
-        with pytest.raises(ValueError):
-            SearchConfig(alpha=-16, d_grid=(1.0, -2.0))
-
     def test_lists_are_literal(self):
         from zkwander.search import _as_values
         # a list always means its own values, never a range
@@ -42,10 +38,6 @@ class TestConfig:
         assert _as_values([0, 3]) == (0, 3)
         assert _as_values([0, 2, 5]) == (0, 2, 5)
         assert _as_values(-16) == (-16,)
-
-    def test_shared_grid_broadcasts(self):
-        cfg = SearchConfig(alpha=-16, d_grid=(1.0, 10.0))
-        assert cfg.grids() == ((1.0, 10.0),) * 3
 
 
 class TestMinimize:
@@ -61,14 +53,6 @@ class TestMinimize:
         assert again.d == best16.d
         assert again.value == best16.value
         assert again.evaluations == best16.evaluations
-
-    def test_wider_grid_never_hurts(self):
-        small = minimize(SearchConfig(alpha=-16, strategy="grid",
-                                      d_grid=(1.0, 100.0, 10000.0)))
-        wide = minimize(SearchConfig(alpha=-16, strategy="grid",
-                                     d_grid=(1.0, 10.0, 100.0, 1000.0,
-                                             10000.0)))
-        assert wide.value <= small.value
 
     def test_descent_improves_on_the_grid(self):
         plain = minimize(SearchConfig(alpha=-16, strategy="grid"))
@@ -118,6 +102,13 @@ class TestConfirm:
         _, _, _, side = confirm_value(seq16, pattern6, (1, 4, 6),
                                       threshold=Fraction(1, 100))
         assert side == "above"
+
+    def test_exact_tie_is_undecided(self, seq16, pattern6):
+        _, vrepr, regime, _ = confirm_value(seq16, pattern6, (1, 4, 6))
+        assert regime == "rational"
+        _, _, _, side = confirm_value(seq16, pattern6, (1, 4, 6),
+                                      threshold=Fraction(vrepr))
+        assert side == "undecided"
 
     def test_non_integer_alpha_confirms_through_enclosures(self):
         seq = dirichlet(Fraction(-4999, 1000))
