@@ -14,6 +14,11 @@ wandering vectors, with contraction ratio c < 1 certifying the geometric
 decay.  Soundness gate: a pass verdict requires the rational or interval
 regime; float runs always report "fail" with an explanatory reason, whatever
 the numerics suggest.
+
+Only what the proof reads is evaluated: A_(s,1) and A_(s,5) for s >= 4
+multiply a zero coefficient (HIGHER_LEVELS), and the membership sweep runs
+only at the levels of the support lemma (``DegreePattern.sweep_overlaps``).
+Everything verify computes reads one of the 14 embedded weights.
 """
 
 from __future__ import annotations
@@ -26,24 +31,33 @@ from typing import Optional
 from .errors import (CertificateError, DegeneratePairError,
                      InvalidPatternError, ModeUnsupportedError)
 from .model import (AQuantities, DegreePattern, GeneratorPair,
-                    _f3_from_level1, compute_A, inner_product)
+                    _f3_from_level1, adjacent_products, compute_A,
+                    inner_product)
 from .reduction import a1_from_C, objective_B0
 from .scalars import (FLOAT, INTERVAL, RATIONAL, REGIMES, Interval, Radical,
-                      abs_sq, conj, excludes_zero, is_zero, scalar_from_json,
-                      scalar_to_json, strictly_less, to_float)
+                      abs_sq, conj, excludes_zero, is_zero, rational_from_json,
+                      scalar_from_json, scalar_to_json, strictly_less,
+                      to_float)
 from .weights import (WeightSequence, weight, weights_from_dict,
                       weights_to_dict)
 
-SCHEMA = "zkwander-certificate/v1"
+SCHEMA = "zkwander-certificate/v2"
+# v1 files also carry an s_max sweep depth, which replay checks and ignores
+SCHEMA_V1 = "zkwander-certificate/v1"
+
+HIGHER_LEVELS = ("A_(s,1) and A_(s,5) for s >= 4 multiply a zero coefficient "
+                 "in the membership recursion; they are not evaluated")
 
 FLOAT_ZERO_RTOL = 1e-9
 INTERVAL_WIDTH_RTOL = 1e-20
 
-
-def default_s_max(pattern: DegreePattern) -> int:
-    """High enough that every possible support overlap has been swept."""
-    top = 3 * pattern.k + max(pattern.gamma)
-    return -(-top // pattern.k) + 2
+# ranges check_certificate accepts, far above every published row
+# (|alpha| <= 16 with denominator <= 1000, k <= 88, degrees <= 14611)
+MAX_ABS_ALPHA = 64
+MAX_ALPHA_DENOMINATOR = 10 ** 6
+MAX_K = 10 ** 4
+MAX_DEGREE = 10 ** 6
+MAX_WEIGHT_NESTING = 16     # perturbed/custom levels above the Dirichlet base
 
 
 def _zero_tolerance(q1: AQuantities, regime: str) -> float:
@@ -104,9 +118,8 @@ class Certificate:
     regime: str
     pair: GeneratorPair
     seq: WeightSequence
-    s_max: int
     conditions: dict
-    a_table: dict                  # s -> AQuantities
+    a_table: dict                  # s -> {"A<n>": value}, levels 1..3
     c_value: Optional[object]
     reasons: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
@@ -118,19 +131,15 @@ class Certificate:
 
     def to_dict(self) -> dict:
         p = self.pair.pattern
-        idx = sorted(set(p.matrix_indices())
-                     | {p.k + p.gamma[4], p.k + p.gamma[5]})
         embedded = {}
-        for t in idx:
+        for t in p.embedded_indices():
             try:
                 embedded[str(t)] = str(weight(self.seq, t, RATIONAL))
             except ModeUnsupportedError:    # non-integer alpha
                 iv = weight(self.seq, t, INTERVAL)
                 embedded[str(t)] = scalar_to_json(iv)
-        a_enc = {}
-        for s, q in sorted(self.a_table.items()):
-            a_enc[str(s)] = {f"A{i}": scalar_to_json(getattr(q, f"A{i}"))
-                             for i in range(1, 6)}
+        a_enc = {str(s): {n: scalar_to_json(v) for n, v in q.items()}
+                 for s, q in sorted(self.a_table.items())}
         return {
             "schema": SCHEMA,
             "verdict": self.verdict,
@@ -146,7 +155,10 @@ class Certificate:
                 "a_reg": scalar_to_json(self.pair.a_reg),
                 "b_reg": scalar_to_json(self.pair.b_reg),
             },
-            "s_max": self.s_max,
+            "support_lemma": {
+                "overlaps": [list(o) for o in p.sweep_overlaps()],
+                "higher_levels": HIGHER_LEVELS,
+            },
             "A": a_enc,
             "conditions": self.conditions,
             "c": None if self.c_value is None else scalar_to_json(self.c_value),
@@ -167,28 +179,29 @@ _FOREIGN = {RATIONAL: ((float, complex, Interval), "exact coefficients"),
             FLOAT: ((Radical,), "rational, float or complex coefficients")}
 
 
-def verify(pair: GeneratorPair, seq: WeightSequence, regime: str = RATIONAL,
-           s_max: Optional[int] = None) -> Certificate:
-    """Evaluate the four conditions from the raw coefficients."""
-    if s_max is None:
-        s_max = default_s_max(pair.pattern)
-    if s_max < 3:
-        raise ValueError(f"s_max must be at least 3, got {s_max}")
+def verify(pair: GeneratorPair, seq: WeightSequence,
+           regime: str = RATIONAL) -> Certificate:
+    """Evaluate the four conditions from the raw coefficients: the level-1
+    block, A_(s,1) and A_(s,5) for s = 2, 3, and the membership sweep at
+    the levels of the support lemma."""
     foreign, need = _FOREIGN[regime]
     for v in (*pair.a_low, *pair.a_high, *pair.b_low,
               pair.a_reg, pair.b_reg):
         if isinstance(v, foreign):
             raise ModeUnsupportedError(
                 f"{regime} regime needs {need} (got {type(v).__name__})")
-    a_table = {s: compute_A(pair, seq, s, regime) for s in range(1, s_max + 1)}
-    q1 = a_table[1]
+    q1 = compute_A(pair, seq, 1, regime)
+    a_table = {1: {f"A{i}": getattr(q1, f"A{i}") for i in range(1, 6)}}
+    for s in (2, 3):
+        a1, a5 = adjacent_products(pair, seq, s, regime)
+        a_table[s] = {"A1": a1, "A5": a5}
     tol = _zero_tolerance(q1, regime)
     reasons = []
     conditions = {
         "adjacent_zero": _zero_condition(
             [("A_1_1", "A_(1,1)", q1.A1)], tol, regime, reasons),
         "higher_zero": _zero_condition(
-            [(f"A_({s},{n})", f"A_({s},{n})", getattr(a_table[s], f"A{n}"))
+            [(f"A_({s},{n})", f"A_({s},{n})", a_table[s][f"A{n}"])
              for s in (2, 3) for n in (1, 5)], tol, regime, reasons),
     }
 
@@ -210,23 +223,14 @@ def verify(pair: GeneratorPair, seq: WeightSequence, regime: str = RATIONAL,
     if not strict:
         reasons.append("A_(1,3) A_(1,4) - |A_(1,2)|^2 >= |A_(1,5) A_(1,2)|")
 
-    warnings = []
-    for s in range(4, s_max + 1):
-        for nm, v in (("1", a_table[s].A1), ("5", a_table[s].A5)):
-            zok, _ = _zero_report(v, tol, regime)
-            if not zok:
-                shown = v if isinstance(v, complex) else to_float(v)
-                warnings.append(
-                    f"A_({s},{nm}) = {shown:.3e}"
-                    " is nonzero (harmless: it multiplies a zero coefficient"
-                    " in the membership recursion)")
-
     all_hold = all(conditions[nm]["holds"] for nm in
                    ("adjacent_zero", "higher_zero", "coupling_nonzero",
                     "strict_contraction"))
     membership = {}
+    warnings = []
     if all_hold and regime != FLOAT:
-        membership = _membership_sweep(pair, seq, regime, s_max, q1, tol)
+        levels = sorted({s for s, _ in pair.pattern.sweep_overlaps()})
+        membership = _membership_sweep(pair, seq, regime, levels, q1, tol)
         if not membership["holds"]:
             all_hold = False
             reasons.append("membership sweep found a nonzero projection")
@@ -238,18 +242,19 @@ def verify(pair: GeneratorPair, seq: WeightSequence, regime: str = RATIONAL,
         warnings.append("all conditions hold numerically in float; verdict "
                         "withheld by the soundness gate")
     return Certificate(verdict=verdict, regime=regime, pair=pair, seq=seq,
-                       s_max=s_max, conditions=conditions, a_table=a_table,
+                       conditions=conditions, a_table=a_table,
                        c_value=c_value, reasons=reasons, warnings=warnings,
                        membership=membership)
 
 
 def _membership_sweep(pair: GeneratorPair, seq: WeightSequence, regime: str,
-                      s_max: int, q1: AQuantities, tol: float) -> dict:
-    """Check that F_2 and F_3 really live in M (-) z^k M up to level s_max.
+                      levels: list, q1: AQuantities, tol: float) -> dict:
+    """Check that F_2 and F_3 really live in M (-) z^k M at the given levels.
 
     F_3 is built from verify's level-1 block q1, whose zero conditions have
     passed under the same tolerance; the sweep then tests every projection
-    directly, so any nonzero one flags an internal inconsistency.
+    directly, so any nonzero one flags an internal inconsistency.  At every
+    other level the support lemma leaves the products without a term.
     """
     k = pair.pattern.k
     try:
@@ -258,7 +263,7 @@ def _membership_sweep(pair: GeneratorPair, seq: WeightSequence, regime: str,
         return {"holds": False, "error": str(exc)}
     f1, f2 = pair.f1_map(), pair.f2_map()
     worst = 0.0
-    for s in range(1, s_max + 1):
+    for s in levels:
         for tag, fmap in (("F2", f2), ("F3", f3)):
             for gname, gmap in (("F1", f1), ("F2", f2)):
                 v = inner_product(fmap, gmap, seq, regime,
@@ -269,10 +274,10 @@ def _membership_sweep(pair: GeneratorPair, seq: WeightSequence, regime: str,
                             "first_failure": f"<{tag}, z^{k * s} {gname}> != 0"}
                 if regime == INTERVAL:
                     worst = max(worst, v.width)
-    return {"holds": True, "levels": s_max, "worst_residual": worst}
+    return {"holds": True, "levels": levels, "worst_residual": worst}
 
 
-def cross_check(params, s_max: Optional[int] = None) -> dict:
+def cross_check(params) -> dict:
     """Reduction identities vs the definition-level oracle, on the core pair.
 
     Exact equality in the rational regime; float residuals otherwise.  The
@@ -305,7 +310,9 @@ def cross_check(params, s_max: Optional[int] = None) -> dict:
         if regime == RATIONAL:
             return {"equal": signed_square(lhs) == signed_square(rhsv),
                     "exact": True}
-        lf, rf = to_float(lhs), to_float(rhsv)
+        # a complex value (float regime) compares by |lhs - rhs|
+        lf, rf = (v if isinstance(v, complex) else to_float(v)
+                  for v in (lhs, rhsv))
         denom = max(1.0, abs(lf), abs(rf))
         return {"equal": abs(lf - rf) / denom <= 1e-9,
                 "relative_residual": abs(lf - rf) / denom}
@@ -342,79 +349,123 @@ def _pair_from_dict(obj: dict) -> GeneratorPair:
     )
 
 
+def _check_bounds(data: dict, schema: str) -> None:
+    """Types and ranges of an untrusted certificate's integers, so that
+    replaying it is bounded work."""
+    v1 = schema == SCHEMA_V1
+    for value in (data["k"], *data["gamma"], *([data["s_max"]] if v1 else [])):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(
+                f"k, gamma and s_max must be integers, got {value!r}")
+    if v1 and data["s_max"] < 3:
+        raise ValueError(f"s_max must be at least 3, got {data['s_max']}")
+    if not (1 <= data["k"] <= MAX_K
+            and all(0 <= g <= MAX_DEGREE for g in data["gamma"])):
+        raise ValueError(f"k must lie in 1..{MAX_K} and the degrees in "
+                         f"0..{MAX_DEGREE}")
+
+
+def _check_weights(seq: WeightSequence) -> None:
+    """Nesting depth and Dirichlet exponent of an untrusted sequence."""
+    for _ in range(MAX_WEIGHT_NESTING):
+        if seq.alpha is not None:
+            break
+        seq = seq.base or seq.tail          # perturbed or custom
+    else:
+        raise ValueError(f"weight sequences nest deeper than "
+                         f"{MAX_WEIGHT_NESTING}")
+    if (abs(seq.alpha) > MAX_ABS_ALPHA
+            or seq.alpha.denominator > MAX_ALPHA_DENOMINATOR):
+        raise ValueError(
+            f"alpha = {seq.alpha} is outside |alpha| <= {MAX_ABS_ALPHA} with "
+            f"denominator <= {MAX_ALPHA_DENOMINATOR}")
+
+
 def check_certificate(source) -> dict:
     """Re-derive a stored certificate from its own data.
 
-    Rebuilds the weight sequence and pair, confirms the embedded weights,
-    re-runs the verifier in the recorded regime and compares verdict and c.
-    Returns a report dict with "ok" set accordingly.
+    Rebuilds the weight sequence and pair, confirms the embedded weights and
+    (schema v2) the support lemma's overlap list, re-runs the verifier in
+    the recorded regime and compares verdict and c.  Returns a report dict
+    with "ok" set accordingly; input it cannot replay raises
+    CertificateError.
     """
     if isinstance(source, str):
         try:
             with open(source) as fh:
                 data = json.load(fh)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise CertificateError(
                 f"cannot read certificate {source}: {exc}") from exc
     else:
         data = source
     schema = data.get("schema") if isinstance(data, dict) else None
-    if schema != SCHEMA:
+    if schema not in (SCHEMA, SCHEMA_V1):
         raise CertificateError(f"unknown schema {schema!r}")
     try:
-        regime, s_max = data["regime"], data["s_max"]
+        regime = data["regime"]
         if regime not in REGIMES:
             raise ValueError(f"unknown regime {regime!r}")
-        for value in (data["k"], s_max, *data["gamma"]):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(
-                    f"k, gamma and s_max must be integers, got {value!r}")
-        if s_max < 3:
-            raise ValueError(f"s_max must be at least 3, got {s_max}")
+        _check_bounds(data, schema)
         seq = weights_from_dict(data["weights"])
+        _check_weights(seq)
         pair = _pair_from_dict(data)
+        stored_overlaps = (None if schema == SCHEMA_V1
+                           else data["support_lemma"]["overlaps"])
         embedded = {}
         for t_str, enc in data["weights_at_matrix_indices"].items():
-            t = int(t_str)
-            if t < 0:
-                raise ValueError(f"negative weight index {t}")
-            embedded[t] = (Fraction(enc) if isinstance(enc, str)
-                           else Interval(enc["lo"], enc["hi"]))
+            embedded[int(t_str)] = (rational_from_json(enc)
+                                    if isinstance(enc, str)
+                                    else Interval(enc["lo"], enc["hi"]))
         stored_c = data.get("c")
         if stored_c is not None:
             stored_c = scalar_from_json(stored_c)
+            if isinstance(stored_c, complex):
+                raise ValueError("c must be real")
         report = {"ok": True, "mismatches": [], "schema_ok": True,
                   "stored_verdict": data["verdict"]}
     except (KeyError, TypeError, ValueError, AttributeError, ArithmeticError,
-            InvalidPatternError) as exc:
+            RecursionError, InvalidPatternError) as exc:
         raise CertificateError(f"malformed certificate: {exc}") from exc
 
+    pattern = pair.pattern
+    indices = pattern.embedded_indices()
+    if sorted(embedded) != list(indices):
+        report["mismatches"].append(
+            "embedded weights are not the 14 at the matrix and register "
+            "indices")
+    if (stored_overlaps is not None
+            and stored_overlaps != [list(o) for o in
+                                    pattern.sweep_overlaps()]):
+        report["mismatches"].append(
+            "support overlaps differ from those k and gamma give")
     try:
-        for t, emb in embedded.items():
+        for t in indices:
+            emb = embedded.get(t)
             if isinstance(emb, Fraction):
                 if weight(seq, t, RATIONAL) != emb:
                     report["mismatches"].append(f"embedded weight at t={t}")
-            else:
+            elif emb is not None:
                 iv = weight(seq, t, INTERVAL)
                 if emb.hi < iv.lo or iv.hi < emb.lo:
                     report["mismatches"].append(
                         f"embedded weight enclosure at t={t}")
-        redo = verify(pair, seq, regime=regime, s_max=s_max)
-    except ModeUnsupportedError as exc:
+        redo = verify(pair, seq, regime=regime)
+        report["recomputed_verdict"] = redo.verdict
+        if redo.verdict != data["verdict"]:
+            report["mismatches"].append(
+                f"verdict: stored {data['verdict']}, recomputed {redo.verdict}")
+        new_c = redo.c_value
+        if (stored_c is None) != (new_c is None):
+            report["mismatches"].append("contraction ratio presence differs")
+        elif stored_c is not None:
+            if regime == RATIONAL:
+                if stored_c != new_c:
+                    report["mismatches"].append("contraction ratio differs")
+            else:
+                if abs(to_float(stored_c) - to_float(new_c)) > 1e-12:
+                    report["mismatches"].append("contraction ratio differs")
+    except (ModeUnsupportedError, ValueError, ArithmeticError) as exc:
         raise CertificateError(f"certificate cannot be replayed: {exc}") from exc
-    report["recomputed_verdict"] = redo.verdict
-    if redo.verdict != data["verdict"]:
-        report["mismatches"].append(
-            f"verdict: stored {data['verdict']}, recomputed {redo.verdict}")
-    new_c = redo.c_value
-    if (stored_c is None) != (new_c is None):
-        report["mismatches"].append("contraction ratio presence differs")
-    elif stored_c is not None:
-        if regime == RATIONAL:
-            if stored_c != new_c:
-                report["mismatches"].append("contraction ratio differs")
-        else:
-            if abs(to_float(stored_c) - to_float(new_c)) > 1e-12:
-                report["mismatches"].append("contraction ratio differs")
     report["ok"] = not report["mismatches"]
     return report

@@ -19,7 +19,8 @@ from .certify import check_certificate, save_certificate, verify
 from .errors import (NoAdmissibleSystemError, RegisterTooLargeError,
                      ZkwanderError)
 from .model import DegreePattern
-from .recovery import attach_register, auto_register, recover
+from .recovery import (attach_register, auto_register, check_z3_regime,
+                       recover)
 from .reduction import (b0_minimum, compute_C, objective_B0, objective_B1,
                         objective_B2, reduce_system, split_e, z1_star)
 from .scalars import FLOAT, INTERVAL, RATIONAL, Interval, to_float
@@ -126,6 +127,8 @@ def cmd_eval(args) -> int:
         raise ZkwanderError(f"--z1 must be positive, got {args.z1}")
     pattern = _pattern_from_args(args)
     regime = _default_regime(args.alpha, args.regime)
+    z3 = None if args.z3 is None else _parse_z3(args.z3)
+    check_z3_regime(z3, regime)
     seq = _sequence_from_args(args, pattern)
     rs = reduce_system(seq, pattern, regime)
     if args.emit_weights:
@@ -146,8 +149,7 @@ def cmd_eval(args) -> int:
         print(f"{name} = {_fmt(v)}")
     print(f"B2 = {_fmt(objective_B2(c))}")
     print(f"B1 = {_fmt(objective_B1(c))}")
-    if args.z3 is not None:
-        z3 = _parse_z3(args.z3)
+    if z3 is not None:
         e0, e1 = split_e(c, z3)
         print(f"e0 = {_fmt(e0)}")
         print(f"e1 = {_fmt(e1)}")
@@ -197,8 +199,6 @@ def cmd_search(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    if args.smax is not None and args.smax < 3:
-        raise ZkwanderError(f"--smax must be at least 3, got {args.smax}")
     pattern = _pattern_from_args(args)
     seq = _sequence_from_args(args, pattern)
     regime = _default_regime(args.alpha, args.regime)
@@ -225,7 +225,7 @@ def cmd_pipeline(args) -> int:
     except RegisterTooLargeError:
         r = auto_register(params)
         params = attach_register(params, r, r)
-    cert = verify(params.pair, seq, regime, s_max=args.smax)
+    cert = verify(params.pair, seq, regime)
     out = args.out or "certificate.json"
     save_certificate(cert, out)
     print(f"verdict: {cert.verdict}  c = "
@@ -415,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the search and use this point")
     p.add_argument("--z3")
     p.add_argument("--override-base", type=_parse_fraction)
-    p.add_argument("--smax", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_pipeline)
 

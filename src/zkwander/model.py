@@ -28,6 +28,13 @@ from .weights import WeightSequence, matrix_indices, weight
 CoefficientMap = Dict[int, object]
 
 
+# Supports of F_1, F_2 and F_3 = F_1 + z^k (c_2 F_2 + c_1 F_1) as
+# (block j, degree index r) pairs, the degree being j k + gamma_r.
+_F1_BLOCKS = frozenset({(j, r) for j in (0, 1) for r in range(4)} | {(0, 4)})
+_F2_BLOCKS = frozenset({(0, r) for r in range(4)} | {(0, 5)})
+_F3_BLOCKS = _F1_BLOCKS | {(j + 1, r) for j, r in _F1_BLOCKS | _F2_BLOCKS}
+
+
 @dataclass(frozen=True)
 class DegreePattern:
     """Shift order k plus the six exponents carried by the generators.
@@ -69,6 +76,31 @@ class DegreePattern:
 
     def matrix_indices(self) -> tuple:
         return matrix_indices(self.k, self.gamma)
+
+    def embedded_indices(self) -> tuple:
+        """The 14 degrees whose weights a certificate reads: the 12 matrix
+        indices plus k + gamma_4 and k + gamma_5."""
+        k, g = self.k, self.gamma
+        return tuple(sorted({*self.matrix_indices(), k + g[4], k + g[5]}))
+
+    def sweep_overlaps(self) -> tuple:
+        """The support lemma: the sorted (level s, degree t) pairs at which a
+        membership product <F, z^{ks} G>, F in {F_2, F_3}, G in {F_1, F_2},
+        s >= 1, has a term.
+
+        Every support degree is j k + gamma_r.  As the gamma_r are distinct
+        mod k, j k + gamma_r = (j' + s) k + gamma_r' only when r = r' and
+        j = j' + s, so the pairs follow from the block indices alone.  F_3
+        reaches block 2 and every G starts at block 0, hence s <= 2.
+        """
+        out = set()
+        for f in (_F2_BLOCKS, _F3_BLOCKS):
+            for g in (_F1_BLOCKS, _F2_BLOCKS):
+                out.update((j - jg, j * self.k + self.gamma[r])
+                           for j, r in f for jg, rg in g
+                           if r == rg and j > jg)
+        return tuple(sorted(out))
+
 
 
 @dataclass(frozen=True)
@@ -172,22 +204,34 @@ def norm_sq(f: CoefficientMap, seq: WeightSequence,
     return total
 
 
+def adjacent_products(pair: GeneratorPair, seq: WeightSequence, s: int,
+                      regime: str = RATIONAL) -> tuple:
+    """(A_(s,1), A_(s,5)), the two level-s products the orthogonality
+    relations read; both pair z^{k(s-1)} F_1 with a generator at z^{ks}."""
+    k = pair.pattern.k
+    f1 = pair.f1_map()
+    lo, hi = k * (s - 1), k * s
+    return (inner_product(f1, f1, seq, regime, shift_f=lo, shift_g=hi),
+            inner_product(f1, pair.f2_map(), seq, regime,
+                          shift_f=lo, shift_g=hi))
+
+
 def compute_A(pair: GeneratorPair, seq: WeightSequence, s: int,
               regime: str = RATIONAL) -> AQuantities:
     """All five A-quantities at level s >= 1, straight from the definitions."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    k = pair.pattern.k
+    hi = pair.pattern.k * s
     f1 = pair.f1_map()
     f2 = pair.f2_map()
-    lo, hi = k * (s - 1), k * s
+    a1, a5 = adjacent_products(pair, seq, s, regime)
     return AQuantities(
         s=s,
-        A1=inner_product(f1, f1, seq, regime, shift_f=lo, shift_g=hi),
+        A1=a1,
         A2=inner_product(f1, f2, seq, regime, shift_f=hi, shift_g=hi),
         A3=norm_sq(f1, seq, regime, shift=hi),
         A4=norm_sq(f2, seq, regime, shift=hi),
-        A5=inner_product(f1, f2, seq, regime, shift_f=lo, shift_g=hi),
+        A5=a5,
     )
 
 
@@ -198,11 +242,11 @@ def _check_engineered(pair: GeneratorPair, seq: WeightSequence, regime: str,
     if not is_zero(q1.A1, atol):
         raise NotOrthogonalError(f"A_(1,1) = {q1.A1!r} is not zero")
     for s in (2, 3):
-        qs = compute_A(pair, seq, s, regime)
-        if not is_zero(qs.A1, atol):
-            raise NotOrthogonalError(f"A_({s},1) = {qs.A1!r} is not zero")
-        if not is_zero(qs.A5, atol):
-            raise NotOrthogonalError(f"A_({s},5) = {qs.A5!r} is not zero")
+        a1, a5 = adjacent_products(pair, seq, s, regime)
+        if not is_zero(a1, atol):
+            raise NotOrthogonalError(f"A_({s},1) = {a1!r} is not zero")
+        if not is_zero(a5, atol):
+            raise NotOrthogonalError(f"A_({s},5) = {a5!r} is not zero")
     return q1
 
 

@@ -84,6 +84,14 @@ def choose_A15(rs: ReducedSystem, c: CQuantities, z3, z1):
     return sqrt(to_regime(z1 / pivot_modulus(c, z3), rs.regime))
 
 
+def check_z3_regime(z3, regime: str) -> None:
+    """A complex Z_3 needs the float regime; exact and interval arithmetic
+    carry real scalars only."""
+    if _split_z3(z3)[1] is not None and regime != FLOAT:
+        raise ModeUnsupportedError(
+            "complex Z_3 is only supported in the float regime")
+
+
 def recover(rs: ReducedSystem, d, z3=None, z1=None, a15=None) -> RecoveredParameters:
     """Build the engineered generator pair at the point d.
 
@@ -95,10 +103,8 @@ def recover(rs: ReducedSystem, d, z3=None, z1=None, a15=None) -> RecoveredParame
     regime = rs.regime
     if z3 is None:
         z3 = to_regime(choose_Z3(c), regime)
+    check_z3_regime(z3, regime)
     x, y = _split_z3(z3)
-    if y is not None and regime != FLOAT:
-        raise ModeUnsupportedError(
-            "complex Z_3 is only supported in the float regime")
     if z1 is None:
         z1 = z1_star(c, z3)
         if regime != FLOAT:

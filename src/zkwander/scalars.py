@@ -406,15 +406,30 @@ def scalar_to_json(x):
     return x
 
 
+# root atoms a decoded Radical may carry; recovered coefficients have <= 3
+MAX_ROOT_ATOMS = 8
+
+
+def rational_from_json(text) -> Fraction:
+    """An exact rational as JSON output writes it, "p" or "p/q".  The
+    exponent form that Fraction also reads is refused: "1e99999999" costs
+    work far beyond its length."""
+    if not isinstance(text, str) or "e" in text.lower():
+        raise ValueError(f"not an exact rational string: {text!r}")
+    return Fraction(text)
+
+
 def scalar_from_json(obj):
     if isinstance(obj, str):
-        return Fraction(obj)
+        return rational_from_json(obj)
     if isinstance(obj, dict):
         if "roots" in obj:
             # untrusted atoms: rebuild the normal form through Radical.sqrt
-            value = Fraction(obj["rational"])
+            value = rational_from_json(obj["rational"])
+            if len(obj["roots"]) > MAX_ROOT_ATOMS:
+                raise ValueError(f"more than {MAX_ROOT_ATOMS} radical atoms")
             for r in obj["roots"]:
-                r = Fraction(r)
+                r = rational_from_json(r)
                 if r <= 0:
                     raise ValueError("radical atoms must be positive")
                 value = value * Radical.sqrt(r)

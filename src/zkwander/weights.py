@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .errors import InvalidPatternError, ModeUnsupportedError
 from .scalars import (FLOAT, INTERVAL, RATIONAL, Interval, power_interval,
-                      to_regime)
+                      rational_from_json, to_regime)
 
 DIRICHLET = "dirichlet"
 PERTURBED = "perturbed"
@@ -196,12 +196,12 @@ def weights_to_dict(seq: WeightSequence) -> dict:
 def weights_from_dict(obj: dict) -> WeightSequence:
     kind = obj["kind"]
     if kind == DIRICHLET:
-        return dirichlet(Fraction(obj["alpha"]))
+        return dirichlet(rational_from_json(obj["alpha"]))
     if kind == PERTURBED:
         base = weights_from_dict(obj["base"])
-        return perturbed(base, {int(t): Fraction(v)
+        return perturbed(base, {int(t): rational_from_json(v)
                                 for t, v in obj["overrides"].items()})
     if kind == CUSTOM:
-        return custom([Fraction(v) for v in obj["prefix"]],
+        return custom([rational_from_json(v) for v in obj["prefix"]],
                       weights_from_dict(obj["tail"]))
     raise ValueError(f"unknown weight kind {kind!r}")

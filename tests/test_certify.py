@@ -1,22 +1,32 @@
+import copy
+import hashlib
 import json
 import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from zkwander.certify import (Certificate, check_certificate, default_s_max,
+from zkwander.certify import (Certificate, check_certificate, cross_check,
                               save_certificate, verify)
 from zkwander.errors import CertificateError, ModeUnsupportedError
 from zkwander.model import DegreePattern, GeneratorPair
-from zkwander.recovery import attach_register, recover
+from zkwander.recovery import attach_register, auto_register, recover
 from zkwander.reduction import reduce_system
+from zkwander.reference_data import TABLE2_ROWS
 from zkwander.scalars import FLOAT, INTERVAL, Radical
 from zkwander.weights import dirichlet
 
 C_FLAGSHIP = 0.18894510966828287
-HEADLINE_CERTIFICATE = Path(__file__).with_name("data").joinpath(
-    "headline_certificate.json")
+DATA = Path(__file__).with_name("data")
+# the headline certificate as schema v2 writes it, byte for byte
+HEADLINE_CERTIFICATE = DATA / "headline_certificate_v2.json"
+# the same certificate as schema v1 wrote it (with an s_max sweep depth)
+HEADLINE_CERTIFICATE_V1 = DATA / "headline_certificate.json"
+HEADLINE_V1_SHA256 = (
+    "5b086a957d14e8d31f76fe4bf8ef6d57d4b6cc86d15776b46fc38d0a9cc9aed3")
 
 
 def _trivial_pair():
@@ -46,15 +56,25 @@ class TestVerify:
 
     def test_membership_sweep_ran_clean(self, cert16):
         assert cert16.membership["holds"]
-        assert cert16.membership["levels"] == cert16.s_max
+        assert cert16.membership["levels"] == [1, 2]
 
-    def test_default_sweep_depth(self, pattern6):
-        assert default_s_max(pattern6) == 6
-        assert default_s_max(DegreePattern.from_phi(6, 2, 34)) == 40
+    @pytest.mark.parametrize("pattern", [
+        DegreePattern.default(6), DegreePattern.from_phi(6, 2, 34),
+        DegreePattern.from_phi(88, 3, 166)], ids=["k6", "k6-phi", "k88"])
+    def test_sweep_levels_come_from_the_lemma(self, pattern):
+        # the old sweep ran 6, 40 and 172 levels on these patterns
+        overlaps = pattern.sweep_overlaps()
+        assert {s for s, _ in overlaps} == {1, 2}
+        assert {t for _, t in overlaps} <= set(pattern.embedded_indices())
 
-    def test_higher_levels_only_warn(self, cert16):
-        # A_(s,1) for s >= 4 is genuinely nonzero; it must warn, not fail
-        assert any("harmless" in w for w in cert16.warnings)
+    def test_higher_levels_are_one_structural_statement(self, cert16):
+        # A_(s,1), A_(s,5) for s >= 4 are nonzero but multiply a zero
+        # coefficient; they are stated once and never evaluated
+        assert cert16.warnings == []
+        data = cert16.to_dict()
+        assert "zero coefficient" in data["support_lemma"]["higher_levels"]
+        assert sorted(data["A"]) == ["1", "2", "3"]
+        assert sorted(data["A"]["2"]) == sorted(data["A"]["3"]) == ["A1", "A5"]
 
     def test_trivial_pair_fails_with_reasons(self, seq16):
         cert = verify(_trivial_pair(), seq16)
@@ -86,24 +106,30 @@ class TestVerify:
 
     def test_each_level_is_evaluated_once(self, registered16, seq16,
                                           monkeypatch):
-        # the membership sweep reuses verify's level-1 block
+        # the full block at level 1 only (the membership sweep reuses it),
+        # A_(s,1) and A_(s,5) alone at levels 2 and 3
         import zkwander.certify
         import zkwander.model
-        levels = []
+        blocks, pairs = [], []
         compute_A = zkwander.model.compute_A
+        adjacent_products = zkwander.model.adjacent_products
 
-        def counted(pair, seq, s, regime):
-            levels.append(s)
+        def counted_block(pair, seq, s, regime):
+            blocks.append(s)
             return compute_A(pair, seq, s, regime)
+
+        def counted_pair(pair, seq, s, regime):
+            pairs.append(s)
+            return adjacent_products(pair, seq, s, regime)
         for module in (zkwander.certify, zkwander.model):
-            monkeypatch.setattr(module, "compute_A", counted)
+            monkeypatch.setattr(module, "compute_A", counted_block)
+        monkeypatch.setattr(zkwander.certify, "adjacent_products",
+                            counted_pair)
         cert = verify(registered16.pair, seq16)
         assert cert.passed
-        assert levels == list(range(1, cert.s_max + 1))
-
-    def test_sweep_depth_below_three_rejected(self, registered16, seq16):
-        with pytest.raises(ValueError):
-            verify(registered16.pair, seq16, s_max=2)
+        assert blocks == [1]
+        assert pairs == [2, 3]
+        assert cert.membership["levels"] == [1, 2]
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +170,7 @@ class TestCertificateIO:
 
     def test_round_trip_and_recheck(self, cert16):
         data = json.loads(cert16.to_json())
-        assert data["schema"] == "zkwander-certificate/v1"
+        assert data["schema"] == "zkwander-certificate/v2"
         report = check_certificate(data)
         assert report["ok"]
         assert report["schema_ok"]
@@ -193,6 +219,33 @@ class TestCertificateIO:
         assert cert16.to_json().encode() == HEADLINE_CERTIFICATE.read_bytes()
         assert check_certificate(str(HEADLINE_CERTIFICATE))["ok"]
 
+    def test_v1_headline_still_replays(self, cert16):
+        raw = HEADLINE_CERTIFICATE_V1.read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == HEADLINE_V1_SHA256
+        data = json.loads(raw)
+        assert data["schema"] == "zkwander-certificate/v1"
+        report = check_certificate(str(HEADLINE_CERTIFICATE_V1))
+        assert report["ok"]
+        assert report["recomputed_verdict"] == "pass"
+        # ok includes "contraction ratio differs" being absent: the replay
+        # recomputes the stored c exactly
+        assert Fraction(data["c"]) == cert16.c_value
+        assert data["c_float"] == C_FLAGSHIP
+
+    def test_tampered_overlap_list_is_caught(self, cert16):
+        data = json.loads(cert16.to_json())
+        data["support_lemma"]["overlaps"].pop()
+        report = check_certificate(data)
+        assert not report["ok"]
+        assert any("support overlaps" in m for m in report["mismatches"])
+
+    def test_foreign_embedded_index_is_caught(self, cert16):
+        data = json.loads(cert16.to_json())
+        data["weights_at_matrix_indices"]["1000000"] = "1"
+        report = check_certificate(data)
+        assert not report["ok"]
+        assert any("not the 14" in m for m in report["mismatches"])
+
     def test_malformed_payload_rejected(self, cert16):
         data = json.loads(cert16.to_json())
         del data["coefficients"]
@@ -209,6 +262,23 @@ def _drop(key):
 def _set(key, value):
     def mutate(data):
         data[key] = value
+    return mutate
+
+
+def _on_v1(mutate):
+    """The mutation applied to the v1 headline file instead."""
+    def on_v1(data):
+        data.clear()
+        data.update(json.loads(HEADLINE_CERTIFICATE_V1.read_text()))
+        mutate(data)
+    return on_v1
+
+
+def _nest_weights(depth):
+    def mutate(data):
+        for _ in range(depth):
+            data["weights"] = {"kind": "perturbed", "base": data["weights"],
+                               "overrides": {}}
     return mutate
 
 
@@ -232,17 +302,21 @@ def _set_in(*path_and_value):
     _set("regime", "bogus"),
     _set("regime", "interval"),
     _set("regime", "float"),
-    _set("s_max", -1),
-    _set("s_max", 0),
-    _set("s_max", 2),
-    _set("s_max", "3"),
-    _set("s_max", 3.0),
+    _on_v1(_set("s_max", -1)),
+    _on_v1(_set("s_max", 0)),
+    _on_v1(_set("s_max", 2)),
+    _on_v1(_set("s_max", "3")),
+    _on_v1(_set("s_max", 3.0)),
+    _on_v1(_drop("s_max")),
+    _drop("support_lemma"),
+    _set("support_lemma", []),
     _set("k", "6"),
     _set("k", True),
     _set("k", 0),
     _set("gamma", [0, 1, 2, 3, 4, "5"]),
     _bad_weight_index,
     _set("c", "x"),
+    _set("c", {"re": 1.0, "im": 0.0}),
     _set_in("coefficients", "a_low", 0, "1/0"),
     _set_in("coefficients", "a_low", 3, "rational", "1/0"),
     _set("c", "1/0"),
@@ -250,14 +324,33 @@ def _set_in(*path_and_value):
     _set_in("weights_at_matrix_indices", "10", "1/0"),
     _set_in("coefficients", "a_low", 3, "roots", 0, float("inf")),
     _set_in("weights", "alpha", float("inf")),
+    _set_in("weights", "alpha", "-1000"),
+    _set_in("weights", "alpha", "-100000"),
+    _set_in("weights", "alpha", "65"),
+    _set_in("weights", "alpha", "-16/10000001"),
+    _set_in("weights", "alpha", "-160000001/10000001"),
+    _set("k", 10 ** 4 + 1),
+    _set("gamma", [0, 1, 2, 3, 4, 10 ** 6 + 5]),
+    _set("gamma", [0, 1, 2, 3, 4, -1]),
+    _set_in("weights", "alpha", "-1e100000000"),
+    _set_in("coefficients", "a_low", 0, "1e100000000"),
+    _set_in("coefficients", "b_low", 3, "roots", [str(p) for p in range(2, 11)]),
+    _nest_weights(20),
+    _nest_weights(3000),
 ], ids=["no-verdict", "no-weights", "regime", "regime-interval",
         "regime-float", "s_max-negative", "s_max-0",
-        "s_max-2", "s_max-str", "s_max-float", "k-str", "k-bool",
-        "k-zero", "gamma-str", "weight-index", "c-str",
+        "s_max-2", "s_max-str", "s_max-float", "v1-without-s_max",
+        "no-support-lemma", "support-lemma-list", "k-str", "k-bool",
+        "k-zero", "gamma-str", "weight-index", "c-str", "c-complex",
         "coefficient-zero-denominator", "radical-zero-denominator",
         "c-zero-denominator", "alpha-zero-denominator",
         "embedded-weight-zero-denominator", "root-infinite",
-        "alpha-infinite"])
+        "alpha-infinite", "alpha-minus-1000", "alpha-minus-100000",
+        "alpha-above-bound", "alpha-denominator-above-bound",
+        "alpha-numerator-above-bound", "k-above-bound",
+        "degree-above-bound", "degree-negative", "alpha-exponent-form",
+        "coefficient-exponent-form", "radical-too-many-atoms",
+        "weights-nested-too-deep", "weights-nested-past-recursion-limit"])
 def test_malformed_field_is_a_certificate_error(cert16, mutate):
     data = json.loads(cert16.to_json())
     mutate(data)
@@ -265,7 +358,126 @@ def test_malformed_field_is_a_certificate_error(cert16, mutate):
         check_certificate(data)
 
 
-def test_smallest_sweep_depth_still_replays(cert16):
-    data = json.loads(cert16.to_json())
+def test_smallest_sweep_depth_still_replays():
+    data = json.loads(HEADLINE_CERTIFICATE_V1.read_text())
     data["s_max"] = 3
-    assert check_certificate(data)["recomputed_verdict"] == "pass"
+    report = check_certificate(data)
+    assert report["ok"]
+    assert report["recomputed_verdict"] == "pass"
+
+
+def _leaf_paths(node, path=()):
+    """Every (path, value) below a JSON node, containers included."""
+    yield path, node
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _leaf_paths(child, path + (key,))
+
+
+def _interval_certificate():
+    seq = dirichlet(Fraction(-33, 2))
+    rs = reduce_system(seq, DegreePattern.default(6), INTERVAL)
+    params = attach_register(recover(rs, (1, 4, 6)), 1, 1)
+    return json.loads(verify(params.pair, seq, INTERVAL).to_json())
+
+
+# a rational pass and an interval fail, each with every path below its root
+_FUZZ_BASES = [json.loads(HEADLINE_CERTIFICATE.read_text()),
+               _interval_certificate()]
+_FUZZ_PATHS = [[p for p, _ in _leaf_paths(base) if p] for base in _FUZZ_BASES]
+_JUNK = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "x", "1/0", "-1000", "-100000", "1e400", "-1e-400",
+                     "7/3", "-33/2", "0", "-0", "1" * 5000,
+                     "zkwander-certificate/v1", "interval", "float"]),
+    st.lists(st.integers(min_value=-5, max_value=5), max_size=3),
+    st.dictionaries(st.sampled_from(["lo", "hi", "re", "im", "rational",
+                                     "roots", "kind", "alpha"]),
+                    st.sampled_from(["1", "-1", "2", 1.0, -1.0, "dirichlet"]),
+                    max_size=3))
+_MUTATIONS = st.sampled_from(range(len(_FUZZ_BASES))).flatmap(
+    lambda i: st.tuples(st.just(i), st.lists(
+        st.tuples(st.sampled_from(_FUZZ_PATHS[i]), st.booleans(), _JUNK),
+        min_size=1, max_size=3)))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_MUTATIONS)
+def test_mutated_certificate_gives_a_report_or_certificate_error(mutations):
+    base, edits = mutations
+    data = copy.deepcopy(_FUZZ_BASES[base])
+    for path, delete, junk in edits:
+        node = data
+        try:
+            for step in path[:-1]:
+                node = node[step]
+            if delete and isinstance(node, dict):
+                del node[path[-1]]
+            else:
+                node[path[-1]] = junk
+        except (KeyError, IndexError, TypeError):
+            continue                    # an earlier mutation moved the path
+    try:
+        report = check_certificate(data)
+    except CertificateError:
+        return
+    assert isinstance(report["ok"], bool)
+    assert report["ok"] == (report["mismatches"] == [])
+
+
+class TestReadSet:
+    """verify and check_certificate read only the 14 embedded weights."""
+
+    @staticmethod
+    def _reads(monkeypatch):
+        import zkwander.certify
+        import zkwander.model
+        read = set()
+        weight = zkwander.model.weight
+
+        def spy(seq, t, regime="rational"):
+            read.add(t)
+            return weight(seq, t, regime)
+        for module in (zkwander.certify, zkwander.model):
+            monkeypatch.setattr(module, "weight", spy)
+        return read
+
+    def _check(self, monkeypatch, pair, seq, regime):
+        read = self._reads(monkeypatch)
+        cert = verify(pair, seq, regime)
+        assert read <= set(pair.pattern.embedded_indices())
+        data = json.loads(cert.to_json())
+        read.clear()
+        report = check_certificate(data)
+        assert report["ok"]
+        assert read == set(pair.pattern.embedded_indices())
+        assert sorted(data["weights_at_matrix_indices"], key=int) == \
+            [str(t) for t in pair.pattern.embedded_indices()]
+        return cert
+
+    def test_headline(self, monkeypatch, registered16, seq16):
+        assert self._check(monkeypatch, registered16.pair, seq16,
+                           "rational").passed
+
+    def test_table2_k88(self, monkeypatch):
+        row = TABLE2_ROWS[-1]
+        assert row.k == 88
+        seq = dirichlet(row.alpha)
+        rs = reduce_system(seq, DegreePattern.from_phi(row.k, row.phi2,
+                                                       row.phi3), INTERVAL)
+        params = recover(rs, (1,) + row.d)
+        r = auto_register(params)      # unit registers break the inequality
+        params = attach_register(params, r, r)
+        self._check(monkeypatch, params.pair, seq, INTERVAL)
+
+
+def test_cross_check_with_complex_z3():
+    rs = reduce_system(dirichlet(-16), DegreePattern.default(6), FLOAT)
+    report = cross_check(recover(rs, (1.0, 4.0, 6.0),
+                                 z3=complex(-2e13, 1e6)))
+    assert report["all_equal"]
+    assert report["A15_engineered"]["relative_residual"] <= 1e-9

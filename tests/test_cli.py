@@ -77,10 +77,11 @@ class TestBadInput:
     @pytest.mark.parametrize("argv", [
         ("eval", "--alpha", "-16", "--d", "0,4,6"),
         ("eval", "--alpha", "-16", "--gamma", "0,1,2,3,4,x"),
-        ("pipeline", "--alpha", "-16", "--d", "1,4,6", "--smax", "2"),
         ("eval", "--alpha", "-16", "--z3", "-2e13", "--z1", "-1"),
-    ], ids=["d-not-positive", "gamma-not-integer", "smax-below-3",
-            "z1-not-positive"])
+        ("eval", "--alpha", "-16", "--z3=-2e13,1e12"),
+        ("eval", "--alpha", "-33/2", "--z3=-2e13,1e12"),
+    ], ids=["d-not-positive", "gamma-not-integer", "z1-not-positive",
+            "complex-z3-rational", "complex-z3-interval"])
     def test_bad_argument(self, capsys, tmp_path, argv):
         code, out, err = run(capsys, *argv, *(
             ("--out", str(tmp_path / "cert.json"))
@@ -112,6 +113,14 @@ class TestBadInput:
         code, _, err = run(capsys, "certify", "--check", str(path))
         assert code == 1
         assert err.startswith("error: cannot read certificate")
+
+    def test_complex_z3_outside_float_is_one_error(self, capsys, tmp_path):
+        complex_z3 = ("--alpha", "-16", "--d", "1,4,6", "--z3=-2e13,1e12")
+        errors = [run(capsys, "eval", *complex_z3)[2],
+                  run(capsys, "pipeline", *complex_z3,
+                      "--out", str(tmp_path / "cert.json"))[2]]
+        assert errors == ["error: complex Z_3 is only supported in the "
+                          "float regime\n"] * 2
 
     def test_complex_z3_in_float_regime(self, capsys, tmp_path):
         # runs to the float soundness gate instead of failing in to_float

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zkwander.errors import (DegeneratePairError, InvalidPatternError,
                              NotOrthogonalError)
@@ -37,6 +39,52 @@ class TestDegreePattern:
     def test_nonnegative_required(self):
         with pytest.raises(InvalidPatternError):
             DegreePattern(6, (0, 1, 2, 3, 4, -5))
+
+
+def _brute_force_overlaps(k, gamma):
+    """Shifted supports intersected degree by degree, to the depth of the
+    level-by-level sweep the support lemma replaced."""
+    f1 = {*gamma[:5], *(k + g for g in gamma[:4])}
+    f2 = {*gamma[:4], gamma[5]}
+    f3 = f1 | {d + k for d in f1 | f2}
+    depth = -(-(3 * k + max(gamma)) // k) + 2
+    return tuple(sorted({(s, t) for s in range(1, depth + 1)
+                         for f in (f2, f3) for g in (f1, f2)
+                         for t in f if t - k * s in g}))
+
+
+@st.composite
+def _patterns(draw):
+    k = draw(st.integers(min_value=6, max_value=120))
+    residues = draw(st.lists(st.integers(min_value=0, max_value=k - 1),
+                             min_size=6, max_size=6, unique=True))
+    blocks = draw(st.lists(st.integers(min_value=0, max_value=40),
+                           min_size=6, max_size=6))
+    return DegreePattern(k, tuple(b * k + r for b, r in zip(blocks, residues)))
+
+
+class TestSupportLemma:
+
+    @settings(max_examples=150, deadline=None)
+    @given(_patterns())
+    def test_overlaps_match_brute_force(self, pattern):
+        assert pattern.sweep_overlaps() == _brute_force_overlaps(
+            pattern.k, pattern.gamma)
+
+    def test_headline_overlaps(self, pattern6):
+        assert pattern6.sweep_overlaps() == (
+            *((1, t) for t in range(6, 16)), *((2, t) for t in range(12, 16)))
+
+    def test_embedded_indices(self, pattern6):
+        # the 12 matrix indices plus k + gamma_4 = 10 and k + gamma_5 = 11
+        assert pattern6.embedded_indices() == (*range(6, 16), *range(18, 22))
+
+    def test_f3_stays_inside_the_lemma_support(self, registered16, seq16):
+        pair = registered16.pair
+        k = pair.pattern.k
+        f1, f2 = set(pair.f1_map()), set(pair.f2_map())
+        assert set(construct_F3(pair, seq16)) <= f1 | {
+            d + k for d in f1 | f2}
 
 
 class TestInnerProduct:

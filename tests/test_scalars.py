@@ -169,6 +169,16 @@ class TestRadical:
             with pytest.raises(ValueError):
                 scalar_from_json({"rational": "1", "roots": ["2", bad]})
 
+    @pytest.mark.parametrize("obj", [
+        "1e100000000", "-2E9", {"rational": "1e9", "roots": ["2"]},
+        {"rational": "1", "roots": ["2e9"]},
+        {"rational": "1", "roots": [str(p) for p in range(2, 11)]},
+    ], ids=["exponent", "exponent-upper", "radical-coefficient",
+            "radical-atom", "nine-atoms"])
+    def test_decoder_refuses_unbounded_forms(self, obj):
+        with pytest.raises(ValueError):
+            scalar_from_json(obj)
+
 
 class TestHelpers:
 
