@@ -35,9 +35,8 @@ from .model import (AQuantities, DegreePattern, GeneratorPair,
                     inner_product)
 from .reduction import a1_from_C, objective_B0
 from .scalars import (FLOAT, INTERVAL, RATIONAL, REGIMES, Interval, Radical,
-                      abs_sq, conj, excludes_zero, is_zero, rational_from_json,
-                      scalar_from_json, scalar_to_json, strictly_less,
-                      to_float)
+                      abs_sq, conj, excludes_zero, is_zero, scalar_from_json,
+                      scalar_to_json, strictly_less, to_float)
 from .weights import (WeightSequence, weight, weights_from_dict,
                       weights_to_dict)
 
@@ -51,7 +50,7 @@ HIGHER_LEVELS = ("A_(s,1) and A_(s,5) for s >= 4 multiply a zero coefficient "
 FLOAT_ZERO_RTOL = 1e-9
 INTERVAL_WIDTH_RTOL = 1e-20
 
-# ranges check_certificate accepts, far above every published row
+# ranges verify and check_certificate accept, far above every published row
 # (|alpha| <= 16 with denominator <= 1000, k <= 88, degrees <= 14611)
 MAX_ABS_ALPHA = 64
 MAX_ALPHA_DENOMINATOR = 10 ** 6
@@ -183,7 +182,9 @@ def verify(pair: GeneratorPair, seq: WeightSequence,
            regime: str = RATIONAL) -> Certificate:
     """Evaluate the four conditions from the raw coefficients: the level-1
     block, A_(s,1) and A_(s,5) for s = 2, 3, and the membership sweep at
-    the levels of the support lemma."""
+    the levels of the support lemma.  Out-of-range inputs raise ValueError
+    before any weight is evaluated, under the bounds replay enforces."""
+    _check_bounds(pair.pattern, seq)
     foreign, need = _FOREIGN[regime]
     for v in (*pair.a_low, *pair.a_high, *pair.b_low,
               pair.a_reg, pair.b_reg):
@@ -349,24 +350,13 @@ def _pair_from_dict(obj: dict) -> GeneratorPair:
     )
 
 
-def _check_bounds(data: dict, schema: str) -> None:
-    """Types and ranges of an untrusted certificate's integers, so that
-    replaying it is bounded work."""
-    v1 = schema == SCHEMA_V1
-    for value in (data["k"], *data["gamma"], *([data["s_max"]] if v1 else [])):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(
-                f"k, gamma and s_max must be integers, got {value!r}")
-    if v1 and data["s_max"] < 3:
-        raise ValueError(f"s_max must be at least 3, got {data['s_max']}")
-    if not (1 <= data["k"] <= MAX_K
-            and all(0 <= g <= MAX_DEGREE for g in data["gamma"])):
+def _check_bounds(pattern: DegreePattern, seq: WeightSequence) -> None:
+    """Ranges of k, the degrees, the weight nesting and the Dirichlet
+    exponent under which writing or replaying a certificate is bounded work."""
+    if not (1 <= pattern.k <= MAX_K
+            and all(g <= MAX_DEGREE for g in pattern.gamma)):
         raise ValueError(f"k must lie in 1..{MAX_K} and the degrees in "
                          f"0..{MAX_DEGREE}")
-
-
-def _check_weights(seq: WeightSequence) -> None:
-    """Nesting depth and Dirichlet exponent of an untrusted sequence."""
     for _ in range(MAX_WEIGHT_NESTING):
         if seq.alpha is not None:
             break
@@ -381,14 +371,46 @@ def _check_weights(seq: WeightSequence) -> None:
             f"denominator <= {MAX_ALPHA_DENOMINATOR}")
 
 
-def check_certificate(source) -> dict:
-    """Re-derive a stored certificate from its own data.
+_ABSENT = object()
 
-    Rebuilds the weight sequence and pair, confirms the embedded weights and
-    (schema v2) the support lemma's overlap list, re-runs the verifier in
-    the recorded regime and compares verdict and c.  Returns a report dict
-    with "ok" set accordingly; input it cannot replay raises
-    CertificateError.
+
+def _differences(stored, fresh, path=()):
+    """Each (path, stored, recomputed) leaf where the two differ, in the
+    recomputed order.  The walk goes only as deep as the recomputed value,
+    so a deeply nested stored value costs no more than a flat one."""
+    if isinstance(stored, list) and isinstance(fresh, list):
+        stored, fresh = dict(enumerate(stored)), dict(enumerate(fresh))
+    if isinstance(stored, dict) and isinstance(fresh, dict):
+        for key in [*fresh, *(key for key in stored if key not in fresh)]:
+            yield from _differences(stored.get(key, _ABSENT),
+                                    fresh.get(key, _ABSENT), path + (key,))
+    elif stored != fresh:
+        yield path, stored, fresh
+
+
+def _show(value) -> str:
+    """A short JSON rendering; containers are elided, as a stored one may
+    nest arbitrarily deep."""
+    if value is _ABSENT:
+        return "nothing"
+    text = ("{...}" if isinstance(value, dict) else
+            "[...]" if isinstance(value, list) else json.dumps(value))
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+# v1 fields whose layout v2 changed, and its checked but unused sweep depth
+_V1_UNCOMPARED = ("schema", "s_max", "A", "membership", "warnings",
+                  "support_lemma")
+
+
+def check_certificate(source) -> dict:
+    """Re-derive a stored certificate from its own inputs.
+
+    Decodes and bounds the inputs (regime, k, gamma, weights, coefficients
+    and, in v1, s_max), re-runs the verifier in the recorded regime and
+    compares every other field with the replay's.  Returns a report dict
+    whose mismatches name each differing field by the path of its first
+    differing leaf; input it cannot replay raises CertificateError.
     """
     if isinstance(source, str):
         try:
@@ -402,70 +424,35 @@ def check_certificate(source) -> dict:
     schema = data.get("schema") if isinstance(data, dict) else None
     if schema not in (SCHEMA, SCHEMA_V1):
         raise CertificateError(f"unknown schema {schema!r}")
+    v1 = schema == SCHEMA_V1
     try:
         regime = data["regime"]
         if regime not in REGIMES:
             raise ValueError(f"unknown regime {regime!r}")
-        _check_bounds(data, schema)
+        for value in (data["k"], *data["gamma"],
+                      *([data["s_max"]] if v1 else [])):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(
+                    f"k, gamma and s_max must be integers, got {value!r}")
+        if v1 and data["s_max"] < 3:
+            raise ValueError(f"s_max must be at least 3, got {data['s_max']}")
         seq = weights_from_dict(data["weights"])
-        _check_weights(seq)
         pair = _pair_from_dict(data)
-        stored_overlaps = (None if schema == SCHEMA_V1
-                           else data["support_lemma"]["overlaps"])
-        embedded = {}
-        for t_str, enc in data["weights_at_matrix_indices"].items():
-            embedded[int(t_str)] = (rational_from_json(enc)
-                                    if isinstance(enc, str)
-                                    else Interval(enc["lo"], enc["hi"]))
-        stored_c = data.get("c")
-        if stored_c is not None:
-            stored_c = scalar_from_json(stored_c)
-            if isinstance(stored_c, complex):
-                raise ValueError("c must be real")
-        report = {"ok": True, "mismatches": [], "schema_ok": True,
-                  "stored_verdict": data["verdict"]}
+        stored_verdict = data["verdict"]
     except (KeyError, TypeError, ValueError, AttributeError, ArithmeticError,
             RecursionError, InvalidPatternError) as exc:
         raise CertificateError(f"malformed certificate: {exc}") from exc
 
-    pattern = pair.pattern
-    indices = pattern.embedded_indices()
-    if sorted(embedded) != list(indices):
-        report["mismatches"].append(
-            "embedded weights are not the 14 at the matrix and register "
-            "indices")
-    if (stored_overlaps is not None
-            and stored_overlaps != [list(o) for o in
-                                    pattern.sweep_overlaps()]):
-        report["mismatches"].append(
-            "support overlaps differ from those k and gamma give")
     try:
-        for t in indices:
-            emb = embedded.get(t)
-            if isinstance(emb, Fraction):
-                if weight(seq, t, RATIONAL) != emb:
-                    report["mismatches"].append(f"embedded weight at t={t}")
-            elif emb is not None:
-                iv = weight(seq, t, INTERVAL)
-                if emb.hi < iv.lo or iv.hi < emb.lo:
-                    report["mismatches"].append(
-                        f"embedded weight enclosure at t={t}")
         redo = verify(pair, seq, regime=regime)
-        report["recomputed_verdict"] = redo.verdict
-        if redo.verdict != data["verdict"]:
-            report["mismatches"].append(
-                f"verdict: stored {data['verdict']}, recomputed {redo.verdict}")
-        new_c = redo.c_value
-        if (stored_c is None) != (new_c is None):
-            report["mismatches"].append("contraction ratio presence differs")
-        elif stored_c is not None:
-            if regime == RATIONAL:
-                if stored_c != new_c:
-                    report["mismatches"].append("contraction ratio differs")
-            else:
-                if abs(to_float(stored_c) - to_float(new_c)) > 1e-12:
-                    report["mismatches"].append("contraction ratio differs")
+        fresh = redo.to_dict()
     except (ModeUnsupportedError, ValueError, ArithmeticError) as exc:
         raise CertificateError(f"certificate cannot be replayed: {exc}") from exc
-    report["ok"] = not report["mismatches"]
-    return report
+    first = {}                      # field -> its first differing leaf
+    for path, stored, value in _differences(data, fresh):
+        if path[0] not in first and not (v1 and path[0] in _V1_UNCOMPARED):
+            first[path[0]] = (f"{'.'.join(map(str, path))}: stored "
+                              f"{_show(stored)}, recomputed {_show(value)}")
+    return {"ok": not first, "mismatches": list(first.values()),
+            "schema_ok": True, "stored_verdict": stored_verdict,
+            "recomputed_verdict": redo.verdict}

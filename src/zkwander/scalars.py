@@ -30,6 +30,7 @@ anyway; exact or interval entries make expansion the right tool.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -394,11 +395,20 @@ def to_float(x) -> float:
 
 
 def scalar_to_json(x):
-    """JSON-encodable form; exact types stay exact (strings), floats numeric."""
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, Radical):
-        return {"rational": str(x.coeff), "roots": [str(r) for r in x.roots]}
+    """JSON-encodable form; exact types stay exact (strings), floats numeric.
+    An exact value past the interpreter's integer-string limit raises
+    ModeUnsupportedError: the limit also guards parsing untrusted JSON, so
+    it stays in place."""
+    try:
+        if isinstance(x, Fraction):
+            return str(x)
+        if isinstance(x, Radical):
+            return {"rational": str(x.coeff),
+                    "roots": [str(r) for r in x.roots]}
+    except ValueError as exc:
+        raise ModeUnsupportedError(
+            "the certificate format cannot carry an exact value with more "
+            f"than {sys.get_int_max_str_digits()} digits") from exc
     if isinstance(x, Interval):
         return {"lo": x.lo, "hi": x.hi}
     if isinstance(x, complex):

@@ -104,6 +104,13 @@ class TestVerify:
         with pytest.raises(ModeUnsupportedError):
             verify(pair, seq16, regime)
 
+    def test_inputs_outside_the_replay_bounds_are_refused_first(
+            self, registered16, monkeypatch):
+        read = TestReadSet.spy_on_weight(monkeypatch)
+        with pytest.raises(ValueError, match=r"\|alpha\| <= 64"):
+            verify(registered16.pair, dirichlet(-65))
+        assert read == set()
+
     def test_each_level_is_evaluated_once(self, registered16, seq16,
                                           monkeypatch):
         # the full block at level 1 only (the membership sweep reuses it),
@@ -205,7 +212,8 @@ class TestCertificateIO:
         data["c"] = str(Fraction(1, 7))
         report = check_certificate(data)
         assert not report["ok"]
-        assert any("contraction ratio" in m for m in report["mismatches"])
+        assert any(m.startswith('c: stored "1/7", recomputed "')
+                   for m in report["mismatches"])
 
     def test_unknown_schema_rejected(self, cert16):
         data = json.loads(cert16.to_json())
@@ -237,14 +245,17 @@ class TestCertificateIO:
         data["support_lemma"]["overlaps"].pop()
         report = check_certificate(data)
         assert not report["ok"]
-        assert any("support overlaps" in m for m in report["mismatches"])
+        assert any(m.startswith("support_lemma.overlaps.13: stored nothing")
+                   for m in report["mismatches"])
 
     def test_foreign_embedded_index_is_caught(self, cert16):
         data = json.loads(cert16.to_json())
         data["weights_at_matrix_indices"]["1000000"] = "1"
         report = check_certificate(data)
         assert not report["ok"]
-        assert any("not the 14" in m for m in report["mismatches"])
+        assert report["mismatches"] == [
+            'weights_at_matrix_indices.1000000: stored "1", recomputed '
+            'nothing']
 
     def test_malformed_payload_rejected(self, cert16):
         data = json.loads(cert16.to_json())
@@ -298,7 +309,6 @@ def _set_in(*path_and_value):
 
 @pytest.mark.parametrize("mutate", [
     _drop("verdict"),
-    _drop("weights_at_matrix_indices"),
     _set("regime", "bogus"),
     _set("regime", "interval"),
     _set("regime", "float"),
@@ -308,20 +318,13 @@ def _set_in(*path_and_value):
     _on_v1(_set("s_max", "3")),
     _on_v1(_set("s_max", 3.0)),
     _on_v1(_drop("s_max")),
-    _drop("support_lemma"),
-    _set("support_lemma", []),
     _set("k", "6"),
     _set("k", True),
     _set("k", 0),
     _set("gamma", [0, 1, 2, 3, 4, "5"]),
-    _bad_weight_index,
-    _set("c", "x"),
-    _set("c", {"re": 1.0, "im": 0.0}),
     _set_in("coefficients", "a_low", 0, "1/0"),
     _set_in("coefficients", "a_low", 3, "rational", "1/0"),
-    _set("c", "1/0"),
     _set_in("weights", "alpha", "1/0"),
-    _set_in("weights_at_matrix_indices", "10", "1/0"),
     _set_in("coefficients", "a_low", 3, "roots", 0, float("inf")),
     _set_in("weights", "alpha", float("inf")),
     _set_in("weights", "alpha", "-1000"),
@@ -337,14 +340,12 @@ def _set_in(*path_and_value):
     _set_in("coefficients", "b_low", 3, "roots", [str(p) for p in range(2, 11)]),
     _nest_weights(20),
     _nest_weights(3000),
-], ids=["no-verdict", "no-weights", "regime", "regime-interval",
+], ids=["no-verdict", "regime", "regime-interval",
         "regime-float", "s_max-negative", "s_max-0",
         "s_max-2", "s_max-str", "s_max-float", "v1-without-s_max",
-        "no-support-lemma", "support-lemma-list", "k-str", "k-bool",
-        "k-zero", "gamma-str", "weight-index", "c-str", "c-complex",
+        "k-str", "k-bool", "k-zero", "gamma-str",
         "coefficient-zero-denominator", "radical-zero-denominator",
-        "c-zero-denominator", "alpha-zero-denominator",
-        "embedded-weight-zero-denominator", "root-infinite",
+        "alpha-zero-denominator", "root-infinite",
         "alpha-infinite", "alpha-minus-1000", "alpha-minus-100000",
         "alpha-above-bound", "alpha-denominator-above-bound",
         "alpha-numerator-above-bound", "k-above-bound",
@@ -356,6 +357,54 @@ def test_malformed_field_is_a_certificate_error(cert16, mutate):
     mutate(data)
     with pytest.raises(CertificateError):
         check_certificate(data)
+
+
+@pytest.mark.parametrize("mutate,path", [
+    (_drop("weights_at_matrix_indices"), "weights_at_matrix_indices"),
+    (_drop("support_lemma"), "support_lemma"),
+    (_set("support_lemma", []), "support_lemma"),
+    (_bad_weight_index, "weights_at_matrix_indices.x"),
+    (_set("c", "x"), "c"),
+    (_set("c", {"re": 1.0, "im": 0.0}), "c"),
+    (_set("c", "1/0"), "c"),
+    (_set_in("weights_at_matrix_indices", "10", "1/0"),
+     "weights_at_matrix_indices.10"),
+], ids=["no-weights", "no-support-lemma", "support-lemma-list",
+        "weight-index", "c-str", "c-complex", "c-zero-denominator",
+        "embedded-weight-zero-denominator"])
+def test_corrupt_recorded_output_is_a_mismatch(cert16, mutate, path):
+    # a recorded output is never decoded, only compared with the replay's
+    data = json.loads(cert16.to_json())
+    mutate(data)
+    report = check_certificate(data)
+    assert not report["ok"]
+    assert any(m.startswith(f"{path}: stored ") for m in report["mismatches"])
+
+
+@pytest.mark.parametrize("path,forged", [
+    (("A", "2", "A1"), '"5", recomputed "0"'),
+    (("conditions", "strict_contraction", "lhs"), '"5", recomputed "'),
+    (("conditions", "higher_zero", "holds"), '"5", recomputed true'),
+    (("membership", "worst_residual"), '"5", recomputed 0.0'),
+    (("c_float",), '"5", recomputed 0.18894510966828287'),
+    (("reasons",), '"5", recomputed [...]'),
+], ids=["A-entry", "condition-lhs", "condition-holds", "worst-residual",
+        "c-float", "reasons"])
+def test_forged_output_is_reported_under_its_path(path, forged):
+    data = json.loads(HEADLINE_CERTIFICATE.read_text())
+    _set_in(*path, "5")(data)
+    [mismatch] = check_certificate(data)["mismatches"]
+    assert mismatch.startswith(f"{'.'.join(path)}: stored {forged}")
+
+
+def test_deeply_nested_stored_output_is_a_mismatch():
+    data = json.loads(HEADLINE_CERTIFICATE.read_text())
+    for _ in range(3000):
+        data["conditions"] = {"adjacent_zero": data["conditions"]}
+    report = check_certificate(data)
+    assert not report["ok"]
+    assert report["mismatches"][0].startswith(
+        "conditions.adjacent_zero.holds: stored nothing")
 
 
 def test_smallest_sweep_depth_still_replays():
@@ -429,11 +478,28 @@ def test_mutated_certificate_gives_a_report_or_certificate_error(mutations):
     assert report["ok"] == (report["mismatches"] == [])
 
 
+@pytest.mark.parametrize("base", range(len(_FUZZ_BASES)),
+                         ids=["headline", "interval"])
+def test_every_single_leaf_forgery_is_rejected(base):
+    replayed = []
+    for path, value in _leaf_paths(_FUZZ_BASES[base]):
+        if isinstance(value, (dict, list)):
+            continue
+        data = copy.deepcopy(_FUZZ_BASES[base])
+        _set_in(*path, "forged")(data)
+        try:
+            if check_certificate(data)["ok"]:
+                replayed.append(path)
+        except CertificateError:
+            pass
+    assert replayed == []
+
+
 class TestReadSet:
     """verify and check_certificate read only the 14 embedded weights."""
 
     @staticmethod
-    def _reads(monkeypatch):
+    def spy_on_weight(monkeypatch):
         import zkwander.certify
         import zkwander.model
         read = set()
@@ -447,7 +513,7 @@ class TestReadSet:
         return read
 
     def _check(self, monkeypatch, pair, seq, regime):
-        read = self._reads(monkeypatch)
+        read = self.spy_on_weight(monkeypatch)
         cert = verify(pair, seq, regime)
         assert read <= set(pair.pattern.embedded_indices())
         data = json.loads(cert.to_json())

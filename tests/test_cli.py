@@ -114,6 +114,44 @@ class TestBadInput:
         assert code == 1
         assert err.startswith("error: cannot read certificate")
 
+    @pytest.mark.parametrize("alpha", ["-65", "-100"])
+    def test_alpha_outside_replay_bounds(self, capsys, tmp_path, alpha):
+        # verify applies the bounds replay applies, so no certificate is
+        # written that check_certificate would refuse
+        cert = tmp_path / "cert.json"
+        code, out, err = run(capsys, "pipeline", "--alpha", alpha,
+                             "--d", "1,4,6", "--z3", "-2e13",
+                             "--out", str(cert))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: alpha = {alpha} is outside "
+                              "|alpha| <= 64")
+        assert not cert.exists()
+
+    def test_alpha_on_the_bound_passes_and_replays(self, capsys, tmp_path):
+        cert = tmp_path / "cert.json"
+        code, out, _ = run(capsys, "pipeline", "--alpha", "-64",
+                           "--d", "1,4,6", "--z3", "-2e13",
+                           "--out", str(cert))
+        assert code == 0
+        assert "verdict: pass" in out
+        code, out, _ = run(capsys, "certify", "--check", str(cert))
+        assert code == 0
+        assert "recomputed: pass" in out
+
+    def test_value_past_the_digit_limit(self, capsys, tmp_path):
+        # inside the replay bounds, but an exact value needs more digits
+        # than the certificate format carries
+        cert = tmp_path / "cert.json"
+        code, out, err = run(capsys, "pipeline", "--alpha", "-64",
+                             "--k", "10000", "--d", "1,4,6",
+                             "--z3", "-2e13", "--out", str(cert))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: the certificate format cannot carry")
+        assert "set_int_max_str_digits" not in err
+        assert not cert.exists()
+
     def test_complex_z3_outside_float_is_one_error(self, capsys, tmp_path):
         complex_z3 = ("--alpha", "-16", "--d", "1,4,6", "--z3=-2e13,1e12")
         errors = [run(capsys, "eval", *complex_z3)[2],
@@ -215,6 +253,18 @@ class TestPipeline:
         code, out, _ = run(capsys, "certify", "--check", str(cert))
         assert code == 2
         assert "mismatch" in out
+
+    def test_check_names_the_forged_field(self, capsys, tmp_path):
+        cert = tmp_path / "cert.json"
+        run(capsys, "pipeline", "--alpha", "-16", "--d", "1,4,6",
+            "--z3", "-2e13", "--out", str(cert))
+        data = json.loads(cert.read_text())
+        data["A"]["2"]["A1"] = "5"
+        cert.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "certify", "--check", str(cert))
+        assert code == 2
+        assert 'mismatch: A.2.A1: stored "5", recomputed "0"\n' in out
+        assert "recomputed: pass" in out
 
 
 class TestReproduce:

@@ -1,4 +1,5 @@
-"""Source hygiene: no package module imports a name it never uses."""
+"""Source hygiene: no package module imports a name it never uses, and no
+private module-level name is left that no module loads."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,52 @@ def _unused_imports(tree: ast.Module) -> list:
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def _private_definitions(tree: ast.Module) -> dict:
+    """name -> line of each module-level _name (dunders aside)."""
+    found = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target])
+            names = [node.id for target in targets
+                     for node in ast.walk(target)
+                     if isinstance(node, ast.Name)]
+        else:
+            continue
+        found.update((name, stmt.lineno) for name in names
+                     if name.startswith("_") and not name.startswith("__"))
+    return found
+
+
+def _loaded_names(tree: ast.Module) -> set:
+    """Names read, imported or reached as attributes anywhere in a module;
+    a function or class naming itself (recursion) does not count."""
+    loaded = set()
+    for stmt in tree.body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        loaded |= names
+    return loaded
+
+
+def test_every_private_name_is_loaded():
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    loaded = set().union(*map(_loaded_names, trees.values()))
+    orphans = [f"{path.stem}.{name} (line {line})"
+               for path, tree in trees.items()
+               for name, line in _private_definitions(tree).items()
+               if name not in loaded]
+    assert orphans == []

@@ -259,6 +259,16 @@ class TestHelpers:
         again = scalar_from_json(scalar_to_json(value))
         assert again == value
 
+    @pytest.mark.parametrize("value", [
+        Fraction(10 ** 5000, 3),
+        Radical(Fraction(1, 10 ** 5000), (Fraction(5),)),
+    ], ids=["fraction", "radical"])
+    def test_json_refuses_values_past_the_digit_limit(self, value):
+        # the interpreter's limit stays: it guards parsing untrusted JSON
+        with pytest.raises(ModeUnsupportedError,
+                           match="certificate format cannot carry"):
+            scalar_to_json(value)
+
 
 class TestSmallMatrix:
 
