@@ -35,8 +35,8 @@ from .model import (AQuantities, DegreePattern, GeneratorPair,
                     inner_product)
 from .reduction import a1_from_C, objective_B0
 from .scalars import (FLOAT, INTERVAL, RATIONAL, REGIMES, Interval, Radical,
-                      abs_sq, conj, excludes_zero, is_zero, scalar_from_json,
-                      scalar_to_json, strictly_less, to_float)
+                      excludes_zero, is_zero, scalar_from_json, scalar_to_json,
+                      strictly_less, to_float)
 from .weights import (WeightSequence, weight, weights_from_dict,
                       weights_to_dict)
 
@@ -98,8 +98,8 @@ def _zero_condition(cells, tol: float, regime: str, reasons: list) -> dict:
 
 
 def _contraction_sides(q1: AQuantities) -> tuple:
-    """(A_13 A_14 - |A_12|^2, A_15 conj(A_12)) of a level-1 block."""
-    return q1.A3 * q1.A4 - abs_sq(q1.A2), q1.A5 * conj(q1.A2)
+    """(A_13 A_14 - A_12^2, A_15 A_12) of a level-1 block."""
+    return q1.A3 * q1.A4 - q1.A2 * q1.A2, q1.A5 * q1.A2
 
 
 def _nonzero_report(x, regime: str) -> tuple:
@@ -171,11 +171,11 @@ class Certificate:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-# coefficient types each regime's arithmetic cannot multiply
+# coefficient types each regime's arithmetic cannot multiply; all are real
 _FOREIGN = {RATIONAL: ((float, complex, Interval), "exact coefficients"),
-            INTERVAL: ((Radical, complex), "real rational, float or "
-                       "interval coefficients"),
-            FLOAT: ((Radical,), "rational, float or complex coefficients")}
+            INTERVAL: ((Radical, complex), "rational, float or interval "
+                       "coefficients"),
+            FLOAT: ((Radical, complex), "rational or float coefficients")}
 
 
 def verify(pair: GeneratorPair, seq: WeightSequence,
@@ -285,8 +285,8 @@ def cross_check(params) -> dict:
     checked identities:
 
       A_13 = C_1 + Z_1^2 C_2
-      A_14 = (|A_15|^2/Z_1^2)(C_1 |Z_3|^2 - C_3 x + C_4)
-      |A_12|^2 = (|A_15|^2/Z_1^2) |C_1 Z_3 - C_3/2|^2
+      A_14 = (A_15^2/Z_1^2)(C_1 Z_3^2 - C_3 Z_3 + C_4)
+      A_12^2 = (A_15^2/Z_1^2) (C_1 Z_3 - C_3/2)^2
       A_15 (oracle) = A_15 (requested)
       c (oracle) = B_0(C; Z_3, Z_1)
     """
@@ -297,7 +297,7 @@ def cross_check(params) -> dict:
     q1 = compute_A(pair, rs.seq, 1, regime)
     z1, z3 = params.z1, params.z3
     pred_a13, pred_a14, pred_a12_sq, _ = a1_from_C(c, z3, z1,
-                                                   abs_sq(params.a15))
+                                                   params.a15 * params.a15)
     b0 = objective_B0(c, z3, z1)
     lhs, coupling = _contraction_sides(q1)
     c_oracle = lhs / abs(coupling)
@@ -311,9 +311,7 @@ def cross_check(params) -> dict:
         if regime == RATIONAL:
             return {"equal": signed_square(lhs) == signed_square(rhsv),
                     "exact": True}
-        # a complex value (float regime) compares by |lhs - rhs|
-        lf, rf = (v if isinstance(v, complex) else to_float(v)
-                  for v in (lhs, rhsv))
+        lf, rf = to_float(lhs), to_float(rhsv)
         denom = max(1.0, abs(lf), abs(rf))
         return {"equal": abs(lf - rf) / denom <= 1e-9,
                 "relative_residual": abs(lf - rf) / denom}
@@ -321,7 +319,7 @@ def cross_check(params) -> dict:
     report = {
         "A13_from_C": cmp(q1.A3, pred_a13),
         "A14_from_C": cmp(q1.A4, pred_a14),
-        "A12_sq_from_C": cmp(abs_sq(q1.A2), pred_a12_sq),
+        "A12_sq_from_C": cmp(q1.A2 * q1.A2, pred_a12_sq),
         "A15_engineered": cmp(q1.A5, params.a15),
         "c_equals_B0": cmp(c_oracle, b0),
     }
@@ -390,11 +388,15 @@ def _differences(stored, fresh, path=()):
 
 def _show(value) -> str:
     """A short JSON rendering; containers are elided, as a stored one may
-    nest arbitrarily deep."""
+    nest arbitrarily deep.  A value JSON cannot write (a certificate passed
+    as a dict may hold one) shows as its type, e.g. <Fraction>."""
     if value is _ABSENT:
         return "nothing"
-    text = ("{...}" if isinstance(value, dict) else
-            "[...]" if isinstance(value, list) else json.dumps(value))
+    try:
+        text = ("{...}" if isinstance(value, dict) else
+                "[...]" if isinstance(value, list) else json.dumps(value))
+    except (TypeError, ValueError, RecursionError):
+        text = f"<{type(value).__name__}>"
     return text if len(text) <= 60 else text[:57] + "..."
 
 

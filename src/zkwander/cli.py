@@ -19,8 +19,7 @@ from .certify import check_certificate, save_certificate, verify
 from .errors import (NoAdmissibleSystemError, RegisterTooLargeError,
                      ZkwanderError)
 from .model import DegreePattern
-from .recovery import (attach_register, auto_register, check_z3_regime,
-                       recover)
+from .recovery import attach_register, auto_register, recover
 from .reduction import (b0_minimum, compute_C, objective_B0, objective_B1,
                         objective_B2, reduce_system, split_e, z1_star)
 from .scalars import FLOAT, INTERVAL, RATIONAL, Interval, to_float
@@ -61,14 +60,6 @@ def _parse_d(text: str) -> tuple:
     if any(v <= 0 for v in values):
         raise ZkwanderError(f"--d values must be positive, got {text!r}")
     return values
-
-
-def _parse_z3(text: str):
-    if "," in text:
-        re_s, im_s = text.split(",", 1)
-        return complex(float(_parse_fraction(re_s)),
-                       float(_parse_fraction(im_s)))
-    return _parse_fraction(text)
 
 
 def _pattern_from_args(args) -> DegreePattern:
@@ -123,12 +114,12 @@ def _write_csv(rows, header, out_path):
 # subcommands
 
 def cmd_eval(args) -> int:
+    if args.z1 is not None and args.z3 is None:
+        raise ZkwanderError("--z1 needs --z3")
     if args.z1 is not None and not args.z1 > 0:
         raise ZkwanderError(f"--z1 must be positive, got {args.z1}")
     pattern = _pattern_from_args(args)
     regime = _default_regime(args.alpha, args.regime)
-    z3 = None if args.z3 is None else _parse_z3(args.z3)
-    check_z3_regime(z3, regime)
     seq = _sequence_from_args(args, pattern)
     rs = reduce_system(seq, pattern, regime)
     if args.emit_weights:
@@ -149,14 +140,14 @@ def cmd_eval(args) -> int:
         print(f"{name} = {_fmt(v)}")
     print(f"B2 = {_fmt(objective_B2(c))}")
     print(f"B1 = {_fmt(objective_B1(c))}")
-    if z3 is not None:
-        e0, e1 = split_e(c, z3)
+    if args.z3 is not None:
+        e0, e1 = split_e(c, args.z3)
         print(f"e0 = {_fmt(e0)}")
         print(f"e1 = {_fmt(e1)}")
-        print(f"Z1* = {_fmt(z1_star(c, z3))}")
-        print(f"min B0 = {_fmt(b0_minimum(c, z3))}")
+        print(f"Z1* = {_fmt(z1_star(c, args.z3))}")
+        print(f"min B0 = {_fmt(b0_minimum(c, args.z3))}")
         if args.z1 is not None:
-            print(f"B0 = {_fmt(objective_B0(c, z3, args.z1))}")
+            print(f"B0 = {_fmt(objective_B0(c, args.z3, args.z1))}")
     return 0
 
 
@@ -218,8 +209,7 @@ def cmd_pipeline(args) -> int:
             return 2
         d = (Fraction(1),) + tuple(found.d)
     rs = reduce_system(seq, pattern, regime)
-    z3 = _parse_z3(args.z3) if args.z3 is not None else None
-    params = recover(rs, d, z3=z3)
+    params = recover(rs, d, z3=args.z3)
     try:
         params = attach_register(params, 1, 1)
     except RegisterTooLargeError:
@@ -387,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="reduced system and objective values")
     _add_common_model_flags(p)
     p.add_argument("--d", type=_parse_d, default=_parse_d("1,4,6"))
-    p.add_argument("--z3")
+    p.add_argument("--z3", type=_parse_fraction)
     p.add_argument("--z1", type=_parse_fraction)
     p.add_argument("--override-base", type=_parse_fraction,
                    help="base alpha whose 12 matrix weights get replaced")
@@ -413,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_model_flags(p)
     p.add_argument("--d", type=_parse_d,
                    help="skip the search and use this point")
-    p.add_argument("--z3")
+    p.add_argument("--z3", type=_parse_fraction)
     p.add_argument("--override-base", type=_parse_fraction)
     p.add_argument("--out")
     p.set_defaults(func=cmd_pipeline)

@@ -14,8 +14,8 @@ class ZkwanderError(Exception):
 class ModeUnsupportedError(ZkwanderError):
     """An operation was requested in a scalar regime that cannot express it.
 
-    Typical cases: exact rationals for a non-integer exponent, complex data in
-    the interval regime, or a float weight underflowing to zero.
+    Typical cases: exact rationals for a non-integer exponent, complex data
+    (every regime is real), or a float weight underflowing to zero.
     """
 
 

@@ -10,7 +10,8 @@ gamma_0..gamma_5 (distinct mod k):
 Everything the certificate asserts reduces to the cross inner products
 A_{s,1}..A_{s,5} between k-block shifts of F_1 and F_2.  This module computes
 them directly from coefficient maps; it is the slow, definition-level oracle
-against which the closed-form reduction is cross-checked.
+against which the closed-form reduction is cross-checked.  Coefficients are
+real, so <f, g> = sum_t f_t g_t w_t needs no conjugate.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from typing import Dict
 
 from .errors import (DegeneratePairError, InvalidPatternError,
                      NotOrthogonalError)
-from .scalars import (RATIONAL, abs_sq, conj, is_exact_zero, is_zero,
-                      strictly_less, to_regime)
+from .scalars import (RATIONAL, is_exact_zero, is_zero, strictly_less,
+                      to_regime)
 from .weights import WeightSequence, matrix_indices, weight
 
 CoefficientMap = Dict[int, object]
@@ -186,7 +187,7 @@ def inner_product(f: CoefficientMap, g: CoefficientMap, seq: WeightSequence,
         cg = g.get(t - shift_g)
         if cg is None:
             continue
-        term = f[d] * conj(cg) * weight(seq, t, regime)
+        term = f[d] * cg * weight(seq, t, regime)
         total = term if total is None else total + term
     if total is None:
         return to_regime(Fraction(0), regime)
@@ -195,13 +196,7 @@ def inner_product(f: CoefficientMap, g: CoefficientMap, seq: WeightSequence,
 
 def norm_sq(f: CoefficientMap, seq: WeightSequence,
             regime: str = RATIONAL, shift: int = 0):
-    total = None
-    for d in sorted(f):
-        term = abs_sq(f[d]) * weight(seq, d + shift, regime)
-        total = term if total is None else total + term
-    if total is None:
-        return to_regime(Fraction(0), regime)
-    return total
+    return inner_product(f, f, seq, regime, shift, shift)
 
 
 def adjacent_products(pair: GeneratorPair, seq: WeightSequence, s: int,
@@ -251,18 +246,18 @@ def _check_engineered(pair: GeneratorPair, seq: WeightSequence, regime: str,
 
 
 def _shift_multipliers(q1: AQuantities, atol: float) -> tuple:
-    """The z^k multipliers A_15 (A_13, -conj(A_12)) / (|A_12|^2 - A_13 A_14)
+    """The z^k multipliers A_15 (A_13, -A_12) / (A_12^2 - A_13 A_14)
     of F_2 and F_1 in F_3, once the Cauchy-Schwarz gap is certified strict."""
     if is_zero(q1.A3, atol) or is_zero(q1.A4, atol):
         raise DegeneratePairError("a shifted generator has zero norm")
-    lhs = abs_sq(q1.A2)
+    lhs = q1.A2 * q1.A2
     rhs = q1.A3 * q1.A4
     if not strictly_less(lhs, rhs):
         raise DegeneratePairError(
             f"|A_12|^2 = {lhs!r} does not sit strictly below "
             f"A_13*A_14 = {rhs!r}")
     scale = q1.A5 / (lhs - rhs)
-    return scale * q1.A3, -(scale * conj(q1.A2))
+    return scale * q1.A3, -(scale * q1.A2)
 
 
 def _f1_plus_shifted(pair: GeneratorPair, terms) -> CoefficientMap:
@@ -286,11 +281,11 @@ def construct_F3(pair: GeneratorPair, seq: WeightSequence,
                  regime: str = RATIONAL, atol: float = 1e-20) -> CoefficientMap:
     """Second spanning element of M (-) z^k M, as a coefficient map.
 
-        F_3 = F_1 + z^k * A_15 / (|A_12|^2 - A_13 A_14)
-                        * (A_13 F_2 - conj(A_12) F_1)
+        F_3 = F_1 + z^k * A_15 / (A_12^2 - A_13 A_14)
+                        * (A_13 F_2 - A_12 F_1)
 
     Requires the engineered orthogonality relations and a strict
-    Cauchy-Schwarz gap |A_12|^2 < A_13 A_14.
+    Cauchy-Schwarz gap A_12^2 < A_13 A_14.
     """
     return _f3_from_level1(pair, _check_engineered(pair, seq, regime, atol),
                            atol)
@@ -298,7 +293,7 @@ def construct_F3(pair: GeneratorPair, seq: WeightSequence,
 
 def construct_F4(pair: GeneratorPair, seq: WeightSequence,
                  regime: str = RATIONAL, atol: float = 1e-20) -> CoefficientMap:
-    """Companion element F_4 = F_1 (1 - z^k A_15 conj(A_12) / (|A_12|^2 - A_13 A_14))."""
+    """Companion element F_4 = F_1 (1 - z^k A_15 A_12 / (A_12^2 - A_13 A_14))."""
     q1 = _check_engineered(pair, seq, regime, atol)
     c1 = _shift_multipliers(q1, atol)[1]
     return _f1_plus_shifted(pair, ((c1, pair.f1_map()),))

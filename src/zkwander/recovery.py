@@ -4,16 +4,16 @@ Given the solved system (E, G), squared moduli d_i, and free scalars Z_3,
 Z_1 > 0, A_15 != 0, the engineered pair is
 
     a_i     = sqrt(d_i)                       i = 0..3
-    a_{k+0} = Z_1 / conj(a_0)
-    a_{k+i} = E_i Z_1 / conj(a_i)             i = 1..3
-    b_0     = a_0 conj(A_15 Z_3) / conj(Z_1)
-    b_i     = a_i conj(A_15)/conj(Z_1) (conj(Z_3) - D_i),  D_i = -G_i/E_i
+    a_{k+0} = Z_1 / a_0
+    a_{k+i} = E_i Z_1 / a_i                   i = 1..3
+    b_0     = a_0 A_15 Z_3 / Z_1
+    b_i     = a_i A_15 / Z_1 (Z_3 - D_i),     D_i = -G_i/E_i
 
-In the rational regime the square roots are carried exactly by ``Radical``;
-every inner product the verifier forms then collapses to a plain rational.
-The normalizing choice |A_15|^2 = Z_1 / |C_1 Z_3 - C_3/2| makes
-|A_15 A_12| = 1, which is the scaling the published constants use; the
-contraction ratio itself does not depend on A_15.
+Every coefficient is real.  In the rational regime the square roots are
+carried exactly by ``Radical``; every inner product the verifier forms then
+collapses to a plain rational.  The normalizing choice
+A_15^2 = Z_1 / |C_1 Z_3 - C_3/2| makes |A_15 A_12| = 1, which is the scaling
+the published constants use; the contraction ratio does not depend on A_15.
 """
 
 from __future__ import annotations
@@ -22,20 +22,20 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import (DegeneratePairError, ModeUnsupportedError,
-                     NoAdmissibleSystemError, RegisterTooLargeError)
+from .errors import (DegeneratePairError, NoAdmissibleSystemError,
+                     RegisterTooLargeError)
 from .model import GeneratorPair
-from .reduction import (CQuantities, ReducedSystem, _split_z3, a1_from_C,
-                        compute_C, objective_B1, pivot_modulus, z1_star)
-from .scalars import (FLOAT, RATIONAL, Radical, abs_sq, certainly_positive,
-                      conj, sqrt, strictly_less, to_float, to_regime)
+from .reduction import (CQuantities, ReducedSystem, a1_from_C, compute_C,
+                        objective_B1, pivot_modulus, z1_star)
+from .scalars import (FLOAT, RATIONAL, Radical, certainly_positive, sqrt,
+                      strictly_less, to_float, to_regime)
 
 
 @dataclass(frozen=True)
 class RecoveredParameters:
     rs: ReducedSystem
     c: CQuantities
-    z3: object              # real scalar, or complex in the float regime
+    z3: object
     z1: object
     a15: object
     pair: GeneratorPair     # registers zero until attach_register
@@ -80,16 +80,8 @@ def choose_Z3(c: CQuantities) -> Fraction:
 
 
 def choose_A15(rs: ReducedSystem, c: CQuantities, z3, z1):
-    """Positive real A_15 with |A_15|^2 = Z_1 / |C_1 Z_3 - C_3/2|."""
+    """Positive A_15 with A_15^2 = Z_1 / |C_1 Z_3 - C_3/2|."""
     return sqrt(to_regime(z1 / pivot_modulus(c, z3), rs.regime))
-
-
-def check_z3_regime(z3, regime: str) -> None:
-    """A complex Z_3 needs the float regime; exact and interval arithmetic
-    carry real scalars only."""
-    if _split_z3(z3)[1] is not None and regime != FLOAT:
-        raise ModeUnsupportedError(
-            "complex Z_3 is only supported in the float regime")
 
 
 def recover(rs: ReducedSystem, d, z3=None, z1=None, a15=None) -> RecoveredParameters:
@@ -103,8 +95,6 @@ def recover(rs: ReducedSystem, d, z3=None, z1=None, a15=None) -> RecoveredParame
     regime = rs.regime
     if z3 is None:
         z3 = to_regime(choose_Z3(c), regime)
-    check_z3_regime(z3, regime)
-    x, y = _split_z3(z3)
     if z1 is None:
         z1 = z1_star(c, z3)
         if regime != FLOAT:
@@ -113,18 +103,16 @@ def recover(rs: ReducedSystem, d, z3=None, z1=None, a15=None) -> RecoveredParame
         raise ValueError("Z_1 must be positive")
     if a15 is None:
         a15 = choose_A15(rs, c, z3, z1)
-    if to_float(abs_sq(a15)) == 0:
+    if to_float(a15 * a15) == 0:
         raise DegeneratePairError("A_15 must be nonzero")
 
     dd = c.d
     a_low = tuple(sqrt(dd[i]) for i in range(4))
-    a_high = (z1 / conj(a_low[0]),) + tuple(
-        rs.E[i - 1] * z1 / conj(a_low[i]) for i in (1, 2, 3))
-    scale = conj(a15) / conj(z1)
-    z3_conj = x if y is None else z3.conjugate()
-    b_low = (a_low[0] * scale * z3_conj,) + tuple(
-        a_low[i] * scale * (z3_conj - rs.D[i - 1])
-        for i in (1, 2, 3))
+    a_high = (z1 / a_low[0],) + tuple(
+        rs.E[i - 1] * z1 / a_low[i] for i in (1, 2, 3))
+    scale = a15 / z1
+    b_low = (a_low[0] * scale * z3,) + tuple(
+        a_low[i] * scale * (z3 - rs.D[i - 1]) for i in (1, 2, 3))
     pair = GeneratorPair(pattern=rs.pattern, a_low=a_low, a_high=a_high,
                          b_low=b_low)
     return RecoveredParameters(rs=rs, c=c, z3=z3, z1=z1, a15=a15, pair=pair)
@@ -137,19 +125,19 @@ def _register_weights(params: RecoveredParameters):
 
 
 def _core_a1(params: RecoveredParameters):
-    return a1_from_C(params.c, params.z3, params.z1, abs_sq(params.a15))
+    return a1_from_C(params.c, params.z3, params.z1, params.a15 * params.a15)
 
 
 def contraction_terms(params: RecoveredParameters, a_reg=Fraction(0),
                       b_reg=Fraction(0)):
     """(lhs, rhs) of the strict inequality, via the reduction identities.
 
-    lhs = A_13 A_14 - |A_12|^2 including register contributions,
+    lhs = A_13 A_14 - A_12^2 including register contributions,
     rhs = |A_15 A_12|.
     """
     a13, a14, a12_sq, rhs = _core_a1(params)
     w4, w5 = _register_weights(params)
-    lhs = (a13 + abs_sq(a_reg) * w4) * (a14 + abs_sq(b_reg) * w5) - a12_sq
+    lhs = (a13 + a_reg * a_reg * w4) * (a14 + b_reg * b_reg * w5) - a12_sq
     return lhs, rhs
 
 
@@ -178,8 +166,8 @@ def attach_register(params: RecoveredParameters, a_reg, b_reg) -> RecoveredParam
     if not strictly_less(lhs, rhs):
         est = max_register_estimate(params)
         raise RegisterTooLargeError(
-            f"registers |a4|={to_float(abs_sq(a_reg)) ** 0.5:.3g}, "
-            f"|b5|={to_float(abs_sq(b_reg)) ** 0.5:.3g} break the strict "
+            f"registers |a4|={abs(to_float(a_reg)):.3g}, "
+            f"|b5|={abs(to_float(b_reg)):.3g} break the strict "
             f"inequality; max common magnitude ~ {est:.3g}", est)
     return replace(params, pair=params.pair.with_registers(a_reg, b_reg))
 

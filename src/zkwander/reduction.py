@@ -1,7 +1,7 @@
 """Closed-form reduction of the certificate conditions.
 
 Fixing the weight sequence and degree pattern, the orthogonality relations
-force the high coefficients of F_1 to be E_i Z_1 / conj(a_i) and the low
+force the high coefficients of F_1 to be E_i Z_1 / a_i and the low
 coefficients of F_2 to be multiples involving G_i / E_i, where E and G solve
 
     N_1 E = -(w_{k+g0}, w_{2k+g0}, w_{3k+g0})^T,   N_1 G = (1, 0, 0)^T,
@@ -16,6 +16,11 @@ into five positive reals C_1..C_5 and the contraction objectives
 
 A value B_0 < 1 at admissible parameters is exactly the strict inequality
 the certificate needs.
+
+Every scalar is real.  A complex Z_3 would reach nothing more: since
+C_1 (C_1 |Z_3|^2 - C_3 Re Z_3 + C_4) = |P|^2 + C_5 with P = C_1 Z_3 - C_3/2,
+B_0 and c read Z_3 only through |P|, and the real Z_3 = (C_3/2 - |P|) / C_1
+gives the same values.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from fractions import Fraction
 
 from .errors import DegenerateReductionError, DegenerateZ3Error
 from .model import DegreePattern
-from .scalars import (RATIONAL, abs_sq, certainly_positive, cramer_solve3,
+from .scalars import (RATIONAL, certainly_positive, cramer_solve3,
                       excludes_zero, sqrt, to_regime)
 from .weights import WeightSequence, weight
 
@@ -130,24 +135,9 @@ def objective_B1(c: CQuantities):
     return 4 * c.C2 * c.C5 / c.C1
 
 
-def _pivot(c: CQuantities, z3):
-    """C_1 Z_3 - C_3/2 as (real, imag); imag part None for real Z_3."""
-    x, y = _split_z3(z3)
-    re = c.C1 * x - c.C3 / 2
-    im = None if y is None else c.C1 * y
-    return re, im
-
-
-def _split_z3(z3):
-    if isinstance(z3, complex):
-        return z3.real, (None if z3.imag == 0 else z3.imag)
-    return z3, None
-
-
 def pivot_modulus(c: CQuantities, z3):
-    """|C_1 Z_3 - C_3/2|, exact for rational data, a float for complex Z_3."""
-    re, im = _pivot(c, z3)
-    mod = abs(re) if im is None else sqrt(re * re + im * im)
+    """|C_1 Z_3 - C_3/2|, exact for rational data."""
+    mod = abs(c.C1 * z3 - c.C3 / 2)
     if not excludes_zero(mod):
         raise DegenerateZ3Error(
             "C_1 Z_3 - C_3/2 vanishes (or cannot be certified nonzero)")
@@ -155,17 +145,15 @@ def pivot_modulus(c: CQuantities, z3):
 
 
 def _quadratic(c: CQuantities, z3):
-    """C_1 |Z_3|^2 - C_3 x + C_4,  x = Re Z_3."""
-    x, y = _split_z3(z3)
-    z3_sq = abs_sq(x) if y is None else abs_sq(x) + abs_sq(y)
-    return c.C1 * z3_sq - c.C3 * x + c.C4
+    """C_1 Z_3^2 - C_3 Z_3 + C_4."""
+    return c.C1 * (z3 * z3) - c.C3 * z3 + c.C4
 
 
 def split_e(c: CQuantities, z3):
     """The pair (e_0, e_1) with B_0(Z_1) = e_0/Z_1 + e_1 Z_1.
 
     e_0 = C_5 / |C_1 Z_3 - C_3/2|
-    e_1 = C_2 (C_1 |Z_3|^2 - C_3 x + C_4) / |C_1 Z_3 - C_3/2|,  x = Re Z_3.
+    e_1 = C_2 (C_1 Z_3^2 - C_3 Z_3 + C_4) / |C_1 Z_3 - C_3/2|
     """
     mod = pivot_modulus(c, z3)
     e0 = c.C5 / mod
@@ -177,9 +165,9 @@ def a1_from_C(c: CQuantities, z3, z1, a15_sq):
     """The level-1 products of the engineered pair, without registers:
 
       A_13 = C_1 + Z_1^2 C_2
-      A_14 = (|A_15|^2/Z_1^2)(C_1 |Z_3|^2 - C_3 x + C_4)
-      |A_12|^2 = (|A_15|^2/Z_1^2) |C_1 Z_3 - C_3/2|^2
-      |A_15 A_12| = (|A_15|^2/Z_1) |C_1 Z_3 - C_3/2|
+      A_14 = (A_15^2/Z_1^2)(C_1 Z_3^2 - C_3 Z_3 + C_4)
+      A_12^2 = (A_15^2/Z_1^2) (C_1 Z_3 - C_3/2)^2
+      |A_15 A_12| = (A_15^2/Z_1) |C_1 Z_3 - C_3/2|
     """
     mod = pivot_modulus(c, z3)
     scale = a15_sq / (z1 * z1)

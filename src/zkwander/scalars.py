@@ -1,6 +1,6 @@
 """Scalar regimes and the small linear algebra kernel.
 
-Three regimes run through the whole package:
+Three regimes run through the whole package, all of them with real scalars:
 
 * ``rational``  -- exact ``fractions.Fraction`` arithmetic (bigint backed).
   The only regime allowed to assert exact equalities.
@@ -33,7 +33,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 import mpmath
 
@@ -297,24 +297,8 @@ class Radical:
         return f"Radical({self.coeff}*{tail})"
 
 
-Scalar = Union[Fraction, float, complex, Interval, Radical]
-
-
 # ---------------------------------------------------------------------------
 # generic scalar helpers
-
-def conj(x):
-    if isinstance(x, complex):
-        return x.conjugate()
-    return x
-
-
-def abs_sq(x):
-    """x * conj(x) as a real scalar of the same regime."""
-    if isinstance(x, complex):
-        return (x * x.conjugate()).real
-    return x * x
-
 
 def is_exact_zero(x) -> bool:
     if isinstance(x, Interval):
@@ -324,11 +308,11 @@ def is_exact_zero(x) -> bool:
 
 def is_zero(x, tol: float) -> bool:
     """The regime's zero test: exact for rational and Radical values, |x| <= tol
-    for float and complex, and for an interval "contains 0 and is at most tol
-    wide", which does not prove that the value is zero."""
+    for float, and for an interval "contains 0 and is at most tol wide",
+    which does not prove that the value is zero."""
     if isinstance(x, Interval):
         return x.contains_zero() and x.width <= tol
-    if isinstance(x, (float, complex)):
+    if isinstance(x, float):
         return abs(x) <= tol
     return is_exact_zero(x)
 
@@ -389,8 +373,6 @@ def to_regime(q, regime: str):
 def to_float(x) -> float:
     if isinstance(x, Interval):
         return x.mid
-    if isinstance(x, complex):
-        raise TypeError("complex scalar has no canonical float")
     return float(x)
 
 
@@ -411,8 +393,6 @@ def scalar_to_json(x):
             f"than {sys.get_int_max_str_digits()} digits") from exc
     if isinstance(x, Interval):
         return {"lo": x.lo, "hi": x.hi}
-    if isinstance(x, complex):
-        return {"re": x.real, "im": x.imag}
     return x
 
 
@@ -446,8 +426,6 @@ def scalar_from_json(obj):
             return value
         if "lo" in obj:
             return Interval(obj["lo"], obj["hi"])
-        if "re" in obj:
-            return complex(obj["re"], obj["im"])
         raise ValueError(f"unrecognized scalar object {obj!r}")
     if isinstance(obj, (int, float)):
         return float(obj)

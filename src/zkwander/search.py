@@ -162,7 +162,8 @@ def confirm_value(seq: WeightSequence, pattern: DegreePattern, d3,
 
 
 def minimize(config: SearchConfig) -> SearchResult:
-    """Search every (alpha, k, phi) combination and return the best point.
+    """Search every (alpha, k, phi) combination and return the best point;
+    raises InvalidPatternError when no (k, phi2, phi3) forms a valid pattern.
 
     Deterministic for a fixed config: grid order is fixed, the descent
     ladder is fixed, and the simplex start is derived from the grid.
@@ -173,6 +174,7 @@ def minimize(config: SearchConfig) -> SearchResult:
     evals = 0
     singular = 0
     visited = 0
+    invalid = None       # the first pattern error, raised if none is valid
     for alpha in _as_values(config.alpha):
         seq = dirichlet(alpha)
         for k in _as_values(config.k):
@@ -180,7 +182,8 @@ def minimize(config: SearchConfig) -> SearchResult:
                 for phi3 in _as_values(config.phi3):
                     try:
                         pattern = DegreePattern.from_phi(k, phi2, phi3)
-                    except InvalidPatternError:
+                    except InvalidPatternError as exc:
+                        invalid = invalid or exc
                         continue
                     visited += 1
                     try:
@@ -201,6 +204,8 @@ def minimize(config: SearchConfig) -> SearchResult:
                         evals += n
                     if best is None or value < best[0]:
                         best = (value, alpha, k, phi2, phi3, point)
+    if not visited and invalid:
+        raise invalid
     if best is None or not math.isfinite(best[0]):
         raise NoAdmissibleSystemError(
             f"all {visited} visited systems were singular or degenerate")

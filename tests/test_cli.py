@@ -80,8 +80,12 @@ class TestBadInput:
         ("eval", "--alpha", "-16", "--z3", "-2e13", "--z1", "-1"),
         ("eval", "--alpha", "-16", "--z3=-2e13,1e12"),
         ("eval", "--alpha", "-33/2", "--z3=-2e13,1e12"),
+        ("pipeline", "--regime", "float", "--alpha", "-16", "--d", "1,4,6",
+         "--z3=-2e13,1e12"),
+        ("eval", "--alpha", "-16", "--z1", "5"),
     ], ids=["d-not-positive", "gamma-not-integer", "z1-not-positive",
-            "complex-z3-rational", "complex-z3-interval"])
+            "complex-z3-rational", "complex-z3-interval",
+            "complex-z3-float-pipeline", "z1-without-z3"])
     def test_bad_argument(self, capsys, tmp_path, argv):
         code, out, err = run(capsys, *argv, *(
             ("--out", str(tmp_path / "cert.json"))
@@ -96,8 +100,9 @@ class TestBadInput:
         ("asymptotic", "--k", "9", "--minimal"),
         ("asymptotic", "--k", "9", "--beta", "10", "--sigma", "0.5"),
         ("search", "--alpha", "-16", "--threshold", "0"),
+        ("search", "--alpha", "-16", "--k", "5"),
     ], ids=["k-below-9", "sigma-above-1", "k-9-minimal", "k-9",
-            "threshold-zero"])
+            "threshold-zero", "no-valid-pattern"])
     def test_misuse(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 1
@@ -151,23 +156,6 @@ class TestBadInput:
         assert err.startswith("error: the certificate format cannot carry")
         assert "set_int_max_str_digits" not in err
         assert not cert.exists()
-
-    def test_complex_z3_outside_float_is_one_error(self, capsys, tmp_path):
-        complex_z3 = ("--alpha", "-16", "--d", "1,4,6", "--z3=-2e13,1e12")
-        errors = [run(capsys, "eval", *complex_z3)[2],
-                  run(capsys, "pipeline", *complex_z3,
-                      "--out", str(tmp_path / "cert.json"))[2]]
-        assert errors == ["error: complex Z_3 is only supported in the "
-                          "float regime\n"] * 2
-
-    def test_complex_z3_in_float_regime(self, capsys, tmp_path):
-        # runs to the float soundness gate instead of failing in to_float
-        code, out, _ = run(capsys, "pipeline", "--alpha", "-16",
-                           "--d", "1,4,6", "--regime", "float",
-                           "--z3=-2e13,1e6",
-                           "--out", str(tmp_path / "cert.json"))
-        assert code == 2
-        assert "verdict: fail" in out
 
 
 class TestSearch:

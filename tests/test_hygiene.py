@@ -1,5 +1,6 @@
-"""Source hygiene: no package module imports a name it never uses, and no
-private module-level name is left that no module loads."""
+"""Source hygiene: no package module imports a name it never uses, no
+private module-level name is left that no module loads, and no module builds
+a complex value or reads its parts."""
 
 import ast
 from pathlib import Path
@@ -79,3 +80,23 @@ def test_every_private_name_is_loaded():
                for name, line in _private_definitions(tree).items()
                if name not in loaded]
     assert orphans == []
+
+
+def _complex_uses(tree: ast.Module) -> list:
+    """Calls of complex() and reads of .conjugate, .imag or .real; naming
+    the type, as in an isinstance check that refuses it, is allowed."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "complex"):
+            found.append(f"complex() (line {node.lineno})")
+        elif (isinstance(node, ast.Attribute)
+              and node.attr in ("conjugate", "imag", "real")):
+            found.append(f".{node.attr} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_scalar_is_real(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _complex_uses(tree) == []

@@ -9,7 +9,7 @@ from zkwander.errors import (DegeneratePairError, InvalidPatternError,
 from zkwander.model import (DegreePattern, GeneratorPair, compute_A,
                             construct_F3, construct_F4, inner_product,
                             norm_sq)
-from zkwander.scalars import FLOAT, is_exact_zero
+from zkwander.scalars import is_exact_zero
 from zkwander.weights import dirichlet, weight
 
 
@@ -106,14 +106,6 @@ class TestInnerProduct:
         # <z^1 f, z^2 g> lives at degree 3 on both sides
         assert inner_product(f, g, seq, shift_f=1, shift_g=2) == \
             15 * weight(seq, 3)
-
-    def test_conjugate_symmetry_complex(self):
-        seq = dirichlet(-2)
-        f = {0: 1 + 2j, 2: 3 + 0j}
-        g = {0: 2 - 1j, 2: 0 + 1j}
-        lhs = inner_product(f, g, seq, FLOAT)
-        rhs = inner_product(g, f, seq, FLOAT)
-        assert lhs == rhs.conjugate()
 
     def test_norm_sq_matches_inner_product(self):
         seq = dirichlet(-2)

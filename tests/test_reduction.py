@@ -10,9 +10,13 @@ from zkwander.reduction import (b0_minimum, compute_C, objective_B0,
                                 objective_B1, objective_B2, pivot_modulus,
                                 reduce_system, split_e, z1_star)
 from zkwander.reference_data import (D_SQ_UPPER, DET_N1_INTERVAL, E_INTERVALS,
-                                     G_INTERVALS, H_UPPER, in_published_interval)
-from zkwander.scalars import FLOAT, INTERVAL, Radical, det3
+                                     G_INTERVALS, H_UPPER, TABLE1_ROWS,
+                                     TABLE2_ROWS, in_published_interval)
+from zkwander.scalars import INTERVAL, Radical, det3
 from zkwander.weights import dirichlet, weight
+
+INTEGER_ROWS = tuple(row for row in TABLE1_ROWS + TABLE2_ROWS
+                     if row.alpha.denominator == 1)
 
 # Frozen from a high-precision mpmath evaluation of the same formulas,
 # independent of the Fraction pipeline under test.
@@ -156,13 +160,19 @@ class TestZ3Split:
         assert pivot_modulus(c16, z3_main) == \
             abs(c16.C1 * z3_main - c16.C3 / 2)
 
-    def test_pivot_modulus_complex_float(self, rs16):
-        # same point pushed through the float pipeline
-        frs = reduce_system(rs16.seq, rs16.pattern, FLOAT)
-        c = compute_C(frs, (1.0, 4.0, 6.0))
-        mod = pivot_modulus(c, complex(1e13, 1e13))
-        want = math.hypot(c.C1 * 1e13 - c.C3 / 2, c.C1 * 1e13)
-        assert mod == pytest.approx(want)
+    @pytest.mark.parametrize("row", INTEGER_ROWS, ids=lambda row:
+                             f"alpha{row.alpha}-k{row.k}-phi{row.phi2}"
+                             f",{row.phi3}")
+    def test_mirrored_z3_gives_the_same_b0(self, row):
+        # Z_3 and C_3/C_1 - Z_3 give the pivots P and -P, and B_0 reads
+        # Z_3 only through |P|
+        pattern = DegreePattern.from_phi(row.k, row.phi2, row.phi3)
+        c = compute_C(reduce_system(dirichlet(row.alpha), pattern), row.d)
+        z1 = Fraction(7)
+        for x in (Fraction(-2 * 10 ** 13), Fraction(1, 3),
+                  Fraction(10 ** 9, 7)):
+            assert objective_B0(c, x, z1) == \
+                objective_B0(c, c.C3 / c.C1 - x, z1)
 
     def test_degenerate_z3_detected(self, c16):
         with pytest.raises(DegenerateZ3Error):

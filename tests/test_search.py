@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from zkwander.certify import verify
-from zkwander.errors import NoAdmissibleSystemError
+from zkwander.errors import InvalidPatternError, NoAdmissibleSystemError
 from zkwander.recovery import attach_register, auto_register, recover
 from zkwander.reduction import reduce_system
 from zkwander.search import (SearchConfig, confirm_value, minimize,
@@ -87,6 +87,15 @@ class TestMinimize:
         res = minimize(SearchConfig(alpha=[0, -16]))
         assert res.alpha == -16
         assert res.singular_skipped == 1
+
+    def test_no_valid_pattern_names_the_pattern_error(self):
+        # k = 5 leaves no room for six degrees distinct mod k
+        with pytest.raises(InvalidPatternError, match="not distinct mod k=5"):
+            minimize(SearchConfig(alpha=-16, k=5))
+
+    def test_invalid_members_are_skipped_not_fatal(self):
+        res = minimize(SearchConfig(alpha=-16, k=[5, 6], strategy="grid"))
+        assert res.k == 6
 
 
 class TestConfirm:
