@@ -31,12 +31,14 @@ from typing import Optional
 from .errors import (CertificateError, DegeneratePairError,
                      InvalidPatternError, ModeUnsupportedError)
 from .model import (AQuantities, DegreePattern, GeneratorPair,
-                    _f3_from_level1, adjacent_products, compute_A,
-                    inner_product)
-from .reduction import a1_from_C, objective_B0
-from .scalars import (FLOAT, INTERVAL, RATIONAL, REGIMES, Interval, Radical,
-                      excludes_zero, is_zero, scalar_from_json, scalar_to_json,
-                      strictly_less, to_float)
+                    _f3_from_level1, compute_A, inner_product,
+                    orthogonality_relations, zero_tolerance)
+from .recovery import level1_block
+from .reduction import objective_B0
+from .scalars import (FLOAT, INTERVAL, RATIONAL, REGIMES, certainly_positive,
+                      excludes_zero, is_zero, refuse_foreign,
+                      scalar_from_json, scalar_to_json, strictly_less,
+                      to_float)
 from .weights import (WeightSequence, weight, weights_from_dict,
                       weights_to_dict)
 
@@ -47,9 +49,6 @@ SCHEMA_V1 = "zkwander-certificate/v1"
 HIGHER_LEVELS = ("A_(s,1) and A_(s,5) for s >= 4 multiply a zero coefficient "
                  "in the membership recursion; they are not evaluated")
 
-FLOAT_ZERO_RTOL = 1e-9
-INTERVAL_WIDTH_RTOL = 1e-20
-
 # ranges verify and check_certificate accept, far above every published row
 # (|alpha| <= 16 with denominator <= 1000, k <= 88, degrees <= 14611)
 MAX_ABS_ALPHA = 64
@@ -57,13 +56,6 @@ MAX_ALPHA_DENOMINATOR = 10 ** 6
 MAX_K = 10 ** 4
 MAX_DEGREE = 10 ** 6
 MAX_WEIGHT_NESTING = 16     # perturbed/custom levels above the Dirichlet base
-
-
-def _zero_tolerance(q1: AQuantities, regime: str) -> float:
-    """The regime's relative tolerance times max(1, |A_(1,3)|), A_(1,3)
-    being a real norm; exact values ignore it."""
-    rtol = INTERVAL_WIDTH_RTOL if regime == INTERVAL else FLOAT_ZERO_RTOL
-    return rtol * max(1.0, abs(to_float(q1.A3)))
 
 
 def _zero_report(x, tol: float, regime: str) -> tuple:
@@ -95,11 +87,6 @@ def _zero_condition(cells, tol: float, regime: str, reasons: list) -> dict:
         else:
             reasons.append(f"{label} != 0")
     return condition
-
-
-def _contraction_sides(q1: AQuantities) -> tuple:
-    """(A_13 A_14 - A_12^2, A_15 A_12) of a level-1 block."""
-    return q1.A3 * q1.A4 - q1.A2 * q1.A2, q1.A5 * q1.A2
 
 
 def _nonzero_report(x, regime: str) -> tuple:
@@ -171,13 +158,6 @@ class Certificate:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-# coefficient types each regime's arithmetic cannot multiply; all are real
-_FOREIGN = {RATIONAL: ((float, complex, Interval), "exact coefficients"),
-            INTERVAL: ((Radical, complex), "rational, float or interval "
-                       "coefficients"),
-            FLOAT: ((Radical, complex), "rational or float coefficients")}
-
-
 def verify(pair: GeneratorPair, seq: WeightSequence,
            regime: str = RATIONAL) -> Certificate:
     """Evaluate the four conditions from the raw coefficients: the level-1
@@ -185,28 +165,24 @@ def verify(pair: GeneratorPair, seq: WeightSequence,
     the levels of the support lemma.  Out-of-range inputs raise ValueError
     before any weight is evaluated, under the bounds replay enforces."""
     _check_bounds(pair.pattern, seq)
-    foreign, need = _FOREIGN[regime]
-    for v in (*pair.a_low, *pair.a_high, *pair.b_low,
-              pair.a_reg, pair.b_reg):
-        if isinstance(v, foreign):
-            raise ModeUnsupportedError(
-                f"{regime} regime needs {need} (got {type(v).__name__})")
-    q1 = compute_A(pair, seq, 1, regime)
-    a_table = {1: {f"A{i}": getattr(q1, f"A{i}") for i in range(1, 6)}}
-    for s in (2, 3):
-        a1, a5 = adjacent_products(pair, seq, s, regime)
-        a_table[s] = {"A1": a1, "A5": a5}
-    tol = _zero_tolerance(q1, regime)
+    refuse_foreign(regime, (*pair.a_low, *pair.a_high, *pair.b_low,
+                            pair.a_reg, pair.b_reg))
+    q1, relations = orthogonality_relations(pair, seq, regime)
+    a_table = {1: {f"A{i}": getattr(q1, f"A{i}") for i in range(1, 6)},
+               2: {}, 3: {}}
+    cells = []              # (certificate key, label, value)
+    for (s, n), value in relations:
+        a_table[s][f"A{n}"] = value
+        label = f"A_({s},{n})"
+        cells.append(("A_1_1" if s == 1 else label, label, value))
+    tol = zero_tolerance(q1, regime)
     reasons = []
     conditions = {
-        "adjacent_zero": _zero_condition(
-            [("A_1_1", "A_(1,1)", q1.A1)], tol, regime, reasons),
-        "higher_zero": _zero_condition(
-            [(f"A_({s},{n})", f"A_({s},{n})", a_table[s][f"A{n}"])
-             for s in (2, 3) for n in (1, 5)], tol, regime, reasons),
+        "adjacent_zero": _zero_condition(cells[:1], tol, regime, reasons),
+        "higher_zero": _zero_condition(cells[1:], tol, regime, reasons),
     }
 
-    lhs, coupling = _contraction_sides(q1)
+    lhs, coupling = q1.contraction_sides()
     ok, info = _nonzero_report(coupling, regime)
     conditions["coupling_nonzero"] = {"holds": ok, "A15_A12": info}
     if not ok:
@@ -259,7 +235,7 @@ def _membership_sweep(pair: GeneratorPair, seq: WeightSequence, regime: str,
     """
     k = pair.pattern.k
     try:
-        f3 = _f3_from_level1(pair, q1, tol)
+        f3 = _f3_from_level1(pair, q1)
     except DegeneratePairError as exc:
         return {"holds": False, "error": str(exc)}
     f1, f2 = pair.f1_map(), pair.f2_map()
@@ -279,49 +255,35 @@ def _membership_sweep(pair: GeneratorPair, seq: WeightSequence, regime: str,
 
 
 def cross_check(params) -> dict:
-    """Reduction identities vs the definition-level oracle, on the core pair.
+    """Reduction identities vs the definition-level oracle, on the core pair:
+    the ``compute_A`` block against the ``level1_block`` one, and the
+    oracle's contraction ratio c against B_0(C; Z_3, Z_1).
 
-    Exact equality in the rational regime; float residuals otherwise.  The
-    checked identities:
-
-      A_13 = C_1 + Z_1^2 C_2
-      A_14 = (A_15^2/Z_1^2)(C_1 Z_3^2 - C_3 Z_3 + C_4)
-      A_12^2 = (A_15^2/Z_1^2) (C_1 Z_3 - C_3/2)^2
-      A_15 (oracle) = A_15 (requested)
-      c (oracle) = B_0(C; Z_3, Z_1)
+    Exact equality in the rational regime; float residuals otherwise.
     """
-    rs, c, pair = params.rs, params.c, params.pair
-    if pair.has_registers:
-        pair = pair.with_registers(Fraction(0), Fraction(0))
-    regime = rs.regime
-    q1 = compute_A(pair, rs.seq, 1, regime)
-    z1, z3 = params.z1, params.z3
-    pred_a13, pred_a14, pred_a12_sq, _ = a1_from_C(c, z3, z1,
-                                                   params.a15 * params.a15)
-    b0 = objective_B0(c, z3, z1)
-    lhs, coupling = _contraction_sides(q1)
-    c_oracle = lhs / abs(coupling)
+    regime = params.regime
+    core = params.pair.with_registers(Fraction(0), Fraction(0))
+    q1 = compute_A(core, params.rs.seq, 1, regime)
+    pred = level1_block(params)
+    gap, coupling = q1.contraction_sides()
 
-    def signed_square(value):
-        """(sign, value**2) for a real exact scalar; square kills the radical."""
-        sign = value.coeff if isinstance(value, Radical) else value
-        return (sign > 0) - (sign < 0), value * value
-
-    def cmp(lhs, rhsv):
+    def cmp(x, y):
         if regime == RATIONAL:
-            return {"equal": signed_square(lhs) == signed_square(rhsv),
-                    "exact": True}
-        lf, rf = to_float(lhs), to_float(rhsv)
+            # equal squares (a square takes the radical away) and signs
+            return {"equal": (x * x == y * y and certainly_positive(x)
+                              == certainly_positive(y)), "exact": True}
+        lf, rf = to_float(x), to_float(y)
         denom = max(1.0, abs(lf), abs(rf))
         return {"equal": abs(lf - rf) / denom <= 1e-9,
                 "relative_residual": abs(lf - rf) / denom}
 
     report = {
-        "A13_from_C": cmp(q1.A3, pred_a13),
-        "A14_from_C": cmp(q1.A4, pred_a14),
-        "A12_sq_from_C": cmp(q1.A2 * q1.A2, pred_a12_sq),
-        "A15_engineered": cmp(q1.A5, params.a15),
-        "c_equals_B0": cmp(c_oracle, b0),
+        "A13_from_C": cmp(q1.A3, pred.A3),
+        "A14_from_C": cmp(q1.A4, pred.A4),
+        "A12_sq_from_C": cmp(q1.A2 * q1.A2, pred.A2 * pred.A2),
+        "A15_engineered": cmp(q1.A5, pred.A5),
+        "c_equals_B0": cmp(gap / abs(coupling),
+                           objective_B0(params.c, params.z3, params.z1)),
     }
     report["all_equal"] = all(v["equal"] for v in report.values())
     return report

@@ -76,10 +76,12 @@ def _pattern_from_args(args) -> DegreePattern:
     return DegreePattern.from_phi(args.k, args.phi2, args.phi3)
 
 
-def _default_regime(alpha: Fraction, requested) -> str:
+def _default_regime(requested, *exponents) -> str:
+    """Rational unless a read Dirichlet exponent is not an integer."""
     if requested:
         return requested
-    return RATIONAL if alpha.denominator == 1 else INTERVAL
+    exact = all(a.denominator == 1 for a in exponents if a is not None)
+    return RATIONAL if exact else INTERVAL
 
 
 def _sequence_from_args(args, pattern):
@@ -119,7 +121,7 @@ def cmd_eval(args) -> int:
     if args.z1 is not None and not args.z1 > 0:
         raise ZkwanderError(f"--z1 must be positive, got {args.z1}")
     pattern = _pattern_from_args(args)
-    regime = _default_regime(args.alpha, args.regime)
+    regime = _default_regime(args.regime, args.alpha)
     seq = _sequence_from_args(args, pattern)
     rs = reduce_system(seq, pattern, regime)
     if args.emit_weights:
@@ -192,7 +194,8 @@ def cmd_search(args) -> int:
 def cmd_pipeline(args) -> int:
     pattern = _pattern_from_args(args)
     seq = _sequence_from_args(args, pattern)
-    regime = _default_regime(args.alpha, args.regime)
+    # verify also reads the base weights at k + gamma_4 and k + gamma_5
+    regime = _default_regime(args.regime, args.alpha, args.override_base)
     if args.d is not None:
         d = args.d
     else:

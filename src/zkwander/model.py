@@ -22,11 +22,15 @@ from typing import Dict
 
 from .errors import (DegeneratePairError, InvalidPatternError,
                      NotOrthogonalError)
-from .scalars import (RATIONAL, is_exact_zero, is_zero, strictly_less,
-                      to_regime)
+from .scalars import (INTERVAL, RATIONAL, certainly_positive,
+                      is_exact_zero, is_zero, to_float, to_regime)
 from .weights import WeightSequence, matrix_indices, weight
 
 CoefficientMap = Dict[int, object]
+
+# relative zero tolerances of the float and interval regimes (zero_tolerance)
+FLOAT_ZERO_RTOL = 1e-9
+INTERVAL_WIDTH_RTOL = 1e-20
 
 
 # Supports of F_1, F_2 and F_3 = F_1 + z^k (c_2 F_2 + c_1 F_1) as
@@ -120,10 +124,6 @@ class GeneratorPair:
             if len(getattr(self, name)) != 4:
                 raise ValueError(f"{name} must hold 4 coefficients")
 
-    @property
-    def has_registers(self) -> bool:
-        return not (is_exact_zero(self.a_reg) and is_exact_zero(self.b_reg))
-
     def with_registers(self, a_reg, b_reg) -> "GeneratorPair":
         return GeneratorPair(self.pattern, self.a_low, self.a_high,
                              self.b_low, a_reg, b_reg)
@@ -163,6 +163,11 @@ class AQuantities:
     A3: object
     A4: object
     A5: object
+
+    def contraction_sides(self) -> tuple:
+        """(A_13 A_14 - A_12^2, A_15 A_12) of a level-1 block; the strict
+        contraction inequality is lhs < |rhs|."""
+        return self.A3 * self.A4 - self.A2 * self.A2, self.A5 * self.A2
 
 
 def _map_add(m: CoefficientMap, degree: int, value):
@@ -230,33 +235,46 @@ def compute_A(pair: GeneratorPair, seq: WeightSequence, s: int,
     )
 
 
-def _check_engineered(pair: GeneratorPair, seq: WeightSequence, regime: str,
-                      atol: float) -> AQuantities:
-    """Verify the five orthogonality relations; return the level-1 block."""
+def orthogonality_relations(pair: GeneratorPair, seq: WeightSequence,
+                            regime: str = RATIONAL) -> tuple:
+    """The level-1 block and the five relations the proof needs to vanish:
+    (q1, (((s, n), A_(s,n)), ...)) for A_(1,1), A_(2,1), A_(2,5), A_(3,1)
+    and A_(3,5).  Levels 2 and 3 need only the two adjacent products."""
     q1 = compute_A(pair, seq, 1, regime)
-    if not is_zero(q1.A1, atol):
-        raise NotOrthogonalError(f"A_(1,1) = {q1.A1!r} is not zero")
+    relations = [((1, 1), q1.A1)]
     for s in (2, 3):
         a1, a5 = adjacent_products(pair, seq, s, regime)
-        if not is_zero(a1, atol):
-            raise NotOrthogonalError(f"A_({s},1) = {a1!r} is not zero")
-        if not is_zero(a5, atol):
-            raise NotOrthogonalError(f"A_({s},5) = {a5!r} is not zero")
+        relations += [((s, 1), a1), ((s, 5), a5)]
+    return q1, tuple(relations)
+
+
+def zero_tolerance(q1: AQuantities, regime: str) -> float:
+    """The regime's relative tolerance times max(1, |A_(1,3)|), A_(1,3)
+    being a real norm; exact values ignore it."""
+    rtol = INTERVAL_WIDTH_RTOL if regime == INTERVAL else FLOAT_ZERO_RTOL
+    return rtol * max(1.0, abs(to_float(q1.A3)))
+
+
+def _engineered_level1(pair: GeneratorPair, seq: WeightSequence,
+                       regime: str) -> AQuantities:
+    """The level-1 block, once the five orthogonality relations hold."""
+    q1, relations = orthogonality_relations(pair, seq, regime)
+    tol = zero_tolerance(q1, regime)
+    for (s, n), value in relations:
+        if not is_zero(value, tol):
+            raise NotOrthogonalError(f"A_({s},{n}) = {value!r} is not zero")
     return q1
 
 
-def _shift_multipliers(q1: AQuantities, atol: float) -> tuple:
+def _shift_multipliers(q1: AQuantities) -> tuple:
     """The z^k multipliers A_15 (A_13, -A_12) / (A_12^2 - A_13 A_14)
-    of F_2 and F_1 in F_3, once the Cauchy-Schwarz gap is certified strict."""
-    if is_zero(q1.A3, atol) or is_zero(q1.A4, atol):
-        raise DegeneratePairError("a shifted generator has zero norm")
-    lhs = q1.A2 * q1.A2
-    rhs = q1.A3 * q1.A4
-    if not strictly_less(lhs, rhs):
+    of F_2 and F_1 in F_3, once the Cauchy-Schwarz gap is certified
+    positive (which makes both norms nonzero)."""
+    gap, _ = q1.contraction_sides()
+    if not certainly_positive(gap):
         raise DegeneratePairError(
-            f"|A_12|^2 = {lhs!r} does not sit strictly below "
-            f"A_13*A_14 = {rhs!r}")
-    scale = q1.A5 / (lhs - rhs)
+            f"A_13 A_14 - |A_12|^2 = {gap!r} is not certifiably positive")
+    scale = q1.A5 / -gap
     return scale * q1.A3, -(scale * q1.A2)
 
 
@@ -270,30 +288,27 @@ def _f1_plus_shifted(pair: GeneratorPair, terms) -> CoefficientMap:
     return {d: v for d, v in sorted(out.items()) if not is_exact_zero(v)}
 
 
-def _f3_from_level1(pair: GeneratorPair, q1: AQuantities,
-                    atol: float) -> CoefficientMap:
+def _f3_from_level1(pair: GeneratorPair, q1: AQuantities) -> CoefficientMap:
     """F_3 from a level-1 block whose orthogonality relations hold."""
-    c2, c1 = _shift_multipliers(q1, atol)
+    c2, c1 = _shift_multipliers(q1)
     return _f1_plus_shifted(pair, ((c2, pair.f2_map()), (c1, pair.f1_map())))
 
 
 def construct_F3(pair: GeneratorPair, seq: WeightSequence,
-                 regime: str = RATIONAL, atol: float = 1e-20) -> CoefficientMap:
+                 regime: str = RATIONAL) -> CoefficientMap:
     """Second spanning element of M (-) z^k M, as a coefficient map.
 
         F_3 = F_1 + z^k * A_15 / (A_12^2 - A_13 A_14)
                         * (A_13 F_2 - A_12 F_1)
 
-    Requires the engineered orthogonality relations and a strict
-    Cauchy-Schwarz gap A_12^2 < A_13 A_14.
+    Requires the engineered orthogonality relations (zero under
+    ``zero_tolerance``) and a strict Cauchy-Schwarz gap A_12^2 < A_13 A_14.
     """
-    return _f3_from_level1(pair, _check_engineered(pair, seq, regime, atol),
-                           atol)
+    return _f3_from_level1(pair, _engineered_level1(pair, seq, regime))
 
 
 def construct_F4(pair: GeneratorPair, seq: WeightSequence,
-                 regime: str = RATIONAL, atol: float = 1e-20) -> CoefficientMap:
+                 regime: str = RATIONAL) -> CoefficientMap:
     """Companion element F_4 = F_1 (1 - z^k A_15 A_12 / (A_12^2 - A_13 A_14))."""
-    q1 = _check_engineered(pair, seq, regime, atol)
-    c1 = _shift_multipliers(q1, atol)[1]
+    c1 = _shift_multipliers(_engineered_level1(pair, seq, regime))[1]
     return _f1_plus_shifted(pair, ((c1, pair.f1_map()),))

@@ -24,11 +24,12 @@ from fractions import Fraction
 
 from .errors import (DegeneratePairError, NoAdmissibleSystemError,
                      RegisterTooLargeError)
-from .model import GeneratorPair
-from .reduction import (CQuantities, ReducedSystem, a1_from_C, compute_C,
-                        objective_B1, pivot_modulus, z1_star)
-from .scalars import (FLOAT, RATIONAL, Radical, certainly_positive, sqrt,
-                      strictly_less, to_float, to_regime)
+from .model import AQuantities, GeneratorPair
+from .reduction import (CQuantities, ReducedSystem, compute_C, objective_B1,
+                        pivot, pivot_modulus, z1_star, z3_quadratic)
+from .scalars import (FLOAT, RATIONAL, Radical, certainly_positive,
+                      refuse_foreign, sqrt, strictly_less, to_float,
+                      to_regime)
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,9 @@ def recover(rs: ReducedSystem, d, z3=None, z1=None, a15=None) -> RecoveredParame
     minimizer sqrt(e_0/e_1) (any positive value keeps the orthogonality
     relations, only the reported ratio moves); A_15 to the normalizing root.
     """
-    c = compute_C(rs, d)
     regime = rs.regime
+    refuse_foreign(regime, (z3, z1, a15))
+    c = compute_C(rs, d)
     if z3 is None:
         z3 = to_regime(choose_Z3(c), regime)
     if z1 is None:
@@ -124,32 +126,39 @@ def _register_weights(params: RecoveredParameters):
     return params.rs.weight_at(k + g4), params.rs.weight_at(k + g5)
 
 
-def _core_a1(params: RecoveredParameters):
-    return a1_from_C(params.c, params.z3, params.z1, params.a15 * params.a15)
+def level1_block(params: RecoveredParameters, a_reg=Fraction(0),
+                 b_reg=Fraction(0)) -> AQuantities:
+    """The level-1 block of the pair with registers (a_reg, b_reg), from the
+    reduction alone; the closed form of
+    ``compute_A(params.pair.with_registers(a_reg, b_reg), seq, 1)``:
 
-
-def contraction_terms(params: RecoveredParameters, a_reg=Fraction(0),
-                      b_reg=Fraction(0)):
-    """(lhs, rhs) of the strict inequality, via the reduction identities.
-
-    lhs = A_13 A_14 - A_12^2 including register contributions,
-    rhs = |A_15 A_12|.
+      A_11 = 0
+      A_12 = (A_15/Z_1)(C_1 Z_3 - C_3/2)
+      A_13 = C_1 + Z_1^2 C_2 + a_reg^2 w_{k+gamma_4}
+      A_14 = (A_15^2/Z_1^2)(C_1 Z_3^2 - C_3 Z_3 + C_4) + b_reg^2 w_{k+gamma_5}
+      A_15 = A_15
     """
-    a13, a14, a12_sq, rhs = _core_a1(params)
+    c, z3, z1, a15 = params.c, params.z3, params.z1, params.a15
     w4, w5 = _register_weights(params)
-    lhs = (a13 + a_reg * a_reg * w4) * (a14 + b_reg * b_reg * w5) - a12_sq
-    return lhs, rhs
+    scale = a15 / z1
+    return AQuantities(
+        s=1, A1=to_regime(Fraction(0), params.regime),
+        A2=scale * pivot(c, z3),
+        A3=c.C1 + z1 * z1 * c.C2 + a_reg * a_reg * w4,
+        A4=scale * scale * z3_quadratic(c, z3) + b_reg * b_reg * w5,
+        A5=a15)
 
 
 def max_register_estimate(params: RecoveredParameters) -> float:
     """Largest common |a4| = |b5| magnitude keeping the inequality strict,
     solved from the quadratic in t^2 (exact for symmetric registers)."""
-    lhs0, rhs0 = contraction_terms(params)
-    slack = to_float(rhs0) - to_float(lhs0)
+    q1 = level1_block(params)
+    gap, coupling = q1.contraction_sides()
+    slack = to_float(abs(coupling)) - to_float(gap)
     if slack <= 0:
         return 0.0
     w4, w5 = (to_float(w) for w in _register_weights(params))
-    a13, a14 = (to_float(v) for v in _core_a1(params)[:2])
+    a13, a14 = to_float(q1.A3), to_float(q1.A4)
     # slack > u (w4 a14 + w5 a13) + u^2 w4 w5, u = t^2; the root is written
     # in the subtraction-free form because beta^2 dwarfs the slack term.
     beta = w4 * a14 + w5 * a13
@@ -162,8 +171,8 @@ def attach_register(params: RecoveredParameters, a_reg, b_reg) -> RecoveredParam
     if params.regime == RATIONAL:
         a_reg, b_reg = (v if isinstance(v, Radical) else Fraction(v)
                         for v in (a_reg, b_reg))
-    lhs, rhs = contraction_terms(params, a_reg, b_reg)
-    if not strictly_less(lhs, rhs):
+    gap, coupling = level1_block(params, a_reg, b_reg).contraction_sides()
+    if not strictly_less(gap, abs(coupling)):
         est = max_register_estimate(params)
         raise RegisterTooLargeError(
             f"registers |a4|={abs(to_float(a_reg)):.3g}, "

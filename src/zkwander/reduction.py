@@ -135,16 +135,21 @@ def objective_B1(c: CQuantities):
     return 4 * c.C2 * c.C5 / c.C1
 
 
-def pivot_modulus(c: CQuantities, z3):
-    """|C_1 Z_3 - C_3/2|, exact for rational data."""
-    mod = abs(c.C1 * z3 - c.C3 / 2)
-    if not excludes_zero(mod):
+def pivot(c: CQuantities, z3):
+    """P = C_1 Z_3 - C_3/2, certified nonzero."""
+    p = c.C1 * z3 - c.C3 / 2
+    if not excludes_zero(p):
         raise DegenerateZ3Error(
             "C_1 Z_3 - C_3/2 vanishes (or cannot be certified nonzero)")
-    return mod
+    return p
 
 
-def _quadratic(c: CQuantities, z3):
+def pivot_modulus(c: CQuantities, z3):
+    """|C_1 Z_3 - C_3/2|, exact for rational data."""
+    return abs(pivot(c, z3))
+
+
+def z3_quadratic(c: CQuantities, z3):
     """C_1 Z_3^2 - C_3 Z_3 + C_4."""
     return c.C1 * (z3 * z3) - c.C3 * z3 + c.C4
 
@@ -157,22 +162,8 @@ def split_e(c: CQuantities, z3):
     """
     mod = pivot_modulus(c, z3)
     e0 = c.C5 / mod
-    e1 = c.C2 * _quadratic(c, z3) / mod
+    e1 = c.C2 * z3_quadratic(c, z3) / mod
     return e0, e1
-
-
-def a1_from_C(c: CQuantities, z3, z1, a15_sq):
-    """The level-1 products of the engineered pair, without registers:
-
-      A_13 = C_1 + Z_1^2 C_2
-      A_14 = (A_15^2/Z_1^2)(C_1 Z_3^2 - C_3 Z_3 + C_4)
-      A_12^2 = (A_15^2/Z_1^2) (C_1 Z_3 - C_3/2)^2
-      |A_15 A_12| = (A_15^2/Z_1) |C_1 Z_3 - C_3/2|
-    """
-    mod = pivot_modulus(c, z3)
-    scale = a15_sq / (z1 * z1)
-    return (c.C1 + z1 * z1 * c.C2, scale * _quadratic(c, z3),
-            scale * mod * mod, (a15_sq / z1) * mod)
 
 
 def objective_B0(c: CQuantities, z3, z1):

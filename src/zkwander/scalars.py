@@ -19,8 +19,8 @@ and a nonzero coefficient: arithmetic that cancels every atom returns a plain
 rationals.
 
 Every choice that depends on the regime -- square roots, the zero and sign
-tests -- is made here, by the type of the scalar, so the modules above never
-branch on it.
+tests, the scalar types a regime refuses -- is made here, by the type of the
+scalar, so the modules above never branch on it.
 
 Determinants of the 3x3 weight matrix are taken by cofactor expansion.
 Entries span ~50 orders of magnitude, which would destroy float pivoting
@@ -357,6 +357,22 @@ def strictly_less(a, b) -> bool:
     if isinstance(a, Radical) or isinstance(b, Radical):
         raise ModeUnsupportedError(f"cannot order irrational {a!r} < {b!r}")
     return a < b
+
+
+# scalar types each regime's arithmetic cannot multiply; all are real
+_FOREIGN = {RATIONAL: ((float, complex, Interval), "exact coefficients"),
+            INTERVAL: ((Radical, complex), "rational, float or interval "
+                       "coefficients"),
+            FLOAT: ((Radical, complex), "rational or float coefficients")}
+
+
+def refuse_foreign(regime: str, values) -> None:
+    """Raise ModeUnsupportedError on a value the regime cannot multiply."""
+    foreign, need = _FOREIGN[regime]
+    for v in values:
+        if isinstance(v, foreign):
+            raise ModeUnsupportedError(
+                f"{regime} regime needs {need} (got {type(v).__name__})")
 
 
 def to_regime(q, regime: str):

@@ -116,7 +116,8 @@ class TestVerify:
     def test_each_level_is_evaluated_once(self, registered16, seq16,
                                           monkeypatch):
         # the full block at level 1 only (the membership sweep reuses it),
-        # A_(s,1) and A_(s,5) alone at levels 2 and 3
+        # A_(s,1) and A_(s,5) alone at levels 2 and 3; the spy also sees
+        # the level-1 pair that compute_A takes from adjacent_products
         import zkwander.certify
         import zkwander.model
         blocks, pairs = [], []
@@ -130,14 +131,14 @@ class TestVerify:
         def counted_pair(pair, seq, s, regime):
             pairs.append(s)
             return adjacent_products(pair, seq, s, regime)
+        # model.orthogonality_relations computes all of them for verify
         for module in (zkwander.certify, zkwander.model):
             monkeypatch.setattr(module, "compute_A", counted_block)
-        monkeypatch.setattr(zkwander.certify, "adjacent_products",
-                            counted_pair)
+        monkeypatch.setattr(zkwander.model, "adjacent_products", counted_pair)
         cert = verify(registered16.pair, seq16)
         assert cert.passed
         assert blocks == [1]
-        assert pairs == [2, 3]
+        assert pairs == [1, 2, 3]
         assert cert.membership["levels"] == [1, 2]
 
 

@@ -216,6 +216,23 @@ class TestPipeline:
         assert code == 0
         assert "verdict: pass" in out
 
+    def test_non_integer_override_base_defaults_to_interval(self, capsys,
+                                                            tmp_path):
+        # verify reads the base weights at k + gamma_4 and k + gamma_5
+        cert = tmp_path / "cert.json"
+        code, out, err = run(capsys, "pipeline", "--alpha", "-16",
+                             "--override-base", "-33/2", "--d", "1,4,6",
+                             "--z3", "-2e13", "--out", str(cert))
+        assert code == 2, err
+        assert "verdict: fail" in out
+        assert json.loads(cert.read_text())["regime"] == "interval"
+        code, out, _ = run(capsys, "certify", "--check", str(cert))
+        assert "recomputed: fail" in out and "mismatch" not in out
+        # eval reads only the 12 overridden weights
+        code, out, _ = run(capsys, "eval", "--alpha", "-16",
+                           "--override-base", "-33/2")
+        assert code == 0 and "regime = rational" in out
+
     def test_float_regime_gate(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"
         code, out, _ = run(capsys, "pipeline", "--alpha", "-16",

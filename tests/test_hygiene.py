@@ -1,6 +1,6 @@
 """Source hygiene: no package module imports a name it never uses, no
-private module-level name is left that no module loads, and no module builds
-a complex value or reads its parts."""
+private module-level name or library function is left that no module loads,
+and no module builds a complex value or reads its parts."""
 
 import ast
 from pathlib import Path
@@ -11,6 +11,8 @@ import zkwander
 
 PACKAGE = Path(zkwander.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# modules whose public functions must be loaded by some module or exported
+LIBRARY = ("model", "reduction", "recovery", "certify")
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -71,14 +73,31 @@ def _loaded_names(tree: ast.Module) -> set:
     return loaded
 
 
+def _package_trees() -> dict:
+    return {path: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_every_private_name_is_loaded():
-    trees = {path: ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _package_trees()
     loaded = set().union(*map(_loaded_names, trees.values()))
     orphans = [f"{path.stem}.{name} (line {line})"
                for path, tree in trees.items()
                for name, line in _private_definitions(tree).items()
                if name not in loaded]
+    assert orphans == []
+
+
+def test_every_library_function_is_loaded_or_exported():
+    trees = _package_trees()
+    loaded = set().union(*map(_loaded_names, trees.values()))
+    orphans = [f"{path.stem}.{stmt.name} (line {stmt.lineno})"
+               for path, tree in trees.items() if path.stem in LIBRARY
+               for stmt in tree.body
+               if isinstance(stmt, ast.FunctionDef)
+               and not stmt.name.startswith("_")
+               and stmt.name not in loaded
+               and stmt.name not in zkwander.__all__]
     assert orphans == []
 
 

@@ -1,14 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zkwander.certify import cross_check, verify
-from zkwander.errors import (DegeneratePairError, NoAdmissibleSystemError,
-                             RegisterTooLargeError)
+from zkwander.errors import (DegeneratePairError, DegenerateReductionError,
+                             DegenerateZ3Error, ModeUnsupportedError,
+                             NoAdmissibleSystemError, RegisterTooLargeError)
 from zkwander.model import compute_A
 from zkwander.recovery import (attach_register, auto_register, choose_Z3,
-                               contraction_terms, max_register_estimate,
-                               recover)
+                               level1_block, max_register_estimate, recover)
 from zkwander.reduction import reduce_system
 from zkwander.scalars import FLOAT, is_exact_zero
 from zkwander.weights import dirichlet, override_block
@@ -57,6 +59,37 @@ class TestEngineeredRelations:
             assert report[key]["relative_residual"] < 1e-9
 
 
+class TestLevel1Block:
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.tuples(*[st.fractions(Fraction(1, 100), 10 ** 4,
+                                      max_denominator=100)] * 3),
+           z3=st.fractions(-10 ** 15, 10 ** 15, max_denominator=7),
+           a_reg=st.fractions(-50, 50, max_denominator=9),
+           b_reg=st.fractions(-50, 50, max_denominator=9))
+    def test_closed_form_is_the_oracle_block(self, rs16, d, z3, a_reg,
+                                             b_reg):
+        try:
+            params = recover(rs16, d, z3=z3)
+        except (DegenerateReductionError, DegenerateZ3Error):
+            assume(False)
+        oracle = compute_A(params.pair.with_registers(a_reg, b_reg),
+                           rs16.seq, 1)
+        block = level1_block(params, a_reg, b_reg)
+        assert block.A1 == oracle.A1 == 0
+        assert isinstance(block.A1, Fraction)
+        # A_12 is an irrational Radical here, compared with its sign
+        for name in ("A2", "A3", "A4", "A5"):
+            assert getattr(block, name) == getattr(oracle, name), name
+
+    def test_vanishing_pivot_is_degenerate(self, rs16, c16):
+        params = recover(rs16, (1, 4, 6), z3=c16.C3 / (2 * c16.C1),
+                         z1=Fraction(6), a15=Fraction(1))
+        for check in (level1_block, max_register_estimate, cross_check):
+            with pytest.raises(DegenerateZ3Error):
+                check(params)
+
+
 class TestRegisters:
 
     def test_flagship_accepts_unit_registers(self, params16):
@@ -66,8 +99,9 @@ class TestRegisters:
         assert reg.pair.a_reg == 1 and reg.pair.b_reg == 1
 
     def test_registers_tighten_the_inequality(self, params16):
-        lhs0, rhs0 = contraction_terms(params16)
-        lhs1, rhs1 = contraction_terms(params16, Fraction(1), Fraction(1))
+        lhs0, rhs0 = level1_block(params16).contraction_sides()
+        lhs1, rhs1 = level1_block(params16, Fraction(1),
+                                  Fraction(1)).contraction_sides()
         assert rhs1 == rhs0
         assert lhs1 > lhs0
 
@@ -112,6 +146,22 @@ class TestOverrideCorollary:
         done = attach_register(override_params, reg, reg)
         cert = verify(done.pair, done.rs.seq)
         assert cert.verdict == "pass"
+
+
+class TestRegimeOfArguments:
+
+    @pytest.mark.parametrize("kwargs", [{"z3": -2e13}, {"z1": 5.0},
+                                        {"a15": 2.0}], ids=["z3", "z1", "a15"])
+    def test_float_argument_in_rational_regime(self, rs16, z3_main, kwargs):
+        with pytest.raises(ModeUnsupportedError,
+                           match=r"rational regime needs exact coefficients "
+                                 r"\(got float\)"):
+            recover(rs16, (1, 4, 6), **{"z3": z3_main, **kwargs})
+
+    def test_fraction_z3_in_float_regime(self, pattern6, z3_main):
+        rs = reduce_system(dirichlet(-16), pattern6, FLOAT)
+        params = recover(rs, (1.0, 4.0, 6.0), z3=z3_main)
+        assert cross_check(params)["all_equal"]
 
 
 class TestDefaults:
