@@ -48,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ZkwanderError(f"cannot parse {text!r} as a rational") from exc
 
 
@@ -157,13 +157,15 @@ def _config_from_file(path) -> SearchConfig:
     try:
         with open(path) as fh:
             return SearchConfig(**json.load(fh))
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ZkwanderError(f"bad search config {path}: {exc}") from exc
 
 
 def cmd_search(args) -> int:
     if args.config:
         config = _config_from_file(args.config)
+    elif args.alpha is None:
+        raise ZkwanderError("search needs --alpha or --config")
     else:
         config = SearchConfig(
             alpha=args.alpha, k=args.k, phi2=args.phi2, phi3=args.phi3,
@@ -443,8 +445,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except (ZkwanderError, ValueError) as exc:
-        # ValueError is reserved for plain misuse (see errors.py)
+    except (ZkwanderError, ValueError, OSError) as exc:
+        # ValueError is reserved for plain misuse (see errors.py); OSError
+        # is an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,10 +10,10 @@ that found the point is not.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import add
 from typing import Optional
-
-from scipy import optimize
 
 from .errors import (DegenerateReductionError, InvalidPatternError,
                      ModeUnsupportedError, NoAdmissibleSystemError,
@@ -29,6 +29,12 @@ from .weights import WeightSequence, dirichlet
 DEFAULT_D_GRID = tuple(float(10) ** n for n in range(-2, 7))
 
 DESCENT_STEPS = (2.0, 1.1, 1.01)
+
+# Nelder-Mead iteration cap and stopping tolerances, in log10 d and in
+# objective value.
+SIMPLEX_MAXITER = 600
+SIMPLEX_XATOL = 1e-8
+SIMPLEX_FATOL = 1e-12
 
 _OBJECTIVES = {"B1": objective_B1, "B2": objective_B2}
 
@@ -52,6 +58,12 @@ class SearchConfig:
     keep_trace: bool = False
 
     def __post_init__(self):
+        for alpha in _as_values(self.alpha):
+            dirichlet(alpha)            # raises unless alpha is a rational
+        for name in ("k", "phi2", "phi3"):
+            if not all(isinstance(v, int)
+                       for v in _as_values(getattr(self, name))):
+                raise ValueError(f"{name} values must be integers")
         if self.strategy not in ("grid", "coordinate-descent", "simplex"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.target not in _OBJECTIVES:
@@ -115,23 +127,95 @@ def _descend(rs, objective, seed, seed_value, trace):
     return tuple(d), best, evals
 
 
-def _simplex(rs, objective, seed, seed_value):
+def _nelder_mead(f, x0):
+    """Minimize f from x0 by the simplex method of Nelder and Mead (1965).
+
+    The classic non-adaptive variant: the start moves each coordinate by
+    5% (to 0.00025 from zero); reflection 1, expansion 2, contraction and
+    shrink 1/2; the outside contraction is accepted on <=, the inside one
+    on <; after every step the simplex is stably sorted by value, NaN
+    last; at most SIMPLEX_MAXITER - 1 steps. Its arithmetic is ordered so
+    that the iterates agree bit for bit with the common reference
+    implementation (tests/test_search.py compares them), except after a
+    tie, which a reference that sorts unstably may reorder. Returns the
+    best vertex and the number of evaluations.
+    """
+    n = len(x0)
+    nfev = 0
+
+    def evaluated(x):
+        nonlocal nfev
+        nfev += 1
+        return f(x), x
+
+    def rank(vertex):
+        return math.isnan(vertex[0]), vertex[0]
+
+    starts = [list(x0)]
+    for i in range(n):
+        y = list(x0)
+        y[i] = 1.05 * y[i] if y[i] != 0 else 0.00025
+        starts.append(y)
+    simplex = sorted(map(evaluated, starts), key=rank)
+    for _ in range(SIMPLEX_MAXITER - 1):
+        (fbest, best), (fworst, worst) = simplex[0], simplex[-1]
+        if (all(abs(v - b) <= SIMPLEX_XATOL
+                for _, x in simplex[1:] for v, b in zip(x, best))
+                and all(abs(fbest - fx) <= SIMPLEX_FATOL
+                        for fx, _ in simplex[1:])):
+            break
+        # summed left to right, as the reference does; sum() compensates
+        # on Python 3.12+
+        xbar = [reduce(add, column) / n
+                for column in zip(*(x for _, x in simplex[:-1]))]
+
+        def toward(a):
+            """(1 + a) * centroid - a * worst, evaluated."""
+            return evaluated([(1 + a) * c - a * w
+                              for c, w in zip(xbar, worst)])
+
+        reflected = toward(1)
+        if reflected[0] < fbest:
+            expanded = toward(2)
+            simplex[-1] = expanded if expanded[0] < reflected[0] else reflected
+        elif reflected[0] < simplex[-2][0]:
+            simplex[-1] = reflected
+        else:
+            if reflected[0] < fworst:
+                contracted = toward(0.5)
+                accepted = contracted[0] <= reflected[0]
+            else:
+                contracted = toward(-0.5)      # inside, toward the worst
+                accepted = contracted[0] < fworst
+            if accepted:
+                simplex[-1] = contracted
+            else:
+                simplex[1:] = [evaluated([b + 0.5 * (v - b)
+                                          for v, b in zip(x, best)])
+                               for _, x in simplex[1:]]
+        simplex.sort(key=rank)
+    return simplex[0][1], nfev
+
+
+def _log_objective(rs, objective):
+    """The objective as a function of log10 d; +inf where 10^u overflows."""
     def f(logd):
         try:
-            point = tuple(float(10) ** u for u in logd)
+            point = tuple(10.0 ** u for u in logd)
         except OverflowError:
             return math.inf
         return _evaluate(rs, objective, point)
+    return f
 
-    x0 = [math.log10(v) for v in seed]
-    res = optimize.minimize(f, x0, method="Nelder-Mead",
-                            options={"maxiter": 600, "xatol": 1e-8,
-                                     "fatol": 1e-12})
-    point = tuple(float(10) ** u for u in res.x)
+
+def _simplex(rs, objective, seed, seed_value):
+    x, nfev = _nelder_mead(_log_objective(rs, objective),
+                           [math.log10(v) for v in seed])
+    point = tuple(10.0 ** u for u in x)
     value = _evaluate(rs, objective, point)
     if value <= seed_value:
-        return point, value, int(res.nfev) + 1
-    return seed, seed_value, int(res.nfev) + 1
+        return point, value, nfev + 1
+    return seed, seed_value, nfev + 1
 
 
 def confirm_value(seq: WeightSequence, pattern: DegreePattern, d3,

@@ -63,6 +63,13 @@ class TestEval:
         ("eval", "--alpha", "x"),
         ("eval", "--alpha", "-16", "--d", "1,4,x"),
         ("eval", "--alpha", "-16", "--z3", "1,x"),
+        ("eval", "--alpha", "1/0"),
+        ("eval", "--alpha", "-16", "--d", "1,4/0,6"),
+        ("eval", "--alpha", "-16", "--z3", "1/0"),
+        ("eval", "--alpha", "-16", "--z3", "-2e13", "--z1", "1/0"),
+        ("eval", "--alpha", "-16", "--override-base", "1/0"),
+        ("search", "--alpha", "-16", "--threshold", "1/0"),
+        ("asymptotic", "--k", "12", "--beta", "10", "--sigma", "1/0"),
     ])
     def test_bad_rational_is_an_error_not_a_traceback(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -118,6 +125,18 @@ class TestBadInput:
         code, _, err = run(capsys, "certify", "--check", str(path))
         assert code == 1
         assert err.startswith("error: cannot read certificate")
+
+    @pytest.mark.parametrize("argv", [
+        ("search", "--alpha", "-16"),
+        ("pipeline", "--alpha", "-16", "--d", "1,4,6", "--z3", "-2e13"),
+        ("reproduce", "--table", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_out_into_a_missing_directory(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "out.json"
+        code, _, err = run(capsys, *argv, "--out", str(path))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert str(path) in err
 
     @pytest.mark.parametrize("alpha", ["-65", "-100"])
     def test_alpha_outside_replay_bounds(self, capsys, tmp_path, alpha):
@@ -180,13 +199,23 @@ class TestSearch:
 
     @pytest.mark.parametrize("raw", [{"alpha": -16, "threads": 2},
                                      {"alpha": -16, "strategy": "bogus"},
-                                     [-16]])
+                                     [-16],
+                                     {"alpha": -16, "k": "x"},
+                                     {"alpha": -16, "phi2": [0, 1.5]},
+                                     {"alpha": None},
+                                     {"alpha": "1/0"}])
     def test_bad_config_file_is_an_error(self, capsys, tmp_path, raw):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
         code, _, err = run(capsys, "search", "--config", str(cfg))
         assert code == 1
         assert err.startswith("error: bad search config")
+
+    def test_alpha_or_config_is_required(self, capsys):
+        code, out, err = run(capsys, "search")
+        assert code == 1
+        assert out == ""
+        assert err == "error: search needs --alpha or --config\n"
 
     def test_nothing_below_threshold(self, capsys):
         code, _, _ = run(capsys, "search", "--alpha", "-16",

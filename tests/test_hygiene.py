@@ -1,8 +1,13 @@
 """Source hygiene: no package module imports a name it never uses, no
 private module-level name or library function is left that no module loads,
-and no module builds a complex value or reads its parts."""
+no module builds a complex value or reads its parts, and the package imports
+exactly the third-party modules pyproject.toml lists."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +15,7 @@ import pytest
 import zkwander
 
 PACKAGE = Path(zkwander.__file__).parent
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # modules whose public functions must be loaded by some module or exported
 LIBRARY = ("model", "reduction", "recovery", "certify")
@@ -119,3 +125,36 @@ def _complex_uses(tree: ast.Module) -> list:
 def test_every_scalar_is_real(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _complex_uses(tree) == []
+
+
+def test_import_loads_neither_scipy_nor_numpy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, zkwander; "
+         "print(sorted({'numpy', 'scipy'} & set(sys.modules)))"],
+        capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout == "[]\n"
+
+
+def _third_party_imports(tree: ast.Module) -> set:
+    """Top-level names of the absolute imports outside the standard library."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names)
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    if not PYPROJECT.exists():
+        pytest.skip("not run from a source checkout")
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower()
+                for spec in project["dependencies"]}
+    imported = set().union(*map(_third_party_imports,
+                                _package_trees().values()))
+    assert imported == declared

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,9 +6,12 @@ import pytest
 from zkwander.certify import verify
 from zkwander.errors import InvalidPatternError, NoAdmissibleSystemError
 from zkwander.recovery import attach_register, auto_register, recover
-from zkwander.reduction import reduce_system
-from zkwander.search import (SearchConfig, confirm_value, minimize,
-                             reproduce_table)
+from zkwander.reduction import objective_B1, reduce_system
+from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
+from zkwander.scalars import FLOAT
+from zkwander.search import (SIMPLEX_FATOL, SIMPLEX_MAXITER, SIMPLEX_XATOL,
+                             SearchConfig, _log_objective, _nelder_mead,
+                             _scan, confirm_value, minimize, reproduce_table)
 from zkwander.model import DegreePattern
 from zkwander.weights import dirichlet
 
@@ -30,6 +34,17 @@ class TestConfig:
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
             SearchConfig(alpha=-16, threshold=0)
+
+    @pytest.mark.parametrize("field", ["k", "phi2", "phi3"])
+    @pytest.mark.parametrize("value", ["6", 6.0, [6, "x"], None])
+    def test_degrees_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} values must be"):
+            SearchConfig(alpha=-16, **{field: value})
+
+    @pytest.mark.parametrize("alpha", [None, "x", "1/0", [-16, None]])
+    def test_alpha_must_be_rational(self, alpha):
+        with pytest.raises((TypeError, ValueError, ZeroDivisionError)):
+            SearchConfig(alpha=alpha)
 
     def test_lists_are_literal(self):
         from zkwander.search import _as_values
@@ -151,3 +166,47 @@ class TestTables:
             reproduce_table(3)
         with pytest.raises(ValueError):
             reproduce_table(1, "exhaustive")
+
+
+def _scipy_nelder_mead(f, x0):
+    optimize = pytest.importorskip("scipy.optimize")
+    res = optimize.minimize(lambda u: f([float(v) for v in u]), x0,
+                            method="Nelder-Mead",
+                            options={"maxiter": SIMPLEX_MAXITER,
+                                     "xatol": SIMPLEX_XATOL,
+                                     "fatol": SIMPLEX_FATOL})
+    return [float(v) for v in res.x], int(res.nfev)
+
+
+def _rosenbrock(x):
+    return sum(100 * (b - a * a) ** 2 + (1 - a) ** 2
+               for a, b in zip(x, x[1:]))
+
+
+class TestNelderMead:
+
+    @pytest.mark.parametrize("row", TABLE1_ROWS + TABLE2_ROWS,
+                             ids=lambda r: f"{r.alpha}-{r.k}-{r.phi2}-{r.phi3}")
+    def test_iterates_match_scipy_from_each_grid_seed(self, row):
+        pattern = DegreePattern.from_phi(row.k, row.phi2, row.phi3)
+        rs = reduce_system(dirichlet(row.alpha), pattern, FLOAT)
+        seed, _, _ = _scan(rs, objective_B1)
+        f = _log_objective(rs, objective_B1)
+        x0 = [math.log10(v) for v in seed]
+        assert _nelder_mead(f, x0) == _scipy_nelder_mead(f, x0)
+
+    @pytest.mark.parametrize("f, x0", [
+        # a zero coordinate starts its vertex at 0.00025, not 5% off
+        (_rosenbrock, [0.0, -1.2, 0.0]),
+        # NaN sorts last: the first step of x_0 past 1 is NaN
+        (lambda x: math.nan if x[0] > 1 else (x[0] - 2) ** 2 + x[1] ** 2,
+         [0.98, 0.5]),
+    ], ids=["zero-start", "nan-region"])
+    def test_iterates_match_scipy(self, f, x0):
+        assert _nelder_mead(f, x0) == _scipy_nelder_mead(f, x0)
+
+    def test_converges_on_a_quadratic(self):
+        x, nfev = _nelder_mead(lambda x: (x[0] - 3) ** 2 + (x[1] + 1) ** 2,
+                               [0.0, 0.0])
+        assert x == pytest.approx([3, -1], abs=1e-6)
+        assert nfev < 2 * SIMPLEX_MAXITER
