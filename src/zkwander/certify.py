@@ -32,14 +32,13 @@ from .errors import (CertificateError, DegeneratePairError,
                      InvalidPatternError, ModeUnsupportedError)
 from .model import (AQuantities, DegreePattern, GeneratorPair,
                     _f3_from_level1, compute_A, inner_product,
-                    orthogonality_relations, zero_tolerance)
+                    orthogonality_relations)
 from .recovery import level1_block
 from .reduction import objective_B0
-from .scalars import (FLOAT, INTERVAL, RATIONAL, REGIMES, certainly_positive,
-                      excludes_zero, is_zero, refuse_foreign,
-                      scalar_from_json, scalar_to_json, strictly_less,
-                      to_float)
-from .weights import (WeightSequence, weight, weights_from_dict,
+from .scalars import (RATIONAL, REGIMES, agreement, nonzero_evidence, proves,
+                      refuse_foreign, scalar_from_json, scalar_to_json,
+                      strictly_less, to_float, zero_evidence, zero_tolerance)
+from .weights import (WeightSequence, exact_regime, weight, weights_from_dict,
                       weights_to_dict)
 
 SCHEMA = "zkwander-certificate/v2"
@@ -55,47 +54,26 @@ MAX_ABS_ALPHA = 64
 MAX_ALPHA_DENOMINATOR = 10 ** 6
 MAX_K = 10 ** 4
 MAX_DEGREE = 10 ** 6
-MAX_WEIGHT_NESTING = 16     # perturbed/custom levels above the Dirichlet base
+MAX_WEIGHT_NESTING = 16     # perturbed levels above the Dirichlet base
 
 
-def _zero_report(x, tol: float, regime: str) -> tuple:
-    if regime == RATIONAL:
-        info = {"exact": True, "value": scalar_to_json(x)}
-    elif regime == INTERVAL:
-        # in the interval regime every A-quantity is an Interval
-        info = {"contains_zero": x.contains_zero(), "width": x.width,
-                "tolerance": tol}
-    else:
-        info = {"residual": abs(x), "tolerance": tol}
-    return is_zero(x, tol), info
-
-
-def _zero_condition(cells, tol: float, regime: str, reasons: list) -> dict:
+def _zero_condition(cells, tol: float, reasons: list) -> dict:
     """Zero-test each (key, label, value) cell; a failing cell appends its
     reason.  Returns {"holds": all cells zero, key: info, ...}."""
     condition = {"holds": True}
     for key, label, value in cells:
-        ok, info = _zero_report(value, tol, regime)
+        ok, info = zero_evidence(value, tol)
         condition[key] = info
         if ok:
             continue
         condition["holds"] = False
         if info.get("contains_zero"):
-            reasons.append(f"{label} enclosure contains 0 but its width "
-                           f"{info['width']:.3e} exceeds the certification "
-                           f"tolerance {info['tolerance']:.3e}")
+            reasons.append(f"{label} enclosure contains 0 (width "
+                           f"{info['width']:.3e}), which does not prove "
+                           "that it is 0")
         else:
             reasons.append(f"{label} != 0")
     return condition
-
-
-def _nonzero_report(x, regime: str) -> tuple:
-    ok = excludes_zero(x)
-    if regime == RATIONAL:
-        return ok, {"exact": True, "value": scalar_to_json(x)}
-    if regime == INTERVAL:
-        return ok, {"excludes_zero": ok}
-    return ok, {"magnitude": abs(x)}
 
 
 @dataclass
@@ -117,13 +95,9 @@ class Certificate:
 
     def to_dict(self) -> dict:
         p = self.pair.pattern
-        embedded = {}
-        for t in p.embedded_indices():
-            try:
-                embedded[str(t)] = str(weight(self.seq, t, RATIONAL))
-            except ModeUnsupportedError:    # non-integer alpha
-                iv = weight(self.seq, t, INTERVAL)
-                embedded[str(t)] = scalar_to_json(iv)
+        embedded = {str(t): scalar_to_json(
+            weight(self.seq, t, exact_regime(self.seq, (t,))))
+            for t in p.embedded_indices()}
         a_enc = {str(s): {n: scalar_to_json(v) for n, v in q.items()}
                  for s, q in sorted(self.a_table.items())}
         return {
@@ -175,15 +149,15 @@ def verify(pair: GeneratorPair, seq: WeightSequence,
         a_table[s][f"A{n}"] = value
         label = f"A_({s},{n})"
         cells.append(("A_1_1" if s == 1 else label, label, value))
-    tol = zero_tolerance(q1, regime)
+    tol = zero_tolerance(q1.A3)
     reasons = []
     conditions = {
-        "adjacent_zero": _zero_condition(cells[:1], tol, regime, reasons),
-        "higher_zero": _zero_condition(cells[1:], tol, regime, reasons),
+        "adjacent_zero": _zero_condition(cells[:1], tol, reasons),
+        "higher_zero": _zero_condition(cells[1:], tol, reasons),
     }
 
     lhs, coupling = q1.contraction_sides()
-    ok, info = _nonzero_report(coupling, regime)
+    ok, info = nonzero_evidence(coupling)
     conditions["coupling_nonzero"] = {"holds": ok, "A15_A12": info}
     if not ok:
         reasons.append("A_(1,5) A_(1,2) = 0")
@@ -205,15 +179,15 @@ def verify(pair: GeneratorPair, seq: WeightSequence,
                     "strict_contraction"))
     membership = {}
     warnings = []
-    if all_hold and regime != FLOAT:
+    if all_hold and proves(regime):
         levels = sorted({s for s, _ in pair.pattern.sweep_overlaps()})
         membership = _membership_sweep(pair, seq, regime, levels, q1, tol)
         if not membership["holds"]:
             all_hold = False
             reasons.append("membership sweep found a nonzero projection")
 
-    verdict = "pass" if (all_hold and regime != FLOAT) else "fail"
-    if all_hold and regime == FLOAT:
+    verdict = "pass" if (all_hold and proves(regime)) else "fail"
+    if all_hold and not proves(regime):
         reasons.append("float regime cannot back a pass verdict; rerun with "
                        "regime rational or interval")
         warnings.append("all conditions hold numerically in float; verdict "
@@ -245,12 +219,11 @@ def _membership_sweep(pair: GeneratorPair, seq: WeightSequence, regime: str,
             for gname, gmap in (("F1", f1), ("F2", f2)):
                 v = inner_product(fmap, gmap, seq, regime,
                                   shift_f=0, shift_g=k * s)
-                zok, _ = _zero_report(v, tol, regime)
+                zok, info = zero_evidence(v, tol)
                 if not zok:
                     return {"holds": False,
                             "first_failure": f"<{tag}, z^{k * s} {gname}> != 0"}
-                if regime == INTERVAL:
-                    worst = max(worst, v.width)
+                worst = max(worst, info.get("width", 0.0))
     return {"holds": True, "levels": levels, "worst_residual": worst}
 
 
@@ -259,31 +232,19 @@ def cross_check(params) -> dict:
     the ``compute_A`` block against the ``level1_block`` one, and the
     oracle's contraction ratio c against B_0(C; Z_3, Z_1).
 
-    Exact equality in the rational regime; float residuals otherwise.
+    Exact equality for exact values; float residuals otherwise.
     """
-    regime = params.regime
     core = params.pair.with_registers(Fraction(0), Fraction(0))
-    q1 = compute_A(core, params.rs.seq, 1, regime)
+    q1 = compute_A(core, params.rs.seq, 1, params.regime)
     pred = level1_block(params)
     gap, coupling = q1.contraction_sides()
-
-    def cmp(x, y):
-        if regime == RATIONAL:
-            # equal squares (a square takes the radical away) and signs
-            return {"equal": (x * x == y * y and certainly_positive(x)
-                              == certainly_positive(y)), "exact": True}
-        lf, rf = to_float(x), to_float(y)
-        denom = max(1.0, abs(lf), abs(rf))
-        return {"equal": abs(lf - rf) / denom <= 1e-9,
-                "relative_residual": abs(lf - rf) / denom}
-
     report = {
-        "A13_from_C": cmp(q1.A3, pred.A3),
-        "A14_from_C": cmp(q1.A4, pred.A4),
-        "A12_sq_from_C": cmp(q1.A2 * q1.A2, pred.A2 * pred.A2),
-        "A15_engineered": cmp(q1.A5, pred.A5),
-        "c_equals_B0": cmp(gap / abs(coupling),
-                           objective_B0(params.c, params.z3, params.z1)),
+        "A13_from_C": agreement(q1.A3, pred.A3),
+        "A14_from_C": agreement(q1.A4, pred.A4),
+        "A12_sq_from_C": agreement(q1.A2 * q1.A2, pred.A2 * pred.A2),
+        "A15_engineered": agreement(q1.A5, pred.A5),
+        "c_equals_B0": agreement(gap / abs(coupling),
+                                 objective_B0(params.c, params.z3, params.z1)),
     }
     report["all_equal"] = all(v["equal"] for v in report.values())
     return report
@@ -320,7 +281,7 @@ def _check_bounds(pattern: DegreePattern, seq: WeightSequence) -> None:
     for _ in range(MAX_WEIGHT_NESTING):
         if seq.alpha is not None:
             break
-        seq = seq.base or seq.tail          # perturbed or custom
+        seq = seq.base
     else:
         raise ValueError(f"weight sequences nest deeper than "
                          f"{MAX_WEIGHT_NESTING}")

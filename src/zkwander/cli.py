@@ -10,6 +10,7 @@ singular system.
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -22,9 +23,9 @@ from .model import DegreePattern
 from .recovery import attach_register, auto_register, recover
 from .reduction import (b0_minimum, compute_C, objective_B0, objective_B1,
                         objective_B2, reduce_system, split_e, z1_star)
-from .scalars import FLOAT, INTERVAL, RATIONAL, Interval, to_float
+from .scalars import REGIMES, display, to_float
 from .search import SearchConfig, minimize, reproduce_table
-from .weights import dirichlet, override_block, weight
+from .weights import dirichlet, exact_regime, override_block, weight
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,27 +77,11 @@ def _pattern_from_args(args) -> DegreePattern:
     return DegreePattern.from_phi(args.k, args.phi2, args.phi3)
 
 
-def _default_regime(requested, *exponents) -> str:
-    """Rational unless a read Dirichlet exponent is not an integer."""
-    if requested:
-        return requested
-    exact = all(a.denominator == 1 for a in exponents if a is not None)
-    return RATIONAL if exact else INTERVAL
-
-
 def _sequence_from_args(args, pattern):
     donor = dirichlet(args.alpha)
     if getattr(args, "override_base", None) is not None:
         return override_block(dirichlet(args.override_base), donor, pattern)
     return donor
-
-
-def _fmt(value) -> str:
-    if isinstance(value, Interval):
-        return f"[{value.lo!r}, {value.hi!r}]"
-    if isinstance(value, float):
-        return repr(value)
-    return repr(to_float(value))
 
 
 def _write_csv(rows, header, out_path):
@@ -121,35 +106,32 @@ def cmd_eval(args) -> int:
     if args.z1 is not None and not args.z1 > 0:
         raise ZkwanderError(f"--z1 must be positive, got {args.z1}")
     pattern = _pattern_from_args(args)
-    regime = _default_regime(args.regime, args.alpha)
     seq = _sequence_from_args(args, pattern)
+    regime = args.regime or exact_regime(seq, pattern.matrix_indices())
     rs = reduce_system(seq, pattern, regime)
     if args.emit_weights:
         for t in sorted(pattern.matrix_indices()):
-            try:
-                print(f"omega[{t}] = {weight(seq, t, RATIONAL)}")
-            except ZkwanderError:
-                print(f"omega[{t}] = {_fmt(rs.weight_at(t))}")
+            print(f"omega[{t}] = {weight(seq, t, exact_regime(seq, (t,)))}")
         return 0
     print(f"alpha = {args.alpha}  k = {pattern.k}  "
           f"gamma = {pattern.gamma}  regime = {regime}")
-    print(f"det_N1 = {_fmt(rs.det_N1)}")
-    print("E =", ", ".join(_fmt(e) for e in rs.E))
-    print("G =", ", ".join(_fmt(g) for g in rs.G))
+    print(f"det_N1 = {display(rs.det_N1)}")
+    print("E =", ", ".join(display(e) for e in rs.E))
+    print("G =", ", ".join(display(g) for g in rs.G))
     c = compute_C(rs, args.d)
     for name, v in (("C1", c.C1), ("C2", c.C2), ("C3", c.C3),
                     ("C4", c.C4), ("C5", c.C5)):
-        print(f"{name} = {_fmt(v)}")
-    print(f"B2 = {_fmt(objective_B2(c))}")
-    print(f"B1 = {_fmt(objective_B1(c))}")
+        print(f"{name} = {display(v)}")
+    print(f"B2 = {display(objective_B2(c))}")
+    print(f"B1 = {display(objective_B1(c))}")
     if args.z3 is not None:
         e0, e1 = split_e(c, args.z3)
-        print(f"e0 = {_fmt(e0)}")
-        print(f"e1 = {_fmt(e1)}")
-        print(f"Z1* = {_fmt(z1_star(c, args.z3))}")
-        print(f"min B0 = {_fmt(b0_minimum(c, args.z3))}")
+        print(f"e0 = {display(e0)}")
+        print(f"e1 = {display(e1)}")
+        print(f"Z1* = {display(z1_star(c, args.z3))}")
+        print(f"min B0 = {display(b0_minimum(c, args.z3))}")
         if args.z1 is not None:
-            print(f"B0 = {_fmt(objective_B0(c, args.z3, args.z1))}")
+            print(f"B0 = {display(objective_B0(c, args.z3, args.z1))}")
     return 0
 
 
@@ -169,7 +151,7 @@ def cmd_search(args) -> int:
     else:
         config = SearchConfig(
             alpha=args.alpha, k=args.k, phi2=args.phi2, phi3=args.phi3,
-            strategy=args.strategy, threshold=float(args.threshold))
+            strategy=args.strategy, threshold=args.threshold)
     res = minimize(config)
     shown = res.value_repr
     if len(shown) > 72:
@@ -196,8 +178,7 @@ def cmd_search(args) -> int:
 def cmd_pipeline(args) -> int:
     pattern = _pattern_from_args(args)
     seq = _sequence_from_args(args, pattern)
-    # verify also reads the base weights at k + gamma_4 and k + gamma_5
-    regime = _default_regime(args.regime, args.alpha, args.override_base)
+    regime = args.regime or exact_regime(seq, pattern.embedded_indices())
     if args.d is not None:
         d = args.d
     else:
@@ -224,7 +205,7 @@ def cmd_pipeline(args) -> int:
     out = args.out or "certificate.json"
     save_certificate(cert, out)
     print(f"verdict: {cert.verdict}  c = "
-          f"{'n/a' if cert.c_value is None else _fmt(cert.c_value)}")
+          f"{'n/a' if cert.c_value is None else display(cert.c_value)}")
     print(f"certificate written to {out}")
     for reason in cert.reasons:
         print(f"reason: {reason}")
@@ -370,7 +351,7 @@ def _add_common_model_flags(p):
     p.add_argument("--phi2", type=int, default=0)
     p.add_argument("--phi3", type=int, default=0)
     p.add_argument("--gamma", help="six degrees overriding the phi pattern")
-    p.add_argument("--regime", choices=(RATIONAL, INTERVAL, FLOAT))
+    p.add_argument("--regime", choices=REGIMES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,6 +423,11 @@ def main(argv=None) -> int:
                 and (args.beta is None or args.sigma is None)):
             raise ZkwanderError("--beta and --sigma are required "
                                 "unless --minimal is given")
+        folder = os.path.dirname(getattr(args, "out", None) or "")
+        if folder and not os.path.isdir(folder):
+            # refused before any search, certificate or table is computed
+            raise ZkwanderError(f"cannot write {args.out}: no directory "
+                                f"{folder}")
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

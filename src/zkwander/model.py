@@ -22,15 +22,11 @@ from typing import Dict
 
 from .errors import (DegeneratePairError, InvalidPatternError,
                      NotOrthogonalError)
-from .scalars import (INTERVAL, RATIONAL, certainly_positive,
-                      is_exact_zero, is_zero, to_float, to_regime)
+from .scalars import (RATIONAL, certainly_positive, is_exact_zero,
+                      to_regime, zero_evidence, zero_tolerance)
 from .weights import WeightSequence, matrix_indices, weight
 
 CoefficientMap = Dict[int, object]
-
-# relative zero tolerances of the float and interval regimes (zero_tolerance)
-FLOAT_ZERO_RTOL = 1e-9
-INTERVAL_WIDTH_RTOL = 1e-20
 
 
 # Supports of F_1, F_2 and F_3 = F_1 + z^k (c_2 F_2 + c_1 F_1) as
@@ -248,20 +244,13 @@ def orthogonality_relations(pair: GeneratorPair, seq: WeightSequence,
     return q1, tuple(relations)
 
 
-def zero_tolerance(q1: AQuantities, regime: str) -> float:
-    """The regime's relative tolerance times max(1, |A_(1,3)|), A_(1,3)
-    being a real norm; exact values ignore it."""
-    rtol = INTERVAL_WIDTH_RTOL if regime == INTERVAL else FLOAT_ZERO_RTOL
-    return rtol * max(1.0, abs(to_float(q1.A3)))
-
-
 def _engineered_level1(pair: GeneratorPair, seq: WeightSequence,
                        regime: str) -> AQuantities:
     """The level-1 block, once the five orthogonality relations hold."""
     q1, relations = orthogonality_relations(pair, seq, regime)
-    tol = zero_tolerance(q1, regime)
+    tol = zero_tolerance(q1.A3)
     for (s, n), value in relations:
-        if not is_zero(value, tol):
+        if not zero_evidence(value, tol)[0]:
             raise NotOrthogonalError(f"A_({s},{n}) = {value!r} is not zero")
     return q1
 

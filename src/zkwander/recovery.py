@@ -27,9 +27,8 @@ from .errors import (DegeneratePairError, NoAdmissibleSystemError,
 from .model import AQuantities, GeneratorPair
 from .reduction import (CQuantities, ReducedSystem, compute_C, objective_B1,
                         pivot, pivot_modulus, z1_star, z3_quadratic)
-from .scalars import (FLOAT, RATIONAL, Radical, certainly_positive,
-                      refuse_foreign, sqrt, strictly_less, to_float,
-                      to_regime)
+from .scalars import (as_coefficient, certainly_positive, refuse_foreign,
+                      sqrt, strictly_less, to_float, to_regime)
 
 
 @dataclass(frozen=True)
@@ -88,9 +87,9 @@ def choose_A15(rs: ReducedSystem, c: CQuantities, z3, z1):
 def recover(rs: ReducedSystem, d, z3=None, z1=None, a15=None) -> RecoveredParameters:
     """Build the engineered generator pair at the point d.
 
-    Z_3 defaults to ``choose_Z3``; Z_1 to a rational approximation of the
-    minimizer sqrt(e_0/e_1) (any positive value keeps the orthogonality
-    relations, only the reported ratio moves); A_15 to the normalizing root.
+    Z_3 defaults to ``choose_Z3``; Z_1, in every regime, to the minimizer
+    sqrt(e_0/e_1) rounded to 9 digits (any positive Z_1 keeps the relations,
+    only the reported ratio moves); A_15 to the normalizing root.
     """
     regime = rs.regime
     refuse_foreign(regime, (z3, z1, a15))
@@ -98,9 +97,7 @@ def recover(rs: ReducedSystem, d, z3=None, z1=None, a15=None) -> RecoveredParame
     if z3 is None:
         z3 = to_regime(choose_Z3(c), regime)
     if z1 is None:
-        z1 = z1_star(c, z3)
-        if regime != FLOAT:
-            z1 = to_regime(_round_significant(to_float(z1)), regime)
+        z1 = to_regime(_round_significant(to_float(z1_star(c, z3))), regime)
     if not certainly_positive(z1):
         raise ValueError("Z_1 must be positive")
     if a15 is None:
@@ -168,9 +165,7 @@ def max_register_estimate(params: RecoveredParameters) -> float:
 
 def attach_register(params: RecoveredParameters, a_reg, b_reg) -> RecoveredParameters:
     """Set the register coefficients and re-check the strict inequality."""
-    if params.regime == RATIONAL:
-        a_reg, b_reg = (v if isinstance(v, Radical) else Fraction(v)
-                        for v in (a_reg, b_reg))
+    a_reg, b_reg = (as_coefficient(v, params.regime) for v in (a_reg, b_reg))
     gap, coupling = level1_block(params, a_reg, b_reg).contraction_sides()
     if not strictly_less(gap, abs(coupling)):
         est = max_register_estimate(params)

@@ -18,9 +18,11 @@ and a nonzero coefficient: arithmetic that cancels every atom returns a plain
 ``Fraction``, so the inner products the verifier forms come back as plain
 rationals.
 
-Every choice that depends on the regime -- square roots, the zero and sign
-tests, the scalar types a regime refuses -- is made here, by the type of the
-scalar, so the modules above never branch on it.
+Every choice that depends on the regime is made here, mostly by the type of
+the scalar: powers and square roots, the zero and sign tests with their
+evidence, the zero tolerance, the regimes that may back a verdict, the
+scalar types a regime refuses, and display.  The modules above never branch
+on it (tests/test_hygiene.py checks that).
 
 Determinants of the 3x3 weight matrix are taken by cofactor expansion.
 Entries span ~50 orders of magnitude, which would destroy float pivoting
@@ -55,13 +57,6 @@ def _up(x: float) -> float:
     return math.nextafter(x, _INF)
 
 
-def _fraction_fits_float(q: Fraction, f: float) -> bool:
-    # True when the conversion q -> f was exact.
-    if math.isinf(f):
-        return False
-    return Fraction(f) == q
-
-
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [lo, hi] of doubles; all operations round outward."""
@@ -75,14 +70,20 @@ class Interval:
 
     @classmethod
     def exact(cls, value) -> "Interval":
-        """Tight enclosure of an int, Fraction or float."""
+        """Tight enclosure of an int, Fraction or float; a rational past
+        the largest double raises ModeUnsupportedError."""
         if isinstance(value, Interval):
             return value
         if isinstance(value, float):
             return cls(value, value)
         q = Fraction(value)
-        f = float(q)
-        if _fraction_fits_float(q, f):
+        try:
+            f = float(q)
+        except OverflowError as exc:
+            raise ModeUnsupportedError(
+                "a rational past the largest double has no interval "
+                "enclosure; use the rational regime") from exc
+        if Fraction(f) == q:        # the conversion was exact
             return cls(f, f)
         return cls(_down(f), _up(f))
 
@@ -197,6 +198,36 @@ def power_interval(base, exponent) -> Interval:
     return Interval(lo, hi)
 
 
+def power(base: int, exponent: Fraction, regime: str):
+    """base**exponent, base >= 1 an integer: exact for an integer exponent
+    (the rational regime needs one), else an enclosure or a double; one
+    that overflows or underflows to 0 raises ModeUnsupportedError."""
+    if regime == FLOAT:
+        try:
+            v = float(base) ** float(exponent)
+        except OverflowError as exc:
+            raise ModeUnsupportedError(
+                f"{base}^({exponent}) overflows a float") from exc
+    elif exponent.denominator == 1:
+        a = exponent.numerator
+        v = Fraction(base ** a) if a >= 0 else Fraction(1, base ** (-a))
+        if regime == RATIONAL:
+            return v
+        v = to_regime(v, regime)
+    elif regime == INTERVAL:
+        v = power_interval(base, exponent)
+    elif regime == RATIONAL:
+        raise ModeUnsupportedError(
+            f"rational regime needs an integer exponent, got alpha={exponent}")
+    else:
+        raise ValueError(f"unknown regime {regime!r}")
+    if not certainly_positive(v):
+        raise ModeUnsupportedError(
+            f"{base}^({exponent}) is not certifiably positive in the {regime} "
+            "regime (underflow); use the rational regime")
+    return v
+
+
 @dataclass(frozen=True)
 class Radical:
     """Exact c * sqrt(r_1) * ... * sqrt(r_n), c != 0 rational, n >= 1 atoms.
@@ -300,21 +331,42 @@ class Radical:
 # ---------------------------------------------------------------------------
 # generic scalar helpers
 
+# relative zero tolerance of the float regime (zero_tolerance)
+FLOAT_ZERO_RTOL = 1e-9
+
+
+def proves(regime: str) -> bool:
+    """Whether the regime's results may back a pass verdict; float values
+    are for searching only."""
+    return regime != FLOAT
+
+
 def is_exact_zero(x) -> bool:
     if isinstance(x, Interval):
         return x.lo == 0.0 and x.hi == 0.0
     return x == 0
 
 
-def is_zero(x, tol: float) -> bool:
-    """The regime's zero test: exact for rational and Radical values, |x| <= tol
-    for float, and for an interval "contains 0 and is at most tol wide",
-    which does not prove that the value is zero."""
+def zero_tolerance(scale) -> float:
+    """The float zero tolerance of values of the size of scale (A_(1,3), a
+    real norm): FLOAT_ZERO_RTOL times max(1, |scale|).  Exact values and
+    intervals ignore it."""
+    return FLOAT_ZERO_RTOL * max(1.0, abs(to_float(scale)))
+
+
+def zero_evidence(x, tol: float) -> tuple:
+    """(x = 0 as far as the regime can tell, the evidence as a JSON dict).
+
+    Exact for rational and Radical values and |x| <= tol for float.  An
+    interval proves 0 only as the point [0, 0]: containing 0 does not
+    prove that the value is 0.
+    """
     if isinstance(x, Interval):
-        return x.contains_zero() and x.width <= tol
+        return is_exact_zero(x), {"contains_zero": x.contains_zero(),
+                                  "width": x.width}
     if isinstance(x, float):
-        return abs(x) <= tol
-    return is_exact_zero(x)
+        return abs(x) <= tol, {"residual": abs(x), "tolerance": tol}
+    return is_exact_zero(x), {"exact": True, "value": scalar_to_json(x)}
 
 
 def excludes_zero(x) -> bool:
@@ -322,6 +374,28 @@ def excludes_zero(x) -> bool:
     if isinstance(x, Interval):
         return not x.contains_zero()
     return not is_exact_zero(x)
+
+
+def nonzero_evidence(x) -> tuple:
+    """(x != 0 as far as the regime can tell, the evidence as a JSON dict)."""
+    ok = excludes_zero(x)
+    if isinstance(x, Interval):
+        return ok, {"excludes_zero": ok}
+    if isinstance(x, float):
+        return ok, {"magnitude": abs(x)}
+    return ok, {"exact": True, "value": scalar_to_json(x)}
+
+
+def agreement(x, y) -> dict:
+    """Whether x and y agree: exactly for exact values, as equal squares (a
+    square takes the radical away) and equal signs; otherwise to 1e-9 in
+    the relative residual of their floats."""
+    if not {type(x), type(y)} & {float, Interval}:
+        return {"equal": (x * x == y * y and certainly_positive(x)
+                          == certainly_positive(y)), "exact": True}
+    lf, rf = to_float(x), to_float(y)
+    residual = abs(lf - rf) / max(1.0, abs(lf), abs(rf))
+    return {"equal": residual <= 1e-9, "relative_residual": residual}
 
 
 def certainly_positive(x) -> bool:
@@ -390,6 +464,34 @@ def to_float(x) -> float:
     if isinstance(x, Interval):
         return x.mid
     return float(x)
+
+
+def as_coefficient(v, regime: str):
+    """A coefficient as given by a caller, in the regime's arithmetic: the
+    rational regime reads an int or float exactly as a Fraction and keeps a
+    Radical; the other regimes take it as it is."""
+    if regime == RATIONAL and not isinstance(v, Radical):
+        return Fraction(v)
+    return v
+
+
+def display(x) -> str:
+    """A float as its repr, an interval as [lo, hi], an exact value as its
+    nearest double."""
+    if isinstance(x, (float, Interval)):
+        return repr(x)
+    return repr(to_float(x))
+
+
+def scalar_text(x) -> str:
+    """str(x), or for an exact rational past the interpreter's
+    integer-string limit its nearest double and its approximate size."""
+    try:
+        return str(x)
+    except ValueError:
+        num, den = (round(n.bit_length() * math.log10(2))
+                    for n in (x.numerator, x.denominator))
+        return f"~{to_float(x)!r} (exact: ~{num} digits over ~{den})"
 
 
 def scalar_to_json(x):

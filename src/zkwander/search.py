@@ -21,8 +21,8 @@ from .errors import (DegenerateReductionError, InvalidPatternError,
 from .model import DegreePattern
 from .recovery import _round_significant
 from .reduction import compute_C, objective_B1, objective_B2, reduce_system
-from .scalars import FLOAT, INTERVAL, RATIONAL, strictly_less, to_float
-from .weights import WeightSequence, dirichlet
+from .scalars import FLOAT, scalar_text, strictly_less, to_float
+from .weights import WeightSequence, dirichlet, exact_regime
 
 # d ranges over five-plus orders of magnitude in the published tables,
 # so the grid every search scans is logarithmic and wide.
@@ -222,18 +222,16 @@ def confirm_value(seq: WeightSequence, pattern: DegreePattern, d3,
                   target: str = "B1", threshold=1):
     """Re-evaluate the objective rigorously at an exact rational point.
 
-    Returns (value_float, value_repr, regime, landing_side). Integer alpha
-    goes through exact rationals, anything else through directed-rounding
-    enclosures. The side is "undecided" when the regime cannot order the
-    value strictly against the threshold, an exact tie included.
+    Returns (value_float, value_repr, regime, landing_side), the regime
+    being ``exact_regime`` of the matrix weights. The side is "undecided"
+    when the regime cannot order the value strictly against the threshold,
+    an exact tie included.
     """
     objective = _OBJECTIVES[target]
     d_exact = tuple(v if isinstance(v, Fraction) else Fraction(str(v))
                     for v in d3)
-    try:
-        rs = reduce_system(seq, pattern, RATIONAL)
-    except ModeUnsupportedError:
-        rs = reduce_system(seq, pattern, INTERVAL)
+    rs = reduce_system(seq, pattern,
+                       exact_regime(seq, pattern.matrix_indices()))
     value = objective(compute_C(rs, d_exact))
     thr = Fraction(threshold)
     if strictly_less(value, thr):
@@ -242,7 +240,7 @@ def confirm_value(seq: WeightSequence, pattern: DegreePattern, d3,
         side = "above"
     else:
         side = "undecided"
-    return to_float(value), str(value), rs.regime, side
+    return to_float(value), scalar_text(value), rs.regime, side
 
 
 def minimize(config: SearchConfig) -> SearchResult:

@@ -8,7 +8,8 @@ supported:
   Bergman, Hardy and Dirichlet norms.
 * ``perturbed(base, overrides)`` -- equal to ``base`` except at finitely many
   indices, whose exact rational values are stored explicitly.
-* ``custom(prefix, tail)`` -- explicit finite prefix, then another sequence.
+  ``custom(prefix, tail)`` is the perturbed ``tail`` whose overrides are the
+  explicit finite prefix.
 
 Evaluation is regime aware: exact rationals (integer alpha only), outward
 rounded intervals, or plain floats for search work.
@@ -22,12 +23,11 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import InvalidPatternError, ModeUnsupportedError
-from .scalars import (FLOAT, INTERVAL, RATIONAL, Interval, power_interval,
-                      rational_from_json, to_regime)
+from .scalars import (INTERVAL, RATIONAL, excludes_zero, power,
+                      rational_from_json, strictly_less, to_float, to_regime)
 
 DIRICHLET = "dirichlet"
 PERTURBED = "perturbed"
-CUSTOM = "custom"
 
 
 def _normalize_alpha(alpha) -> Fraction:
@@ -43,8 +43,6 @@ class WeightSequence:
     alpha: Optional[Fraction] = None
     base: Optional["WeightSequence"] = None
     overrides: tuple = ()          # sorted ((index, Fraction), ...)
-    prefix: tuple = ()             # Fractions
-    tail: Optional["WeightSequence"] = None
 
 
 def dirichlet(alpha) -> WeightSequence:
@@ -68,10 +66,8 @@ def perturbed(base: WeightSequence, overrides: dict) -> WeightSequence:
 
 
 def custom(prefix: Sequence, tail: WeightSequence) -> WeightSequence:
-    pf = tuple(Fraction(v) for v in prefix)
-    if any(v <= 0 for v in pf):
-        raise ValueError("prefix weights must be positive")
-    return WeightSequence(kind=CUSTOM, prefix=pf, tail=tail)
+    """The explicit weights prefix[t] at t < len(prefix), then tail."""
+    return perturbed(tail, dict(enumerate(prefix)))
 
 
 @lru_cache(maxsize=None)
@@ -79,52 +75,29 @@ def _override_map(seq: WeightSequence) -> dict:
     return dict(seq.overrides)
 
 
-def _dirichlet_weight(alpha: Fraction, t: int, regime: str):
-    n = t + 1
-    if regime == RATIONAL:
-        if alpha.denominator != 1:
-            raise ModeUnsupportedError(
-                f"rational regime needs an integer exponent, got alpha={alpha}")
-        a = alpha.numerator
-        return Fraction(n ** a) if a >= 0 else Fraction(1, n ** (-a))
-    if regime == FLOAT:
-        try:
-            v = float(n) ** float(alpha)
-        except OverflowError as exc:
-            raise ModeUnsupportedError(f"float weight overflow at t={t}") from exc
-        if v == 0.0:
-            raise ModeUnsupportedError(
-                f"float weight underflows to 0 at t={t}; use the rational regime")
-        return v
-    if regime == INTERVAL:
-        if alpha.denominator == 1:
-            iv = Interval.exact(_dirichlet_weight(alpha, t, RATIONAL))
-        else:
-            iv = power_interval(n, alpha)
-        if not iv.is_positive():
-            raise ModeUnsupportedError(
-                f"interval weight at t={t} is not certifiably positive "
-                "(underflow); use the rational regime")
-        return iv
-    raise ValueError(f"unknown regime {regime!r}")
-
-
 def weight(seq: WeightSequence, t: int, regime: str = RATIONAL):
     """omega_t of the sequence in the requested regime."""
     if t < 0:
         raise ValueError("degree must be >= 0")
     if seq.kind == DIRICHLET:
-        return _dirichlet_weight(seq.alpha, t, regime)
+        return power(t + 1, seq.alpha, regime)
     if seq.kind == PERTURBED:
         v = _override_map(seq).get(t)
         if v is not None:
             return to_regime(v, regime)
         return weight(seq.base, t, regime)
-    if seq.kind == CUSTOM:
-        if t < len(seq.prefix):
-            return to_regime(seq.prefix[t], regime)
-        return weight(seq.tail, t, regime)
     raise ValueError(f"unknown weight kind {seq.kind!r}")
+
+
+def exact_regime(seq: WeightSequence, indices) -> str:
+    """RATIONAL when every weight of seq at the indices is rational,
+    INTERVAL otherwise: the regime that is exact, or encloses, there."""
+    try:
+        for t in indices:
+            weight(seq, t, RATIONAL)
+    except ModeUnsupportedError:
+        return INTERVAL
+    return RATIONAL
 
 
 def matrix_indices(k: int, gamma: Sequence[int]) -> tuple:
@@ -159,22 +132,19 @@ def lint_weights(seq: WeightSequence, upto: int = 64) -> list:
     a result may not apply.
     """
     warnings = []
-    try:
-        w0 = weight(seq, 0, RATIONAL)
-        values = [weight(seq, t, RATIONAL) for t in range(upto + 1)]
-    except ModeUnsupportedError:
-        w0 = weight(seq, 0, FLOAT)
-        values = [weight(seq, t, FLOAT) for t in range(upto + 1)]
-    if w0 != 1:
-        warnings.append(f"omega_0 = {w0} != 1")
+    regime = exact_regime(seq, range(upto + 1))
+    values = [weight(seq, t, regime) for t in range(upto + 1)]
+    if excludes_zero(values[0] - 1):
+        warnings.append(f"omega_0 = {values[0]} != 1")
     ratios = [values[t] / values[t + 1] for t in range(upto)]
-    if max(ratios) > 4 or min(ratios) < Fraction(1, 4):
+    if any(strictly_less(4, r) or strictly_less(r, Fraction(1, 4))
+           for r in ratios):
         warnings.append("ratio omega_t/omega_{t+1} leaves [1/4, 4] "
                         f"on t <= {upto}")
-    endgap = abs(ratios[-1] - 1)
-    if endgap > Fraction(1, 2):
-        warnings.append(f"ratio omega_t/omega_{{t+1}} is {float(ratios[-1]):.4g} "
-                        f"at t = {upto - 1}, not close to 1")
+    if strictly_less(Fraction(1, 2), abs(ratios[-1] - 1)):
+        warnings.append(f"ratio omega_t/omega_{{t+1}} is "
+                        f"{to_float(ratios[-1]):.4g} at t = {upto - 1}, "
+                        "not close to 1")
     return warnings
 
 
@@ -184,13 +154,9 @@ def lint_weights(seq: WeightSequence, upto: int = 64) -> list:
 def weights_to_dict(seq: WeightSequence) -> dict:
     if seq.kind == DIRICHLET:
         return {"kind": DIRICHLET, "alpha": str(seq.alpha)}
-    if seq.kind == PERTURBED:
-        return {"kind": PERTURBED,
-                "base": weights_to_dict(seq.base),
-                "overrides": {str(t): str(v) for t, v in seq.overrides}}
-    return {"kind": CUSTOM,
-            "prefix": [str(v) for v in seq.prefix],
-            "tail": weights_to_dict(seq.tail)}
+    return {"kind": PERTURBED,
+            "base": weights_to_dict(seq.base),
+            "overrides": {str(t): str(v) for t, v in seq.overrides}}
 
 
 def weights_from_dict(obj: dict) -> WeightSequence:
@@ -201,7 +167,4 @@ def weights_from_dict(obj: dict) -> WeightSequence:
         base = weights_from_dict(obj["base"])
         return perturbed(base, {int(t): rational_from_json(v)
                                 for t, v in obj["overrides"].items()})
-    if kind == CUSTOM:
-        return custom([rational_from_json(v) for v in obj["prefix"]],
-                      weights_from_dict(obj["tail"]))
     raise ValueError(f"unknown weight kind {kind!r}")

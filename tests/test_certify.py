@@ -23,6 +23,10 @@ C_FLAGSHIP = 0.18894510966828287
 DATA = Path(__file__).with_name("data")
 # the headline certificate as schema v2 writes it, byte for byte
 HEADLINE_CERTIFICATE = DATA / "headline_certificate_v2.json"
+# alpha = -33/2, k = 6, d = (1, 1, 4, 6), Z_3 = -2e13, unit registers, in
+# the interval regime, as schema v2 writes it since an enclosure proves 0
+# only as the point [0, 0]
+INTERVAL_CERTIFICATE = DATA / "interval_certificate_v2.json"
 # the same certificate as schema v1 wrote it (with an s_max sweep depth)
 HEADLINE_CERTIFICATE_V1 = DATA / "headline_certificate.json"
 HEADLINE_V1_SHA256 = (
@@ -162,18 +166,34 @@ class TestFloatGate:
             assert float_cert.conditions[name]["holds"]
         assert float_cert.c_value == pytest.approx(C_FLAGSHIP)
 
+    def test_float_ratio_is_the_exact_one(self, float_cert, cert16):
+        # recover rounds Z_1 in every regime, so the float pipeline
+        # evaluates the pair the exact one certifies
+        assert abs(float_cert.c_value - float(cert16.c_value)) <= 1e-14
+
 
 class TestIntervalRegime:
 
     def test_flagship_fails_honestly(self, z3_main):
         """Interval enclosures of the engineered cancelation keep a tiny
-        width, so the equality conditions cannot certify at this alpha."""
+        width, and an enclosure containing 0 does not prove 0, so the
+        equality conditions cannot certify."""
         rs = reduce_system(dirichlet(-16), DegreePattern.default(6), INTERVAL)
         params = recover(rs, (1, 4, 6), z3=z3_main)
         cert = verify(params.pair, rs.seq, INTERVAL)
         assert cert.verdict == "fail"
-        assert any("exceeds the certification tolerance" in r
+        assert any("contains 0" in r and "does not prove that it is 0" in r
                    for r in cert.reasons)
+
+    def test_interval_bytes_are_pinned(self, z3_main):
+        seq = dirichlet(Fraction(-33, 2))
+        rs = reduce_system(seq, DegreePattern.default(6), INTERVAL)
+        params = attach_register(recover(rs, (1, 4, 6), z3=z3_main), 1, 1)
+        cert = verify(params.pair, seq, INTERVAL)
+        assert cert.to_json().encode() == INTERVAL_CERTIFICATE.read_bytes()
+        report = check_certificate(str(INTERVAL_CERTIFICATE))
+        assert report["ok"]
+        assert report["recomputed_verdict"] == "fail"
 
 
 class TestCertificateIO:

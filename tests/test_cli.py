@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from zkwander.cli import main
+from zkwander.search import SearchConfig, minimize
 
 
 def run(capsys, *argv):
@@ -138,6 +139,30 @@ class TestBadInput:
         assert err.startswith("error: ")
         assert str(path) in err
 
+    @pytest.mark.parametrize("argv, work", [
+        (("search", "--alpha", "-16"), "zkwander.cli.minimize"),
+        (("pipeline", "--alpha", "-16"), "zkwander.cli.minimize"),
+        (("pipeline", "--alpha", "-16", "--d", "1,4,6"),
+         "zkwander.cli.reduce_system"),
+        (("reproduce", "--table", "1"), "zkwander.cli.reproduce_table"),
+        (("reproduce", "--table", "3"), "zkwander.cli._reproduce_table3"),
+        (("reproduce", "--table", "4"), "zkwander.cli.reduce_system"),
+        (("reproduce", "--table", "5"),
+         "zkwander.asymptotic.reproduce_table5"),
+    ], ids=["search", "pipeline-search", "pipeline", "reproduce-1",
+            "reproduce-3", "reproduce-4", "reproduce-5"])
+    def test_out_is_checked_before_the_work(self, capsys, tmp_path,
+                                            monkeypatch, argv, work):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{work} ran before --out was checked")
+        monkeypatch.setattr(work, refuse)
+        path = tmp_path / "missing" / "out.json"
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert str(path) in err
+
     @pytest.mark.parametrize("alpha", ["-65", "-100"])
     def test_alpha_outside_replay_bounds(self, capsys, tmp_path, alpha):
         # verify applies the bounds replay applies, so no certificate is
@@ -221,6 +246,25 @@ class TestSearch:
         code, _, _ = run(capsys, "search", "--alpha", "-16",
                          "--threshold", "1/1000")
         assert code == 2
+
+    def test_threshold_is_compared_exactly(self, capsys):
+        # the exact value the search reports ties with itself
+        value = minimize(SearchConfig(alpha=-16)).value_repr
+        code, out, _ = run(capsys, "search", "--alpha", "-16",
+                           "--threshold", value)
+        assert code == 2
+        assert "landing side vs threshold: undecided" in out
+
+    def test_exact_value_past_the_digit_limit(self, capsys, tmp_path):
+        # B_1 is below 1 but its exact form has more than 4300 digits
+        out_file = tmp_path / "search.json"
+        code, out, err = run(capsys, "search", "--alpha", "-32", "--k", "600",
+                             "--out", str(out_file))
+        assert code == 0, err
+        assert "landing side vs threshold: below" in out
+        payload = json.loads(out_file.read_text())
+        assert payload["landing_side"] == "below"
+        assert "digits" in payload["value_repr"]
 
 
 class TestPipeline:

@@ -1,7 +1,8 @@
 """Source hygiene: no package module imports a name it never uses, no
 private module-level name or library function is left that no module loads,
-no module builds a complex value or reads its parts, and the package imports
-exactly the third-party modules pyproject.toml lists."""
+no module builds a complex value or reads its parts, no module but scalars
+branches on the scalar regime, and the package imports exactly the
+third-party modules pyproject.toml lists."""
 
 import ast
 import os
@@ -125,6 +126,47 @@ def _complex_uses(tree: ast.Module) -> list:
 def test_every_scalar_is_real(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _complex_uses(tree) == []
+
+
+REGIME_TAGS = {"RATIONAL", "INTERVAL", "FLOAT"}
+REGIME_VALUES = {"rational", "interval", "float"}
+SCALAR_TYPES = {"Interval", "Radical"}
+
+
+def _is_regime(node) -> bool:
+    """A regime tag, its string value, or a literal collection holding one."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(map(_is_regime, node.elts))
+    return ((isinstance(node, ast.Name) and node.id in REGIME_TAGS)
+            or (isinstance(node, ast.Attribute) and node.attr in REGIME_TAGS)
+            or (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value in REGIME_VALUES))
+
+
+def _regime_branches(tree: ast.Module) -> list:
+    """Comparisons (==, !=, in) with a regime, and isinstance checks that
+    name Interval or Radical."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Compare)
+                and any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn))
+                        for op in node.ops)
+                and any(map(_is_regime, [node.left, *node.comparators]))):
+            found.append(f"regime comparison (line {node.lineno})")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance" and len(node.args) == 2
+              and any(isinstance(n, ast.Name) and n.id in SCALAR_TYPES
+                      for n in ast.walk(node.args[1]))):
+            found.append(f"isinstance on a scalar type (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "scalars"],
+    ids=lambda p: p.stem)
+def test_only_scalars_branches_on_the_regime(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _regime_branches(tree) == []
 
 
 def test_import_loads_neither_scipy_nor_numpy():

@@ -9,9 +9,10 @@ from zkwander.errors import ModeUnsupportedError, SingularSystemError
 from zkwander.scalars import (FLOAT, INTERVAL, RATIONAL, Interval, Radical,
                               certainly_positive, cramer_solve3, det3,
                               excludes_zero,
-                              is_exact_zero, is_zero, power_interval,
+                              is_exact_zero, power_interval,
                               scalar_from_json, scalar_to_json, sqrt,
-                              strictly_less, to_float, to_regime)
+                              strictly_less, to_float, to_regime,
+                              zero_evidence)
 
 rationals = st.fractions(min_value=-1000, max_value=1000,
                          max_denominator=10 ** 6)
@@ -221,14 +222,16 @@ class TestHelpers:
         assert Fraction(iv.lo) ** 2 <= a <= Fraction(iv.hi) ** 2
 
     def test_is_zero_per_regime(self):
-        assert is_zero(Fraction(0), 1.0)
-        assert not is_zero(Fraction(1, 10 ** 30), 1.0)
-        assert not is_zero(Radical.sqrt(2), 10.0)
-        assert is_zero(1e-12, 1e-9) and not is_zero(1e-6, 1e-9)
-        # an interval counts as zero only when it contains 0 and is narrow
-        assert is_zero(Interval(-1e-30, 1e-30), 1e-20)
-        assert not is_zero(Interval(-1e-10, 1e-10), 1e-20)
-        assert not is_zero(Interval(1e-30, 2e-30), 1e-20)
+        assert zero_evidence(Fraction(0), 1.0)[0]
+        assert not zero_evidence(Fraction(1, 10 ** 30), 1.0)[0]
+        assert not zero_evidence(Radical.sqrt(2), 10.0)[0]
+        assert zero_evidence(1e-12, 1e-9)[0]
+        assert not zero_evidence(1e-6, 1e-9)[0]
+        # an interval proves 0 only as the point [0, 0]
+        assert zero_evidence(Interval(0.0, 0.0), 1e-20)[0]
+        assert not zero_evidence(Interval(-1e-30, 1e-30), 1e-20)[0]
+        assert not zero_evidence(Interval(-1e-10, 1e-10), 1e-20)[0]
+        assert not zero_evidence(Interval(1e-30, 2e-30), 1e-20)[0]
 
     def test_excludes_zero_and_certainly_positive(self):
         assert excludes_zero(Fraction(-1, 3)) and not excludes_zero(Fraction(0))

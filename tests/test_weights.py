@@ -51,6 +51,14 @@ class TestDirichlet:
         with pytest.raises(ModeUnsupportedError):
             weight(dirichlet(16), 10 ** 21, FLOAT)
 
+    def test_interval_overflow_is_refused(self):
+        # an exact weight past the largest double has no float enclosure
+        with pytest.raises(ModeUnsupportedError):
+            weight(dirichlet(64), 10 ** 6, INTERVAL)
+        with pytest.raises(ModeUnsupportedError):
+            weight(perturbed(dirichlet(0), {3: Fraction(10) ** 400}), 3,
+                   INTERVAL)
+
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             weight(dirichlet(-16), -1)
@@ -177,3 +185,10 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             weights_from_dict({"kind": "geometric"})
+
+    def test_custom_is_a_perturbed_sequence(self):
+        seq = custom([Fraction(1), Fraction(5, 2)], dirichlet(-2))
+        assert seq == perturbed(dirichlet(-2), {0: 1, 1: Fraction(5, 2)})
+        with pytest.raises(ValueError):
+            weights_from_dict({"kind": "custom", "prefix": ["1"],
+                               "tail": {"kind": "dirichlet", "alpha": "0"}})
