@@ -35,9 +35,10 @@ from .model import (AQuantities, DegreePattern, GeneratorPair,
                     orthogonality_relations)
 from .recovery import level1_block
 from .reduction import objective_B0
-from .scalars import (RATIONAL, REGIMES, agreement, nonzero_evidence, proves,
-                      refuse_foreign, scalar_from_json, scalar_to_json,
-                      strictly_less, to_float, zero_evidence, zero_tolerance)
+from .scalars import (MAX_ALPHA_DENOMINATOR, RATIONAL, REGIMES, agreement,
+                      nonzero_evidence, proves, refuse_foreign,
+                      scalar_from_json, scalar_to_json, strictly_less,
+                      to_float, zero_evidence, zero_tolerance)
 from .weights import (WeightSequence, exact_regime, weight, weights_from_dict,
                       weights_to_dict)
 
@@ -48,10 +49,10 @@ SCHEMA_V1 = "zkwander-certificate/v1"
 HIGHER_LEVELS = ("A_(s,1) and A_(s,5) for s >= 4 multiply a zero coefficient "
                  "in the membership recursion; they are not evaluated")
 
-# ranges verify and check_certificate accept, far above every published row
-# (|alpha| <= 16 with denominator <= 1000, k <= 88, degrees <= 14611)
+# ranges verify and check_certificate accept, above every published row
+# (|alpha| <= 16 with denominator <= 1000, k <= 88, degrees <= 14611); the
+# denominator bound, MAX_ALPHA_DENOMINATOR, is the interval power's own
 MAX_ABS_ALPHA = 64
-MAX_ALPHA_DENOMINATOR = 10 ** 6
 MAX_K = 10 ** 4
 MAX_DEGREE = 10 ** 6
 MAX_WEIGHT_NESTING = 16     # perturbed levels above the Dirichlet base

@@ -7,7 +7,9 @@ Three regimes run through the whole package, all of them with real scalars:
 * ``interval``  -- closed float intervals with outward rounding via
   ``math.nextafter``.  Hardware directed rounding is not reachable from pure
   Python, so every endpoint operation is widened by one step; enclosures stay
-  valid at the cost of one ulp per operation.
+  valid at the cost of one ulp per operation.  A non-integer power
+  b**(p/q) is enclosed around its nearest double, which exact integer
+  comparisons of q-th powers prove; q is bounded by MAX_ALPHA_DENOMINATOR.
 * ``float``     -- plain doubles, for searching only.  Nothing computed here
   may back a pass verdict.
 
@@ -35,9 +37,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
-
-import mpmath
 
 from .errors import ModeUnsupportedError, SingularSystemError
 
@@ -179,23 +180,59 @@ class Interval:
         return f"[{self.lo!r}, {self.hi!r}]"
 
 
-def power_interval(base, exponent) -> Interval:
-    """Enclosure of base**exponent for rational base > 0 and exponent.
+# largest denominator of an interval exponent: the proof of a power takes
+# q-th powers of doubles, a few ms per power at q = 1000 (alpha = -4.999)
+MAX_ALPHA_DENOMINATOR = 10 ** 3
 
-    Computed with mpmath at 80-bit precision and widened by two float ulps on
-    each side.  Correctness rests on mpmath staying within a few ulps of its
-    working precision, which leaves ~2^60 of headroom over a double ulp.
-    """
-    b = Fraction(base)
+
+@lru_cache(maxsize=4096)
+def _nearest_power(b: Fraction, e: Fraction) -> float:
+    """The double nearest to b**e (ties to even), b > 0, proved: for e = p/q
+    and x > 0, x <= b**e exactly when x**q <= b**p.  From the float power,
+    corrected to first order for the rounding of e, it steps by ulps until
+    b**e lies between the midpoints to the neighbours.  0.0 or inf, not
+    proved, where the float power underflows or overflows."""
+    try:
+        r = float(b) ** float(e)
+        r *= 1 + float(e - Fraction(float(e))) * math.log(b)
+    except OverflowError:
+        return _INF
+    if r in (0.0, _INF):            # b**p may be too large to form
+        return r
+    q, (num, den) = e.denominator, (b ** e.numerator).as_integer_ratio()
+
+    def rounds_down(u: float, v: float) -> bool:
+        # b**e rounds to u, not to its upper neighbour v: mid**q > b**p at
+        # their midpoint mid = m / 2d (d a power of two), or = with u even
+        m, d = (Fraction(u) + Fraction(v)).as_integer_ratio()
+        lhs, rhs = m ** q * den, num << d.bit_length() * q
+        return lhs > rhs or lhs == rhs and u / math.ulp(u) % 2 == 0
+
+    while r > 0.0 and rounds_down(_down(r), r):
+        r = _down(r)
+    while _up(r) < _INF and not rounds_down(r, _up(r)):
+        r = _up(r)
+    return r
+
+
+def power_interval(base, exponent) -> Interval:
+    """Enclosure of base**exponent, base > 0 and the exponent's denominator
+    <= MAX_ALPHA_DENOMINATOR: the proved nearest double, two ulps out on
+    each side.  A power that rounds to 0 or past the largest double, or a
+    base outside the normal doubles, raises ModeUnsupportedError."""
+    b, e = Fraction(base), Fraction(exponent)
     if b <= 0:
         raise ValueError("power_interval needs a positive base")
-    with mpmath.workprec(80):
-        mb = mpmath.mpf(b.numerator) / mpmath.mpf(b.denominator)
-        e = Fraction(exponent)
-        me = mpmath.mpf(e.numerator) / mpmath.mpf(e.denominator)
-        r = float(mpmath.power(mb, me))
-    lo, hi = _down(_down(r)), _up(_up(r))
-    return Interval(lo, hi)
+    if e.denominator > MAX_ALPHA_DENOMINATOR:
+        raise ModeUnsupportedError(f"an interval power needs a denominator <= "
+                                   f"{MAX_ALPHA_DENOMINATOR}, got {e}")
+    r = (_nearest_power(b, e)
+         if sys.float_info.min <= b <= sys.float_info.max else 0.0)
+    if r == 0.0 or _up(_up(r)) == _INF:
+        raise ModeUnsupportedError(
+            f"{base}^({exponent}) has no interval enclosure: it or its base "
+            "lies outside the range of doubles")
+    return Interval(_down(_down(r)), _up(_up(r)))
 
 
 def power(base: int, exponent: Fraction, regime: str):

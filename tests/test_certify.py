@@ -354,6 +354,7 @@ def _set_in(*path_and_value):
     _set_in("weights", "alpha", "-100000"),
     _set_in("weights", "alpha", "65"),
     _set_in("weights", "alpha", "-16/10000001"),
+    _set_in("weights", "alpha", "-16001/1001"),
     _set_in("weights", "alpha", "-160000001/10000001"),
     _set("k", 10 ** 4 + 1),
     _set("gamma", [0, 1, 2, 3, 4, 10 ** 6 + 5]),
@@ -372,6 +373,7 @@ def _set_in(*path_and_value):
         "alpha-zero-denominator", "root-infinite",
         "alpha-infinite", "alpha-minus-1000", "alpha-minus-100000",
         "alpha-above-bound", "alpha-denominator-above-bound",
+        "alpha-denominator-1001",
         "alpha-numerator-above-bound", "k-above-bound",
         "degree-above-bound", "degree-negative", "alpha-exponent-form",
         "coefficient-exponent-form", "radical-too-many-atoms",

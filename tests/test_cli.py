@@ -91,9 +91,13 @@ class TestBadInput:
         ("pipeline", "--regime", "float", "--alpha", "-16", "--d", "1,4,6",
          "--z3=-2e13,1e12"),
         ("eval", "--alpha", "-16", "--z1", "5"),
+        ("eval", "--alpha", "127/2", "--k", "6", "--phi3", "20000",
+         "--regime", "interval"),
+        ("eval", "--alpha", "-16001/1001", "--regime", "interval"),
     ], ids=["d-not-positive", "gamma-not-integer", "z1-not-positive",
             "complex-z3-rational", "complex-z3-interval",
-            "complex-z3-float-pipeline", "z1-without-z3"])
+            "complex-z3-float-pipeline", "z1-without-z3",
+            "interval-weight-overflows", "alpha-denominator-above-bound"])
     def test_bad_argument(self, capsys, tmp_path, argv):
         code, out, err = run(capsys, *argv, *(
             ("--out", str(tmp_path / "cert.json"))

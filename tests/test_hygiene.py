@@ -179,6 +179,18 @@ def test_import_loads_neither_scipy_nor_numpy():
     assert proc.stdout == "[]\n"
 
 
+def test_import_loads_only_the_standard_library():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    # the modules the import adds; site hooks load some before it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; before = set(sys.modules); "
+         "import zkwander; print(sorted({m.split('.')[0] for m in "
+         "set(sys.modules) - before} - set(sys.stdlib_module_names)))"],
+        capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout == "['zkwander']\n"
+
+
 def _third_party_imports(tree: ast.Module) -> set:
     """Top-level names of the absolute imports outside the standard library."""
     names = set()

@@ -2,13 +2,15 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zkwander.errors import ModeUnsupportedError, SingularSystemError
-from zkwander.scalars import (FLOAT, INTERVAL, RATIONAL, Interval, Radical,
-                              certainly_positive, cramer_solve3, det3,
-                              excludes_zero,
+from zkwander.model import DegreePattern
+from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
+from zkwander.scalars import (FLOAT, INTERVAL, MAX_ALPHA_DENOMINATOR, RATIONAL,
+                              Interval, Radical, certainly_positive,
+                              cramer_solve3, det3, excludes_zero,
                               is_exact_zero, power_interval,
                               scalar_from_json, scalar_to_json, sqrt,
                               strictly_less, to_float, to_regime,
@@ -73,11 +75,85 @@ class TestInterval:
     def test_power_interval_contains_true_power(self, a, e):
         iv = power_interval(a, e)
         # compare in high-precision floats through mpmath
-        import mpmath
+        mpmath = pytest.importorskip("mpmath")
         with mpmath.workprec(120):
             true = mpmath.power(mpmath.mpf(a.numerator) / a.denominator,
                                 mpmath.mpf(e.numerator) / e.denominator)
             assert mpmath.mpf(iv.lo) <= true <= mpmath.mpf(iv.hi)
+
+    @given(b=st.one_of(st.integers(1, 20000),
+                       st.fractions(Fraction(1, 1000), 1000,
+                                    max_denominator=1000)),
+           e=st.fractions(-17, 17, max_denominator=64))
+    @example(b=15000, e=Fraction(-4999, 1000))
+    @example(b=7, e=Fraction(-4999, 1000))
+    @example(b=14611, e=Fraction(63999, 1000))
+    @example(b=2, e=Fraction(7, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_power_interval_is_proved_exactly(self, b, e):
+        # lo <= b**(p/q) <= hi  iff  lo**q <= b**p <= hi**q, for 0 < lo
+        iv = power_interval(b, e)
+        p, q = e.numerator, e.denominator
+        assert 0 < iv.lo
+        assert Fraction(iv.lo) ** q <= Fraction(b) ** p <= Fraction(iv.hi) ** q
+
+    @pytest.mark.parametrize("b, e, exact", [
+        (4, Fraction(1, 2), 2), (Fraction(1, 27), Fraction(-2, 3), 9),
+        (10 ** 6, Fraction(1, 3), 100), (2 ** 10, Fraction(-3, 10),
+                                          Fraction(1, 8)),
+        (9, Fraction(35, 2), 3 ** 35), (9, Fraction(-35, 2),
+                                         Fraction(1, 3 ** 35)),
+        # 195**7 is an odd 54-bit integer, halfway between two doubles: the
+        # tie goes to the even significand, as float() rounds it
+        (195 ** 2, Fraction(7, 2), 195 ** 7)])
+    def test_power_interval_centres_the_nearest_double(self, b, e, exact):
+        r = float(exact)
+        lo = math.nextafter(math.nextafter(r, -math.inf), -math.inf)
+        hi = math.nextafter(math.nextafter(r, math.inf), math.inf)
+        assert power_interval(b, e) == Interval(lo, hi)
+
+    def test_power_interval_bounds_the_denominator(self):
+        assert MAX_ALPHA_DENOMINATOR == 1000
+        power_interval(3, Fraction(-16001, 1000))
+        with pytest.raises(ModeUnsupportedError, match="denominator"):
+            power_interval(3, Fraction(-16001, 1001))
+
+    @pytest.mark.parametrize("b, e", [
+        (10, Fraction(617, 2)), (Fraction(1, 10), Fraction(-617, 2)),
+        (10, Fraction(-651, 2)), (10 ** 400, Fraction(-1, 2)),
+        (Fraction(1, 10 ** 400), Fraction(-1, 2))],
+        ids=["over", "over-small-base", "under", "base-over", "base-under"])
+    def test_power_interval_refuses_past_the_doubles(self, b, e):
+        with pytest.raises(ModeUnsupportedError):
+            power_interval(b, e)
+
+    def test_power_interval_matches_the_mpmath_enclosure(self):
+        # the enclosure mpmath gave before: its nearest double at 80 bits,
+        # two ulps out on each side; the certificates keep these bytes
+        mpmath = pytest.importorskip("mpmath")
+
+        def old(b, e):
+            with mpmath.workprec(80):
+                r = float(mpmath.power(mpmath.mpf(b),
+                                       mpmath.mpf(e.numerator) / e.denominator))
+            return Interval(math.nextafter(math.nextafter(r, -math.inf),
+                                           -math.inf),
+                            math.nextafter(math.nextafter(r, math.inf),
+                                           math.inf))
+
+        rows = TABLE1_ROWS + TABLE2_ROWS
+        cases = {(Fraction(-33, 2), DegreePattern.default(6))}
+        for row in rows:
+            pattern = DegreePattern.from_phi(row.k, row.phi2, row.phi3)
+            for offset in (Fraction(-1, 2), Fraction(-1, 4), 0,
+                           Fraction(1, 4)):
+                if (row.alpha + offset).denominator != 1:
+                    cases.add((row.alpha + offset, pattern))
+        assert len(cases) == 45
+        for alpha, pattern in sorted(cases, key=str):
+            for t in pattern.embedded_indices():
+                assert power_interval(t + 1, alpha) == old(t + 1, alpha), \
+                    (alpha, t)
 
 
 class TestRadical:

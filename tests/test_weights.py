@@ -58,6 +58,8 @@ class TestDirichlet:
         with pytest.raises(ModeUnsupportedError):
             weight(perturbed(dirichlet(0), {3: Fraction(10) ** 400}), 3,
                    INTERVAL)
+        with pytest.raises(ModeUnsupportedError):
+            weight(dirichlet(Fraction(127, 2)), 120009, INTERVAL)
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
