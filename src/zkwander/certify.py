@@ -24,15 +24,14 @@ Everything verify computes reads one of the 14 embedded weights.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .errors import (CertificateError, DegeneratePairError,
                      InvalidPatternError, ModeUnsupportedError)
 from .model import (AQuantities, DegreePattern, GeneratorPair,
                     _f3_from_level1, compute_A, inner_product,
                     orthogonality_relations)
+from .record import Record, store
 from .recovery import level1_block
 from .reduction import objective_B0
 from .scalars import (MAX_ALPHA_DENOMINATOR, RATIONAL, REGIMES, agreement,
@@ -77,18 +76,22 @@ def _zero_condition(cells, tol: float, reasons: list) -> dict:
     return condition
 
 
-@dataclass
-class Certificate:
-    verdict: str
-    regime: str
-    pair: GeneratorPair
-    seq: WeightSequence
-    conditions: dict
-    a_table: dict                  # s -> {"A<n>": value}, levels 1..3
-    c_value: Optional[object]
-    reasons: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
-    membership: dict = field(default_factory=dict)
+class Certificate(Record):
+    __slots__ = ("verdict", "regime", "pair", "seq", "conditions", "a_table",
+                 "c_value", "reasons", "warnings", "membership")
+
+    def __init__(self, verdict, regime, pair, seq, conditions, a_table,
+                 c_value, reasons=None, warnings=None, membership=None):
+        store(self, "verdict", verdict)
+        store(self, "regime", regime)
+        store(self, "pair", pair)
+        store(self, "seq", seq)
+        store(self, "conditions", conditions)
+        store(self, "a_table", a_table)     # s -> {"A<n>": value}, s <= 3
+        store(self, "c_value", c_value)
+        store(self, "reasons", [] if reasons is None else reasons)
+        store(self, "warnings", [] if warnings is None else warnings)
+        store(self, "membership", {} if membership is None else membership)
 
     @property
     def passed(self) -> bool:

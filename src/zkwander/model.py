@@ -16,12 +16,12 @@ real, so <f, g> = sum_t f_t g_t w_t needs no conjugate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict
 
 from .errors import (DegeneratePairError, InvalidPatternError,
                      NotOrthogonalError)
+from .record import Record, store
 from .scalars import (RATIONAL, certainly_positive, is_exact_zero,
                       to_regime, zero_evidence, zero_tolerance)
 from .weights import WeightSequence, matrix_indices, weight
@@ -36,8 +36,7 @@ _F2_BLOCKS = frozenset({(0, r) for r in range(4)} | {(0, 5)})
 _F3_BLOCKS = _F1_BLOCKS | {(j + 1, r) for j, r in _F1_BLOCKS | _F2_BLOCKS}
 
 
-@dataclass(frozen=True)
-class DegreePattern:
+class DegreePattern(Record):
     """Shift order k plus the six exponents carried by the generators.
 
     gamma_0..gamma_3 are the active degrees, gamma_4 and gamma_5 the register
@@ -45,21 +44,21 @@ class DegreePattern:
     only meet where intended (which forces k >= 6).
     """
 
-    k: int
-    gamma: tuple
+    __slots__ = ("k", "gamma")
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, k: int, gamma: tuple):
+        if k < 1:
             raise InvalidPatternError("k must be a positive integer")
-        g = tuple(int(x) for x in self.gamma)
+        g = tuple(int(x) for x in gamma)
         if len(g) != 6:
             raise InvalidPatternError("pattern needs exactly 6 degrees")
         if any(x < 0 for x in g):
             raise InvalidPatternError("degrees must be nonnegative")
-        if len({x % self.k for x in g}) != 6:
+        if len({x % k for x in g}) != 6:
             raise InvalidPatternError(
-                f"degrees {g} are not distinct mod k={self.k}")
-        object.__setattr__(self, "gamma", g)
+                f"degrees {g} are not distinct mod k={k}")
+        store(self, "k", k)
+        store(self, "gamma", g)
 
     @classmethod
     def default(cls, k: int) -> "DegreePattern":
@@ -104,18 +103,19 @@ class DegreePattern:
 
 
 
-@dataclass(frozen=True)
-class GeneratorPair:
+class GeneratorPair(Record):
     """Coefficients of (F_1, F_2) on a pattern; scalars in any one regime."""
 
-    pattern: DegreePattern
-    a_low: tuple       # F_1 at gamma_0..gamma_3
-    a_high: tuple      # F_1 at k+gamma_0..k+gamma_3
-    b_low: tuple       # F_2 at gamma_0..gamma_3
-    a_reg: object = Fraction(0)   # F_1 at gamma_4
-    b_reg: object = Fraction(0)   # F_2 at gamma_5
+    __slots__ = ("pattern", "a_low", "a_high", "b_low", "a_reg", "b_reg")
 
-    def __post_init__(self):
+    def __init__(self, pattern: DegreePattern, a_low, a_high, b_low,
+                 a_reg=Fraction(0), b_reg=Fraction(0)):
+        store(self, "pattern", pattern)
+        store(self, "a_low", a_low)     # F_1 at gamma_0..gamma_3
+        store(self, "a_high", a_high)   # F_1 at k+gamma_0..k+gamma_3
+        store(self, "b_low", b_low)     # F_2 at gamma_0..gamma_3
+        store(self, "a_reg", a_reg)     # F_1 at gamma_4
+        store(self, "b_reg", b_reg)     # F_2 at gamma_5
         for name in ("a_low", "a_high", "b_low"):
             if len(getattr(self, name)) != 4:
                 raise ValueError(f"{name} must hold 4 coefficients")
@@ -142,8 +142,7 @@ class GeneratorPair:
         return out
 
 
-@dataclass(frozen=True)
-class AQuantities:
+class AQuantities(Record):
     """The five s-level inner products.
 
     A1 = <z^{k(s-1)} F_1, z^{ks} F_1>     (adjacent block correlation)
@@ -153,12 +152,15 @@ class AQuantities:
     A5 = <z^{k(s-1)} F_1, z^{ks} F_2>
     """
 
-    s: int
-    A1: object
-    A2: object
-    A3: object
-    A4: object
-    A5: object
+    __slots__ = ("s", "A1", "A2", "A3", "A4", "A5")
+
+    def __init__(self, s: int, A1, A2, A3, A4, A5):
+        store(self, "s", s)
+        store(self, "A1", A1)
+        store(self, "A2", A2)
+        store(self, "A3", A3)
+        store(self, "A4", A4)
+        store(self, "A5", A5)
 
     def contraction_sides(self) -> tuple:
         """(A_13 A_14 - A_12^2, A_15 A_12) of a level-1 block; the strict

@@ -19,26 +19,28 @@ the published constants use; the contraction ratio does not depend on A_15.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (DegeneratePairError, NoAdmissibleSystemError,
                      RegisterTooLargeError)
 from .model import AQuantities, GeneratorPair
+from .record import Record, store
 from .reduction import (CQuantities, ReducedSystem, compute_C, objective_B1,
                         pivot, pivot_modulus, z1_star, z3_quadratic)
 from .scalars import (as_coefficient, certainly_positive, refuse_foreign,
                       sqrt, strictly_less, to_float, to_regime)
 
 
-@dataclass(frozen=True)
-class RecoveredParameters:
-    rs: ReducedSystem
-    c: CQuantities
-    z3: object
-    z1: object
-    a15: object
-    pair: GeneratorPair     # registers zero until attach_register
+class RecoveredParameters(Record):
+    __slots__ = ("rs", "c", "z3", "z1", "a15", "pair")
+
+    def __init__(self, rs, c, z3, z1, a15, pair):
+        store(self, "rs", rs)
+        store(self, "c", c)
+        store(self, "z3", z3)
+        store(self, "z1", z1)
+        store(self, "a15", a15)
+        store(self, "pair", pair)   # registers zero until attach_register
 
     @property
     def regime(self) -> str:
@@ -173,7 +175,9 @@ def attach_register(params: RecoveredParameters, a_reg, b_reg) -> RecoveredParam
             f"registers |a4|={abs(to_float(a_reg)):.3g}, "
             f"|b5|={abs(to_float(b_reg)):.3g} break the strict "
             f"inequality; max common magnitude ~ {est:.3g}", est)
-    return replace(params, pair=params.pair.with_registers(a_reg, b_reg))
+    return RecoveredParameters(params.rs, params.c, params.z3, params.z1,
+                               params.a15,
+                               params.pair.with_registers(a_reg, b_reg))
 
 
 def auto_register(params: RecoveredParameters):

@@ -25,11 +25,11 @@ gives the same values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateReductionError, DegenerateZ3Error
 from .model import DegreePattern
+from .record import Record, store
 from .scalars import (RATIONAL, certainly_positive, cramer_solve3,
                       excludes_zero, sqrt, to_regime)
 from .weights import WeightSequence, weight
@@ -45,17 +45,20 @@ def weight_block(seq: WeightSequence, pattern: DegreePattern,
                  for s in (1, 2, 3))
 
 
-@dataclass(frozen=True)
-class ReducedSystem:
-    pattern: DegreePattern
-    seq: WeightSequence
-    regime: str
-    W: tuple       # weight_block: W[s-1][i] = w_{s k + gamma_i}
-    det_N1: object
-    E: tuple
-    G: tuple
-    H: tuple   # H_i = E_i^2
-    D: tuple   # D_i = -G_i / E_i
+class ReducedSystem(Record):
+    __slots__ = ("pattern", "seq", "regime", "W", "det_N1", "E", "G", "H",
+                 "D")
+
+    def __init__(self, pattern, seq, regime, W, det_N1, E, G, H, D):
+        store(self, "pattern", pattern)
+        store(self, "seq", seq)
+        store(self, "regime", regime)
+        store(self, "W", W)     # weight_block: W[s-1][i] = w_{s k + gamma_i}
+        store(self, "det_N1", det_N1)
+        store(self, "E", E)
+        store(self, "G", G)
+        store(self, "H", H)     # H_i = E_i^2
+        store(self, "D", D)     # D_i = -G_i / E_i
 
     def weight_at(self, t: int):
         return weight(self.seq, t, self.regime)
@@ -80,14 +83,16 @@ def reduce_system(seq: WeightSequence, pattern: DegreePattern,
                          det_N1=det, E=e, G=gg, H=h, D=d)
 
 
-@dataclass(frozen=True)
-class CQuantities:
-    d: tuple       # d_0..d_3
-    C1: object
-    C2: object
-    C3: object
-    C4: object
-    C5: object
+class CQuantities(Record):
+    __slots__ = ("d", "C1", "C2", "C3", "C4", "C5")
+
+    def __init__(self, d: tuple, C1, C2, C3, C4, C5):
+        store(self, "d", d)     # d_0..d_3
+        store(self, "C1", C1)
+        store(self, "C2", C2)
+        store(self, "C3", C3)
+        store(self, "C4", C4)
+        store(self, "C5", C5)
 
 
 def _normalize_d(d) -> tuple:

@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from .errors import ModeUnsupportedError, SingularSystemError
+from .record import Record, store
 
 RATIONAL = "rational"
 INTERVAL = "interval"
@@ -58,16 +58,16 @@ def _up(x: float) -> float:
     return math.nextafter(x, _INF)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Closed interval [lo, hi] of doubles; all operations round outward."""
 
-    lo: float
-    hi: float
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
-            raise ValueError(f"bad interval endpoints [{self.lo}, {self.hi}]")
+    def __init__(self, lo: float, hi: float):
+        if math.isnan(lo) or math.isnan(hi) or lo > hi:
+            raise ValueError(f"bad interval endpoints [{lo}, {hi}]")
+        store(self, "lo", lo)
+        store(self, "hi", hi)
 
     @classmethod
     def exact(cls, value) -> "Interval":
@@ -247,7 +247,12 @@ def power(base: int, exponent: Fraction, regime: str):
                 f"{base}^({exponent}) overflows a float") from exc
     elif exponent.denominator == 1:
         a = exponent.numerator
-        v = Fraction(base ** a) if a >= 0 else Fraction(1, base ** (-a))
+        if regime == INTERVAL and abs(a) * math.log2(base) > 1100:
+            # outside the doubles (2^-1074 .. 2^1024), so refused below just
+            # as 2^(+-1100) is; base ** a would take seconds at |a| ~ 1e6
+            v = Fraction(2) ** (1100 if a > 0 else -1100)
+        else:
+            v = Fraction(base ** a) if a >= 0 else Fraction(1, base ** (-a))
         if regime == RATIONAL:
             return v
         v = to_regime(v, regime)
@@ -265,8 +270,7 @@ def power(base: int, exponent: Fraction, regime: str):
     return v
 
 
-@dataclass(frozen=True)
-class Radical:
+class Radical(Record):
     """Exact c * sqrt(r_1) * ... * sqrt(r_n), c != 0 rational, n >= 1 atoms.
 
     Root atoms are kept as the original rationals (not multiplied out), so a
@@ -279,8 +283,11 @@ class Radical:
     Radical.  The constructor trusts its caller.
     """
 
-    coeff: Fraction
-    roots: tuple
+    __slots__ = ("coeff", "roots")
+
+    def __init__(self, coeff: Fraction, roots: tuple):
+        store(self, "coeff", coeff)
+        store(self, "roots", roots)
 
     @classmethod
     def sqrt(cls, value):

@@ -8,17 +8,16 @@ that found the point is not.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
 from operator import add
-from typing import Optional
 
 from .errors import (DegenerateReductionError, InvalidPatternError,
                      ModeUnsupportedError, NoAdmissibleSystemError,
                      SingularSystemError)
 from .model import DegreePattern
+from .record import Record, store
 from .recovery import _round_significant
 from .reduction import compute_C, objective_B1, objective_B2, reduce_system
 from .scalars import FLOAT, scalar_text, strictly_less, to_float
@@ -46,47 +45,55 @@ def _as_values(raw) -> tuple:
     return (raw,)
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    alpha: object
-    k: object = 6
-    phi2: object = 0
-    phi3: object = 0
-    strategy: str = "coordinate-descent"
-    target: str = "B1"
-    threshold: float = 1.0
-    keep_trace: bool = False
+class SearchConfig(Record):
+    __slots__ = ("alpha", "k", "phi2", "phi3", "strategy", "target",
+                 "threshold", "keep_trace")
 
-    def __post_init__(self):
-        for alpha in _as_values(self.alpha):
-            dirichlet(alpha)            # raises unless alpha is a rational
-        for name in ("k", "phi2", "phi3"):
-            if not all(isinstance(v, int)
-                       for v in _as_values(getattr(self, name))):
+    def __init__(self, alpha, k=6, phi2=0, phi3=0,
+                 strategy="coordinate-descent", target="B1", threshold=1.0,
+                 keep_trace=False):
+        for a in _as_values(alpha):
+            dirichlet(a)                # raises unless alpha is a rational
+        for name, values in (("k", k), ("phi2", phi2), ("phi3", phi3)):
+            if not all(isinstance(v, int) for v in _as_values(values)):
                 raise ValueError(f"{name} values must be integers")
-        if self.strategy not in ("grid", "coordinate-descent", "simplex"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.target not in _OBJECTIVES:
-            raise ValueError(f"unknown target {self.target!r}")
-        if not self.threshold > 0:
+        if strategy not in ("grid", "coordinate-descent", "simplex"):
+            raise ValueError(f"unknown strategy {strategy!r}")
+        if target not in _OBJECTIVES:
+            raise ValueError(f"unknown target {target!r}")
+        if not threshold > 0:
             raise ValueError("threshold must be positive")
+        store(self, "alpha", alpha)
+        store(self, "k", k)
+        store(self, "phi2", phi2)
+        store(self, "phi3", phi3)
+        store(self, "strategy", strategy)
+        store(self, "target", target)
+        store(self, "threshold", threshold)
+        store(self, "keep_trace", keep_trace)
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    alpha: object
-    k: int
-    phi2: int
-    phi3: int
-    d: tuple                      # (d1, d2, d3); d0 is fixed to 1
-    value: float
-    value_repr: str               # exact value or enclosure backing `value`
-    regime: str
-    evaluations: int
-    below_threshold: bool
-    landing_side: str             # below / above / undecided vs threshold
-    singular_skipped: int = 0
-    trace: Optional[tuple] = None
+class SearchResult(Record):
+    __slots__ = ("alpha", "k", "phi2", "phi3", "d", "value", "value_repr",
+                 "regime", "evaluations", "below_threshold", "landing_side",
+                 "singular_skipped", "trace")
+
+    def __init__(self, alpha, k, phi2, phi3, d, value, value_repr, regime,
+                 evaluations, below_threshold, landing_side,
+                 singular_skipped=0, trace=None):
+        store(self, "alpha", alpha)
+        store(self, "k", k)
+        store(self, "phi2", phi2)
+        store(self, "phi3", phi3)
+        store(self, "d", d)     # (d1, d2, d3); d0 is fixed to 1
+        store(self, "value", value)
+        store(self, "value_repr", value_repr)   # exact or enclosed value
+        store(self, "regime", regime)
+        store(self, "evaluations", evaluations)
+        store(self, "below_threshold", below_threshold)
+        store(self, "landing_side", landing_side)   # below/above/undecided
+        store(self, "singular_skipped", singular_skipped)
+        store(self, "trace", trace)
 
 
 def _evaluate(rs, objective, d3) -> float:

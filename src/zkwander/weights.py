@@ -17,12 +17,12 @@ rounded intervals, or plain floats for search work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import InvalidPatternError, ModeUnsupportedError
+from .record import Record, store
 from .scalars import (INTERVAL, RATIONAL, excludes_zero, power,
                       rational_from_json, strictly_less, to_float, to_regime)
 
@@ -37,12 +37,14 @@ def _normalize_alpha(alpha) -> Fraction:
     return Fraction(alpha)
 
 
-@dataclass(frozen=True)
-class WeightSequence:
-    kind: str
-    alpha: Optional[Fraction] = None
-    base: Optional["WeightSequence"] = None
-    overrides: tuple = ()          # sorted ((index, Fraction), ...)
+class WeightSequence(Record):
+    __slots__ = ("kind", "alpha", "base", "overrides")
+
+    def __init__(self, kind: str, alpha=None, base=None, overrides=()):
+        store(self, "kind", kind)
+        store(self, "alpha", alpha)     # a Fraction, for a Dirichlet kind
+        store(self, "base", base)       # a WeightSequence, for a perturbed
+        store(self, "overrides", overrides)   # sorted ((index, Fraction), ...)
 
 
 def dirichlet(alpha) -> WeightSequence:

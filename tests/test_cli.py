@@ -106,6 +106,18 @@ class TestBadInput:
         assert err.startswith("error: ")
         assert out == ""
 
+    @pytest.mark.parametrize("alpha", ["30000000", "-30000000"])
+    def test_weight_far_outside_the_doubles_is_refused_at_once(self, alpha):
+        # refused from its size, not after forming 7^alpha exactly, which
+        # takes minutes at this alpha
+        proc = subprocess.run(
+            [sys.executable, "-m", "zkwander", "eval", f"--alpha={alpha}",
+             "--regime", "interval"], capture_output=True, text=True,
+            timeout=10)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("argv", [
         ("asymptotic", "--k", "5", "--beta", "10", "--sigma", "0.5"),
         ("asymptotic", "--k", "12", "--beta", "10", "--sigma", "3/2"),

@@ -177,6 +177,14 @@ def test_import_loads_neither_scipy_nor_numpy():
          "print(sorted({'numpy', 'scipy'} & set(sys.modules)))"],
         capture_output=True, text=True, check=True, env=env)
     assert proc.stdout == "[]\n"
+    # nor does the command line's cold start add dataclasses or inspect;
+    # site hooks may load them before it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; before = set(sys.modules); "
+         "import zkwander.cli; print(sorted({'dataclasses', 'inspect'} & "
+         "(set(sys.modules) - before)))"],
+        capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout == "[]\n"
 
 
 def test_import_loads_only_the_standard_library():

@@ -11,7 +11,7 @@ from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
 from zkwander.scalars import (FLOAT, INTERVAL, MAX_ALPHA_DENOMINATOR, RATIONAL,
                               Interval, Radical, certainly_positive,
                               cramer_solve3, det3, excludes_zero,
-                              is_exact_zero, power_interval,
+                              is_exact_zero, power, power_interval,
                               scalar_from_json, scalar_to_json, sqrt,
                               strictly_less, to_float, to_regime,
                               zero_evidence)
@@ -126,6 +126,17 @@ class TestInterval:
     def test_power_interval_refuses_past_the_doubles(self, b, e):
         with pytest.raises(ModeUnsupportedError):
             power_interval(b, e)
+
+    @pytest.mark.parametrize("a", [391, 392, 3 * 10 ** 7])
+    def test_integer_power_past_the_doubles_is_refused_alike(self, a):
+        # 7^391 ~ 2^1097.7 is formed and refused; from 7^392 ~ 2^1100.5 on
+        # the size of a log2(7) alone refuses it, with the same messages
+        with pytest.raises(ModeUnsupportedError,
+                           match="past the largest double"):
+            power(7, Fraction(a), INTERVAL)
+        underflow = rf"^7\^\(-{a}\) is not certifiably positive"
+        with pytest.raises(ModeUnsupportedError, match=underflow):
+            power(7, Fraction(-a), INTERVAL)
 
     def test_power_interval_matches_the_mpmath_enclosure(self):
         # the enclosure mpmath gave before: its nearest double at 80 bits,
