@@ -54,7 +54,6 @@ HIGHER_LEVELS = ("A_(s,1) and A_(s,5) for s >= 4 multiply a zero coefficient "
 MAX_ABS_ALPHA = 64
 MAX_K = 10 ** 4
 MAX_DEGREE = 10 ** 6
-MAX_WEIGHT_NESTING = 16     # perturbed levels above the Dirichlet base
 
 
 def _zero_condition(cells, tol: float, reasons: list) -> dict:
@@ -142,7 +141,7 @@ def verify(pair: GeneratorPair, seq: WeightSequence,
     block, A_(s,1) and A_(s,5) for s = 2, 3, and the membership sweep at
     the levels of the support lemma.  Out-of-range inputs raise ValueError
     before any weight is evaluated, under the bounds replay enforces."""
-    _check_bounds(pair.pattern, seq)
+    check_bounds(pair.pattern, seq)
     refuse_foreign(regime, (*pair.a_low, *pair.a_high, *pair.b_low,
                             pair.a_reg, pair.b_reg))
     q1, relations = orthogonality_relations(pair, seq, regime)
@@ -275,20 +274,13 @@ def _pair_from_dict(obj: dict) -> GeneratorPair:
     )
 
 
-def _check_bounds(pattern: DegreePattern, seq: WeightSequence) -> None:
-    """Ranges of k, the degrees, the weight nesting and the Dirichlet
-    exponent under which writing or replaying a certificate is bounded work."""
+def check_bounds(pattern: DegreePattern, seq: WeightSequence) -> None:
+    """Ranges of k, the degrees and the Dirichlet exponent under which
+    writing or replaying a certificate is bounded work; ValueError outside."""
     if not (1 <= pattern.k <= MAX_K
             and all(g <= MAX_DEGREE for g in pattern.gamma)):
         raise ValueError(f"k must lie in 1..{MAX_K} and the degrees in "
                          f"0..{MAX_DEGREE}")
-    for _ in range(MAX_WEIGHT_NESTING):
-        if seq.alpha is not None:
-            break
-        seq = seq.base
-    else:
-        raise ValueError(f"weight sequences nest deeper than "
-                         f"{MAX_WEIGHT_NESTING}")
     if (abs(seq.alpha) > MAX_ABS_ALPHA
             or seq.alpha.denominator > MAX_ALPHA_DENOMINATOR):
         raise ValueError(

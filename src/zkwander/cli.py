@@ -16,7 +16,8 @@ import sys
 from fractions import Fraction
 
 from . import asymptotic
-from .certify import check_certificate, save_certificate, verify
+from .certify import (check_bounds, check_certificate, save_certificate,
+                      verify)
 from .errors import (NoAdmissibleSystemError, RegisterTooLargeError,
                      ZkwanderError)
 from .model import DegreePattern
@@ -78,10 +79,15 @@ def _pattern_from_args(args) -> DegreePattern:
 
 
 def _sequence_from_args(args, pattern):
+    """D_alpha, or D_(override base) with D_alpha's 12 matrix weights; both
+    inside the replay bounds, checked before any weight is evaluated."""
     donor = dirichlet(args.alpha)
-    if getattr(args, "override_base", None) is not None:
-        return override_block(dirichlet(args.override_base), donor, pattern)
-    return donor
+    check_bounds(pattern, donor)
+    if args.override_base is None:
+        return donor
+    base = dirichlet(args.override_base)
+    check_bounds(pattern, base)
+    return override_block(base, donor, pattern)
 
 
 def _write_csv(rows, header, out_path):

@@ -24,7 +24,7 @@ from .errors import (DegeneratePairError, InvalidPatternError,
 from .record import Record, store
 from .scalars import (RATIONAL, certainly_positive, is_exact_zero,
                       to_regime, zero_evidence, zero_tolerance)
-from .weights import WeightSequence, matrix_indices, weight
+from .weights import WeightSequence, weight
 
 CoefficientMap = Dict[int, object]
 
@@ -75,7 +75,10 @@ class DegreePattern(Record):
         return self.gamma[4:]
 
     def matrix_indices(self) -> tuple:
-        return matrix_indices(self.k, self.gamma)
+        """The 12 degrees s k + gamma_i, s in {1, 2, 3}, i in {0, .., 3}: the
+        weights of the 3x4 reduction matrix.  They are distinct, as the
+        gamma_i are distinct mod k."""
+        return tuple(s * self.k + g for s in (1, 2, 3) for g in self.gamma[:4])
 
     def embedded_indices(self) -> tuple:
         """The 14 degrees whose weights a certificate reads: the 12 matrix

@@ -521,10 +521,23 @@ def as_coefficient(v, regime: str):
 
 def display(x) -> str:
     """A float as its repr, an interval as [lo, hi], an exact value as its
-    nearest double."""
+    nearest double or, past the largest double or a nonzero one below the
+    smallest, as ~m.mmmmmme+N or ~m.mmmmmme-N."""
     if isinstance(x, (float, Interval)):
         return repr(x)
-    return repr(to_float(x))
+    try:
+        near = to_float(x)
+    except OverflowError:
+        near = math.inf
+    if math.isfinite(near) and (near or not x):
+        return repr(near)
+    square = x * x                  # a Fraction, for a Radical too
+    exponent = (math.log10(square.numerator)
+                - math.log10(square.denominator)) / 2
+    whole = math.floor(exponent)
+    mantissa, shift = f"{10 ** (exponent - whole):.6e}".split("e")
+    sign = "-" if (x.coeff if isinstance(x, Radical) else x) < 0 else ""
+    return f"~{sign}{mantissa}e{whole + int(shift):+d}"
 
 
 def scalar_text(x) -> str:

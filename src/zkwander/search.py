@@ -47,11 +47,10 @@ def _as_values(raw) -> tuple:
 
 class SearchConfig(Record):
     __slots__ = ("alpha", "k", "phi2", "phi3", "strategy", "target",
-                 "threshold", "keep_trace")
+                 "threshold")
 
     def __init__(self, alpha, k=6, phi2=0, phi3=0,
-                 strategy="coordinate-descent", target="B1", threshold=1.0,
-                 keep_trace=False):
+                 strategy="coordinate-descent", target="B1", threshold=1.0):
         for a in _as_values(alpha):
             dirichlet(a)                # raises unless alpha is a rational
         for name, values in (("k", k), ("phi2", phi2), ("phi3", phi3)):
@@ -70,17 +69,16 @@ class SearchConfig(Record):
         store(self, "strategy", strategy)
         store(self, "target", target)
         store(self, "threshold", threshold)
-        store(self, "keep_trace", keep_trace)
 
 
 class SearchResult(Record):
     __slots__ = ("alpha", "k", "phi2", "phi3", "d", "value", "value_repr",
                  "regime", "evaluations", "below_threshold", "landing_side",
-                 "singular_skipped", "trace")
+                 "singular_skipped")
 
     def __init__(self, alpha, k, phi2, phi3, d, value, value_repr, regime,
                  evaluations, below_threshold, landing_side,
-                 singular_skipped=0, trace=None):
+                 singular_skipped=0):
         store(self, "alpha", alpha)
         store(self, "k", k)
         store(self, "phi2", phi2)
@@ -93,7 +91,6 @@ class SearchResult(Record):
         store(self, "below_threshold", below_threshold)
         store(self, "landing_side", landing_side)   # below/above/undecided
         store(self, "singular_skipped", singular_skipped)
-        store(self, "trace", trace)
 
 
 def _evaluate(rs, objective, d3) -> float:
@@ -111,7 +108,7 @@ def _scan(rs, objective):
     return points[best_i], values[best_i], len(points)
 
 
-def _descend(rs, objective, seed, seed_value, trace):
+def _descend(rs, objective, seed, seed_value):
     """Deterministic multiplicative coordinate descent from a grid seed."""
     d = list(seed)
     best = seed_value
@@ -129,8 +126,6 @@ def _descend(rs, objective, seed, seed_value, trace):
                     if v < best:
                         best, d = v, trial
                         improved = True
-                        if trace is not None:
-                            trace.append((tuple(d), v))
     return tuple(d), best, evals
 
 
@@ -258,7 +253,6 @@ def minimize(config: SearchConfig) -> SearchResult:
     ladder is fixed, and the simplex start is derived from the grid.
     """
     objective = _OBJECTIVES[config.target]
-    trace = [] if config.keep_trace else None
     best = None          # (value, alpha, k, phi2, phi3, d)
     evals = 0
     singular = 0
@@ -284,8 +278,7 @@ def minimize(config: SearchConfig) -> SearchResult:
                     point, value, n = _scan(rs, objective)
                     evals += n
                     if config.strategy == "coordinate-descent":
-                        point, value, n = _descend(rs, objective, point,
-                                                   value, trace)
+                        point, value, n = _descend(rs, objective, point, value)
                         evals += n
                     elif config.strategy == "simplex":
                         point, value, n = _simplex(rs, objective, point,
@@ -308,8 +301,7 @@ def minimize(config: SearchConfig) -> SearchResult:
         alpha=alpha, k=k, phi2=phi2, phi3=phi3,
         d=reported, value=vf, value_repr=vrepr, regime=regime,
         evaluations=evals, below_threshold=(side == "below"),
-        landing_side=side, singular_skipped=singular,
-        trace=None if trace is None else tuple(trace))
+        landing_side=side, singular_skipped=singular)
 
 
 def reproduce_table(table_id: int, mode: str = "evaluate-rows") -> list:

@@ -1,8 +1,8 @@
 """Weight sequences for the weighted Hardy spaces under study.
 
-A sequence assigns a strictly positive weight omega_t to each degree t >= 0,
-with omega_0 = 1; the norm is  ||f||^2 = sum |a_t|^2 omega_t.  Three kinds are
-supported:
+A sequence assigns a strictly positive weight omega_t to each degree t >= 0;
+the norm is  ||f||^2 = sum |a_t|^2 omega_t.  Every sequence is a Dirichlet
+sequence with finitely many weights changed:
 
 * ``dirichlet(alpha)`` -- omega_t = (t+1)^alpha.  alpha = -1, 0, 1 give the
   Bergman, Hardy and Dirichlet norms.
@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import InvalidPatternError, ModeUnsupportedError
+from .errors import ModeUnsupportedError
 from .record import Record, store
 from .scalars import (INTERVAL, RATIONAL, excludes_zero, power,
                       rational_from_json, strictly_less, to_float, to_regime)
@@ -38,21 +38,23 @@ def _normalize_alpha(alpha) -> Fraction:
 
 
 class WeightSequence(Record):
-    __slots__ = ("kind", "alpha", "base", "overrides")
+    """The Dirichlet weights (t+1)^alpha except at the overridden degrees;
+    with no overrides, D_alpha itself."""
 
-    def __init__(self, kind: str, alpha=None, base=None, overrides=()):
-        store(self, "kind", kind)
-        store(self, "alpha", alpha)     # a Fraction, for a Dirichlet kind
-        store(self, "base", base)       # a WeightSequence, for a perturbed
-        store(self, "overrides", overrides)   # sorted ((index, Fraction), ...)
+    __slots__ = ("alpha", "overrides")
+
+    def __init__(self, alpha, overrides=()):
+        store(self, "alpha", alpha)             # a Fraction
+        store(self, "overrides", overrides)     # sorted ((t, Fraction), ...)
 
 
 def dirichlet(alpha) -> WeightSequence:
-    return WeightSequence(kind=DIRICHLET, alpha=_normalize_alpha(alpha))
+    return WeightSequence(_normalize_alpha(alpha))
 
 
 def perturbed(base: WeightSequence, overrides: dict) -> WeightSequence:
-    items = []
+    """base with the given weights; they win over base's own overrides."""
+    items = {}
     for t, v in overrides.items():
         t = int(t)
         v = Fraction(v)
@@ -60,11 +62,11 @@ def perturbed(base: WeightSequence, overrides: dict) -> WeightSequence:
             raise ValueError("override index must be >= 0")
         if v <= 0:
             raise ValueError(f"override value at {t} must be positive")
-        items.append((t, v))
-    items.sort()
-    if len({t for t, _ in items}) != len(items):
-        raise ValueError("duplicate override index")
-    return WeightSequence(kind=PERTURBED, base=base, overrides=tuple(items))
+        if t in items:
+            raise ValueError("duplicate override index")
+        items[t] = v
+    merged = {**dict(base.overrides), **items}
+    return WeightSequence(base.alpha, tuple(sorted(merged.items())))
 
 
 def custom(prefix: Sequence, tail: WeightSequence) -> WeightSequence:
@@ -73,22 +75,19 @@ def custom(prefix: Sequence, tail: WeightSequence) -> WeightSequence:
 
 
 @lru_cache(maxsize=None)
-def _override_map(seq: WeightSequence) -> dict:
-    return dict(seq.overrides)
+def _override_map(overrides: tuple) -> dict:
+    return dict(overrides)
 
 
 def weight(seq: WeightSequence, t: int, regime: str = RATIONAL):
     """omega_t of the sequence in the requested regime."""
     if t < 0:
         raise ValueError("degree must be >= 0")
-    if seq.kind == DIRICHLET:
-        return power(t + 1, seq.alpha, regime)
-    if seq.kind == PERTURBED:
-        v = _override_map(seq).get(t)
+    if seq.overrides:
+        v = _override_map(seq.overrides).get(t)
         if v is not None:
             return to_regime(v, regime)
-        return weight(seq.base, t, regime)
-    raise ValueError(f"unknown weight kind {seq.kind!r}")
+    return power(t + 1, seq.alpha, regime)
 
 
 def exact_regime(seq: WeightSequence, indices) -> str:
@@ -102,18 +101,6 @@ def exact_regime(seq: WeightSequence, indices) -> str:
     return RATIONAL
 
 
-def matrix_indices(k: int, gamma: Sequence[int]) -> tuple:
-    """The 12 degrees s*k + gamma_i, s in {1,2,3}, i in {0,..,3}.
-
-    These are exactly the weights entering the 3x4 reduction matrix.
-    """
-    idx = [s * k + gamma[i] for s in (1, 2, 3) for i in range(4)]
-    if len(set(idx)) != 12:
-        raise InvalidPatternError(
-            f"matrix indices collide for k={k}, gamma={tuple(gamma)}")
-    return tuple(idx)
-
-
 def override_block(base: WeightSequence, donor: WeightSequence,
                    pattern) -> WeightSequence:
     """Replace base weights at the 12 matrix indices with donor values.
@@ -121,8 +108,8 @@ def override_block(base: WeightSequence, donor: WeightSequence,
     The donor must be exactly evaluable (the values are frozen as rationals),
     so a perturbed sequence certifies independently of the donor object.
     """
-    idx = matrix_indices(pattern.k, pattern.gamma)
-    return perturbed(base, {t: weight(donor, t, RATIONAL) for t in idx})
+    return perturbed(base, {t: weight(donor, t, RATIONAL)
+                            for t in pattern.matrix_indices()})
 
 
 def lint_weights(seq: WeightSequence, upto: int = 64) -> list:
@@ -154,19 +141,22 @@ def lint_weights(seq: WeightSequence, upto: int = 64) -> list:
 # serialization
 
 def weights_to_dict(seq: WeightSequence) -> dict:
-    if seq.kind == DIRICHLET:
-        return {"kind": DIRICHLET, "alpha": str(seq.alpha)}
-    return {"kind": PERTURBED,
-            "base": weights_to_dict(seq.base),
+    """A Dirichlet object, or a perturbed one on a Dirichlet base."""
+    obj = {"kind": DIRICHLET, "alpha": str(seq.alpha)}
+    if not seq.overrides:
+        return obj
+    return {"kind": PERTURBED, "base": obj,
             "overrides": {str(t): str(v) for t, v in seq.overrides}}
 
 
 def weights_from_dict(obj: dict) -> WeightSequence:
-    kind = obj["kind"]
-    if kind == DIRICHLET:
-        return dirichlet(rational_from_json(obj["alpha"]))
-    if kind == PERTURBED:
-        base = weights_from_dict(obj["base"])
-        return perturbed(base, {int(t): rational_from_json(v)
-                                for t, v in obj["overrides"].items()})
-    raise ValueError(f"unknown weight kind {kind!r}")
+    """The inverse of weights_to_dict; any other base is refused."""
+    overrides = {}
+    if obj["kind"] == PERTURBED:
+        overrides = {int(t): rational_from_json(v)
+                     for t, v in obj["overrides"].items()}
+        obj = obj["base"]
+    if obj["kind"] != DIRICHLET:
+        raise ValueError("weights must be dirichlet or perturbed on a "
+                         f"dirichlet base, got kind {obj['kind']!r}")
+    return perturbed(dirichlet(rational_from_json(obj["alpha"])), overrides)

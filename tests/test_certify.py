@@ -363,6 +363,7 @@ def _set_in(*path_and_value):
     _set_in("coefficients", "a_low", 0, "1e100000000"),
     _set_in("coefficients", "b_low", 3, "roots", [str(p) for p in range(2, 11)]),
     _set_in("coefficients", "a_low", 0, {"re": 1.0, "im": 2.0}),
+    _nest_weights(2),
     _nest_weights(20),
     _nest_weights(3000),
 ], ids=["no-verdict", "regime", "regime-interval",
@@ -377,7 +378,8 @@ def _set_in(*path_and_value):
         "alpha-numerator-above-bound", "k-above-bound",
         "degree-above-bound", "degree-negative", "alpha-exponent-form",
         "coefficient-exponent-form", "radical-too-many-atoms",
-        "coefficient-complex", "weights-nested-too-deep",
+        "coefficient-complex", "weights-base-perturbed",
+        "weights-nested-too-deep",
         "weights-nested-past-recursion-limit"])
 def test_malformed_field_is_a_certificate_error(cert16, mutate):
     data = json.loads(cert16.to_json())

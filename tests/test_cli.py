@@ -119,6 +119,45 @@ class TestBadInput:
         assert proc.stdout == ""
 
     @pytest.mark.parametrize("argv", [
+        ("eval", "--alpha", "300000"),
+        ("eval", "--alpha", "-16", "--override-base", "300000"),
+        ("pipeline", "--alpha", "300000", "--d", "1,4,6", "--z3", "-2e13"),
+        ("pipeline", "--alpha", "-16", "--override-base", "-300000",
+         "--d", "1,4,6", "--z3", "-2e13"),
+        ("pipeline", "--alpha", "300000"),
+    ], ids=["eval", "eval-override-base", "pipeline", "pipeline-override-base",
+            "pipeline-search"])
+    def test_alpha_outside_the_replay_bounds_is_refused_at_once(
+            self, tmp_path, argv):
+        # the bounds certificate replay applies, checked before any search
+        # or weight; the exact weights at this alpha take minutes to form
+        cert = tmp_path / "cert.json"
+        out = ("--out", str(cert)) if argv[0] == "pipeline" else ()
+        proc = subprocess.run(
+            [sys.executable, "-m", "zkwander", *argv, *out],
+            capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: alpha = ")
+        assert proc.stdout == ""
+        assert not cert.exists()
+
+    @pytest.mark.parametrize("alpha,det", [
+        ("64", "~-1.276668e+621"), ("-64", "~1.625227e-631")])
+    def test_exact_value_outside_the_doubles_is_displayed(self, alpha, det):
+        # inside the replay bounds; det_N1 is past the largest double at
+        # alpha = 64 and nonzero below the smallest at alpha = -64
+        proc = subprocess.run(
+            [sys.executable, "-m", "zkwander", "eval", "--alpha", alpha,
+             "--k", "1000"], capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        assert [line.split(" =")[0] for line in lines] == [
+            "alpha", "det_N1", "E", "G", "C1", "C2", "C3", "C4", "C5", "B2",
+            "B1"]
+        assert lines[1] == f"det_N1 = {det}"
+
+    @pytest.mark.parametrize("argv", [
         ("asymptotic", "--k", "5", "--beta", "10", "--sigma", "0.5"),
         ("asymptotic", "--k", "12", "--beta", "10", "--sigma", "3/2"),
         ("asymptotic", "--k", "9", "--minimal"),

@@ -79,12 +79,6 @@ class TestMinimize:
         nm = minimize(SearchConfig(alpha=-16, strategy="simplex"))
         assert nm.value <= plain.value
 
-    def test_trace_recorded_when_asked(self):
-        res = minimize(SearchConfig(alpha=-16, keep_trace=True))
-        assert res.trace
-        values = [v for _, v in res.trace]
-        assert values == sorted(values, reverse=True)
-
     def test_found_point_supports_a_full_certificate(self, best16, seq16,
                                                      pattern6):
         rs = reduce_system(seq16, pattern6)

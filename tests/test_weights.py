@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from zkwander.errors import InvalidPatternError, ModeUnsupportedError
 from zkwander.model import DegreePattern
 from zkwander.scalars import FLOAT, INTERVAL, RATIONAL, Interval
-from zkwander.weights import (custom, dirichlet, lint_weights, matrix_indices,
-                              override_block, perturbed, weight,
-                              weights_from_dict, weights_to_dict)
+from zkwander.weights import (custom, dirichlet, lint_weights, override_block,
+                              perturbed, weight, weights_from_dict,
+                              weights_to_dict)
 
 
 class TestDirichlet:
@@ -81,6 +81,12 @@ class TestDirichlet:
         assert math.isclose(fl, float(exact), rel_tol=1e-12)
 
 
+# overrides at degrees up to 200 with positive rational values
+_OVERRIDES = st.dictionaries(
+    st.integers(min_value=0, max_value=200),
+    st.fractions(min_value=Fraction(1, 1000), max_value=1000), max_size=8)
+
+
 class TestPerturbedAndCustom:
 
     def test_override_wins_elsewhere_base(self):
@@ -103,6 +109,28 @@ class TestPerturbedAndCustom:
         with pytest.raises(ValueError):
             perturbed(dirichlet(0), {3: Fraction(1), "3": Fraction(2)})
 
+    def test_later_overrides_win(self):
+        seq = perturbed(perturbed(dirichlet(-2), {1: 3, 2: 5}), {2: 7})
+        assert seq.overrides == ((1, 3), (2, 7))
+        assert weight(seq, 2) == 7
+        assert weight(seq, 3) == Fraction(1, 16)
+
+    def test_no_overrides_is_the_dirichlet_sequence(self):
+        assert perturbed(dirichlet(-16), {}) == dirichlet(-16)
+        assert weights_to_dict(perturbed(dirichlet(-16), {})) == \
+            weights_to_dict(dirichlet(-16))
+
+    @given(alpha=st.integers(min_value=-20, max_value=20),
+           o1=_OVERRIDES, o2=_OVERRIDES)
+    @settings(max_examples=40, deadline=None)
+    def test_perturbing_twice_is_one_merged_perturbation(self, alpha, o1, o2):
+        base = dirichlet(alpha)
+        twice = perturbed(perturbed(base, o1), o2)
+        once = perturbed(base, {**o1, **o2})
+        assert twice == once
+        assert weights_to_dict(twice) == weights_to_dict(once)
+        assert all(weight(twice, t) == weight(once, t) for t in range(201))
+
     def test_custom_prefix(self):
         seq = custom([Fraction(1), Fraction(5, 2)], dirichlet(-2))
         assert weight(seq, 0) == 1
@@ -115,15 +143,10 @@ class TestPerturbedAndCustom:
 class TestMatrixIndices:
 
     def test_twelve_distinct_for_default_pattern(self):
-        idx = matrix_indices(6, (0, 1, 2, 3, 4, 5))
+        idx = DegreePattern.default(6).matrix_indices()
         assert len(idx) == 12
         assert len(set(idx)) == 12
         assert idx == tuple(s * 6 + g for s in (1, 2, 3) for g in (0, 1, 2, 3))
-
-    def test_collision_rejected(self):
-        # 1*3 + 3 = 2*3 + 0, so the twelve indices collapse for k = 3
-        with pytest.raises(InvalidPatternError):
-            matrix_indices(3, (0, 1, 2, 3, 4, 5))
 
     def test_pattern_constructor_forces_k_at_least_6(self):
         with pytest.raises(InvalidPatternError):
@@ -187,6 +210,12 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             weights_from_dict({"kind": "geometric"})
+
+    def test_only_a_dirichlet_base_is_read(self):
+        inner = weights_to_dict(perturbed(dirichlet(-2), {3: 5}))
+        with pytest.raises(ValueError, match="dirichlet base"):
+            weights_from_dict({"kind": "perturbed", "base": inner,
+                               "overrides": {"4": "1"}})
 
     def test_custom_is_a_perturbed_sequence(self):
         seq = custom([Fraction(1), Fraction(5, 2)], dirichlet(-2))
