@@ -10,6 +10,7 @@ Three regimes run through the whole package, all of them with real scalars:
   valid at the cost of one ulp per operation.  A non-integer power
   b**(p/q) is enclosed around its nearest double, which exact integer
   comparisons of q-th powers prove; q is bounded by MAX_ALPHA_DENOMINATOR.
+  ``power`` proves each interval weight once, in a bounded memo.
 * ``float``     -- plain doubles, for searching only.  Nothing computed here
   may back a pass verdict.
 
@@ -185,7 +186,6 @@ class Interval(Record):
 MAX_ALPHA_DENOMINATOR = 10 ** 3
 
 
-@lru_cache(maxsize=4096)
 def _nearest_power(b: Fraction, e: Fraction) -> float:
     """The double nearest to b**e (ties to even), b > 0, proved: for e = p/q
     and x > 0, x <= b**e exactly when x**q <= b**p.  From the float power,
@@ -239,6 +239,21 @@ def power(base: int, exponent: Fraction, regime: str):
     """base**exponent, base >= 1 an integer: exact for an integer exponent
     (the rational regime needs one), else an enclosure or a double; one
     that overflows or underflows to 0 raises ModeUnsupportedError."""
+    if regime == INTERVAL:
+        return _power_enclosure(base, exponent)
+    return _power(base, exponent, regime)
+
+
+@lru_cache(maxsize=4096)
+def _power_enclosure(base: int, exponent: Fraction) -> Interval:
+    """The interval power, proved once per (base, exponent) in a process.
+    A refusal is not cached: it raises again on every call.  Exact and
+    float powers are not memoized: they are cheap, and an exact one can be
+    megabytes."""
+    return _power(base, exponent, INTERVAL)
+
+
+def _power(base: int, exponent: Fraction, regime: str):
     if regime == FLOAT:
         try:
             v = float(base) ** float(exponent)

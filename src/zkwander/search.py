@@ -258,6 +258,7 @@ def minimize(config: SearchConfig) -> SearchResult:
     singular = 0
     visited = 0
     invalid = None       # the first pattern error, raised if none is valid
+    refused = None       # the first weight the float regime refused
     for alpha in _as_values(config.alpha):
         seq = dirichlet(alpha)
         for k in _as_values(config.k):
@@ -271,8 +272,11 @@ def minimize(config: SearchConfig) -> SearchResult:
                     visited += 1
                     try:
                         rs = reduce_system(seq, pattern, FLOAT)
-                    except (SingularSystemError, DegenerateReductionError,
-                            ModeUnsupportedError):
+                    except (SingularSystemError, DegenerateReductionError):
+                        singular += 1
+                        continue
+                    except ModeUnsupportedError as exc:
+                        refused = refused or exc
                         singular += 1
                         continue
                     point, value, n = _scan(rs, objective)
@@ -289,6 +293,9 @@ def minimize(config: SearchConfig) -> SearchResult:
     if not visited and invalid:
         raise invalid
     if best is None or not math.isfinite(best[0]):
+        if refused:
+            raise NoAdmissibleSystemError(
+                f"no visited system could be evaluated: {refused}")
         raise NoAdmissibleSystemError(
             f"all {visited} visited systems were singular or degenerate")
     value, alpha, k, phi2, phi3, point = best

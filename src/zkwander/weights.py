@@ -17,8 +17,8 @@ rounded intervals, or plain floats for search work.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import ModeUnsupportedError
@@ -74,19 +74,14 @@ def custom(prefix: Sequence, tail: WeightSequence) -> WeightSequence:
     return perturbed(tail, dict(enumerate(prefix)))
 
 
-@lru_cache(maxsize=None)
-def _override_map(overrides: tuple) -> dict:
-    return dict(overrides)
-
-
 def weight(seq: WeightSequence, t: int, regime: str = RATIONAL):
     """omega_t of the sequence in the requested regime."""
     if t < 0:
         raise ValueError("degree must be >= 0")
-    if seq.overrides:
-        v = _override_map(seq.overrides).get(t)
-        if v is not None:
-            return to_regime(v, regime)
+    # (t,) sorts just before (t, v): a bisection that compares no values
+    i = bisect_left(seq.overrides, (t,))
+    if i < len(seq.overrides) and seq.overrides[i][0] == t:
+        return to_regime(seq.overrides[i][1], regime)
     return power(t + 1, seq.alpha, regime)
 
 

@@ -118,6 +118,20 @@ class TestBadInput:
         assert proc.stderr.startswith("error: ")
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("alpha, cause", [
+        ("300000", "7^(300000) overflows a float"),
+        ("-3000", "7^(-3000) is not certifiably positive")])
+    def test_search_names_the_refused_weight(self, alpha, cause):
+        # every visited system failed on a float weight, not on a singular
+        # or degenerate reduction
+        proc = subprocess.run(
+            [sys.executable, "-m", "zkwander", "search", f"--alpha={alpha}"],
+            capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert cause in proc.stderr
+        assert "singular" not in proc.stderr
+
     @pytest.mark.parametrize("argv", [
         ("eval", "--alpha", "300000"),
         ("eval", "--alpha", "-16", "--override-base", "300000"),

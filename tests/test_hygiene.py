@@ -1,8 +1,8 @@
 """Source hygiene: no package module imports a name it never uses, no
 private module-level name or library function is left that no module loads,
-no module builds a complex value or reads its parts, no module but scalars
-branches on the scalar regime, and the package imports exactly the
-third-party modules pyproject.toml lists."""
+no module builds a complex value or reads its parts, every memo is bounded,
+no module but scalars branches on the scalar regime, and the package
+imports exactly the third-party modules pyproject.toml lists."""
 
 import ast
 import os
@@ -126,6 +126,36 @@ def _complex_uses(tree: ast.Module) -> list:
 def test_every_scalar_is_real(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _complex_uses(tree) == []
+
+
+def _unbounded_memos(tree: ast.Module) -> list:
+    """functools.cache, and lru_cache calls whose maxsize is not a finite
+    constant (a bare @lru_cache keeps its default of 128)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"functools.cache imported (line {node.lineno})"
+                      for alias in node.names if alias.name == "cache"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "cache"
+              and getattr(node.value, "id", None) == "functools"):
+            found.append(f"functools.cache (line {node.lineno})")
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              == "lru_cache"):
+            sizes = node.args[:1] + [k.value for k in node.keywords
+                                     if k.arg == "maxsize"]
+            if not (len(sizes) == 1 and isinstance(sizes[0], ast.Constant)
+                    and isinstance(sizes[0].value, int)):
+                found.append(f"lru_cache without a finite maxsize "
+                             f"(line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_memo_is_bounded(path):
+    # untrusted input cannot make a memo hold an unbounded set of entries
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _unbounded_memos(tree) == []
 
 
 REGIME_TAGS = {"RATIONAL", "INTERVAL", "FLOAT"}

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,8 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zkwander import scalars
+from zkwander.certify import check_certificate, verify
 from zkwander.errors import ModeUnsupportedError, SingularSystemError
 from zkwander.model import DegreePattern
+from zkwander.recovery import attach_register, recover
+from zkwander.reduction import reduce_system
 from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
 from zkwander.scalars import (FLOAT, INTERVAL, MAX_ALPHA_DENOMINATOR, RATIONAL,
                               Interval, Radical, certainly_positive,
@@ -15,6 +20,7 @@ from zkwander.scalars import (FLOAT, INTERVAL, MAX_ALPHA_DENOMINATOR, RATIONAL,
                               scalar_from_json, scalar_to_json, sqrt,
                               strictly_less, to_float, to_regime,
                               zero_evidence)
+from zkwander.weights import dirichlet
 
 rationals = st.fractions(min_value=-1000, max_value=1000,
                          max_denominator=10 ** 6)
@@ -165,6 +171,45 @@ class TestInterval:
             for t in pattern.embedded_indices():
                 assert power_interval(t + 1, alpha) == old(t + 1, alpha), \
                     (alpha, t)
+
+
+def _interval_certificate_json() -> str:
+    """reduce -> recover -> attach_register -> verify -> to_json ->
+    check_certificate at alpha = -33/2, k = 6, d = (1, 1, 4, 6)."""
+    seq = dirichlet(Fraction(-33, 2))
+    rs = reduce_system(seq, DegreePattern.default(6), INTERVAL)
+    params = attach_register(recover(rs, (1, 1, 4, 6)), 1, 1)
+    text = verify(params.pair, seq, INTERVAL).to_json()
+    assert check_certificate(json.loads(text))["ok"]
+    return text
+
+
+class TestPowerMemo:
+
+    def test_each_interval_weight_is_proved_once(self, monkeypatch):
+        # a certificate reads 14 weights; without the memo the build and
+        # replay prove 126 enclosures for them
+        calls = []
+        proved = scalars.power_interval
+
+        def counting(base, exponent):
+            calls.append((base, exponent))
+            return proved(base, exponent)
+
+        monkeypatch.setattr(scalars, "power_interval", counting)
+        scalars._power_enclosure.cache_clear()
+        _interval_certificate_json()
+        assert len(calls) == 14 == len(set(calls))
+
+    def test_a_warm_memo_gives_the_same_bytes(self):
+        scalars._power_enclosure.cache_clear()
+        cold = _interval_certificate_json()
+        assert _interval_certificate_json() == cold
+
+    def test_a_refused_power_is_refused_again(self):
+        for _ in range(2):
+            with pytest.raises(ModeUnsupportedError, match="denominator"):
+                power(3, Fraction(-16001, 1001), INTERVAL)
 
 
 class TestRadical:

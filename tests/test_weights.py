@@ -3,12 +3,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zkwander.errors import InvalidPatternError, ModeUnsupportedError
 from zkwander.model import DegreePattern
-from zkwander.scalars import FLOAT, INTERVAL, RATIONAL, Interval
+from zkwander.scalars import FLOAT, INTERVAL, RATIONAL, Interval, to_regime
 from zkwander.weights import (custom, dirichlet, lint_weights, override_block,
                               perturbed, weight, weights_from_dict,
                               weights_to_dict)
@@ -130,6 +130,20 @@ class TestPerturbedAndCustom:
         assert twice == once
         assert weights_to_dict(twice) == weights_to_dict(once)
         assert all(weight(twice, t) == weight(once, t) for t in range(201))
+
+    @given(alpha=st.integers(min_value=-20, max_value=20),
+           o=_OVERRIDES.filter(bool))
+    @example(alpha=-16, o={3: Fraction(1, 3), 7: Fraction(7)})
+    @settings(max_examples=40, deadline=None)
+    def test_weight_is_the_override_or_the_base(self, alpha, o):
+        # degrees below the first override, between two and past the last
+        base = dirichlet(alpha)
+        seq = perturbed(base, o)
+        for t in range(max(o) + 3):
+            for regime in (RATIONAL, INTERVAL):
+                expected = (to_regime(o[t], regime) if t in o
+                            else weight(base, t, regime))
+                assert weight(seq, t, regime) == expected
 
     def test_custom_prefix(self):
         seq = custom([Fraction(1), Fraction(5, 2)], dirichlet(-2))
