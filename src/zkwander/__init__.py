@@ -11,7 +11,7 @@ from .errors import (CertificateError, DegeneratePairError,
                      RegisterTooLargeError, SingularSystemError,
                      ZkwanderError)
 from .model import (AQuantities, DegreePattern, GeneratorPair, compute_A,
-                    construct_F3, construct_F4, inner_product, norm_sq)
+                    construct_F3, inner_product, norm_sq)
 from .recovery import (RecoveredParameters, attach_register, auto_register,
                        choose_A15, choose_Z3, max_register_estimate, recover)
 from .reduction import (CQuantities, ReducedSystem, b0_minimum, compute_C,
@@ -19,8 +19,8 @@ from .reduction import (CQuantities, ReducedSystem, b0_minimum, compute_C,
                         reduce_system, split_e, z1_star)
 from .scalars import FLOAT, INTERVAL, RATIONAL, Interval, Radical
 from .search import SearchConfig, SearchResult, minimize, reproduce_table
-from .weights import (WeightSequence, custom, dirichlet, lint_weights,
-                      override_block, perturbed, weight)
+from .weights import (WeightSequence, dirichlet, override_block, perturbed,
+                      weight)
 
 __version__ = "0.1.0"
 
@@ -34,8 +34,8 @@ __all__ = [
     "SingularSystemError", "WeightSequence", "ZkwanderError",
     "attach_register", "auto_register", "b0_minimum", "check_certificate",
     "choose_A15", "choose_Z3", "compute_A", "compute_C", "construct_F3",
-    "construct_F4", "cross_check", "custom", "dirichlet", "inner_product",
-    "lint_weights", "max_register_estimate", "minimize", "norm_sq",
+    "cross_check", "dirichlet", "inner_product",
+    "max_register_estimate", "minimize", "norm_sq",
     "objective_B0", "objective_B1", "objective_B2", "override_block",
     "perturbed", "recover", "reduce_system", "reproduce_table",
     "save_certificate", "split_e", "verify", "weight", "z1_star",

@@ -249,17 +249,6 @@ def orthogonality_relations(pair: GeneratorPair, seq: WeightSequence,
     return q1, tuple(relations)
 
 
-def _engineered_level1(pair: GeneratorPair, seq: WeightSequence,
-                       regime: str) -> AQuantities:
-    """The level-1 block, once the five orthogonality relations hold."""
-    q1, relations = orthogonality_relations(pair, seq, regime)
-    tol = zero_tolerance(q1.A3)
-    for (s, n), value in relations:
-        if not zero_evidence(value, tol)[0]:
-            raise NotOrthogonalError(f"A_({s},{n}) = {value!r} is not zero")
-    return q1
-
-
 def _shift_multipliers(q1: AQuantities) -> tuple:
     """The z^k multipliers A_15 (A_13, -A_12) / (A_12^2 - A_13 A_14)
     of F_2 and F_1 in F_3, once the Cauchy-Schwarz gap is certified
@@ -272,20 +261,17 @@ def _shift_multipliers(q1: AQuantities) -> tuple:
     return scale * q1.A3, -(scale * q1.A2)
 
 
-def _f1_plus_shifted(pair: GeneratorPair, terms) -> CoefficientMap:
-    """F_1 + z^k sum c F over the (c, coefficient map of F) terms."""
+def _f3_from_level1(pair: GeneratorPair, q1: AQuantities) -> CoefficientMap:
+    """F_3 = F_1 + z^k (c_2 F_2 + c_1 F_1) from a level-1 block whose
+    orthogonality relations hold."""
+    c2, c1 = _shift_multipliers(q1)
     k = pair.pattern.k
-    out: CoefficientMap = dict(pair.f1_map())
-    for c, fmap in terms:
+    f1 = pair.f1_map()
+    out: CoefficientMap = dict(f1)
+    for c, fmap in ((c2, pair.f2_map()), (c1, f1)):
         for d, v in fmap.items():
             _map_add(out, d + k, c * v)
     return {d: v for d, v in sorted(out.items()) if not is_exact_zero(v)}
-
-
-def _f3_from_level1(pair: GeneratorPair, q1: AQuantities) -> CoefficientMap:
-    """F_3 from a level-1 block whose orthogonality relations hold."""
-    c2, c1 = _shift_multipliers(q1)
-    return _f1_plus_shifted(pair, ((c2, pair.f2_map()), (c1, pair.f1_map())))
 
 
 def construct_F3(pair: GeneratorPair, seq: WeightSequence,
@@ -298,11 +284,9 @@ def construct_F3(pair: GeneratorPair, seq: WeightSequence,
     Requires the engineered orthogonality relations (zero under
     ``zero_tolerance``) and a strict Cauchy-Schwarz gap A_12^2 < A_13 A_14.
     """
-    return _f3_from_level1(pair, _engineered_level1(pair, seq, regime))
-
-
-def construct_F4(pair: GeneratorPair, seq: WeightSequence,
-                 regime: str = RATIONAL) -> CoefficientMap:
-    """Companion element F_4 = F_1 (1 - z^k A_15 A_12 / (A_12^2 - A_13 A_14))."""
-    c1 = _shift_multipliers(_engineered_level1(pair, seq, regime))[1]
-    return _f1_plus_shifted(pair, ((c1, pair.f1_map()),))
+    q1, relations = orthogonality_relations(pair, seq, regime)
+    tol = zero_tolerance(q1.A3)
+    for (s, n), value in relations:
+        if not zero_evidence(value, tol)[0]:
+            raise NotOrthogonalError(f"A_({s},{n}) = {value!r} is not zero")
+    return _f3_from_level1(pair, q1)

@@ -37,12 +37,11 @@ from .weights import WeightSequence, weight
 
 def weight_block(seq: WeightSequence, pattern: DegreePattern,
                  regime: str = RATIONAL) -> tuple:
-    """The 3x4 block W[s-1][i] = w_{s k + gamma_i}, s = 1..3, i = 0..3;
-    N_1 is its last three columns, -W[.][0] the right-hand side for E."""
-    k = pattern.k
-    g = pattern.gamma
-    return tuple(tuple(weight(seq, s * k + g[i], regime) for i in range(4))
-                 for s in (1, 2, 3))
+    """The 3x4 block W[s-1][i] = w_{s k + gamma_i}, s = 1..3, i = 0..3, the
+    weights at pattern.matrix_indices() row by row; N_1 is its last three
+    columns, -W[.][0] the right-hand side for E."""
+    w = [weight(seq, t, regime) for t in pattern.matrix_indices()]
+    return tuple(tuple(w[4 * s:4 * s + 4]) for s in range(3))
 
 
 class ReducedSystem(Record):

@@ -281,7 +281,7 @@ def _power(base: int, exponent: Fraction, regime: str):
     if not certainly_positive(v):
         raise ModeUnsupportedError(
             f"{base}^({exponent}) is not certifiably positive in the {regime} "
-            "regime (underflow); use the rational regime")
+            "regime (underflow)")
     return v
 
 

@@ -8,8 +8,6 @@ sequence with finitely many weights changed:
   Bergman, Hardy and Dirichlet norms.
 * ``perturbed(base, overrides)`` -- equal to ``base`` except at finitely many
   indices, whose exact rational values are stored explicitly.
-  ``custom(prefix, tail)`` is the perturbed ``tail`` whose overrides are the
-  explicit finite prefix.
 
 Evaluation is regime aware: exact rationals (integer alpha only), outward
 rounded intervals, or plain floats for search work.
@@ -19,12 +17,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import ModeUnsupportedError
 from .record import Record, store
-from .scalars import (INTERVAL, RATIONAL, excludes_zero, power,
-                      rational_from_json, strictly_less, to_float, to_regime)
+from .scalars import INTERVAL, RATIONAL, power, rational_from_json, to_regime
 
 DIRICHLET = "dirichlet"
 PERTURBED = "perturbed"
@@ -69,11 +65,6 @@ def perturbed(base: WeightSequence, overrides: dict) -> WeightSequence:
     return WeightSequence(base.alpha, tuple(sorted(merged.items())))
 
 
-def custom(prefix: Sequence, tail: WeightSequence) -> WeightSequence:
-    """The explicit weights prefix[t] at t < len(prefix), then tail."""
-    return perturbed(tail, dict(enumerate(prefix)))
-
-
 def weight(seq: WeightSequence, t: int, regime: str = RATIONAL):
     """omega_t of the sequence in the requested regime."""
     if t < 0:
@@ -105,31 +96,6 @@ def override_block(base: WeightSequence, donor: WeightSequence,
     """
     return perturbed(base, {t: weight(donor, t, RATIONAL)
                             for t in pattern.matrix_indices()})
-
-
-def lint_weights(seq: WeightSequence, upto: int = 64) -> list:
-    """Soft admissibility checks; returns human-readable warnings.
-
-    The construction is stated for Hardy-type weights (omega_0 = 1, ratios
-    omega_t/omega_{t+1} bounded and tending to 1).  Violations do not stop any
-    computation here, they only flag that the ambient-space interpretation of
-    a result may not apply.
-    """
-    warnings = []
-    regime = exact_regime(seq, range(upto + 1))
-    values = [weight(seq, t, regime) for t in range(upto + 1)]
-    if excludes_zero(values[0] - 1):
-        warnings.append(f"omega_0 = {values[0]} != 1")
-    ratios = [values[t] / values[t + 1] for t in range(upto)]
-    if any(strictly_less(4, r) or strictly_less(r, Fraction(1, 4))
-           for r in ratios):
-        warnings.append("ratio omega_t/omega_{t+1} leaves [1/4, 4] "
-                        f"on t <= {upto}")
-    if strictly_less(Fraction(1, 2), abs(ratios[-1] - 1)):
-        warnings.append(f"ratio omega_t/omega_{{t+1}} is "
-                        f"{to_float(ratios[-1]):.4g} at t = {upto - 1}, "
-                        "not close to 1")
-    return warnings
 
 
 # ---------------------------------------------------------------------------

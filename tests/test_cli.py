@@ -120,10 +120,12 @@ class TestBadInput:
 
     @pytest.mark.parametrize("alpha, cause", [
         ("300000", "7^(300000) overflows a float"),
-        ("-3000", "7^(-3000) is not certifiably positive")])
+        ("-3000", "7^(-3000) is not certifiably positive"),
+        ("-6001/2", "7^(-6001/2) is not certifiably positive")])
     def test_search_names_the_refused_weight(self, alpha, cause):
         # every visited system failed on a float weight, not on a singular
-        # or degenerate reduction
+        # or degenerate reduction; search runs only in floats, so no other
+        # regime is offered as a remedy
         proc = subprocess.run(
             [sys.executable, "-m", "zkwander", "search", f"--alpha={alpha}"],
             capture_output=True, text=True, timeout=10)
@@ -131,6 +133,7 @@ class TestBadInput:
         assert proc.stderr.startswith("error: ")
         assert cause in proc.stderr
         assert "singular" not in proc.stderr
+        assert "rational regime" not in proc.stderr
 
     @pytest.mark.parametrize("argv", [
         ("eval", "--alpha", "300000"),

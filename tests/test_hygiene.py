@@ -19,7 +19,8 @@ PACKAGE = Path(zkwander.__file__).parent
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # modules whose public functions must be loaded by some module or exported
-LIBRARY = ("model", "reduction", "recovery", "certify", "weights", "search")
+LIBRARY = ("model", "reduction", "recovery", "certify", "weights", "search",
+           "scalars", "cli")
 
 
 def _unused_imports(tree: ast.Module) -> list:

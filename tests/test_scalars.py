@@ -144,6 +144,13 @@ class TestInterval:
         with pytest.raises(ModeUnsupportedError, match=underflow):
             power(7, Fraction(-a), INTERVAL)
 
+    def test_float_underflow_names_only_its_cause(self):
+        # 3001^-3000 ~ 10^-10431 is far below the least double
+        with pytest.raises(ModeUnsupportedError) as info:
+            power(3001, Fraction(-3000), FLOAT)
+        assert str(info.value) == ("3001^(-3000) is not certifiably positive "
+                                   "in the float regime (underflow)")
+
     def test_power_interval_matches_the_mpmath_enclosure(self):
         # the enclosure mpmath gave before: its nearest double at 80 bits,
         # two ulps out on each side; the certificates keep these bytes

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from zkwander.errors import InvalidPatternError, ModeUnsupportedError
 from zkwander.model import DegreePattern
 from zkwander.scalars import FLOAT, INTERVAL, RATIONAL, Interval, to_regime
-from zkwander.weights import (custom, dirichlet, lint_weights, override_block,
-                              perturbed, weight, weights_from_dict,
-                              weights_to_dict)
+from zkwander.weights import (dirichlet, override_block, perturbed, weight,
+                              weights_from_dict, weights_to_dict)
 
 
 class TestDirichlet:
@@ -145,14 +144,6 @@ class TestPerturbedAndCustom:
                             else weight(base, t, regime))
                 assert weight(seq, t, regime) == expected
 
-    def test_custom_prefix(self):
-        seq = custom([Fraction(1), Fraction(5, 2)], dirichlet(-2))
-        assert weight(seq, 0) == 1
-        assert weight(seq, 1) == Fraction(5, 2)
-        assert weight(seq, 2) == Fraction(1, 9)
-        with pytest.raises(ValueError):
-            custom([Fraction(0)], dirichlet(0))
-
 
 class TestMatrixIndices:
 
@@ -186,27 +177,13 @@ class TestOverrideBlock:
                            DegreePattern.default(6))
 
 
-class TestLint:
-
-    def test_hardy_weights_are_clean(self):
-        assert lint_weights(dirichlet(0)) == []
-
-    def test_steep_weights_flag_the_ratio(self):
-        notes = lint_weights(dirichlet(-16))
-        assert any("ratio" in n for n in notes)
-
-    def test_nonunit_start_flagged(self):
-        notes = lint_weights(custom([Fraction(2)], dirichlet(0)))
-        assert any("omega_0" in n for n in notes)
-
-
 class TestSerialization:
 
     @pytest.mark.parametrize("seq", [
         dirichlet(-16),
         dirichlet(Fraction(-9, 2)),
         perturbed(dirichlet(-16), {12: Fraction(7, 2), 40: Fraction(1, 3)}),
-        custom([Fraction(1), Fraction(2)], dirichlet(-2)),
+        perturbed(dirichlet(-2), {0: 1, 1: 2}),
     ])
     def test_round_trip(self, seq):
         assert weights_from_dict(weights_to_dict(seq)) == seq
@@ -224,16 +201,12 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             weights_from_dict({"kind": "geometric"})
+        with pytest.raises(ValueError):
+            weights_from_dict({"kind": "custom", "prefix": ["1"],
+                               "tail": {"kind": "dirichlet", "alpha": "0"}})
 
     def test_only_a_dirichlet_base_is_read(self):
         inner = weights_to_dict(perturbed(dirichlet(-2), {3: 5}))
         with pytest.raises(ValueError, match="dirichlet base"):
             weights_from_dict({"kind": "perturbed", "base": inner,
                                "overrides": {"4": "1"}})
-
-    def test_custom_is_a_perturbed_sequence(self):
-        seq = custom([Fraction(1), Fraction(5, 2)], dirichlet(-2))
-        assert seq == perturbed(dirichlet(-2), {0: 1, 1: Fraction(5, 2)})
-        with pytest.raises(ValueError):
-            weights_from_dict({"kind": "custom", "prefix": ["1"],
-                               "tail": {"kind": "dirichlet", "alpha": "0"}})
