@@ -240,17 +240,18 @@ def power(base: int, exponent: Fraction, regime: str):
     (the rational regime needs one), else an enclosure or a double; one
     that overflows or underflows to 0 raises ModeUnsupportedError."""
     if regime == INTERVAL:
-        return _power_enclosure(base, exponent)
+        return _power_enclosure(base, exponent.numerator, exponent.denominator)
     return _power(base, exponent, regime)
 
 
 @lru_cache(maxsize=4096)
-def _power_enclosure(base: int, exponent: Fraction) -> Interval:
-    """The interval power, proved once per (base, exponent) in a process.
-    A refusal is not cached: it raises again on every call.  Exact and
-    float powers are not memoized: they are cheap, and an exact one can be
-    megabytes."""
-    return _power(base, exponent, INTERVAL)
+def _power_enclosure(base: int, num: int, den: int) -> Interval:
+    """The interval power base**(num/den), proved once per (base, exponent)
+    in a process.  The key holds the exponent's integers, not the Fraction:
+    hashing a Fraction costs a modular inverse on every hit.  A refusal is
+    not cached: it raises again on every call.  Exact and float powers are
+    not memoized: they are cheap, and an exact one can be megabytes."""
+    return _power(base, Fraction(num, den), INTERVAL)
 
 
 def _power(base: int, exponent: Fraction, regime: str):
@@ -290,9 +291,11 @@ class Radical(Record):
 
     Root atoms are kept as the original rationals (not multiplied out), so a
     product of two values sharing an atom cancels that atom exactly without
-    any integer factoring.  Normal form: atoms sorted, distinct, positive and
-    none of them a rational square.  ``sqrt`` and the JSON decoder establish
-    it and every operation keeps it; a result with no atom left, or with a
+    any integer factoring.  A product finds its shared atoms by comparing
+    atoms, never by hashing them: hashing a Fraction costs a modular
+    inverse.  Normal form: atoms sorted, distinct, positive and none of
+    them a rational square.  ``sqrt`` and the JSON decoder establish it
+    and every operation keeps it; a result with no atom left, or with a
     zero coefficient, is a plain ``Fraction``.  Atoms are not factored, so
     distinct atoms whose product is a square (sqrt(2) sqrt(8)) stay a
     Radical.  The constructor trusts its caller.
@@ -330,11 +333,14 @@ class Radical(Record):
         if not isinstance(other, Radical):
             return NotImplemented
         # sqrt(r) * sqrt(r) = r: shared atoms move into the coefficient
-        coeff = self.coeff * other.coeff
-        for r in set(self.roots) & set(other.roots):
-            coeff *= r
-        roots = tuple(sorted(set(self.roots) ^ set(other.roots)))
-        return Radical(coeff, roots) if roots else coeff
+        coeff, mine, theirs = self.coeff * other.coeff, self.roots, other.roots
+        roots = [r for r in theirs if r not in mine]
+        for r in mine:
+            if r in theirs:
+                coeff *= r
+            else:
+                roots.append(r)
+        return Radical(coeff, tuple(sorted(roots))) if roots else coeff
 
     __rmul__ = __mul__
 

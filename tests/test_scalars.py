@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,31 @@ from zkwander.weights import dirichlet
 rationals = st.fractions(min_value=-1000, max_value=1000,
                          max_denominator=10 ** 6)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
+
+# non-square atoms; a few draws from six give identical, partly shared and
+# disjoint atom sets alike
+ATOMS = (Fraction(2), Fraction(3), Fraction(6), Fraction(1, 2),
+         Fraction(10, 7), Fraction(5, 3))
+radicals = st.builds(lambda c, atoms: Radical(c, tuple(sorted(atoms))),
+                     nonzero_rationals,
+                     st.sets(st.sampled_from(ATOMS), min_size=1, max_size=3))
+
+
+def _fraction_hashes(build) -> int:
+    """How often build() hashes a Fraction, counted by a profile hook."""
+    code, count = Fraction.__hash__.__code__, 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        count += event == "call" and frame.f_code is code
+
+    outer = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        build()
+    finally:
+        sys.setprofile(outer)
+    return count
 
 
 class TestInterval:
@@ -213,6 +239,10 @@ class TestPowerMemo:
         cold = _interval_certificate_json()
         assert _interval_certificate_json() == cold
 
+    def test_a_warm_memo_hashes_no_fraction(self):
+        _interval_certificate_json()
+        assert _fraction_hashes(_interval_certificate_json) == 0
+
     def test_a_refused_power_is_refused_again(self):
         for _ in range(2):
             with pytest.raises(ModeUnsupportedError, match="denominator"):
@@ -297,6 +327,38 @@ class TestRadical:
             else:
                 assert isinstance(value, Fraction)
             assert float(value) == pytest.approx(approx, rel=1e-9)
+
+    @given(a=radicals, b=radicals)
+    @example(a=Radical(Fraction(3), (Fraction(2), Fraction(3))),
+             b=Radical(Fraction(-1, 2), (Fraction(2), Fraction(3))))
+    @example(a=Radical(Fraction(3), (Fraction(2), Fraction(3))),
+             b=Radical(Fraction(5), (Fraction(3), Fraction(6))))
+    @example(a=Radical(Fraction(3), (Fraction(2),)),
+             b=Radical(Fraction(5), (Fraction(1, 2), Fraction(6))))
+    @settings(max_examples=200)
+    def test_product_matches_the_set_reference(self, a, b):
+        # b's atoms as the decoder rebuilds them on replay: equal, not the
+        # same objects
+        b = Radical(b.coeff, tuple(Fraction(str(r)) for r in b.roots))
+        mine, theirs = set(a.roots), set(b.roots)
+        roots = tuple(sorted(mine ^ theirs))
+        coeff = a.coeff * b.coeff * math.prod(mine & theirs)
+        product = a * b
+        assert product == (Radical(coeff, roots) if roots else coeff)
+        assert isinstance(product, Fraction) == (not roots)
+        assert product == b * a
+        assert math.isclose(float(product), float(a) * float(b),
+                            rel_tol=1e-12)
+
+    def test_the_rational_headline_hashes_no_fraction(self, seq16, pattern6,
+                                                      z3_main):
+        def build():
+            rs = reduce_system(seq16, pattern6)
+            params = attach_register(recover(rs, (1, 4, 6), z3=z3_main), 1, 1)
+            text = verify(params.pair, seq16).to_json()
+            assert check_certificate(json.loads(text))["ok"]
+
+        assert _fraction_hashes(build) == 0
 
     def test_decoder_normalises_untrusted_atoms(self):
         two = scalar_from_json({"rational": "3", "roots": ["2", "5", "2"]})
