@@ -36,8 +36,8 @@ from .recovery import level1_block
 from .reduction import objective_B0
 from .scalars import (MAX_ALPHA_DENOMINATOR, RATIONAL, REGIMES, agreement,
                       nonzero_evidence, proves, refuse_foreign,
-                      scalar_from_json, scalar_to_json, strictly_less,
-                      to_float, zero_evidence, zero_tolerance)
+                      scalar_from_json, scalar_text, scalar_to_json,
+                      strictly_less, to_float, zero_evidence, zero_tolerance)
 from .weights import (WeightSequence, exact_regime, weight, weights_from_dict,
                       weights_to_dict)
 
@@ -284,8 +284,8 @@ def check_bounds(pattern: DegreePattern, seq: WeightSequence) -> None:
     if (abs(seq.alpha) > MAX_ABS_ALPHA
             or seq.alpha.denominator > MAX_ALPHA_DENOMINATOR):
         raise ValueError(
-            f"alpha = {seq.alpha} is outside |alpha| <= {MAX_ABS_ALPHA} with "
-            f"denominator <= {MAX_ALPHA_DENOMINATOR}")
+            f"alpha = {scalar_text(seq.alpha)} is outside |alpha| <= "
+            f"{MAX_ABS_ALPHA} with denominator <= {MAX_ALPHA_DENOMINATOR}")
 
 
 _ABSENT = object()
@@ -370,7 +370,13 @@ def check_certificate(source) -> dict:
     except (ModeUnsupportedError, ValueError, ArithmeticError) as exc:
         raise CertificateError(f"certificate cannot be replayed: {exc}") from exc
     first = {}                      # field -> its first differing leaf
-    for path, stored, value in _differences(data, fresh):
+    # an unchanged certificate is compared once, as a whole.  == takes an
+    # object as equal to itself, so a NaN leaf the replay carries over from
+    # the stored one (a float coefficient) is equal here though the walk,
+    # by !=, reports it; a NaN input still fails ==, because it spreads
+    # into the leaves the replay computes afresh
+    for path, stored, value in (() if data == fresh else
+                                _differences(data, fresh)):
         if path[0] not in first and not (v1 and path[0] in _V1_UNCOMPARED):
             first[path[0]] = (f"{'.'.join(map(str, path))}: stored "
                               f"{_show(stored)}, recomputed {_show(value)}")

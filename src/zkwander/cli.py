@@ -47,8 +47,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# the largest exponent a rational flag may carry: Fraction forms 10**e, so
+# "1e99999999" would take minutes; 4300 is the default integer-string limit
+_MAX_EXPONENT = 4300
+
+
 def _parse_fraction(text: str) -> Fraction:
+    """A rational as Fraction reads it, with an exponent of at most
+    _MAX_EXPONENT."""
+    _, e, exponent = text.lower().partition("e")
     try:
+        if e and abs(int(exponent)) > _MAX_EXPONENT:
+            raise ValueError("exponent past _MAX_EXPONENT")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ZkwanderError(f"cannot parse {text!r} as a rational") from exc

@@ -60,7 +60,14 @@ def _up(x: float) -> float:
 
 
 class Interval(Record):
-    """Closed interval [lo, hi] of doubles; all operations round outward."""
+    """Closed interval [lo, hi] of doubles; all operations round outward.
+
+    An operation coerces only an operand that is not already an Interval
+    (an int, Fraction or float, through ``exact``), and builds its result
+    through ``_interval``, the one constructor of results: it keeps the
+    endpoint guard, refusing NaN and inverted endpoints, without the
+    checks on caller input that ``Interval(lo, hi)`` makes.
+    """
 
     __slots__ = ("lo", "hi")
 
@@ -77,7 +84,7 @@ class Interval(Record):
         if isinstance(value, Interval):
             return value
         if isinstance(value, float):
-            return cls(value, value)
+            return _interval(value, value)
         q = Fraction(value)
         try:
             f = float(q)
@@ -85,9 +92,9 @@ class Interval(Record):
             raise ModeUnsupportedError(
                 "a rational past the largest double has no interval "
                 "enclosure; use the rational regime") from exc
-        if Fraction(f) == q:        # the conversion was exact
-            return cls(f, f)
-        return cls(_down(f), _up(f))
+        if f.as_integer_ratio() == (q.numerator, q.denominator):
+            return _interval(f, f)      # the conversion was exact
+        return _interval(_down(f), _up(f))
 
     # -- queries ---------------------------------------------------------
 
@@ -107,59 +114,51 @@ class Interval(Record):
 
     # -- arithmetic ------------------------------------------------------
 
-    @staticmethod
-    def _coerce(value) -> "Interval":
-        if isinstance(value, Interval):
-            return value
-        if isinstance(value, (int, float, Fraction)):
-            return Interval.exact(value)
-        return NotImplemented  # type: ignore[return-value]
-
     def __add__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
+        return _interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Interval(-self.hi, -self.lo)
+        return _interval(-self.hi, -self.lo)
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _interval(_down(self.lo - other.hi), _up(self.hi - other.lo))
 
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return _interval(_down(other.lo - self.hi), _up(other.hi - self.lo))
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         ps = (self.lo * other.lo, self.lo * other.hi,
               self.hi * other.lo, self.hi * other.hi)
-        return Interval(_down(min(ps)), _up(max(ps)))
+        return _interval(_down(min(ps)), _up(max(ps)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if other.contains_zero():
             raise ZeroDivisionError("interval divisor encloses zero")
         ps = (self.lo / other.lo, self.lo / other.hi,
               self.hi / other.lo, self.hi / other.hi)
-        return Interval(_down(min(ps)), _up(max(ps)))
+        return _interval(_down(min(ps)), _up(max(ps)))
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other / self
@@ -169,16 +168,39 @@ class Interval(Record):
             return self
         if self.hi <= 0.0:
             return -self
-        return Interval(0.0, max(-self.lo, self.hi))
+        return _interval(0.0, max(-self.lo, self.hi))
 
     def sqrt(self) -> "Interval":
         if self.lo < 0.0:
             raise ValueError("sqrt of an interval reaching below zero")
         # math.sqrt is correctly rounded, one outward step suffices
-        return Interval(_down(math.sqrt(self.lo)), _up(math.sqrt(self.hi)))
+        return _interval(_down(math.sqrt(self.lo)), _up(math.sqrt(self.hi)))
 
     def __repr__(self):
         return f"[{self.lo!r}, {self.hi!r}]"
+
+
+_new_interval = object.__new__
+
+
+def _interval(lo: float, hi: float) -> Interval:
+    """The Interval [lo, hi] of computed endpoints; NaN or lo > hi fails
+    the one comparison and raises as Interval(lo, hi) does."""
+    if not lo <= hi:
+        raise ValueError(f"bad interval endpoints [{lo}, {hi}]")
+    iv = _new_interval(Interval)
+    store(iv, "lo", lo)
+    store(iv, "hi", hi)
+    return iv
+
+
+def _coerce(value):
+    """An operand as an Interval, NotImplemented for a foreign type."""
+    if value.__class__ is Interval:
+        return value
+    if isinstance(value, (int, float, Fraction)):
+        return Interval.exact(value)
+    return NotImplemented
 
 
 # largest denominator of an interval exponent: the proof of a power takes
@@ -232,7 +254,7 @@ def power_interval(base, exponent) -> Interval:
         raise ModeUnsupportedError(
             f"{base}^({exponent}) has no interval enclosure: it or its base "
             "lies outside the range of doubles")
-    return Interval(_down(_down(r)), _up(_up(r)))
+    return _interval(_down(_down(r)), _up(_up(r)))
 
 
 def power(base: int, exponent: Fraction, regime: str):
@@ -561,15 +583,27 @@ def display(x) -> str:
     return f"~{sign}{mantissa}e{whole + int(shift):+d}"
 
 
+def _digits(n: int) -> int:
+    """The number of decimal digits of the integer n, without str(n)."""
+    n = abs(n)
+    if not n:
+        return 1
+    d = math.floor(math.log10(n)) + 1   # may be one off next to 10**k
+    if n < 10 ** (d - 1):
+        return d - 1
+    return d + 1 if n >= 10 ** d else d
+
+
 def scalar_text(x) -> str:
     """str(x), or for an exact rational past the interpreter's
-    integer-string limit its nearest double and its approximate size."""
+    integer-string limit its ``display`` and its approximate size; never
+    raises."""
     try:
         return str(x)
     except ValueError:
-        num, den = (round(n.bit_length() * math.log10(2))
-                    for n in (x.numerator, x.denominator))
-        return f"~{to_float(x)!r} (exact: ~{num} digits over ~{den})"
+        num, den = (_digits(n) for n in (x.numerator, x.denominator))
+        near = display(x).lstrip("~")
+        return f"~{near} (exact: ~{num} digits over ~{den})"
 
 
 def scalar_to_json(x):

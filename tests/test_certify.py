@@ -1,4 +1,5 @@
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from zkwander.certify import (Certificate, check_certificate,
+from zkwander.certify import (Certificate, check_bounds, check_certificate,
                               save_certificate, verify)
 from zkwander.errors import CertificateError, ModeUnsupportedError
 from zkwander.model import DegreePattern, GeneratorPair
@@ -526,6 +527,79 @@ def test_every_single_leaf_forgery_is_rejected(base):
         except CertificateError:
             pass
     assert replayed == []
+
+
+def test_alpha_past_the_digit_limit_gets_the_bound_refusal():
+    # str() of this alpha raises; the refusal shows it approximately
+    with pytest.raises(ValueError, match=r"^alpha = ~1\.000000e\+5000 "
+                       r"\(exact: ~5001 digits over ~1\) is outside "):
+        check_bounds(DegreePattern.default(6), dirichlet(10 ** 5000))
+
+
+@functools.lru_cache(maxsize=None)
+def _float_headline_json() -> str:
+    seq = dirichlet(-16)
+    rs = reduce_system(seq, DegreePattern.default(6), FLOAT)
+    params = attach_register(recover(rs, (1, 1, 4, 6), z3=-2e13), 1, 1)
+    return verify(params.pair, seq, FLOAT).to_json()
+
+
+class TestCompareFirstReplay:
+    """check_certificate compares the stored and the replayed certificate
+    whole, with one ==, and walks them leaf by leaf only when they differ;
+    the reports of every single-leaf forgery are pinned by digest in
+    tests/test_output_digests.py."""
+
+    def test_an_unchanged_certificate_replays_ok_without_a_walk(
+            self, monkeypatch):
+        import zkwander.certify
+
+        def walk(*args):
+            raise AssertionError("an unchanged certificate was walked")
+        monkeypatch.setattr(zkwander.certify, "_differences", walk)
+        for base in _FUZZ_BASES:
+            report = check_certificate(copy.deepcopy(base))
+            assert report["ok"]
+            assert report["mismatches"] == []
+
+    @pytest.mark.parametrize("path,recomputed", [
+        (("c_float",), "0.18894510966828287"),
+        (("membership", "worst_residual"), "0.0"),
+        (("conditions", "strict_contraction", "c"), "0.18894510966828287"),
+    ])
+    def test_a_stored_nan_leaf_is_a_mismatch(self, path, recomputed):
+        data = json.loads(HEADLINE_CERTIFICATE.read_text())
+        _set_in(*path, math.nan)(data)
+        report = check_certificate(data)
+        assert not report["ok"]
+        assert report["mismatches"] == [
+            f"{'.'.join(path)}: stored NaN, recomputed {recomputed}"]
+
+    @pytest.mark.parametrize("path", [
+        *((key, i) for key in ("a_low", "a_high", "b_low") for i in range(4)),
+        ("a_reg",), ("b_reg",)], ids=lambda path: ".".join(map(str, path)))
+    def test_a_nan_coefficient_is_a_mismatch(self, path):
+        # a float coefficient is decoded to the very object JSON gave and
+        # the replay carries that NaN over, so == takes that leaf as equal;
+        # the certificate still fails == because the NaN spreads into the
+        # leaves the replay computes afresh, and the walk reports both
+        data = json.loads(_float_headline_json())
+        _set_in("coefficients", *path, math.nan)(data)
+        report = check_certificate(data)
+        assert not report["ok"]
+        leaf = ".".join(map(str, path))
+        assert report["mismatches"][0] == (
+            f"coefficients.{leaf}: stored NaN, recomputed NaN")
+        assert report["mismatches"][1].startswith("A.1.A")
+        assert report["mismatches"][1].endswith(", recomputed NaN")
+
+    def test_negative_zero_against_zero_is_no_mismatch(self):
+        data = json.loads(HEADLINE_CERTIFICATE.read_text())
+        assert data["membership"]["worst_residual"] == 0.0
+        data["membership"]["worst_residual"] = -0.0
+        report = check_certificate(data)
+        assert report["ok"]
+        assert report["mismatches"] == []
 
 
 class TestReadSet:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from zkwander.cli import main
+from zkwander.cli import _parse_fraction, main
 from zkwander.search import SearchConfig, minimize
 
 
@@ -77,6 +77,62 @@ class TestEval:
         assert code == 1
         assert err.startswith("error: ")
         assert "cannot parse" in err
+
+
+class TestExponentForms:
+    """A rational flag reads the exponent form Fraction reads, up to an
+    exponent of 4300, the default integer-string limit: past it, forming
+    10**e is refused before it starts."""
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--alpha", "1e4301"),
+        ("eval", "--alpha", "-16", "--d", "1,4,1e4301"),
+        ("eval", "--alpha", "-16", "--z3", "-2e4301"),
+        ("eval", "--alpha", "-16", "--z3", "-2e13", "--z1", "1e-4301"),
+        ("eval", "--alpha", "-16", "--override-base", "1E+4301"),
+        ("search", "--alpha", "-16", "--threshold", "1e4_301"),
+        ("asymptotic", "--k", "12", "--beta", "10", "--sigma", "1e4301"),
+    ], ids=["alpha", "d", "z3", "z1", "override-base", "threshold", "sigma"])
+    def test_exponent_past_the_limit_is_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        value = argv[-1].split(",")[-1]     # --d names the value it refuses
+        assert code == 1
+        assert out == ""
+        assert err == f"error: cannot parse {value!r} as a rational\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--alpha", "-16", "--k", "6", "--d", "1,4,1e99999999"),
+        ("search", "--alpha", "1e99999999"),
+        ("pipeline", "--alpha", "-16", "--d", "1,4,6", "--z3",
+         "-2e99999999"),
+    ], ids=["eval-d", "search-alpha", "pipeline-z3"])
+    def test_huge_exponent_is_refused_at_once(self, argv):
+        # Fraction alone forms 10^99999999, which takes minutes
+        proc = subprocess.run([sys.executable, "-m", "zkwander", *argv],
+                              capture_output=True, text=True, timeout=10)
+        value = argv[-1].split(",")[-1]
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: cannot parse {value!r} as a rational\n"
+
+    def test_exponent_on_the_limit_parses(self):
+        limit = 4300
+        assert _parse_fraction(f"1e{limit}") == 10 ** limit
+        assert _parse_fraction(f"-2E-{limit}") == Fraction(-2, 10 ** limit)
+        assert _parse_fraction("-2e13") == -2 * 10 ** 13
+        assert _parse_fraction(" 7/2 ") == Fraction(7, 2)
+
+    @pytest.mark.parametrize("alpha,shown", [
+        ("1e4300", "~1.000000e+4300 (exact: ~4301 digits over ~1)"),
+        ("-12345e4300", "~-1.234500e+4304 (exact: ~4305 digits over ~1)")])
+    def test_alpha_past_the_digit_limit_gets_the_bound_refusal(
+            self, capsys, alpha, shown):
+        # within the exponent limit, but past the integer-string limit
+        code, out, err = run(capsys, "eval", f"--alpha={alpha}", "--k", "6",
+                             "--d", "1,4,6")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: alpha = {shown} is outside "
+                              "|alpha| <= 64")
 
 
 class TestBadInput:

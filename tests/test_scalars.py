@@ -206,6 +206,181 @@ class TestInterval:
                     (alpha, t)
 
 
+class _OldInterval:
+    """The interval kernel as it was before operands were coerced only when
+    needed and results built by one guarded constructor, kept verbatim
+    (less the queries) as the reference of TestIntervalKernelParity."""
+
+    def __init__(self, lo, hi):
+        if math.isnan(lo) or math.isnan(hi) or lo > hi:
+            raise ValueError(f"bad interval endpoints [{lo}, {hi}]")
+        self.lo, self.hi = lo, hi
+
+    @classmethod
+    def exact(cls, value):
+        if isinstance(value, _OldInterval):
+            return value
+        if isinstance(value, float):
+            return cls(value, value)
+        q = Fraction(value)
+        try:
+            f = float(q)
+        except OverflowError as exc:
+            raise ModeUnsupportedError(
+                "a rational past the largest double has no interval "
+                "enclosure; use the rational regime") from exc
+        if Fraction(f) == q:
+            return cls(f, f)
+        return cls(_down(f), _up(f))
+
+    def contains_zero(self):
+        return self.lo <= 0.0 <= self.hi
+
+    @staticmethod
+    def _coerce(value):
+        if isinstance(value, _OldInterval):
+            return value
+        if isinstance(value, (int, float, Fraction)):
+            return _OldInterval.exact(value)
+        return NotImplemented
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _OldInterval(_down(self.lo + other.lo), _up(self.hi + other.hi))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _OldInterval(-self.hi, -self.lo)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        ps = (self.lo * other.lo, self.lo * other.hi,
+              self.hi * other.lo, self.hi * other.hi)
+        return _OldInterval(_down(min(ps)), _up(max(ps)))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.contains_zero():
+            raise ZeroDivisionError("interval divisor encloses zero")
+        ps = (self.lo / other.lo, self.lo / other.hi,
+              self.hi / other.lo, self.hi / other.hi)
+        return _OldInterval(_down(min(ps)), _up(max(ps)))
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
+
+
+def _down(x):
+    return math.nextafter(x, -math.inf)
+
+
+def _up(x):
+    return math.nextafter(x, math.inf)
+
+
+# endpoints: signed zeros, subnormals, the extreme doubles and infinities
+# among ordinary doubles; the pairs below make 0 * inf and inf - inf
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0,
+           1.7976931348623157e308, -1.7976931348623157e308, math.inf,
+           -math.inf)
+endpoints = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False))
+intervals = st.tuples(endpoints, endpoints).map(sorted)
+# operands an interval coerces, a rational past the largest double included
+coercibles = st.one_of(
+    st.integers(min_value=-10 ** 400, max_value=10 ** 400), rationals,
+    st.fractions(max_denominator=10 ** 400), endpoints,
+    st.floats(allow_nan=True))
+
+
+def _outcome(compute):
+    """The endpoints of compute()'s interval, by float.hex, or the type and
+    message of what it raised."""
+    try:
+        iv = compute()
+    except (ValueError, ZeroDivisionError, ModeUnsupportedError) as exc:
+        return type(exc).__name__, str(exc)
+    return iv.lo.hex(), iv.hi.hex()
+
+
+BINARY = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+          "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+
+class TestIntervalKernelParity:
+    """The kernel gives the endpoints and exceptions of its predecessor,
+    bit for bit (float.hex tells -0.0 from 0.0)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(x=intervals, y=intervals, op=st.sampled_from(sorted(BINARY)))
+    @example(x=[0.0, math.inf], y=[-math.inf, -0.0], op="*")
+    @example(x=[math.inf, math.inf], y=[math.inf, math.inf], op="-")
+    @example(x=[-0.0, -0.0], y=[0.0, 0.0], op="-")
+    @example(x=[5e-324, 5e-324], y=[-5e-324, 5e-324], op="/")
+    def test_interval_by_interval(self, x, y, op):
+        assert _outcome(lambda: BINARY[op](Interval(*x), Interval(*y))) == \
+            _outcome(lambda: BINARY[op](_OldInterval(*x), _OldInterval(*y)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(x=intervals, v=coercibles, op=st.sampled_from(sorted(BINARY)),
+           reflected=st.booleans())
+    @example(x=[0.0, 1.0], v=math.inf, op="*", reflected=True)
+    @example(x=[1.0, 2.0], v=10 ** 400, op="+", reflected=False)
+    @example(x=[1.0, 2.0], v=math.nan, op="-", reflected=True)
+    @example(x=[-1.0, 1.0], v=Fraction(1, 3), op="/", reflected=True)
+    def test_interval_and_scalar(self, x, v, op, reflected):
+        def run(cls):
+            return (BINARY[op](v, cls(*x)) if reflected
+                    else BINARY[op](cls(*x), v))
+        assert _outcome(lambda: run(Interval)) == _outcome(
+            lambda: run(_OldInterval))
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=intervals)
+    def test_negation(self, x):
+        assert _outcome(lambda: -Interval(*x)) == _outcome(
+            lambda: -_OldInterval(*x))
+
+    @settings(max_examples=400, deadline=None)
+    @given(v=coercibles)
+    @example(v=10 ** 400)
+    @example(v=Fraction(1, 10 ** 400))
+    @example(v=-0.0)
+    @example(v=math.nan)
+    def test_exact(self, v):
+        assert _outcome(lambda: Interval.exact(v)) == _outcome(
+            lambda: _OldInterval.exact(v))
+
+    def test_a_foreign_operand_is_not_implemented(self):
+        with pytest.raises(TypeError):
+            Interval(1.0, 2.0) + "1"
+        with pytest.raises(TypeError):
+            "1" - Interval(1.0, 2.0)
+
+
 def _interval_certificate_json() -> str:
     """reduce -> recover -> attach_register -> verify -> to_json ->
     check_certificate at alpha = -33/2, k = 6, d = (1, 1, 4, 6)."""
@@ -384,6 +559,31 @@ class TestRadical:
 
 
 class TestHelpers:
+
+    @pytest.mark.parametrize("value,text", [
+        (Fraction(-33, 2), "-33/2"),
+        (Fraction(10 ** 5000 + 1, 10 ** 5000),
+         "~1.0 (exact: ~5001 digits over ~5001)"),
+        (Fraction(-(10 ** 5000)), "~-1.000000e+5000 (exact: ~5001 digits "
+         "over ~1)"),
+        (Fraction(10 ** 4301 - 1, 7), "~1.428571e+4300 (exact: ~4301 digits "
+         "over ~1)")])
+    def test_scalar_text_never_raises(self, value, text):
+        # past the doubles too, where the nearest double overflows
+        assert scalars.scalar_text(value) == text
+
+    @pytest.mark.parametrize("k", [1, 2, 15, 16, 17, 22, 23, 300, 308, 309,
+                                   4299, 4300, 4301, 10000])
+    def test_digits_next_to_a_power_of_ten(self, k):
+        # 10**k has k + 1 digits, 10**k - 1 has k
+        assert scalars._digits(10 ** k - 1) == k
+        assert scalars._digits(10 ** k) == k + 1
+        assert scalars._digits(10 ** k + 1) == k + 1
+        assert scalars._digits(-(10 ** k)) == k + 1
+
+    def test_digits_of_small_integers(self):
+        assert [scalars._digits(n) for n in (0, 1, -1, 9, 10, 99, 100)] == [
+            1, 1, 1, 1, 2, 2, 3]
 
     def test_is_exact_zero(self):
         assert is_exact_zero(Fraction(0))
