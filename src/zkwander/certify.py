@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (CertificateError, DegeneratePairError,
                      InvalidPatternError, ModeUnsupportedError)
@@ -73,6 +74,82 @@ def _zero_condition(cells, tol: float, reasons: list) -> dict:
         else:
             reasons.append(f"{label} != 0")
     return condition
+
+
+# json's spelling of the floats float.__repr__ writes as nan, inf and -inf
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+# the text of a str, int, float, bool or None value, by its exact class
+_LEAVES = {str: _quote, int: int.__repr__, float: _float_text,
+           bool: lambda b: "true" if b else "false",
+           type(None): lambda _: "null"}
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: a string, or the quoted JSON spelling
+    of an int, float, bool or None."""
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, (int, float)) or key is None:
+        return _quote(json_text(key))
+    raise TypeError("keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _write(value, margin: str, out: list) -> None:
+    """Append the JSON text of value to out; margin is the newline and
+    indentation of value's own line."""
+    leaf = _LEAVES.get(value.__class__)
+    if leaf is not None:
+        out.append(leaf(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = margin + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + _key_text(key) + ": ")
+            _write(value[key], inner, out)
+            sep = "," + inner
+        out.append(margin + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = margin + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(margin + "]")
+    else:
+        # a subclass of str, int or float is written as its base, as json
+        # writes it
+        for base in (str, int, float):
+            if isinstance(value, base):
+                out.append(_LEAVES[base](value))
+                return
+        raise TypeError(f"Object of type {value.__class__.__name__} "
+                        "is not JSON serializable")
+
+
+def json_text(value) -> str:
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte.
+
+    With indent, json encodes in pure Python through nested generators;
+    this is one recursive function appending to one list.  A container
+    that holds itself raises RecursionError where json raises ValueError."""
+    out = []
+    _write(value, "\n", out)
+    return "".join(out)
 
 
 class Certificate(Record):
@@ -132,7 +209,7 @@ class Certificate(Record):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_dict()) + "\n"
 
 
 def verify(pair: GeneratorPair, seq: WeightSequence,

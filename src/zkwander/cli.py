@@ -16,15 +16,15 @@ import sys
 from fractions import Fraction
 
 from . import asymptotic
-from .certify import (check_bounds, check_certificate, save_certificate,
-                      verify)
+from .certify import (check_bounds, check_certificate, json_text,
+                      save_certificate, verify)
 from .errors import (NoAdmissibleSystemError, RegisterTooLargeError,
                      ZkwanderError)
 from .model import DegreePattern
 from .recovery import attach_register, auto_register, recover
 from .reduction import (b0_minimum, compute_C, objective_B0, objective_B1,
                         objective_B2, reduce_system, split_e, z1_star)
-from .scalars import REGIMES, display, to_float
+from .scalars import REGIMES, display, to_float, to_rational
 from .search import SearchConfig, minimize, reproduce_table
 from .weights import dirichlet, exact_regime, override_block, weight
 
@@ -47,21 +47,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-# the largest exponent a rational flag may carry: Fraction forms 10**e, so
-# "1e99999999" would take minutes; 4300 is the default integer-string limit
-_MAX_EXPONENT = 4300
-
-
 def _parse_fraction(text: str) -> Fraction:
-    """A rational as Fraction reads it, with an exponent of at most
-    _MAX_EXPONENT."""
-    _, e, exponent = text.lower().partition("e")
+    # argparse would report a ValueError as "invalid _parse_fraction value";
+    # main reports a ZkwanderError with its own message
     try:
-        if e and abs(int(exponent)) > _MAX_EXPONENT:
-            raise ValueError("exponent past _MAX_EXPONENT")
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ZkwanderError(f"cannot parse {text!r} as a rational") from exc
+        return to_rational(text)
+    except ValueError as exc:
+        raise ZkwanderError(str(exc)) from exc
 
 
 def _parse_d(text: str) -> tuple:
@@ -186,8 +178,7 @@ def cmd_search(args) -> int:
                    "below_threshold": res.below_threshold,
                    "landing_side": res.landing_side}
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(json_text(payload) + "\n")
     return 0 if res.below_threshold else 2
 
 

@@ -630,6 +630,26 @@ def scalar_to_json(x):
 MAX_ROOT_ATOMS = 8
 
 
+# the largest exponent a rational string may carry: Fraction forms 10**e, so
+# "1e99999999" would take minutes; 4300 is the default integer-string limit
+_MAX_EXPONENT = 4300
+
+
+def to_rational(value) -> Fraction:
+    """Fraction(value); a string is read as Fraction reads it ("-33/2",
+    "0.25", "-2e13") with an exponent of at most _MAX_EXPONENT, and any
+    other string raises ValueError."""
+    if not isinstance(value, str):
+        return Fraction(value)
+    _, e, exponent = value.lower().partition("e")
+    try:
+        if e and abs(int(exponent)) > _MAX_EXPONENT:
+            raise ValueError("exponent past _MAX_EXPONENT")
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse {value!r} as a rational") from exc
+
+
 def rational_from_json(text) -> Fraction:
     """An exact rational as JSON output writes it, "p" or "p/q".  The
     exponent form that Fraction also reads is refused: "1e99999999" costs

@@ -20,7 +20,8 @@ from .model import DegreePattern
 from .record import Record, store
 from .recovery import _round_significant
 from .reduction import compute_C, objective_B1, objective_B2, reduce_system
-from .scalars import FLOAT, scalar_text, strictly_less, to_float
+from .scalars import (FLOAT, scalar_text, strictly_less, to_float,
+                      to_rational)
 from .weights import WeightSequence, dirichlet, exact_regime
 
 # d ranges over five-plus orders of magnitude in the published tables,
@@ -60,6 +61,8 @@ class SearchConfig(Record):
             raise ValueError(f"unknown strategy {strategy!r}")
         if target not in _OBJECTIVES:
             raise ValueError(f"unknown target {target!r}")
+        if isinstance(threshold, str):
+            threshold = to_rational(threshold)
         if not threshold > 0:
             raise ValueError("threshold must be positive")
         store(self, "alpha", alpha)
@@ -235,7 +238,7 @@ def confirm_value(seq: WeightSequence, pattern: DegreePattern, d3,
     rs = reduce_system(seq, pattern,
                        exact_regime(seq, pattern.matrix_indices()))
     value = objective(compute_C(rs, d_exact))
-    thr = Fraction(threshold)
+    thr = to_rational(threshold)
     if strictly_less(value, thr):
         side = "below"
     elif strictly_less(thr, value):

@@ -18,9 +18,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 
-from .errors import ModeUnsupportedError
 from .record import Record, store
-from .scalars import INTERVAL, RATIONAL, power, rational_from_json, to_regime
+from .scalars import (INTERVAL, RATIONAL, power, rational_from_json,
+                      to_rational, to_regime)
 
 DIRICHLET = "dirichlet"
 PERTURBED = "perturbed"
@@ -30,7 +30,7 @@ def _normalize_alpha(alpha) -> Fraction:
     if isinstance(alpha, float):
         # repr round-trips the decimal the caller typed (-4.999 -> -4999/1000)
         return Fraction(repr(alpha))
-    return Fraction(alpha)
+    return to_rational(alpha)
 
 
 class WeightSequence(Record):
@@ -53,7 +53,7 @@ def perturbed(base: WeightSequence, overrides: dict) -> WeightSequence:
     items = {}
     for t, v in overrides.items():
         t = int(t)
-        v = Fraction(v)
+        v = to_rational(v)
         if t < 0:
             raise ValueError("override index must be >= 0")
         if v <= 0:
@@ -77,14 +77,13 @@ def weight(seq: WeightSequence, t: int, regime: str = RATIONAL):
 
 
 def exact_regime(seq: WeightSequence, indices) -> str:
-    """RATIONAL when every weight of seq at the indices is rational,
-    INTERVAL otherwise: the regime that is exact, or encloses, there."""
-    try:
-        for t in indices:
-            weight(seq, t, RATIONAL)
-    except ModeUnsupportedError:
-        return INTERVAL
-    return RATIONAL
+    """RATIONAL when every weight of seq at the indices is rational, that is
+    when alpha is an integer or every index is overridden; INTERVAL
+    otherwise: the regime that is exact, or encloses, there."""
+    if seq.alpha.denominator == 1:
+        return RATIONAL
+    overridden = {t for t, _ in seq.overrides}
+    return RATIONAL if all(t in overridden for t in indices) else INTERVAL
 
 
 def override_block(base: WeightSequence, donor: WeightSequence,

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from zkwander.certify import (Certificate, check_bounds, check_certificate,
-                              save_certificate, verify)
+                              json_text, save_certificate, verify)
 from zkwander.errors import CertificateError, ModeUnsupportedError
 from zkwander.model import DegreePattern, GeneratorPair
 from zkwander.recovery import attach_register, auto_register, recover
@@ -647,3 +647,91 @@ class TestReadSet:
         params = attach_register(params, r, r)
         self._check(monkeypatch, params.pair, seq, INTERVAL)
 
+
+
+# ---------------------------------------------------------------------------
+# the certificate writer, byte for byte json.dumps(sort_keys=True, indent=2)
+
+class _Int(int):
+    def __repr__(self):             # json writes int.__repr__, not this
+        return "forged"
+
+
+class _Float(float):
+    def __repr__(self):             # json writes float.__repr__, not this
+        return "forged"
+
+
+class _Str(str):
+    pass
+
+
+_FLOATS = (st.floats(allow_subnormal=True)
+           | st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf,
+                              5e-324, -2.2250738585072014e-308,
+                              1.7976931348623157e308]))
+_STRINGS = st.text() | st.text(st.characters(categories=["Cc", "Cs", "Co"]))
+_LEAVES = (st.none() | st.booleans() | st.integers()
+           | st.integers(min_value=-10 ** 400, max_value=10 ** 400)
+           | _FLOATS | _STRINGS | st.builds(_Int, st.integers())
+           | st.builds(_Float, _FLOATS) | st.builds(_Str, _STRINGS))
+# keys of one dict are mutually comparable, as json's sort needs
+_KEYS = (st.lists(_STRINGS, max_size=6)
+         | st.lists(st.integers() | st.booleans() | _FLOATS, max_size=6))
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | st.tuples(_KEYS, st.lists(inner, min_size=6,
+                                               max_size=6)).map(
+                       lambda kv: dict(zip(*kv)))),
+    max_leaves=40)
+_UNSUPPORTED = st.sampled_from([object(), Fraction(1, 3), 1j, frozenset({1}),
+                                b"x", range(2)])
+
+
+def _outcome(write, value):
+    """The text written, or the type of the exception raised."""
+    try:
+        return write(value)
+    except Exception as exc:           # noqa: BLE001 - compared below
+        return type(exc)
+
+
+def _json_dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+@given(_JSON)
+@settings(max_examples=150, deadline=None)
+def test_json_text_writes_what_json_dumps_writes(value):
+    assert json_text(value) == _json_dumps(value)
+
+
+@given(_JSON, _UNSUPPORTED)
+@settings(max_examples=50, deadline=None)
+def test_json_text_refuses_what_json_dumps_refuses(value, bad):
+    # the unsupported value as a leaf, and as a dict key
+    for tree in ([value, bad], {"a": value, "b": [bad]}, {bad: value},
+                 {None: 1, "a": 2}, {1: 1, "a": 2}):
+        assert _outcome(json_text, tree) == _outcome(_json_dumps, tree)
+    assert _outcome(json_text, bad) is TypeError
+    huge = 10 ** 5000                   # past the integer-string limit
+    assert _outcome(json_text, [huge]) == _outcome(_json_dumps, [huge])
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), {"a": {}, "b": [], "c": ()}, [[[]]], True, 1, None, "\u00e9",
+    {1: "one", 2.5: "two and a half", True: "true"}, {None: "null"},
+    {"x": [True, 1, 1.0, _Int(1), _Float(1.0), _Str("1")]},
+])
+def test_json_text_edge_cases(value):
+    assert json_text(value) == _json_dumps(value)
+
+
+def test_certificate_json_is_json_dumps(cert16):
+    seq = dirichlet(Fraction(-33, 2))
+    rs = reduce_system(seq, DegreePattern.default(6), INTERVAL)
+    params = attach_register(recover(rs, (1, 4, 6)), 1, 1)
+    for cert in (cert16, verify(params.pair, seq, INTERVAL)):
+        assert cert.to_json() == _json_dumps(cert.to_dict()) + "\n"

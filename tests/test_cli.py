@@ -114,6 +114,18 @@ class TestExponentForms:
         assert proc.returncode == 1
         assert proc.stderr == f"error: cannot parse {value!r} as a rational\n"
 
+    @pytest.mark.parametrize("field", ["alpha", "threshold"])
+    def test_huge_exponent_in_a_config_file_is_refused_at_once(
+            self, tmp_path, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": -16, field: "1e99999999"}))
+        proc = subprocess.run([sys.executable, "-m", "zkwander", "search",
+                               "--config", str(cfg)],
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 1
+        assert proc.stderr == (f"error: bad search config {cfg}: cannot "
+                               "parse '1e99999999' as a rational\n")
+
     def test_exponent_on_the_limit_parses(self):
         limit = 4300
         assert _parse_fraction(f"1e{limit}") == 10 ** limit
@@ -363,6 +375,14 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--config", str(cfg))
         assert code == 1
         assert err.startswith("error: bad search config")
+
+    def test_config_file_threshold_string(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": -16, "strategy": "grid",
+                                   "threshold": "1/1000"}))
+        code, out, _ = run(capsys, "search", "--config", str(cfg))
+        assert code == 2
+        assert "landing side vs threshold: above" in out
 
     def test_alpha_or_config_is_required(self, capsys):
         code, out, err = run(capsys, "search")

@@ -1,8 +1,9 @@
 """Source hygiene: no package module imports a name it never uses, no
 private module-level name or library function is left that no module loads,
 no module builds a complex value or reads its parts, every memo is bounded,
-no module but scalars branches on the scalar regime, and the package
-imports exactly the third-party modules pyproject.toml lists."""
+no module but scalars branches on the scalar regime, no module has json
+indent its output, and the package imports exactly the third-party modules
+pyproject.toml lists."""
 
 import ast
 import os
@@ -198,6 +199,25 @@ def _regime_branches(tree: ast.Module) -> list:
 def test_only_scalars_branches_on_the_regime(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _regime_branches(tree) == []
+
+
+def _indented_json_calls(tree: ast.Module) -> list:
+    """Lines of json.dump/json.dumps calls given an indent: json encodes
+    those in pure Python, where certify.json_text writes the same text."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("dump", "dumps")
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "json"
+            and any(kw.arg == "indent" for kw in node.keywords)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_no_module_indents_json(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _indented_json_calls(tree) == []
 
 
 def test_import_loads_neither_scipy_nor_numpy():

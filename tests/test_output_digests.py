@@ -5,16 +5,21 @@ output_digests.json, so a change that moves any output byte fails here and
 names its case.  The cases are the certificate (``to_json``) and its
 ``check_certificate`` report for every Table 1/2 row in its exact regime,
 the pinned rational headline and alpha = -33/2 in the interval regime; the
-replay reports of every single-leaf forgery of those last two; and the
-``minimize`` result of each search strategy on two rows.
+replay reports of every single-leaf forgery of those last two; the
+``minimize`` result of each search strategy on two rows; and the two files
+the CLI writes, a ``pipeline --out`` certificate and a ``search --out``
+payload.
 
 A change that moves output on purpose rewrites the file with
 ``PYTHONPATH=src python tests/test_output_digests.py > tests/data/output_digests.json``.
 """
 
+import contextlib
 import copy
 import hashlib
+import io
 import json
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +29,7 @@ from zkwander import (CertificateError, DegreePattern, RegisterTooLargeError,
                       SearchConfig, attach_register, auto_register,
                       check_certificate, dirichlet, minimize, recover,
                       reduce_system, verify)
+from zkwander import cli
 from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
 from zkwander.scalars import INTERVAL
 from zkwander.weights import exact_regime
@@ -102,6 +108,15 @@ def _alpha_33_2() -> str:
                         (1, 1, 4, 6), INTERVAL)
 
 
+def _cli_file(*argv) -> str:
+    """The file ``zkwander <argv> --out FILE`` writes, run through cli.main."""
+    with tempfile.TemporaryDirectory() as folder:
+        out = Path(folder) / "out.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main([*argv, "--out", str(out)])
+        return out.read_text()
+
+
 CASES = {
     **{f"table{t}-row{i}": _row_case(row)
        for t, rows in ((1, TABLE1_ROWS), (2, TABLE2_ROWS))
@@ -114,6 +129,10 @@ CASES = {
                                                              strategy)
        for t, rows, i in ((1, TABLE1_ROWS, 1), (2, TABLE2_ROWS, 3))
        for strategy in STRATEGIES},
+    "cli-pipeline-certificate": lambda: _cli_file(
+        "pipeline", "--alpha", "-16", "--d", "1,4,6", "--z3", "-2e13"),
+    "cli-search-grid": lambda: _cli_file(
+        "search", "--alpha", "-16", "--strategy", "grid"),
 }
 
 

@@ -46,6 +46,19 @@ class TestConfig:
         with pytest.raises((TypeError, ValueError, ZeroDivisionError)):
             SearchConfig(alpha=alpha)
 
+    @pytest.mark.parametrize("field", ["alpha", "threshold"])
+    def test_huge_exponent_string_is_refused_at_once(self, field):
+        # Fraction alone forms 10^99999999, which takes minutes
+        with pytest.raises(ValueError,
+                           match="cannot parse '1e99999999' as a rational"):
+            SearchConfig(**{"alpha": -16, field: "1e99999999"})
+
+    def test_threshold_string_is_a_rational(self):
+        assert SearchConfig(alpha=-16, threshold="1/2").threshold == \
+            Fraction(1, 2)
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            SearchConfig(alpha=-16, threshold="-1e-3")
+
     def test_lists_are_literal(self):
         from zkwander.search import _as_values
         # a list always means its own values, never a range

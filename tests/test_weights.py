@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from zkwander.errors import InvalidPatternError, ModeUnsupportedError
 from zkwander.model import DegreePattern
+from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
 from zkwander.scalars import FLOAT, INTERVAL, RATIONAL, Interval, to_regime
-from zkwander.weights import (dirichlet, override_block, perturbed, weight,
-                              weights_from_dict, weights_to_dict)
+from zkwander.weights import (dirichlet, exact_regime, override_block,
+                              perturbed, weight, weights_from_dict,
+                              weights_to_dict)
 
 
 class TestDirichlet:
@@ -59,6 +61,20 @@ class TestDirichlet:
                    INTERVAL)
         with pytest.raises(ModeUnsupportedError):
             weight(dirichlet(Fraction(127, 2)), 120009, INTERVAL)
+
+    @pytest.mark.parametrize("alpha", ["1e99999999", "-2E-99999999",
+                                       "1e4301", "x", "1/0"])
+    def test_unreadable_alpha_string_is_refused(self, alpha):
+        # Fraction alone forms 10^99999999, which takes minutes
+        with pytest.raises(ValueError,
+                           match=f"cannot parse {alpha!r} as a rational"):
+            dirichlet(alpha)
+        with pytest.raises(ValueError, match="cannot parse"):
+            perturbed(dirichlet(-16), {3: alpha})
+
+    def test_alpha_string_on_the_exponent_limit_parses(self):
+        assert dirichlet("-33/2").alpha == Fraction(-33, 2)
+        assert dirichlet("1e-4300").alpha == Fraction(1, 10 ** 4300)
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
@@ -175,6 +191,48 @@ class TestOverrideBlock:
         with pytest.raises(ModeUnsupportedError):
             override_block(dirichlet(-16), dirichlet(Fraction(-9, 2)),
                            DegreePattern.default(6))
+
+
+def _exact_regime_by_trial(seq, indices):
+    """The regime exact_regime chose before it decided by its rule: rational
+    unless some weight at the indices refuses the rational regime."""
+    try:
+        for t in indices:
+            weight(seq, t, RATIONAL)
+    except ModeUnsupportedError:
+        return INTERVAL
+    return RATIONAL
+
+
+def _regime_cases():
+    pattern = DegreePattern.default(6)
+    for row in (*TABLE1_ROWS, *TABLE2_ROWS):
+        yield (dirichlet(row.alpha),
+               DegreePattern.from_phi(row.k, row.phi2, row.phi3))
+    for alpha in (64, -64, Fraction(1, 1000), Fraction(-1, 1000)):
+        yield dirichlet(alpha), pattern
+    half = dirichlet(Fraction(-33, 2))
+    yield override_block(half, dirichlet(-16), pattern), pattern
+    yield perturbed(half, {6: 1, 7: Fraction(1, 3), 30: 2}), pattern
+    yield perturbed(dirichlet(-16), {6: Fraction(1, 3)}), pattern
+
+
+class TestExactRegime:
+
+    @pytest.mark.parametrize("seq,pattern", list(_regime_cases()))
+    def test_rule_gives_the_answer_of_trying_each_weight(self, seq, pattern):
+        for indices in (pattern.matrix_indices(), pattern.embedded_indices(),
+                        (), (6, 7), (6, 8),
+                        *((t,) for t in pattern.embedded_indices())):
+            assert (exact_regime(seq, indices)
+                    == _exact_regime_by_trial(seq, indices))
+
+    def test_rule(self):
+        half = dirichlet(Fraction(-33, 2))
+        assert exact_regime(dirichlet(-16), (0, 5, 10 ** 9)) == RATIONAL
+        assert exact_regime(half, (6,)) == INTERVAL
+        assert exact_regime(perturbed(half, {6: 1}), (6,)) == RATIONAL
+        assert exact_regime(perturbed(half, {6: 1}), (6, 7)) == INTERVAL
 
 
 class TestSerialization:
