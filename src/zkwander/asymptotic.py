@@ -38,9 +38,14 @@ def sigma_threshold(k: int, sigma) -> float:
     return 6.0 * (k + 1) / k * (k + 2) * math.log(2.0 / float(sigma))
 
 
+def _sigma_floor(k: int, sigma) -> float:
+    """The value float(beta) must reach for the sigma-condition to hold."""
+    return sigma_threshold(k, sigma) * (1 - COMPARISON_SLACK)
+
+
 def sigma_condition(k: int, beta, sigma) -> bool:
     _check_query(k, beta, sigma)
-    return float(beta) >= sigma_threshold(k, sigma) * (1 - COMPARISON_SLACK)
+    return float(beta) >= _sigma_floor(k, sigma)
 
 
 def a_factor_exact(k: int) -> Fraction:
@@ -110,10 +115,14 @@ def minimal_beta(k: int):
     """Smallest integer beta (up to the cap) admitting a working sigma.
 
     Returns (beta, sigma) or None when no grid point works below the cap;
-    callers get the scanned range either way via beta_cap(k).
+    callers get the scanned range either way via beta_cap(k).  The scan
+    starts at the smallest beta that some grid sigma admits: for an integer
+    beta, float(beta) >= x exactly when beta >= ceil(x).
     """
     top = math.ceil(beta_cap(k))
-    for beta in range(1, top + 1):
+    _check_query(k, 1, DEFAULT_SIGMA_GRID[0])
+    start = min(math.ceil(_sigma_floor(k, s)) for s in DEFAULT_SIGMA_GRID)
+    for beta in range(max(1, start), top + 1):
         for sigma in DEFAULT_SIGMA_GRID:
             if not sigma_condition(k, beta, sigma):
                 continue

@@ -11,9 +11,9 @@ wandering property of z^k:
 
 All four together give z^{gamma_4} in M but orthogonal to the span of the
 wandering vectors, with contraction ratio c < 1 certifying the geometric
-decay.  Soundness gate: a pass verdict requires the rational or interval
-regime; float runs always report "fail" with an explanatory reason, whatever
-the numerics suggest.
+decay.  Only the rational and interval regimes certify: floats locate a
+pair, they do not prove one, so verify refuses the float regime before it
+evaluates any weight.
 
 Only what the proof reads is evaluated: A_(s,1) and A_(s,5) for s >= 4
 multiply a zero coefficient (HIGHER_LEVELS), and the membership sweep runs
@@ -36,9 +36,9 @@ from .record import Record, store
 from .recovery import level1_block
 from .reduction import objective_B0
 from .scalars import (MAX_ALPHA_DENOMINATOR, RATIONAL, REGIMES, agreement,
-                      nonzero_evidence, proves, refuse_foreign,
+                      nonzero_evidence, refuse_float, refuse_foreign,
                       scalar_from_json, scalar_text, scalar_to_json,
-                      strictly_less, to_float, zero_evidence, zero_tolerance)
+                      strictly_less, to_float, zero_evidence)
 from .weights import (WeightSequence, exact_regime, weight, weights_from_dict,
                       weights_to_dict)
 
@@ -57,12 +57,12 @@ MAX_K = 10 ** 4
 MAX_DEGREE = 10 ** 6
 
 
-def _zero_condition(cells, tol: float, reasons: list) -> dict:
+def _zero_condition(cells, reasons: list) -> dict:
     """Zero-test each (key, label, value) cell; a failing cell appends its
     reason.  Returns {"holds": all cells zero, key: info, ...}."""
     condition = {"holds": True}
     for key, label, value in cells:
-        ok, info = zero_evidence(value, tol)
+        ok, info = zero_evidence(value)
         condition[key] = info
         if ok:
             continue
@@ -154,10 +154,10 @@ def json_text(value) -> str:
 
 class Certificate(Record):
     __slots__ = ("verdict", "regime", "pair", "seq", "conditions", "a_table",
-                 "c_value", "reasons", "warnings", "membership")
+                 "c_value", "reasons", "membership")
 
     def __init__(self, verdict, regime, pair, seq, conditions, a_table,
-                 c_value, reasons=None, warnings=None, membership=None):
+                 c_value, reasons=None, membership=None):
         store(self, "verdict", verdict)
         store(self, "regime", regime)
         store(self, "pair", pair)
@@ -166,7 +166,6 @@ class Certificate(Record):
         store(self, "a_table", a_table)     # s -> {"A<n>": value}, s <= 3
         store(self, "c_value", c_value)
         store(self, "reasons", [] if reasons is None else reasons)
-        store(self, "warnings", [] if warnings is None else warnings)
         store(self, "membership", {} if membership is None else membership)
 
     @property
@@ -204,7 +203,7 @@ class Certificate(Record):
             "c": None if self.c_value is None else scalar_to_json(self.c_value),
             "c_float": None if self.c_value is None else to_float(self.c_value),
             "reasons": self.reasons,
-            "warnings": self.warnings,
+            "warnings": [],         # a v2 field that nothing fills any more
             "membership": self.membership,
         }
 
@@ -216,8 +215,10 @@ def verify(pair: GeneratorPair, seq: WeightSequence,
            regime: str = RATIONAL) -> Certificate:
     """Evaluate the four conditions from the raw coefficients: the level-1
     block, A_(s,1) and A_(s,5) for s = 2, 3, and the membership sweep at
-    the levels of the support lemma.  Out-of-range inputs raise ValueError
-    before any weight is evaluated, under the bounds replay enforces."""
+    the levels of the support lemma.  The float regime raises
+    ModeUnsupportedError, and out-of-range inputs raise ValueError under the
+    bounds replay enforces, both before any weight is evaluated."""
+    refuse_float(regime)
     check_bounds(pair.pattern, seq)
     refuse_foreign(regime, (*pair.a_low, *pair.a_high, *pair.b_low,
                             pair.a_reg, pair.b_reg))
@@ -229,11 +230,10 @@ def verify(pair: GeneratorPair, seq: WeightSequence,
         a_table[s][f"A{n}"] = value
         label = f"A_({s},{n})"
         cells.append(("A_1_1" if s == 1 else label, label, value))
-    tol = zero_tolerance(q1.A3)
     reasons = []
     conditions = {
-        "adjacent_zero": _zero_condition(cells[:1], tol, reasons),
-        "higher_zero": _zero_condition(cells[1:], tol, reasons),
+        "adjacent_zero": _zero_condition(cells[:1], reasons),
+        "higher_zero": _zero_condition(cells[1:], reasons),
     }
 
     lhs, coupling = q1.contraction_sides()
@@ -254,38 +254,29 @@ def verify(pair: GeneratorPair, seq: WeightSequence,
     if not strict:
         reasons.append("A_(1,3) A_(1,4) - |A_(1,2)|^2 >= |A_(1,5) A_(1,2)|")
 
-    all_hold = all(conditions[nm]["holds"] for nm in
-                   ("adjacent_zero", "higher_zero", "coupling_nonzero",
-                    "strict_contraction"))
+    all_hold = all(c["holds"] for c in conditions.values())
     membership = {}
-    warnings = []
-    if all_hold and proves(regime):
+    if all_hold:
         levels = sorted({s for s, _ in pair.pattern.sweep_overlaps()})
-        membership = _membership_sweep(pair, seq, regime, levels, q1, tol)
+        membership = _membership_sweep(pair, seq, regime, levels, q1)
         if not membership["holds"]:
             all_hold = False
             reasons.append("membership sweep found a nonzero projection")
 
-    verdict = "pass" if (all_hold and proves(regime)) else "fail"
-    if all_hold and not proves(regime):
-        reasons.append("float regime cannot back a pass verdict; rerun with "
-                       "regime rational or interval")
-        warnings.append("all conditions hold numerically in float; verdict "
-                        "withheld by the soundness gate")
-    return Certificate(verdict=verdict, regime=regime, pair=pair, seq=seq,
-                       conditions=conditions, a_table=a_table,
-                       c_value=c_value, reasons=reasons, warnings=warnings,
+    return Certificate(verdict="pass" if all_hold else "fail", regime=regime,
+                       pair=pair, seq=seq, conditions=conditions,
+                       a_table=a_table, c_value=c_value, reasons=reasons,
                        membership=membership)
 
 
 def _membership_sweep(pair: GeneratorPair, seq: WeightSequence, regime: str,
-                      levels: list, q1: AQuantities, tol: float) -> dict:
+                      levels: list, q1: AQuantities) -> dict:
     """Check that F_2 and F_3 really live in M (-) z^k M at the given levels.
 
     F_3 is built from verify's level-1 block q1, whose zero conditions have
-    passed under the same tolerance; the sweep then tests every projection
-    directly, so any nonzero one flags an internal inconsistency.  At every
-    other level the support lemma leaves the products without a term.
+    been proved; the sweep then tests every projection directly, so any
+    nonzero one flags an internal inconsistency.  At every other level the
+    support lemma leaves the products without a term.
     """
     k = pair.pattern.k
     try:
@@ -299,7 +290,7 @@ def _membership_sweep(pair: GeneratorPair, seq: WeightSequence, regime: str,
             for gname, gmap in (("F1", f1), ("F2", f2)):
                 v = inner_product(fmap, gmap, seq, regime,
                                   shift_f=0, shift_g=k * s)
-                zok, info = zero_evidence(v, tol)
+                zok, info = zero_evidence(v)
                 if not zok:
                     return {"holds": False,
                             "first_failure": f"<{tag}, z^{k * s} {gname}> != 0"}
@@ -447,11 +438,7 @@ def check_certificate(source) -> dict:
     except (ModeUnsupportedError, ValueError, ArithmeticError) as exc:
         raise CertificateError(f"certificate cannot be replayed: {exc}") from exc
     first = {}                      # field -> its first differing leaf
-    # an unchanged certificate is compared once, as a whole.  == takes an
-    # object as equal to itself, so a NaN leaf the replay carries over from
-    # the stored one (a float coefficient) is equal here though the walk,
-    # by !=, reports it; a NaN input still fails ==, because it spreads
-    # into the leaves the replay computes afresh
+    # an unchanged certificate is compared once, as a whole
     for path, stored, value in (() if data == fresh else
                                 _differences(data, fresh)):
         if path[0] not in first and not (v1 and path[0] in _V1_UNCOMPARED):

@@ -23,7 +23,7 @@ from .errors import (DegeneratePairError, InvalidPatternError,
                      NotOrthogonalError)
 from .record import Record, store
 from .scalars import (RATIONAL, certainly_positive, is_exact_zero,
-                      to_regime, zero_evidence, zero_tolerance)
+                      refuse_float, to_regime)
 from .weights import WeightSequence, weight
 
 CoefficientMap = Dict[int, object]
@@ -281,12 +281,13 @@ def construct_F3(pair: GeneratorPair, seq: WeightSequence,
         F_3 = F_1 + z^k * A_15 / (A_12^2 - A_13 A_14)
                         * (A_13 F_2 - A_12 F_1)
 
-    Requires the engineered orthogonality relations (zero under
-    ``zero_tolerance``) and a strict Cauchy-Schwarz gap A_12^2 < A_13 A_14.
+    Requires the engineered orthogonality relations, proved zero, and a
+    strict Cauchy-Schwarz gap A_12^2 < A_13 A_14; the float regime cannot
+    prove them and raises ModeUnsupportedError before any weight is read.
     """
+    refuse_float(regime)
     q1, relations = orthogonality_relations(pair, seq, regime)
-    tol = zero_tolerance(q1.A3)
     for (s, n), value in relations:
-        if not zero_evidence(value, tol)[0]:
+        if not is_exact_zero(value):
             raise NotOrthogonalError(f"A_({s},{n}) = {value!r} is not zero")
     return _f3_from_level1(pair, q1)

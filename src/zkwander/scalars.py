@@ -11,8 +11,8 @@ Three regimes run through the whole package, all of them with real scalars:
   b**(p/q) is enclosed around its nearest double, which exact integer
   comparisons of q-th powers prove; q is bounded by MAX_ALPHA_DENOMINATOR.
   ``power`` proves each interval weight once, in a bounded memo.
-* ``float``     -- plain doubles, for searching only.  Nothing computed here
-  may back a pass verdict.
+* ``float``     -- plain doubles, for searching only.  Floats locate a pair;
+  they do not prove one, so nothing that certifies accepts them.
 
 Irrational algebraic values (square roots of positive rationals) appear in
 recovered coefficients; ``Radical`` keeps them exact as c * sqrt(r1*...*rn)
@@ -23,9 +23,9 @@ rationals.
 
 Every choice that depends on the regime is made here, mostly by the type of
 the scalar: powers and square roots, the zero and sign tests with their
-evidence, the zero tolerance, the regimes that may back a verdict, the
-scalar types a regime refuses, and display.  The modules above never branch
-on it (tests/test_hygiene.py checks that).
+evidence, the refusal of the regime that cannot prove, the scalar types a
+regime refuses, and display.  The modules above never branch on it
+(tests/test_hygiene.py checks that).
 
 Determinants of the 3x3 weight matrix are taken by cofactor expansion.
 Entries span ~50 orders of magnitude, which would destroy float pivoting
@@ -46,7 +46,8 @@ from .record import Record, store
 RATIONAL = "rational"
 INTERVAL = "interval"
 FLOAT = "float"
-REGIMES = (RATIONAL, INTERVAL, FLOAT)
+PROVING_REGIMES = (RATIONAL, INTERVAL)
+REGIMES = (*PROVING_REGIMES, FLOAT)
 
 _INF = math.inf
 
@@ -418,14 +419,13 @@ class Radical(Record):
 # ---------------------------------------------------------------------------
 # generic scalar helpers
 
-# relative zero tolerance of the float regime (zero_tolerance)
-FLOAT_ZERO_RTOL = 1e-9
-
-
-def proves(regime: str) -> bool:
-    """Whether the regime's results may back a pass verdict; float values
-    are for searching only."""
-    return regime != FLOAT
+def refuse_float(regime: str) -> None:
+    """Raise ModeUnsupportedError for the float regime: its values may
+    locate a pair, but they cannot back a certificate."""
+    if regime == FLOAT:
+        raise ModeUnsupportedError(
+            "floats locate, they do not prove: certify in the "
+            f"{' or '.join(PROVING_REGIMES)} regime")
 
 
 def is_exact_zero(x) -> bool:
@@ -434,25 +434,18 @@ def is_exact_zero(x) -> bool:
     return x == 0
 
 
-def zero_tolerance(scale) -> float:
-    """The float zero tolerance of values of the size of scale (A_(1,3), a
-    real norm): FLOAT_ZERO_RTOL times max(1, |scale|).  Exact values and
-    intervals ignore it."""
-    return FLOAT_ZERO_RTOL * max(1.0, abs(to_float(scale)))
+def zero_evidence(x) -> tuple:
+    """(x = 0 proved, the evidence as a JSON dict).
 
-
-def zero_evidence(x, tol: float) -> tuple:
-    """(x = 0 as far as the regime can tell, the evidence as a JSON dict).
-
-    Exact for rational and Radical values and |x| <= tol for float.  An
-    interval proves 0 only as the point [0, 0]: containing 0 does not
-    prove that the value is 0.
+    Exact for rational and Radical values.  An interval proves 0 only as
+    the point [0, 0]: containing 0 does not prove that the value is 0.  A
+    float is refused, never recorded as exact.
     """
     if isinstance(x, Interval):
         return is_exact_zero(x), {"contains_zero": x.contains_zero(),
                                   "width": x.width}
     if isinstance(x, float):
-        return abs(x) <= tol, {"residual": abs(x), "tolerance": tol}
+        refuse_float(FLOAT)
     return is_exact_zero(x), {"exact": True, "value": scalar_to_json(x)}
 
 
@@ -464,12 +457,12 @@ def excludes_zero(x) -> bool:
 
 
 def nonzero_evidence(x) -> tuple:
-    """(x != 0 as far as the regime can tell, the evidence as a JSON dict)."""
+    """(x != 0 proved, the evidence as a JSON dict); a float is refused."""
     ok = excludes_zero(x)
     if isinstance(x, Interval):
         return ok, {"excludes_zero": ok}
     if isinstance(x, float):
-        return ok, {"magnitude": abs(x)}
+        refuse_float(FLOAT)
     return ok, {"exact": True, "value": scalar_to_json(x)}
 
 
@@ -637,16 +630,15 @@ _MAX_EXPONENT = 4300
 
 def to_rational(value) -> Fraction:
     """Fraction(value); a string is read as Fraction reads it ("-33/2",
-    "0.25", "-2e13") with an exponent of at most _MAX_EXPONENT, and any
-    other string raises ValueError."""
-    if not isinstance(value, str):
-        return Fraction(value)
-    _, e, exponent = value.lower().partition("e")
+    "0.25", "-2e13") with an exponent of at most _MAX_EXPONENT.  Any other
+    string and a float that is not finite raise ValueError."""
     try:
-        if e and abs(int(exponent)) > _MAX_EXPONENT:
-            raise ValueError("exponent past _MAX_EXPONENT")
+        if isinstance(value, str):
+            _, e, exponent = value.lower().partition("e")
+            if e and abs(int(exponent)) > _MAX_EXPONENT:
+                raise ValueError("exponent past _MAX_EXPONENT")
         return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"cannot parse {value!r} as a rational") from exc
 
 

@@ -52,17 +52,24 @@ class SearchConfig(Record):
 
     def __init__(self, alpha, k=6, phi2=0, phi3=0,
                  strategy="coordinate-descent", target="B1", threshold=1.0):
+        degrees = (("k", k), ("phi2", phi2), ("phi3", phi3))
+        for name, raw in (("alpha", alpha), *degrees,
+                          ("threshold", threshold)):
+            # a bool is an int to Python, but no degree, exponent or bound
+            values = _as_values(raw)
+            if not values or any(isinstance(v, bool) for v in values):
+                raise ValueError(
+                    f"{name} needs one or more values, none a boolean")
         for a in _as_values(alpha):
             dirichlet(a)                # raises unless alpha is a rational
-        for name, values in (("k", k), ("phi2", phi2), ("phi3", phi3)):
+        for name, values in degrees:
             if not all(isinstance(v, int) for v in _as_values(values)):
                 raise ValueError(f"{name} values must be integers")
         if strategy not in ("grid", "coordinate-descent", "simplex"):
             raise ValueError(f"unknown strategy {strategy!r}")
         if target not in _OBJECTIVES:
             raise ValueError(f"unknown target {target!r}")
-        if isinstance(threshold, str):
-            threshold = to_rational(threshold)
+        threshold = to_rational(threshold)      # an inf or NaN raises here
         if not threshold > 0:
             raise ValueError("threshold must be positive")
         store(self, "alpha", alpha)

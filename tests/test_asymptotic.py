@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from zkwander.asymptotic import (a_factor, a_factor_exact, a_factor_q_form,
+from zkwander.asymptotic import (DEFAULT_SIGMA_GRID, a_factor,
+                                 a_factor_exact, a_factor_q_form,
                                  beta_cap, check_five_k_readings,
                                  e_bracket_check, five_k_rule, minimal_beta,
                                  objective_bound, reproduce_table5,
@@ -75,6 +76,26 @@ class TestMinimalBeta:
             assert beta <= beta_cap(k)
             assert sigma_condition(k, beta, sigma)
             assert objective_bound(k, beta, sigma) < 1
+
+    @staticmethod
+    def _full_scan(k):
+        """minimal_beta's scan from beta = 1, as it ran before it started at
+        the first beta the sigma-condition admits."""
+        for beta in range(1, math.ceil(beta_cap(k)) + 1):
+            for sigma in DEFAULT_SIGMA_GRID:
+                if (sigma_condition(k, beta, sigma)
+                        and objective_bound(k, beta, sigma) < 1.0):
+                    return beta, sigma
+        return None
+
+    def test_the_scan_start_changes_nothing(self):
+        for k in range(10, 81):
+            assert minimal_beta(k) == self._full_scan(k)
+
+    @pytest.mark.parametrize("k", [-1, 0, 5, 8])
+    def test_k_below_nine_still_raises(self, k):
+        with pytest.raises(ValueError, match="needs k >= 9"):
+            minimal_beta(k)
 
     def test_cap_values(self):
         assert beta_cap(10) == pytest.approx(750.0)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from zkwander.certify import (Certificate, check_bounds, check_certificate,
                               json_text, save_certificate, verify)
 from zkwander.errors import CertificateError, ModeUnsupportedError
-from zkwander.model import DegreePattern, GeneratorPair
+from zkwander.model import DegreePattern, GeneratorPair, construct_F3
 from zkwander.recovery import attach_register, auto_register, recover
 from zkwander.reduction import reduce_system
 from zkwander.reference_data import TABLE2_ROWS
@@ -28,6 +28,9 @@ HEADLINE_CERTIFICATE = DATA / "headline_certificate_v2.json"
 # the interval regime, as schema v2 writes it since an enclosure proves 0
 # only as the point [0, 0]
 INTERVAL_CERTIFICATE = DATA / "interval_certificate_v2.json"
+# the headline pair in the float regime, as `pipeline --alpha -16 --d 1,4,6
+# --z3 -2e13 --regime float` wrote it before float certificates were refused
+FLOAT_CERTIFICATE = DATA / "float_certificate_v2.json"
 # the same certificate as schema v1 wrote it (with an s_max sweep depth)
 HEADLINE_CERTIFICATE_V1 = DATA / "headline_certificate.json"
 HEADLINE_V1_SHA256 = (
@@ -75,8 +78,8 @@ class TestVerify:
     def test_higher_levels_are_one_structural_statement(self, cert16):
         # A_(s,1), A_(s,5) for s >= 4 are nonzero but multiply a zero
         # coefficient; they are stated once and never evaluated
-        assert cert16.warnings == []
         data = cert16.to_dict()
+        assert data["warnings"] == []
         assert "zero coefficient" in data["support_lemma"]["higher_levels"]
         assert sorted(data["A"]) == ["1", "2", "3"]
         assert sorted(data["A"]["2"]) == sorted(data["A"]["3"]) == ["A1", "A5"]
@@ -147,30 +150,57 @@ class TestVerify:
         assert cert.membership["levels"] == [1, 2]
 
 
-@pytest.fixture(scope="module")
-def float_cert():
-    rs = reduce_system(dirichlet(-16), DegreePattern.default(6), FLOAT)
+@functools.lru_cache(maxsize=None)
+def _float_recovered_json() -> str:
+    """The interval certificate of the headline pair as float reduction and
+    recovery locate it: floats find the pair, the interval regime proves
+    what it can of it."""
+    seq = dirichlet(-16)
+    rs = reduce_system(seq, DegreePattern.default(6), FLOAT)
     params = attach_register(recover(rs, (1.0, 4.0, 6.0), z3=-2e13), 1.0, 1.0)
-    return verify(params.pair, rs.seq, FLOAT)
+    return verify(params.pair, seq, INTERVAL).to_json()
 
 
 class TestFloatGate:
+    """Floats locate a pair; they do not prove one.  verify and construct_F3
+    refuse the float regime before they evaluate any weight."""
 
-    def test_verdict_withheld(self, float_cert):
-        assert float_cert.verdict == "fail"
-        assert any("soundness gate" in w for w in float_cert.warnings)
-        assert any("rational or interval" in r for r in float_cert.reasons)
+    @pytest.mark.parametrize("certify", [verify, construct_F3],
+                             ids=["verify", "construct_F3"])
+    def test_the_float_regime_is_refused(self, certify, registered16,
+                                         monkeypatch):
+        read = TestReadSet.spy_on_weight(monkeypatch)
+        with pytest.raises(ModeUnsupportedError,
+                           match="rational or interval regime"):
+            certify(registered16.pair, dirichlet(-16), FLOAT)
+        assert read == set()
 
-    def test_conditions_still_reported(self, float_cert):
-        for name in ("adjacent_zero", "higher_zero", "coupling_nonzero",
-                     "strict_contraction"):
-            assert float_cert.conditions[name]["holds"]
-        assert float_cert.c_value == pytest.approx(C_FLAGSHIP)
+    def test_a_float_certificate_does_not_replay(self):
+        data = json.loads(FLOAT_CERTIFICATE.read_text())
+        assert data["regime"] == "float"
+        with pytest.raises(CertificateError,
+                           match="cannot be replayed: floats locate"):
+            check_certificate(str(FLOAT_CERTIFICATE))
 
-    def test_float_ratio_is_the_exact_one(self, float_cert, cert16):
+    def test_interval_proves_what_float_found(self):
+        data = json.loads(_float_recovered_json())
+        conditions = data["conditions"]
+        assert conditions["coupling_nonzero"]["holds"]
+        assert conditions["strict_contraction"]["holds"]
+        # every zero cell is enclosed around 0, but only [0, 0] proves 0
+        cells = [conditions["adjacent_zero"]["A_1_1"],
+                 *(v for key, v in conditions["higher_zero"].items()
+                   if key != "holds")]
+        assert len(cells) == 5
+        assert all(cell["contains_zero"] for cell in cells)
+        assert data["verdict"] == "fail"
+
+    def test_float_ratio_is_the_exact_one(self, cert16):
         # recover rounds Z_1 in every regime, so the float pipeline
         # evaluates the pair the exact one certifies
-        assert abs(float_cert.c_value - float(cert16.c_value)) <= 1e-14
+        c = json.loads(_float_recovered_json())["c"]
+        exact = float(cert16.c_value)
+        assert abs(c["lo"] - exact) <= 1e-14 and abs(c["hi"] - exact) <= 1e-14
 
 
 class TestIntervalRegime:
@@ -465,9 +495,10 @@ def _interval_certificate():
     return json.loads(verify(params.pair, seq, INTERVAL).to_json())
 
 
-# a rational pass and an interval fail, each with every path below its root
+# a rational pass and two interval fails, the second with float
+# coefficients, each with every path below its root
 _FUZZ_BASES = [json.loads(HEADLINE_CERTIFICATE.read_text()),
-               _interval_certificate()]
+               _interval_certificate(), json.loads(_float_recovered_json())]
 _FUZZ_PATHS = [[p for p, _ in _leaf_paths(base) if p] for base in _FUZZ_BASES]
 _JUNK = st.one_of(
     st.none(), st.booleans(),
@@ -513,7 +544,7 @@ def test_mutated_certificate_gives_a_report_or_certificate_error(mutations):
 
 
 @pytest.mark.parametrize("base", range(len(_FUZZ_BASES)),
-                         ids=["headline", "interval"])
+                         ids=["headline", "interval", "float-recovered"])
 def test_every_single_leaf_forgery_is_rejected(base):
     replayed = []
     for path, value in _leaf_paths(_FUZZ_BASES[base]):
@@ -534,14 +565,6 @@ def test_alpha_past_the_digit_limit_gets_the_bound_refusal():
     with pytest.raises(ValueError, match=r"^alpha = ~1\.000000e\+5000 "
                        r"\(exact: ~5001 digits over ~1\) is outside "):
         check_bounds(DegreePattern.default(6), dirichlet(10 ** 5000))
-
-
-@functools.lru_cache(maxsize=None)
-def _float_headline_json() -> str:
-    seq = dirichlet(-16)
-    rs = reduce_system(seq, DegreePattern.default(6), FLOAT)
-    params = attach_register(recover(rs, (1, 1, 4, 6), z3=-2e13), 1, 1)
-    return verify(params.pair, seq, FLOAT).to_json()
 
 
 class TestCompareFirstReplay:
@@ -579,19 +602,14 @@ class TestCompareFirstReplay:
         *((key, i) for key in ("a_low", "a_high", "b_low") for i in range(4)),
         ("a_reg",), ("b_reg",)], ids=lambda path: ".".join(map(str, path)))
     def test_a_nan_coefficient_is_a_mismatch(self, path):
-        # a float coefficient is decoded to the very object JSON gave and
-        # the replay carries that NaN over, so == takes that leaf as equal;
-        # the certificate still fails == because the NaN spreads into the
-        # leaves the replay computes afresh, and the walk reports both
-        data = json.loads(_float_headline_json())
+        # float coefficients replay only in the interval regime, where a
+        # NaN has no enclosure: the replay refuses it before any compare
+        data = json.loads(_float_recovered_json())
+        assert isinstance(data["coefficients"]["a_high"][1], float)
         _set_in("coefficients", *path, math.nan)(data)
-        report = check_certificate(data)
-        assert not report["ok"]
-        leaf = ".".join(map(str, path))
-        assert report["mismatches"][0] == (
-            f"coefficients.{leaf}: stored NaN, recomputed NaN")
-        assert report["mismatches"][1].startswith("A.1.A")
-        assert report["mismatches"][1].endswith(", recomputed NaN")
+        with pytest.raises(CertificateError, match="cannot be replayed: bad "
+                           "interval endpoints"):
+            check_certificate(data)
 
     def test_negative_zero_against_zero_is_no_mismatch(self):
         data = json.loads(HEADLINE_CERTIFICATE.read_text())

@@ -1,7 +1,9 @@
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -156,7 +158,7 @@ class TestBadInput:
         ("eval", "--alpha", "-16", "--z3", "-2e13", "--z1", "-1"),
         ("eval", "--alpha", "-16", "--z3=-2e13,1e12"),
         ("eval", "--alpha", "-33/2", "--z3=-2e13,1e12"),
-        ("pipeline", "--regime", "float", "--alpha", "-16", "--d", "1,4,6",
+        ("pipeline", "--regime", "interval", "--alpha", "-16", "--d", "1,4,6",
          "--z3=-2e13,1e12"),
         ("eval", "--alpha", "-16", "--z1", "5"),
         ("eval", "--alpha", "127/2", "--k", "6", "--phi3", "20000",
@@ -164,7 +166,7 @@ class TestBadInput:
         ("eval", "--alpha", "-16001/1001", "--regime", "interval"),
     ], ids=["d-not-positive", "gamma-not-integer", "z1-not-positive",
             "complex-z3-rational", "complex-z3-interval",
-            "complex-z3-float-pipeline", "z1-without-z3",
+            "complex-z3-interval-pipeline", "z1-without-z3",
             "interval-weight-overflows", "alpha-denominator-above-bound"])
     def test_bad_argument(self, capsys, tmp_path, argv):
         code, out, err = run(capsys, *argv, *(
@@ -368,7 +370,17 @@ class TestSearch:
                                      {"alpha": -16, "k": "x"},
                                      {"alpha": -16, "phi2": [0, 1.5]},
                                      {"alpha": None},
-                                     {"alpha": "1/0"}])
+                                     {"alpha": "1/0"},
+                                     # refused before the search, which
+                                     # they once ran to a traceback, a
+                                     # silent 1 or "0 visited systems"
+                                     {"alpha": -16, "threshold": math.inf},
+                                     {"alpha": -16, "threshold": True},
+                                     {"alpha": -16, "phi2": True},
+                                     {"alpha": -16, "phi3": [0, False]},
+                                     {"alpha": True},
+                                     {"alpha": []},
+                                     {"alpha": -16, "k": []}])
     def test_bad_config_file_is_an_error(self, capsys, tmp_path, raw):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
@@ -454,14 +466,31 @@ class TestPipeline:
                            "--override-base", "-33/2")
         assert code == 0 and "regime = rational" in out
 
-    def test_float_regime_gate(self, capsys, tmp_path):
+    def test_float_regime_gate(self, capsys, tmp_path, monkeypatch):
+        # floats locate, they do not prove: refused before any search
+        import zkwander.cli
+
+        def search(config):
+            raise AssertionError("pipeline --regime float searched")
+        monkeypatch.setattr(zkwander.cli, "minimize", search)
         cert = tmp_path / "cert.json"
-        code, out, _ = run(capsys, "pipeline", "--alpha", "-16",
-                           "--d", "1,4,6", "--z3", "-2e13",
-                           "--regime", "float", "--out", str(cert))
-        assert code == 2
-        assert "verdict: fail" in out
-        assert "soundness" in out or "rational or interval" in out
+        code, out, err = run(capsys, "pipeline", "--alpha", "-16",
+                             "--regime", "float", "--out", str(cert))
+        assert code == 1
+        assert out == ""
+        assert "invalid choice: 'float' (choose from 'rational', " \
+               "'interval')" in err
+        assert not cert.exists()
+
+    def test_a_float_certificate_is_refused_on_replay(self, capsys):
+        # written by `pipeline --regime float` before floats were refused
+        cert = Path(__file__).with_name("data") / "float_certificate_v2.json"
+        code, out, err = run(capsys, "certify", "--check", str(cert))
+        assert code == 1
+        assert out == ""
+        assert err == ("error: certificate cannot be replayed: floats "
+                       "locate, they do not prove: certify in the rational "
+                       "or interval regime\n")
 
     def test_hopeless_alpha_reports_honestly(self, capsys, tmp_path):
         code, _, err = run(capsys, "pipeline", "--alpha", "-1/2",
@@ -555,6 +584,15 @@ class TestAsymptotic:
         code, out, _ = run(capsys, "asymptotic", "--k", "11", "--minimal")
         assert code == 0
         assert "minimal beta = 162" in out
+
+    def test_minimal_scan_at_a_large_k_is_quick(self):
+        # the scan starts where the sigma-condition can first hold; from
+        # beta = 1 it took about 17 s at k = 200000
+        proc = subprocess.run(
+            [sys.executable, "-m", "zkwander", "asymptotic", "--k", "1000000",
+             "--minimal"], capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("minimal beta = 4219198 at sigma = 0.99")
 
     def test_missing_parameters(self, capsys):
         code, _, err = run(capsys, "asymptotic", "--k", "11")

@@ -1,9 +1,9 @@
 """Source hygiene: no package module imports a name it never uses, no
 private module-level name or library function is left that no module loads,
 no module builds a complex value or reads its parts, every memo is bounded,
-no module but scalars branches on the scalar regime, no module has json
-indent its output, and the package imports exactly the third-party modules
-pyproject.toml lists."""
+no module but scalars branches on the scalar regime, no certifying module
+holds a tolerance, no module has json indent its output, and the package
+imports exactly the third-party modules pyproject.toml lists."""
 
 import ast
 import os
@@ -199,6 +199,39 @@ def _regime_branches(tree: ast.Module) -> list:
 def test_only_scalars_branches_on_the_regime(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _regime_branches(tree) == []
+
+
+def _is_tolerance(name: str) -> bool:
+    return ("tolerance" in name.lower() or name.endswith("_RTOL")
+            or name == "tol")
+
+
+def _tolerances(tree: ast.Module) -> list:
+    """Tolerances a module imports or defines: names containing
+    "tolerance" or ending in _RTOL, and parameters or variables named tol."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names = [node.id]
+        elif isinstance(node, ast.arg):
+            names = [node.arg]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if _is_tolerance(name)]
+    return found
+
+
+@pytest.mark.parametrize("module", ["certify", "model"])
+def test_certifying_modules_hold_no_tolerance(module):
+    # a pass is a proof: a zero is exact or an enclosure, never "small"
+    path = PACKAGE / f"{module}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _tolerances(tree) == []
 
 
 def _indented_json_calls(tree: ast.Module) -> list:

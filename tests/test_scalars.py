@@ -17,10 +17,10 @@ from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
 from zkwander.scalars import (FLOAT, INTERVAL, MAX_ALPHA_DENOMINATOR, RATIONAL,
                               Interval, Radical, certainly_positive,
                               cramer_solve3, det3, excludes_zero,
-                              is_exact_zero, power, power_interval,
-                              scalar_from_json, scalar_to_json, sqrt,
-                              strictly_less, to_float, to_regime,
-                              zero_evidence)
+                              is_exact_zero, nonzero_evidence, power,
+                              power_interval, scalar_from_json,
+                              scalar_to_json, sqrt, strictly_less, to_float,
+                              to_regime, zero_evidence)
 from zkwander.weights import dirichlet
 
 rationals = st.fractions(min_value=-1000, max_value=1000,
@@ -623,16 +623,20 @@ class TestHelpers:
         assert Fraction(iv.lo) ** 2 <= a <= Fraction(iv.hi) ** 2
 
     def test_is_zero_per_regime(self):
-        assert zero_evidence(Fraction(0), 1.0)[0]
-        assert not zero_evidence(Fraction(1, 10 ** 30), 1.0)[0]
-        assert not zero_evidence(Radical.sqrt(2), 10.0)[0]
-        assert zero_evidence(1e-12, 1e-9)[0]
-        assert not zero_evidence(1e-6, 1e-9)[0]
+        assert zero_evidence(Fraction(0))[0]
+        assert not zero_evidence(Fraction(1, 10 ** 30))[0]
+        assert not zero_evidence(Radical.sqrt(2))[0]
         # an interval proves 0 only as the point [0, 0]
-        assert zero_evidence(Interval(0.0, 0.0), 1e-20)[0]
-        assert not zero_evidence(Interval(-1e-30, 1e-30), 1e-20)[0]
-        assert not zero_evidence(Interval(-1e-10, 1e-10), 1e-20)[0]
-        assert not zero_evidence(Interval(1e-30, 2e-30), 1e-20)[0]
+        assert zero_evidence(Interval(0.0, 0.0))[0]
+        assert not zero_evidence(Interval(-1e-30, 1e-30))[0]
+        assert not zero_evidence(Interval(-1e-10, 1e-10))[0]
+        assert not zero_evidence(Interval(1e-30, 2e-30))[0]
+        # a float proves nothing: refused, never recorded as exact
+        for evidence in (zero_evidence, nonzero_evidence):
+            for x in (0.0, 1e-12, 1.0):
+                with pytest.raises(ModeUnsupportedError,
+                                   match="floats locate, they do not prove"):
+                    evidence(x)
 
     def test_excludes_zero_and_certainly_positive(self):
         assert excludes_zero(Fraction(-1, 3)) and not excludes_zero(Fraction(0))

@@ -53,6 +53,21 @@ class TestConfig:
                            match="cannot parse '1e99999999' as a rational"):
             SearchConfig(**{"alpha": -16, field: "1e99999999"})
 
+    @pytest.mark.parametrize("field", ["alpha", "k", "phi2", "phi3",
+                                       "threshold"])
+    @pytest.mark.parametrize("value", [True, [6, False], []])
+    def test_booleans_and_empty_lists_are_refused(self, field, value):
+        # True is an int to Python; [] once searched nothing and blamed
+        # "all 0 visited systems"
+        with pytest.raises(ValueError, match=f"^{field} needs one or more "
+                           "values, none a boolean$"):
+            SearchConfig(**{"alpha": -16, field: value})
+
+    @pytest.mark.parametrize("threshold", [math.inf, -math.inf, math.nan])
+    def test_a_threshold_that_is_not_finite_is_refused(self, threshold):
+        with pytest.raises(ValueError, match="cannot parse"):
+            SearchConfig(alpha=-16, threshold=threshold)
+
     def test_threshold_string_is_a_rational(self):
         assert SearchConfig(alpha=-16, threshold="1/2").threshold == \
             Fraction(1, 2)
