@@ -6,7 +6,8 @@ names its case.  The cases are the certificate (``to_json``) and its
 ``check_certificate`` report for every Table 1/2 row in its exact regime,
 the pinned rational headline and alpha = -33/2 in the interval regime; the
 replay reports of every single-leaf forgery of those last two; the
-``minimize`` result of each search strategy on two rows; and the two files
+``minimize`` result of each search strategy on two rows, and its result or
+error on every Table 1/2 row at once; and the two files
 the CLI writes, a ``pipeline --out`` certificate and a ``search --out``
 payload.
 
@@ -26,9 +27,9 @@ from pathlib import Path
 import pytest
 
 from zkwander import (CertificateError, DegreePattern, RegisterTooLargeError,
-                      SearchConfig, attach_register, auto_register,
-                      check_certificate, dirichlet, minimize, recover,
-                      reduce_system, verify)
+                      SearchConfig, ZkwanderError, attach_register,
+                      auto_register, check_certificate, dirichlet, minimize,
+                      recover, reduce_system, verify)
 from zkwander import cli
 from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
 from zkwander.scalars import INTERVAL
@@ -98,6 +99,14 @@ def _minimize_case(row, strategy):
     return lambda: repr(minimize(config))
 
 
+def _minimize_outcome(row, strategy) -> str:
+    """The repr of minimize on the row, or the error it raises."""
+    try:
+        return _minimize_case(row, strategy)()
+    except ZkwanderError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def _headline() -> str:
     return _certificate(dirichlet(-16), DegreePattern.default(6),
                         (1, 1, 4, 6), "rational", z3=HEADLINE_Z3)
@@ -129,6 +138,9 @@ CASES = {
                                                              strategy)
        for t, rows, i in ((1, TABLE1_ROWS, 1), (2, TABLE2_ROWS, 3))
        for strategy in STRATEGIES},
+    "minimize-published-rows": lambda: "\n".join(
+        _minimize_outcome(row, strategy)
+        for row in TABLE1_ROWS + TABLE2_ROWS for strategy in STRATEGIES),
     "cli-pipeline-certificate": lambda: _cli_file(
         "pipeline", "--alpha", "-16", "--d", "1,4,6", "--z3", "-2e13"),
     "cli-search-grid": lambda: _cli_file(
