@@ -17,7 +17,7 @@ from .recovery import (RecoveredParameters, attach_register, auto_register,
 from .reduction import (CQuantities, ReducedSystem, b0_minimum, compute_C,
                         objective_B0, objective_B1, objective_B2,
                         reduce_system, split_e, z1_star)
-from .scalars import FLOAT, INTERVAL, RATIONAL, Interval, Radical
+from .scalars import INTERVAL, RATIONAL, Interval, Radical
 from .search import SearchConfig, SearchResult, minimize, reproduce_table
 from .weights import (WeightSequence, dirichlet, override_block, perturbed,
                       weight)
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AQuantities", "Certificate", "CertificateError", "CQuantities",
     "DegeneratePairError", "DegenerateReductionError", "DegenerateZ3Error",
-    "DegreePattern", "FLOAT", "GeneratorPair", "INTERVAL", "Interval",
+    "DegreePattern", "GeneratorPair", "INTERVAL", "Interval",
     "InvalidPatternError", "ModeUnsupportedError", "NoAdmissibleSystemError",
     "NotOrthogonalError", "RATIONAL", "Radical", "RecoveredParameters",
     "ReducedSystem", "RegisterTooLargeError", "SearchConfig", "SearchResult",

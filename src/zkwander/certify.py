@@ -11,9 +11,8 @@ wandering property of z^k:
 
 All four together give z^{gamma_4} in M but orthogonal to the span of the
 wandering vectors, with contraction ratio c < 1 certifying the geometric
-decay.  Only the rational and interval regimes certify: floats locate a
-pair, they do not prove one, so verify refuses the float regime before it
-evaluates any weight.
+decay.  Floats locate a pair, they do not prove one: verify refuses any
+regime but rational and interval before it evaluates a weight.
 
 Only what the proof reads is evaluated: A_(s,1) and A_(s,5) for s >= 4
 multiply a zero coefficient (HIGHER_LEVELS), and the membership sweep runs
@@ -35,8 +34,8 @@ from .model import (AQuantities, DegreePattern, GeneratorPair,
 from .record import Record, store
 from .recovery import level1_block
 from .reduction import objective_B0
-from .scalars import (MAX_ALPHA_DENOMINATOR, RATIONAL, REGIMES, agreement,
-                      nonzero_evidence, refuse_float, refuse_foreign,
+from .scalars import (MAX_ALPHA_DENOMINATOR, RATIONAL, agreement,
+                      check_regime, nonzero_evidence, refuse_foreign,
                       scalar_from_json, scalar_text, scalar_to_json,
                       strictly_less, to_float, zero_evidence)
 from .weights import (WeightSequence, exact_regime, weight, weights_from_dict,
@@ -215,10 +214,10 @@ def verify(pair: GeneratorPair, seq: WeightSequence,
            regime: str = RATIONAL) -> Certificate:
     """Evaluate the four conditions from the raw coefficients: the level-1
     block, A_(s,1) and A_(s,5) for s = 2, 3, and the membership sweep at
-    the levels of the support lemma.  The float regime raises
-    ModeUnsupportedError, and out-of-range inputs raise ValueError under the
+    the levels of the support lemma.  An unknown regime, "float" among
+    them, and out-of-range inputs raise ValueError, the latter under the
     bounds replay enforces, both before any weight is evaluated."""
-    refuse_float(regime)
+    check_regime(regime)
     check_bounds(pair.pattern, seq)
     refuse_foreign(regime, (*pair.a_low, *pair.a_high, *pair.b_low,
                             pair.a_reg, pair.b_reg))
@@ -416,8 +415,7 @@ def check_certificate(source) -> dict:
     v1 = schema == SCHEMA_V1
     try:
         regime = data["regime"]
-        if regime not in REGIMES:
-            raise ValueError(f"unknown regime {regime!r}")
+        check_regime(regime)
         for value in (data["k"], *data["gamma"],
                       *([data["s_max"]] if v1 else [])):
             if isinstance(value, bool) or not isinstance(value, int):

@@ -24,8 +24,7 @@ from .model import DegreePattern
 from .recovery import attach_register, auto_register, recover
 from .reduction import (b0_minimum, compute_C, objective_B0, objective_B1,
                         objective_B2, reduce_system, split_e, z1_star)
-from .scalars import (PROVING_REGIMES, REGIMES, display, to_float,
-                      to_rational)
+from .scalars import REGIMES, display, to_float, to_rational
 from .search import SearchConfig, minimize, reproduce_table
 from .weights import dirichlet, exact_regime, override_block, weight
 
@@ -352,14 +351,14 @@ def cmd_asymptotic(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common_model_flags(p, regimes):
+def _add_common_model_flags(p):
     p.add_argument("--alpha", type=_parse_fraction, required=True,
                    help="space exponent as a rational, e.g. -16 or -33/2")
     p.add_argument("--k", type=int, default=6)
     p.add_argument("--phi2", type=int, default=0)
     p.add_argument("--phi3", type=int, default=0)
     p.add_argument("--gamma", help="six degrees overriding the phi pattern")
-    p.add_argument("--regime", choices=regimes)
+    p.add_argument("--regime", choices=REGIMES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 parser_class=_Parser)
 
     p = sub.add_parser("eval", help="reduced system and objective values")
-    _add_common_model_flags(p, REGIMES)
+    _add_common_model_flags(p)
     p.add_argument("--d", type=_parse_d, default=_parse_d("1,4,6"))
     p.add_argument("--z3", type=_parse_fraction)
     p.add_argument("--z1", type=_parse_fraction)
@@ -394,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline",
                        help="search, recover, attach registers, certify")
-    _add_common_model_flags(p, PROVING_REGIMES)
+    _add_common_model_flags(p)
     p.add_argument("--d", type=_parse_d,
                    help="skip the search and use this point")
     p.add_argument("--z3", type=_parse_fraction)

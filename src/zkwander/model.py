@@ -22,8 +22,8 @@ from typing import Dict
 from .errors import (DegeneratePairError, InvalidPatternError,
                      NotOrthogonalError)
 from .record import Record, store
-from .scalars import (RATIONAL, certainly_positive, is_exact_zero,
-                      refuse_float, to_regime)
+from .scalars import (RATIONAL, certainly_positive, check_regime,
+                      is_exact_zero, to_regime)
 from .weights import WeightSequence, weight
 
 CoefficientMap = Dict[int, object]
@@ -282,10 +282,10 @@ def construct_F3(pair: GeneratorPair, seq: WeightSequence,
                         * (A_13 F_2 - A_12 F_1)
 
     Requires the engineered orthogonality relations, proved zero, and a
-    strict Cauchy-Schwarz gap A_12^2 < A_13 A_14; the float regime cannot
-    prove them and raises ModeUnsupportedError before any weight is read.
+    strict Cauchy-Schwarz gap A_12^2 < A_13 A_14.  An unknown regime,
+    "float" among them, raises ValueError before any weight is read.
     """
-    refuse_float(regime)
+    check_regime(regime)
     q1, relations = orthogonality_relations(pair, seq, regime)
     for (s, n), value in relations:
         if not is_exact_zero(value):

@@ -15,7 +15,8 @@ into five positive reals C_1..C_5 and the contraction objectives
     B_0 = e_0/Z_1 + e_1 Z_1              (the certified ratio itself)
 
 A value B_0 < 1 at admissible parameters is exactly the strict inequality
-the certificate needs.
+the certificate needs.  ``solve_block`` and ``c_values`` hold the algebra
+in any arithmetic; ``reduce_system`` and ``compute_C`` wrap them.
 
 Every scalar is real.  A complex Z_3 would reach nothing more: since
 C_1 (C_1 |Z_3|^2 - C_3 Re Z_3 + C_4) = |P|^2 + C_5 with P = C_1 Z_3 - C_3/2,
@@ -63,23 +64,26 @@ class ReducedSystem(Record):
         return weight(self.seq, t, self.regime)
 
 
-def reduce_system(seq: WeightSequence, pattern: DegreePattern,
-                  regime: str = RATIONAL) -> ReducedSystem:
-    """Solve for E, G and derived H, D; raises SingularSystemError when N_1
-    is (not certifiably non-) singular, e.g. for the Hardy and Dirichlet
-    weights where t -> w_t is affine."""
-    w = weight_block(seq, pattern, regime)
-    one = to_regime(Fraction(1), regime)
-    zero = to_regime(Fraction(0), regime)
+def solve_block(w, one, zero) -> tuple:
+    """(det N_1, E, G, H, D) of the weight block w in the arithmetic of its
+    entries; raises SingularSystemError when N_1 is (not certifiably non-)
+    singular, e.g. for the Hardy and Dirichlet weights where t -> w_t is
+    affine, and DegenerateReductionError when an E_i is."""
     det, e, gg = cramer_solve3([row[1:] for row in w],
                                [-row[0] for row in w], [one, zero, zero])
     for i, ei in enumerate(e):
         if not excludes_zero(ei):
             raise DegenerateReductionError(f"E_{i + 1} vanishes; D undefined")
-    h = tuple(ei * ei for ei in e)
-    d = tuple(-(gg[i] / e[i]) for i in range(3))
-    return ReducedSystem(pattern=pattern, seq=seq, regime=regime, W=w,
-                         det_N1=det, E=e, G=gg, H=h, D=d)
+    return (det, e, gg, tuple(ei * ei for ei in e),
+            tuple(-(gg[i] / e[i]) for i in range(3)))
+
+
+def reduce_system(seq: WeightSequence, pattern: DegreePattern,
+                  regime: str = RATIONAL) -> ReducedSystem:
+    """``solve_block`` on the weight block in the regime."""
+    w = weight_block(seq, pattern, regime)
+    return ReducedSystem(pattern, seq, regime, w, *solve_block(
+        w, to_regime(Fraction(1), regime), to_regime(Fraction(0), regime)))
 
 
 class CQuantities(Record):
@@ -100,24 +104,28 @@ def _normalize_d(d) -> tuple:
         vals = (1,) + vals
     if len(vals) != 4:
         raise ValueError("d must supply 3 values (d_0 = 1 implied) or 4")
-    out = tuple(v if isinstance(v, float) else Fraction(v) for v in vals)
+    out = tuple(Fraction(v) for v in vals)
     if any(v <= 0 for v in out):
         raise ValueError("d values must be positive")
     return out
 
 
-def compute_C(rs: ReducedSystem, d) -> CQuantities:
-    """The five reduced constants at squared moduli d = (d_0, .., d_3)."""
-    # exact in the rational regime, also for float input
-    dd = tuple(to_regime(v, rs.regime) for v in _normalize_d(d))
-    w1, w2 = rs.W[0], rs.W[1]
+def c_values(w1, w2, H, D, dd) -> tuple:
+    """(C_1, .., C_5) at squared moduli dd = (d_0, .., d_3) from rows 1 and 2
+    of the weight block, H and D, in the arithmetic of its arguments."""
     c1 = sum(dd[i] * w1[i] for i in range(4))
     c2 = w2[0] / dd[0]
     for i in (1, 2, 3):
-        c2 = c2 + rs.H[i - 1] * w2[i] / dd[i]
-    c3 = 2 * sum(rs.D[i - 1] * dd[i] * w1[i] for i in (1, 2, 3))
-    c4 = sum(rs.D[i - 1] * rs.D[i - 1] * dd[i] * w1[i] for i in (1, 2, 3))
-    c5 = c1 * c4 - c3 * c3 / 4
+        c2 = c2 + H[i - 1] * w2[i] / dd[i]
+    c3 = 2 * sum(D[i - 1] * dd[i] * w1[i] for i in (1, 2, 3))
+    c4 = sum(D[i - 1] * D[i - 1] * dd[i] * w1[i] for i in (1, 2, 3))
+    return c1, c2, c3, c4, c1 * c4 - c3 * c3 / 4
+
+
+def compute_C(rs: ReducedSystem, d) -> CQuantities:
+    """The five reduced constants at squared moduli d = (d_0, .., d_3)."""
+    dd = tuple(to_regime(v, rs.regime) for v in _normalize_d(d))
+    c1, c2, c3, c4, c5 = c_values(rs.W[0], rs.W[1], rs.H, rs.D, dd)
     for name, v in (("C1", c1), ("C2", c2), ("C4", c4), ("C5", c5)):
         if not certainly_positive(v):
             raise DegenerateReductionError(

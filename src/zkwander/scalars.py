@@ -1,6 +1,6 @@
 """Scalar regimes and the small linear algebra kernel.
 
-Three regimes run through the whole package, all of them with real scalars:
+Two regimes run through the whole package, both with real scalars:
 
 * ``rational``  -- exact ``fractions.Fraction`` arithmetic (bigint backed).
   The only regime allowed to assert exact equalities.
@@ -11,8 +11,6 @@ Three regimes run through the whole package, all of them with real scalars:
   b**(p/q) is enclosed around its nearest double, which exact integer
   comparisons of q-th powers prove; q is bounded by MAX_ALPHA_DENOMINATOR.
   ``power`` proves each interval weight once, in a bounded memo.
-* ``float``     -- plain doubles, for searching only.  Floats locate a pair;
-  they do not prove one, so nothing that certifies accepts them.
 
 Irrational algebraic values (square roots of positive rationals) appear in
 recovered coefficients; ``Radical`` keeps them exact as c * sqrt(r1*...*rn)
@@ -23,8 +21,8 @@ rationals.
 
 Every choice that depends on the regime is made here, mostly by the type of
 the scalar: powers and square roots, the zero and sign tests with their
-evidence, the refusal of the regime that cannot prove, the scalar types a
-regime refuses, and display.  The modules above never branch on it
+evidence, the refusal of an unknown regime, the scalar types a regime
+refuses, and display.  The modules above never branch on it
 (tests/test_hygiene.py checks that).
 
 Determinants of the 3x3 weight matrix are taken by cofactor expansion.
@@ -45,9 +43,7 @@ from .record import Record, store
 
 RATIONAL = "rational"
 INTERVAL = "interval"
-FLOAT = "float"
-PROVING_REGIMES = (RATIONAL, INTERVAL)
-REGIMES = (*PROVING_REGIMES, FLOAT)
+REGIMES = (RATIONAL, INTERVAL)
 
 _INF = math.inf
 
@@ -259,12 +255,17 @@ def power_interval(base, exponent) -> Interval:
 
 
 def power(base: int, exponent: Fraction, regime: str):
-    """base**exponent, base >= 1 an integer: exact for an integer exponent
-    (the rational regime needs one), else an enclosure or a double; one
-    that overflows or underflows to 0 raises ModeUnsupportedError."""
+    """base**exponent, base >= 1 an integer: exact in the rational regime,
+    which needs an integer exponent, else an enclosure; an enclosure past
+    the range of doubles raises ModeUnsupportedError."""
     if regime == INTERVAL:
         return _power_enclosure(base, exponent.numerator, exponent.denominator)
-    return _power(base, exponent, regime)
+    check_regime(regime)
+    if exponent.denominator != 1:
+        raise ModeUnsupportedError(
+            f"rational regime needs an integer exponent, got alpha={exponent}")
+    a = exponent.numerator
+    return Fraction(base ** a) if a >= 0 else Fraction(1, base ** (-a))
 
 
 @lru_cache(maxsize=4096)
@@ -272,40 +273,20 @@ def _power_enclosure(base: int, num: int, den: int) -> Interval:
     """The interval power base**(num/den), proved once per (base, exponent)
     in a process.  The key holds the exponent's integers, not the Fraction:
     hashing a Fraction costs a modular inverse on every hit.  A refusal is
-    not cached: it raises again on every call.  Exact and float powers are
-    not memoized: they are cheap, and an exact one can be megabytes."""
-    return _power(base, Fraction(num, den), INTERVAL)
-
-
-def _power(base: int, exponent: Fraction, regime: str):
-    if regime == FLOAT:
-        try:
-            v = float(base) ** float(exponent)
-        except OverflowError as exc:
-            raise ModeUnsupportedError(
-                f"{base}^({exponent}) overflows a float") from exc
-    elif exponent.denominator == 1:
-        a = exponent.numerator
-        if regime == INTERVAL and abs(a) * math.log2(base) > 1100:
-            # outside the doubles (2^-1074 .. 2^1024), so refused below just
-            # as 2^(+-1100) is; base ** a would take seconds at |a| ~ 1e6
-            v = Fraction(2) ** (1100 if a > 0 else -1100)
-        else:
-            v = Fraction(base ** a) if a >= 0 else Fraction(1, base ** (-a))
-        if regime == RATIONAL:
-            return v
-        v = to_regime(v, regime)
-    elif regime == INTERVAL:
-        v = power_interval(base, exponent)
-    elif regime == RATIONAL:
-        raise ModeUnsupportedError(
-            f"rational regime needs an integer exponent, got alpha={exponent}")
+    not cached: it raises again on every call.  Exact powers are not
+    memoized: they are cheap, and one can be megabytes."""
+    if den != 1:
+        v = power_interval(base, Fraction(num, den))
+    elif abs(num) * math.log2(base) > 1100:
+        # outside the doubles (2^-1074 .. 2^1024), so refused below just
+        # as 2^(+-1100) is; base ** num would take seconds at |num| ~ 1e6
+        v = Interval.exact(Fraction(2) ** (1100 if num > 0 else -1100))
     else:
-        raise ValueError(f"unknown regime {regime!r}")
-    if not certainly_positive(v):
+        v = Interval.exact(Fraction(base) ** num)
+    if not v.is_positive():
         raise ModeUnsupportedError(
-            f"{base}^({exponent}) is not certifiably positive in the {regime} "
-            "regime (underflow)")
+            f"{base}^({Fraction(num, den)}) is not certifiably positive in "
+            "the interval regime (underflow)")
     return v
 
 
@@ -419,13 +400,19 @@ class Radical(Record):
 # ---------------------------------------------------------------------------
 # generic scalar helpers
 
-def refuse_float(regime: str) -> None:
-    """Raise ModeUnsupportedError for the float regime: its values may
-    locate a pair, but they cannot back a certificate."""
-    if regime == FLOAT:
+def check_regime(regime) -> None:
+    """Raise ValueError unless regime is one of REGIMES."""
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}")
+
+
+def _exact_evidence(x) -> dict:
+    """The evidence of an exact value; a float proves nothing: refused."""
+    if isinstance(x, float):
         raise ModeUnsupportedError(
-            "floats locate, they do not prove: certify in the "
-            f"{' or '.join(PROVING_REGIMES)} regime")
+            "floats locate, they do not prove: certify in the rational or "
+            "interval regime")
+    return {"exact": True, "value": scalar_to_json(x)}
 
 
 def is_exact_zero(x) -> bool:
@@ -444,9 +431,7 @@ def zero_evidence(x) -> tuple:
     if isinstance(x, Interval):
         return is_exact_zero(x), {"contains_zero": x.contains_zero(),
                                   "width": x.width}
-    if isinstance(x, float):
-        refuse_float(FLOAT)
-    return is_exact_zero(x), {"exact": True, "value": scalar_to_json(x)}
+    return is_exact_zero(x), _exact_evidence(x)
 
 
 def excludes_zero(x) -> bool:
@@ -461,9 +446,7 @@ def nonzero_evidence(x) -> tuple:
     ok = excludes_zero(x)
     if isinstance(x, Interval):
         return ok, {"excludes_zero": ok}
-    if isinstance(x, float):
-        refuse_float(FLOAT)
-    return ok, {"exact": True, "value": scalar_to_json(x)}
+    return ok, _exact_evidence(x)
 
 
 def agreement(x, y) -> dict:
@@ -489,13 +472,9 @@ def certainly_positive(x) -> bool:
 
 
 def sqrt(x):
-    """Square root in the regime of x.
-
-    Correctly rounded for float, an outward enclosure for Interval, and exact
-    for rational input: a Radical, or a Fraction when the root is rational.
-    """
-    if isinstance(x, float):
-        return math.sqrt(x)
+    """Square root in the regime of x: an outward enclosure for Interval,
+    and exact for rational input: a Radical, or a Fraction when the root is
+    rational."""
     if isinstance(x, Interval):
         return x.sqrt()
     if isinstance(x, Radical):
@@ -516,8 +495,7 @@ def strictly_less(a, b) -> bool:
 # scalar types each regime's arithmetic cannot multiply; all are real
 _FOREIGN = {RATIONAL: ((float, complex, Interval), "exact coefficients"),
             INTERVAL: ((Radical, complex), "rational, float or interval "
-                       "coefficients"),
-            FLOAT: ((Radical, complex), "rational or float coefficients")}
+                       "coefficients")}
 
 
 def refuse_foreign(regime: str, values) -> None:
@@ -531,13 +509,8 @@ def refuse_foreign(regime: str, values) -> None:
 
 def to_regime(q, regime: str):
     """Convert an exact rational into the given regime."""
-    if regime == RATIONAL:
-        return Fraction(q)
-    if regime == FLOAT:
-        return float(q)
-    if regime == INTERVAL:
-        return Interval.exact(q)
-    raise ValueError(f"unknown regime {regime!r}")
+    check_regime(regime)
+    return Fraction(q) if regime == RATIONAL else Interval.exact(q)
 
 
 def to_float(x) -> float:

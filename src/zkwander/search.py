@@ -1,10 +1,10 @@
 """Minimization of the compressed objectives over the free parameters.
 
-The search itself runs in plain float arithmetic for speed; it is a
-heuristic. Whenever a candidate lands below the threshold it is
-re-evaluated in an exact or enclosure regime before being reported, so
-the reported value and landing side are rigorous even though the path
-that found the point is not.
+The search reduces each system in doubles itself (``_float_system``) for
+speed; it is a heuristic.  The point it finds is re-evaluated in an exact
+or enclosure regime before being reported, so the reported value and
+landing side are rigorous even though the path that found the point is
+not.
 """
 
 import math
@@ -19,9 +19,9 @@ from .errors import (DegenerateReductionError, InvalidPatternError,
 from .model import DegreePattern
 from .record import Record, store
 from .recovery import _round_significant
-from .reduction import compute_C, objective_B1, objective_B2, reduce_system
-from .scalars import (FLOAT, scalar_text, strictly_less, to_float,
-                      to_rational)
+from .reduction import (CQuantities, c_values, compute_C, objective_B1,
+                        objective_B2, reduce_system, solve_block)
+from .scalars import scalar_text, strictly_less, to_float, to_rational
 from .weights import WeightSequence, dirichlet, exact_regime
 
 # d ranges over five-plus orders of magnitude in the published tables,
@@ -103,12 +103,35 @@ class SearchResult(Record):
         store(self, "singular_skipped", singular_skipped)
 
 
+def _float_system(seq: WeightSequence, pattern: DegreePattern) -> tuple:
+    """(W_1, W_2, H, D) of D_alpha at the pattern in doubles, for ``c_values``;
+    a weight past the range of doubles raises ModeUnsupportedError."""
+    w = []
+    for t in pattern.matrix_indices():
+        try:
+            w.append(float(t + 1) ** float(seq.alpha))
+        except OverflowError as exc:
+            raise ModeUnsupportedError(
+                f"{t + 1}^({seq.alpha}) overflows a float") from exc
+        if not w[-1] > 0:
+            raise ModeUnsupportedError(
+                f"{t + 1}^({seq.alpha}) is not certifiably positive in the "
+                "float regime (underflow)")
+    block = [w[4 * s:4 * s + 4] for s in range(3)]
+    _, _, _, h, d = solve_block(block, 1.0, 0.0)
+    return block[0], block[1], h, d
+
+
 def _evaluate(rs, objective, d3) -> float:
-    """Float objective at (1, d1, d2, d3); +inf on degenerate points."""
+    """Objective at (1, d1, d2, d3); +inf unless C_1, C_2, C_4 and C_5 > 0."""
+    dd = (1.0, *d3)
     try:
-        return float(objective(compute_C(rs, d3)))
-    except (DegenerateReductionError, ZeroDivisionError, OverflowError):
+        c1, c2, c3, c4, c5 = c_values(*rs, dd)
+    except ZeroDivisionError:
         return math.inf
+    if not (c1 > 0 and c2 > 0 and c4 > 0 and c5 > 0):
+        return math.inf
+    return float(objective(CQuantities(dd, c1, c2, c3, c4, c5)))
 
 
 def _scan(rs, objective):
@@ -268,7 +291,7 @@ def minimize(config: SearchConfig) -> SearchResult:
     singular = 0
     visited = 0
     invalid = None       # the first pattern error, raised if none is valid
-    refused = None       # the first weight the float regime refused
+    refused = None       # the first weight past the range of doubles
     for alpha in _as_values(config.alpha):
         seq = dirichlet(alpha)
         for k in _as_values(config.k):
@@ -281,7 +304,7 @@ def minimize(config: SearchConfig) -> SearchResult:
                         continue
                     visited += 1
                     try:
-                        rs = reduce_system(seq, pattern, FLOAT)
+                        rs = _float_system(seq, pattern)
                     except (SingularSystemError, DegenerateReductionError):
                         singular += 1
                         continue

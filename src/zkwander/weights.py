@@ -9,8 +9,7 @@ sequence with finitely many weights changed:
 * ``perturbed(base, overrides)`` -- equal to ``base`` except at finitely many
   indices, whose exact rational values are stored explicitly.
 
-Evaluation is regime aware: exact rationals (integer alpha only), outward
-rounded intervals, or plain floats for search work.
+Weights are exact rationals (integer alpha only) or outward rounded intervals.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from zkwander.model import DegreePattern, GeneratorPair, construct_F3
 from zkwander.recovery import attach_register, auto_register, recover
 from zkwander.reduction import reduce_system
 from zkwander.reference_data import TABLE2_ROWS
-from zkwander.scalars import FLOAT, INTERVAL, Radical
+from zkwander.scalars import INTERVAL, Radical
 from zkwander.weights import dirichlet
 
 C_FLAGSHIP = 0.18894510966828287
@@ -29,7 +29,7 @@ HEADLINE_CERTIFICATE = DATA / "headline_certificate_v2.json"
 # only as the point [0, 0]
 INTERVAL_CERTIFICATE = DATA / "interval_certificate_v2.json"
 # the headline pair in the float regime, as `pipeline --alpha -16 --d 1,4,6
-# --z3 -2e13 --regime float` wrote it before float certificates were refused
+# --z3 -2e13 --regime float` wrote it when floats were still a regime
 FLOAT_CERTIFICATE = DATA / "float_certificate_v2.json"
 # the same certificate as schema v1 wrote it (with an s_max sweep depth)
 HEADLINE_CERTIFICATE_V1 = DATA / "headline_certificate.json"
@@ -102,10 +102,7 @@ class TestVerify:
     @pytest.mark.parametrize("regime,value", [
         (INTERVAL, Radical.sqrt(2)),
         (INTERVAL, complex(1.0, 1.0)),
-        (FLOAT, Radical.sqrt(2)),
-        (FLOAT, complex(1.0, 1.0)),
-    ], ids=["interval-radical", "interval-complex", "float-radical",
-            "float-complex"])
+    ], ids=["interval-radical", "interval-complex"])
     def test_regime_rejects_coefficients_it_cannot_multiply(self, seq16,
                                                             regime, value):
         pair = GeneratorPair(DegreePattern.default(6),
@@ -152,34 +149,39 @@ class TestVerify:
 
 @functools.lru_cache(maxsize=None)
 def _float_recovered_json() -> str:
-    """The interval certificate of the headline pair as float reduction and
-    recovery locate it: floats find the pair, the interval regime proves
-    what it can of it."""
+    """The interval certificate of the headline pair with float
+    coefficients, the float() of the rational recovery: floats locate the
+    pair, the interval regime proves what it can of it."""
     seq = dirichlet(-16)
-    rs = reduce_system(seq, DegreePattern.default(6), FLOAT)
-    params = attach_register(recover(rs, (1.0, 4.0, 6.0), z3=-2e13), 1.0, 1.0)
-    return verify(params.pair, seq, INTERVAL).to_json()
+    rs = reduce_system(seq, DegreePattern.default(6))
+    exact = recover(rs, (1, 4, 6), z3=Fraction(-2 * 10 ** 13)).pair
+    pair = GeneratorPair(exact.pattern, *(tuple(map(float, part)) for part in
+                                          (exact.a_low, exact.a_high,
+                                           exact.b_low)), 1.0, 1.0)
+    return verify(pair, seq, INTERVAL).to_json()
 
 
 class TestFloatGate:
-    """Floats locate a pair; they do not prove one.  verify and construct_F3
-    refuse the float regime before they evaluate any weight."""
+    """Floats locate a pair; they do not prove one.  They are no regime:
+    verify and construct_F3 refuse "float", as any unknown regime, before
+    they evaluate any weight."""
 
     @pytest.mark.parametrize("certify", [verify, construct_F3],
                              ids=["verify", "construct_F3"])
     def test_the_float_regime_is_refused(self, certify, registered16,
                                          monkeypatch):
         read = TestReadSet.spy_on_weight(monkeypatch)
-        with pytest.raises(ModeUnsupportedError,
-                           match="rational or interval regime"):
-            certify(registered16.pair, dirichlet(-16), FLOAT)
+        for regime in ("float", "bogus"):
+            with pytest.raises(ValueError,
+                               match=f"^unknown regime '{regime}'$"):
+                certify(registered16.pair, dirichlet(-16), regime)
         assert read == set()
 
     def test_a_float_certificate_does_not_replay(self):
         data = json.loads(FLOAT_CERTIFICATE.read_text())
         assert data["regime"] == "float"
-        with pytest.raises(CertificateError,
-                           match="cannot be replayed: floats locate"):
+        with pytest.raises(CertificateError, match="^malformed certificate: "
+                           "unknown regime 'float'$"):
             check_certificate(str(FLOAT_CERTIFICATE))
 
     def test_interval_proves_what_float_found(self):

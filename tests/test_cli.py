@@ -57,6 +57,14 @@ class TestEval:
         assert code == 1
         assert "alpha" in err
 
+    def test_float_is_no_regime(self, capsys):
+        code, out, err = run(capsys, "eval", "--alpha", "-16",
+                             "--regime", "float")
+        assert code == 1
+        assert out == ""
+        assert "invalid choice: 'float' (choose from 'rational', " \
+               "'interval')" in err
+
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "transmogrify")
         assert code == 1
@@ -388,6 +396,15 @@ class TestSearch:
         assert code == 1
         assert err.startswith("error: bad search config")
 
+    def test_config_file_alpha_string_is_the_flag(self, capsys, tmp_path):
+        # the search reads the normalised alpha, never the raw config value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": "-33/2"}))
+        from_file = run(capsys, "search", "--config", str(cfg))
+        assert from_file == run(capsys, "search", "--alpha", "-33/2")
+        assert from_file[0] == 0
+        assert "at alpha = -33/2," in from_file[1]
+
     def test_config_file_threshold_string(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alpha": -16, "strategy": "grid",
@@ -483,14 +500,13 @@ class TestPipeline:
         assert not cert.exists()
 
     def test_a_float_certificate_is_refused_on_replay(self, capsys):
-        # written by `pipeline --regime float` before floats were refused
+        # written by `pipeline --regime float` when floats were a regime
         cert = Path(__file__).with_name("data") / "float_certificate_v2.json"
         code, out, err = run(capsys, "certify", "--check", str(cert))
         assert code == 1
         assert out == ""
-        assert err == ("error: certificate cannot be replayed: floats "
-                       "locate, they do not prove: certify in the rational "
-                       "or interval regime\n")
+        assert err == ("error: malformed certificate: unknown regime "
+                       "'float'\n")
 
     def test_hopeless_alpha_reports_honestly(self, capsys, tmp_path):
         code, _, err = run(capsys, "pipeline", "--alpha", "-1/2",

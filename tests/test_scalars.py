@@ -14,8 +14,8 @@ from zkwander.model import DegreePattern
 from zkwander.recovery import attach_register, recover
 from zkwander.reduction import reduce_system
 from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
-from zkwander.scalars import (FLOAT, INTERVAL, MAX_ALPHA_DENOMINATOR, RATIONAL,
-                              Interval, Radical, certainly_positive,
+from zkwander.scalars import (INTERVAL, MAX_ALPHA_DENOMINATOR, RATIONAL,
+                              REGIMES, Interval, Radical, certainly_positive,
                               cramer_solve3, det3, excludes_zero,
                               is_exact_zero, nonzero_evidence, power,
                               power_interval, scalar_from_json,
@@ -169,13 +169,6 @@ class TestInterval:
         underflow = rf"^7\^\(-{a}\) is not certifiably positive"
         with pytest.raises(ModeUnsupportedError, match=underflow):
             power(7, Fraction(-a), INTERVAL)
-
-    def test_float_underflow_names_only_its_cause(self):
-        # 3001^-3000 ~ 10^-10431 is far below the least double
-        with pytest.raises(ModeUnsupportedError) as info:
-            power(3001, Fraction(-3000), FLOAT)
-        assert str(info.value) == ("3001^(-3000) is not certifiably positive "
-                                   "in the float regime (underflow)")
 
     def test_power_interval_matches_the_mpmath_enclosure(self):
         # the enclosure mpmath gave before: its nearest double at 80 bits,
@@ -596,7 +589,12 @@ class TestHelpers:
         assert to_regime(q, RATIONAL) == q
         assert isinstance(to_regime(q, RATIONAL), Fraction)
         assert isinstance(to_regime(q, INTERVAL), Interval)
-        assert to_regime(q, FLOAT) == pytest.approx(1 / 3)
+        # floats locate, they do not prove: they are no regime
+        assert REGIMES == (RATIONAL, INTERVAL)
+        for regime in ("float", "bogus"):
+            with pytest.raises(ValueError,
+                               match=f"^unknown regime '{regime}'$"):
+                to_regime(q, regime)
 
     def test_to_float_of_interval_is_midpoint(self):
         assert to_float(Interval(1.0, 3.0)) == 2.0
@@ -612,7 +610,9 @@ class TestHelpers:
         root = sqrt(Fraction(2))
         assert isinstance(root, Radical)
         assert root * root == 2
-        assert sqrt(2.25) == 1.5
+        # a float is read as the rational it stores
+        assert sqrt(2.25) == Fraction(3, 2)
+        assert isinstance(sqrt(2.25), Fraction)
         with pytest.raises(ModeUnsupportedError):
             sqrt(Radical.sqrt(2))
 

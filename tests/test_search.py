@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -8,9 +9,9 @@ from zkwander.errors import InvalidPatternError, NoAdmissibleSystemError
 from zkwander.recovery import attach_register, auto_register, recover
 from zkwander.reduction import objective_B1, reduce_system
 from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
-from zkwander.scalars import FLOAT
-from zkwander.search import (SIMPLEX_FATOL, SIMPLEX_MAXITER, SIMPLEX_XATOL,
-                             SearchConfig, _log_objective, _nelder_mead,
+from zkwander.search import (DEFAULT_D_GRID, SIMPLEX_FATOL, SIMPLEX_MAXITER,
+                             SIMPLEX_XATOL, SearchConfig, _evaluate,
+                             _float_system, _log_objective, _nelder_mead,
                              _scan, confirm_value, minimize, reproduce_table)
 from zkwander.model import DegreePattern
 from zkwander.weights import dirichlet
@@ -165,6 +166,35 @@ class TestConfirm:
         assert vrepr.startswith("[")
 
 
+def _row_id(row) -> str:
+    return f"{row.alpha}-{row.k}-{row.phi2}-{row.phi3}"
+
+
+class TestFloatSystem:
+    """The search's reduction in doubles against the rigorous value."""
+
+    @pytest.mark.parametrize("row", TABLE1_ROWS + TABLE2_ROWS, ids=_row_id)
+    def test_b1_agrees_with_confirm_value(self, row):
+        seq = dirichlet(row.alpha)
+        pattern = DegreePattern.from_phi(row.k, row.phi2, row.phi3)
+        rs = _float_system(seq, pattern)
+        grid = list(product(DEFAULT_D_GRID, repeat=3))
+        for d in [tuple(map(float, row.d))] + grid[::37]:
+            exact = confirm_value(seq, pattern, d)[0]
+            assert _evaluate(rs, objective_B1, d) == \
+                pytest.approx(exact, rel=1e-9, abs=0)
+
+    def test_a_d_that_underflows_to_zero_is_infinite(self):
+        # 10^-400 is 0.0 in doubles: like an overflow, a +inf, never an
+        # error raised out of minimize
+        f = _log_objective(_float_system(dirichlet(-16),
+                                         DegreePattern.default(6)),
+                           objective_B1)
+        assert f([-400.0, 0.0, 0.0]) == math.inf
+        assert f([400.0, 0.0, 0.0]) == math.inf
+        assert math.isfinite(f([0.0, 0.0, 0.0]))
+
+
 class TestTables:
 
     @pytest.mark.parametrize("table_id", [1, 2])
@@ -207,11 +237,10 @@ def _rosenbrock(x):
 
 class TestNelderMead:
 
-    @pytest.mark.parametrize("row", TABLE1_ROWS + TABLE2_ROWS,
-                             ids=lambda r: f"{r.alpha}-{r.k}-{r.phi2}-{r.phi3}")
+    @pytest.mark.parametrize("row", TABLE1_ROWS + TABLE2_ROWS, ids=_row_id)
     def test_iterates_match_scipy_from_each_grid_seed(self, row):
         pattern = DegreePattern.from_phi(row.k, row.phi2, row.phi3)
-        rs = reduce_system(dirichlet(row.alpha), pattern, FLOAT)
+        rs = _float_system(dirichlet(row.alpha), pattern)
         seed, _, _ = _scan(rs, objective_B1)
         f = _log_objective(rs, objective_B1)
         x0 = [math.log10(v) for v in seed]

@@ -1,5 +1,4 @@
 import json
-import math
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,8 @@ from hypothesis import strategies as st
 from zkwander.errors import InvalidPatternError, ModeUnsupportedError
 from zkwander.model import DegreePattern
 from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
-from zkwander.scalars import FLOAT, INTERVAL, RATIONAL, Interval, to_regime
+from zkwander.scalars import INTERVAL, RATIONAL, Interval, to_regime
+from zkwander.search import _float_system
 from zkwander.weights import (dirichlet, exact_regime, override_block,
                               perturbed, weight, weights_from_dict,
                               weights_to_dict)
@@ -42,15 +42,24 @@ class TestDirichlet:
         assert iv.is_positive()
 
     def test_float_regime(self):
-        assert weight(dirichlet(-16), 5, FLOAT) == pytest.approx(6.0 ** -16)
+        # floats are no regime: the search weighs in doubles on its own
+        with pytest.raises(ValueError, match="^unknown regime 'float'$"):
+            weight(dirichlet(-16), 5, "float")
+        assert _float_system(dirichlet(-16), DegreePattern.default(6))[0] \
+            == [7.0 ** -16, 8.0 ** -16, 9.0 ** -16, 10.0 ** -16]
 
     def test_float_underflow_is_refused(self):
-        with pytest.raises(ModeUnsupportedError):
-            weight(dirichlet(-16), 10 ** 21, FLOAT)
+        # in the search's doubles; 3001^-3000 ~ 10^-10431 is far below the
+        # least double
+        with pytest.raises(ModeUnsupportedError) as info:
+            _float_system(dirichlet(-3000), DegreePattern.default(3000))
+        assert str(info.value) == ("3001^(-3000) is not certifiably positive "
+                                   "in the float regime (underflow)")
 
     def test_float_overflow_is_refused(self):
-        with pytest.raises(ModeUnsupportedError):
-            weight(dirichlet(16), 10 ** 21, FLOAT)
+        with pytest.raises(ModeUnsupportedError,
+                           match=r"^7\^\(300000\) overflows a float$"):
+            _float_system(dirichlet(300000), DegreePattern.default(6))
 
     def test_interval_overflow_is_refused(self):
         # an exact weight past the largest double has no float enclosure
@@ -89,11 +98,6 @@ class TestDirichlet:
         assert exact == Fraction(t + 1) ** a
         iv = weight(seq, t, INTERVAL)
         assert Fraction(iv.lo) <= exact <= Fraction(iv.hi)
-        try:
-            fl = weight(seq, t, FLOAT)
-        except ModeUnsupportedError:
-            return
-        assert math.isclose(fl, float(exact), rel_tol=1e-12)
 
 
 # overrides at degrees up to 200 with positive rational values
@@ -114,7 +118,6 @@ class TestPerturbedAndCustom:
         assert weight(seq, 4, RATIONAL) == Fraction(1, 3)
         iv = weight(seq, 4, INTERVAL)
         assert Fraction(iv.lo) <= Fraction(1, 3) <= Fraction(iv.hi)
-        assert weight(seq, 4, FLOAT) == pytest.approx(1 / 3)
 
     def test_override_validation(self):
         with pytest.raises(ValueError):
