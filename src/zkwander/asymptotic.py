@@ -13,7 +13,6 @@ import warnings as _warnings
 from fractions import Fraction
 
 COMPARISON_SLACK = 1e-12
-MARGINAL_BAND = 1e-6
 
 # Shallow optimum in sigma, so a coarse grid with a fine tail is enough.
 DEFAULT_SIGMA_GRID = (0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4,
@@ -104,11 +103,9 @@ def beta_cap(k: int) -> float:
     return 5.0 * k + 700.0 / (k - 9) ** 2
 
 
-def _verdict(value: float, limit: float):
-    """(holds, marginal) with the standard slack and marginal band."""
-    holds = value < limit * (1 + COMPARISON_SLACK) + COMPARISON_SLACK
-    denom = max(1.0, abs(value), abs(limit))
-    return holds, abs(value - limit) / denom <= MARGINAL_BAND
+def _verdict(value: float, limit: float) -> bool:
+    """value < limit with the standard slack."""
+    return value < limit * (1 + COMPARISON_SLACK) + COMPARISON_SLACK
 
 
 def minimal_beta(k: int):
@@ -158,10 +155,9 @@ def five_k_rule(k: int, sigma=0.985) -> dict:
     beta = 5 * k
     cond = sigma_condition(k, beta, sigma)
     bound = objective_bound(k, beta, sigma)
-    holds, marginal = _verdict(bound, 1.0)
     return {"k": k, "beta": beta, "sigma": sigma,
             "sigma_condition": cond, "bound": bound,
-            "holds": cond and holds, "marginal": marginal}
+            "holds": cond and _verdict(bound, 1.0)}
 
 
 def check_five_k_readings(lo: int = 10, hi: int = 60) -> dict:
@@ -182,7 +178,6 @@ def reproduce_table5() -> list:
         sigma = float(row.sigma)
         threshold = sigma_threshold(row.k, sigma)
         bound = objective_bound(row.k, row.beta, sigma)
-        bound_ok, bound_marginal = _verdict(bound, 1.0)
         cap = beta_cap(row.k)
         report.append({
             "k": row.k, "beta": row.beta, "sigma": sigma,
@@ -192,8 +187,7 @@ def reproduce_table5() -> list:
             "threshold_match": abs(threshold - row.beta_gt) <= 2.0,
             "computed_bound": bound,
             "printed_bound": row.objective_lt,
-            "bound_below_one": bound_ok,
-            "bound_marginal": bound_marginal,
+            "bound_below_one": _verdict(bound, 1.0),
             "cap": cap,
             "cap_ok": row.beta <= cap * (1 + COMPARISON_SLACK),
         })

@@ -15,8 +15,8 @@ into five positive reals C_1..C_5 and the contraction objectives
     B_0 = e_0/Z_1 + e_1 Z_1              (the certified ratio itself)
 
 A value B_0 < 1 at admissible parameters is exactly the strict inequality
-the certificate needs.  ``solve_block`` and ``c_values`` hold the algebra
-in any arithmetic; ``reduce_system`` and ``compute_C`` wrap them.
+the certificate needs.  ``c_values`` holds C_1..C_5 in any arithmetic, the
+search's doubles included; ``compute_C`` wraps it in a regime.
 
 Every scalar is real.  A complex Z_3 would reach nothing more: since
 C_1 (C_1 |Z_3|^2 - C_3 Re Z_3 + C_4) = |P|^2 + C_5 with P = C_1 Z_3 - C_3/2,
@@ -64,26 +64,22 @@ class ReducedSystem(Record):
         return weight(self.seq, t, self.regime)
 
 
-def solve_block(w, one, zero) -> tuple:
-    """(det N_1, E, G, H, D) of the weight block w in the arithmetic of its
-    entries; raises SingularSystemError when N_1 is (not certifiably non-)
-    singular, e.g. for the Hardy and Dirichlet weights where t -> w_t is
-    affine, and DegenerateReductionError when an E_i is."""
+def reduce_system(seq: WeightSequence, pattern: DegreePattern,
+                  regime: str = RATIONAL) -> ReducedSystem:
+    """det N_1, E, G, H and D of the weight block in the regime; raises
+    SingularSystemError when N_1 is (not certifiably non-) singular, e.g.
+    for the Hardy and Dirichlet weights where t -> w_t is affine, and
+    DegenerateReductionError when an E_i is."""
+    w = weight_block(seq, pattern, regime)
+    one, zero = to_regime(Fraction(1), regime), to_regime(Fraction(0), regime)
     det, e, gg = cramer_solve3([row[1:] for row in w],
                                [-row[0] for row in w], [one, zero, zero])
     for i, ei in enumerate(e):
         if not excludes_zero(ei):
             raise DegenerateReductionError(f"E_{i + 1} vanishes; D undefined")
-    return (det, e, gg, tuple(ei * ei for ei in e),
-            tuple(-(gg[i] / e[i]) for i in range(3)))
-
-
-def reduce_system(seq: WeightSequence, pattern: DegreePattern,
-                  regime: str = RATIONAL) -> ReducedSystem:
-    """``solve_block`` on the weight block in the regime."""
-    w = weight_block(seq, pattern, regime)
-    return ReducedSystem(pattern, seq, regime, w, *solve_block(
-        w, to_regime(Fraction(1), regime), to_regime(Fraction(0), regime)))
+    return ReducedSystem(pattern, seq, regime, w, det, e, gg,
+                         tuple(ei * ei for ei in e),
+                         tuple(-(gg[i] / e[i]) for i in range(3)))
 
 
 class CQuantities(Record):

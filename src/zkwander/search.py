@@ -1,10 +1,10 @@
 """Minimization of the compressed objectives over the free parameters.
 
-The search reduces each system in doubles itself (``_float_system``) for
-speed; it is a heuristic.  The point it finds is re-evaluated in an exact
-or enclosure regime before being reported, so the reported value and
-landing side are rigorous even though the path that found the point is
-not.
+Each visited system is reduced once, in the regime that proves it
+(``exact_regime``), and searched in doubles of that reduction for speed;
+the search is a heuristic.  The point it finds is re-evaluated on the same
+reduced system before being reported, so the reported value and landing
+side are rigorous even though the path that found the point is not.
 """
 
 import math
@@ -13,14 +13,15 @@ from functools import reduce
 from itertools import product
 from operator import add
 
+from .certify import check_bounds
 from .errors import (DegenerateReductionError, InvalidPatternError,
                      ModeUnsupportedError, NoAdmissibleSystemError,
                      SingularSystemError)
 from .model import DegreePattern
 from .record import Record, store
 from .recovery import _round_significant
-from .reduction import (CQuantities, c_values, compute_C, objective_B1,
-                        objective_B2, reduce_system, solve_block)
+from .reduction import (CQuantities, ReducedSystem, c_values, compute_C,
+                        objective_B1, objective_B2, reduce_system)
 from .scalars import scalar_text, strictly_less, to_float, to_rational
 from .weights import WeightSequence, dirichlet, exact_regime
 
@@ -103,23 +104,24 @@ class SearchResult(Record):
         store(self, "singular_skipped", singular_skipped)
 
 
-def _float_system(seq: WeightSequence, pattern: DegreePattern) -> tuple:
-    """(W_1, W_2, H, D) of D_alpha at the pattern in doubles, for ``c_values``;
-    a weight past the range of doubles raises ModeUnsupportedError."""
-    w = []
-    for t in pattern.matrix_indices():
-        try:
-            w.append(float(t + 1) ** float(seq.alpha))
-        except OverflowError as exc:
+def _double(x) -> float:
+    """x as a double; +-inf past the largest one."""
+    try:
+        return to_float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _doubles(rs: ReducedSystem) -> list:
+    """[W_1, W_2, H, D] of the reduced system in doubles, for ``c_values``;
+    a weight of rows 1 and 2 with no double raises ModeUnsupportedError
+    naming it."""
+    rows = [tuple(map(_double, v)) for v in (*rs.W[:2], rs.H, rs.D)]
+    for t, w in zip(rs.pattern.matrix_indices(), rows[0] + rows[1]):
+        if not 0 < w < math.inf:
             raise ModeUnsupportedError(
-                f"{t + 1}^({seq.alpha}) overflows a float") from exc
-        if not w[-1] > 0:
-            raise ModeUnsupportedError(
-                f"{t + 1}^({seq.alpha}) is not certifiably positive in the "
-                "float regime (underflow)")
-    block = [w[4 * s:4 * s + 4] for s in range(3)]
-    _, _, _, h, d = solve_block(block, 1.0, 0.0)
-    return block[0], block[1], h, d
+                f"{t + 1}^({rs.seq.alpha}) lies outside the range of doubles")
+    return rows
 
 
 def _evaluate(rs, objective, d3) -> float:
@@ -253,21 +255,11 @@ def _simplex(rs, objective, seed, seed_value):
     return seed, seed_value, nfev + 1
 
 
-def confirm_value(seq: WeightSequence, pattern: DegreePattern, d3,
-                  target: str = "B1", threshold=1):
-    """Re-evaluate the objective rigorously at an exact rational point.
-
-    Returns (value_float, value_repr, regime, landing_side), the regime
-    being ``exact_regime`` of the matrix weights. The side is "undecided"
-    when the regime cannot order the value strictly against the threshold,
-    an exact tie included.
-    """
-    objective = _OBJECTIVES[target]
+def _confirm(rs: ReducedSystem, d3, target: str, threshold) -> tuple:
+    """``confirm_value`` on a system already reduced."""
     d_exact = tuple(v if isinstance(v, Fraction) else Fraction(str(v))
                     for v in d3)
-    rs = reduce_system(seq, pattern,
-                       exact_regime(seq, pattern.matrix_indices()))
-    value = objective(compute_C(rs, d_exact))
+    value = _OBJECTIVES[target](compute_C(rs, d_exact))
     thr = to_rational(threshold)
     if strictly_less(value, thr):
         side = "below"
@@ -278,20 +270,35 @@ def confirm_value(seq: WeightSequence, pattern: DegreePattern, d3,
     return to_float(value), scalar_text(value), rs.regime, side
 
 
+def confirm_value(seq: WeightSequence, pattern: DegreePattern, d3,
+                  target: str = "B1", threshold=1):
+    """Re-evaluate the objective rigorously at an exact rational point.
+
+    Returns (value_float, value_repr, regime, landing_side), the regime
+    being ``exact_regime`` of the matrix weights. The side is "undecided"
+    when the regime cannot order the value strictly against the threshold,
+    an exact tie included.
+    """
+    rs = reduce_system(seq, pattern,
+                       exact_regime(seq, pattern.matrix_indices()))
+    return _confirm(rs, d3, target, threshold)
+
+
 def minimize(config: SearchConfig) -> SearchResult:
     """Search every (alpha, k, phi) combination and return the best point;
-    raises InvalidPatternError when no (k, phi2, phi3) forms a valid pattern.
+    raises InvalidPatternError when no (k, phi2, phi3) forms a valid pattern
+    and ValueError when a visited system lies outside the replay bounds.
 
     Deterministic for a fixed config: grid order is fixed, the descent
     ladder is fixed, and the simplex start is derived from the grid.
     """
     objective = _OBJECTIVES[config.target]
-    best = None          # (value, alpha, k, phi2, phi3, d)
+    best = None          # (value, alpha, k, phi2, phi3, d, system)
     evals = 0
     singular = 0
     visited = 0
     invalid = None       # the first pattern error, raised if none is valid
-    refused = None       # the first weight past the range of doubles
+    refused = None       # the first weight with no double or enclosure
     for alpha in _as_values(config.alpha):
         seq = dirichlet(alpha)
         for k in _as_values(config.k):
@@ -303,8 +310,11 @@ def minimize(config: SearchConfig) -> SearchResult:
                         invalid = invalid or exc
                         continue
                     visited += 1
+                    check_bounds(pattern, seq)
                     try:
-                        rs = _float_system(seq, pattern)
+                        system = reduce_system(seq, pattern, exact_regime(
+                            seq, pattern.matrix_indices()))
+                        rs = _doubles(system)
                     except (SingularSystemError, DegenerateReductionError):
                         singular += 1
                         continue
@@ -322,7 +332,7 @@ def minimize(config: SearchConfig) -> SearchResult:
                                                    value)
                         evals += n
                     if best is None or value < best[0]:
-                        best = (value, alpha, k, phi2, phi3, point)
+                        best = (value, alpha, k, phi2, phi3, point, system)
     if not visited and invalid:
         raise invalid
     if best is None or not math.isfinite(best[0]):
@@ -331,12 +341,10 @@ def minimize(config: SearchConfig) -> SearchResult:
                 f"no visited system could be evaluated: {refused}")
         raise NoAdmissibleSystemError(
             f"all {visited} visited systems were singular or degenerate")
-    value, alpha, k, phi2, phi3, point = best
+    value, alpha, k, phi2, phi3, point, system = best
     reported = tuple(_round_significant(v, 9) for v in point)
-    pattern = DegreePattern.from_phi(k, phi2, phi3)
-    vf, vrepr, regime, side = confirm_value(
-        dirichlet(alpha), pattern, reported, config.target,
-        config.threshold)
+    vf, vrepr, regime, side = _confirm(system, reported, config.target,
+                                       config.threshold)
     return SearchResult(
         alpha=alpha, k=k, phi2=phi2, phi3=phi3,
         d=reported, value=vf, value_repr=vrepr, regime=regime,

@@ -196,16 +196,19 @@ class TestBadInput:
         assert proc.stderr.startswith("error: ")
         assert proc.stdout == ""
 
-    @pytest.mark.parametrize("alpha, cause", [
-        ("300000", "7^(300000) overflows a float"),
-        ("-3000", "7^(-3000) is not certifiably positive"),
-        ("-6001/2", "7^(-6001/2) is not certifiably positive")])
-    def test_search_names_the_refused_weight(self, alpha, cause):
-        # every visited system failed on a float weight, not on a singular
-        # or degenerate reduction; search runs only in floats, so no other
+    @pytest.mark.parametrize("argv, cause", [
+        (("--alpha=-127/2", "--k", "10000", "--phi3", "12"),
+         "130004^(-127/2) has no interval enclosure"),
+        (("--alpha=64", "--k", "10000", "--phi3", "99"),
+         "1000004^(64) lies outside the range of doubles")],
+        ids=["interval-underflow", "rational-overflow"])
+    def test_search_names_the_refused_weight(self, argv, cause):
+        # every visited system failed on a weight with no enclosure or no
+        # double, not on a singular or degenerate reduction; the search
+        # already reduces in the regime that proves the system, so no other
         # regime is offered as a remedy
         proc = subprocess.run(
-            [sys.executable, "-m", "zkwander", "search", f"--alpha={alpha}"],
+            [sys.executable, "-m", "zkwander", "search", *argv],
             capture_output=True, text=True, timeout=10)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
@@ -220,14 +223,18 @@ class TestBadInput:
         ("pipeline", "--alpha", "-16", "--override-base", "-300000",
          "--d", "1,4,6", "--z3", "-2e13"),
         ("pipeline", "--alpha", "300000"),
+        ("search", "--alpha=300000"),
+        ("search", "--alpha=-3000"),
+        ("search", "--alpha=-6001/2"),
     ], ids=["eval", "eval-override-base", "pipeline", "pipeline-override-base",
-            "pipeline-search"])
+            "pipeline-search", "search-300000", "search--3000",
+            "search--6001/2"])
     def test_alpha_outside_the_replay_bounds_is_refused_at_once(
             self, tmp_path, argv):
         # the bounds certificate replay applies, checked before any search
         # or weight; the exact weights at this alpha take minutes to form
         cert = tmp_path / "cert.json"
-        out = ("--out", str(cert)) if argv[0] == "pipeline" else ()
+        out = ("--out", str(cert)) if argv[0] != "eval" else ()
         proc = subprocess.run(
             [sys.executable, "-m", "zkwander", *argv, *out],
             capture_output=True, text=True, timeout=10)
@@ -412,6 +419,13 @@ class TestSearch:
         code, out, _ = run(capsys, "search", "--config", str(cfg))
         assert code == 2
         assert "landing side vs threshold: above" in out
+
+    def test_a_det_n1_below_the_least_double_is_searched(self, capsys):
+        # det N_1 ~ 1e-330 at this system; B_1 ~ 4.5e-18 is found there
+        code, out, err = run(capsys, "search", "--alpha", "-64", "--k", "27")
+        assert (code, err) == (0, "")
+        assert "at alpha = -64, k = 27," in out
+        assert "landing side vs threshold: below" in out
 
     def test_alpha_or_config_is_required(self, capsys):
         code, out, err = run(capsys, "search")

@@ -1,9 +1,10 @@
 """Source hygiene: no package module imports a name it never uses, no
 private module-level name or library function is left that no module loads,
 no module builds a complex value or reads its parts, every memo is bounded,
-no module but scalars branches on the scalar regime, no certifying module
-holds a tolerance, no module has json indent its output, and the package
-imports exactly the third-party modules pyproject.toml lists."""
+no module but scalars branches on the scalar regime or raises a number to
+the power alpha, no certifying module holds a tolerance, no module has json
+indent its output, and the package imports exactly the third-party modules
+pyproject.toml lists."""
 
 import ast
 import os
@@ -199,6 +200,24 @@ def _regime_branches(tree: ast.Module) -> list:
 def test_only_scalars_branches_on_the_regime(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _regime_branches(tree) == []
+
+
+def _alpha_powers(tree: ast.Module) -> list:
+    """Lines of ``**`` whose exponent reads a name or attribute alpha."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and any(getattr(n, "id", getattr(n, "attr", None)) == "alpha"
+                    for n in ast.walk(node.right))]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "scalars"],
+    ids=lambda p: p.stem)
+def test_only_scalars_forms_a_weight_power(path):
+    # a weight is formed by scalars.power in a proving regime, not copied
+    # into another module in another arithmetic
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _alpha_powers(tree) == []
 
 
 def _is_tolerance(name: str) -> bool:

@@ -5,16 +5,17 @@ from itertools import product
 import pytest
 
 from zkwander.certify import verify
-from zkwander.errors import InvalidPatternError, NoAdmissibleSystemError
+from zkwander.errors import (DegenerateReductionError, InvalidPatternError,
+                             NoAdmissibleSystemError)
 from zkwander.recovery import attach_register, auto_register, recover
 from zkwander.reduction import objective_B1, reduce_system
 from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
 from zkwander.search import (DEFAULT_D_GRID, SIMPLEX_FATOL, SIMPLEX_MAXITER,
                              SIMPLEX_XATOL, SearchConfig, _evaluate,
-                             _float_system, _log_objective, _nelder_mead,
-                             _scan, confirm_value, minimize, reproduce_table)
+                             _doubles, _log_objective, _nelder_mead, _scan,
+                             confirm_value, minimize, reproduce_table)
 from zkwander.model import DegreePattern
-from zkwander.weights import dirichlet
+from zkwander.weights import dirichlet, exact_regime
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +136,32 @@ class TestMinimize:
         res = minimize(SearchConfig(alpha=-16, k=[5, 6], strategy="grid"))
         assert res.k == 6
 
+    def test_a_system_whose_det_underflows_doubles_is_searched(self):
+        # det N_1 ~ 1e-330 is 0.0 in doubles, which once made this system
+        # "singular"; the search walks the rational reduction's doubles
+        res = minimize(SearchConfig(alpha=-64, k=27))
+        assert res.regime == "rational"
+        assert res.landing_side == "below"
+        assert res.singular_skipped == 0
+        assert 0 < res.value < 1e-17
+
+    def test_a_system_outside_the_replay_bounds_is_refused(self):
+        # the bounds certificate replay applies, before any weight is formed
+        with pytest.raises(ValueError, match=r"^alpha = 300000 is outside"):
+            minimize(SearchConfig(alpha=300000))
+        with pytest.raises(ValueError, match=r"^k must lie in 1\.\.10000"):
+            minimize(SearchConfig(alpha=-16, k=10001))
+
+    def test_an_interval_c5_that_straddles_zero_is_degenerate(self):
+        # at the simplex point of this published row the interval
+        # C_5 = C_1 C_4 - C_3^2/4 contains 0
+        row = next(r for r in TABLE2_ROWS if r.k == 47)
+        config = SearchConfig(alpha=row.alpha, k=row.k, phi2=row.phi2,
+                              phi3=row.phi3, strategy="simplex")
+        with pytest.raises(DegenerateReductionError, match=r"^C5 = \[-.*\] "
+                           "is not certifiably positive$"):
+            minimize(config)
+
 
 class TestConfirm:
 
@@ -170,14 +197,22 @@ def _row_id(row) -> str:
     return f"{row.alpha}-{row.k}-{row.phi2}-{row.phi3}"
 
 
+def _system_in_doubles(alpha, pattern):
+    """What the search walks: the doubles of the system reduced in the
+    regime that proves it."""
+    seq = dirichlet(alpha)
+    return _doubles(reduce_system(seq, pattern,
+                                  exact_regime(seq, pattern.matrix_indices())))
+
+
 class TestFloatSystem:
-    """The search's reduction in doubles against the rigorous value."""
+    """The search's system in doubles against the rigorous value."""
 
     @pytest.mark.parametrize("row", TABLE1_ROWS + TABLE2_ROWS, ids=_row_id)
     def test_b1_agrees_with_confirm_value(self, row):
         seq = dirichlet(row.alpha)
         pattern = DegreePattern.from_phi(row.k, row.phi2, row.phi3)
-        rs = _float_system(seq, pattern)
+        rs = _system_in_doubles(row.alpha, pattern)
         grid = list(product(DEFAULT_D_GRID, repeat=3))
         for d in [tuple(map(float, row.d))] + grid[::37]:
             exact = confirm_value(seq, pattern, d)[0]
@@ -187,8 +222,7 @@ class TestFloatSystem:
     def test_a_d_that_underflows_to_zero_is_infinite(self):
         # 10^-400 is 0.0 in doubles: like an overflow, a +inf, never an
         # error raised out of minimize
-        f = _log_objective(_float_system(dirichlet(-16),
-                                         DegreePattern.default(6)),
+        f = _log_objective(_system_in_doubles(-16, DegreePattern.default(6)),
                            objective_B1)
         assert f([-400.0, 0.0, 0.0]) == math.inf
         assert f([400.0, 0.0, 0.0]) == math.inf
@@ -240,7 +274,7 @@ class TestNelderMead:
     @pytest.mark.parametrize("row", TABLE1_ROWS + TABLE2_ROWS, ids=_row_id)
     def test_iterates_match_scipy_from_each_grid_seed(self, row):
         pattern = DegreePattern.from_phi(row.k, row.phi2, row.phi3)
-        rs = _float_system(dirichlet(row.alpha), pattern)
+        rs = _system_in_doubles(row.alpha, pattern)
         seed, _, _ = _scan(rs, objective_B1)
         f = _log_objective(rs, objective_B1)
         x0 = [math.log10(v) for v in seed]

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from zkwander.errors import InvalidPatternError, ModeUnsupportedError
 from zkwander.model import DegreePattern
+from zkwander.reduction import reduce_system
 from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
 from zkwander.scalars import INTERVAL, RATIONAL, Interval, to_regime
-from zkwander.search import _float_system
+from zkwander.search import _doubles
 from zkwander.weights import (dirichlet, exact_regime, override_block,
                               perturbed, weight, weights_from_dict,
                               weights_to_dict)
@@ -42,24 +43,29 @@ class TestDirichlet:
         assert iv.is_positive()
 
     def test_float_regime(self):
-        # floats are no regime: the search weighs in doubles on its own
+        # floats are no regime: the search takes the doubles of the exact
+        # weights, each rounded once
         with pytest.raises(ValueError, match="^unknown regime 'float'$"):
             weight(dirichlet(-16), 5, "float")
-        assert _float_system(dirichlet(-16), DegreePattern.default(6))[0] \
-            == [7.0 ** -16, 8.0 ** -16, 9.0 ** -16, 10.0 ** -16]
+        rs = reduce_system(dirichlet(-16), DegreePattern.default(6))
+        assert _doubles(rs)[0] == tuple(
+            float(Fraction(1, t ** 16)) for t in (7, 8, 9, 10))
 
     def test_float_underflow_is_refused(self):
-        # in the search's doubles; 3001^-3000 ~ 10^-10431 is far below the
-        # least double
+        # in the search's doubles; 130004^-64 ~ 10^-327 is below the least
+        # double, though the rational regime reduces the system
+        rs = reduce_system(dirichlet(-64),
+                           DegreePattern.from_phi(10000, 0, 12))
         with pytest.raises(ModeUnsupportedError) as info:
-            _float_system(dirichlet(-3000), DegreePattern.default(3000))
-        assert str(info.value) == ("3001^(-3000) is not certifiably positive "
-                                   "in the float regime (underflow)")
+            _doubles(rs)
+        assert str(info.value) == ("130004^(-64) lies outside the range of "
+                                   "doubles")
 
     def test_float_overflow_is_refused(self):
-        with pytest.raises(ModeUnsupportedError,
-                           match=r"^7\^\(300000\) overflows a float$"):
-            _float_system(dirichlet(300000), DegreePattern.default(6))
+        rs = reduce_system(dirichlet(64), DegreePattern.from_phi(10000, 0, 99))
+        with pytest.raises(ModeUnsupportedError, match=r"^1000004\^\(64\) "
+                           "lies outside the range of doubles$"):
+            _doubles(rs)
 
     def test_interval_overflow_is_refused(self):
         # an exact weight past the largest double has no float enclosure
