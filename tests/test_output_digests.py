@@ -7,7 +7,9 @@ names its case.  The cases are the certificate (``to_json``) and its
 the pinned rational headline and alpha = -33/2 in the interval regime; the
 replay reports of every single-leaf forgery of those last two; the
 ``minimize`` result of each search strategy on two rows, and its result or
-error on every Table 1/2 row at once; and the two files
+error on every Table 1/2 row at once, with alpha moved by each offset the
+benchmark's explore workload uses and, apart, with the target B_2; and the
+two files
 the CLI writes, a ``pipeline --out`` certificate and a ``search --out``
 payload.
 
@@ -38,6 +40,7 @@ from zkwander.weights import exact_regime
 DIGESTS = Path(__file__).with_name("data") / "output_digests.json"
 HEADLINE_Z3 = Fraction(-2) * 10 ** 13
 STRATEGIES = ("grid", "coordinate-descent", "simplex")
+ALPHA_OFFSETS = (Fraction(-1, 2), Fraction(-1, 4), Fraction(0), Fraction(1, 4))
 
 
 def _certificate(seq, pattern, d, regime, z3=None) -> str:
@@ -93,16 +96,17 @@ def _row_case(row):
         seq, pattern, (Fraction(1),) + row.d, regime))
 
 
-def _minimize_case(row, strategy):
-    config = SearchConfig(alpha=row.alpha, k=row.k, phi2=row.phi2,
-                          phi3=row.phi3, strategy=strategy)
+def _minimize_case(row, strategy, offset=0, target="B1"):
+    config = SearchConfig(alpha=row.alpha + offset, k=row.k, phi2=row.phi2,
+                          phi3=row.phi3, strategy=strategy, target=target)
     return lambda: repr(minimize(config))
 
 
-def _minimize_outcome(row, strategy) -> str:
-    """The repr of minimize on the row, or the error it raises."""
+def _minimize_outcome(row, strategy, offset=0, target="B1") -> str:
+    """The repr of minimize on the row with alpha moved by offset, or the
+    error it raises."""
     try:
-        return _minimize_case(row, strategy)()
+        return _minimize_case(row, strategy, offset, target)()
     except ZkwanderError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -141,6 +145,14 @@ CASES = {
     "minimize-published-rows": lambda: "\n".join(
         _minimize_outcome(row, strategy)
         for row in TABLE1_ROWS + TABLE2_ROWS for strategy in STRATEGIES),
+    "minimize-explore-offsets": lambda: "\n".join(
+        _minimize_outcome(row, strategy, offset)
+        for row in TABLE1_ROWS + TABLE2_ROWS for offset in ALPHA_OFFSETS
+        for strategy in STRATEGIES),
+    "minimize-B2-published-rows": lambda: "\n".join(
+        _minimize_outcome(row, strategy, offset, "B2")
+        for row in TABLE1_ROWS + TABLE2_ROWS for offset in ALPHA_OFFSETS
+        for strategy in STRATEGIES),
     "cli-pipeline-certificate": lambda: _cli_file(
         "pipeline", "--alpha", "-16", "--d", "1,4,6", "--z3", "-2e13"),
     "cli-search-grid": lambda: _cli_file(
