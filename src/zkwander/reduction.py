@@ -16,7 +16,8 @@ into five positive reals C_1..C_5 and the contraction objectives
 
 A value B_0 < 1 at admissible parameters is exactly the strict inequality
 the certificate needs.  ``c_values`` holds C_1..C_5 in any arithmetic, the
-search's doubles included; ``compute_C`` wraps it in a regime.
+search's doubles included, as one evaluator per system; ``compute_C`` wraps
+it in a regime.
 
 Every scalar is real.  A complex Z_3 would reach nothing more: since
 C_1 (C_1 |Z_3|^2 - C_3 Re Z_3 + C_4) = |P|^2 + C_5 with P = C_1 Z_3 - C_3/2,
@@ -106,22 +107,35 @@ def _normalize_d(d) -> tuple:
     return out
 
 
-def c_values(w1, w2, H, D, dd) -> tuple:
-    """(C_1, .., C_5) at squared moduli dd = (d_0, .., d_3) from rows 1 and 2
-    of the weight block, H and D, in the arithmetic of its arguments."""
-    c1 = sum(dd[i] * w1[i] for i in range(4))
-    c2 = w2[0] / dd[0]
-    for i in (1, 2, 3):
-        c2 = c2 + H[i - 1] * w2[i] / dd[i]
-    c3 = 2 * sum(D[i - 1] * dd[i] * w1[i] for i in (1, 2, 3))
-    c4 = sum(D[i - 1] * D[i - 1] * dd[i] * w1[i] for i in (1, 2, 3))
-    return c1, c2, c3, c4, c1 * c4 - c3 * c3 / 4
+def c_values(w1, w2, H, D):
+    """at(d_0, .., d_3) -> (C_1, .., C_5) from rows 1 and 2 of the weight
+    block, H and D, in the arithmetic of its arguments.
+
+    The d-free parts (unpacked rows, H_i w2_i, D_i D_i) are formed once per
+    system.  Each sum is plain left-to-right adds from 0, as ``sum`` does:
+    0 + x rounds outward for an interval, and the search's doubles are the
+    same bits on every supported Python (``sum`` compensates floats from
+    3.12 on).
+    """
+    w10, w11, w12, w13 = w1
+    w20, w21, w22, w23 = w2
+    hw1, hw2, hw3 = H[0] * w21, H[1] * w22, H[2] * w23
+    D1, D2, D3 = D
+    DD1, DD2, DD3 = D1 * D1, D2 * D2, D3 * D3
+
+    def at(d0, d1, d2, d3) -> tuple:
+        c1 = 0 + d0 * w10 + d1 * w11 + d2 * w12 + d3 * w13
+        c2 = w20 / d0 + hw1 / d1 + hw2 / d2 + hw3 / d3
+        c3 = 2 * (0 + D1 * d1 * w11 + D2 * d2 * w12 + D3 * d3 * w13)
+        c4 = 0 + DD1 * d1 * w11 + DD2 * d2 * w12 + DD3 * d3 * w13
+        return c1, c2, c3, c4, c1 * c4 - c3 * c3 / 4
+    return at
 
 
 def compute_C(rs: ReducedSystem, d) -> CQuantities:
     """The five reduced constants at squared moduli d = (d_0, .., d_3)."""
     dd = tuple(to_regime(v, rs.regime) for v in _normalize_d(d))
-    c1, c2, c3, c4, c5 = c_values(rs.W[0], rs.W[1], rs.H, rs.D, dd)
+    c1, c2, c3, c4, c5 = c_values(rs.W[0], rs.W[1], rs.H, rs.D)(*dd)
     for name, v in (("C1", c1), ("C2", c2), ("C4", c4), ("C5", c5)):
         if not certainly_positive(v):
             raise DegenerateReductionError(

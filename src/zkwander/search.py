@@ -1,10 +1,12 @@
 """Minimization of the compressed objectives over the free parameters.
 
 Each visited system is reduced once, in the regime that proves it
-(``exact_regime``), and searched in doubles of that reduction for speed;
-the search is a heuristic.  The point it finds is re-evaluated on the same
-reduced system before being reported, so the reported value and landing
-side are rigorous even though the path that found the point is not.
+(``exact_regime``), and searched in doubles of that reduction for speed
+through one evaluator, ``_evaluator`` on ``c_values``, which forms the
+system's d-free parts once; the search is a heuristic.  The point it finds
+is re-evaluated on the same reduced system before being reported, so the
+reported value and landing side are rigorous even though the path that
+found the point is not.
 """
 
 import math
@@ -28,6 +30,7 @@ from .weights import WeightSequence, dirichlet, exact_regime
 # d ranges over five-plus orders of magnitude in the published tables,
 # so the grid every search scans is logarithmic and wide.
 DEFAULT_D_GRID = tuple(float(10) ** n for n in range(-2, 7))
+_GRID = tuple(product(DEFAULT_D_GRID, repeat=3))    # the (d1, d2, d3) scanned
 
 DESCENT_STEPS = (2.0, 1.1, 1.01)
 
@@ -113,9 +116,9 @@ def _double(x) -> float:
 
 
 def _doubles(rs: ReducedSystem) -> list:
-    """[W_1, W_2, H, D] of the reduced system in doubles, for ``c_values``;
-    a weight of rows 1 and 2 with no double raises ModeUnsupportedError
-    naming it."""
+    """[W_1, W_2, H, D] of the reduced system in doubles, the arguments of
+    ``c_values`` that ``_evaluator`` takes; a weight of rows 1 and 2 with no
+    double raises ModeUnsupportedError naming it."""
     rows = [tuple(map(_double, v)) for v in (*rs.W[:2], rs.H, rs.D)]
     for t, w in zip(rs.pattern.matrix_indices(), rows[0] + rows[1]):
         if not 0 < w < math.inf:
@@ -124,26 +127,30 @@ def _doubles(rs: ReducedSystem) -> list:
     return rows
 
 
-def _evaluate(rs, objective, d3) -> float:
-    """Objective at (1, d1, d2, d3); +inf unless C_1, C_2, C_4 and C_5 > 0."""
-    dd = (1.0, *d3)
-    try:
-        c1, c2, c3, c4, c5 = c_values(*rs, dd)
-    except ZeroDivisionError:
-        return math.inf
-    if not (c1 > 0 and c2 > 0 and c4 > 0 and c5 > 0):
-        return math.inf
-    return float(objective(CQuantities(dd, c1, c2, c3, c4, c5)))
+def _evaluator(rs, objective):
+    """f(d1, d2, d3), the objective at (1, d1, d2, d3) of the system in
+    doubles ``rs``; +inf unless C_1, C_2, C_4 and C_5 > 0."""
+    at = c_values(*rs)
+
+    def f(d1, d2, d3) -> float:
+        try:
+            c1, c2, c3, c4, c5 = at(1.0, d1, d2, d3)
+        except ZeroDivisionError:
+            return math.inf
+        if not (c1 > 0 and c2 > 0 and c4 > 0 and c5 > 0):
+            return math.inf
+        return float(objective(CQuantities((1.0, d1, d2, d3),
+                                           c1, c2, c3, c4, c5)))
+    return f
 
 
-def _scan(rs, objective):
-    points = list(product(DEFAULT_D_GRID, repeat=3))
-    values = [_evaluate(rs, objective, p) for p in points]
-    best_i = min(range(len(points)), key=lambda i: values[i])
-    return points[best_i], values[best_i], len(points)
+def _scan(f):
+    values = [f(*p) for p in _GRID]
+    best_i = min(range(len(_GRID)), key=values.__getitem__)
+    return _GRID[best_i], values[best_i], len(_GRID)
 
 
-def _descend(rs, objective, seed, seed_value):
+def _descend(f, seed, seed_value):
     """Deterministic multiplicative coordinate descent from a grid seed."""
     d = list(seed)
     best = seed_value
@@ -156,7 +163,7 @@ def _descend(rs, objective, seed, seed_value):
                 for factor in (step, 1.0 / step):
                     trial = d.copy()
                     trial[i] *= factor
-                    v = _evaluate(rs, objective, tuple(trial))
+                    v = f(*trial)
                     evals += 1
                     if v < best:
                         best, d = v, trial
@@ -234,22 +241,21 @@ def _nelder_mead(f, x0):
     return simplex[0][1], nfev
 
 
-def _log_objective(rs, objective):
-    """The objective as a function of log10 d; +inf where 10^u overflows."""
-    def f(logd):
+def _log_objective(f):
+    """f as a function of log10 d; +inf where 10^u overflows."""
+    def g(logd):
         try:
-            point = tuple(10.0 ** u for u in logd)
+            point = [10.0 ** u for u in logd]
         except OverflowError:
             return math.inf
-        return _evaluate(rs, objective, point)
-    return f
+        return f(*point)
+    return g
 
 
-def _simplex(rs, objective, seed, seed_value):
-    x, nfev = _nelder_mead(_log_objective(rs, objective),
-                           [math.log10(v) for v in seed])
+def _simplex(f, seed, seed_value):
+    x, nfev = _nelder_mead(_log_objective(f), [math.log10(v) for v in seed])
     point = tuple(10.0 ** u for u in x)
-    value = _evaluate(rs, objective, point)
+    value = f(*point)
     if value <= seed_value:
         return point, value, nfev + 1
     return seed, seed_value, nfev + 1
@@ -314,7 +320,7 @@ def minimize(config: SearchConfig) -> SearchResult:
                     try:
                         system = reduce_system(seq, pattern, exact_regime(
                             seq, pattern.matrix_indices()))
-                        rs = _doubles(system)
+                        f = _evaluator(_doubles(system), objective)
                     except (SingularSystemError, DegenerateReductionError):
                         singular += 1
                         continue
@@ -322,14 +328,13 @@ def minimize(config: SearchConfig) -> SearchResult:
                         refused = refused or exc
                         singular += 1
                         continue
-                    point, value, n = _scan(rs, objective)
+                    point, value, n = _scan(f)
                     evals += n
                     if config.strategy == "coordinate-descent":
-                        point, value, n = _descend(rs, objective, point, value)
+                        point, value, n = _descend(f, point, value)
                         evals += n
                     elif config.strategy == "simplex":
-                        point, value, n = _simplex(rs, objective, point,
-                                                   value)
+                        point, value, n = _simplex(f, point, value)
                         evals += n
                     if best is None or value < best[0]:
                         best = (value, alpha, k, phi2, phi3, point, system)

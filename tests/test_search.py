@@ -1,6 +1,9 @@
 import math
+import random
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import add
 
 import pytest
 
@@ -8,13 +11,14 @@ from zkwander.certify import verify
 from zkwander.errors import (DegenerateReductionError, InvalidPatternError,
                              NoAdmissibleSystemError)
 from zkwander.recovery import attach_register, auto_register, recover
-from zkwander.reduction import objective_B1, reduce_system
+from zkwander.reduction import c_values, objective_B1, reduce_system
 from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
 from zkwander.search import (DEFAULT_D_GRID, SIMPLEX_FATOL, SIMPLEX_MAXITER,
-                             SIMPLEX_XATOL, SearchConfig, _evaluate,
-                             _doubles, _log_objective, _nelder_mead, _scan,
+                             SIMPLEX_XATOL, SearchConfig, _doubles,
+                             _evaluator, _log_objective, _nelder_mead, _scan,
                              confirm_value, minimize, reproduce_table)
 from zkwander.model import DegreePattern
+from zkwander.scalars import INTERVAL, to_regime
 from zkwander.weights import dirichlet, exact_regime
 
 
@@ -205,6 +209,64 @@ def _system_in_doubles(alpha, pattern):
                                   exact_regime(seq, pattern.matrix_indices())))
 
 
+def _reference_c_values(w1, w2, H, D, dd) -> tuple:
+    """C_1..C_5 at dd formed from scratch, every sum folded left from 0."""
+    c1 = reduce(add, (dd[i] * w1[i] for i in range(4)), 0)
+    c2 = w2[0] / dd[0]
+    for i in (1, 2, 3):
+        c2 = c2 + H[i - 1] * w2[i] / dd[i]
+    c3 = 2 * reduce(add, (D[i - 1] * dd[i] * w1[i] for i in (1, 2, 3)), 0)
+    c4 = reduce(add, (D[i - 1] * D[i - 1] * dd[i] * w1[i]
+                      for i in (1, 2, 3)), 0)
+    return c1, c2, c3, c4, c1 * c4 - c3 * c3 / 4
+
+
+def _exact_points(row, n=6) -> list:
+    """The row's published (1, d1, d2, d3) and n seeded random rational d."""
+    rng = random.Random(_row_id(row))
+    return [(Fraction(1),) + row.d] + [
+        tuple(Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 3))
+              for _ in range(4)) for _ in range(n)]
+
+
+class TestCValues:
+    """The per-system evaluator against the formula formed per point."""
+
+    @pytest.mark.parametrize("row", TABLE1_ROWS + TABLE2_ROWS, ids=_row_id)
+    def test_exact_regimes_give_the_same_values(self, row):
+        seq = dirichlet(row.alpha)
+        pattern = DegreePattern.from_phi(row.k, row.phi2, row.phi3)
+        for regime in dict.fromkeys(
+                (exact_regime(seq, pattern.matrix_indices()), INTERVAL)):
+            rs = reduce_system(seq, pattern, regime)
+            args = (rs.W[0], rs.W[1], rs.H, rs.D)
+            at = c_values(*args)
+            for d in _exact_points(row):
+                dd = tuple(to_regime(v, regime) for v in d)
+                got, ref = at(*dd), _reference_c_values(*args, dd)
+                if regime == INTERVAL:
+                    assert [(c.lo, c.hi) for c in got] == \
+                        [(c.lo, c.hi) for c in ref]
+                else:
+                    assert all(type(c) is Fraction for c in got + ref)
+                    assert got == ref
+
+    @pytest.mark.parametrize("row", TABLE1_ROWS + TABLE2_ROWS, ids=_row_id)
+    def test_doubles_are_the_same_bits(self, row):
+        pattern = DegreePattern.from_phi(row.k, row.phi2, row.phi3)
+        rows = _system_in_doubles(row.alpha, pattern)
+        at = c_values(*rows)
+        rng = random.Random(_row_id(row))
+        grid = list(product(DEFAULT_D_GRID, repeat=3))
+        points = ([(1.0, *map(float, row.d))]
+                  + [(1.0, *d) for d in grid[::37]]
+                  + [tuple(10 ** rng.uniform(-3, 7) for _ in range(4))
+                     for _ in range(20)])
+        for dd in points:
+            assert [c.hex() for c in at(*dd)] == \
+                [c.hex() for c in _reference_c_values(*rows, dd)]
+
+
 class TestFloatSystem:
     """The search's system in doubles against the rigorous value."""
 
@@ -212,18 +274,17 @@ class TestFloatSystem:
     def test_b1_agrees_with_confirm_value(self, row):
         seq = dirichlet(row.alpha)
         pattern = DegreePattern.from_phi(row.k, row.phi2, row.phi3)
-        rs = _system_in_doubles(row.alpha, pattern)
+        f = _evaluator(_system_in_doubles(row.alpha, pattern), objective_B1)
         grid = list(product(DEFAULT_D_GRID, repeat=3))
         for d in [tuple(map(float, row.d))] + grid[::37]:
             exact = confirm_value(seq, pattern, d)[0]
-            assert _evaluate(rs, objective_B1, d) == \
-                pytest.approx(exact, rel=1e-9, abs=0)
+            assert f(*d) == pytest.approx(exact, rel=1e-9, abs=0)
 
     def test_a_d_that_underflows_to_zero_is_infinite(self):
         # 10^-400 is 0.0 in doubles: like an overflow, a +inf, never an
         # error raised out of minimize
-        f = _log_objective(_system_in_doubles(-16, DegreePattern.default(6)),
-                           objective_B1)
+        f = _log_objective(_evaluator(
+            _system_in_doubles(-16, DegreePattern.default(6)), objective_B1))
         assert f([-400.0, 0.0, 0.0]) == math.inf
         assert f([400.0, 0.0, 0.0]) == math.inf
         assert math.isfinite(f([0.0, 0.0, 0.0]))
@@ -274,9 +335,9 @@ class TestNelderMead:
     @pytest.mark.parametrize("row", TABLE1_ROWS + TABLE2_ROWS, ids=_row_id)
     def test_iterates_match_scipy_from_each_grid_seed(self, row):
         pattern = DegreePattern.from_phi(row.k, row.phi2, row.phi3)
-        rs = _system_in_doubles(row.alpha, pattern)
-        seed, _, _ = _scan(rs, objective_B1)
-        f = _log_objective(rs, objective_B1)
+        f_d = _evaluator(_system_in_doubles(row.alpha, pattern), objective_B1)
+        seed, _, _ = _scan(f_d)
+        f = _log_objective(f_d)
         x0 = [math.log10(v) for v in seed]
         assert _nelder_mead(f, x0) == _scipy_nelder_mead(f, x0)
 
