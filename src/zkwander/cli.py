@@ -2,9 +2,9 @@
 asymptotics, and table reproduction with stable CSV/JSON outputs.
 
 Exit codes are uniform across subcommands: 0 for a pass/success, 2 for an
-honest negative (fail verdict, nothing found below threshold, a table entry
-off its printed value), 1 for usage or computational errors such as a
-singular system.
+honest negative (fail verdict, a search whose B_1 is not certified below 1,
+a table entry off its printed value), 1 for usage or computational errors
+such as a singular system.
 """
 
 import argparse
@@ -25,7 +25,7 @@ from .recovery import attach_register, auto_register, recover
 from .reduction import (b0_minimum, compute_C, objective_B0, objective_B1,
                         objective_B2, reduce_system, split_e, z1_star)
 from .scalars import REGIMES, display, to_float, to_rational
-from .search import SearchConfig, minimize, reproduce_table
+from .search import STRATEGIES, SearchConfig, minimize, reproduce_table
 from .weights import dirichlet, exact_regime, override_block, weight
 
 
@@ -159,7 +159,7 @@ def cmd_search(args) -> int:
     else:
         config = SearchConfig(
             alpha=args.alpha, k=args.k, phi2=args.phi2, phi3=args.phi3,
-            strategy=args.strategy, threshold=args.threshold)
+            strategy=args.strategy)
     res = minimize(config)
     shown = res.value_repr
     if len(shown) > 72:
@@ -183,6 +183,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    if args.gamma and args.d is None:
+        raise ZkwanderError("--gamma needs --d: give --d, or name the "
+                            "pattern by --phi2/--phi3 to search it")
     pattern = _pattern_from_args(args)
     seq = _sequence_from_args(args, pattern)
     regime = args.regime or exact_regime(seq, pattern.embedded_indices())
@@ -386,8 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi2", type=int, default=0)
     p.add_argument("--phi3", type=int, default=0)
     p.add_argument("--strategy", default="coordinate-descent",
-                   choices=("grid", "coordinate-descent", "simplex"))
-    p.add_argument("--threshold", type=_parse_fraction, default=Fraction(1))
+                   choices=STRATEGIES)
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
 

@@ -60,7 +60,8 @@ class RegisterTooLargeError(ZkwanderError):
 
 
 class NoAdmissibleSystemError(ZkwanderError):
-    """Search finished without finding any point below the threshold."""
+    """A search could evaluate no visited system, or no Z_3 rescues a point
+    (``choose_Z3``); a search landing on B_1 >= 1 raises nothing."""
 
 
 class CertificateError(ZkwanderError):

@@ -1,5 +1,4 @@
 import json
-import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from zkwander.cli import _parse_fraction, main
-from zkwander.search import SearchConfig, minimize
 
 
 def run(capsys, *argv):
@@ -79,7 +77,7 @@ class TestEval:
         ("eval", "--alpha", "-16", "--z3", "1/0"),
         ("eval", "--alpha", "-16", "--z3", "-2e13", "--z1", "1/0"),
         ("eval", "--alpha", "-16", "--override-base", "1/0"),
-        ("search", "--alpha", "-16", "--threshold", "1/0"),
+        ("search", "--alpha", "1/0"),
         ("asymptotic", "--k", "12", "--beta", "10", "--sigma", "1/0"),
     ])
     def test_bad_rational_is_an_error_not_a_traceback(self, capsys, argv):
@@ -100,9 +98,8 @@ class TestExponentForms:
         ("eval", "--alpha", "-16", "--z3", "-2e4301"),
         ("eval", "--alpha", "-16", "--z3", "-2e13", "--z1", "1e-4301"),
         ("eval", "--alpha", "-16", "--override-base", "1E+4301"),
-        ("search", "--alpha", "-16", "--threshold", "1e4_301"),
         ("asymptotic", "--k", "12", "--beta", "10", "--sigma", "1e4301"),
-    ], ids=["alpha", "d", "z3", "z1", "override-base", "threshold", "sigma"])
+    ], ids=["alpha", "d", "z3", "z1", "override-base", "sigma"])
     def test_exponent_past_the_limit_is_refused(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         value = argv[-1].split(",")[-1]     # --d names the value it refuses
@@ -124,7 +121,7 @@ class TestExponentForms:
         assert proc.returncode == 1
         assert proc.stderr == f"error: cannot parse {value!r} as a rational\n"
 
-    @pytest.mark.parametrize("field", ["alpha", "threshold"])
+    @pytest.mark.parametrize("field", ["alpha"])
     def test_huge_exponent_in_a_config_file_is_refused_at_once(
             self, tmp_path, field):
         cfg = tmp_path / "cfg.json"
@@ -264,10 +261,9 @@ class TestBadInput:
         ("asymptotic", "--k", "12", "--beta", "10", "--sigma", "3/2"),
         ("asymptotic", "--k", "9", "--minimal"),
         ("asymptotic", "--k", "9", "--beta", "10", "--sigma", "0.5"),
-        ("search", "--alpha", "-16", "--threshold", "0"),
         ("search", "--alpha", "-16", "--k", "5"),
     ], ids=["k-below-9", "sigma-above-1", "k-9-minimal", "k-9",
-            "threshold-zero", "no-valid-pattern"])
+            "no-valid-pattern"])
     def test_misuse(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 1
@@ -389,13 +385,16 @@ class TestSearch:
                                      # refused before the search, which
                                      # they once ran to a traceback, a
                                      # silent 1 or "0 visited systems"
-                                     {"alpha": -16, "threshold": math.inf},
-                                     {"alpha": -16, "threshold": True},
+                                     {"alpha": float("inf")},
                                      {"alpha": -16, "phi2": True},
                                      {"alpha": -16, "phi3": [0, False]},
                                      {"alpha": True},
                                      {"alpha": []},
-                                     {"alpha": -16, "k": []}])
+                                     {"alpha": -16, "k": []},
+                                     # every search minimizes B_1 and
+                                     # lands against 1
+                                     {"alpha": -16, "target": "B2"},
+                                     {"alpha": -16, "threshold": 1}])
     def test_bad_config_file_is_an_error(self, capsys, tmp_path, raw):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
@@ -412,14 +411,6 @@ class TestSearch:
         assert from_file[0] == 0
         assert "at alpha = -33/2," in from_file[1]
 
-    def test_config_file_threshold_string(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"alpha": -16, "strategy": "grid",
-                                   "threshold": "1/1000"}))
-        code, out, _ = run(capsys, "search", "--config", str(cfg))
-        assert code == 2
-        assert "landing side vs threshold: above" in out
-
     def test_a_det_n1_below_the_least_double_is_searched(self, capsys):
         # det N_1 ~ 1e-330 at this system; B_1 ~ 4.5e-18 is found there
         code, out, err = run(capsys, "search", "--alpha", "-64", "--k", "27")
@@ -433,16 +424,19 @@ class TestSearch:
         assert out == ""
         assert err == "error: search needs --alpha or --config\n"
 
-    def test_nothing_below_threshold(self, capsys):
-        code, _, _ = run(capsys, "search", "--alpha", "-16",
-                         "--threshold", "1/1000")
+    def test_a_search_above_one_lands_above(self, capsys):
+        # B_1 ~ 360 at the best grid point of alpha = -4
+        code, out, _ = run(capsys, "search", "--alpha", "-4",
+                           "--strategy", "grid")
         assert code == 2
+        assert "landing side vs threshold: above" in out
 
-    def test_threshold_is_compared_exactly(self, capsys):
-        # the exact value the search reports ties with itself
-        value = minimize(SearchConfig(alpha=-16)).value_repr
+    def test_an_exact_tie_with_one_is_undecided(self, capsys, monkeypatch):
+        import zkwander.search
+        monkeypatch.setitem(zkwander.search._OBJECTIVES, "B1",
+                            lambda c: Fraction(1))
         code, out, _ = run(capsys, "search", "--alpha", "-16",
-                           "--threshold", value)
+                           "--strategy", "grid")
         assert code == 2
         assert "landing side vs threshold: undecided" in out
 
@@ -521,6 +515,23 @@ class TestPipeline:
         assert out == ""
         assert err == ("error: malformed certificate: unknown regime "
                        "'float'\n")
+
+    def test_gamma_without_d_is_refused_before_any_search(
+            self, capsys, tmp_path, monkeypatch):
+        # the search names its pattern by --phi2/--phi3, so it once
+        # certified the gamma pattern at a point found for phi = (0, 0)
+        import zkwander.cli
+
+        def search(config):
+            raise AssertionError("pipeline --gamma searched")
+        monkeypatch.setattr(zkwander.cli, "minimize", search)
+        cert = tmp_path / "cert.json"
+        code, out, err = run(capsys, "pipeline", "--alpha", "-16", "--k", "6",
+                             "--gamma", "0,1,8,3,4,5", "--out", str(cert))
+        assert (code, out) == (1, "")
+        assert err == ("error: --gamma needs --d: give --d, or name the "
+                       "pattern by --phi2/--phi3 to search it\n")
+        assert not cert.exists()
 
     def test_hopeless_alpha_reports_honestly(self, capsys, tmp_path):
         code, _, err = run(capsys, "pipeline", "--alpha", "-1/2",

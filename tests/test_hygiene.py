@@ -3,9 +3,11 @@ private module-level name or library function is left that no module loads,
 no module builds a complex value or reads its parts, every memo is bounded,
 no module but scalars branches on the scalar regime or raises a number to
 the power alpha, no certifying module holds a tolerance, no module has json
-indent its output, and the package imports exactly the third-party modules
-pyproject.toml lists."""
+indent its output, the package imports exactly the third-party modules
+pyproject.toml lists, and the search subcommand's options are the fields of
+SearchConfig."""
 
+import argparse
 import ast
 import os
 import re
@@ -323,3 +325,16 @@ def test_third_party_imports_are_the_declared_dependencies():
     imported = set().union(*map(_third_party_imports,
                                 _package_trees().values()))
     assert imported == declared
+
+
+def test_search_options_are_the_config_fields():
+    # a search knob cannot come back on the command line or in
+    # SearchConfig alone
+    from zkwander.cli import build_parser
+    from zkwander.search import SearchConfig
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    options = {s for a in subcommands.choices["search"]._actions
+               for s in a.option_strings} - {"-h", "--help"}
+    assert options == {f"--{field}" for field in SearchConfig.__slots__} | {
+        "--config", "--out"}

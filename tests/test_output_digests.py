@@ -8,10 +8,8 @@ the pinned rational headline and alpha = -33/2 in the interval regime; the
 replay reports of every single-leaf forgery of those last two; the
 ``minimize`` result of each search strategy on two rows, and its result or
 error on every Table 1/2 row at once, with alpha moved by each offset the
-benchmark's explore workload uses and, apart, with the target B_2; and the
-two files
-the CLI writes, a ``pipeline --out`` certificate and a ``search --out``
-payload.
+benchmark's explore workload uses; and the two files the CLI writes, a
+``pipeline --out`` certificate and a ``search --out`` payload.
 
 A change that moves output on purpose rewrites the file with
 ``PYTHONPATH=src python tests/test_output_digests.py > tests/data/output_digests.json``.
@@ -35,11 +33,11 @@ from zkwander import (CertificateError, DegreePattern, RegisterTooLargeError,
 from zkwander import cli
 from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
 from zkwander.scalars import INTERVAL
+from zkwander.search import STRATEGIES
 from zkwander.weights import exact_regime
 
 DIGESTS = Path(__file__).with_name("data") / "output_digests.json"
 HEADLINE_Z3 = Fraction(-2) * 10 ** 13
-STRATEGIES = ("grid", "coordinate-descent", "simplex")
 ALPHA_OFFSETS = (Fraction(-1, 2), Fraction(-1, 4), Fraction(0), Fraction(1, 4))
 
 
@@ -96,17 +94,17 @@ def _row_case(row):
         seq, pattern, (Fraction(1),) + row.d, regime))
 
 
-def _minimize_case(row, strategy, offset=0, target="B1"):
+def _minimize_case(row, strategy, offset=0):
     config = SearchConfig(alpha=row.alpha + offset, k=row.k, phi2=row.phi2,
-                          phi3=row.phi3, strategy=strategy, target=target)
+                          phi3=row.phi3, strategy=strategy)
     return lambda: repr(minimize(config))
 
 
-def _minimize_outcome(row, strategy, offset=0, target="B1") -> str:
+def _minimize_outcome(row, strategy, offset=0) -> str:
     """The repr of minimize on the row with alpha moved by offset, or the
     error it raises."""
     try:
-        return _minimize_case(row, strategy, offset, target)()
+        return _minimize_case(row, strategy, offset)()
     except ZkwanderError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -147,10 +145,6 @@ CASES = {
         for row in TABLE1_ROWS + TABLE2_ROWS for strategy in STRATEGIES),
     "minimize-explore-offsets": lambda: "\n".join(
         _minimize_outcome(row, strategy, offset)
-        for row in TABLE1_ROWS + TABLE2_ROWS for offset in ALPHA_OFFSETS
-        for strategy in STRATEGIES),
-    "minimize-B2-published-rows": lambda: "\n".join(
-        _minimize_outcome(row, strategy, offset, "B2")
         for row in TABLE1_ROWS + TABLE2_ROWS for offset in ALPHA_OFFSETS
         for strategy in STRATEGIES),
     "cli-pipeline-certificate": lambda: _cli_file(

@@ -1,7 +1,10 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from zkwander.errors import (DegenerateReductionError, DegenerateZ3Error,
                              SingularSystemError)
@@ -28,6 +31,12 @@ C_REF = {"C1": 3.640198727870885e-14, "C2": 3.3720005626009325e-16,
          "C5": 0.6270822842171272}
 B2_REF = 0.02792549252831457
 B1_REF = 0.02323523492261636
+
+
+@lru_cache(maxsize=None)
+def _rational_system(row):
+    return reduce_system(dirichlet(row.alpha), DegreePattern.from_phi(
+        row.k, row.phi2, row.phi3))
 
 
 def _close(x, ref, rel=1e-12):
@@ -145,6 +154,20 @@ class TestCQuantities:
         scaled = compute_C(rs16, tuple(lam * v for v in c16.d))
         assert objective_B1(scaled) == objective_B1(c16)
         assert objective_B2(scaled) == objective_B2(c16)
+
+    @pytest.mark.parametrize("row", INTEGER_ROWS, ids=lambda row:
+                             f"alpha{row.alpha}-k{row.k}-phi{row.phi2}"
+                             f",{row.phi3}")
+    @seed(1)
+    @settings(max_examples=20, deadline=None)
+    @given(d=st.tuples(*[st.fractions(Fraction(1, 1000), 10 ** 6,
+                                      max_denominator=1000)] * 3))
+    def test_b1_never_exceeds_b2(self, row, d):
+        # B_2 - B_1 = C_2 C_3^2 / C_1, as C_5 / C_1 = C_4 - C_3^2 / (4 C_1),
+        # so a search on B_2 finds no point that B_1 misses
+        c = compute_C(_rational_system(row), d)
+        assert objective_B1(c) <= objective_B2(c)
+        assert (objective_B1(c) == objective_B2(c)) == (c.C3 == 0)
 
     def test_constituents_do_scale(self, rs16, c16):
         scaled = compute_C(rs16, tuple(2 * v for v in c16.d))

@@ -18,7 +18,7 @@ from zkwander.search import (DEFAULT_D_GRID, SIMPLEX_FATOL, SIMPLEX_MAXITER,
                              _evaluator, _log_objective, _nelder_mead, _scan,
                              confirm_value, minimize, reproduce_table)
 from zkwander.model import DegreePattern
-from zkwander.scalars import INTERVAL, to_regime
+from zkwander.scalars import INTERVAL, Interval, to_regime
 from zkwander.weights import dirichlet, exact_regime
 
 
@@ -33,13 +33,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SearchConfig(alpha=-16, strategy="annealing")
 
-    def test_target_validated(self):
-        with pytest.raises(ValueError):
-            SearchConfig(alpha=-16, target="B7")
-
-    def test_threshold_validated(self):
-        with pytest.raises(ValueError):
-            SearchConfig(alpha=-16, threshold=0)
+    @pytest.mark.parametrize("knob", ["target", "threshold"])
+    def test_removed_knob_is_refused(self, knob):
+        # every search minimizes B_1 and lands against 1
+        with pytest.raises(TypeError, match=f"argument '{knob}'"):
+            SearchConfig(alpha=-16, **{knob: 1})
 
     @pytest.mark.parametrize("field", ["k", "phi2", "phi3"])
     @pytest.mark.parametrize("value", ["6", 6.0, [6, "x"], None])
@@ -52,15 +50,14 @@ class TestConfig:
         with pytest.raises((TypeError, ValueError, ZeroDivisionError)):
             SearchConfig(alpha=alpha)
 
-    @pytest.mark.parametrize("field", ["alpha", "threshold"])
+    @pytest.mark.parametrize("field", ["alpha"])
     def test_huge_exponent_string_is_refused_at_once(self, field):
         # Fraction alone forms 10^99999999, which takes minutes
         with pytest.raises(ValueError,
                            match="cannot parse '1e99999999' as a rational"):
             SearchConfig(**{"alpha": -16, field: "1e99999999"})
 
-    @pytest.mark.parametrize("field", ["alpha", "k", "phi2", "phi3",
-                                       "threshold"])
+    @pytest.mark.parametrize("field", ["alpha", "k", "phi2", "phi3"])
     @pytest.mark.parametrize("value", [True, [6, False], []])
     def test_booleans_and_empty_lists_are_refused(self, field, value):
         # True is an int to Python; [] once searched nothing and blamed
@@ -69,16 +66,10 @@ class TestConfig:
                            "values, none a boolean$"):
             SearchConfig(**{"alpha": -16, field: value})
 
-    @pytest.mark.parametrize("threshold", [math.inf, -math.inf, math.nan])
-    def test_a_threshold_that_is_not_finite_is_refused(self, threshold):
-        with pytest.raises(ValueError, match="cannot parse"):
-            SearchConfig(alpha=-16, threshold=threshold)
-
-    def test_threshold_string_is_a_rational(self):
-        assert SearchConfig(alpha=-16, threshold="1/2").threshold == \
-            Fraction(1, 2)
-        with pytest.raises(ValueError, match="threshold must be positive"):
-            SearchConfig(alpha=-16, threshold="-1e-3")
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_an_alpha_that_is_not_finite_is_refused(self, alpha):
+        with pytest.raises(ValueError, match="inf|nan"):
+            SearchConfig(alpha=alpha)
 
     def test_lists_are_literal(self):
         from zkwander.search import _as_values
@@ -176,17 +167,26 @@ class TestConfirm:
         assert vf == pytest.approx(0.02323523492261636)
         assert Fraction(vrepr) < 1
 
-    def test_threshold_moves_the_side(self, seq16, pattern6):
-        _, _, _, side = confirm_value(seq16, pattern6, (1, 4, 6),
-                                      threshold=Fraction(1, 100))
-        assert side == "above"
+    def test_a_point_above_one_lands_above(self, pattern6):
+        # the grid's best point at alpha = -4, where B_1 ~ 360
+        vf, _, regime, side = confirm_value(dirichlet(-4), pattern6,
+                                            (10, 1000000, 10))
+        assert (regime, side) == ("rational", "above")
+        assert vf > 1
 
-    def test_exact_tie_is_undecided(self, seq16, pattern6):
-        _, vrepr, regime, _ = confirm_value(seq16, pattern6, (1, 4, 6))
-        assert regime == "rational"
-        _, _, _, side = confirm_value(seq16, pattern6, (1, 4, 6),
-                                      threshold=Fraction(vrepr))
-        assert side == "undecided"
+    def test_exact_tie_is_undecided(self, seq16, pattern6, monkeypatch):
+        import zkwander.search
+        monkeypatch.setitem(zkwander.search._OBJECTIVES, "B1",
+                            lambda c: Fraction(1))
+        assert confirm_value(seq16, pattern6, (1, 4, 6))[2:] == (
+            "rational", "undecided")
+
+    def test_an_enclosure_of_one_is_undecided(self, seq16, pattern6,
+                                               monkeypatch):
+        import zkwander.search
+        monkeypatch.setitem(zkwander.search._OBJECTIVES, "B1",
+                            lambda c: Interval(0.5, 2.0))
+        assert confirm_value(seq16, pattern6, (1, 4, 6))[3] == "undecided"
 
     def test_non_integer_alpha_confirms_through_enclosures(self):
         seq = dirichlet(Fraction(-4999, 1000))
