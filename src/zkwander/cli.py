@@ -18,8 +18,7 @@ from fractions import Fraction
 from . import asymptotic
 from .certify import (check_bounds, check_certificate, json_text,
                       save_certificate, verify)
-from .errors import (NoAdmissibleSystemError, RegisterTooLargeError,
-                     ZkwanderError)
+from .errors import NoAdmissibleSystemError, ZkwanderError
 from .model import DegreePattern
 from .recovery import attach_register, auto_register, recover
 from .reduction import (b0_minimum, compute_C, objective_B0, objective_B1,
@@ -206,11 +205,8 @@ def cmd_pipeline(args) -> int:
         d = (Fraction(1),) + tuple(found.d)
     rs = reduce_system(seq, pattern, regime)
     params = recover(rs, d, z3=args.z3)
-    try:
-        params = attach_register(params, 1, 1)
-    except RegisterTooLargeError:
-        r = auto_register(params)
-        params = attach_register(params, r, r)
+    r = auto_register(params)
+    params = attach_register(params, r, r)
     cert = verify(params.pair, seq, regime)
     out = args.out or "certificate.json"
     save_certificate(cert, out)
@@ -382,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("search", help="minimize the objective over d")
-    p.add_argument("--config", help="JSON file with SearchConfig fields; "
-                   "a list gives the values to search, [0, 3] is 0 and 3")
+    p.add_argument("--config", help="JSON file with SearchConfig fields, "
+                   "one value each: a search takes one system")
     p.add_argument("--alpha", type=_parse_fraction)
     p.add_argument("--k", type=int, default=6)
     p.add_argument("--phi2", type=int, default=0)

@@ -60,8 +60,9 @@ class RegisterTooLargeError(ZkwanderError):
 
 
 class NoAdmissibleSystemError(ZkwanderError):
-    """A search could evaluate no visited system, or no Z_3 rescues a point
-    (``choose_Z3``); a search landing on B_1 >= 1 raises nothing."""
+    """A search cannot evaluate its system, the message naming why, or no
+    Z_3 rescues a point (``choose_Z3``); a search landing on B_1 >= 1, or
+    on a point it cannot certify, raises nothing."""
 
 
 class CertificateError(ZkwanderError):

@@ -1,6 +1,7 @@
-"""Minimization of B_1 = 4 C_2 C_5 / C_1 over the free parameters.
+"""Minimization of B_1 = 4 C_2 C_5 / C_1 over d for one system.
 
-Each visited system is reduced once, in the regime that proves it
+A search takes one system, fixed by alpha, k and phi as a row of the
+published tables is.  It is reduced once, in the regime that proves it
 (``exact_regime``), and searched in doubles of that reduction for speed
 through one evaluator, ``_evaluator`` on ``c_values``, which forms the
 system's d-free parts once; the search is a heuristic.  The point it finds
@@ -16,9 +17,8 @@ from itertools import product
 from operator import add
 
 from .certify import check_bounds
-from .errors import (DegenerateReductionError, InvalidPatternError,
-                     ModeUnsupportedError, NoAdmissibleSystemError,
-                     SingularSystemError)
+from .errors import (DegenerateReductionError, ModeUnsupportedError,
+                     NoAdmissibleSystemError, SingularSystemError)
 from .model import DegreePattern
 from .record import Record, store
 from .recovery import _round_significant
@@ -46,30 +46,19 @@ STRATEGIES = ("grid", "coordinate-descent", "simplex")
 _OBJECTIVES = {"B1": objective_B1}
 
 
-def _as_values(raw) -> tuple:
-    """A scalar as a 1-tuple; a list or tuple as its own values."""
-    if isinstance(raw, (list, tuple)):
-        return tuple(raw)
-    return (raw,)
-
-
 class SearchConfig(Record):
     __slots__ = ("alpha", "k", "phi2", "phi3", "strategy")
 
     def __init__(self, alpha, k=6, phi2=0, phi3=0,
                  strategy="coordinate-descent"):
-        degrees = (("k", k), ("phi2", phi2), ("phi3", phi3))
-        for name, raw in (("alpha", alpha), *degrees):
-            # a bool is an int to Python, but no degree or exponent
-            values = _as_values(raw)
-            if not values or any(isinstance(v, bool) for v in values):
-                raise ValueError(
-                    f"{name} needs one or more values, none a boolean")
-        for a in _as_values(alpha):
-            dirichlet(a)                # raises unless alpha is a rational
-        for name, values in degrees:
-            if not all(isinstance(v, int) for v in _as_values(values)):
-                raise ValueError(f"{name} values must be integers")
+        # one system per search; a bool is an int to Python, but no
+        # exponent or degree
+        if isinstance(alpha, (bool, list, tuple)):
+            raise ValueError(f"alpha must be one rational, not {alpha!r}")
+        dirichlet(alpha)                # raises unless alpha is a rational
+        for name, value in (("k", k), ("phi2", phi2), ("phi3", phi3)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be one integer, not {value!r}")
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
         store(self, "alpha", alpha)
@@ -98,6 +87,7 @@ class SearchResult(Record):
         store(self, "evaluations", evaluations)
         store(self, "below_threshold", below_threshold)
         store(self, "landing_side", landing_side)   # below/above/undecided
+        # always 0 since a search takes one system; bench/tracer.py reads it
         store(self, "singular_skipped", singular_skipped)
 
 
@@ -259,7 +249,12 @@ def _confirm(rs: ReducedSystem, d3) -> tuple:
     """``confirm_value`` on a system already reduced."""
     d_exact = tuple(v if isinstance(v, Fraction) else Fraction(str(v))
                     for v in d3)
-    value = _OBJECTIVES["B1"](compute_C(rs, d_exact))
+    try:
+        c = compute_C(rs, d_exact)
+    except DegenerateReductionError as exc:
+        # a C_i the regime cannot certify positive orders nothing
+        return math.inf, str(exc), rs.regime, "undecided"
+    value = _OBJECTIVES["B1"](c)
     if strictly_less(value, 1):
         side = "below"
     elif strictly_less(1, value):
@@ -275,7 +270,8 @@ def confirm_value(seq: WeightSequence, pattern: DegreePattern, d3):
     Returns (value_float, value_repr, regime, landing_side), the regime
     being ``exact_regime`` of the matrix weights. The side is "below" or
     "above" 1, and "undecided" when the regime cannot order B_1 strictly
-    against 1, an exact tie included.
+    against 1, an exact tie included, or cannot certify C_1, C_2, C_4 and
+    C_5 positive, when the value is inf and its text the reason.
     """
     rs = reduce_system(seq, pattern,
                        exact_regime(seq, pattern.matrix_indices()))
@@ -283,69 +279,42 @@ def confirm_value(seq: WeightSequence, pattern: DegreePattern, d3):
 
 
 def minimize(config: SearchConfig) -> SearchResult:
-    """Search every (alpha, k, phi) combination and return the best point;
-    raises InvalidPatternError when no (k, phi2, phi3) forms a valid pattern
-    and ValueError when a visited system lies outside the replay bounds.
+    """Search d for the config's one system and return the best point.
 
-    Deterministic for a fixed config: grid order is fixed, the descent
-    ladder is fixed, and the simplex start is derived from the grid.
+    Raises InvalidPatternError when (k, phi2, phi3) forms no valid pattern,
+    ValueError when the system lies outside the replay bounds, and
+    NoAdmissibleSystemError, naming the cause, when the system is singular
+    or degenerate, a weight has no double, or no point searched gives a
+    finite B_1.  Deterministic: grid order is fixed, the descent ladder is
+    fixed, and the simplex start is derived from the grid.
     """
-    objective = _OBJECTIVES["B1"]
-    best = None          # (value, alpha, k, phi2, phi3, d, system)
-    evals = 0
-    singular = 0
-    visited = 0
-    invalid = None       # the first pattern error, raised if none is valid
-    refused = None       # the first weight with no double or enclosure
-    for alpha in _as_values(config.alpha):
-        seq = dirichlet(alpha)
-        for k in _as_values(config.k):
-            for phi2 in _as_values(config.phi2):
-                for phi3 in _as_values(config.phi3):
-                    try:
-                        pattern = DegreePattern.from_phi(k, phi2, phi3)
-                    except InvalidPatternError as exc:
-                        invalid = invalid or exc
-                        continue
-                    visited += 1
-                    check_bounds(pattern, seq)
-                    try:
-                        system = reduce_system(seq, pattern, exact_regime(
-                            seq, pattern.matrix_indices()))
-                        f = _evaluator(_doubles(system), objective)
-                    except (SingularSystemError, DegenerateReductionError):
-                        singular += 1
-                        continue
-                    except ModeUnsupportedError as exc:
-                        refused = refused or exc
-                        singular += 1
-                        continue
-                    point, value, n = _scan(f)
-                    evals += n
-                    if config.strategy == "coordinate-descent":
-                        point, value, n = _descend(f, point, value)
-                        evals += n
-                    elif config.strategy == "simplex":
-                        point, value, n = _simplex(f, point, value)
-                        evals += n
-                    if best is None or value < best[0]:
-                        best = (value, alpha, k, phi2, phi3, point, system)
-    if not visited and invalid:
-        raise invalid
-    if best is None or not math.isfinite(best[0]):
-        if refused:
-            raise NoAdmissibleSystemError(
-                f"no visited system could be evaluated: {refused}")
+    seq = dirichlet(config.alpha)
+    pattern = DegreePattern.from_phi(config.k, config.phi2, config.phi3)
+    check_bounds(pattern, seq)
+    try:
+        system = reduce_system(seq, pattern,
+                               exact_regime(seq, pattern.matrix_indices()))
+        f = _evaluator(_doubles(system), _OBJECTIVES["B1"])
+    except (SingularSystemError, DegenerateReductionError) as exc:
         raise NoAdmissibleSystemError(
-            f"all {visited} visited systems were singular or degenerate")
-    value, alpha, k, phi2, phi3, point, system = best
+            f"the system is singular or degenerate: {exc}") from exc
+    except ModeUnsupportedError as exc:
+        raise NoAdmissibleSystemError(str(exc)) from exc
+    point, value, evals = _scan(f)
+    if config.strategy != "grid":
+        refine = _simplex if config.strategy == "simplex" else _descend
+        point, value, n = refine(f, point, value)
+        evals += n
+    if not math.isfinite(value):
+        raise NoAdmissibleSystemError(
+            f"B_1 is not finite at any of the {evals} points searched")
     reported = tuple(_round_significant(v, 9) for v in point)
     vf, vrepr, regime, side = _confirm(system, reported)
     return SearchResult(
-        alpha=alpha, k=k, phi2=phi2, phi3=phi3,
+        alpha=config.alpha, k=config.k, phi2=config.phi2, phi3=config.phi3,
         d=reported, value=vf, value_repr=vrepr, regime=regime,
         evaluations=evals, below_threshold=(side == "below"),
-        landing_side=side, singular_skipped=singular)
+        landing_side=side)
 
 
 def reproduce_table(table_id: int, mode: str = "evaluate-rows") -> list:

@@ -26,10 +26,9 @@ PERTURBED = "perturbed"
 
 
 def _normalize_alpha(alpha) -> Fraction:
-    if isinstance(alpha, float):
-        # repr round-trips the decimal the caller typed (-4.999 -> -4999/1000)
-        return Fraction(repr(alpha))
-    return to_rational(alpha)
+    # a float's repr round-trips the decimal the caller typed (-4.999 ->
+    # -4999/1000); a non-finite one is refused in to_rational's words
+    return to_rational(repr(alpha) if isinstance(alpha, float) else alpha)
 
 
 class WeightSequence(Record):

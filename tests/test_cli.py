@@ -200,10 +200,10 @@ class TestBadInput:
          "1000004^(64) lies outside the range of doubles")],
         ids=["interval-underflow", "rational-overflow"])
     def test_search_names_the_refused_weight(self, argv, cause):
-        # every visited system failed on a weight with no enclosure or no
-        # double, not on a singular or degenerate reduction; the search
-        # already reduces in the regime that proves the system, so no other
-        # regime is offered as a remedy
+        # the system failed on a weight with no enclosure or no double, not
+        # on a singular or degenerate reduction; the search already reduces
+        # in the regime that proves the system, so no other regime is
+        # offered as a remedy
         proc = subprocess.run(
             [sys.executable, "-m", "zkwander", "search", *argv],
             capture_output=True, text=True, timeout=10)
@@ -394,13 +394,28 @@ class TestSearch:
                                      # every search minimizes B_1 and
                                      # lands against 1
                                      {"alpha": -16, "target": "B2"},
-                                     {"alpha": -16, "threshold": 1}])
+                                     {"alpha": -16, "threshold": 1},
+                                     # a search takes one system
+                                     {"alpha": [-16, -12]},
+                                     {"alpha": -16, "k": [6, 8]}])
     def test_bad_config_file_is_an_error(self, capsys, tmp_path, raw):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
         code, _, err = run(capsys, "search", "--config", str(cfg))
         assert code == 1
         assert err.startswith("error: bad search config")
+
+    def test_a_config_alpha_past_the_doubles_is_refused_as_the_flag(
+            self, capsys, tmp_path):
+        # json reads 1e400 as inf, refused in the words eval --alpha inf uses
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"alpha": 1e400}')
+        code, out, err = run(capsys, "search", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == (f"error: bad search config {cfg}: cannot parse 'inf' "
+                       "as a rational\n")
+        assert run(capsys, "eval", "--alpha", "inf")[2] == (
+            "error: cannot parse 'inf' as a rational\n")
 
     def test_config_file_alpha_string_is_the_flag(self, capsys, tmp_path):
         # the search reads the normalised alpha, never the raw config value
@@ -423,6 +438,16 @@ class TestSearch:
         assert code == 1
         assert out == ""
         assert err == "error: search needs --alpha or --config\n"
+
+    def test_a_c5_that_straddles_zero_lands_undecided(self, capsys):
+        # the simplex point of this published row has an interval C_5 that
+        # contains 0: an honest negative, not an error
+        code, out, err = run(capsys, "search", "--alpha", "-17/4", "--k",
+                             "47", "--phi2", "3", "--phi3", "97",
+                             "--strategy", "simplex")
+        assert (code, err) == (2, "")
+        assert "best value = inf (interval: C5 = [-" in out
+        assert "landing side vs threshold: undecided" in out
 
     def test_a_search_above_one_lands_above(self, capsys):
         # B_1 ~ 360 at the best grid point of alpha = -4

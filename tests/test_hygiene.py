@@ -4,8 +4,8 @@ no module builds a complex value or reads its parts, every memo is bounded,
 no module but scalars branches on the scalar regime or raises a number to
 the power alpha, no certifying module holds a tolerance, no module has json
 indent its output, the package imports exactly the third-party modules
-pyproject.toml lists, and the search subcommand's options are the fields of
-SearchConfig."""
+pyproject.toml lists, the search subcommand's options are the fields of
+SearchConfig, and a search reduces one system."""
 
 import argparse
 import ast
@@ -338,3 +338,18 @@ def test_search_options_are_the_config_fields():
                for s in a.option_strings} - {"-h", "--help"}
     assert options == {f"--{field}" for field in SearchConfig.__slots__} | {
         "--config", "--out"}
+
+
+def test_a_search_reduces_one_system(monkeypatch):
+    # a search takes one system: a loop over systems cannot come back
+    import zkwander.search
+    from zkwander.search import SearchConfig, minimize
+    calls = []
+    reduce_system = zkwander.search.reduce_system
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return reduce_system(*args, **kwargs)
+    monkeypatch.setattr(zkwander.search, "reduce_system", counted)
+    minimize(SearchConfig(alpha=-16, strategy="grid"))
+    assert len(calls) == 1

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -8,8 +9,7 @@ from operator import add
 import pytest
 
 from zkwander.certify import verify
-from zkwander.errors import (DegenerateReductionError, InvalidPatternError,
-                             NoAdmissibleSystemError)
+from zkwander.errors import InvalidPatternError, NoAdmissibleSystemError
 from zkwander.recovery import attach_register, auto_register, recover
 from zkwander.reduction import c_values, objective_B1, reduce_system
 from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
@@ -42,7 +42,8 @@ class TestConfig:
     @pytest.mark.parametrize("field", ["k", "phi2", "phi3"])
     @pytest.mark.parametrize("value", ["6", 6.0, [6, "x"], None])
     def test_degrees_must_be_integers(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} values must be"):
+        with pytest.raises(ValueError, match=f"^{field} must be one integer, "
+                           f"not {re.escape(repr(value))}$"):
             SearchConfig(alpha=-16, **{field: value})
 
     @pytest.mark.parametrize("alpha", [None, "x", "1/0", [-16, None]])
@@ -58,26 +59,22 @@ class TestConfig:
             SearchConfig(**{"alpha": -16, field: "1e99999999"})
 
     @pytest.mark.parametrize("field", ["alpha", "k", "phi2", "phi3"])
-    @pytest.mark.parametrize("value", [True, [6, False], []])
+    @pytest.mark.parametrize("value", [True, [6, False], [], [-16, -12],
+                                       (0,)])
     def test_booleans_and_empty_lists_are_refused(self, field, value):
-        # True is an int to Python; [] once searched nothing and blamed
-        # "all 0 visited systems"
-        with pytest.raises(ValueError, match=f"^{field} needs one or more "
-                           "values, none a boolean$"):
+        # True is an int to Python; a search takes one system, so no list
+        # or tuple is a value, an empty or one-member one included
+        kind = "rational" if field == "alpha" else "integer"
+        with pytest.raises(ValueError, match=f"^{field} must be one {kind}, "
+                           f"not {re.escape(repr(value))}$"):
             SearchConfig(**{"alpha": -16, field: value})
 
     @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
     def test_an_alpha_that_is_not_finite_is_refused(self, alpha):
-        with pytest.raises(ValueError, match="inf|nan"):
+        # in the words every rational input is refused in
+        with pytest.raises(ValueError, match=f"^cannot parse '{alpha!r}' "
+                           "as a rational$"):
             SearchConfig(alpha=alpha)
-
-    def test_lists_are_literal(self):
-        from zkwander.search import _as_values
-        # a list always means its own values, never a range
-        assert _as_values((6, 8)) == (6, 8)
-        assert _as_values([0, 3]) == (0, 3)
-        assert _as_values([0, 2, 5]) == (0, 2, 5)
-        assert _as_values(-16) == (-16,)
 
 
 class TestMinimize:
@@ -114,22 +111,15 @@ class TestMinimize:
         assert float(cert.c_value) < 1
 
     def test_hardy_weights_have_no_admissible_system(self):
-        with pytest.raises(NoAdmissibleSystemError):
+        # t -> omega_t is affine at alpha = 0, so N_1 is singular
+        with pytest.raises(NoAdmissibleSystemError, match="^the system is "
+                           "singular or degenerate: "):
             minimize(SearchConfig(alpha=0))
-
-    def test_singular_members_are_skipped_not_fatal(self):
-        res = minimize(SearchConfig(alpha=[0, -16]))
-        assert res.alpha == -16
-        assert res.singular_skipped == 1
 
     def test_no_valid_pattern_names_the_pattern_error(self):
         # k = 5 leaves no room for six degrees distinct mod k
         with pytest.raises(InvalidPatternError, match="not distinct mod k=5"):
             minimize(SearchConfig(alpha=-16, k=5))
-
-    def test_invalid_members_are_skipped_not_fatal(self):
-        res = minimize(SearchConfig(alpha=-16, k=[5, 6], strategy="grid"))
-        assert res.k == 6
 
     def test_a_system_whose_det_underflows_doubles_is_searched(self):
         # det N_1 ~ 1e-330 is 0.0 in doubles, which once made this system
@@ -147,15 +137,30 @@ class TestMinimize:
         with pytest.raises(ValueError, match=r"^k must lie in 1\.\.10000"):
             minimize(SearchConfig(alpha=-16, k=10001))
 
-    def test_an_interval_c5_that_straddles_zero_is_degenerate(self):
+    def test_an_interval_c5_that_straddles_zero_is_undecided(self):
         # at the simplex point of this published row the interval
-        # C_5 = C_1 C_4 - C_3^2/4 contains 0
+        # C_5 = C_1 C_4 - C_3^2/4 contains 0: the point is reported, and
+        # confirm_value says the same of it
         row = next(r for r in TABLE2_ROWS if r.k == 47)
         config = SearchConfig(alpha=row.alpha, k=row.k, phi2=row.phi2,
                               phi3=row.phi3, strategy="simplex")
-        with pytest.raises(DegenerateReductionError, match=r"^C5 = \[-.*\] "
-                           "is not certifiably positive$"):
-            minimize(config)
+        res = minimize(config)
+        assert (res.regime, res.landing_side) == ("interval", "undecided")
+        assert not res.below_threshold
+        assert res.value == math.inf
+        assert re.fullmatch(r"C5 = \[-.*\] is not certifiably positive",
+                            res.value_repr)
+        pattern = DegreePattern.from_phi(row.k, row.phi2, row.phi3)
+        assert confirm_value(dirichlet(row.alpha), pattern, res.d) == (
+            res.value, res.value_repr, res.regime, res.landing_side)
+
+    def test_a_search_with_no_finite_point_says_so(self, monkeypatch):
+        import zkwander.search
+        monkeypatch.setitem(zkwander.search._OBJECTIVES, "B1",
+                            lambda c: math.inf)
+        with pytest.raises(NoAdmissibleSystemError, match="^B_1 is not "
+                           "finite at any of the 729 points searched$"):
+            minimize(SearchConfig(alpha=-16, strategy="grid"))
 
 
 class TestConfirm:
