@@ -116,6 +116,20 @@ class TestMinimize:
                            "singular or degenerate: "):
             minimize(SearchConfig(alpha=0))
 
+    def test_singular_members_are_skipped_not_fatal(self):
+        # a search takes one system: a caller walking several, as
+        # reproduce_table's re-search does, skips a singular one on its
+        # named error and goes on to the next
+        found = {}
+        for alpha in (0, -16):
+            try:
+                found[alpha] = minimize(SearchConfig(alpha=alpha))
+            except NoAdmissibleSystemError as exc:
+                assert "singular" in str(exc)
+        assert list(found) == [-16]
+        assert found[-16].alpha == -16
+        assert found[-16].singular_skipped == 0
+
     def test_no_valid_pattern_names_the_pattern_error(self):
         # k = 5 leaves no room for six degrees distinct mod k
         with pytest.raises(InvalidPatternError, match="not distinct mod k=5"):
