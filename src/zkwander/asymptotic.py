@@ -12,8 +12,6 @@ import math
 import warnings as _warnings
 from fractions import Fraction
 
-COMPARISON_SLACK = 1e-12
-
 # Shallow optimum in sigma, so a coarse grid with a fine tail is enough.
 DEFAULT_SIGMA_GRID = (0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4,
                       0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85,
@@ -37,14 +35,9 @@ def sigma_threshold(k: int, sigma) -> float:
     return 6.0 * (k + 1) / k * (k + 2) * math.log(2.0 / float(sigma))
 
 
-def _sigma_floor(k: int, sigma) -> float:
-    """The value float(beta) must reach for the sigma-condition to hold."""
-    return sigma_threshold(k, sigma) * (1 - COMPARISON_SLACK)
-
-
 def sigma_condition(k: int, beta, sigma) -> bool:
     _check_query(k, beta, sigma)
-    return float(beta) >= _sigma_floor(k, sigma)
+    return float(beta) >= sigma_threshold(k, sigma)
 
 
 def a_factor_exact(k: int) -> Fraction:
@@ -103,27 +96,22 @@ def beta_cap(k: int) -> float:
     return 5.0 * k + 700.0 / (k - 9) ** 2
 
 
-def _verdict(value: float, limit: float) -> bool:
-    """value < limit with the standard slack."""
-    return value < limit * (1 + COMPARISON_SLACK) + COMPARISON_SLACK
-
-
 def minimal_beta(k: int):
     """Smallest integer beta (up to the cap) admitting a working sigma.
 
     Returns (beta, sigma) or None when no grid point works below the cap;
-    callers get the scanned range either way via beta_cap(k).  The scan
-    starts at the smallest beta that some grid sigma admits: for an integer
-    beta, float(beta) >= x exactly when beta >= ceil(x).
+    callers get the scanned range either way via beta_cap(k).  The
+    sigma-condition is decided once per grid sigma, and the scan starts at
+    the smallest beta it admits: for an integer beta, float(beta) >= x
+    exactly when beta >= ceil(x).
     """
     top = math.ceil(beta_cap(k))
     _check_query(k, 1, DEFAULT_SIGMA_GRID[0])
-    start = min(math.ceil(_sigma_floor(k, s)) for s in DEFAULT_SIGMA_GRID)
-    for beta in range(max(1, start), top + 1):
-        for sigma in DEFAULT_SIGMA_GRID:
-            if not sigma_condition(k, beta, sigma):
-                continue
-            if objective_bound(k, beta, sigma) < 1.0:
+    floors = [(math.ceil(sigma_threshold(k, s)), s)
+              for s in DEFAULT_SIGMA_GRID]
+    for beta in range(min(floors)[0], top + 1):
+        for floor, sigma in floors:
+            if beta >= floor and objective_bound(k, beta, sigma) < 1.0:
                 return beta, sigma
     return None
 
@@ -144,8 +132,7 @@ def e_bracket_check(k: int, beta: int, sigma) -> dict:
     lo, hi = e_bracket(k, beta, sigma)
     rs = reduce_system(dirichlet(-beta), DegreePattern.default(k))
     magnitudes = [1.0] + [abs(float(e)) for e in rs.E]
-    within = [lo * (1 - COMPARISON_SLACK) <= m <= hi * (1 + COMPARISON_SLACK)
-              for m in magnitudes]
+    within = [lo <= m <= hi for m in magnitudes]
     return {"lower": lo, "upper": hi, "E_abs": magnitudes,
             "all_within": all(within), "within": within}
 
@@ -157,7 +144,7 @@ def five_k_rule(k: int, sigma=0.985) -> dict:
     bound = objective_bound(k, beta, sigma)
     return {"k": k, "beta": beta, "sigma": sigma,
             "sigma_condition": cond, "bound": bound,
-            "holds": cond and _verdict(bound, 1.0)}
+            "holds": cond and bound < 1.0}
 
 
 def check_five_k_readings(lo: int = 10, hi: int = 60) -> dict:
@@ -187,8 +174,8 @@ def reproduce_table5() -> list:
             "threshold_match": abs(threshold - row.beta_gt) <= 2.0,
             "computed_bound": bound,
             "printed_bound": row.objective_lt,
-            "bound_below_one": _verdict(bound, 1.0),
+            "bound_below_one": bound < 1.0,
             "cap": cap,
-            "cap_ok": row.beta <= cap * (1 + COMPARISON_SLACK),
+            "cap_ok": row.beta <= cap,
         })
     return report

@@ -302,7 +302,7 @@ def cross_check(params) -> dict:
     the ``compute_A`` block against the ``level1_block`` one, and the
     oracle's contraction ratio c against B_0(C; Z_3, Z_1).
 
-    Exact equality for exact values; float residuals otherwise.
+    Exact equality for exact values; enclosures agree when they meet.
     """
     core = params.pair.with_registers(Fraction(0), Fraction(0))
     q1 = compute_A(core, params.rs.seq, 1, params.regime)

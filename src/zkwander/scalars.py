@@ -451,14 +451,12 @@ def nonzero_evidence(x) -> tuple:
 
 def agreement(x, y) -> dict:
     """Whether x and y agree: exactly for exact values, as equal squares (a
-    square takes the radical away) and equal signs; otherwise to 1e-9 in
-    the relative residual of their floats."""
-    if not {type(x), type(y)} & {float, Interval}:
-        return {"equal": (x * x == y * y and certainly_positive(x)
-                          == certainly_positive(y)), "exact": True}
-    lf, rf = to_float(x), to_float(y)
-    residual = abs(lf - rf) / max(1.0, abs(lf), abs(rf))
-    return {"equal": residual <= 1e-9, "relative_residual": residual}
+    square takes the radical away) and equal signs; with an interval, when
+    the enclosures meet, as two enclosures of one real number always do."""
+    if isinstance(x, Interval) or isinstance(y, Interval):
+        return {"equal": (x - y).contains_zero(), "exact": False}
+    return {"equal": (x * x == y * y and certainly_positive(x)
+                      == certainly_positive(y)), "exact": True}
 
 
 def certainly_positive(x) -> bool:

@@ -39,9 +39,13 @@ class TestConditions:
         assert sigma_threshold(10, 0.05) == pytest.approx(want)
 
     def test_condition_is_a_cutoff(self):
-        thr = sigma_threshold(10, 0.05)
-        assert sigma_condition(10, math.ceil(thr) + 1, 0.05)
-        assert not sigma_condition(10, math.floor(thr) - 1, 0.05)
+        # a plain comparison: the first integer beta at or above the
+        # threshold passes, the one below it does not
+        for k in range(10, 61):
+            for sigma in DEFAULT_SIGMA_GRID:
+                floor = math.ceil(sigma_threshold(k, sigma))
+                assert sigma_condition(k, floor, sigma), (k, sigma)
+                assert not sigma_condition(k, floor - 1, sigma), (k, sigma)
 
     def test_bound_shrinks_with_beta_eventually(self):
         # a(k)^beta decays geometrically and beats the beta^2 prefactor

@@ -2,10 +2,11 @@
 private module-level name or library function is left that no module loads,
 no module builds a complex value or reads its parts, every memo is bounded,
 no module but scalars branches on the scalar regime or raises a number to
-the power alpha, no certifying module holds a tolerance, no module has json
-indent its output, the package imports exactly the third-party modules
-pyproject.toml lists, the search subcommand's options are the fields of
-SearchConfig, and a search reduces one system."""
+the power alpha, no certifying module holds a tolerance, no module but
+search holds a small float literal, no module has json indent its output,
+the package imports exactly the third-party modules pyproject.toml lists,
+the search subcommand's options are the fields of SearchConfig, and a
+search reduces one system."""
 
 import argparse
 import ast
@@ -223,13 +224,14 @@ def test_only_scalars_forms_a_weight_power(path):
 
 
 def _is_tolerance(name: str) -> bool:
-    return ("tolerance" in name.lower() or name.endswith("_RTOL")
+    return ("tolerance" in name.lower() or name.endswith(("_RTOL", "_SLACK"))
             or name == "tol")
 
 
 def _tolerances(tree: ast.Module) -> list:
     """Tolerances a module imports or defines: names containing
-    "tolerance" or ending in _RTOL, and parameters or variables named tol."""
+    "tolerance" or ending in _RTOL or _SLACK, and parameters or variables
+    named tol."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -247,12 +249,32 @@ def _tolerances(tree: ast.Module) -> list:
     return found
 
 
-@pytest.mark.parametrize("module", ["certify", "model"])
+@pytest.mark.parametrize("module", ["certify", "model", "asymptotic"])
 def test_certifying_modules_hold_no_tolerance(module):
     # a pass is a proof: a zero is exact or an enclosure, never "small"
     path = PACKAGE / f"{module}.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _tolerances(tree) == []
+
+
+def _small_floats(tree: ast.Module) -> list:
+    """Float literals strictly between 0 and 1e-3, the size of a fudge
+    that widens a decision; a negative literal is its positive constant
+    under a unary minus, so it is found too."""
+    return [f"{node.value!r} (line {node.lineno})"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is float
+            and 0 < node.value < 1e-3]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "search"],
+    ids=lambda p: p.stem)
+def test_no_module_decides_by_a_small_float(path):
+    # search is exempt: its Nelder-Mead constants only locate a point, and
+    # _confirm decides it in the proving regime
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _small_floats(tree) == []
 
 
 def _indented_json_calls(tree: ast.Module) -> list:

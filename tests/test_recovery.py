@@ -8,12 +8,21 @@ from zkwander.certify import cross_check, verify
 from zkwander.errors import (DegeneratePairError, DegenerateReductionError,
                              DegenerateZ3Error, ModeUnsupportedError,
                              NoAdmissibleSystemError, RegisterTooLargeError)
-from zkwander.model import compute_A
+from zkwander.model import DegreePattern, compute_A
 from zkwander.recovery import (attach_register, auto_register, choose_Z3,
                                level1_block, max_register_estimate, recover)
 from zkwander.reduction import reduce_system
-from zkwander.scalars import is_exact_zero
+from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
+from zkwander.scalars import INTERVAL, is_exact_zero
 from zkwander.weights import dirichlet, override_block
+
+# the interval-regime systems: the non-integer published rows and -33/2
+INTERVAL_SYSTEMS = tuple(
+    (row.alpha, DegreePattern.from_phi(row.k, row.phi2, row.phi3),
+     (1,) + row.d)
+    for row in TABLE1_ROWS + TABLE2_ROWS
+    if row.alpha.denominator != 1) + (
+    (Fraction(-33, 2), DegreePattern.default(6), (1, 1, 4, 6)),)
 
 
 def _orthogonality_residuals(pair, seq):
@@ -49,6 +58,16 @@ class TestEngineeredRelations:
         for key in ("A13_from_C", "A14_from_C", "A12_sq_from_C",
                     "A15_engineered", "c_equals_B0"):
             assert report[key]["exact"]
+
+    @pytest.mark.parametrize("alpha,pattern,d", INTERVAL_SYSTEMS,
+                             ids=[str(s[0]) for s in INTERVAL_SYSTEMS])
+    def test_contraction_enclosures_meet_the_oracle(self, alpha, pattern, d):
+        params = recover(reduce_system(dirichlet(alpha), pattern, INTERVAL),
+                         d)
+        report = cross_check(params)
+        assert report["all_equal"], report
+        assert not any(v["exact"] for k, v in report.items()
+                       if k != "all_equal")
 
 
 class TestLevel1Block:

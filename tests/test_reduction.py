@@ -15,8 +15,8 @@ from zkwander.reduction import (b0_minimum, compute_C, objective_B0,
 from zkwander.reference_data import (D_SQ_UPPER, DET_N1_INTERVAL, E_INTERVALS,
                                      G_INTERVALS, H_UPPER, TABLE1_ROWS,
                                      TABLE2_ROWS, in_published_interval)
-from zkwander.scalars import INTERVAL, Radical, det3
-from zkwander.weights import dirichlet, weight
+from zkwander.scalars import INTERVAL, Radical, det3, strictly_less
+from zkwander.weights import dirichlet, exact_regime, weight
 
 INTEGER_ROWS = tuple(row for row in TABLE1_ROWS + TABLE2_ROWS
                      if row.alpha.denominator == 1)
@@ -109,6 +109,20 @@ class TestReducedSystem:
         for i in range(3):
             assert rs16.H[i] <= H_UPPER[i]
             assert rs16.D[i] ** 2 <= D_SQ_UPPER[i]
+
+    @pytest.mark.parametrize(
+        "row", TABLE1_ROWS + TABLE2_ROWS,
+        ids=lambda row: f"{row.alpha}-k{row.k}-{row.phi2}-{row.phi3}")
+    def test_D_is_strictly_increasing_and_positive(self, row):
+        # the closed-form infimum of B_1 has no tie D_i = D_j to break on
+        # a published row, in the regime that proves the row
+        seq = dirichlet(row.alpha)
+        pattern = DegreePattern.from_phi(row.k, row.phi2, row.phi3)
+        d1, d2, d3 = reduce_system(
+            seq, pattern, exact_regime(seq, pattern.matrix_indices())).D
+        assert strictly_less(0, d1)
+        assert strictly_less(d1, d2)
+        assert strictly_less(d2, d3)
 
     @pytest.mark.parametrize("alpha", [0, 1])
     def test_affine_weights_are_singular(self, alpha):

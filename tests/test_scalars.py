@@ -15,7 +15,8 @@ from zkwander.recovery import attach_register, recover
 from zkwander.reduction import reduce_system
 from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
 from zkwander.scalars import (INTERVAL, MAX_ALPHA_DENOMINATOR, RATIONAL,
-                              REGIMES, Interval, Radical, certainly_positive,
+                              REGIMES, Interval, Radical, agreement,
+                              certainly_positive,
                               cramer_solve3, det3, excludes_zero,
                               is_exact_zero, nonzero_evidence, power,
                               power_interval, scalar_from_json,
@@ -603,6 +604,23 @@ class TestHelpers:
             with pytest.raises(ValueError,
                                match=f"^unknown regime '{regime}'$"):
                 to_regime(q, regime)
+
+    def test_enclosures_agree_when_they_meet(self):
+        one = Interval.exact(1.0)
+        assert agreement(one, Interval.exact(1.0)) == {"equal": True,
+                                                       "exact": False}
+        assert agreement(one, Fraction(1))["equal"]
+        assert agreement(Interval(0.5, 1.5), Interval(1.25, 2.0))["equal"]
+        # two disjoint points differ, however close
+        assert not agreement(one, Interval.exact(1.0 + 1e-12))["equal"]
+
+    def test_exact_values_agree_exactly(self):
+        root2 = Radical.sqrt(Fraction(2))
+        assert agreement(root2, Radical.sqrt(Fraction(8)) / 2) == {
+            "equal": True, "exact": True}
+        assert not agreement(root2, -root2)["equal"]
+        assert not agreement(Fraction(1), Fraction(1) + Fraction(1, 10 ** 30))[
+            "equal"]
 
     def test_to_float_of_interval_is_midpoint(self):
         assert to_float(Interval(1.0, 3.0)) == 2.0
