@@ -3,8 +3,8 @@ asymptotics, and table reproduction with stable CSV/JSON outputs.
 
 Exit codes are uniform across subcommands: 0 for a pass/success, 2 for an
 honest negative (fail verdict, a search whose B_1 is not certified below 1,
-a table entry off its printed value), 1 for usage or computational errors
-such as a singular system.
+a point no Z_3 rescues, a table entry off its printed value), 1 for usage or
+computational errors such as a singular system.
 """
 
 import argparse
@@ -22,7 +22,8 @@ from .errors import NoAdmissibleSystemError, ZkwanderError
 from .model import DegreePattern
 from .recovery import attach_register, auto_register, recover
 from .reduction import (b0_minimum, compute_C, objective_B0, objective_B1,
-                        objective_B2, reduce_system, split_e, z1_star)
+                        objective_B2, pivot_modulus, reduce_system, split_e,
+                        z1_star)
 from .scalars import REGIMES, display, to_float, to_rational
 from .search import STRATEGIES, SearchConfig, minimize, reproduce_table
 from .weights import dirichlet, exact_regime, override_block, weight
@@ -114,12 +115,12 @@ def cmd_eval(args) -> int:
         raise ZkwanderError(f"--z1 must be positive, got {args.z1}")
     pattern = _pattern_from_args(args)
     seq = _sequence_from_args(args, pattern)
-    regime = args.regime or exact_regime(seq, pattern.matrix_indices())
-    rs = reduce_system(seq, pattern, regime)
     if args.emit_weights:
         for t in sorted(pattern.matrix_indices()):
             print(f"omega[{t}] = {weight(seq, t, exact_regime(seq, (t,)))}")
         return 0
+    regime = args.regime or exact_regime(seq, pattern.matrix_indices())
+    rs = reduce_system(seq, pattern, regime)
     print(f"alpha = {args.alpha}  k = {pattern.k}  "
           f"gamma = {pattern.gamma}  regime = {regime}")
     print(f"det_N1 = {display(rs.det_N1)}")
@@ -188,23 +189,22 @@ def cmd_pipeline(args) -> int:
     pattern = _pattern_from_args(args)
     seq = _sequence_from_args(args, pattern)
     regime = args.regime or exact_regime(seq, pattern.embedded_indices())
-    if args.d is not None:
-        d = args.d
-    else:
-        config = SearchConfig(alpha=args.alpha, k=pattern.k,
-                              phi2=args.phi2, phi3=args.phi3)
-        try:
-            found = minimize(config)
-        except NoAdmissibleSystemError as exc:
-            print(f"search failed: {exc}", file=sys.stderr)
-            return 2
+    d = args.d
+    if d is None:
+        found = minimize(SearchConfig(alpha=args.alpha, k=pattern.k,
+                                      phi2=args.phi2, phi3=args.phi3))
         if not found.below_threshold:
             print(f"no point below threshold; best was {found.value!r} "
                   f"({found.landing_side})", file=sys.stderr)
             return 2
-        d = (Fraction(1),) + tuple(found.d)
+        d = found.d
     rs = reduce_system(seq, pattern, regime)
-    params = recover(rs, d, z3=args.z3)
+    try:
+        params = recover(rs, d, z3=args.z3)
+    except NoAdmissibleSystemError as exc:
+        # no Z_3 rescues the point (choose_Z3): an honest negative
+        print(exc, file=sys.stderr)
+        return 2
     r = auto_register(params)
     params = attach_register(params, r, r)
     cert = verify(params.pair, seq, regime)
@@ -232,10 +232,10 @@ def cmd_certify(args) -> int:
 
 def _reproduce_table3(out_path):
     from .reference_data import TABLE3_SCALED, agrees_with_printed
+    seq = dirichlet(-16)
     rows = []
-    scale = Fraction(7) ** 16
     for label, base, printed in TABLE3_SCALED:
-        exact = Fraction(base) ** -16 * scale
+        exact = weight(seq, base - 1) / weight(seq, 6)
         rows.append([label, base, repr(float(exact)), printed,
                      agrees_with_printed(exact, printed)])
     _write_csv(rows, ["t", "base", "computed_scaled", "printed", "match"],
@@ -251,15 +251,11 @@ _TABLE4_BAND = 0.15
 def _reproduce_table4(out_path):
     from .reference_data import (TABLE4_DISCREPANCIES, TABLE4_PRINTED,
                                  printed_as_fraction)
-    seq = dirichlet(-16)
-    pattern = DegreePattern.default(6)
-    rs = reduce_system(seq, pattern)
-    d = (Fraction(1), Fraction(1), Fraction(4), Fraction(6))
-    c = compute_C(rs, d)
-    z3 = Fraction(-2) * 10 ** 13
+    rs = reduce_system(dirichlet(-16), DegreePattern.default(6))
+    z3 = Fraction("-2e13")
+    params = recover(rs, (1, 4, 6), z3=z3)
+    c = params.c
     e0, e1 = split_e(c, z3)
-    params = recover(rs, d, z3=z3)
-    from .reduction import pivot_modulus
     computed = {
         "C4": c.C4, "C2": c.C2, "C1": c.C1, "C3": c.C3, "Z3": z3,
         "pivot_modulus": pivot_modulus(c, z3), "C5": c.C5,

@@ -60,9 +60,10 @@ class RegisterTooLargeError(ZkwanderError):
 
 
 class NoAdmissibleSystemError(ZkwanderError):
-    """A search cannot evaluate its system, the message naming why, or no
-    Z_3 rescues a point (``choose_Z3``); a search landing on B_1 >= 1, or
-    on a point it cannot certify, raises nothing."""
+    """A search cannot evaluate its system, the message naming why (the CLI
+    exits 1), or no Z_3 rescues a point, ``choose_Z3`` in ``recover`` (an
+    honest negative: ``pipeline`` exits 2); a search landing on B_1 >= 1,
+    or on a point it cannot certify, raises nothing."""
 
 
 class CertificateError(ZkwanderError):

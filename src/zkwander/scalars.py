@@ -629,6 +629,8 @@ def scalar_from_json(obj):
         if "roots" in obj:
             # untrusted atoms: rebuild the normal form through Radical.sqrt
             value = rational_from_json(obj["rational"])
+            if not isinstance(obj["roots"], list):
+                raise ValueError("radical atoms must be a list")
             if len(obj["roots"]) > MAX_ROOT_ATOMS:
                 raise ValueError(f"more than {MAX_ROOT_ATOMS} radical atoms")
             for r in obj["roots"]:

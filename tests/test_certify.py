@@ -395,6 +395,7 @@ def _set_in(*path_and_value):
     _set_in("weights", "alpha", "-1e100000000"),
     _set_in("coefficients", "a_low", 0, "1e100000000"),
     _set_in("coefficients", "b_low", 3, "roots", [str(p) for p in range(2, 11)]),
+    _set_in("coefficients", "a_low", 3, "roots", "6"),
     _set_in("coefficients", "a_low", 0, {"re": 1.0, "im": 2.0}),
     _nest_weights(2),
     _nest_weights(20),
@@ -411,6 +412,7 @@ def _set_in(*path_and_value):
         "alpha-numerator-above-bound", "k-above-bound",
         "degree-above-bound", "degree-negative", "alpha-exponent-form",
         "coefficient-exponent-form", "radical-too-many-atoms",
+        "radical-roots-not-a-list",
         "coefficient-complex", "weights-base-perturbed",
         "weights-nested-too-deep",
         "weights-nested-past-recursion-limit"])

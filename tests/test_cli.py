@@ -45,10 +45,31 @@ class TestEval:
         assert len(lines) == 12
         assert f"omega[6] = {Fraction(1, 7 ** 16)}" in out
 
+    @pytest.mark.parametrize("alpha", ["0", "1"])
+    def test_emit_weights_needs_no_reduction(self, capsys, alpha):
+        # the weights exist where the 3x3 weight system is singular
+        code, out, err = run(capsys, "eval", "--alpha", alpha,
+                             "--emit-weights")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 12
+        assert all(line.startswith("omega[") for line in lines)
+        assert f"omega[21] = {22 ** int(alpha)}" in lines
+
     def test_singular_alpha_is_an_error(self, capsys):
         code, _, err = run(capsys, "eval", "--alpha", "0")
         assert code == 1
         assert "error" in err
+
+    def test_gamma_names_the_phi_pattern_it_equals(self, capsys):
+        # gamma (0, 1, 8, 3, 4, 5) is the pattern phi2 = 1, phi3 = 0 at k = 6
+        b1 = "B1 = 0.006271442309486909\n"
+        code, out, _ = run(capsys, "eval", "--alpha", "-16", "--gamma",
+                           "0,1,8,3,4,5", "--d", "1,4,6")
+        assert code == 0 and b1 in out
+        code, out, _ = run(capsys, "eval", "--alpha", "-16", "--phi2", "1",
+                           "--d", "1,4,6")
+        assert code == 0 and b1 in out
 
     def test_missing_alpha_is_usage_error(self, capsys):
         code, _, err = run(capsys, "eval")
@@ -556,6 +577,46 @@ class TestPipeline:
         assert (code, out) == (1, "")
         assert err == ("error: --gamma needs --d: give --d, or name the "
                        "pattern by --phi2/--phi3 to search it\n")
+        assert not cert.exists()
+
+    def test_searched_certificate_replays(self, capsys, tmp_path):
+        # the core flow: search, recover, attach registers, certify, replay
+        cert = tmp_path / "cert.json"
+        code, out, _ = run(capsys, "pipeline", "--alpha", "-16",
+                           "--out", str(cert))
+        assert code == 0
+        assert "verdict: pass  c = 0.05104733573677926\n" in out
+        code, out, _ = run(capsys, "certify", "--check", str(cert))
+        assert code == 0
+        assert "recomputed: pass" in out and "mismatch" not in out
+
+    def test_gamma_certificate_replays(self, capsys, tmp_path):
+        cert = tmp_path / "cert.json"
+        code, out, _ = run(capsys, "pipeline", "--alpha", "-16", "--gamma",
+                           "0,1,8,3,4,5", "--d", "1,4,6", "--out", str(cert))
+        assert code == 0
+        assert "verdict: pass  c = 0.08421190099333115\n" in out
+        assert json.loads(cert.read_text())["gamma"] == [0, 1, 8, 3, 4, 5]
+        code, out, _ = run(capsys, "certify", "--check", str(cert))
+        assert code == 0
+        assert "recomputed: pass" in out and "mismatch" not in out
+
+    def test_a_search_error_is_an_error(self, capsys, tmp_path):
+        # as `search` and `pipeline --d` report the same singular system
+        cert = tmp_path / "cert.json"
+        code, out, err = run(capsys, "pipeline", "--alpha", "0",
+                             "--out", str(cert))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the system is singular or degenerate:")
+        assert not cert.exists()
+
+    def test_a_point_no_z3_rescues_is_an_honest_negative(self, capsys,
+                                                          tmp_path):
+        cert = tmp_path / "cert.json"
+        code, out, err = run(capsys, "pipeline", "--alpha", "-6",
+                             "--d", "1,1,1", "--out", str(cert))
+        assert (code, out) == (2, "")
+        assert err == "B_1 = 129.696 >= 1; no Z_3 can rescue this point\n"
         assert not cert.exists()
 
     def test_hopeless_alpha_reports_honestly(self, capsys, tmp_path):

@@ -205,12 +205,20 @@ def test_only_scalars_branches_on_the_regime(path):
     assert _regime_branches(tree) == []
 
 
+def _is_negative_literal(node) -> bool:
+    return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+            and isinstance(node.operand, ast.Constant)
+            and type(node.operand.value) is int)
+
+
 def _alpha_powers(tree: ast.Module) -> list:
-    """Lines of ``**`` whose exponent reads a name or attribute alpha."""
+    """Lines of ``**`` whose exponent reads a name or attribute alpha, or
+    is a negative integer literal: a weight t^alpha at a fixed alpha."""
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
-            and any(getattr(n, "id", getattr(n, "attr", None)) == "alpha"
-                    for n in ast.walk(node.right))]
+            and (_is_negative_literal(node.right)
+                 or any(getattr(n, "id", getattr(n, "attr", None)) == "alpha"
+                        for n in ast.walk(node.right)))]
 
 
 @pytest.mark.parametrize(
