@@ -8,7 +8,8 @@ the pinned rational headline and alpha = -33/2 in the interval regime; the
 replay reports of every single-leaf forgery of those last two; the
 ``minimize`` result of each search strategy on two rows, and its result or
 error on every Table 1/2 row at once, with alpha moved by each offset the
-benchmark's explore workload uses; and the two files the CLI writes, a
+benchmark's explore workload uses; the asymptotic ``minimal_beta`` over a
+range of k and the Table 5 report; and the two files the CLI writes, a
 ``pipeline --out`` certificate and a ``search --out`` payload.
 
 A change that moves output on purpose rewrites the file with
@@ -31,6 +32,7 @@ from zkwander import (CertificateError, DegreePattern, RegisterTooLargeError,
                       auto_register, check_certificate, dirichlet, minimize,
                       recover, reduce_system, verify)
 from zkwander import cli
+from zkwander.asymptotic import minimal_beta, reproduce_table5
 from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
 from zkwander.scalars import INTERVAL
 from zkwander.search import STRATEGIES
@@ -147,6 +149,9 @@ CASES = {
         _minimize_outcome(row, strategy, offset)
         for row in TABLE1_ROWS + TABLE2_ROWS for offset in ALPHA_OFFSETS
         for strategy in STRATEGIES),
+    "asymptotic-minimal-beta": lambda: "\n".join(
+        repr(minimal_beta(k)) for k in (*range(10, 81), 1000, 10 ** 6)),
+    "asymptotic-table5": lambda: repr(reproduce_table5()),
     "cli-pipeline-certificate": lambda: _cli_file(
         "pipeline", "--alpha", "-16", "--d", "1,4,6", "--z3", "-2e13"),
     "cli-search-grid": lambda: _cli_file(
