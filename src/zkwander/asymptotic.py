@@ -11,6 +11,7 @@ diagnostics behind them, and the table-reproduction report.
 import math
 import warnings as _warnings
 from fractions import Fraction
+from functools import lru_cache
 
 # Shallow optimum in sigma, so a coarse grid with a fine tail is enough.
 DEFAULT_SIGMA_GRID = (0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4,
@@ -50,7 +51,9 @@ def a_factor_exact(k: int) -> Fraction:
             * (1 + 2 / (3 * kk + 2)) ** 2)
 
 
+@lru_cache(maxsize=256)
 def a_factor(k: int) -> float:
+    """a(k) as a double, formed once per k for minimal_beta's scan."""
     return float(a_factor_exact(k))
 
 

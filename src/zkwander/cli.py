@@ -117,7 +117,8 @@ def cmd_eval(args) -> int:
     seq = _sequence_from_args(args, pattern)
     if args.emit_weights:
         for t in sorted(pattern.matrix_indices()):
-            print(f"omega[{t}] = {weight(seq, t, exact_regime(seq, (t,)))}")
+            regime = args.regime or exact_regime(seq, (t,))
+            print(f"omega[{t}] = {weight(seq, t, regime)}")
         return 0
     regime = args.regime or exact_regime(seq, pattern.matrix_indices())
     rs = reduce_system(seq, pattern, regime)
@@ -370,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--override-base", type=_parse_fraction,
                    help="base alpha whose 12 matrix weights get replaced")
     p.add_argument("--emit-weights", action="store_true",
-                   help="dump the 12 matrix weights as exact rationals")
+                   help="dump the 12 matrix weights in the regime (exact "
+                   "rationals, or enclosures where alpha is not an integer)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("search", help="minimize the objective over d")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from zkwander import asymptotic
 from zkwander.asymptotic import (DEFAULT_SIGMA_GRID, a_factor,
                                  a_factor_exact, a_factor_q_form,
                                  beta_cap, check_five_k_readings,
@@ -30,6 +31,30 @@ class TestAFactor:
     @pytest.mark.parametrize("k", range(2, 41))
     def test_q_form_identity_exact(self, k):
         assert a_factor_exact(k) == a_factor_q_form(k)
+
+    def test_the_memo_forms_a_once_per_k(self, monkeypatch):
+        calls = []
+
+        def counted(k):
+            calls.append(k)
+            return a_factor_exact(k)
+
+        a_factor.cache_clear()
+        monkeypatch.setattr(asymptotic, "a_factor_exact", counted)
+        assert minimal_beta(10) == (523, 0.01)
+        assert calls == [10]
+
+    def test_the_memo_returns_the_exact_double_after_eviction(self):
+        ks = [*range(10, 61), 10 ** 6]
+        a_factor.cache_clear()
+        maxsize = a_factor.cache_info().maxsize
+        for _ in range(2):
+            for k in ks:
+                assert a_factor(k).hex() == float(a_factor_exact(k)).hex()
+            for k in range(1000, 1000 + maxsize + 1):
+                a_factor(k)
+            # the newer k have pushed every one of ks out
+            assert a_factor.cache_info().currsize == maxsize
 
 
 class TestConditions:
@@ -93,7 +118,7 @@ class TestMinimalBeta:
         return None
 
     def test_the_scan_start_changes_nothing(self):
-        for k in range(10, 81):
+        for k in range(10, 151):
             assert minimal_beta(k) == self._full_scan(k)
 
     @pytest.mark.parametrize("k", [-1, 0, 5, 8])

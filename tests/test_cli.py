@@ -45,6 +45,22 @@ class TestEval:
         assert len(lines) == 12
         assert f"omega[6] = {Fraction(1, 7 ** 16)}" in out
 
+    def test_emit_weights_follows_the_interval_regime(self, capsys):
+        code, out, _ = run(capsys, "eval", "--alpha", "-16", "--emit-weights",
+                           "--regime", "interval")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 12
+        assert all(line.startswith("omega[") and line.endswith("]")
+                   for line in lines)
+        assert f"omega[6] = {Fraction(1, 7 ** 16)}" not in out
+
+    def test_emit_weights_refuses_rational_at_non_integer_alpha(self, capsys):
+        code, out, err = run(capsys, "eval", "--alpha", "-33/2",
+                             "--emit-weights", "--regime", "rational")
+        assert (code, out) == (1, "")
+        assert "rational regime needs an integer exponent" in err
+
     @pytest.mark.parametrize("alpha", ["0", "1"])
     def test_emit_weights_needs_no_reduction(self, capsys, alpha):
         # the weights exist where the 3x3 weight system is singular
