@@ -3,13 +3,13 @@ asymptotics, and table reproduction with stable CSV/JSON outputs.
 
 Exit codes are uniform across subcommands: 0 for a pass/success, 2 for an
 honest negative (fail verdict, a search whose B_1 is not certified below 1,
-a point no Z_3 rescues, a table entry off its printed value), 1 for usage or
-computational errors such as a singular system.
+a point no Z_3 rescues, a Table 3-5 entry off its printed value; Tables 1
+and 2 print each row's computed B_1 and landing side and exit 0), 1 for
+usage or computational errors such as a singular system.
 """
 
 import argparse
 import csv
-import json
 import os
 import re
 import sys
@@ -67,7 +67,10 @@ def _parse_d(text: str) -> tuple:
 
 
 def _pattern_from_args(args) -> DegreePattern:
-    if getattr(args, "gamma", None):
+    if args.gamma:
+        if args.phi2 or args.phi3:
+            raise ZkwanderError("--gamma names the whole pattern; it takes "
+                                "no --phi2 or --phi3")
         try:
             parts = tuple(int(p) for p in args.gamma.split(","))
         except ValueError:
@@ -144,24 +147,9 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _config_from_file(path) -> SearchConfig:
-    try:
-        with open(path) as fh:
-            return SearchConfig(**json.load(fh))
-    except (OSError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ZkwanderError(f"bad search config {path}: {exc}") from exc
-
-
 def cmd_search(args) -> int:
-    if args.config:
-        config = _config_from_file(args.config)
-    elif args.alpha is None:
-        raise ZkwanderError("search needs --alpha or --config")
-    else:
-        config = SearchConfig(
-            alpha=args.alpha, k=args.k, phi2=args.phi2, phi3=args.phi3,
-            strategy=args.strategy)
-    res = minimize(config)
+    res = minimize(SearchConfig(alpha=args.alpha, k=args.k, phi2=args.phi2,
+                                phi3=args.phi3, strategy=args.strategy))
     shown = res.value_repr
     if len(shown) > 72:
         shown = shown[:69] + "..."
@@ -280,6 +268,9 @@ def _reproduce_table4(out_path):
 
 
 def cmd_reproduce(args) -> int:
+    if args.table > 2 and args.mode == "re-search":
+        raise ZkwanderError(f"table {args.table} has no search to re-run; "
+                            "--mode re-search is for tables 1 and 2")
     if args.table in (1, 2):
         report = reproduce_table(args.table, args.mode)
         rows = []
@@ -324,6 +315,12 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_asymptotic(args) -> int:
+    if args.minimal and (args.beta is not None or args.sigma is not None):
+        raise ZkwanderError("--minimal scans beta and sigma; it takes no "
+                            "--beta or --sigma")
+    if not args.minimal and (args.beta is None or args.sigma is None):
+        raise ZkwanderError("--beta and --sigma are required "
+                            "unless --minimal is given")
     if args.minimal:
         found = asymptotic.minimal_beta(args.k)
         cap = asymptotic.beta_cap(args.k)
@@ -347,14 +344,12 @@ def cmd_asymptotic(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common_model_flags(p):
+def _add_system_flags(p):
     p.add_argument("--alpha", type=_parse_fraction, required=True,
                    help="space exponent as a rational, e.g. -16 or -33/2")
     p.add_argument("--k", type=int, default=6)
     p.add_argument("--phi2", type=int, default=0)
     p.add_argument("--phi3", type=int, default=0)
-    p.add_argument("--gamma", help="six degrees overriding the phi pattern")
-    p.add_argument("--regime", choices=REGIMES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,7 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 parser_class=_Parser)
 
     p = sub.add_parser("eval", help="reduced system and objective values")
-    _add_common_model_flags(p)
+    _add_system_flags(p)
+    p.add_argument("--gamma", help="six degrees in place of the phi pattern")
+    p.add_argument("--regime", choices=REGIMES)
     p.add_argument("--d", type=_parse_d, default=_parse_d("1,4,6"))
     p.add_argument("--z3", type=_parse_fraction)
     p.add_argument("--z1", type=_parse_fraction)
@@ -376,12 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("search", help="minimize the objective over d")
-    p.add_argument("--config", help="JSON file with SearchConfig fields, "
-                   "one value each: a search takes one system")
-    p.add_argument("--alpha", type=_parse_fraction)
-    p.add_argument("--k", type=int, default=6)
-    p.add_argument("--phi2", type=int, default=0)
-    p.add_argument("--phi3", type=int, default=0)
+    _add_system_flags(p)
     p.add_argument("--strategy", default="coordinate-descent",
                    choices=STRATEGIES)
     p.add_argument("--out")
@@ -389,7 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline",
                        help="search, recover, attach registers, certify")
-    _add_common_model_flags(p)
+    _add_system_flags(p)
+    p.add_argument("--gamma", help="six degrees in place of the phi pattern")
+    p.add_argument("--regime", choices=REGIMES)
     p.add_argument("--d", type=_parse_d,
                    help="skip the search and use this point")
     p.add_argument("--z3", type=_parse_fraction)
@@ -422,10 +416,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if (args.command == "asymptotic" and not args.minimal
-                and (args.beta is None or args.sigma is None)):
-            raise ZkwanderError("--beta and --sigma are required "
-                                "unless --minimal is given")
         folder = os.path.dirname(getattr(args, "out", None) or "")
         if folder and not os.path.isdir(folder):
             # refused before any search, certificate or table is computed

@@ -33,7 +33,7 @@ from .errors import DegenerateReductionError, DegenerateZ3Error
 from .model import DegreePattern
 from .record import Record, store
 from .scalars import (RATIONAL, certainly_positive, cramer_solve3,
-                      excludes_zero, sqrt, to_regime)
+                      excludes_zero, sqrt, to_rational, to_regime)
 from .weights import WeightSequence, weight
 
 
@@ -101,7 +101,7 @@ def _normalize_d(d) -> tuple:
         vals = (1,) + vals
     if len(vals) != 4:
         raise ValueError("d must supply 3 values (d_0 = 1 implied) or 4")
-    out = tuple(Fraction(v) for v in vals)
+    out = tuple(to_rational(v) for v in vals)
     if any(v <= 0 for v in out):
         raise ValueError("d values must be positive")
     return out

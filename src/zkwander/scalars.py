@@ -519,10 +519,10 @@ def to_float(x) -> float:
 
 def as_coefficient(v, regime: str):
     """A coefficient as given by a caller, in the regime's arithmetic: the
-    rational regime reads an int or float exactly as a Fraction and keeps a
+    rational regime reads an int or float as ``to_rational`` does and keeps a
     Radical; the other regimes take it as it is."""
     if regime == RATIONAL and not isinstance(v, Radical):
-        return Fraction(v)
+        return to_rational(v)
     return v
 
 
@@ -600,9 +600,13 @@ _MAX_EXPONENT = 4300
 
 
 def to_rational(value) -> Fraction:
-    """Fraction(value); a string is read as Fraction reads it ("-33/2",
-    "0.25", "-2e13") with an exponent of at most _MAX_EXPONENT.  Any other
-    string and a float that is not finite raise ValueError."""
+    """The one reading of a number a caller passes as a rational: a float
+    as the decimal its repr prints (0.2 -> 1/5), a string as Fraction reads
+    it ("-33/2", "0.25", "-2e13") with an exponent of at most _MAX_EXPONENT,
+    anything else as Fraction(value).  Any other string and a float that is
+    not finite raise ValueError."""
+    if isinstance(value, float):
+        value = repr(float(value))
     try:
         if isinstance(value, str):
             _, e, exponent = value.lower().partition("e")

@@ -247,10 +247,8 @@ def _simplex(f, seed, seed_value):
 
 def _confirm(rs: ReducedSystem, d3) -> tuple:
     """``confirm_value`` on a system already reduced."""
-    d_exact = tuple(v if isinstance(v, Fraction) else Fraction(str(v))
-                    for v in d3)
     try:
-        c = compute_C(rs, d_exact)
+        c = compute_C(rs, d3)
     except DegenerateReductionError as exc:
         # a C_i the regime cannot certify positive orders nothing
         return math.inf, str(exc), rs.regime, "undecided"
@@ -265,7 +263,8 @@ def _confirm(rs: ReducedSystem, d3) -> tuple:
 
 
 def confirm_value(seq: WeightSequence, pattern: DegreePattern, d3):
-    """Re-evaluate B_1 rigorously at an exact rational point.
+    """Re-evaluate B_1 rigorously at the point d3, read exactly as
+    ``compute_C`` reads it (a float as the decimal its repr prints).
 
     Returns (value_float, value_repr, regime, landing_side), the regime
     being ``exact_regime`` of the matrix weights. The side is "below" or

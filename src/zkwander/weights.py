@@ -15,7 +15,6 @@ Weights are exact rationals (integer alpha only) or outward rounded intervals.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 
 from .record import Record, store
 from .scalars import (INTERVAL, RATIONAL, power, rational_from_json,
@@ -23,12 +22,6 @@ from .scalars import (INTERVAL, RATIONAL, power, rational_from_json,
 
 DIRICHLET = "dirichlet"
 PERTURBED = "perturbed"
-
-
-def _normalize_alpha(alpha) -> Fraction:
-    # a float's repr round-trips the decimal the caller typed (-4.999 ->
-    # -4999/1000); a non-finite one is refused in to_rational's words
-    return to_rational(repr(alpha) if isinstance(alpha, float) else alpha)
 
 
 class WeightSequence(Record):
@@ -43,7 +36,7 @@ class WeightSequence(Record):
 
 
 def dirichlet(alpha) -> WeightSequence:
-    return WeightSequence(_normalize_alpha(alpha))
+    return WeightSequence(to_rational(alpha))
 
 
 def perturbed(base: WeightSequence, overrides: dict) -> WeightSequence:

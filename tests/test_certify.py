@@ -66,6 +66,23 @@ class TestVerify:
         assert cert16.membership["holds"]
         assert cert16.membership["levels"] == [1, 2]
 
+    def test_a_nonzero_membership_product_fails_the_sweep(
+            self, registered16, seq16, monkeypatch):
+        # the sweep tests every projection itself: one nonzero product, here
+        # <F_2, z^12 F_1>, fails the certificate and is named
+        import zkwander.certify
+        inner_product = zkwander.certify.inner_product
+
+        def skewed(f, g, seq, regime, shift_f=0, shift_g=0):
+            v = inner_product(f, g, seq, regime, shift_f, shift_g)
+            return v + 1 if shift_g == 12 else v
+        monkeypatch.setattr(zkwander.certify, "inner_product", skewed)
+        cert = verify(registered16.pair, seq16)
+        assert cert.verdict == "fail"
+        assert cert.reasons == ["membership sweep found a nonzero projection"]
+        assert cert.membership == {"holds": False,
+                                   "first_failure": "<F2, z^12 F1> != 0"}
+
     @pytest.mark.parametrize("pattern", [
         DegreePattern.default(6), DegreePattern.from_phi(6, 2, 34),
         DegreePattern.from_phi(88, 3, 166)], ids=["k6", "k6-phi", "k88"])

@@ -157,18 +157,6 @@ class TestExponentForms:
         assert proc.returncode == 1
         assert proc.stderr == f"error: cannot parse {value!r} as a rational\n"
 
-    @pytest.mark.parametrize("field", ["alpha"])
-    def test_huge_exponent_in_a_config_file_is_refused_at_once(
-            self, tmp_path, field):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"alpha": -16, field: "1e99999999"}))
-        proc = subprocess.run([sys.executable, "-m", "zkwander", "search",
-                               "--config", str(cfg)],
-                              capture_output=True, text=True, timeout=10)
-        assert proc.returncode == 1
-        assert proc.stderr == (f"error: bad search config {cfg}: cannot "
-                               "parse '1e99999999' as a rational\n")
-
     def test_exponent_on_the_limit_parses(self):
         limit = 4300
         assert _parse_fraction(f"1e{limit}") == 10 ** limit
@@ -298,11 +286,23 @@ class TestBadInput:
         ("asymptotic", "--k", "9", "--minimal"),
         ("asymptotic", "--k", "9", "--beta", "10", "--sigma", "0.5"),
         ("search", "--alpha", "-16", "--k", "5"),
+        # a flag the command would not honour is refused, not ignored
+        ("eval", "--alpha", "-16", "--gamma", "0,1,2,3,4,5", "--phi2", "3"),
+        ("pipeline", "--alpha", "-16", "--gamma", "0,1,2,3,4,5", "--phi3",
+         "2", "--d", "1,4,6"),
+        ("reproduce", "--table", "3", "--mode", "re-search"),
+        ("reproduce", "--table", "4", "--mode", "re-search"),
+        ("reproduce", "--table", "5", "--mode", "re-search"),
+        ("asymptotic", "--k", "10", "--minimal", "--beta", "5"),
+        ("asymptotic", "--k", "10", "--minimal", "--sigma", "0.5"),
     ], ids=["k-below-9", "sigma-above-1", "k-9-minimal", "k-9",
-            "no-valid-pattern"])
+            "no-valid-pattern", "gamma-with-phi2", "gamma-with-phi3",
+            "re-search-table-3", "re-search-table-4", "re-search-table-5",
+            "minimal-with-beta", "minimal-with-sigma"])
     def test_misuse(self, capsys, argv):
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == 1
+        assert out == ""
         assert err.startswith("error: ")
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-json"])
@@ -404,64 +404,6 @@ class TestSearch:
         assert payload["landing_side"] == "below"
         assert Fraction(payload["value_repr"]) < Fraction(1, 30)
 
-    def test_config_file(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"alpha": -16, "strategy": "grid"}))
-        code, out, _ = run(capsys, "search", "--config", str(cfg))
-        assert code == 0
-        assert "landing side vs threshold: below" in out
-
-    @pytest.mark.parametrize("raw", [{"alpha": -16, "threads": 2},
-                                     {"alpha": -16, "strategy": "bogus"},
-                                     [-16],
-                                     {"alpha": -16, "k": "x"},
-                                     {"alpha": -16, "phi2": [0, 1.5]},
-                                     {"alpha": None},
-                                     {"alpha": "1/0"},
-                                     # refused before the search, which
-                                     # they once ran to a traceback, a
-                                     # silent 1 or "0 visited systems"
-                                     {"alpha": float("inf")},
-                                     {"alpha": -16, "phi2": True},
-                                     {"alpha": -16, "phi3": [0, False]},
-                                     {"alpha": True},
-                                     {"alpha": []},
-                                     {"alpha": -16, "k": []},
-                                     # every search minimizes B_1 and
-                                     # lands against 1
-                                     {"alpha": -16, "target": "B2"},
-                                     {"alpha": -16, "threshold": 1},
-                                     # a search takes one system
-                                     {"alpha": [-16, -12]},
-                                     {"alpha": -16, "k": [6, 8]}])
-    def test_bad_config_file_is_an_error(self, capsys, tmp_path, raw):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(raw))
-        code, _, err = run(capsys, "search", "--config", str(cfg))
-        assert code == 1
-        assert err.startswith("error: bad search config")
-
-    def test_a_config_alpha_past_the_doubles_is_refused_as_the_flag(
-            self, capsys, tmp_path):
-        # json reads 1e400 as inf, refused in the words eval --alpha inf uses
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"alpha": 1e400}')
-        code, out, err = run(capsys, "search", "--config", str(cfg))
-        assert (code, out) == (1, "")
-        assert err == (f"error: bad search config {cfg}: cannot parse 'inf' "
-                       "as a rational\n")
-        assert run(capsys, "eval", "--alpha", "inf")[2] == (
-            "error: cannot parse 'inf' as a rational\n")
-
-    def test_config_file_alpha_string_is_the_flag(self, capsys, tmp_path):
-        # the search reads the normalised alpha, never the raw config value
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"alpha": "-33/2"}))
-        from_file = run(capsys, "search", "--config", str(cfg))
-        assert from_file == run(capsys, "search", "--alpha", "-33/2")
-        assert from_file[0] == 0
-        assert "at alpha = -33/2," in from_file[1]
-
     def test_a_det_n1_below_the_least_double_is_searched(self, capsys):
         # det N_1 ~ 1e-330 at this system; B_1 ~ 4.5e-18 is found there
         code, out, err = run(capsys, "search", "--alpha", "-64", "--k", "27")
@@ -469,11 +411,20 @@ class TestSearch:
         assert "at alpha = -64, k = 27," in out
         assert "landing side vs threshold: below" in out
 
-    def test_alpha_or_config_is_required(self, capsys):
+    def test_alpha_is_required(self, capsys):
         code, out, err = run(capsys, "search")
         assert code == 1
         assert out == ""
-        assert err == "error: search needs --alpha or --config\n"
+        assert err.endswith("error: the following arguments are required: "
+                            "--alpha\n")
+
+    def test_a_config_file_is_a_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": -16}))
+        code, out, err = run(capsys, "search", "--alpha", "-16",
+                             "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --config" in err
 
     def test_a_c5_that_straddles_zero_lands_undecided(self, capsys):
         # the simplex point of this published row has an interval C_5 that

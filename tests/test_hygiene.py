@@ -1,12 +1,12 @@
 """Source hygiene: no package module imports a name it never uses, no
 private module-level name or library function is left that no module loads,
 no module builds a complex value or reads its parts, every memo is bounded,
-no module but scalars branches on the scalar regime or raises a number to
-the power alpha, no certifying module holds a tolerance, no module but
-search holds a small float literal, no module has json indent its output,
-the package imports exactly the third-party modules pyproject.toml lists,
-the search subcommand's options are the fields of SearchConfig, and a
-search reduces one system."""
+no module but scalars branches on the scalar regime, raises a number to
+the power alpha or reads text as a Fraction, no certifying module holds a
+tolerance, no module but search holds a small float literal, no module has
+json indent its output, the package imports exactly the third-party modules
+pyproject.toml lists, the search subcommand's options are the fields of
+SearchConfig and --out, and a search reduces one system."""
 
 import argparse
 import ast
@@ -231,6 +231,26 @@ def test_only_scalars_forms_a_weight_power(path):
     assert _alpha_powers(tree) == []
 
 
+def _fractions_of_text(tree: ast.Module) -> list:
+    """Lines of Fraction(str(...)) or Fraction(repr(...)): a second reading
+    of a caller's number beside scalars.to_rational."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "Fraction"
+            and any(isinstance(a, ast.Call)
+                    and getattr(a.func, "id", None) in ("str", "repr")
+                    for a in node.args)]
+
+
+def test_only_scalars_reads_text_as_a_fraction():
+    # one float rule: to_rational reads a float as the decimal repr prints
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.stem != "scalars"
+             for line in _fractions_of_text(ast.parse(path.read_text()))]
+    assert found == []
+
+
 def _is_tolerance(name: str) -> bool:
     return ("tolerance" in name.lower() or name.endswith(("_RTOL", "_SLACK"))
             or name == "tol")
@@ -359,7 +379,7 @@ def test_third_party_imports_are_the_declared_dependencies():
 
 def test_search_options_are_the_config_fields():
     # a search knob cannot come back on the command line or in
-    # SearchConfig alone
+    # SearchConfig alone, nor a second way to pass the same values
     from zkwander.cli import build_parser
     from zkwander.search import SearchConfig
     subcommands = next(a for a in build_parser()._actions
@@ -367,7 +387,7 @@ def test_search_options_are_the_config_fields():
     options = {s for a in subcommands.choices["search"]._actions
                for s in a.option_strings} - {"-h", "--help"}
     assert options == {f"--{field}" for field in SearchConfig.__slots__} | {
-        "--config", "--out"}
+        "--out"}
 
 
 def test_a_search_reduces_one_system(monkeypatch):

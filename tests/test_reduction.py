@@ -15,8 +15,8 @@ from zkwander.reduction import (b0_minimum, compute_C, objective_B0,
 from zkwander.reference_data import (D_SQ_UPPER, DET_N1_INTERVAL, E_INTERVALS,
                                      G_INTERVALS, H_UPPER, TABLE1_ROWS,
                                      TABLE2_ROWS, in_published_interval)
-from zkwander.scalars import INTERVAL, Radical, det3, strictly_less
-from zkwander.weights import dirichlet, exact_regime, weight
+from zkwander.scalars import INTERVAL, RATIONAL, Radical, det3, strictly_less
+from zkwander.weights import dirichlet, exact_regime, perturbed, weight
 
 INTEGER_ROWS = tuple(row for row in TABLE1_ROWS + TABLE2_ROWS
                      if row.alpha.denominator == 1)
@@ -44,6 +44,16 @@ def _close(x, ref, rel=1e-12):
 
 
 class TestReducedSystem:
+
+    @pytest.mark.parametrize("regime", [RATIONAL, INTERVAL])
+    def test_a_vanishing_e_is_degenerate(self, seq16, pattern6, regime):
+        # omega_(6s) = omega_(6s+2) at s = 1, 2, 3 makes columns 0 and 2
+        # of the weight block equal, so E_1 = 0 exactly
+        seq = perturbed(seq16, {6 * s: weight(seq16, 6 * s + 2)
+                                for s in (1, 2, 3)})
+        with pytest.raises(DegenerateReductionError,
+                           match=r"^E_1 vanishes; D undefined$"):
+            reduce_system(seq, pattern6, regime)
 
     def test_matrix_shapes_and_det_identity(self, seq16, pattern6, rs16):
         assert len(rs16.W) == 3

@@ -12,7 +12,7 @@ from zkwander.certify import check_certificate, verify
 from zkwander.errors import ModeUnsupportedError, SingularSystemError
 from zkwander.model import DegreePattern
 from zkwander.recovery import attach_register, recover
-from zkwander.reduction import reduce_system
+from zkwander.reduction import compute_C, reduce_system
 from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
 from zkwander.scalars import (INTERVAL, MAX_ALPHA_DENOMINATOR, RATIONAL,
                               REGIMES, Interval, Radical, agreement,
@@ -22,7 +22,8 @@ from zkwander.scalars import (INTERVAL, MAX_ALPHA_DENOMINATOR, RATIONAL,
                               power_interval, scalar_from_json,
                               scalar_to_json, sqrt, strictly_less, to_float,
                               to_regime, zero_evidence)
-from zkwander.weights import dirichlet
+from zkwander.search import confirm_value
+from zkwander.weights import dirichlet, perturbed
 
 rationals = st.fractions(min_value=-1000, max_value=1000,
                          max_denominator=10 ** 6)
@@ -558,6 +559,29 @@ class TestRadical:
     def test_decoder_refuses_unbounded_forms(self, obj):
         with pytest.raises(ValueError):
             scalar_from_json(obj)
+
+
+class TestOneFloatRule:
+    """Every entry point reads a float a caller passes as the decimal its
+    repr prints, through scalars.to_rational (the alpha = -6 row of Table 1
+    prints d_1 = 0.2)."""
+
+    @pytest.mark.parametrize("x", [0.2, 0.1, -4.999])
+    def test_a_float_is_the_decimal_it_prints(self, x):
+        q = Fraction(repr(x))
+        # d and an override weight must be positive
+        v, qv = abs(x), abs(q)
+        seq, pattern = dirichlet(-16), DegreePattern.default(6)
+        rs = reduce_system(seq, pattern)
+        assert dirichlet(x).alpha == q
+        assert compute_C(rs, (v, 13, 16000)).d == (1, qv, 13, 16000)
+        params = recover(rs, (v, 13, 16000), z3=Fraction("-2e13"))
+        assert params == recover(rs, (qv, 13, 16000), z3=Fraction("-2e13"))
+        assert (confirm_value(seq, pattern, (v, 13, 16000))
+                == confirm_value(seq, pattern, (qv, 13, 16000)))
+        assert perturbed(seq, {6: v}).overrides == ((6, qv),)
+        pair = attach_register(params, x, x).pair
+        assert (pair.a_reg, pair.b_reg) == (q, q)
 
 
 class TestHelpers:
