@@ -7,11 +7,10 @@ from .certify import (Certificate, check_certificate, cross_check,
 from .errors import (CertificateError, DegeneratePairError,
                      DegenerateReductionError, DegenerateZ3Error,
                      InvalidPatternError, ModeUnsupportedError,
-                     NoAdmissibleSystemError, NotOrthogonalError,
-                     RegisterTooLargeError, SingularSystemError,
-                     ZkwanderError)
+                     NoAdmissibleSystemError, RegisterTooLargeError,
+                     SingularSystemError, ZkwanderError)
 from .model import (AQuantities, DegreePattern, GeneratorPair, compute_A,
-                    construct_F3, inner_product, norm_sq)
+                    inner_product, norm_sq)
 from .recovery import (RecoveredParameters, attach_register, auto_register,
                        choose_A15, choose_Z3, max_register_estimate, recover)
 from .reduction import (CQuantities, ReducedSystem, b0_minimum, compute_C,
@@ -29,13 +28,13 @@ __all__ = [
     "DegeneratePairError", "DegenerateReductionError", "DegenerateZ3Error",
     "DegreePattern", "GeneratorPair", "INTERVAL", "Interval",
     "InvalidPatternError", "ModeUnsupportedError", "NoAdmissibleSystemError",
-    "NotOrthogonalError", "RATIONAL", "Radical", "RecoveredParameters",
-    "ReducedSystem", "RegisterTooLargeError", "SearchConfig", "SearchResult",
+    "RATIONAL", "Radical", "RecoveredParameters", "ReducedSystem",
+    "RegisterTooLargeError", "SearchConfig", "SearchResult",
     "SingularSystemError", "WeightSequence", "ZkwanderError",
     "attach_register", "auto_register", "b0_minimum", "check_certificate",
-    "choose_A15", "choose_Z3", "compute_A", "compute_C", "construct_F3",
-    "cross_check", "dirichlet", "inner_product",
-    "max_register_estimate", "minimize", "norm_sq",
+    "choose_A15", "choose_Z3", "compute_A", "compute_C", "cross_check",
+    "dirichlet", "inner_product", "max_register_estimate", "minimize",
+    "norm_sq",
     "objective_B0", "objective_B1", "objective_B2", "override_block",
     "perturbed", "recover", "reduce_system", "reproduce_table",
     "save_certificate", "split_e", "verify", "weight", "z1_star",

@@ -42,8 +42,6 @@ from .weights import (WeightSequence, exact_regime, weight, weights_from_dict,
                       weights_to_dict)
 
 SCHEMA = "zkwander-certificate/v2"
-# v1 files also carry an s_max sweep depth, which replay checks and ignores
-SCHEMA_V1 = "zkwander-certificate/v1"
 
 HIGHER_LEVELS = ("A_(s,1) and A_(s,5) for s >= 4 multiply a zero coefficient "
                  "in the membership recursion; they are not evaluated")
@@ -386,17 +384,12 @@ def _show(value) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
-# v1 fields whose layout v2 changed, and its checked but unused sweep depth
-_V1_UNCOMPARED = ("schema", "s_max", "A", "membership", "warnings",
-                  "support_lemma")
-
-
 def check_certificate(source) -> dict:
     """Re-derive a stored certificate from its own inputs.
 
-    Decodes and bounds the inputs (regime, k, gamma, weights, coefficients
-    and, in v1, s_max), re-runs the verifier in the recorded regime and
-    compares every other field with the replay's.  Returns a report dict
+    Decodes and bounds the inputs (regime, k, gamma, weights and
+    coefficients), re-runs the verifier in the recorded regime and compares
+    every other field with the replay's.  Returns a report dict
     whose mismatches name each differing field by the path of its first
     differing leaf; input it cannot replay raises CertificateError.
     """
@@ -410,19 +403,14 @@ def check_certificate(source) -> dict:
     else:
         data = source
     schema = data.get("schema") if isinstance(data, dict) else None
-    if schema not in (SCHEMA, SCHEMA_V1):
+    if schema != SCHEMA:
         raise CertificateError(f"unknown schema {schema!r}")
-    v1 = schema == SCHEMA_V1
     try:
         regime = data["regime"]
         check_regime(regime)
-        for value in (data["k"], *data["gamma"],
-                      *([data["s_max"]] if v1 else [])):
+        for value in (data["k"], *data["gamma"]):
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(
-                    f"k, gamma and s_max must be integers, got {value!r}")
-        if v1 and data["s_max"] < 3:
-            raise ValueError(f"s_max must be at least 3, got {data['s_max']}")
+                raise ValueError(f"k and gamma must be integers, got {value!r}")
         seq = weights_from_dict(data["weights"])
         pair = _pair_from_dict(data)
         stored_verdict = data["verdict"]
@@ -439,7 +427,7 @@ def check_certificate(source) -> dict:
     # an unchanged certificate is compared once, as a whole
     for path, stored, value in (() if data == fresh else
                                 _differences(data, fresh)):
-        if path[0] not in first and not (v1 and path[0] in _V1_UNCOMPARED):
+        if path[0] not in first:
             first[path[0]] = (f"{'.'.join(map(str, path))}: stored "
                               f"{_show(stored)}, recomputed {_show(value)}")
     return {"ok": not first, "mismatches": list(first.values()),

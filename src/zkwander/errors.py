@@ -39,10 +39,6 @@ class DegenerateZ3Error(ZkwanderError):
     """The chosen Z_3 makes C_1*Z_3 - C_3/2 vanish, so B_0 is undefined."""
 
 
-class NotOrthogonalError(ZkwanderError):
-    """Generator pair does not satisfy the required orthogonality relations."""
-
-
 class DegeneratePairError(ZkwanderError):
     """Generator pair is degenerate (Cauchy-Schwarz equality, zero norms...)."""
 

@@ -19,11 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict
 
-from .errors import (DegeneratePairError, InvalidPatternError,
-                     NotOrthogonalError)
+from .errors import DegeneratePairError, InvalidPatternError
 from .record import Record, store
-from .scalars import (RATIONAL, certainly_positive, check_regime,
-                      is_exact_zero, to_regime)
+from .scalars import RATIONAL, certainly_positive, is_exact_zero, to_regime
 from .weights import WeightSequence, weight
 
 CoefficientMap = Dict[int, object]
@@ -262,8 +260,12 @@ def _shift_multipliers(q1: AQuantities) -> tuple:
 
 
 def _f3_from_level1(pair: GeneratorPair, q1: AQuantities) -> CoefficientMap:
-    """F_3 = F_1 + z^k (c_2 F_2 + c_1 F_1) from a level-1 block whose
-    orthogonality relations hold."""
+    """Second spanning element of M (-) z^k M, as a coefficient map, from a
+    level-1 block whose orthogonality relations are proved zero:
+
+        F_3 = F_1 + z^k * A_15 / (A_12^2 - A_13 A_14)
+                        * (A_13 F_2 - A_12 F_1)
+    """
     c2, c1 = _shift_multipliers(q1)
     k = pair.pattern.k
     f1 = pair.f1_map()
@@ -272,22 +274,3 @@ def _f3_from_level1(pair: GeneratorPair, q1: AQuantities) -> CoefficientMap:
         for d, v in fmap.items():
             _map_add(out, d + k, c * v)
     return {d: v for d, v in sorted(out.items()) if not is_exact_zero(v)}
-
-
-def construct_F3(pair: GeneratorPair, seq: WeightSequence,
-                 regime: str = RATIONAL) -> CoefficientMap:
-    """Second spanning element of M (-) z^k M, as a coefficient map.
-
-        F_3 = F_1 + z^k * A_15 / (A_12^2 - A_13 A_14)
-                        * (A_13 F_2 - A_12 F_1)
-
-    Requires the engineered orthogonality relations, proved zero, and a
-    strict Cauchy-Schwarz gap A_12^2 < A_13 A_14.  An unknown regime,
-    "float" among them, raises ValueError before any weight is read.
-    """
-    check_regime(regime)
-    q1, relations = orthogonality_relations(pair, seq, regime)
-    for (s, n), value in relations:
-        if not is_exact_zero(value):
-            raise NotOrthogonalError(f"A_({s},{n}) = {value!r} is not zero")
-    return _f3_from_level1(pair, q1)

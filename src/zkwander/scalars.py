@@ -518,10 +518,12 @@ def to_float(x) -> float:
 
 
 def as_coefficient(v, regime: str):
-    """A coefficient as given by a caller, in the regime's arithmetic: the
-    rational regime reads an int or float as ``to_rational`` does and keeps a
-    Radical; the other regimes take it as it is."""
-    if regime == RATIONAL and not isinstance(v, Radical):
+    """A number as given by a caller, in the regime's arithmetic: a float
+    reads as ``to_rational``'s decimal in every regime, and the rational
+    regime reads an int that way too and keeps a Radical; anything else is
+    taken as it is."""
+    if isinstance(v, float) or (regime == RATIONAL
+                                and not isinstance(v, Radical)):
         return to_rational(v)
     return v
 
@@ -646,8 +648,8 @@ def scalar_from_json(obj):
         if "lo" in obj:
             return Interval(obj["lo"], obj["hi"])
         raise ValueError(f"unrecognized scalar object {obj!r}")
-    if isinstance(obj, (int, float)):
-        return float(obj)
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        return obj                  # a JSON integer stays exact
     raise ValueError(f"unrecognized scalar {obj!r}")
 
 

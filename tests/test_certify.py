@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from zkwander.certify import (Certificate, check_bounds, check_certificate,
                               json_text, save_certificate, verify)
 from zkwander.errors import CertificateError, ModeUnsupportedError
-from zkwander.model import DegreePattern, GeneratorPair, construct_F3
+from zkwander.model import AQuantities, DegreePattern, GeneratorPair
 from zkwander.recovery import attach_register, auto_register, recover
 from zkwander.reduction import reduce_system
 from zkwander.reference_data import TABLE2_ROWS
@@ -31,7 +31,8 @@ INTERVAL_CERTIFICATE = DATA / "interval_certificate_v2.json"
 # the headline pair in the float regime, as `pipeline --alpha -16 --d 1,4,6
 # --z3 -2e13 --regime float` wrote it when floats were still a regime
 FLOAT_CERTIFICATE = DATA / "float_certificate_v2.json"
-# the same certificate as schema v1 wrote it (with an s_max sweep depth)
+# the same certificate as schema v1 wrote it (with an s_max sweep depth),
+# which replay refuses: v1 compared fewer fields than v2
 HEADLINE_CERTIFICATE_V1 = DATA / "headline_certificate.json"
 HEADLINE_V1_SHA256 = (
     "5b086a957d14e8d31f76fe4bf8ef6d57d4b6cc86d15776b46fc38d0a9cc9aed3")
@@ -82,6 +83,26 @@ class TestVerify:
         assert cert.reasons == ["membership sweep found a nonzero projection"]
         assert cert.membership == {"holds": False,
                                    "first_failure": "<F2, z^12 F1> != 0"}
+
+    def test_a_degenerate_gap_fails_the_sweep(self, registered16, seq16,
+                                              monkeypatch):
+        # at Cauchy-Schwarz equality, A_13 A_14 = A_12^2, F_3 does not
+        # exist: the sweep refuses to build it and fails the certificate
+        import zkwander.certify
+        relations = zkwander.certify.orthogonality_relations
+
+        def equality(pair, seq, regime):
+            q1, cells = relations(pair, seq, regime)
+            a13 = q1.A2 * q1.A2 / q1.A4
+            return AQuantities(1, q1.A1, q1.A2, a13, q1.A4, q1.A5), cells
+        monkeypatch.setattr(zkwander.certify, "orthogonality_relations",
+                            equality)
+        cert = verify(registered16.pair, seq16)
+        assert cert.verdict == "fail"
+        error = ("A_13 A_14 - |A_12|^2 = Fraction(0, 1) is not certifiably "
+                 "positive")
+        assert cert.membership == {"holds": False, "error": error}
+        assert cert.reasons == ["membership sweep found a nonzero projection"]
 
     @pytest.mark.parametrize("pattern", [
         DegreePattern.default(6), DegreePattern.from_phi(6, 2, 34),
@@ -180,11 +201,10 @@ def _float_recovered_json() -> str:
 
 class TestFloatGate:
     """Floats locate a pair; they do not prove one.  They are no regime:
-    verify and construct_F3 refuse "float", as any unknown regime, before
-    they evaluate any weight."""
+    verify refuses "float", as any unknown regime, before it evaluates any
+    weight."""
 
-    @pytest.mark.parametrize("certify", [verify, construct_F3],
-                             ids=["verify", "construct_F3"])
+    @pytest.mark.parametrize("certify", [verify], ids=["verify"])
     def test_the_float_regime_is_refused(self, certify, registered16,
                                          monkeypatch):
         read = TestReadSet.spy_on_weight(monkeypatch)
@@ -245,6 +265,14 @@ class TestIntervalRegime:
         assert report["ok"]
         assert report["recomputed_verdict"] == "fail"
 
+    def test_boolean_coefficient_is_malformed(self):
+        data = json.loads(INTERVAL_CERTIFICATE.read_text())
+        assert data["coefficients"]["a_reg"] == 1
+        data["coefficients"]["a_reg"] = True
+        with pytest.raises(CertificateError, match="^malformed certificate: "
+                           "unrecognized scalar True$"):
+            check_certificate(data)
+
 
 class TestCertificateIO:
 
@@ -300,18 +328,23 @@ class TestCertificateIO:
         assert cert16.to_json().encode() == HEADLINE_CERTIFICATE.read_bytes()
         assert check_certificate(str(HEADLINE_CERTIFICATE))["ok"]
 
-    def test_v1_headline_still_replays(self, cert16):
+    def test_v1_headline_is_refused(self):
         raw = HEADLINE_CERTIFICATE_V1.read_bytes()
         assert hashlib.sha256(raw).hexdigest() == HEADLINE_V1_SHA256
-        data = json.loads(raw)
-        assert data["schema"] == "zkwander-certificate/v1"
-        report = check_certificate(str(HEADLINE_CERTIFICATE_V1))
+        assert json.loads(raw)["schema"] == "zkwander-certificate/v1"
+        with pytest.raises(CertificateError, match="^unknown schema "
+                           "'zkwander-certificate/v1'$"):
+            check_certificate(str(HEADLINE_CERTIFICATE_V1))
+
+    def test_integer_coefficients_replay(self, registered16, seq16):
+        # a JSON integer is an exact coefficient, which the rational regime
+        # can replay
+        cert = verify(registered16.pair.with_registers(1, 1), seq16)
+        data = json.loads(cert.to_json())
+        assert data["coefficients"]["a_reg"] == 1
+        report = check_certificate(data)
         assert report["ok"]
         assert report["recomputed_verdict"] == "pass"
-        # ok includes "contraction ratio differs" being absent: the replay
-        # recomputes the stored c exactly
-        assert Fraction(data["c"]) == cert16.c_value
-        assert data["c_float"] == C_FLAGSHIP
 
     def test_tampered_overlap_list_is_caught(self, cert16):
         data = json.loads(cert16.to_json())
@@ -349,15 +382,6 @@ def _set(key, value):
     return mutate
 
 
-def _on_v1(mutate):
-    """The mutation applied to the v1 headline file instead."""
-    def on_v1(data):
-        data.clear()
-        data.update(json.loads(HEADLINE_CERTIFICATE_V1.read_text()))
-        mutate(data)
-    return on_v1
-
-
 def _nest_weights(depth):
     def mutate(data):
         for _ in range(depth):
@@ -385,12 +409,6 @@ def _set_in(*path_and_value):
     _set("regime", "bogus"),
     _set("regime", "interval"),
     _set("regime", "float"),
-    _on_v1(_set("s_max", -1)),
-    _on_v1(_set("s_max", 0)),
-    _on_v1(_set("s_max", 2)),
-    _on_v1(_set("s_max", "3")),
-    _on_v1(_set("s_max", 3.0)),
-    _on_v1(_drop("s_max")),
     _set("k", "6"),
     _set("k", True),
     _set("k", 0),
@@ -417,9 +435,7 @@ def _set_in(*path_and_value):
     _nest_weights(2),
     _nest_weights(20),
     _nest_weights(3000),
-], ids=["no-verdict", "regime", "regime-interval",
-        "regime-float", "s_max-negative", "s_max-0",
-        "s_max-2", "s_max-str", "s_max-float", "v1-without-s_max",
+], ids=["no-verdict", "regime", "regime-interval", "regime-float",
         "k-str", "k-bool", "k-zero", "gamma-str",
         "coefficient-zero-denominator", "radical-zero-denominator",
         "alpha-zero-denominator", "root-infinite",
@@ -490,14 +506,6 @@ def test_deeply_nested_stored_output_is_a_mismatch():
     assert not report["ok"]
     assert report["mismatches"][0].startswith(
         "conditions.adjacent_zero.holds: stored nothing")
-
-
-def test_smallest_sweep_depth_still_replays():
-    data = json.loads(HEADLINE_CERTIFICATE_V1.read_text())
-    data["s_max"] = 3
-    report = check_certificate(data)
-    assert report["ok"]
-    assert report["recomputed_verdict"] == "pass"
 
 
 def _leaf_paths(node, path=()):

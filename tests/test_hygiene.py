@@ -1,12 +1,14 @@
 """Source hygiene: no package module imports a name it never uses, no
 private module-level name or library function is left that no module loads,
-no module builds a complex value or reads its parts, every memo is bounded,
-no module but scalars branches on the scalar regime, raises a number to
-the power alpha or reads text as a Fraction, no certifying module holds a
-tolerance, no module but search holds a small float literal, no module has
-json indent its output, the package imports exactly the third-party modules
-pyproject.toml lists, the search subcommand's options are the fields of
-SearchConfig and --out, and a search reduces one system."""
+every public function has a caller in the package or is a named reference
+oracle, no module builds a complex value or reads its parts, every memo is
+bounded, no module but scalars branches on the scalar regime, raises a
+number to the power alpha or reads text as a Fraction, no certifying module
+holds a tolerance, no module but search holds a small float literal, no
+module has json indent its output, the package imports exactly the
+third-party modules pyproject.toml lists, the search subcommand's options
+are the fields of SearchConfig and --out, and a search reduces one
+system."""
 
 import argparse
 import ast
@@ -112,6 +114,33 @@ def test_every_library_function_is_loaded_or_exported():
                and stmt.name not in loaded
                and stmt.name not in zkwander.__all__]
     assert orphans == []
+
+
+# public functions that no module calls, kept as reference oracles: the
+# tests check the library's answers against them
+REFERENCE_ORACLES = {
+    "cross_check": "the reduction's closed forms against the definition-level "
+                   "A block and B_0",
+    "a_factor_q_form": "a second closed form of a(k), checked identical to "
+                       "a_factor_exact",
+    "e_bracket_check": "the asymptotic bracket on E_i against the exact "
+                       "reduced system",
+    "check_five_k_readings": "which reading of the paper's 'k <= 18' "
+                             "sentence the five-k rule supports",
+    "in_published_interval": "exact containment in a published "
+                             "(center, half-width) value",
+}
+
+
+def test_every_public_function_is_called_or_a_reference_oracle():
+    # an export is no caller: a function only tests call is test surface
+    trees = _package_trees()
+    loaded = set().union(*(_loaded_names(tree) for path, tree in trees.items()
+                           if path.name != "__init__.py"))
+    uncalled = {stmt.name for tree in trees.values() for stmt in tree.body
+                if isinstance(stmt, ast.FunctionDef)
+                and not stmt.name.startswith("_") and stmt.name not in loaded}
+    assert uncalled == set(REFERENCE_ORACLES)
 
 
 def _complex_uses(tree: ast.Module) -> list:

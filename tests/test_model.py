@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zkwander.errors import (DegeneratePairError, InvalidPatternError,
-                             NotOrthogonalError)
-from zkwander.model import (DegreePattern, GeneratorPair, compute_A,
-                            construct_F3, inner_product, norm_sq)
+from zkwander.errors import InvalidPatternError
+from zkwander.model import (DegreePattern, GeneratorPair, _f3_from_level1,
+                            compute_A, inner_product, norm_sq)
 from zkwander.scalars import is_exact_zero
 from zkwander.weights import dirichlet, weight
 
@@ -82,8 +81,8 @@ class TestSupportLemma:
         pair = registered16.pair
         k = pair.pattern.k
         f1, f2 = set(pair.f1_map()), set(pair.f2_map())
-        assert set(construct_F3(pair, seq16)) <= f1 | {
-            d + k for d in f1 | f2}
+        f3 = _f3_from_level1(pair, compute_A(pair, seq16, 1))
+        assert set(f3) <= f1 | {d + k for d in f1 | f2}
 
 
 class TestInnerProduct:
@@ -178,30 +177,9 @@ class TestSpanningElements:
     def test_f3_is_orthogonal_to_the_shifted_generators(self, registered16,
                                                         seq16):
         pair = registered16.pair
-        f3 = construct_F3(pair, seq16)
+        f3 = _f3_from_level1(pair, compute_A(pair, seq16, 1))
         k = pair.pattern.k
         r1 = inner_product(f3, pair.f1_map(), seq16, shift_g=k)
         r2 = inner_product(f3, pair.f2_map(), seq16, shift_g=k)
         assert is_exact_zero(r1)
         assert is_exact_zero(r2)
-
-    def test_zero_norm_generator_is_degenerate(self):
-        pair = GeneratorPair(
-            DegreePattern.default(6),
-            a_low=(Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
-            a_high=(Fraction(0),) * 4,
-            b_low=(Fraction(0),) * 4,
-        )
-        with pytest.raises(DegeneratePairError):
-            construct_F3(pair, dirichlet(-2))
-
-    def test_unengineered_pair_is_rejected(self):
-        # F_1 = 1 + z^6 correlates with its own shift: A_(1,1) != 0
-        pair = GeneratorPair(
-            DegreePattern.default(6),
-            a_low=(Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
-            a_high=(Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
-            b_low=(Fraction(0), Fraction(1), Fraction(0), Fraction(0)),
-        )
-        with pytest.raises(NotOrthogonalError):
-            construct_F3(pair, dirichlet(-2))

@@ -583,6 +583,17 @@ class TestOneFloatRule:
         pair = attach_register(params, x, x).pair
         assert (pair.a_reg, pair.b_reg) == (q, q)
 
+    def test_the_interval_regime_reads_a_float_the_same_way(self):
+        # a float register, Z_3, Z_1 or A_15; the rational regime still
+        # refuses a float Z_3, Z_1 or A_15 (test_recovery.TestRegimeOfArguments)
+        rs = reduce_system(dirichlet(Fraction(-33, 2)),
+                           DegreePattern.default(6), INTERVAL)
+        params = recover(rs, (1, 4, 6), z3=-2e13)
+        assert type(params.z3) is Fraction and params.z3 == -2 * 10 ** 13
+        assert attach_register(params, 0.2, 0.2).pair.a_reg == Fraction(1, 5)
+        again = recover(rs, (1, 4, 6), z3=-2e13, z1=0.1, a15=0.2)
+        assert (again.z1, again.a15) == (Fraction(1, 10), Fraction(1, 5))
+
 
 class TestHelpers:
 
