@@ -258,7 +258,10 @@ def verify(pair: GeneratorPair, seq: WeightSequence,
         membership = _membership_sweep(pair, seq, regime, levels, q1)
         if not membership["holds"]:
             all_hold = False
-            reasons.append("membership sweep found a nonzero projection")
+            reasons.append(
+                ("membership sweep cannot build F_3: the Cauchy-Schwarz gap "
+                 + membership["error"]) if "error" in membership
+                else "membership sweep found a nonzero projection")
 
     return Certificate(verdict="pass" if all_hold else "fail", regime=regime,
                        pair=pair, seq=seq, conditions=conditions,

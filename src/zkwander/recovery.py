@@ -92,12 +92,13 @@ def recover(rs: ReducedSystem, d, z3=None, z1=None, a15=None) -> RecoveredParame
     Z_3 defaults to ``choose_Z3``; Z_1, in every regime, to the minimizer
     sqrt(e_0/e_1) rounded to 9 digits (any positive Z_1 keeps the relations,
     only the reported ratio moves); A_15 to the normalizing root.  A given
-    Z_3, Z_1 or A_15 is read by ``as_coefficient``, after the rational
-    regime has refused a float one.
+    Z_3, Z_1 or A_15 is read by ``as_coefficient``, an int as a Fraction
+    (so A_15 / Z_1 is exact), after the rational regime has refused a float.
     """
     regime = rs.regime
     refuse_foreign(regime, (z3, z1, a15))
-    z3, z1, a15 = (v if v is None else as_coefficient(v, regime)
+    z3, z1, a15 = (Fraction(v) if isinstance(v, int) else
+                   v if v is None else as_coefficient(v, regime)
                    for v in (z3, z1, a15))
     c = compute_C(rs, d)
     if z3 is None:

@@ -16,8 +16,8 @@ into five positive reals C_1..C_5 and the contraction objectives
 
 A value B_0 < 1 at admissible parameters is exactly the strict inequality
 the certificate needs.  ``c_values`` holds C_1..C_5 in any arithmetic, the
-search's doubles included, as one evaluator per system; ``compute_C`` wraps
-it in a regime.
+search's doubles included, as one evaluator per system (``c_grid`` over a
+grid); ``compute_C`` wraps it in a regime.
 
 Every scalar is real.  A complex Z_3 would reach nothing more: since
 C_1 (C_1 |Z_3|^2 - C_3 Re Z_3 + C_4) = |P|^2 + C_5 with P = C_1 Z_3 - C_3/2,
@@ -108,8 +108,8 @@ def _normalize_d(d) -> tuple:
 
 
 def c_values(w1, w2, H, D):
-    """at(d_0, .., d_3) -> (C_1, .., C_5) from rows 1 and 2 of the weight
-    block, H and D, in the arithmetic of its arguments.
+    """at(d_0, .., d_3) -> the CQuantities record at d, from rows 1 and 2
+    of the weight block, H and D, in the arithmetic of its arguments.
 
     The d-free parts (unpacked rows, H_i w2_i, D_i D_i) are formed once per
     system.  Each sum is plain left-to-right adds from 0, as ``sum`` does:
@@ -123,24 +123,44 @@ def c_values(w1, w2, H, D):
     D1, D2, D3 = D
     DD1, DD2, DD3 = D1 * D1, D2 * D2, D3 * D3
 
-    def at(d0, d1, d2, d3) -> tuple:
+    def at(d0, d1, d2, d3) -> CQuantities:
         c1 = 0 + d0 * w10 + d1 * w11 + d2 * w12 + d3 * w13
         c2 = w20 / d0 + hw1 / d1 + hw2 / d2 + hw3 / d3
         c3 = 2 * (0 + D1 * d1 * w11 + D2 * d2 * w12 + D3 * d3 * w13)
         c4 = 0 + DD1 * d1 * w11 + DD2 * d2 * w12 + DD3 * d3 * w13
-        return c1, c2, c3, c4, c1 * c4 - c3 * c3 / 4
+        return CQuantities((d0, d1, d2, d3), c1, c2, c3, c4,
+                           c1 * c4 - c3 * c3 / 4)
     return at
+
+
+def c_grid(w1, w2, H, D, values):
+    """``c_values(w1, w2, H, D)``'s records at (1.0, d_1, d_2, d_3) for
+    (d_1, d_2, d_3) in product(values, repeat=3), in that order and of the
+    same bits, in doubles: each axis's terms are formed once per system, and
+    each sum adds them in ``at``'s left-to-right order."""
+    axes = [[(d, d * w1[i], H[i - 1] * w2[i] / d, D[i - 1] * d * w1[i],
+              D[i - 1] * D[i - 1] * d * w1[i]) for d in values]
+            for i in (1, 2, 3)]
+    s1, s2 = 0 + 1.0 * w1[0], w2[0] / 1.0
+    for d1, a1, b1, e1, g1 in axes[0]:
+        t1, t2, t3, t4 = s1 + a1, s2 + b1, 0 + e1, 0 + g1
+        for d2, a2, b2, e2, g2 in axes[1]:
+            u1, u2, u3, u4 = t1 + a2, t2 + b2, t3 + e2, t4 + g2
+            for d3, a3, b3, e3, g3 in axes[2]:
+                c1, c3, c4 = u1 + a3, 2 * (u3 + e3), u4 + g3
+                yield CQuantities((1.0, d1, d2, d3), c1, u2 + b3, c3, c4,
+                                  c1 * c4 - c3 * c3 / 4)
 
 
 def compute_C(rs: ReducedSystem, d) -> CQuantities:
     """The five reduced constants at squared moduli d = (d_0, .., d_3)."""
     dd = tuple(to_regime(v, rs.regime) for v in _normalize_d(d))
-    c1, c2, c3, c4, c5 = c_values(rs.W[0], rs.W[1], rs.H, rs.D)(*dd)
-    for name, v in (("C1", c1), ("C2", c2), ("C4", c4), ("C5", c5)):
+    c = c_values(rs.W[0], rs.W[1], rs.H, rs.D)(*dd)
+    for name, v in zip(("C1", "C2", "C4", "C5"), (c.C1, c.C2, c.C4, c.C5)):
         if not certainly_positive(v):
             raise DegenerateReductionError(
                 f"{name} = {v!r} is not certifiably positive")
-    return CQuantities(d=dd, C1=c1, C2=c2, C3=c3, C4=c4, C5=c5)
+    return c
 
 
 def objective_B2(c: CQuantities):

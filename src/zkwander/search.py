@@ -2,8 +2,8 @@
 
 A search takes one system, fixed by alpha, k and phi as a row of the
 published tables is.  It is reduced once, in the regime that proves it
-(``exact_regime``), and searched in doubles of that reduction for speed
-through one evaluator, ``_evaluator`` on ``c_values``, which forms the
+(``exact_regime``), and searched in doubles of that reduction for speed,
+through ``c_grid`` on the grid and ``c_values`` after it, which form the
 system's d-free parts once; the search is a heuristic.  The point it finds
 is re-evaluated on the same reduced system before being reported, so the
 reported value and landing side are rigorous even though the path that
@@ -22,7 +22,7 @@ from .errors import (DegenerateReductionError, ModeUnsupportedError,
 from .model import DegreePattern
 from .record import Record, store
 from .recovery import _round_significant
-from .reduction import (CQuantities, ReducedSystem, c_values, compute_C,
+from .reduction import (ReducedSystem, c_grid, c_values, compute_C,
                         objective_B1, reduce_system)
 from .scalars import scalar_text, strictly_less, to_float
 from .weights import WeightSequence, dirichlet, exact_regime
@@ -118,18 +118,20 @@ def _evaluator(rs, objective):
 
     def f(d1, d2, d3) -> float:
         try:
-            c1, c2, c3, c4, c5 = at(1.0, d1, d2, d3)
+            c = at(1.0, d1, d2, d3)
         except ZeroDivisionError:
             return math.inf
-        if not (c1 > 0 and c2 > 0 and c4 > 0 and c5 > 0):
+        if not (c.C1 > 0 and c.C2 > 0 and c.C4 > 0 and c.C5 > 0):
             return math.inf
-        return float(objective(CQuantities((1.0, d1, d2, d3),
-                                           c1, c2, c3, c4, c5)))
+        return float(objective(c))
     return f
 
 
-def _scan(f):
-    values = [f(*p) for p in _GRID]
+def _scan(rs, objective):
+    """The first _GRID point of least f, its value and count, via c_grid."""
+    values = [float(objective(c))
+              if c.C1 > 0 and c.C2 > 0 and c.C4 > 0 and c.C5 > 0
+              else math.inf for c in c_grid(*rs, DEFAULT_D_GRID)]
     best_i = min(range(len(_GRID)), key=values.__getitem__)
     return _GRID[best_i], values[best_i], len(_GRID)
 
@@ -145,14 +147,32 @@ def _descend(f, seed, seed_value):
             improved = False
             for i in range(3):
                 for factor in (step, 1.0 / step):
-                    trial = d.copy()
-                    trial[i] *= factor
-                    v = f(*trial)
+                    old = d[i]
+                    d[i] = old * factor
+                    v = f(*d)
                     evals += 1
                     if v < best:
-                        best, d = v, trial
-                        improved = True
+                        best, improved = v, True
+                    else:
+                        d[i] = old
     return tuple(d), best, evals
+
+
+def _rank(vertex):
+    """A (value, point) vertex's place in the simplex: by value, NaN last."""
+    return vertex[0] != vertex[0], vertex[0]
+
+
+def _converged(simplex) -> bool:
+    """Each vertex within the tolerances of the best; never across a NaN."""
+    fbest, best = simplex[0]
+    for fx, x in simplex[1:]:
+        if not abs(fbest - fx) <= SIMPLEX_FATOL:
+            return False
+        for v, b in zip(x, best):
+            if not abs(v - b) <= SIMPLEX_XATOL:
+                return False
+    return True
 
 
 def _nelder_mead(f, x0):
@@ -169,70 +189,56 @@ def _nelder_mead(f, x0):
     best vertex and the number of evaluations.
     """
     n = len(x0)
-    nfev = 0
-
-    def evaluated(x):
-        nonlocal nfev
-        nfev += 1
-        return f(x), x
-
-    def rank(vertex):
-        return math.isnan(vertex[0]), vertex[0]
-
     starts = [list(x0)]
     for i in range(n):
         y = list(x0)
         y[i] = 1.05 * y[i] if y[i] != 0 else 0.00025
         starts.append(y)
-    simplex = sorted(map(evaluated, starts), key=rank)
+    simplex = sorted([(f(x), x) for x in starts], key=_rank)
+    nfev = n + 1
     for _ in range(SIMPLEX_MAXITER - 1):
-        (fbest, best), (fworst, worst) = simplex[0], simplex[-1]
-        if (all(abs(v - b) <= SIMPLEX_XATOL
-                for _, x in simplex[1:] for v, b in zip(x, best))
-                and all(abs(fbest - fx) <= SIMPLEX_FATOL
-                        for fx, _ in simplex[1:])):
+        if _converged(simplex):
             break
+        (fbest, best), (fworst, worst) = simplex[0], simplex[-1]
         # summed left to right, as the reference does; sum() compensates
         # on Python 3.12+
         xbar = [reduce(add, column) / n
-                for column in zip(*(x for _, x in simplex[:-1]))]
-
-        def toward(a):
-            """(1 + a) * centroid - a * worst, evaluated."""
-            return evaluated([(1 + a) * c - a * w
-                              for c, w in zip(xbar, worst)])
-
-        reflected = toward(1)
-        if reflected[0] < fbest:
-            expanded = toward(2)
-            simplex[-1] = expanded if expanded[0] < reflected[0] else reflected
-        elif reflected[0] < simplex[-2][0]:
-            simplex[-1] = reflected
+                for column in zip(*[x for _, x in simplex[:-1]])]
+        # a step by a takes the worst vertex w to (1 + a) xbar - a w
+        xr = [2 * c - 1 * w for c, w in zip(xbar, worst)]       # a = 1
+        fr = f(xr)
+        nfev += 1
+        if fr < fbest:
+            xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]   # a = 2
+            fe = f(xe)
+            nfev += 1
+            simplex[-1] = (fe, xe) if fe < fr else (fr, xr)
+        elif fr < simplex[-2][0]:
+            simplex[-1] = (fr, xr)
         else:
-            if reflected[0] < fworst:
-                contracted = toward(0.5)
-                accepted = contracted[0] <= reflected[0]
+            a = 0.5 if fr < fworst else -0.5    # outside, or inside
+            xc = [(1 + a) * c - a * w for c, w in zip(xbar, worst)]
+            fc = f(xc)
+            nfev += 1
+            if (fc <= fr if a > 0 else fc < fworst):
+                simplex[-1] = (fc, xc)
             else:
-                contracted = toward(-0.5)      # inside, toward the worst
-                accepted = contracted[0] < fworst
-            if accepted:
-                simplex[-1] = contracted
-            else:
-                simplex[1:] = [evaluated([b + 0.5 * (v - b)
-                                          for v, b in zip(x, best)])
-                               for _, x in simplex[1:]]
-        simplex.sort(key=rank)
+                shrunk = ([b + 0.5 * (v - b) for v, b in zip(x, best)]
+                          for _, x in simplex[1:])
+                simplex[1:] = [(f(x), x) for x in shrunk]
+                nfev += n
+        simplex.sort(key=_rank)
     return simplex[0][1], nfev
 
 
 def _log_objective(f):
     """f as a function of log10 d; +inf where 10^u overflows."""
     def g(logd):
+        u1, u2, u3 = logd
         try:
-            point = [10.0 ** u for u in logd]
+            return f(10.0 ** u1, 10.0 ** u2, 10.0 ** u3)
         except OverflowError:
             return math.inf
-        return f(*point)
     return g
 
 
@@ -293,16 +299,16 @@ def minimize(config: SearchConfig) -> SearchResult:
     try:
         system = reduce_system(seq, pattern,
                                exact_regime(seq, pattern.matrix_indices()))
-        f = _evaluator(_doubles(system), _OBJECTIVES["B1"])
+        rows, objective = _doubles(system), _OBJECTIVES["B1"]
     except (SingularSystemError, DegenerateReductionError) as exc:
         raise NoAdmissibleSystemError(
             f"the system is singular or degenerate: {exc}") from exc
     except ModeUnsupportedError as exc:
         raise NoAdmissibleSystemError(str(exc)) from exc
-    point, value, evals = _scan(f)
+    point, value, evals = _scan(rows, objective)
     if config.strategy != "grid":
         refine = _simplex if config.strategy == "simplex" else _descend
-        point, value, n = refine(f, point, value)
+        point, value, n = refine(_evaluator(rows, objective), point, value)
         evals += n
     if not math.isfinite(value):
         raise NoAdmissibleSystemError(

@@ -102,7 +102,8 @@ class TestVerify:
         error = ("A_13 A_14 - |A_12|^2 = Fraction(0, 1) is not certifiably "
                  "positive")
         assert cert.membership == {"holds": False, "error": error}
-        assert cert.reasons == ["membership sweep found a nonzero projection"]
+        assert cert.reasons == ["membership sweep cannot build F_3: the "
+                                "Cauchy-Schwarz gap " + error]
 
     @pytest.mark.parametrize("pattern", [
         DegreePattern.default(6), DegreePattern.from_phi(6, 2, 34),

@@ -5,10 +5,10 @@ oracle, no module builds a complex value or reads its parts, every memo is
 bounded, no module but scalars branches on the scalar regime, raises a
 number to the power alpha or reads text as a Fraction, no certifying module
 holds a tolerance, no module but search holds a small float literal, no
-module has json indent its output, the package imports exactly the
-third-party modules pyproject.toml lists, the search subcommand's options
-are the fields of SearchConfig and --out, and a search reduces one
-system."""
+module but reduction spells C_5, no module has json indent its output, the
+package imports exactly the third-party modules pyproject.toml lists, the
+search subcommand's options are the fields of SearchConfig and --out, and a
+search reduces one system."""
 
 import argparse
 import ast
@@ -332,6 +332,39 @@ def test_no_module_decides_by_a_small_float(path):
     # _confirm decides it in the proving regime
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _small_floats(tree) == []
+
+
+def _square(node) -> bool:
+    """x * x or x ** 2."""
+    return isinstance(node, ast.BinOp) and (
+        isinstance(node.op, ast.Mult)
+        and ast.dump(node.left) == ast.dump(node.right)
+        or isinstance(node.op, ast.Pow)
+        and isinstance(node.right, ast.Constant) and node.right.value == 2)
+
+
+def _c5_forms(tree: ast.Module) -> list:
+    """Lines of a product minus a square over 4, the shape of
+    C_5 = C_1 C_4 - C_3^2 / 4 however its operands are named."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.left, ast.BinOp)
+            and isinstance(node.left.op, ast.Mult)
+            and isinstance(node.right, ast.BinOp)
+            and isinstance(node.right.op, ast.Div)
+            and _square(node.right.left)
+            and isinstance(node.right.right, ast.Constant)
+            and node.right.right.value == 4]
+
+
+def test_only_reduction_spells_c5():
+    # one home for C_1..C_5: a search that inlines the sums spells C twice
+    assert _c5_forms(ast.parse("c1 * c4 - c3 * c3 / 4")) == [1]
+    assert _c5_forms(ast.parse("c.C1 * c.C4 - c.C3 ** 2 / 4")) == [1]
+    spelled = {path.stem: _c5_forms(tree)
+               for path, tree in _package_trees().items()}
+    assert spelled.pop("reduction")
+    assert {stem: lines for stem, lines in spelled.items() if lines} == {}
 
 
 def _indented_json_calls(tree: ast.Module) -> list:

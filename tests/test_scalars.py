@@ -594,6 +594,20 @@ class TestOneFloatRule:
         again = recover(rs, (1, 4, 6), z3=-2e13, z1=0.1, a15=0.2)
         assert (again.z1, again.a15) == (Fraction(1, 10), Fraction(1, 5))
 
+    def test_the_interval_regime_reads_an_int_exactly(self):
+        # A_15 / Z_1 of two ints is a rational, not a double taken as exact
+        rs = reduce_system(dirichlet(Fraction(-33, 2)),
+                           DegreePattern.default(6), INTERVAL)
+        ints = recover(rs, (1, 4, 6), z3=-2 * 10 ** 13, z1=3, a15=1)
+        exact = recover(rs, (1, 4, 6), z3=Fraction(-2 * 10 ** 13),
+                        z1=Fraction(3), a15=Fraction(1))
+        assert (ints.z3, ints.z1, ints.a15) == (exact.z3, exact.z1, exact.a15)
+        assert all(type(v) is Fraction for v in (ints.z3, ints.z1, ints.a15))
+        b = ints.pair.b_low[0]
+        assert (b.lo, b.hi) == (exact.pair.b_low[0].lo,
+                                exact.pair.b_low[0].hi) == (
+            -6666666666666.671, -6666666666666.662)
+
 
 class TestHelpers:
 

@@ -11,12 +11,13 @@ import pytest
 from zkwander.certify import verify
 from zkwander.errors import InvalidPatternError, NoAdmissibleSystemError
 from zkwander.recovery import attach_register, auto_register, recover
-from zkwander.reduction import c_values, objective_B1, reduce_system
+from zkwander.reduction import c_grid, c_values, objective_B1, reduce_system
 from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
-from zkwander.search import (DEFAULT_D_GRID, SIMPLEX_FATOL, SIMPLEX_MAXITER,
-                             SIMPLEX_XATOL, SearchConfig, _doubles,
-                             _evaluator, _log_objective, _nelder_mead, _scan,
-                             confirm_value, minimize, reproduce_table)
+from zkwander.search import (_GRID, DEFAULT_D_GRID, SIMPLEX_FATOL,
+                             SIMPLEX_MAXITER, SIMPLEX_XATOL, SearchConfig,
+                             _doubles, _evaluator, _log_objective,
+                             _nelder_mead, _scan, confirm_value, minimize,
+                             reproduce_table)
 from zkwander.model import DegreePattern
 from zkwander.scalars import INTERVAL, Interval, to_regime
 from zkwander.weights import dirichlet, exact_regime
@@ -240,6 +241,11 @@ def _reference_c_values(w1, w2, H, D, dd) -> tuple:
     return c1, c2, c3, c4, c1 * c4 - c3 * c3 / 4
 
 
+def _fields(c) -> tuple:
+    """C_1..C_5 of a CQuantities record."""
+    return c.C1, c.C2, c.C3, c.C4, c.C5
+
+
 def _exact_points(row, n=6) -> list:
     """The row's published (1, d1, d2, d3) and n seeded random rational d."""
     rng = random.Random(_row_id(row))
@@ -262,7 +268,7 @@ class TestCValues:
             at = c_values(*args)
             for d in _exact_points(row):
                 dd = tuple(to_regime(v, regime) for v in d)
-                got, ref = at(*dd), _reference_c_values(*args, dd)
+                got, ref = _fields(at(*dd)), _reference_c_values(*args, dd)
                 if regime == INTERVAL:
                     assert [(c.lo, c.hi) for c in got] == \
                         [(c.lo, c.hi) for c in ref]
@@ -282,8 +288,22 @@ class TestCValues:
                   + [tuple(10 ** rng.uniform(-3, 7) for _ in range(4))
                      for _ in range(20)])
         for dd in points:
-            assert [c.hex() for c in at(*dd)] == \
+            assert [c.hex() for c in _fields(at(*dd))] == \
                 [c.hex() for c in _reference_c_values(*rows, dd)]
+
+    @pytest.mark.parametrize("row", TABLE1_ROWS + TABLE2_ROWS, ids=_row_id)
+    def test_the_grid_form_gives_the_same_bits(self, row):
+        # every system explore searches near the row: alpha moved by each
+        # offset, the published row at 0
+        pattern = DegreePattern.from_phi(row.k, row.phi2, row.phi3)
+        for offset in (Fraction(-1, 2), Fraction(-1, 4), 0, Fraction(1, 4)):
+            rows = _system_in_doubles(row.alpha + offset, pattern)
+            at = c_values(*rows)
+            records = list(c_grid(*rows, DEFAULT_D_GRID))
+            assert [c.d for c in records] == [(1.0, *p) for p in _GRID]
+            for p, c in zip(_GRID, records):
+                assert [v.hex() for v in _fields(c)] == \
+                    [v.hex() for v in _fields(at(1.0, *p))]
 
 
 class TestFloatSystem:
@@ -307,6 +327,19 @@ class TestFloatSystem:
         assert f([-400.0, 0.0, 0.0]) == math.inf
         assert f([400.0, 0.0, 0.0]) == math.inf
         assert math.isfinite(f([0.0, 0.0, 0.0]))
+
+    def test_the_scan_calls_the_objective_once_per_grid_point(self):
+        # every point of the grid is admissible at alpha = -16, k = 6
+        calls = []
+
+        def counted(c):
+            calls.append(c.d)
+            return objective_B1(c)
+        rows = _system_in_doubles(-16, DegreePattern.default(6))
+        point, value, evals = _scan(rows, counted)
+        assert len(calls) == evals == 729
+        assert calls == [(1.0, *p) for p in _GRID]
+        assert value == _evaluator(rows, objective_B1)(*point)
 
 
 class TestTables:
@@ -354,9 +387,9 @@ class TestNelderMead:
     @pytest.mark.parametrize("row", TABLE1_ROWS + TABLE2_ROWS, ids=_row_id)
     def test_iterates_match_scipy_from_each_grid_seed(self, row):
         pattern = DegreePattern.from_phi(row.k, row.phi2, row.phi3)
-        f_d = _evaluator(_system_in_doubles(row.alpha, pattern), objective_B1)
-        seed, _, _ = _scan(f_d)
-        f = _log_objective(f_d)
+        rows = _system_in_doubles(row.alpha, pattern)
+        seed, _, _ = _scan(rows, objective_B1)
+        f = _log_objective(_evaluator(rows, objective_B1))
         x0 = [math.log10(v) for v in seed]
         assert _nelder_mead(f, x0) == _scipy_nelder_mead(f, x0)
 
