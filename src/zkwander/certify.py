@@ -411,9 +411,6 @@ def check_certificate(source) -> dict:
     try:
         regime = data["regime"]
         check_regime(regime)
-        for value in (data["k"], *data["gamma"]):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"k and gamma must be integers, got {value!r}")
         seq = weights_from_dict(data["weights"])
         pair = _pair_from_dict(data)
         stored_verdict = data["verdict"]

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import asymptotic
 from .certify import (check_bounds, check_certificate, json_text,
                       save_certificate, verify)
-from .errors import NoAdmissibleSystemError, ZkwanderError
+from .errors import DegeneratePairError, NoAdmissibleSystemError, ZkwanderError
 from .model import DegreePattern
 from .recovery import attach_register, auto_register, recover
 from .reduction import (b0_minimum, compute_C, objective_B0, objective_B1,
@@ -190,11 +190,11 @@ def cmd_pipeline(args) -> int:
     rs = reduce_system(seq, pattern, regime)
     try:
         params = recover(rs, d, z3=args.z3)
-    except NoAdmissibleSystemError as exc:
-        # no Z_3 rescues the point (choose_Z3): an honest negative
+        r = auto_register(params)
+    except (NoAdmissibleSystemError, DegeneratePairError) as exc:
+        # no Z_3 (choose_Z3) or no register fits the point: an honest negative
         print(exc, file=sys.stderr)
         return 2
-    r = auto_register(params)
     params = attach_register(params, r, r)
     cert = verify(params.pair, seq, regime)
     out = args.out or "certificate.json"

@@ -45,9 +45,13 @@ class DegreePattern(Record):
     __slots__ = ("k", "gamma")
 
     def __init__(self, k: int, gamma: tuple):
+        g = tuple(gamma)
+        for value in (k, *g):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidPatternError(
+                    f"k and gamma must be integers, got {value!r}")
         if k < 1:
             raise InvalidPatternError("k must be a positive integer")
-        g = tuple(int(x) for x in gamma)
         if len(g) != 6:
             raise InvalidPatternError("pattern needs exactly 6 degrees")
         if any(x < 0 for x in g):

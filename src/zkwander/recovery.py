@@ -27,8 +27,9 @@ from .model import AQuantities, GeneratorPair
 from .record import Record, store
 from .reduction import (CQuantities, ReducedSystem, compute_C, objective_B1,
                         pivot, pivot_modulus, z1_star, z3_quadratic)
-from .scalars import (as_coefficient, certainly_positive, refuse_foreign,
-                      sqrt, strictly_less, to_float, to_regime)
+from .scalars import (as_coefficient, certainly_positive, excludes_zero,
+                      refuse_foreign, sqrt, strictly_less, to_float,
+                      to_regime)
 
 
 class RecoveredParameters(Record):
@@ -92,13 +93,12 @@ def recover(rs: ReducedSystem, d, z3=None, z1=None, a15=None) -> RecoveredParame
     Z_3 defaults to ``choose_Z3``; Z_1, in every regime, to the minimizer
     sqrt(e_0/e_1) rounded to 9 digits (any positive Z_1 keeps the relations,
     only the reported ratio moves); A_15 to the normalizing root.  A given
-    Z_3, Z_1 or A_15 is read by ``as_coefficient``, an int as a Fraction
-    (so A_15 / Z_1 is exact), after the rational regime has refused a float.
+    value is read as ``attach_register`` reads a register, and A_15 must be
+    nonzero exactly or by an enclosure that excludes 0.
     """
     regime = rs.regime
     refuse_foreign(regime, (z3, z1, a15))
-    z3, z1, a15 = (Fraction(v) if isinstance(v, int) else
-                   v if v is None else as_coefficient(v, regime)
+    z3, z1, a15 = (v if v is None else as_coefficient(v)
                    for v in (z3, z1, a15))
     c = compute_C(rs, d)
     if z3 is None:
@@ -109,7 +109,7 @@ def recover(rs: ReducedSystem, d, z3=None, z1=None, a15=None) -> RecoveredParame
         raise ValueError("Z_1 must be positive")
     if a15 is None:
         a15 = choose_A15(rs, c, z3, z1)
-    if to_float(a15 * a15) == 0:
+    if not excludes_zero(a15):
         raise DegeneratePairError("A_15 must be nonzero")
 
     dd = c.d
@@ -171,8 +171,11 @@ def max_register_estimate(params: RecoveredParameters) -> float:
 
 
 def attach_register(params: RecoveredParameters, a_reg, b_reg) -> RecoveredParameters:
-    """Set the register coefficients and re-check the strict inequality."""
-    a_reg, b_reg = (as_coefficient(v, params.regime) for v in (a_reg, b_reg))
+    """Set the register coefficients and re-check the strict inequality.
+    ``refuse_foreign`` refuses what the regime cannot multiply (a float in
+    the rational regime); ``as_coefficient`` reads the rest."""
+    refuse_foreign(params.regime, (a_reg, b_reg))
+    a_reg, b_reg = as_coefficient(a_reg), as_coefficient(b_reg)
     gap, coupling = level1_block(params, a_reg, b_reg).contraction_sides()
     if not strictly_less(gap, abs(coupling)):
         est = max_register_estimate(params)

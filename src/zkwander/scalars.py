@@ -517,15 +517,13 @@ def to_float(x) -> float:
     return float(x)
 
 
-def as_coefficient(v, regime: str):
-    """A number as given by a caller, in the regime's arithmetic: a float
-    reads as ``to_rational``'s decimal in every regime, and the rational
-    regime reads an int that way too and keeps a Radical; anything else is
-    taken as it is."""
-    if isinstance(v, float) or (regime == RATIONAL
-                                and not isinstance(v, Radical)):
-        return to_rational(v)
-    return v
+def as_coefficient(v):
+    """A coefficient as a caller gives it: an Interval or a Radical as it
+    is, anything else through ``to_rational``.  ``refuse_foreign`` says
+    first which of these a regime refuses."""
+    if isinstance(v, (Interval, Radical)):
+        return v
+    return to_rational(v)
 
 
 def display(x) -> str:

@@ -43,14 +43,11 @@ def perturbed(base: WeightSequence, overrides: dict) -> WeightSequence:
     """base with the given weights; they win over base's own overrides."""
     items = {}
     for t, v in overrides.items():
-        t = int(t)
+        if isinstance(t, bool) or not isinstance(t, int) or t < 0:
+            raise ValueError(f"override index must be an int >= 0, got {t!r}")
         v = to_rational(v)
-        if t < 0:
-            raise ValueError("override index must be >= 0")
         if v <= 0:
             raise ValueError(f"override value at {t} must be positive")
-        if t in items:
-            raise ValueError("duplicate override index")
         items[t] = v
     merged = {**dict(base.overrides), **items}
     return WeightSequence(base.alpha, tuple(sorted(merged.items())))

@@ -268,11 +268,31 @@ class TestIntervalRegime:
 
     def test_boolean_coefficient_is_malformed(self):
         data = json.loads(INTERVAL_CERTIFICATE.read_text())
-        assert data["coefficients"]["a_reg"] == 1
+        assert data["coefficients"]["a_reg"] == "1"
         data["coefficients"]["a_reg"] = True
         with pytest.raises(CertificateError, match="^malformed certificate: "
                            "unrecognized scalar True$"):
             check_certificate(data)
+
+    def test_registers_stored_as_json_integers_still_replay(self):
+        # as files written before an int register was read as a Fraction
+        data = json.loads(INTERVAL_CERTIFICATE.read_text())
+        data["coefficients"]["a_reg"] = data["coefficients"]["b_reg"] = 1
+        report = check_certificate(data)
+        assert report["ok"] and report["recomputed_verdict"] == "fail"
+
+
+@pytest.mark.parametrize("alpha,regime", [(-16, "rational"),
+                                          (Fraction(-33, 2), INTERVAL)],
+                         ids=["rational", "interval"])
+def test_one_register_value_certifies_to_one_byte_string(z3_main, alpha,
+                                                        regime):
+    seq = dirichlet(alpha)
+    params = recover(reduce_system(seq, DegreePattern.default(6), regime),
+                     (1, 4, 6), z3=z3_main)
+    texts = {verify(attach_register(params, r, r).pair, seq, regime).to_json()
+             for r in (1, Fraction(1), "1")}
+    assert len(texts) == 1
 
 
 class TestCertificateIO:
@@ -454,6 +474,15 @@ def test_malformed_field_is_a_certificate_error(cert16, mutate):
     data = json.loads(cert16.to_json())
     mutate(data)
     with pytest.raises(CertificateError):
+        check_certificate(data)
+
+
+def test_a_float_k_is_refused_by_the_pattern(cert16):
+    # DegreePattern's refusal, as the replay reports it
+    data = json.loads(cert16.to_json())
+    data["k"] = 6.5
+    with pytest.raises(CertificateError, match="^malformed certificate: k "
+                       "and gamma must be integers, got 6.5$"):
         check_certificate(data)
 
 

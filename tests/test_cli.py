@@ -585,6 +585,16 @@ class TestPipeline:
         assert err == "B_1 = 129.696 >= 1; no Z_3 can rescue this point\n"
         assert not cert.exists()
 
+    def test_a_point_no_register_fits_is_an_honest_negative(self, capsys,
+                                                            tmp_path):
+        # min B0 = 14.66 there: the inequality is tight before any register
+        cert = tmp_path / "cert.json"
+        code, out, err = run(capsys, "pipeline", "--alpha", "-16", "--d",
+                             "1,4,6", "--z3", "1e13", "--out", str(cert))
+        assert (code, out) == (2, "")
+        assert err == "no admissible register: inequality already tight\n"
+        assert not cert.exists()
+
     def test_hopeless_alpha_reports_honestly(self, capsys, tmp_path):
         code, _, err = run(capsys, "pipeline", "--alpha", "-1/2",
                            "--out", str(tmp_path / "cert.json"))

@@ -4,11 +4,11 @@ every public function has a caller in the package or is a named reference
 oracle, no module builds a complex value or reads its parts, every memo is
 bounded, no module but scalars branches on the scalar regime, raises a
 number to the power alpha or reads text as a Fraction, no certifying module
-holds a tolerance, no module but search holds a small float literal, no
-module but reduction spells C_5, no module has json indent its output, the
-package imports exactly the third-party modules pyproject.toml lists, the
-search subcommand's options are the fields of SearchConfig and --out, and a
-search reduces one system."""
+holds a tolerance or tests a double for zero, no module but search holds a
+small float literal, no module but reduction spells C_5, no module has json
+indent its output, the package imports exactly the third-party modules
+pyproject.toml lists, the search subcommand's options are the fields of
+SearchConfig and --out, and a search reduces one system."""
 
 import argparse
 import ast
@@ -312,6 +312,42 @@ def test_certifying_modules_hold_no_tolerance(module):
     path = PACKAGE / f"{module}.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _tolerances(tree) == []
+
+
+def _is_double(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("to_float", "float"))
+
+
+def _is_zero(node) -> bool:
+    return (isinstance(node, ast.Constant)
+            and type(node.value) in (int, float) and node.value == 0)
+
+
+def _doubles_tested_for_zero(tree: ast.Module) -> list:
+    """Comparisons of a to_float(...) or float(...) call with 0 by == or
+    !=, in either order."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        sides = [node.left, *node.comparators]
+        found += [f"line {node.lineno}"
+                  for op, a, b in zip(node.ops, sides, sides[1:])
+                  if isinstance(op, (ast.Eq, ast.NotEq))
+                  and (_is_double(a) and _is_zero(b)
+                       or _is_zero(a) and _is_double(b))]
+    return found
+
+
+@pytest.mark.parametrize("module", ["certify", "model", "recovery",
+                                    "reduction"])
+def test_no_certifying_module_tests_a_double_for_zero(module):
+    # a zero is exact or an enclosure: a nonzero value can round to the
+    # double 0 (an A_15 of 10^-200 squares to 0.0)
+    path = PACKAGE / f"{module}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _doubles_tested_for_zero(tree) == []
 
 
 def _small_floats(tree: ast.Module) -> list:

@@ -38,6 +38,18 @@ class TestDegreePattern:
         with pytest.raises(InvalidPatternError):
             DegreePattern(6, (0, 1, 2, 3, 4, -5))
 
+    @pytest.mark.parametrize("k,gamma,bad", [
+        (6.5, (0, 1, 2, 3, 4, 5), "6.5"),
+        (6, (0, 1.7, 2, 3, 4, 5), "1.7"),
+        (True, (0, 1, 2, 3, 4, 5), "True"),
+        (6, (0, 1, 2, 3, 4, True), "True"),
+    ], ids=["k-float", "degree-float", "k-bool", "degree-bool"])
+    def test_integers_required(self, k, gamma, bad):
+        # never truncated: 1.7 is not the degree 1
+        with pytest.raises(InvalidPatternError, match="^k and gamma must be "
+                           f"integers, got {bad}$"):
+            DegreePattern(k, gamma)
+
 
 def _brute_force_overlaps(k, gamma):
     """Shifted supports intersected degree by degree, to the depth of the

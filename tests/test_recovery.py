@@ -13,7 +13,7 @@ from zkwander.recovery import (attach_register, auto_register, choose_Z3,
                                level1_block, max_register_estimate, recover)
 from zkwander.reduction import reduce_system
 from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
-from zkwander.scalars import INTERVAL, is_exact_zero
+from zkwander.scalars import INTERVAL, Interval, is_exact_zero
 from zkwander.weights import dirichlet, override_block
 
 # the interval-regime systems: the non-integer published rows and -33/2
@@ -123,6 +123,14 @@ class TestRegisters:
             attach_register(params16, too_big, too_big)
         assert exc.value.max_register == pytest.approx(est)
 
+    def test_a_tight_inequality_admits_no_register(self, rs16):
+        # at Z_3 = 10^13 the unregistered inequality leaves no slack
+        params = recover(rs16, (1, 4, 6), z3=Fraction(10 ** 13))
+        assert max_register_estimate(params) == 0.0
+        with pytest.raises(DegeneratePairError, match="^no admissible "
+                           "register: inequality already tight$"):
+            auto_register(params)
+
     def test_estimate_is_sharp(self, params16):
         """Magnitudes just inside the estimate pass, just outside fail."""
         est = max_register_estimate(params16)
@@ -162,12 +170,28 @@ class TestOverrideCorollary:
 class TestRegimeOfArguments:
 
     @pytest.mark.parametrize("kwargs", [{"z3": -2e13}, {"z1": 5.0},
-                                        {"a15": 2.0}], ids=["z3", "z1", "a15"])
+                                        {"a15": 2.0}, {"a_reg": 1.0},
+                                        {"b_reg": 1.0}],
+                             ids=["z3", "z1", "a15", "a_reg", "b_reg"])
     def test_float_argument_in_rational_regime(self, rs16, z3_main, kwargs):
+        # a register is refused as Z_3, Z_1 and A_15 are
+        args = {"z3": z3_main, **kwargs}
+        registers = args.pop("a_reg", 1), args.pop("b_reg", 1)
         with pytest.raises(ModeUnsupportedError,
                            match=r"rational regime needs exact coefficients "
                                  r"\(got float\)"):
-            recover(rs16, (1, 4, 6), **{"z3": z3_main, **kwargs})
+            attach_register(recover(rs16, (1, 4, 6), **args), *registers)
+
+    def test_a_tiny_exact_a15_is_nonzero(self, rs16, z3_main):
+        # A_15^2 = 10^-400 underflows a double; exactly it is not 0
+        a15 = Fraction(1, 10 ** 200)
+        assert recover(rs16, (1, 4, 6), z3=z3_main, a15=a15).a15 == a15
+
+    def test_an_a15_enclosure_that_holds_0_is_refused(self, z3_main):
+        rs = reduce_system(dirichlet(Fraction(-33, 2)),
+                           DegreePattern.default(6), INTERVAL)
+        with pytest.raises(DegeneratePairError, match="^A_15 must be nonzero$"):
+            recover(rs, (1, 4, 6), z3=z3_main, a15=Interval(-1.0, 2.0))
 
 
 class TestDefaults:

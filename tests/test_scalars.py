@@ -562,9 +562,10 @@ class TestRadical:
 
 
 class TestOneFloatRule:
-    """Every entry point reads a float a caller passes as the decimal its
+    """Every entry point that takes a float reads it as the decimal its
     repr prints, through scalars.to_rational (the alpha = -6 row of Table 1
-    prints d_1 = 0.2)."""
+    prints d_1 = 0.2); the rational regime takes no float coefficient
+    (test_recovery.TestRegimeOfArguments)."""
 
     @pytest.mark.parametrize("x", [0.2, 0.1, -4.999])
     def test_a_float_is_the_decimal_it_prints(self, x):
@@ -580,12 +581,9 @@ class TestOneFloatRule:
         assert (confirm_value(seq, pattern, (v, 13, 16000))
                 == confirm_value(seq, pattern, (qv, 13, 16000)))
         assert perturbed(seq, {6: v}).overrides == ((6, qv),)
-        pair = attach_register(params, x, x).pair
-        assert (pair.a_reg, pair.b_reg) == (q, q)
 
     def test_the_interval_regime_reads_a_float_the_same_way(self):
-        # a float register, Z_3, Z_1 or A_15; the rational regime still
-        # refuses a float Z_3, Z_1 or A_15 (test_recovery.TestRegimeOfArguments)
+        # a float register, Z_3, Z_1 or A_15
         rs = reduce_system(dirichlet(Fraction(-33, 2)),
                            DegreePattern.default(6), INTERVAL)
         params = recover(rs, (1, 4, 6), z3=-2e13)

@@ -102,6 +102,16 @@ class TestMinimize:
         nm = minimize(SearchConfig(alpha=-16, strategy="simplex"))
         assert nm.value <= plain.value
 
+    def test_simplex_keeps_a_better_grid_seed(self, monkeypatch):
+        import zkwander.search
+        plain = minimize(SearchConfig(alpha=-16, strategy="grid"))
+        # a Nelder-Mead that walks away from its seed, in 5 evaluations
+        monkeypatch.setattr(zkwander.search, "_nelder_mead",
+                            lambda f, x0: ([u + 3 for u in x0], 5))
+        nm = minimize(SearchConfig(alpha=-16, strategy="simplex"))
+        assert (nm.d, nm.value) == (plain.d, plain.value)
+        assert nm.evaluations == plain.evaluations + 6
+
     def test_found_point_supports_a_full_certificate(self, best16, seq16,
                                                      pattern6):
         rs = reduce_system(seq16, pattern6)

@@ -133,6 +133,13 @@ class TestPerturbedAndCustom:
         with pytest.raises(ValueError):
             perturbed(dirichlet(0), {3: Fraction(1), "3": Fraction(2)})
 
+    @pytest.mark.parametrize("index", [6.9, True], ids=["float", "bool"])
+    def test_override_index_must_be_an_int(self, index):
+        # never truncated: 6.9 is not the index 6
+        with pytest.raises(ValueError, match="^override index must be an "
+                           f"int >= 0, got {index}$"):
+            perturbed(dirichlet(0), {index: 2})
+
     def test_later_overrides_win(self):
         seq = perturbed(perturbed(dirichlet(-2), {1: 3, 2: 5}), {2: 7})
         assert seq.overrides == ((1, 3), (2, 7))
