@@ -68,6 +68,10 @@ class DegreePattern(Record):
 
     @classmethod
     def from_phi(cls, k: int, phi2: int = 0, phi3: int = 0) -> "DegreePattern":
+        for name, phi in (("phi2", phi2), ("phi3", phi3)):
+            if isinstance(phi, bool) or not isinstance(phi, int):
+                raise InvalidPatternError(
+                    f"{name} must be an integer, got {phi!r}")
         if min(phi2, phi3) < 0:
             raise InvalidPatternError("phi multipliers must be >= 0")
         return cls(k, (0, 1, phi2 * k + 2, phi3 * k + 3, 4, 5))

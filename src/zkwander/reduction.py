@@ -28,12 +28,14 @@ gives the same values.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DegenerateReductionError, DegenerateZ3Error
 from .model import DegreePattern
 from .record import Record, store
-from .scalars import (RATIONAL, certainly_positive, cramer_solve3,
-                      excludes_zero, sqrt, to_rational, to_regime)
+from .scalars import (RATIONAL, certainly_positive, check_regime,
+                      cramer_solve3, excludes_zero, sqrt, to_rational,
+                      to_regime)
 from .weights import WeightSequence, weight
 
 
@@ -70,7 +72,20 @@ def reduce_system(seq: WeightSequence, pattern: DegreePattern,
     """det N_1, E, G, H and D of the weight block in the regime; raises
     SingularSystemError when N_1 is (not certifiably non-) singular, e.g.
     for the Hardy and Dirichlet weights where t -> w_t is affine, and
-    DegenerateReductionError when an E_i is."""
+    DegenerateReductionError when an E_i is.  The latest reduction is kept,
+    keyed on integers (hashing a Fraction costs a modular inverse), for a
+    search's confirm_value and pipeline's recover; a refusal is not."""
+    check_regime(regime)
+    return _reduce(seq.alpha.numerator, seq.alpha.denominator, tuple(
+        (t, v.numerator, v.denominator) for t, v in seq.overrides),
+        pattern.k, pattern.gamma, regime)
+
+
+@lru_cache(maxsize=1)
+def _reduce(num, den, overrides, k, gamma, regime) -> ReducedSystem:
+    seq = WeightSequence(Fraction(num, den),
+                         tuple((t, Fraction(n, d)) for t, n, d in overrides))
+    pattern = DegreePattern(k, gamma)
     w = weight_block(seq, pattern, regime)
     one, zero = to_regime(Fraction(1), regime), to_regime(Fraction(0), regime)
     det, e, gg = cramer_solve3([row[1:] for row in w],

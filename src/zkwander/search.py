@@ -270,7 +270,8 @@ def _confirm(rs: ReducedSystem, d3) -> tuple:
 
 def confirm_value(seq: WeightSequence, pattern: DegreePattern, d3):
     """Re-evaluate B_1 rigorously at the point d3, read exactly as
-    ``compute_C`` reads it (a float as the decimal its repr prints).
+    ``compute_C`` reads it (a float as the decimal its repr prints), on
+    the reduction a search of the same system just made, if any.
 
     Returns (value_float, value_repr, regime, landing_side), the regime
     being ``exact_regime`` of the matrix weights. The side is "below" or

@@ -4,6 +4,15 @@ import pytest
 
 from zkwander import (DegreePattern, attach_register, compute_C, dirichlet,
                       recover, reduce_system, verify)
+from zkwander.reduction import _reduce
+
+
+@pytest.fixture(autouse=True)
+def cold_reduction():
+    """Each test starts with reduce_system's memo empty, so a test that
+    counts weights, determinants or solves sees a whole reduction."""
+    _reduce.cache_clear()
+
 
 # The headline configuration: alpha = -16, k = 6, consecutive degrees,
 # free point d = (1, 1, 4, 6), Z_3 = -2e13.

@@ -1,12 +1,12 @@
-"""Source hygiene: no package module imports a name it never uses, no
-private module-level name or library function is left that no module loads,
-every public function has a caller in the package or is a named reference
-oracle, no module builds a complex value or reads its parts, every memo is
-bounded, no module but scalars branches on the scalar regime, raises a
-number to the power alpha or reads text as a Fraction, no certifying module
-holds a tolerance or tests a double for zero, no module but search holds a
-small float literal, no module but reduction spells C_5, no module has json
-indent its output, the package imports exactly the third-party modules
+"""Source hygiene: no package module imports a name it never uses, no private
+module-level name or library function is left that no module loads, every
+public function has a caller in the package or is a named reference oracle,
+no module builds a complex value or reads its parts, every memo has an int
+bound, no module but scalars branches on the scalar regime, raises a number
+to the power alpha or reads text as a Fraction, no certifying module holds a
+tolerance or tests a double for zero, no module but search holds a small
+float literal, no module but reduction spells C_5, no module has json indent
+its output, the package imports exactly the third-party modules
 pyproject.toml lists, the search subcommand's options are the fields of
 SearchConfig and --out, and a search reduces one system."""
 
@@ -164,26 +164,42 @@ def test_every_scalar_is_real(path):
 
 
 def _unbounded_memos(tree: ast.Module) -> list:
-    """functools.cache, and lru_cache calls whose maxsize is not a finite
-    constant (a bare @lru_cache keeps its default of 128)."""
-    found = []
+    """Every functools.cache, and every lru_cache not called with an int
+    maxsize (a bare @lru_cache hides its default of 128), under whatever
+    name an import binds it to."""
+    modules, names = {"functools"}, {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "functools":
-            found += [f"functools.cache imported (line {node.lineno})"
-                      for alias in node.names if alias.name == "cache"]
-        elif (isinstance(node, ast.Attribute) and node.attr == "cache"
-              and getattr(node.value, "id", None) == "functools"):
-            found.append(f"functools.cache (line {node.lineno})")
-        elif (isinstance(node, ast.Call)
-              and getattr(node.func, "id", getattr(node.func, "attr", None))
-              == "lru_cache"):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names
+                        if a.name == "functools"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update((a.asname or a.name, a.name) for a in node.names)
+
+    def memo(node):
+        if isinstance(node, ast.Name):
+            name = names.get(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(
+                node.value, ast.Name) and node.value.id in modules:
+            name = node.attr
+        else:
+            return None
+        return name if name in ("cache", "lru_cache") else None
+
+    sized = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and memo(node.func) == "lru_cache":
             sizes = node.args[:1] + [k.value for k in node.keywords
                                      if k.arg == "maxsize"]
-            if not (len(sizes) == 1 and isinstance(sizes[0], ast.Constant)
-                    and isinstance(sizes[0].value, int)):
-                found.append(f"lru_cache without a finite maxsize "
-                             f"(line {node.lineno})")
-    return found
+            if (len(sizes) == 1 and isinstance(sizes[0], ast.Constant)
+                    and type(sizes[0].value) is int):
+                sized.add(node.func)
+    found = [f"functools.cache imported (line {node.lineno})"
+             for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and node.module == "functools"
+             for a in node.names if a.name == "cache"]
+    return found + [f"functools.{memo(node)} without an int maxsize "
+                    f"(line {node.lineno})" for node in ast.walk(tree)
+                    if memo(node) and node not in sized]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
@@ -191,6 +207,28 @@ def test_every_memo_is_bounded(path):
     # untrusted input cannot make a memo hold an unbounded set of entries
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unbounded_memos(tree) == []
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("from functools import lru_cache\n@lru_cache(maxsize=1)\ndef f(): 0", 0),
+    ("import functools\n@functools.lru_cache(4096)\ndef f(): 0", 0),
+    ("from functools import lru_cache\n@lru_cache(maxsize=None)\n"
+     "def f(): 0", 1),
+    ("from functools import lru_cache\n@lru_cache\ndef f(): 0", 1),
+    ("from functools import lru_cache\n@lru_cache(typed=True)\n"
+     "def f(): 0", 1),
+    ("from functools import lru_cache\n@lru_cache(maxsize=True)\n"
+     "def f(): 0", 1),
+    ("from functools import lru_cache as memo\n@memo(None)\ndef f(): 0", 1),
+    ("import functools as ft\n@ft.lru_cache(maxsize=None)\ndef f(): 0", 1),
+    ("import functools\n@functools.cache\ndef f(): 0", 1),
+    ("from functools import cache\n@cache\ndef f(): 0", 2),
+    ("cache = {}\ndef lru_cache(f): return f\n@lru_cache\ndef f(): 0", 0),
+], ids=["maxsize-1", "positional-4096", "maxsize-None", "bare", "no-maxsize",
+        "bool-maxsize", "aliased-name", "aliased-module", "functools.cache",
+        "imported-cache", "not-functools"])
+def test_the_memo_check_sees_every_unbounded_form(source, flagged):
+    assert len(_unbounded_memos(ast.parse(source))) == flagged
 
 
 REGIME_TAGS = {"RATIONAL", "INTERVAL", "FLOAT"}

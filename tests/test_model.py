@@ -26,6 +26,15 @@ class TestDegreePattern:
         with pytest.raises(InvalidPatternError):
             DegreePattern.from_phi(6, phi2=-1)
 
+    @pytest.mark.parametrize("name", ["phi2", "phi3"])
+    @pytest.mark.parametrize("bad", [True, 1.5], ids=["bool", "float"])
+    def test_from_phi_names_a_non_integer_multiplier(self, name, bad):
+        # True is not the multiplier 1, and 1.5 is refused by its own name,
+        # not by the degree 1.5 k + 2 it would form
+        with pytest.raises(InvalidPatternError,
+                           match=f"^{name} must be an integer, got {bad}$"):
+            DegreePattern.from_phi(6, **{name: bad})
+
     def test_distinct_mod_k_required(self):
         with pytest.raises(InvalidPatternError):
             DegreePattern(6, (0, 1, 2, 3, 4, 10))

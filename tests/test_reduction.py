@@ -6,17 +6,20 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from zkwander.certify import verify
 from zkwander.errors import (DegenerateReductionError, DegenerateZ3Error,
                              SingularSystemError)
 from zkwander.model import DegreePattern
-from zkwander.reduction import (b0_minimum, compute_C, objective_B0,
+from zkwander.recovery import attach_register, recover
+from zkwander.reduction import (_reduce, b0_minimum, compute_C, objective_B0,
                                 objective_B1, objective_B2, pivot_modulus,
                                 reduce_system, split_e, z1_star)
 from zkwander.reference_data import (D_SQ_UPPER, DET_N1_INTERVAL, E_INTERVALS,
                                      G_INTERVALS, H_UPPER, TABLE1_ROWS,
                                      TABLE2_ROWS, in_published_interval)
 from zkwander.scalars import INTERVAL, RATIONAL, Radical, det3, strictly_less
-from zkwander.weights import dirichlet, exact_regime, perturbed, weight
+from zkwander.weights import (WeightSequence, dirichlet, exact_regime,
+                              perturbed, weight)
 
 INTEGER_ROWS = tuple(row for row in TABLE1_ROWS + TABLE2_ROWS
                      if row.alpha.denominator == 1)
@@ -146,6 +149,74 @@ class TestReducedSystem:
         for i in range(3):
             e = ivs.E[i]
             assert Fraction(e.lo) <= rs16.E[i] <= Fraction(e.hi)
+
+
+def _certificate_json(seq, regime, d, z3=None) -> str:
+    """reduce -> recover -> attach_register(1, 1) -> verify -> to_json."""
+    rs = reduce_system(seq, DegreePattern.default(6), regime)
+    params = attach_register(recover(rs, d, z3=z3), 1, 1)
+    return verify(params.pair, seq, regime).to_json()
+
+
+class TestMemo:
+    """reduce_system keeps its latest reduction (conftest empties the memo
+    before each test)."""
+
+    @pytest.mark.parametrize("regime", [RATIONAL, INTERVAL])
+    def test_a_warm_reduction_equals_a_cold_one(self, seq16, pattern6,
+                                                regime):
+        first = reduce_system(seq16, pattern6, regime)
+        assert reduce_system(seq16, pattern6, regime) is first
+        _reduce.cache_clear()
+        cold = reduce_system(seq16, pattern6, regime)
+        assert cold is not first and cold == first
+
+    @pytest.mark.parametrize("seq, regime, d, z3", [
+        (dirichlet(-16), RATIONAL, (1, 4, 6), Fraction(-2) * 10 ** 13),
+        (dirichlet(Fraction(-33, 2)), INTERVAL, (1, 1, 4, 6), None),
+    ], ids=["headline", "alpha-33/2"])
+    def test_a_warm_certificate_has_the_cold_bytes(self, seq, regime, d, z3):
+        cold = _certificate_json(seq, regime, d, z3)
+        hits = _reduce.cache_info().hits
+        assert _certificate_json(seq, regime, d, z3) == cold
+        assert _reduce.cache_info().hits == hits + 1
+
+    def test_the_memo_holds_one_entry(self, seq16, pattern6):
+        reduce_system(seq16, pattern6)
+        reduce_system(seq16, pattern6, INTERVAL)
+        reduce_system(seq16, pattern6)
+        info = _reduce.cache_info()
+        assert (info.maxsize, info.currsize, info.hits) == (1, 1, 0)
+
+    def test_one_override_value_apart_is_another_system(self, seq16,
+                                                         pattern6):
+        near = perturbed(seq16, {7: Fraction(3, 10 ** 15)})
+        far = perturbed(seq16, {7: Fraction(4, 10 ** 15)})
+        assert reduce_system(near, pattern6).W[0][1] == Fraction(3, 10 ** 15)
+        assert reduce_system(far, pattern6).W[0][1] == Fraction(4, 10 ** 15)
+        assert _reduce.cache_info().misses == 2
+
+    def test_an_int_alpha_reads_as_its_fraction(self, seq16, pattern6):
+        by_int = reduce_system(WeightSequence(-16), pattern6)
+        assert reduce_system(seq16, pattern6) is by_int
+        _reduce.cache_clear()
+        assert reduce_system(seq16, pattern6) == by_int
+
+    @pytest.mark.parametrize("regime", ["float", ["rational"]],
+                             ids=["float", "list"])
+    def test_an_unknown_regime_is_refused_before_the_memo(self, seq16,
+                                                          pattern6, regime):
+        with pytest.raises(ValueError, match="^unknown regime "):
+            reduce_system(seq16, pattern6, regime)
+
+    def test_a_refusal_is_raised_on_every_call(self, seq16, pattern6):
+        kept = reduce_system(seq16, pattern6)
+        for _ in range(3):
+            with pytest.raises(SingularSystemError):
+                reduce_system(dirichlet(0), pattern6)
+        # nor does it evict the reduction before it
+        assert reduce_system(seq16, pattern6) is kept
+        assert _reduce.cache_info().misses == 4
 
 
 class TestCQuantities:

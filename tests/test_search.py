@@ -227,6 +227,46 @@ class TestConfirm:
         assert vrepr.startswith("[")
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The argument lists of every cramer_solve3 call reduce_system makes."""
+    import zkwander.reduction
+    calls, real = [], zkwander.reduction.cramer_solve3
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(zkwander.reduction, "cramer_solve3", spy)
+    return calls
+
+
+class TestOneReduction:
+    """A search's confirmation and pipeline's recovery reuse the search's
+    reduction of the weight block."""
+
+    @pytest.mark.parametrize("alpha", [-16, Fraction(-33, 2)],
+                             ids=["rational", "interval"])
+    def test_minimize_then_confirm_value_solves_once(self, alpha, solves):
+        res = minimize(SearchConfig(alpha=alpha))
+        confirmed = confirm_value(dirichlet(alpha), DegreePattern.default(6),
+                                  res.d)
+        assert len(solves) == 1
+        assert confirmed == (res.value, res.value_repr, res.regime,
+                             res.landing_side)
+        assert res.regime == ("rational" if alpha == -16 else "interval")
+
+    def test_pipeline_without_d_solves_once(self, solves, tmp_path):
+        from zkwander.cli import main
+        searched, given = tmp_path / "searched.json", tmp_path / "given.json"
+        assert main(["pipeline", "--alpha", "-16", "--out",
+                     str(searched)]) == 0
+        assert len(solves) == 1
+        d = minimize(SearchConfig(alpha=-16)).d
+        assert main(["pipeline", "--alpha", "-16", "--d",
+                     ",".join(map(str, d)), "--out", str(given)]) == 0
+        assert searched.read_bytes() == given.read_bytes()
+
+
 def _row_id(row) -> str:
     return f"{row.alpha}-{row.k}-{row.phi2}-{row.phi3}"
 
