@@ -25,7 +25,7 @@ from .reduction import (b0_minimum, compute_C, objective_B0, objective_B1,
                         objective_B2, pivot_modulus, reduce_system, split_e,
                         z1_star)
 from .scalars import REGIMES, display, to_float, to_rational
-from .search import STRATEGIES, SearchConfig, minimize, reproduce_table
+from .search import STRATEGIES, SearchConfig, confirm_value, minimize
 from .weights import dirichlet, exact_regime, override_block, weight
 
 
@@ -57,8 +57,8 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _parse_d(text: str) -> tuple:
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) not in (3, 4):
+    parts = text.split(",")
+    if len(parts) not in (3, 4) or not all(p.strip() for p in parts):
         raise ZkwanderError("--d wants 3 or 4 comma-separated values")
     values = tuple(_parse_fraction(p) for p in parts)
     if any(v <= 0 for v in values):
@@ -219,6 +219,32 @@ def cmd_certify(args) -> int:
     return 0 if report["recomputed_verdict"] == "pass" else 2
 
 
+def _reproduce_grid(table, mode, out_path):
+    """Table 1 or 2: each printed row with B_1 recomputed at its printed d
+    (evaluate-rows), or at the d a new search of its system finds
+    (re-search), and the side of 1 the rigorous value lands on."""
+    from .reference_data import TABLE1_ROWS, TABLE2_ROWS
+    rows = []
+    for row in TABLE1_ROWS if table == 1 else TABLE2_ROWS:
+        printed = [row.alpha, row.k, row.phi2, row.phi3, *row.d,
+                   row.b1_printed]
+        if mode == "evaluate-rows":
+            value, _, _, side = confirm_value(
+                dirichlet(row.alpha),
+                DegreePattern.from_phi(row.k, row.phi2, row.phi3), row.d)
+            ratio = value / float(row.b1_printed)
+            rows.append(printed + [repr(value), f"{ratio:.6f}", side])
+        else:
+            res = minimize(SearchConfig(alpha=row.alpha, k=row.k,
+                                        phi2=row.phi2, phi3=row.phi3))
+            rows.append(printed + [repr(res.value), ",".join(map(str, res.d)),
+                                   res.landing_side])
+    _write_csv(rows, ["alpha", "k", "phi2", "phi3", "d1", "d2", "d3",
+                      "printed_B1", "computed_B1",
+                      "ratio" if mode == "evaluate-rows" else "found_d",
+                      "landing_side"], out_path)
+
+
 def _reproduce_table3(out_path):
     from .reference_data import TABLE3_SCALED, agrees_with_printed
     seq = dirichlet(-16)
@@ -232,14 +258,9 @@ def _reproduce_table3(out_path):
     return all(r[4] for r in rows)
 
 
-# relative band every reproduced Table 4 entry must sit in, as in the
-# acceptance test; the printed discrepancies are exempt
-_TABLE4_BAND = 0.15
-
-
 def _reproduce_table4(out_path):
-    from .reference_data import (TABLE4_DISCREPANCIES, TABLE4_PRINTED,
-                                 printed_as_fraction)
+    from .reference_data import (TABLE4_BAND, TABLE4_DISCREPANCIES,
+                                 TABLE4_PRINTED, printed_as_fraction)
     rs = reduce_system(dirichlet(-16), DegreePattern.default(6))
     z3 = Fraction("-2e13")
     params = recover(rs, (1, 4, 6), z3=z3)
@@ -261,7 +282,7 @@ def _reproduce_table4(out_path):
         ref = float(printed_as_fraction(printed))
         delta = abs(comp - ref) / abs(ref) if ref else abs(comp)
         rows.append([name, repr(comp), printed, f"{delta:.6f}"])
-        if name not in TABLE4_DISCREPANCIES and not delta <= _TABLE4_BAND:
+        if name not in TABLE4_DISCREPANCIES and not delta <= TABLE4_BAND:
             in_band = False
     _write_csv(rows, ["name", "computed", "printed", "rel_delta"], out_path)
     return in_band
@@ -272,25 +293,7 @@ def cmd_reproduce(args) -> int:
         raise ZkwanderError(f"table {args.table} has no search to re-run; "
                             "--mode re-search is for tables 1 and 2")
     if args.table in (1, 2):
-        report = reproduce_table(args.table, args.mode)
-        rows = []
-        for e in report:
-            base = [e["alpha"], e["k"], e["phi2"], e["phi3"], *e["d"],
-                    e["printed_B1"]]
-            if e.get("singular"):
-                rows.append(base + ["singular", "", ""])
-            elif args.mode == "evaluate-rows":
-                rows.append(base + [repr(e["computed_B1"]),
-                                    f"{e['ratio']:.6f}", e["landing_side"]])
-            else:
-                rows.append(base + [repr(e["computed_B1"]),
-                                    ",".join(e["found_d"]),
-                                    e["landing_side"]])
-        tail = (["computed_B1", "ratio", "landing_side"]
-                if args.mode == "evaluate-rows"
-                else ["computed_B1", "found_d", "landing_side"])
-        _write_csv(rows, ["alpha", "k", "phi2", "phi3", "d1", "d2", "d3",
-                          "printed_B1", *tail], args.out)
+        _reproduce_grid(args.table, args.mode, args.out)
         return 0
     if args.table == 3:
         return 0 if _reproduce_table3(args.out) else 2

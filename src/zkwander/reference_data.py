@@ -92,6 +92,10 @@ TABLE4_PRINTED = {
     "b_3": "-8.67e13",
 }
 
+# The printed diagnostics are internally inconsistent, so a reproduced
+# Table 4 entry need only lie within this relative band of the printed one.
+TABLE4_BAND = 0.15
+
 # Printed Table 4 entries that no tolerance reconciles with the code.
 TABLE4_DISCREPANCIES = {
     "b_2": "about double the recovered b_2, a transcription slip",

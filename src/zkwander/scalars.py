@@ -69,7 +69,9 @@ class Interval(Record):
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: float, hi: float):
-        if math.isnan(lo) or math.isnan(hi) or lo > hi:
+        # a bool is an int to Python, but no endpoint
+        if (isinstance(lo, bool) or isinstance(hi, bool) or math.isnan(lo)
+                or math.isnan(hi) or lo > hi):
             raise ValueError(f"bad interval endpoints [{lo}, {hi}]")
         store(self, "lo", lo)
         store(self, "hi", hi)
@@ -603,8 +605,11 @@ def to_rational(value) -> Fraction:
     """The one reading of a number a caller passes as a rational: a float
     as the decimal its repr prints (0.2 -> 1/5), a string as Fraction reads
     it ("-33/2", "0.25", "-2e13") with an exponent of at most _MAX_EXPONENT,
-    anything else as Fraction(value).  Any other string and a float that is
-    not finite raise ValueError."""
+    anything else as Fraction(value).  Any other string, a float that is
+    not finite and a bool, which no caller means as a number, raise
+    ValueError."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is a bool, not a rational")
     if isinstance(value, float):
         value = repr(float(value))
     try:

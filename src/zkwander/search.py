@@ -11,7 +11,6 @@ found the point is not.  Every search lands against B_1 = 1.
 """
 
 import math
-from fractions import Fraction
 from functools import reduce
 from itertools import product
 from operator import add
@@ -322,57 +321,3 @@ def minimize(config: SearchConfig) -> SearchResult:
         evaluations=evals, below_threshold=(side == "below"),
         landing_side=side)
 
-
-def reproduce_table(table_id: int, mode: str = "evaluate-rows") -> list:
-    """Compare against the published k=6 table (1) or the k>6 table (2).
-
-    evaluate-rows recomputes the objective at each printed row's exact
-    parameters; re-search runs the minimizer with the row's pattern and
-    reports what it finds. Every row dict carries the printed value, the
-    computed value, their ratio, and which side of 1 the rigorous
-    recomputation lands on.
-    """
-    from .reference_data import TABLE1_ROWS, TABLE2_ROWS
-    if table_id == 1:
-        rows = TABLE1_ROWS
-    elif table_id == 2:
-        rows = TABLE2_ROWS
-    else:
-        raise ValueError("table_id must be 1 or 2")
-    if mode not in ("evaluate-rows", "re-search"):
-        raise ValueError(f"unknown mode {mode!r}")
-    report = []
-    for row in rows:
-        entry = {"alpha": str(row.alpha), "k": row.k, "phi2": row.phi2,
-                 "phi3": row.phi3,
-                 "d": tuple(str(v) for v in row.d),
-                 "printed_B1": row.b1_printed}
-        pattern = DegreePattern.from_phi(row.k, row.phi2, row.phi3)
-        seq = dirichlet(row.alpha)
-        if mode == "evaluate-rows":
-            try:
-                vf, vrepr, regime, side = confirm_value(seq, pattern, row.d)
-            except (SingularSystemError, DegenerateReductionError) as exc:
-                entry.update(singular=True, error=str(exc))
-                report.append(entry)
-                continue
-            printed = float(Fraction(row.b1_printed))
-            entry.update(singular=False, computed_B1=vf, regime=regime,
-                         ratio=vf / printed, landing_side=side,
-                         value_repr=vrepr)
-        else:
-            config = SearchConfig(alpha=row.alpha, k=row.k, phi2=row.phi2,
-                                  phi3=row.phi3)
-            try:
-                res = minimize(config)
-            except NoAdmissibleSystemError as exc:
-                entry.update(singular=True, error=str(exc))
-                report.append(entry)
-                continue
-            entry.update(singular=False, computed_B1=res.value,
-                         found_d=tuple(str(v) for v in res.d),
-                         below_one=res.below_threshold,
-                         landing_side=res.landing_side,
-                         evaluations=res.evaluations)
-        report.append(entry)
-    return report

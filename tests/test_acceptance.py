@@ -23,11 +23,12 @@ from zkwander.recovery import _round_significant, auto_register
 from zkwander.reduction import objective_B0, objective_B1, objective_B2, split_e
 from zkwander.reference_data import (B2_PUBLISHED_BOUND, D_SQ_UPPER,
                                      DET_N1_INTERVAL, E_INTERVALS, G_INTERVALS,
-                                     H_UPPER, TABLE4_PRINTED,
+                                     H_UPPER, TABLE1_ROWS, TABLE2_ROWS,
+                                     TABLE4_BAND, TABLE4_PRINTED,
                                      agrees_with_printed, in_published_interval,
                                      printed_as_fraction, TABLE3_SCALED)
 from zkwander.scalars import RATIONAL, to_float
-from zkwander.search import reproduce_table
+from zkwander.search import confirm_value
 from zkwander.weights import override_block, weight
 
 
@@ -89,11 +90,6 @@ def test_criterion_05_scaled_weight_table_every_digit(seq16):
         assert agrees_with_printed(exact, printed), (label, printed)
 
 
-# The printed diagnostics are known to be internally inconsistent, so the
-# comparison is deliberately loose: 15% relative on each entry.
-_DIAGNOSTIC_TOL = 0.15
-
-
 def _diagnostic_values(params, registered):
     return {
         "a_k": registered.pair.a_high[0],
@@ -120,7 +116,7 @@ def test_criterion_06_diagnostics_within_fifteen_percent(params16, registered16,
         rel = abs(computed - printed) / abs(printed)
         print(f"{name:5s} printed {printed: .6g} computed {computed: .6g} "
               f"rel {rel:.4f}")
-        assert rel <= _DIAGNOSTIC_TOL, (name, rel)
+        assert rel <= TABLE4_BAND, (name, rel)
     assert to_float(cert16.c_value) < 1
 
 
@@ -133,29 +129,31 @@ def test_criterion_06_printed_b2_entry(params16, registered16):
     computed = to_float(registered16.pair.b_low[2])
     # Doubling the recovered value lands within the usual tolerance, which
     # is what makes the misprint diagnosis convincing.
-    assert abs(2 * computed - printed) / abs(printed) <= _DIAGNOSTIC_TOL
-    assert abs(computed - printed) / abs(printed) <= _DIAGNOSTIC_TOL
+    assert abs(2 * computed - printed) / abs(printed) <= TABLE4_BAND
+    assert abs(computed - printed) / abs(printed) <= TABLE4_BAND
 
 
 def test_criterion_07_grid_tables_within_factor_two():
     # Recompute every printed row of both grid tables.  The printed values
     # were never validated, so the contract is: within a factor of two,
     # and below 1 whenever the printed value clearly is.
-    rows = reproduce_table(1) + reproduce_table(2)
+    rows = TABLE1_ROWS + TABLE2_ROWS
     assert len(rows) == 14
-    for entry in rows:
-        assert not entry["singular"], entry
-        printed = float(Fraction(entry["printed_B1"]))
-        ratio = entry["ratio"]
-        print(f"alpha={entry['alpha']:>6s} k={entry['k']:>2d} "
-              f"printed {printed:.6f} computed {entry['computed_B1']:.6f} "
-              f"ratio {ratio:.3f} side {entry['landing_side']}")
-        assert 0.5 < ratio < 2.0, entry
+    for row in rows:
+        computed, _, _, side = confirm_value(
+            dirichlet(row.alpha),
+            DegreePattern.from_phi(row.k, row.phi2, row.phi3), row.d)
+        printed = float(Fraction(row.b1_printed))
+        ratio = computed / printed
+        print(f"alpha={str(row.alpha):>6s} k={row.k:>2d} "
+              f"printed {printed:.6f} computed {computed:.6f} "
+              f"ratio {ratio:.3f} side {side}")
+        assert 0.5 < ratio < 2.0, row
         if printed < 0.99:
-            assert entry["landing_side"] == "below", entry
+            assert side == "below", row
         else:
             # Near-1 rows may land on either side; the side must be decided.
-            assert entry["landing_side"] in ("below", "above"), entry
+            assert side in ("below", "above"), row
 
 
 def test_criterion_08_asymptotic_table_and_limit():

@@ -17,7 +17,7 @@ from zkwander.model import AQuantities, DegreePattern, GeneratorPair
 from zkwander.recovery import attach_register, auto_register, recover
 from zkwander.reduction import reduce_system
 from zkwander.reference_data import TABLE2_ROWS
-from zkwander.scalars import INTERVAL, Radical
+from zkwander.scalars import INTERVAL, Interval, Radical
 from zkwander.weights import dirichlet
 
 C_FLAGSHIP = 0.18894510966828287
@@ -272,6 +272,18 @@ class TestIntervalRegime:
         data["coefficients"]["a_reg"] = True
         with pytest.raises(CertificateError, match="^malformed certificate: "
                            "unrecognized scalar True$"):
+            check_certificate(data)
+
+    def test_boolean_interval_endpoint_is_malformed(self, z3_main):
+        seq = dirichlet(Fraction(-33, 2))
+        rs = reduce_system(seq, DegreePattern.default(6), INTERVAL)
+        one = Interval(1.0, 1.0)
+        params = attach_register(recover(rs, (1, 4, 6), z3=z3_main), one, 1)
+        data = json.loads(verify(params.pair, seq, INTERVAL).to_json())
+        assert data["coefficients"]["a_reg"] == {"lo": 1.0, "hi": 1.0}
+        data["coefficients"]["a_reg"] = {"lo": True, "hi": True}
+        with pytest.raises(CertificateError, match=r"^malformed certificate: "
+                           r"bad interval endpoints \[True, True\]$"):
             check_certificate(data)
 
     def test_registers_stored_as_json_integers_still_replay(self):

@@ -205,6 +205,15 @@ class TestBadInput:
         assert err.startswith("error: ")
         assert out == ""
 
+    @pytest.mark.parametrize("d", ["1,,4,6", "1,4,6,"],
+                             ids=["inner", "trailing"])
+    def test_an_empty_d_field_is_refused(self, capsys, d):
+        # not read as --d 1,4,6
+        code, out, err = run(capsys, "eval", "--alpha", "-16", "--d", d)
+        assert code == 1
+        assert out == ""
+        assert err == "error: --d wants 3 or 4 comma-separated values\n"
+
     @pytest.mark.parametrize("alpha", ["30000000", "-30000000"])
     def test_weight_far_outside_the_doubles_is_refused_at_once(self, alpha):
         # refused from its size, not after forming 7^alpha exactly, which
@@ -333,7 +342,7 @@ class TestBadInput:
         (("pipeline", "--alpha", "-16"), "zkwander.cli.minimize"),
         (("pipeline", "--alpha", "-16", "--d", "1,4,6"),
          "zkwander.cli.reduce_system"),
-        (("reproduce", "--table", "1"), "zkwander.cli.reproduce_table"),
+        (("reproduce", "--table", "1"), "zkwander.cli.confirm_value"),
         (("reproduce", "--table", "3"), "zkwander.cli._reproduce_table3"),
         (("reproduce", "--table", "4"), "zkwander.cli.reduce_system"),
         (("reproduce", "--table", "5"),
@@ -658,6 +667,14 @@ class TestReproduce:
         assert lines[0].startswith("alpha,k,phi2,phi3")
         assert len(lines) == 9
         assert all(line.endswith("below") for line in lines[1:])
+
+    def test_bad_table_or_mode(self, capsys):
+        for argv in (("--table", "6"), ("--table", "1", "--mode",
+                                        "exhaustive")):
+            code, out, err = run(capsys, "reproduce", *argv)
+            assert code == 1
+            assert out == ""
+            assert "invalid choice" in err
 
     def test_table1_re_search(self, capsys):
         code, out, _ = run(capsys, "reproduce", "--table", "1",

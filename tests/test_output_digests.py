@@ -9,8 +9,9 @@ replay reports of every single-leaf forgery of those last two; the
 ``minimize`` result of each search strategy on two rows, and its result or
 error on every Table 1/2 row at once, with alpha moved by each offset the
 benchmark's explore workload uses; the asymptotic ``minimal_beta`` over a
-range of k and the Table 5 report; and the two files the CLI writes, a
-``pipeline --out`` certificate and a ``search --out`` payload.
+range of k and the Table 5 report; and the files the CLI writes, a
+``pipeline --out`` certificate, a ``search --out`` payload and the
+``reproduce --out`` CSV of each table, Tables 1 and 2 in both modes.
 
 A change that moves output on purpose rewrites the file with
 ``PYTHONPATH=src python tests/test_output_digests.py > tests/data/output_digests.json``.
@@ -156,6 +157,11 @@ CASES = {
         "pipeline", "--alpha", "-16", "--d", "1,4,6", "--z3", "-2e13"),
     "cli-search-grid": lambda: _cli_file(
         "search", "--alpha", "-16", "--strategy", "grid"),
+    **{f"cli-reproduce-table{t}": (lambda t=t: _cli_file(
+        "reproduce", "--table", str(t))) for t in range(1, 6)},
+    **{f"cli-reproduce-table{t}-re-search": (lambda t=t: _cli_file(
+        "reproduce", "--table", str(t), "--mode", "re-search"))
+       for t in (1, 2)},
 }
 
 

@@ -582,6 +582,20 @@ class TestOneFloatRule:
                 == confirm_value(seq, pattern, (qv, 13, 16000)))
         assert perturbed(seq, {6: v}).overrides == ((6, qv),)
 
+    def test_a_bool_is_no_number(self):
+        # a bool is an int to Python: True once read as 1 at each of these
+        seq, pattern = dirichlet(-16), DegreePattern.default(6)
+        rs = reduce_system(seq, pattern)
+        params = recover(rs, (1, 4, 6), z3=Fraction("-2e13"))
+        for call in (lambda: dirichlet(True),
+                     lambda: compute_C(rs, (True, 4, 6)),
+                     lambda: recover(rs, (1, 4, 6), z3=True),
+                     lambda: attach_register(params, True, True),
+                     lambda: perturbed(seq, {3: True})):
+            with pytest.raises(ValueError, match="^True is a bool, not a "
+                               "rational$"):
+                call()
+
     def test_the_interval_regime_reads_a_float_the_same_way(self):
         # a float register, Z_3, Z_1 or A_15
         rs = reduce_system(dirichlet(Fraction(-33, 2)),

@@ -16,8 +16,7 @@ from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
 from zkwander.search import (_GRID, DEFAULT_D_GRID, SIMPLEX_FATOL,
                              SIMPLEX_MAXITER, SIMPLEX_XATOL, SearchConfig,
                              _doubles, _evaluator, _log_objective,
-                             _nelder_mead, _scan, confirm_value, minimize,
-                             reproduce_table)
+                             _nelder_mead, _scan, confirm_value, minimize)
 from zkwander.model import DegreePattern
 from zkwander.scalars import INTERVAL, Interval, to_regime
 from zkwander.weights import dirichlet, exact_regime
@@ -128,9 +127,8 @@ class TestMinimize:
             minimize(SearchConfig(alpha=0))
 
     def test_singular_members_are_skipped_not_fatal(self):
-        # a search takes one system: a caller walking several, as
-        # reproduce_table's re-search does, skips a singular one on its
-        # named error and goes on to the next
+        # a search takes one system: a caller walking several skips a
+        # singular one on its named error and goes on to the next
         found = {}
         for alpha in (0, -16):
             try:
@@ -393,28 +391,26 @@ class TestFloatSystem:
 
 
 class TestTables:
+    """The published rows Tables 1 and 2 print, and `reproduce` recomputes,
+    none of them singular."""
 
     @pytest.mark.parametrize("table_id", [1, 2])
     def test_published_rows_reproduce(self, table_id):
-        rows = reproduce_table(table_id)
+        rows = TABLE1_ROWS if table_id == 1 else TABLE2_ROWS
         assert rows
         for row in rows:
-            assert not row["singular"]
-            assert row["landing_side"] == "below"
-            assert 0.5 < row["ratio"] < 2
+            value, _, _, side = confirm_value(
+                dirichlet(row.alpha),
+                DegreePattern.from_phi(row.k, row.phi2, row.phi3), row.d)
+            assert side == "below"
+            assert 0.5 < value / float(Fraction(row.b1_printed)) < 2
 
     def test_re_search_beats_every_printed_row(self):
-        for row in reproduce_table(1, "re-search"):
-            assert not row["singular"]
-            assert row["below_one"]
-            printed = float(Fraction(row["printed_B1"]))
-            assert row["computed_B1"] <= printed * 1.001
-
-    def test_bad_table_or_mode(self):
-        with pytest.raises(ValueError):
-            reproduce_table(3)
-        with pytest.raises(ValueError):
-            reproduce_table(1, "exhaustive")
+        for row in TABLE1_ROWS:
+            res = minimize(SearchConfig(alpha=row.alpha, k=row.k,
+                                        phi2=row.phi2, phi3=row.phi3))
+            assert res.below_threshold
+            assert res.value <= float(Fraction(row.b1_printed)) * 1.001
 
 
 def _scipy_nelder_mead(f, x0):
