@@ -18,8 +18,7 @@ from .reduction import (CQuantities, ReducedSystem, b0_minimum, compute_C,
                         reduce_system, split_e, z1_star)
 from .scalars import INTERVAL, RATIONAL, Interval, Radical
 from .search import SearchConfig, SearchResult, minimize
-from .weights import (WeightSequence, dirichlet, override_block, perturbed,
-                      weight)
+from .weights import WeightSequence, dirichlet, perturbed, weight
 
 __version__ = "0.1.0"
 
@@ -34,7 +33,7 @@ __all__ = [
     "attach_register", "auto_register", "b0_minimum", "check_certificate",
     "choose_A15", "choose_Z3", "compute_A", "compute_C", "cross_check",
     "dirichlet", "inner_product", "max_register_estimate", "minimize",
-    "norm_sq", "objective_B0", "objective_B1", "objective_B2",
-    "override_block", "perturbed", "recover", "reduce_system",
-    "save_certificate", "split_e", "verify", "weight", "z1_star",
+    "norm_sq", "objective_B0", "objective_B1", "objective_B2", "perturbed",
+    "recover", "reduce_system", "save_certificate", "split_e", "verify",
+    "weight", "z1_star",
 ]

@@ -26,7 +26,7 @@ from .reduction import (b0_minimum, compute_C, objective_B0, objective_B1,
                         z1_star)
 from .scalars import REGIMES, display, to_float, to_rational
 from .search import STRATEGIES, SearchConfig, confirm_value, minimize
-from .weights import dirichlet, exact_regime, override_block, weight
+from .weights import dirichlet, exact_regime, perturbed, weight
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,16 +83,11 @@ def _pattern_from_args(args) -> DegreePattern:
     return DegreePattern.from_phi(args.k, args.phi2, args.phi3)
 
 
-def _sequence_from_args(args, pattern):
-    """D_alpha, or D_(override base) with D_alpha's 12 matrix weights; both
-    inside the replay bounds, checked before any weight is evaluated."""
-    donor = dirichlet(args.alpha)
-    check_bounds(pattern, donor)
-    if args.override_base is None:
-        return donor
-    base = dirichlet(args.override_base)
-    check_bounds(pattern, base)
-    return override_block(base, donor, pattern)
+def _dirichlet_in_bounds(alpha, pattern):
+    """D_alpha, checked against the replay bounds before any weight."""
+    seq = dirichlet(alpha)
+    check_bounds(pattern, seq)
+    return seq
 
 
 def _write_csv(rows, header, out_path):
@@ -112,12 +107,15 @@ def _write_csv(rows, header, out_path):
 # subcommands
 
 def cmd_eval(args) -> int:
+    if args.emit_weights and (args.d, args.z3, args.z1) != (None,) * 3:
+        raise ZkwanderError("--emit-weights prints only the weights; it "
+                            "takes no --d, --z3 or --z1")
     if args.z1 is not None and args.z3 is None:
         raise ZkwanderError("--z1 needs --z3")
     if args.z1 is not None and not args.z1 > 0:
         raise ZkwanderError(f"--z1 must be positive, got {args.z1}")
     pattern = _pattern_from_args(args)
-    seq = _sequence_from_args(args, pattern)
+    seq = _dirichlet_in_bounds(args.alpha, pattern)
     if args.emit_weights:
         for t in sorted(pattern.matrix_indices()):
             regime = args.regime or exact_regime(seq, (t,))
@@ -130,7 +128,7 @@ def cmd_eval(args) -> int:
     print(f"det_N1 = {display(rs.det_N1)}")
     print("E =", ", ".join(display(e) for e in rs.E))
     print("G =", ", ".join(display(g) for g in rs.G))
-    c = compute_C(rs, args.d)
+    c = compute_C(rs, args.d or (1, 4, 6))
     for name, v in (("C1", c.C1), ("C2", c.C2), ("C3", c.C3),
                     ("C4", c.C4), ("C5", c.C5)):
         print(f"{name} = {display(v)}")
@@ -176,8 +174,13 @@ def cmd_pipeline(args) -> int:
         raise ZkwanderError("--gamma needs --d: give --d, or name the "
                             "pattern by --phi2/--phi3 to search it")
     pattern = _pattern_from_args(args)
-    seq = _sequence_from_args(args, pattern)
-    regime = args.regime or exact_regime(seq, pattern.embedded_indices())
+    embedded = pattern.embedded_indices()
+    seq = _dirichlet_in_bounds(args.alpha, pattern)
+    if args.override_base is not None:
+        # an equivalent norm: the 14 weights verify reads are D_alpha's
+        seq = perturbed(_dirichlet_in_bounds(args.override_base, pattern),
+                        {t: weight(seq, t) for t in embedded})
+    regime = args.regime or exact_regime(seq, embedded)
     d = args.d
     if d is None:
         found = minimize(SearchConfig(alpha=args.alpha, k=pattern.k,
@@ -365,11 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_flags(p)
     p.add_argument("--gamma", help="six degrees in place of the phi pattern")
     p.add_argument("--regime", choices=REGIMES)
-    p.add_argument("--d", type=_parse_d, default=_parse_d("1,4,6"))
+    p.add_argument("--d", type=_parse_d, help="the point (default 1,4,6)")
     p.add_argument("--z3", type=_parse_fraction)
     p.add_argument("--z1", type=_parse_fraction)
-    p.add_argument("--override-base", type=_parse_fraction,
-                   help="base alpha whose 12 matrix weights get replaced")
     p.add_argument("--emit-weights", action="store_true",
                    help="dump the 12 matrix weights in the regime (exact "
                    "rationals, or enclosures where alpha is not an integer)")
@@ -390,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_parse_d,
                    help="skip the search and use this point")
     p.add_argument("--z3", type=_parse_fraction)
-    p.add_argument("--override-base", type=_parse_fraction)
+    p.add_argument("--override-base", type=_parse_fraction,
+                   help="base alpha whose 14 embedded weights are D_alpha's")
     p.add_argument("--out")
     p.set_defaults(func=cmd_pipeline)
 

@@ -27,9 +27,9 @@ from .model import AQuantities, GeneratorPair
 from .record import Record, store
 from .reduction import (CQuantities, ReducedSystem, compute_C, objective_B1,
                         pivot, pivot_modulus, z1_star, z3_quadratic)
-from .scalars import (as_coefficient, certainly_positive, excludes_zero,
-                      refuse_foreign, sqrt, strictly_less, to_float,
-                      to_regime)
+from .scalars import (as_coefficient, certainly_positive, display,
+                      excludes_zero, is_exact_zero, refuse_foreign, sqrt,
+                      strictly_less, to_float, to_regime)
 
 
 class RecoveredParameters(Record):
@@ -163,10 +163,10 @@ def max_register_estimate(params: RecoveredParameters) -> float:
         return 0.0
     w4, w5 = (to_float(w) for w in _register_weights(params))
     a13, a14 = to_float(q1.A3), to_float(q1.A4)
-    # slack > u (w4 a14 + w5 a13) + u^2 w4 w5, u = t^2; the root is written
-    # in the subtraction-free form because beta^2 dwarfs the slack term.
+    # slack > u beta + u^2 w4 w5, u = t^2: the root is subtraction-free, as
+    # beta^2 dwarfs the slack, and takes hypot, as beta^2 overflows a double.
     beta = w4 * a14 + w5 * a13
-    u = 2 * slack / (beta + math.sqrt(beta * beta + 4 * w4 * w5 * slack))
+    u = 2 * slack / (beta + math.hypot(beta, 2 * math.sqrt(w4 * w5 * slack)))
     return math.sqrt(u)
 
 
@@ -189,10 +189,19 @@ def attach_register(params: RecoveredParameters, a_reg, b_reg) -> RecoveredParam
 
 
 def auto_register(params: RecoveredParameters):
-    """Register magnitude policy: 1 when admissible, else half the estimate."""
+    """Register magnitude policy: 1 when admissible, else half the estimate;
+    none when the strict inequality fails, or is tight, with no register."""
+    gap, coupling = level1_block(params).contraction_sides()
+    rhs = abs(coupling)
+    if not strictly_less(gap, rhs):
+        how = "is tight" if is_exact_zero(gap - rhs) else "fails"
+        raise DegeneratePairError(
+            f"no admissible register: A_13 A_14 - A_12^2 < |A_15 A_12| {how} "
+            f"before any register is attached, c = {display(gap / rhs)}")
     est = max_register_estimate(params)
     if est > 1.0:
         return Fraction(1)
     if est == 0.0:
-        raise DegeneratePairError("no admissible register: inequality already tight")
+        raise DegeneratePairError("no admissible register: the level-1 "
+                                  "slack is lost in double precision")
     return _round_significant(est / 2, 3)

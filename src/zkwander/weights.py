@@ -74,17 +74,6 @@ def exact_regime(seq: WeightSequence, indices) -> str:
     return RATIONAL if all(t in overridden for t in indices) else INTERVAL
 
 
-def override_block(base: WeightSequence, donor: WeightSequence,
-                   pattern) -> WeightSequence:
-    """Replace base weights at the 12 matrix indices with donor values.
-
-    The donor must be exactly evaluable (the values are frozen as rationals),
-    so a perturbed sequence certifies independently of the donor object.
-    """
-    return perturbed(base, {t: weight(donor, t, RATIONAL)
-                            for t in pattern.matrix_indices()})
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -29,7 +29,7 @@ from zkwander.reference_data import (B2_PUBLISHED_BOUND, D_SQ_UPPER,
                                      printed_as_fraction, TABLE3_SCALED)
 from zkwander.scalars import RATIONAL, to_float
 from zkwander.search import confirm_value
-from zkwander.weights import override_block, weight
+from zkwander.weights import perturbed, weight
 
 
 def test_criterion_01_determinant_matches_published_enclosure(rs16):
@@ -226,7 +226,8 @@ def test_criterion_11_norm_override_corollary_under_one_second():
     start = time.perf_counter()
     for k in (6, 10):
         pattern = DegreePattern.default(k)
-        seq = override_block(dirichlet(-1), dirichlet(-16), pattern)
+        seq = perturbed(dirichlet(-1), {t: weight(dirichlet(-16), t)
+                                        for t in pattern.matrix_indices()})
         rs = reduce_system(seq, pattern)
         params = recover(rs, (1, 4, 6))
         with pytest.raises(RegisterTooLargeError):

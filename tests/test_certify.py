@@ -17,8 +17,8 @@ from zkwander.model import AQuantities, DegreePattern, GeneratorPair
 from zkwander.recovery import attach_register, auto_register, recover
 from zkwander.reduction import reduce_system
 from zkwander.reference_data import TABLE2_ROWS
-from zkwander.scalars import INTERVAL, Interval, Radical
-from zkwander.weights import dirichlet
+from zkwander.scalars import INTERVAL, RATIONAL, Interval, Radical
+from zkwander.weights import dirichlet, exact_regime, perturbed, weight
 
 C_FLAGSHIP = 0.18894510966828287
 DATA = Path(__file__).with_name("data")
@@ -305,6 +305,53 @@ def test_one_register_value_certifies_to_one_byte_string(z3_main, alpha,
     texts = {verify(attach_register(params, r, r).pair, seq, regime).to_json()
              for r in (1, Fraction(1), "1")}
     assert len(texts) == 1
+
+
+# the headline's 14 slot values: D_-16 at the embedded degrees of k = 6
+HEADLINE_SLOTS = tuple(weight(dirichlet(-16), t)
+                       for t in DegreePattern.default(6).embedded_indices())
+
+
+def _slot_certificate(alpha, k, z3):
+    """The headline point on D_alpha with the headline's slot values at the
+    embedded degrees of the default pattern of k, unit registers."""
+    pattern = DegreePattern.default(k)
+    seq = perturbed(dirichlet(alpha),
+                    dict(zip(pattern.embedded_indices(), HEADLINE_SLOTS)))
+    regime = exact_regime(seq, pattern.embedded_indices())
+    params = recover(reduce_system(seq, pattern, regime), (1, 4, 6), z3=z3)
+    return verify(attach_register(params, 1, 1).pair, seq, regime)
+
+
+class TestCorollary:
+    """The paper's corollary: any D_alpha has an equivalent norm, finitely
+    many weights changed, in which z^k has no wandering property, k >= 6.
+    verify reads only the 14 slot weights, so they fix the verdict data."""
+
+    @pytest.mark.parametrize("k", [6, 7, 13, 100, 10 ** 4])
+    @pytest.mark.parametrize("alpha", [0, Fraction(1, 3), 1,
+                                       Fraction(-33, 2)])
+    def test_the_headline_slots_certify_every_space_and_k(
+            self, cert16, z3_main, alpha, k):
+        cert = _slot_certificate(alpha, k, z3_main)
+        assert (cert.regime, cert.verdict) == (RATIONAL, "pass")
+        data, headline = cert.to_dict(), cert16.to_dict()
+        for field in ("A", "conditions", "c", "membership"):
+            assert json_text(data[field]) == json_text(headline[field])
+        report = check_certificate(json.loads(cert.to_json()))
+        assert report["ok"] and report["recomputed_verdict"] == "pass"
+
+    @pytest.mark.parametrize("slot", range(14))
+    def test_a_doubled_slot_value_is_a_mismatch(self, z3_main, slot):
+        data = json.loads(_slot_certificate(Fraction(1, 3), 13,
+                                            z3_main).to_json())
+        t = str(DegreePattern.default(13).embedded_indices()[slot])
+        overrides = data["weights"]["overrides"]
+        overrides[t] = str(2 * Fraction(overrides[t]))
+        report = check_certificate(data)
+        fields = {m.split(":")[0] for m in report["mismatches"]}
+        assert f"weights_at_matrix_indices.{t}" in fields
+        assert any(f.startswith("A.") for f in fields)     # verify read it
 
 
 class TestCertificateIO:

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from zkwander.cli import _parse_fraction, main
+from zkwander.model import DegreePattern
+from zkwander.weights import dirichlet, perturbed, weight, weights_from_dict
 
 
 def run(capsys, *argv):
@@ -71,6 +73,32 @@ class TestEval:
         assert all(line.startswith("omega[") for line in lines)
         assert f"omega[21] = {22 ** int(alpha)}" in lines
 
+    @pytest.mark.parametrize("flags", [
+        ("--d", "1,4,6"), ("--z3", "-2e13"), ("--z1", "7"),
+        ("--z3", "-2e13", "--z1", "7"),
+    ], ids=["d", "z3", "z1", "z3-z1"])
+    def test_emit_weights_refuses_the_point_flags(self, capsys, monkeypatch,
+                                                 flags):
+        # they were ignored: the 12 weights printed and the exit was 0
+        import zkwander.cli
+
+        def no_weight(*args):
+            raise AssertionError("eval evaluated a weight")
+        monkeypatch.setattr(zkwander.cli, "weight", no_weight)
+        code, out, err = run(capsys, "eval", "--alpha", "-16",
+                             "--emit-weights", *flags)
+        assert (code, out) == (1, "")
+        assert err == ("error: --emit-weights prints only the weights; it "
+                       "takes no --d, --z3 or --z1\n")
+
+    def test_override_base_is_a_pipeline_flag(self, capsys):
+        # eval reads only the 12 matrix weights, which the flag left at
+        # D_alpha's own values
+        code, out, err = run(capsys, "eval", "--alpha", "-16",
+                             "--override-base", "0")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --override-base 0" in err
+
     def test_singular_alpha_is_an_error(self, capsys):
         code, _, err = run(capsys, "eval", "--alpha", "0")
         assert code == 1
@@ -112,7 +140,7 @@ class TestEval:
         ("eval", "--alpha", "-16", "--d", "1,4/0,6"),
         ("eval", "--alpha", "-16", "--z3", "1/0"),
         ("eval", "--alpha", "-16", "--z3", "-2e13", "--z1", "1/0"),
-        ("eval", "--alpha", "-16", "--override-base", "1/0"),
+        ("pipeline", "--alpha", "-16", "--override-base", "1/0"),
         ("search", "--alpha", "1/0"),
         ("asymptotic", "--k", "12", "--beta", "10", "--sigma", "1/0"),
     ])
@@ -133,7 +161,7 @@ class TestExponentForms:
         ("eval", "--alpha", "-16", "--d", "1,4,1e4301"),
         ("eval", "--alpha", "-16", "--z3", "-2e4301"),
         ("eval", "--alpha", "-16", "--z3", "-2e13", "--z1", "1e-4301"),
-        ("eval", "--alpha", "-16", "--override-base", "1E+4301"),
+        ("pipeline", "--alpha", "-16", "--override-base", "1E+4301"),
         ("asymptotic", "--k", "12", "--beta", "10", "--sigma", "1e4301"),
     ], ids=["alpha", "d", "z3", "z1", "override-base", "sigma"])
     def test_exponent_past_the_limit_is_refused(self, capsys, argv):
@@ -248,7 +276,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("argv", [
         ("eval", "--alpha", "300000"),
-        ("eval", "--alpha", "-16", "--override-base", "300000"),
+        ("pipeline", "--alpha", "-16", "--override-base", "300000"),
         ("pipeline", "--alpha", "300000", "--d", "1,4,6", "--z3", "-2e13"),
         ("pipeline", "--alpha", "-16", "--override-base", "-300000",
          "--d", "1,4,6", "--z3", "-2e13"),
@@ -256,9 +284,9 @@ class TestBadInput:
         ("search", "--alpha=300000"),
         ("search", "--alpha=-3000"),
         ("search", "--alpha=-6001/2"),
-    ], ids=["eval", "eval-override-base", "pipeline", "pipeline-override-base",
-            "pipeline-search", "search-300000", "search--3000",
-            "search--6001/2"])
+    ], ids=["eval", "pipeline-base-300000", "pipeline",
+            "pipeline-override-base", "pipeline-search", "search-300000",
+            "search--3000", "search--6001/2"])
     def test_alpha_outside_the_replay_bounds_is_refused_at_once(
             self, tmp_path, argv):
         # the bounds certificate replay applies, checked before any search
@@ -495,22 +523,37 @@ class TestPipeline:
         assert code == 0
         assert "verdict: pass" in out
 
-    def test_non_integer_override_base_defaults_to_interval(self, capsys,
+    def test_non_integer_override_base_certifies_rationally(self, capsys,
                                                             tmp_path):
-        # verify reads the base weights at k + gamma_4 and k + gamma_5
+        # all 14 weights verify reads are D_-16's, so all are rational and
+        # the certificate is the headline's; with only the 12 matrix
+        # weights moved it was an interval fail
         cert = tmp_path / "cert.json"
         code, out, err = run(capsys, "pipeline", "--alpha", "-16",
                              "--override-base", "-33/2", "--d", "1,4,6",
                              "--z3", "-2e13", "--out", str(cert))
-        assert code == 2, err
-        assert "verdict: fail" in out
-        assert json.loads(cert.read_text())["regime"] == "interval"
+        assert code == 0, err
+        assert "verdict: pass  c = 0.18894510966828287\n" in out
+        data = json.loads(cert.read_text())
+        assert data["regime"] == "rational"
+        embedded = DegreePattern.default(6).embedded_indices()
+        assert weights_from_dict(data["weights"]) == perturbed(
+            dirichlet(Fraction(-33, 2)),
+            {t: weight(dirichlet(-16), t) for t in embedded})
         code, out, _ = run(capsys, "certify", "--check", str(cert))
-        assert "recomputed: fail" in out and "mismatch" not in out
-        # eval reads only the 12 overridden weights
-        code, out, _ = run(capsys, "eval", "--alpha", "-16",
-                           "--override-base", "-33/2")
-        assert code == 0 and "regime = rational" in out
+        assert code == 0
+        assert "recomputed: pass" in out and "mismatch" not in out
+
+    def test_override_donor_must_be_exact(self, capsys, tmp_path):
+        # the transplanted weights are frozen as rationals
+        cert = tmp_path / "cert.json"
+        code, out, err = run(capsys, "pipeline", "--alpha", "-33/2",
+                             "--override-base", "0", "--d", "1,4,6",
+                             "--z3", "-2e13", "--out", str(cert))
+        assert (code, out) == (1, "")
+        assert err == ("error: rational regime needs an integer exponent, "
+                       "got alpha=-33/2\n")
+        assert not cert.exists()
 
     def test_float_regime_gate(self, capsys, tmp_path, monkeypatch):
         # floats locate, they do not prove: refused before any search
@@ -596,12 +639,14 @@ class TestPipeline:
 
     def test_a_point_no_register_fits_is_an_honest_negative(self, capsys,
                                                             tmp_path):
-        # min B0 = 14.66 there: the inequality is tight before any register
+        # the inequality fails before any register is attached
         cert = tmp_path / "cert.json"
         code, out, err = run(capsys, "pipeline", "--alpha", "-16", "--d",
                              "1,4,6", "--z3", "1e13", "--out", str(cert))
         assert (code, out) == (2, "")
-        assert err == "no admissible register: inequality already tight\n"
+        assert err == ("no admissible register: A_13 A_14 - A_12^2 < "
+                       "|A_15 A_12| fails before any register is attached, "
+                       "c = 14.658126043556841\n")
         assert not cert.exists()
 
     def test_hopeless_alpha_reports_honestly(self, capsys, tmp_path):

@@ -13,8 +13,8 @@ from zkwander.recovery import (attach_register, auto_register, choose_Z3,
                                level1_block, max_register_estimate, recover)
 from zkwander.reduction import reduce_system
 from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
-from zkwander.scalars import INTERVAL, Interval, is_exact_zero
-from zkwander.weights import dirichlet, override_block
+from zkwander.scalars import INTERVAL, Interval, is_exact_zero, to_float
+from zkwander.weights import dirichlet, perturbed, weight
 
 # the interval-regime systems: the non-integer published rows and -33/2
 INTERVAL_SYSTEMS = tuple(
@@ -124,12 +124,37 @@ class TestRegisters:
         assert exc.value.max_register == pytest.approx(est)
 
     def test_a_tight_inequality_admits_no_register(self, rs16):
-        # at Z_3 = 10^13 the unregistered inequality leaves no slack
+        # at Z_3 = 10^13 the unregistered inequality fails, c = 14.66
         params = recover(rs16, (1, 4, 6), z3=Fraction(10 ** 13))
         assert max_register_estimate(params) == 0.0
-        with pytest.raises(DegeneratePairError, match="^no admissible "
-                           "register: inequality already tight$"):
+        with pytest.raises(DegeneratePairError, match=(
+                r"^no admissible register: A_13 A_14 - A_12\^2 < "
+                r"\|A_15 A_12\| fails before any register is attached, "
+                r"c = 14\.658126043556841$")):
             auto_register(params)
+
+    def test_a_slack_lost_in_doubles_is_not_called_tight(self, rs16,
+                                                          z3_main):
+        # both sides scale with A_15^2, so at A_15 = 10^-200 the exact
+        # inequality holds but its doubles underflow to 0
+        params = recover(rs16, (1, 4, 6), z3=z3_main,
+                         a15=Fraction(1, 10 ** 200))
+        assert max_register_estimate(params) == 0.0
+        with pytest.raises(DegeneratePairError, match="^no admissible "
+                           "register: the level-1 slack is lost in double "
+                           "precision$"):
+            auto_register(params)
+
+    def test_the_estimate_survives_a_huge_z3(self, rs16):
+        # beta^2 overflows a double from |Z_3| ~ 10^100 on; the estimate
+        # read 0.0 there and no register was attached
+        params = recover(rs16, (1, 4, 6), z3=Fraction(10 ** 100))
+        est = max_register_estimate(params)
+        assert 0 < est < 1
+        reg = auto_register(params)
+        cert = verify(attach_register(params, reg, reg).pair, rs16.seq)
+        assert cert.verdict == "pass"
+        assert to_float(cert.c_value) == 0.363334962129787
 
     def test_estimate_is_sharp(self, params16):
         """Magnitudes just inside the estimate pass, just outside fail."""
@@ -143,7 +168,8 @@ class TestRegisters:
 
 @pytest.fixture(scope="module")
 def override_params(pattern6, z3_main):
-    seq = override_block(dirichlet(0), dirichlet(-16), pattern6)
+    seq = perturbed(dirichlet(0), {t: weight(dirichlet(-16), t)
+                                   for t in pattern6.matrix_indices()})
     rs = reduce_system(seq, pattern6)
     return recover(rs, (1, 4, 6), z3=z3_main)
 

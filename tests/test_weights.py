@@ -11,9 +11,8 @@ from zkwander.reduction import reduce_system
 from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
 from zkwander.scalars import INTERVAL, RATIONAL, Interval, to_regime
 from zkwander.search import _doubles
-from zkwander.weights import (dirichlet, exact_regime, override_block,
-                              perturbed, weight, weights_from_dict,
-                              weights_to_dict)
+from zkwander.weights import (dirichlet, exact_regime, perturbed, weight,
+                              weights_from_dict, weights_to_dict)
 
 
 class TestDirichlet:
@@ -190,25 +189,6 @@ class TestMatrixIndices:
             DegreePattern(5, (0, 1, 2, 3, 4, 5))
 
 
-class TestOverrideBlock:
-
-    def test_donor_values_on_block_base_elsewhere(self):
-        pattern = DegreePattern.default(6)
-        base = dirichlet(-16)
-        donor = dirichlet(-4)
-        seq = override_block(base, donor, pattern)
-        for t in pattern.matrix_indices():
-            assert weight(seq, t) == Fraction(t + 1) ** -4
-        for t in (0, 1, 5, 25, 100):
-            if t not in pattern.matrix_indices():
-                assert weight(seq, t) == Fraction(t + 1) ** -16
-
-    def test_donor_must_be_exact(self):
-        with pytest.raises(ModeUnsupportedError):
-            override_block(dirichlet(-16), dirichlet(Fraction(-9, 2)),
-                           DegreePattern.default(6))
-
-
 def _exact_regime_by_trial(seq, indices):
     """The regime exact_regime chose before it decided by its rule: rational
     unless some weight at the indices refuses the rational regime."""
@@ -228,7 +208,8 @@ def _regime_cases():
     for alpha in (64, -64, Fraction(1, 1000), Fraction(-1, 1000)):
         yield dirichlet(alpha), pattern
     half = dirichlet(Fraction(-33, 2))
-    yield override_block(half, dirichlet(-16), pattern), pattern
+    yield perturbed(half, {t: weight(dirichlet(-16), t)
+                           for t in pattern.matrix_indices()}), pattern
     yield perturbed(half, {6: 1, 7: Fraction(1, 3), 30: 2}), pattern
     yield perturbed(dirichlet(-16), {6: Fraction(1, 3)}), pattern
 
@@ -266,7 +247,8 @@ class TestSerialization:
 
     def test_round_trip_preserves_values(self):
         pattern = DegreePattern.default(6)
-        seq = override_block(dirichlet(-16), dirichlet(-4), pattern)
+        seq = perturbed(dirichlet(-16), {t: weight(dirichlet(-4), t)
+                                         for t in pattern.matrix_indices()})
         text = json.dumps(weights_to_dict(seq))
         again = weights_from_dict(json.loads(text))
         for t in list(pattern.matrix_indices()) + [0, 7, 100]:
