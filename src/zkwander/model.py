@@ -21,7 +21,8 @@ from typing import Dict
 
 from .errors import DegeneratePairError, InvalidPatternError
 from .record import Record, store
-from .scalars import RATIONAL, certainly_positive, is_exact_zero, to_regime
+from .scalars import (RATIONAL, certainly_positive, is_exact_zero,
+                      sum_of_products, to_regime)
 from .weights import WeightSequence, weight
 
 CoefficientMap = Dict[int, object]
@@ -190,20 +191,17 @@ def inner_product(f: CoefficientMap, g: CoefficientMap, seq: WeightSequence,
                   regime: str = RATIONAL, shift_f: int = 0, shift_g: int = 0):
     """<z^{shift_f} f, z^{shift_g} g> in the weighted space.
 
-    Terms are accumulated in ascending degree order so float and interval
-    results are reproducible.
+    The matched terms are collected in ascending degree order, so interval
+    results are reproducible, and summed by ``sum_of_products``.
     """
-    total = None
+    terms = []
     for d in sorted(f):
-        t = d + shift_f
-        cg = g.get(t - shift_g)
-        if cg is None:
-            continue
-        term = f[d] * cg * weight(seq, t, regime)
-        total = term if total is None else total + term
-    if total is None:
+        cg = g.get(d + shift_f - shift_g)
+        if cg is not None:
+            terms.append((f[d], cg, weight(seq, d + shift_f, regime)))
+    if not terms:
         return to_regime(Fraction(0), regime)
-    return total
+    return sum_of_products(terms)
 
 
 def norm_sq(f: CoefficientMap, seq: WeightSequence,

@@ -27,9 +27,9 @@ from .model import AQuantities, GeneratorPair
 from .record import Record, store
 from .reduction import (CQuantities, ReducedSystem, compute_C, objective_B1,
                         pivot, pivot_modulus, z1_star, z3_quadratic)
-from .scalars import (as_coefficient, certainly_positive, display,
-                      excludes_zero, is_exact_zero, refuse_foreign, sqrt,
-                      strictly_less, to_float, to_regime)
+from .scalars import (as_coefficient, binary_parts, certainly_positive,
+                      display, excludes_zero, is_exact_zero, refuse_foreign,
+                      sqrt, strictly_less, to_float, to_regime)
 
 
 class RecoveredParameters(Record):
@@ -155,19 +155,27 @@ def level1_block(params: RecoveredParameters, a_reg=Fraction(0),
 
 def max_register_estimate(params: RecoveredParameters) -> float:
     """Largest common |a4| = |b5| magnitude keeping the inequality strict,
-    solved from the quadratic in t^2 (exact for symmetric registers)."""
+    solved from the quadratic in t^2 (exact for symmetric registers).  The
+    values scale with A_15^2 far past the doubles, so each is a double
+    times a power of two, and only t is rounded into the doubles."""
     q1 = level1_block(params)
     gap, coupling = q1.contraction_sides()
-    slack = to_float(abs(coupling)) - to_float(gap)
-    if slack <= 0:
+    slack = abs(coupling) - gap
+    if not certainly_positive(slack):
         return 0.0
-    w4, w5 = (to_float(w) for w in _register_weights(params))
-    a13, a14 = to_float(q1.A3), to_float(q1.A4)
-    # slack > u beta + u^2 w4 w5, u = t^2: the root is subtraction-free, as
-    # beta^2 dwarfs the slack, and takes hypot, as beta^2 overflows a double.
-    beta = w4 * a14 + w5 * a13
-    u = 2 * slack / (beta + math.hypot(beta, 2 * math.sqrt(w4 * w5 * slack)))
-    return math.sqrt(u)
+    (s, es), (w4, e4), (w5, e5), (a13, e13), (a14, e14) = map(
+        binary_parts, (slack, *_register_weights(params), q1.A3, q1.A4))
+    # slack > u beta + u^2 w4 w5, u = t^2, beta = w4 a14 + w5 a13.  With u =
+    # 4^n v, 4^n near the smaller of slack / beta and sqrt(slack / w4 w5),
+    # 1 = c v + r v^2 with c, r < 16 and one of them near 1; the root is
+    # subtraction-free, as beta^2 can dwarf the slack.
+    eb = max(e4 + e14, e5 + e13)
+    b = (math.ldexp(w4 * a14, e4 + e14 - eb)
+         + math.ldexp(w5 * a13, e5 + e13 - eb))
+    n = min(es - eb, (es - e4 - e5) // 2) // 2
+    c = math.ldexp(b / s, eb + 2 * n - es)
+    r = math.ldexp(w4 * w5 / s, e4 + e5 + 4 * n - es)
+    return math.ldexp(math.sqrt(2 / (c + math.hypot(c, 2 * math.sqrt(r)))), n)
 
 
 def attach_register(params: RecoveredParameters, a_reg, b_reg) -> RecoveredParameters:
@@ -202,6 +210,6 @@ def auto_register(params: RecoveredParameters):
     if est > 1.0:
         return Fraction(1)
     if est == 0.0:
-        raise DegeneratePairError("no admissible register: the level-1 "
-                                  "slack is lost in double precision")
+        raise DegeneratePairError("no admissible register: the largest one "
+                                  "is below the smallest double")
     return _round_significant(est / 2, 3)

@@ -326,10 +326,16 @@ class Radical(Record):
         return cls(Fraction(1), (q,))
 
     def __float__(self) -> float:
-        out = float(self.coeff)
-        for r in self.roots:
-            out *= math.sqrt(float(r))
-        return out
+        # atom by atom while every atom and partial product is a normal
+        # double; else the root of the exact square, rounded once
+        try:
+            out = _normal(float(self.coeff))
+            for r in self.roots:
+                out = _normal(out * math.sqrt(_normal(float(r))))
+            return out
+        except OverflowError:       # float(self.coeff) may raise it too
+            out = _sqrt_double(self.coeff * self.coeff * math.prod(self.roots))
+            return -out if self.coeff < 0 else out
 
     # -- arithmetic ------------------------------------------------------
 
@@ -338,15 +344,9 @@ class Radical(Record):
             return Radical(self.coeff * other, self.roots) if other else Fraction(0)
         if not isinstance(other, Radical):
             return NotImplemented
-        # sqrt(r) * sqrt(r) = r: shared atoms move into the coefficient
-        coeff, mine, theirs = self.coeff * other.coeff, self.roots, other.roots
-        roots = [r for r in theirs if r not in mine]
-        for r in mine:
-            if r in theirs:
-                coeff *= r
-            else:
-                roots.append(r)
-        return Radical(coeff, tuple(sorted(roots))) if roots else coeff
+        shared, roots = _split_atoms(self.roots, other.roots)
+        coeff = math.prod(shared, start=self.coeff * other.coeff)
+        return Radical(coeff, roots) if roots else coeff
 
     __rmul__ = __mul__
 
@@ -397,6 +397,76 @@ class Radical(Record):
     def __repr__(self):
         tail = "*".join(f"sqrt({r})" for r in self.roots)
         return f"Radical({self.coeff}*{tail})"
+
+
+def _split_atoms(mine: tuple, theirs: tuple) -> tuple:
+    """(the atoms two sorted atom tuples share, the sorted rest): as
+    sqrt(r) sqrt(r) = r, the shared ones leave the root of a product."""
+    if mine == theirs:
+        return mine, ()
+    shared = [r for r in mine if r in theirs]
+    rest = [r for r in mine + theirs if r not in shared]
+    return shared, tuple(sorted(rest))
+
+
+def _normal(x: float) -> float:
+    """x when it is a normal double, else OverflowError: out of range."""
+    if not sys.float_info.min <= abs(x) <= sys.float_info.max:
+        raise OverflowError(f"{x!r} is not a normal double")
+    return x
+
+
+def _sqrt_double(q: Fraction) -> float:
+    """sqrt(q), q > 0 a rational of any size, as a double: the integer root
+    of q scaled by an even power of two, 64 bits or more, rounded once.
+    OverflowError past the largest double, as float(q) raises."""
+    half = (129 - q.numerator.bit_length() + q.denominator.bit_length()) // 2
+    return float(math.isqrt(math.floor(q * Fraction(4) ** half))
+                 / Fraction(2) ** half)
+
+
+def _left_to_right(terms: Sequence[tuple]):
+    """The sum of the products x y w, formed and added one at a time."""
+    total = None
+    for x, y, w in terms:
+        total = x * y * w if total is None else total + x * y * w
+    return total
+
+
+def sum_of_products(terms: Sequence[tuple]):
+    """x_1 y_1 w_1 + x_2 y_2 w_2 + ... over nonempty (x, y, w) terms, w a
+    weight, as the left-to-right sum of the products gives it.  A factor
+    that is not exact, an Interval above all, selects that loop, so no
+    enclosure bit moves.  Exact terms are summed in one integer pass: a
+    product's numerator and denominator are plain ints, with the atoms its
+    factors share moved in, and the sum over the lcm of the denominators
+    is normalised once.  A zero product drops out, as 0 + x does; atoms
+    unlike a nonzero partial sum's raise ModeUnsupportedError, as
+    Radical.__add__ does."""
+    parts = []
+    for term in terms:
+        num, den, roots = 1, 1, ()
+        for v in term:
+            if v.__class__ is Radical:
+                shared, roots = (_split_atoms(roots, v.roots) if roots
+                                 else ((), v.roots))
+                for r in shared:
+                    num, den = num * r.numerator, den * r.denominator
+                v = v.coeff
+            elif v.__class__ is not Fraction and v.__class__ is not int:
+                return _left_to_right(terms)
+            num, den = num * v.numerator, den * v.denominator
+        if num:
+            parts.append((num, den, roots))
+    lcm = math.lcm(*(den for _, den, _ in parts))
+    total, atoms = 0, ()
+    for num, den, roots in parts:
+        if total and roots != atoms:
+            raise ModeUnsupportedError("cannot add radicals with different "
+                                       f"root atoms: {atoms} and {roots}")
+        total, atoms = total + num * (lcm // den), roots
+    q = Fraction(total, lcm)
+    return Radical(q, atoms) if total and atoms else q
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +587,17 @@ def to_float(x) -> float:
     if isinstance(x, Interval):
         return x.mid
     return float(x)
+
+
+def binary_parts(x) -> tuple:
+    """(m, e) with x = m 2^e, m a double in [0.5, 2], for an exact x > 0
+    of any size or an interval's midpoint: one rounding, and no exponent
+    range to leave."""
+    if isinstance(x, Interval):
+        return math.frexp(x.mid)
+    n, d = x.numerator, x.denominator
+    e = n.bit_length() - d.bit_length()
+    return (n << -e) / d if e < 0 else n / (d << e), e
 
 
 def as_coefficient(v):

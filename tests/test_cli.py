@@ -649,6 +649,19 @@ class TestPipeline:
                        "c = 14.658126043556841\n")
         assert not cert.exists()
 
+    def test_a_z1_below_the_doubles_certifies(self, capsys, tmp_path):
+        # at Z_3 = 10^200 the default Z_1 is about 2.26e-186, which read
+        # 0.0 when each root atom was a double first
+        cert = tmp_path / "cert.json"
+        code, out, err = run(capsys, "pipeline", "--alpha", "-16", "--d",
+                             "1,4,6", "--z3", "1e200", "--out", str(cert))
+        assert code == 0, err
+        assert out.startswith("verdict: pass  c = 0.363334962129787\n")
+        assert json.loads(cert.read_text())["regime"] == "rational"
+        code, out, _ = run(capsys, "certify", "--check", str(cert))
+        assert code == 0
+        assert "recomputed: pass" in out and "mismatch" not in out
+
     def test_hopeless_alpha_reports_honestly(self, capsys, tmp_path):
         code, _, err = run(capsys, "pipeline", "--alpha", "-1/2",
                            "--out", str(tmp_path / "cert.json"))

@@ -8,7 +8,9 @@ tolerance or tests a double for zero, no module but search holds a small
 float literal, no module but reduction spells C_5, no module has json indent
 its output, the package imports exactly the third-party modules
 pyproject.toml lists, the search subcommand's options are the fields of
-SearchConfig and --out, and a search reduces one system."""
+SearchConfig and --out, a search reduces one system, no module but scalars
+reads a Radical's .coeff or .roots, and a rational verify's inner products
+build no Radical per term."""
 
 import argparse
 import ast
@@ -539,3 +541,56 @@ def test_a_search_reduces_one_system(monkeypatch):
     monkeypatch.setattr(zkwander.search, "reduce_system", counted)
     minimize(SearchConfig(alpha=-16, strategy="grid"))
     assert len(calls) == 1
+
+
+def _scalar_part_reads(tree: ast.Module) -> list:
+    """Lines that read an attribute .coeff or .roots."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("coeff", "roots")]
+
+
+def test_only_scalars_reads_the_parts_of_a_radical():
+    # a Radical's coefficient and atoms are the scalar layer's business:
+    # a module that multiplies them out keeps a second exact kernel
+    assert _scalar_part_reads(ast.parse("x.coeff * y.roots[0]")) == [1, 1]
+    found = {path.stem: _scalar_part_reads(tree)
+             for path, tree in _package_trees().items()
+             if path.stem != "scalars"}
+    assert {stem: lines for stem, lines in found.items() if lines} == {}
+
+
+def test_a_rational_verify_sums_no_radical_objects(monkeypatch,
+                                                   registered16, seq16):
+    # inner products run through scalars.sum_of_products in one integer
+    # pass: a return to one Radical product and sum per term fails here
+    import zkwander.certify
+    import zkwander.model
+    from zkwander.scalars import Radical
+    inside, entered, calls = [0], [], []
+    inner_product = zkwander.model.inner_product
+
+    def traced(*args, **kwargs):
+        inside[0] += 1
+        entered.append(1)
+        try:
+            return inner_product(*args, **kwargs)
+        finally:
+            inside[0] -= 1
+
+    def counted(name):
+        original = getattr(Radical, name)
+
+        def method(self, other):
+            if inside[0]:
+                calls.append(name)
+            return original(self, other)
+        return method
+
+    for module in (zkwander.model, zkwander.certify):
+        monkeypatch.setattr(module, "inner_product", traced)
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(Radical, name, counted(name))
+    cert = zkwander.certify.verify(registered16.pair, seq16)
+    assert cert.verdict == "pass"
+    assert len(entered) > 0 and calls == []

@@ -1,3 +1,4 @@
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -133,16 +134,31 @@ class TestRegisters:
                 r"c = 14\.658126043556841$")):
             auto_register(params)
 
-    def test_a_slack_lost_in_doubles_is_not_called_tight(self, rs16,
-                                                          z3_main):
-        # both sides scale with A_15^2, so at A_15 = 10^-200 the exact
-        # inequality holds but its doubles underflow to 0
+    def test_a_slack_below_the_doubles_still_fits_a_register(self, rs16,
+                                                              seq16,
+                                                              z3_main):
+        # both sides scale with A_15^2, so at A_15 = 10^-200 the slack,
+        # about 10^-400, underflows a double; the estimate keeps each value
+        # as a double times a power of two and rounds only the register
         params = recover(rs16, (1, 4, 6), z3=z3_main,
                          a15=Fraction(1, 10 ** 200))
+        est = max_register_estimate(params)
+        assert est == pytest.approx(7.351360226388178e-186, rel=1e-12)
+        reg = auto_register(params)
+        assert reg == Fraction(368, 10 ** 188)
+        cert = verify(attach_register(params, reg, reg).pair, seq16)
+        assert (cert.verdict, cert.regime) == ("pass", "rational")
+
+    def test_a_register_below_the_smallest_double_is_refused(self, rs16,
+                                                             z3_main):
+        # at A_15 = 10^-400 the largest register, ~10^-386, rounds to the
+        # double 0, which is no magnitude to attach
+        params = recover(rs16, (1, 4, 6), z3=z3_main,
+                         a15=Fraction(1, 10 ** 400))
         assert max_register_estimate(params) == 0.0
         with pytest.raises(DegeneratePairError, match="^no admissible "
-                           "register: the level-1 slack is lost in double "
-                           "precision$"):
+                           "register: the largest one is below the "
+                           "smallest double$"):
             auto_register(params)
 
     def test_the_estimate_survives_a_huge_z3(self, rs16):
@@ -155,6 +171,28 @@ class TestRegisters:
         cert = verify(attach_register(params, reg, reg).pair, rs16.seq)
         assert cert.verdict == "pass"
         assert to_float(cert.c_value) == 0.363334962129787
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"z3": 10 ** 100}, {"z3": 10 ** 200}, {"z3": -10 ** 300},
+        {"a15": Fraction(1, 10 ** 200)}, {"a15": 10 ** 200}],
+        ids=["headline", "z3-1e100", "z3-1e200", "z3--1e300", "a15-1e-200",
+             "a15-1e200"])
+    def test_the_estimate_is_the_root_of_the_exact_quadratic(
+            self, rs16, seq16, z3_main, kwargs):
+        # the values run far past both ends of the doubles; the reference
+        # is the root in 50 digits
+        params = recover(rs16, (1, 4, 6), **{"z3": z3_main, **kwargs})
+        q1 = level1_block(params)
+        gap, coupling = q1.contraction_sides()
+        slack = abs(coupling) - gap
+        w4, w5 = (weight(seq16, 6 + g) for g in (4, 5))
+        beta = w4 * q1.A4 + w5 * q1.A3
+        with localcontext() as ctx:
+            ctx.prec = 50
+            s, b, disc = (Decimal(q.numerator) / q.denominator for q in (
+                slack, beta, beta * beta + 4 * w4 * w5 * slack))
+            t = float((2 * s / (b + disc.sqrt())).sqrt())
+        assert max_register_estimate(params) == pytest.approx(t, rel=1e-15)
 
     def test_estimate_is_sharp(self, params16):
         """Magnitudes just inside the estimate pass, just outside fail."""

@@ -1,16 +1,17 @@
 import json
 import math
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from zkwander import scalars
 from zkwander.certify import check_certificate, verify
 from zkwander.errors import ModeUnsupportedError, SingularSystemError
-from zkwander.model import DegreePattern
+from zkwander.model import DegreePattern, adjacent_products
 from zkwander.recovery import attach_register, recover
 from zkwander.reduction import compute_C, reduce_system
 from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
@@ -462,6 +463,40 @@ class TestRadical:
         assert float(Radical.sqrt(2)) == pytest.approx(math.sqrt(2))
         assert float(-Radical.sqrt(2)) == pytest.approx(-math.sqrt(2))
 
+    @pytest.mark.parametrize("value, square", [
+        (Radical(Fraction(3), (Fraction(1, 10 ** 400),)), "9e-400"),
+        (Radical(Fraction(-1, 10 ** 310), (Fraction(2),)), "-2e-620"),
+        (Radical(Fraction(10 ** 400), (Fraction(1, 10 ** 800), Fraction(2))),
+         "2"),
+        (Radical(Fraction(-10 ** 400), (Fraction(2, 10 ** 184),)),
+         "-2e616"),
+        (Radical(Fraction(1, 10 ** 162), (Fraction(1, 10 ** 700),)),
+         "1e-1024"),
+    ], ids=["atom-below-the-doubles", "subnormal", "coefficient-overflows",
+            "near-the-largest", "below-the-subnormals"])
+    def test_float_at_both_ends_of_the_doubles(self, value, square):
+        # where a value leaves the normal doubles on the way, the correctly
+        # rounded double of sign * sqrt(value^2)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            square = Decimal(square)
+            near = float(square.copy_abs().sqrt().copy_sign(square))
+        assert float(value) == near
+
+    def test_float_past_the_largest_double_overflows(self):
+        # as float() of the rational 10^350 does
+        with pytest.raises(OverflowError):
+            float(Radical(Fraction(10 ** 200), (Fraction(10 ** 300),)))
+
+    @given(value=radicals)
+    @settings(max_examples=100)
+    def test_float_inside_the_doubles_is_atom_by_atom(self, value):
+        # the formula the digests were taken with, bit for bit
+        out = float(value.coeff)
+        for r in value.roots:
+            out *= math.sqrt(float(r))
+        assert float(value) == out
+
     def test_irrational_as_fraction_raises(self):
         # an irrational has no Fraction to compare through
         with pytest.raises(ModeUnsupportedError):
@@ -559,6 +594,93 @@ class TestRadical:
     def test_decoder_refuses_unbounded_forms(self, obj):
         with pytest.raises(ValueError):
             scalar_from_json(obj)
+
+
+def _left_to_right(terms):
+    """The per-term sum that sum_of_products replaces."""
+    total = None
+    for x, y, w in terms:
+        term = x * y * w
+        total = term if total is None else total + term
+    return total
+
+
+def _exact_outcome(compute):
+    """compute()'s type and value, or ModeUnsupportedError if it raised."""
+    try:
+        value = compute()
+    except ModeUnsupportedError:
+        return ModeUnsupportedError
+    return type(value), value
+
+
+# factors over three atoms, zero among them; a weight is a positive rational
+factors = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-3, 7)]),
+    rationals,
+    st.builds(lambda c, atoms: Radical(c, tuple(sorted(atoms))),
+              nonzero_rationals,
+              st.sets(st.sampled_from(ATOMS[:3]), min_size=1, max_size=2)))
+exact_terms = st.lists(
+    st.tuples(factors, factors, rationals.filter(lambda q: q > 0)),
+    min_size=1, max_size=6)
+S2, S3 = Radical.sqrt(2), Radical.sqrt(3)
+
+
+class TestSumOfProducts:
+
+    @seed(37)
+    @settings(max_examples=150, deadline=None)
+    @given(terms=exact_terms, cancel=st.booleans())
+    @example(terms=[(S2, 1, Fraction(1)), (-S2, 1, Fraction(1)),
+                    (S3, 2, Fraction(1))], cancel=False)
+    @example(terms=[(S2, S3, Fraction(2)), (S3, S2, Fraction(-2)),
+                    (Fraction(1), 0, Fraction(5))], cancel=False)
+    @example(terms=[(S2, 1, Fraction(1)), (Fraction(1), 1, Fraction(1))],
+             cancel=False)
+    @example(terms=[(S2, S2 * S3, Fraction(1)), (S3, 5, Fraction(1, 3))],
+             cancel=True)
+    def test_exact_sums_match_the_left_to_right_sum(self, terms, cancel):
+        # cancel appends each term's negation: the sum is exactly 0 unless
+        # the atoms clash on the way
+        if cancel:
+            terms = terms + [(-x, y, w) for x, y, w in terms]
+        assert _exact_outcome(lambda: scalars.sum_of_products(terms)) == \
+            _exact_outcome(lambda: _left_to_right(terms))
+
+    @seed(37)
+    @settings(max_examples=150, deadline=None)
+    @given(terms=st.lists(st.tuples(
+        st.one_of(factors, st.builds(lambda a, b: Interval(*sorted((a, b))),
+                                     st.floats(-1e6, 1e6),
+                                     st.floats(-1e6, 1e6)))
+        .filter(lambda v: not isinstance(v, Radical)),
+        st.one_of(st.integers(-3, 3), rationals),
+        st.one_of(st.floats(1e-3, 1e3).map(lambda x: Interval(x, _up(x))),
+                  rationals.filter(lambda q: q > 0))),
+        min_size=1, max_size=6))
+    def test_interval_sums_keep_the_loop_bits(self, terms):
+        # one Interval factor anywhere, a later term's too, selects the loop
+        assume(any(isinstance(v, Interval) for term in terms for v in term))
+        assert _outcome(lambda: scalars.sum_of_products(terms)) == \
+            _outcome(lambda: _left_to_right(terms))
+
+    def test_clashing_atoms_raise(self):
+        with pytest.raises(ModeUnsupportedError,
+                           match="different root atoms"):
+            scalars.sum_of_products([(S2, 1, Fraction(1)),
+                                     (S3, 1, Fraction(1))])
+
+    def test_zero_terms_drop_out(self):
+        total = scalars.sum_of_products([(Fraction(0), S3, Fraction(1)),
+                                         (S2, 3, Fraction(1, 2)),
+                                         (S2, 0, Fraction(7))])
+        assert total == Radical(Fraction(3, 2), (Fraction(2),))
+
+    def test_the_headline_a21_is_a_plain_zero(self, registered16, seq16):
+        a21, _ = adjacent_products(registered16.pair, seq16, 2)
+        assert a21 == 0 and type(a21) is Fraction
 
 
 class TestOneFloatRule:
