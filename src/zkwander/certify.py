@@ -17,7 +17,9 @@ regime but rational and interval before it evaluates a weight.
 Only what the proof reads is evaluated: A_(s,1) and A_(s,5) for s >= 4
 multiply a zero coefficient (HIGHER_LEVELS), and the membership sweep runs
 only at the levels of the support lemma (``DegreePattern.sweep_overlaps``).
-Everything verify computes reads one of the 14 embedded weights.
+Each input is evaluated once per verify call: the 14 embedded weights, into
+one table that every product reads, each generator's coefficient map, and
+the Cauchy-Schwarz gap that both the strict contraction and F_3 use.
 """
 
 from __future__ import annotations
@@ -219,7 +221,10 @@ def verify(pair: GeneratorPair, seq: WeightSequence,
     check_bounds(pair.pattern, seq)
     refuse_foreign(regime, (*pair.a_low, *pair.a_high, *pair.b_low,
                             pair.a_reg, pair.b_reg))
-    q1, relations = orthogonality_relations(pair, seq, regime)
+    k = pair.pattern.k
+    w = {t: weight(seq, t, regime) for t in pair.pattern.embedded_indices()}
+    f1, f2 = pair.f1_map(), pair.f2_map()
+    q1, relations = orthogonality_relations(f1, f2, w, k, regime)
     a_table = {1: {f"A{i}": getattr(q1, f"A{i}") for i in range(1, 6)},
                2: {}, 3: {}}
     cells = []              # (certificate key, label, value)
@@ -255,7 +260,7 @@ def verify(pair: GeneratorPair, seq: WeightSequence,
     membership = {}
     if all_hold:
         levels = sorted({s for s, _ in pair.pattern.sweep_overlaps()})
-        membership = _membership_sweep(pair, seq, regime, levels, q1)
+        membership = _membership_sweep(f1, f2, w, k, regime, levels, q1, lhs)
         if not membership["holds"]:
             all_hold = False
             reasons.append(
@@ -269,26 +274,25 @@ def verify(pair: GeneratorPair, seq: WeightSequence,
                        membership=membership)
 
 
-def _membership_sweep(pair: GeneratorPair, seq: WeightSequence, regime: str,
-                      levels: list, q1: AQuantities) -> dict:
+def _membership_sweep(f1: dict, f2: dict, w: dict, k: int, regime: str,
+                      levels: list, q1: AQuantities, gap) -> dict:
     """Check that F_2 and F_3 really live in M (-) z^k M at the given levels.
 
-    F_3 is built from verify's level-1 block q1, whose zero conditions have
-    been proved; the sweep then tests every projection directly, so any
+    F_3 is built from verify's maps f1 of F_1 and f2 of F_2 and its level-1
+    block q1 and gap, whose zero conditions have been proved; the sweep then
+    tests every projection directly, on verify's weight table w, so any
     nonzero one flags an internal inconsistency.  At every other level the
     support lemma leaves the products without a term.
     """
-    k = pair.pattern.k
     try:
-        f3 = _f3_from_level1(pair, q1)
+        f3 = _f3_from_level1(f1, f2, k, q1, gap)
     except DegeneratePairError as exc:
         return {"holds": False, "error": str(exc)}
-    f1, f2 = pair.f1_map(), pair.f2_map()
     worst = 0.0
     for s in levels:
         for tag, fmap in (("F2", f2), ("F3", f3)):
             for gname, gmap in (("F1", f1), ("F2", f2)):
-                v = inner_product(fmap, gmap, seq, regime,
+                v = inner_product(fmap, gmap, w, regime,
                                   shift_f=0, shift_g=k * s)
                 zok, info = zero_evidence(v)
                 if not zok:

@@ -17,6 +17,7 @@ real, so <f, g> = sum_t f_t g_t w_t needs no conjugate.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict
 
 from .errors import DegeneratePairError, InvalidPatternError
@@ -93,6 +94,7 @@ class DegreePattern(Record):
         k, g = self.k, self.gamma
         return tuple(sorted({*self.matrix_indices(), k + g[4], k + g[5]}))
 
+    @lru_cache(maxsize=1)   # writing and replaying a certificate: 4 reads
     def sweep_overlaps(self) -> tuple:
         """The support lemma: the sorted (level s, degree t) pairs at which a
         membership product <F, z^{ks} G>, F in {F_2, F_3}, G in {F_1, F_2},
@@ -189,16 +191,19 @@ def _map_add(m: CoefficientMap, degree: int, value):
 
 def inner_product(f: CoefficientMap, g: CoefficientMap, seq: WeightSequence,
                   regime: str = RATIONAL, shift_f: int = 0, shift_g: int = 0):
-    """<z^{shift_f} f, z^{shift_g} g> in the weighted space.
+    """<z^{shift_f} f, z^{shift_g} g> in the weighted space; seq may be a
+    table {degree: weight} in the regime holding every matched degree.
 
     The matched terms are collected in ascending degree order, so interval
     results are reproducible, and summed by ``sum_of_products``.
     """
+    at = seq.__getitem__ if isinstance(seq, dict) else (
+        lambda t: weight(seq, t, regime))
     terms = []
     for d in sorted(f):
         cg = g.get(d + shift_f - shift_g)
         if cg is not None:
-            terms.append((f[d], cg, weight(seq, d + shift_f, regime)))
+            terms.append((f[d], cg, at(d + shift_f)))
     if not terms:
         return to_regime(Fraction(0), regime)
     return sum_of_products(terms)
@@ -209,27 +214,20 @@ def norm_sq(f: CoefficientMap, seq: WeightSequence,
     return inner_product(f, f, seq, regime, shift, shift)
 
 
-def adjacent_products(pair: GeneratorPair, seq: WeightSequence, s: int,
-                      regime: str = RATIONAL) -> tuple:
-    """(A_(s,1), A_(s,5)), the two level-s products the orthogonality
-    relations read; both pair z^{k(s-1)} F_1 with a generator at z^{ks}."""
-    k = pair.pattern.k
-    f1 = pair.f1_map()
+def adjacent_products(f1: CoefficientMap, f2: CoefficientMap, seq, k: int,
+                      s: int, regime: str = RATIONAL) -> tuple:
+    """(A_(s,1), A_(s,5)) of the maps f1 of F_1 and f2 of F_2 on shift order
+    k, the two level-s products the orthogonality relations read; both pair
+    z^{k(s-1)} F_1 with a generator at z^{ks}."""
     lo, hi = k * (s - 1), k * s
     return (inner_product(f1, f1, seq, regime, shift_f=lo, shift_g=hi),
-            inner_product(f1, pair.f2_map(), seq, regime,
-                          shift_f=lo, shift_g=hi))
+            inner_product(f1, f2, seq, regime, shift_f=lo, shift_g=hi))
 
 
-def compute_A(pair: GeneratorPair, seq: WeightSequence, s: int,
-              regime: str = RATIONAL) -> AQuantities:
-    """All five A-quantities at level s >= 1, straight from the definitions."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    hi = pair.pattern.k * s
-    f1 = pair.f1_map()
-    f2 = pair.f2_map()
-    a1, a5 = adjacent_products(pair, seq, s, regime)
+def _level_block(f1: CoefficientMap, f2: CoefficientMap, seq, k: int, s: int,
+                 regime: str) -> AQuantities:
+    hi = k * s
+    a1, a5 = adjacent_products(f1, f2, seq, k, s, regime)
     return AQuantities(
         s=s,
         A1=a1,
@@ -240,43 +238,47 @@ def compute_A(pair: GeneratorPair, seq: WeightSequence, s: int,
     )
 
 
-def orthogonality_relations(pair: GeneratorPair, seq: WeightSequence,
-                            regime: str = RATIONAL) -> tuple:
-    """The level-1 block and the five relations the proof needs to vanish:
+def compute_A(pair: GeneratorPair, seq: WeightSequence, s: int,
+              regime: str = RATIONAL) -> AQuantities:
+    """All five A-quantities at level s >= 1, straight from the definitions."""
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    return _level_block(pair.f1_map(), pair.f2_map(), seq, pair.pattern.k, s,
+                        regime)
+
+
+def orthogonality_relations(f1: CoefficientMap, f2: CoefficientMap, seq,
+                            k: int, regime: str = RATIONAL) -> tuple:
+    """The level-1 block of the maps f1 of F_1 and f2 of F_2 on shift order
+    k, and the five relations the proof needs to vanish:
     (q1, (((s, n), A_(s,n)), ...)) for A_(1,1), A_(2,1), A_(2,5), A_(3,1)
     and A_(3,5).  Levels 2 and 3 need only the two adjacent products."""
-    q1 = compute_A(pair, seq, 1, regime)
+    q1 = _level_block(f1, f2, seq, k, 1, regime)
     relations = [((1, 1), q1.A1)]
     for s in (2, 3):
-        a1, a5 = adjacent_products(pair, seq, s, regime)
+        a1, a5 = adjacent_products(f1, f2, seq, k, s, regime)
         relations += [((s, 1), a1), ((s, 5), a5)]
     return q1, tuple(relations)
 
 
-def _shift_multipliers(q1: AQuantities) -> tuple:
-    """The z^k multipliers A_15 (A_13, -A_12) / (A_12^2 - A_13 A_14)
-    of F_2 and F_1 in F_3, once the Cauchy-Schwarz gap is certified
-    positive (which makes both norms nonzero)."""
-    gap, _ = q1.contraction_sides()
+def _f3_from_level1(f1: CoefficientMap, f2: CoefficientMap, k: int,
+                    q1: AQuantities, gap) -> CoefficientMap:
+    """Second spanning element of M (-) z^k M, as a coefficient map, from
+    the maps of F_1 and F_2 and a level-1 block whose orthogonality
+    relations are proved zero, with its Cauchy-Schwarz gap
+    A_13 A_14 - A_12^2 from ``contraction_sides``:
+
+        F_3 = F_1 + z^k * A_15 / (A_12^2 - A_13 A_14)
+                        * (A_13 F_2 - A_12 F_1)
+
+    The gap must be certified positive, which makes both norms nonzero.
+    """
     if not certainly_positive(gap):
         raise DegeneratePairError(
             f"A_13 A_14 - |A_12|^2 = {gap!r} is not certifiably positive")
     scale = q1.A5 / -gap
-    return scale * q1.A3, -(scale * q1.A2)
-
-
-def _f3_from_level1(pair: GeneratorPair, q1: AQuantities) -> CoefficientMap:
-    """Second spanning element of M (-) z^k M, as a coefficient map, from a
-    level-1 block whose orthogonality relations are proved zero:
-
-        F_3 = F_1 + z^k * A_15 / (A_12^2 - A_13 A_14)
-                        * (A_13 F_2 - A_12 F_1)
-    """
-    c2, c1 = _shift_multipliers(q1)
-    k = pair.pattern.k
-    f1 = pair.f1_map()
     out: CoefficientMap = dict(f1)
-    for c, fmap in ((c2, pair.f2_map()), (c1, f1)):
+    for c, fmap in ((scale * q1.A3, f2), (-(scale * q1.A2), f1)):
         for d, v in fmap.items():
             _map_add(out, d + k, c * v)
     return {d: v for d, v in sorted(out.items()) if not is_exact_zero(v)}

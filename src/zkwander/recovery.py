@@ -29,7 +29,8 @@ from .reduction import (CQuantities, ReducedSystem, compute_C, objective_B1,
                         pivot, pivot_modulus, z1_star, z3_quadratic)
 from .scalars import (as_coefficient, binary_parts, certainly_positive,
                       display, excludes_zero, is_exact_zero, refuse_foreign,
-                      sqrt, strictly_less, to_float, to_regime)
+                      refuse_irrational, sqrt, strictly_less, to_float,
+                      to_regime)
 
 
 class RecoveredParameters(Record):
@@ -93,11 +94,13 @@ def recover(rs: ReducedSystem, d, z3=None, z1=None, a15=None) -> RecoveredParame
     Z_3 defaults to ``choose_Z3``; Z_1, in every regime, to the minimizer
     sqrt(e_0/e_1) rounded to 9 digits (any positive Z_1 keeps the relations,
     only the reported ratio moves); A_15 to the normalizing root.  A given
-    value is read as ``attach_register`` reads a register, and A_15 must be
-    nonzero exactly or by an enclosure that excludes 0.
+    value is read as ``attach_register`` reads a register, but an irrational
+    Z_3 or Z_1 is refused, and A_15 must be nonzero exactly or by an
+    enclosure that excludes 0.
     """
     regime = rs.regime
     refuse_foreign(regime, (z3, z1, a15))
+    refuse_irrational((("Z_3", z3), ("Z_1", z1)))
     z3, z1, a15 = (v if v is None else as_coefficient(v)
                    for v in (z3, z1, a15))
     c = compute_C(rs, d)
@@ -160,7 +163,12 @@ def max_register_estimate(params: RecoveredParameters) -> float:
     times a power of two, and only t is rounded into the doubles."""
     q1 = level1_block(params)
     gap, coupling = q1.contraction_sides()
-    slack = abs(coupling) - gap
+    return _register_estimate(params, q1, abs(coupling) - gap)
+
+
+def _register_estimate(params: RecoveredParameters, q1: AQuantities,
+                       slack) -> float:
+    """max_register_estimate from the register-free block q1 and its slack."""
     if not certainly_positive(slack):
         return 0.0
     (s, es), (w4, e4), (w5, e5), (a13, e13), (a14, e14) = map(
@@ -199,14 +207,15 @@ def attach_register(params: RecoveredParameters, a_reg, b_reg) -> RecoveredParam
 def auto_register(params: RecoveredParameters):
     """Register magnitude policy: 1 when admissible, else half the estimate;
     none when the strict inequality fails, or is tight, with no register."""
-    gap, coupling = level1_block(params).contraction_sides()
+    q1 = level1_block(params)
+    gap, coupling = q1.contraction_sides()
     rhs = abs(coupling)
     if not strictly_less(gap, rhs):
         how = "is tight" if is_exact_zero(gap - rhs) else "fails"
         raise DegeneratePairError(
             f"no admissible register: A_13 A_14 - A_12^2 < |A_15 A_12| {how} "
             f"before any register is attached, c = {display(gap / rhs)}")
-    est = max_register_estimate(params)
+    est = _register_estimate(params, q1, rhs - gap)
     if est > 1.0:
         return Fraction(1)
     if est == 0.0:

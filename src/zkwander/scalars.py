@@ -577,6 +577,15 @@ def refuse_foreign(regime: str, values) -> None:
                 f"{regime} regime needs {need} (got {type(v).__name__})")
 
 
+def refuse_irrational(named) -> None:
+    """Refuse, by name, an irrational value among (name, value) pairs of
+    free scalars that meet the reduction's rationals in a sum (Z_3, Z_1)."""
+    for name, v in named:
+        if isinstance(v, Radical):
+            raise ModeUnsupportedError(
+                f"{name} cannot be irrational, got {display(v)}")
+
+
 def to_regime(q, regime: str):
     """Convert an exact rational into the given regime."""
     check_regime(regime)

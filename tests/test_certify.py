@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -69,20 +70,26 @@ class TestVerify:
 
     def test_a_nonzero_membership_product_fails_the_sweep(
             self, registered16, seq16, monkeypatch):
-        # the sweep tests every projection itself: one nonzero product, here
-        # <F_2, z^12 F_1>, fails the certificate and is named
+        # the sweep tests every projection itself, those of F_3 included:
+        # one nonzero product, here <F_2, z^12 F_1> and then <F_3, z^6 F_2>,
+        # fails the certificate and is named
         import zkwander.certify
         inner_product = zkwander.certify.inner_product
+        f1, f2 = registered16.pair.f1_map(), registered16.pair.f2_map()
 
         def skewed(f, g, seq, regime, shift_f=0, shift_g=0):
             v = inner_product(f, g, seq, regime, shift_f, shift_g)
-            return v + 1 if shift_g == 12 else v
+            product = ("F2" if f == f2 else "F3", shift_g,
+                       "F1" if g == f1 else "F2")
+            return v + 1 if product == target else v
         monkeypatch.setattr(zkwander.certify, "inner_product", skewed)
-        cert = verify(registered16.pair, seq16)
-        assert cert.verdict == "fail"
-        assert cert.reasons == ["membership sweep found a nonzero projection"]
-        assert cert.membership == {"holds": False,
-                                   "first_failure": "<F2, z^12 F1> != 0"}
+        for target in (("F2", 12, "F1"), ("F3", 6, "F2")):
+            cert = verify(registered16.pair, seq16)
+            assert cert.verdict == "fail"
+            assert cert.reasons == [
+                "membership sweep found a nonzero projection"]
+            assert cert.membership == {
+                "holds": False, "first_failure": "<%s, z^%d %s> != 0" % target}
 
     def test_a_degenerate_gap_fails_the_sweep(self, registered16, seq16,
                                               monkeypatch):
@@ -91,8 +98,8 @@ class TestVerify:
         import zkwander.certify
         relations = zkwander.certify.orthogonality_relations
 
-        def equality(pair, seq, regime):
-            q1, cells = relations(pair, seq, regime)
+        def equality(f1, f2, seq, k, regime):
+            q1, cells = relations(f1, f2, seq, k, regime)
             a13 = q1.A2 * q1.A2 / q1.A4
             return AQuantities(1, q1.A1, q1.A2, a13, q1.A4, q1.A5), cells
         monkeypatch.setattr(zkwander.certify, "orthogonality_relations",
@@ -161,23 +168,21 @@ class TestVerify:
                                           monkeypatch):
         # the full block at level 1 only (the membership sweep reuses it),
         # A_(s,1) and A_(s,5) alone at levels 2 and 3; the spy also sees
-        # the level-1 pair that compute_A takes from adjacent_products
-        import zkwander.certify
+        # the level-1 pair that the block takes from adjacent_products
         import zkwander.model
         blocks, pairs = [], []
-        compute_A = zkwander.model.compute_A
+        level_block = zkwander.model._level_block
         adjacent_products = zkwander.model.adjacent_products
 
-        def counted_block(pair, seq, s, regime):
+        def counted_block(f1, f2, seq, k, s, regime):
             blocks.append(s)
-            return compute_A(pair, seq, s, regime)
+            return level_block(f1, f2, seq, k, s, regime)
 
-        def counted_pair(pair, seq, s, regime):
+        def counted_pair(f1, f2, seq, k, s, regime):
             pairs.append(s)
-            return adjacent_products(pair, seq, s, regime)
+            return adjacent_products(f1, f2, seq, k, s, regime)
         # model.orthogonality_relations computes all of them for verify
-        for module in (zkwander.certify, zkwander.model):
-            monkeypatch.setattr(module, "compute_A", counted_block)
+        monkeypatch.setattr(zkwander.model, "_level_block", counted_block)
         monkeypatch.setattr(zkwander.model, "adjacent_products", counted_pair)
         cert = verify(registered16.pair, seq16)
         assert cert.passed
@@ -771,6 +776,35 @@ class TestReadSet:
     def test_headline(self, monkeypatch, registered16, seq16):
         assert self._check(monkeypatch, registered16.pair, seq16,
                            "rational").passed
+
+    def test_verify_evaluates_each_input_once(self, monkeypatch,
+                                              registered16, seq16):
+        # one weight per embedded index, one map of each generator and
+        # one Cauchy-Schwarz gap per call, however many products read them
+        import zkwander.certify
+        import zkwander.model
+        calls = []
+        weight = zkwander.model.weight
+
+        def counted_weight(seq, t, regime="rational"):
+            calls.append(t)
+            return weight(seq, t, regime)
+        for module in (zkwander.certify, zkwander.model):
+            monkeypatch.setattr(module, "weight", counted_weight)
+        def counted(name, method):
+            def wrapper(self):
+                calls.append(name)
+                return method(self)
+            return wrapper
+        for owner, name in ((GeneratorPair, "f1_map"),
+                            (GeneratorPair, "f2_map"),
+                            (AQuantities, "contraction_sides")):
+            monkeypatch.setattr(owner, name,
+                                counted(name, getattr(owner, name)))
+        assert verify(registered16.pair, seq16).passed
+        embedded = registered16.pair.pattern.embedded_indices()
+        assert Counter(calls) == Counter(
+            [*embedded, "f1_map", "f2_map", "contraction_sides"])
 
     def test_table2_k88(self, monkeypatch):
         row = TABLE2_ROWS[-1]

@@ -7,8 +7,15 @@ from hypothesis import strategies as st
 from zkwander.errors import InvalidPatternError
 from zkwander.model import (DegreePattern, GeneratorPair, _f3_from_level1,
                             compute_A, inner_product, norm_sq)
-from zkwander.scalars import is_exact_zero
+from zkwander.scalars import RATIONAL, is_exact_zero
 from zkwander.weights import dirichlet, weight
+
+
+def _f3(pair, seq):
+    """F_3 of a pair from its level-1 block, as verify builds it."""
+    q1 = compute_A(pair, seq, 1)
+    return _f3_from_level1(pair.f1_map(), pair.f2_map(), pair.pattern.k, q1,
+                           q1.contraction_sides()[0])
 
 
 class TestDegreePattern:
@@ -102,8 +109,7 @@ class TestSupportLemma:
         pair = registered16.pair
         k = pair.pattern.k
         f1, f2 = set(pair.f1_map()), set(pair.f2_map())
-        f3 = _f3_from_level1(pair, compute_A(pair, seq16, 1))
-        assert set(f3) <= f1 | {d + k for d in f1 | f2}
+        assert set(_f3(pair, seq16)) <= f1 | {d + k for d in f1 | f2}
 
 
 class TestInnerProduct:
@@ -124,6 +130,9 @@ class TestInnerProduct:
         g = {1: Fraction(5)}
         # <z^1 f, z^2 g> lives at degree 3 on both sides
         assert inner_product(f, g, seq, shift_f=1, shift_g=2) == \
+            15 * weight(seq, 3)
+        # a table of the weights in the regime gives the same product
+        assert inner_product(f, g, {3: weight(seq, 3)}, RATIONAL, 1, 2) == \
             15 * weight(seq, 3)
 
     def test_norm_sq_matches_inner_product(self):
@@ -198,7 +207,7 @@ class TestSpanningElements:
     def test_f3_is_orthogonal_to_the_shifted_generators(self, registered16,
                                                         seq16):
         pair = registered16.pair
-        f3 = _f3_from_level1(pair, compute_A(pair, seq16, 1))
+        f3 = _f3(pair, seq16)
         k = pair.pattern.k
         r1 = inner_product(f3, pair.f1_map(), seq16, shift_g=k)
         r2 = inner_product(f3, pair.f2_map(), seq16, shift_g=k)

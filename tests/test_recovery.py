@@ -14,7 +14,8 @@ from zkwander.recovery import (attach_register, auto_register, choose_Z3,
                                level1_block, max_register_estimate, recover)
 from zkwander.reduction import reduce_system
 from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
-from zkwander.scalars import INTERVAL, Interval, is_exact_zero, to_float
+from zkwander.scalars import (INTERVAL, Interval, Radical, is_exact_zero,
+                              to_float)
 from zkwander.weights import dirichlet, perturbed, weight
 
 # the interval-regime systems: the non-integer published rows and -33/2
@@ -245,6 +246,17 @@ class TestRegimeOfArguments:
                            match=r"rational regime needs exact coefficients "
                                  r"\(got float\)"):
             attach_register(recover(rs16, (1, 4, 6), **args), *registers)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"z3": -Radical.sqrt(2)}, "Z_3"), ({"z1": Radical.sqrt(2)}, "Z_1")],
+        ids=["z3", "z1"])
+    def test_an_irrational_z3_or_z1_is_refused_by_name(self, rs16, z3_main,
+                                                       kwargs, name):
+        # refused before any arithmetic, not by a TypeError or a sum of
+        # unlike radicals deep inside it; a Radical A_15 stays legal
+        with pytest.raises(ModeUnsupportedError,
+                           match=f"^{name} cannot be irrational, got "):
+            recover(rs16, (1, 4, 6), **{"z3": z3_main, **kwargs})
 
     def test_a_tiny_exact_a15_is_nonzero(self, rs16, z3_main):
         # A_15^2 = 10^-400 underflows a double; exactly it is not 0
