@@ -2,17 +2,17 @@
 in weighted Hardy-type coefficient spaces, with exact certificates.
 """
 
-from .certify import (Certificate, check_certificate, cross_check,
-                      save_certificate, verify)
+from .certify import Certificate, check_certificate, save_certificate, verify
 from .errors import (CertificateError, DegeneratePairError,
                      DegenerateReductionError, DegenerateZ3Error,
                      InvalidPatternError, ModeUnsupportedError,
                      NoAdmissibleSystemError, RegisterTooLargeError,
                      SingularSystemError, ZkwanderError)
 from .model import (AQuantities, DegreePattern, GeneratorPair, compute_A,
-                    inner_product, norm_sq)
+                    inner_product)
 from .recovery import (RecoveredParameters, attach_register, auto_register,
-                       choose_A15, choose_Z3, max_register_estimate, recover)
+                       choose_A15, choose_Z3, cross_check,
+                       max_register_estimate, recover)
 from .reduction import (CQuantities, ReducedSystem, b0_minimum, compute_C,
                         objective_B0, objective_B1, objective_B2,
                         reduce_system, split_e, z1_star)
@@ -33,7 +33,7 @@ __all__ = [
     "attach_register", "auto_register", "b0_minimum", "check_certificate",
     "choose_A15", "choose_Z3", "compute_A", "compute_C", "cross_check",
     "dirichlet", "inner_product", "max_register_estimate", "minimize",
-    "norm_sq", "objective_B0", "objective_B1", "objective_B2", "perturbed",
-    "recover", "reduce_system", "save_certificate", "split_e", "verify",
-    "weight", "z1_star",
+    "objective_B0", "objective_B1", "objective_B2", "perturbed", "recover",
+    "reduce_system", "save_certificate", "split_e", "verify", "weight",
+    "z1_star",
 ]

@@ -25,21 +25,17 @@ the Cauchy-Schwarz gap that both the strict contraction and F_3 use.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (CertificateError, DegeneratePairError,
                      InvalidPatternError, ModeUnsupportedError)
 from .model import (AQuantities, DegreePattern, GeneratorPair,
-                    _f3_from_level1, compute_A, inner_product,
-                    orthogonality_relations)
+                    _f3_from_level1, inner_product, orthogonality_relations)
 from .record import Record, store
-from .recovery import level1_block
-from .reduction import objective_B0
-from .scalars import (MAX_ALPHA_DENOMINATOR, RATIONAL, agreement,
-                      check_regime, nonzero_evidence, refuse_foreign,
-                      scalar_from_json, scalar_text, scalar_to_json,
-                      strictly_less, to_float, zero_evidence)
+from .scalars import (MAX_ALPHA_DENOMINATOR, RATIONAL, check_regime,
+                      nonzero_evidence, refuse_foreign, scalar_from_json,
+                      scalar_text, scalar_to_json, strictly_less, to_float,
+                      zero_evidence)
 from .weights import (WeightSequence, exact_regime, weight, weights_from_dict,
                       weights_to_dict)
 
@@ -300,29 +296,6 @@ def _membership_sweep(f1: dict, f2: dict, w: dict, k: int, regime: str,
                             "first_failure": f"<{tag}, z^{k * s} {gname}> != 0"}
                 worst = max(worst, info.get("width", 0.0))
     return {"holds": True, "levels": levels, "worst_residual": worst}
-
-
-def cross_check(params) -> dict:
-    """Reduction identities vs the definition-level oracle, on the core pair:
-    the ``compute_A`` block against the ``level1_block`` one, and the
-    oracle's contraction ratio c against B_0(C; Z_3, Z_1).
-
-    Exact equality for exact values; enclosures agree when they meet.
-    """
-    core = params.pair.with_registers(Fraction(0), Fraction(0))
-    q1 = compute_A(core, params.rs.seq, 1, params.regime)
-    pred = level1_block(params)
-    gap, coupling = q1.contraction_sides()
-    report = {
-        "A13_from_C": agreement(q1.A3, pred.A3),
-        "A14_from_C": agreement(q1.A4, pred.A4),
-        "A12_sq_from_C": agreement(q1.A2 * q1.A2, pred.A2 * pred.A2),
-        "A15_engineered": agreement(q1.A5, pred.A5),
-        "c_equals_B0": agreement(gap / abs(coupling),
-                                 objective_B0(params.c, params.z3, params.z1)),
-    }
-    report["all_equal"] = all(v["equal"] for v in report.values())
-    return report
 
 
 # ---------------------------------------------------------------------------

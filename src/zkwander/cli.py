@@ -263,7 +263,7 @@ def _reproduce_table3(out_path):
 
 def _reproduce_table4(out_path):
     from .reference_data import (TABLE4_BAND, TABLE4_DISCREPANCIES,
-                                 TABLE4_PRINTED, printed_as_fraction)
+                                 TABLE4_PRINTED)
     rs = reduce_system(dirichlet(-16), DegreePattern.default(6))
     z3 = Fraction("-2e13")
     params = recover(rs, (1, 4, 6), z3=z3)
@@ -282,7 +282,7 @@ def _reproduce_table4(out_path):
     in_band = True
     for name, printed in TABLE4_PRINTED.items():
         comp = to_float(computed[name])
-        ref = float(printed_as_fraction(printed))
+        ref = float(printed)
         delta = abs(comp - ref) / abs(ref) if ref else abs(comp)
         rows.append([name, repr(comp), printed, f"{delta:.6f}"])
         if name not in TABLE4_DISCREPANCIES and not delta <= TABLE4_BAND:
@@ -304,19 +304,15 @@ def cmd_reproduce(args) -> int:
         return 0 if _reproduce_table4(args.out) else 2
     if args.table == 5:
         report = asymptotic.reproduce_table5()
-        rows = [[e["k"], e["beta"], e["sigma"], e["printed_bound"],
-                 repr(e["computed_bound"]), e["printed_threshold"],
-                 repr(e["computed_threshold"]), e["sigma_condition"],
-                 e["threshold_match"], e["bound_below_one"],
-                 repr(e["cap"]), e["cap_ok"]] for e in report]
-        _write_csv(rows, ["k", "beta", "sigma", "printed_bound",
-                          "computed_bound", "printed_threshold",
-                          "computed_threshold", "sigma_condition",
-                          "threshold_match", "bound_below_one", "cap",
-                          "cap_ok"], args.out)
-        ok = all(e["sigma_condition"] and e["threshold_match"]
-                 and e["bound_below_one"] and e["cap_ok"] for e in report)
-        return 0 if ok else 2
+        columns = ("k", "beta", "sigma", "printed_bound", "computed_bound",
+                   "printed_threshold", "computed_threshold",
+                   "sigma_condition", "threshold_match", "bound_below_one",
+                   "cap", "cap_ok")
+        _write_csv([[e[c] for c in columns] for e in report], columns,
+                   args.out)
+        checks = ("sigma_condition", "threshold_match", "bound_below_one",
+                  "cap_ok")
+        return 0 if all(e[c] for e in report for c in checks) else 2
     raise ZkwanderError(f"unknown table {args.table}")
 
 

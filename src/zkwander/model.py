@@ -209,11 +209,6 @@ def inner_product(f: CoefficientMap, g: CoefficientMap, seq: WeightSequence,
     return sum_of_products(terms)
 
 
-def norm_sq(f: CoefficientMap, seq: WeightSequence,
-            regime: str = RATIONAL, shift: int = 0):
-    return inner_product(f, f, seq, regime, shift, shift)
-
-
 def adjacent_products(f1: CoefficientMap, f2: CoefficientMap, seq, k: int,
                       s: int, regime: str = RATIONAL) -> tuple:
     """(A_(s,1), A_(s,5)) of the maps f1 of F_1 and f2 of F_2 on shift order
@@ -232,8 +227,8 @@ def _level_block(f1: CoefficientMap, f2: CoefficientMap, seq, k: int, s: int,
         s=s,
         A1=a1,
         A2=inner_product(f1, f2, seq, regime, shift_f=hi, shift_g=hi),
-        A3=norm_sq(f1, seq, regime, shift=hi),
-        A4=norm_sq(f2, seq, regime, shift=hi),
+        A3=inner_product(f1, f1, seq, regime, shift_f=hi, shift_g=hi),
+        A4=inner_product(f2, f2, seq, regime, shift_f=hi, shift_g=hi),
         A5=a5,
     )
 

@@ -23,14 +23,15 @@ from fractions import Fraction
 
 from .errors import (DegeneratePairError, NoAdmissibleSystemError,
                      RegisterTooLargeError)
-from .model import AQuantities, GeneratorPair
+from .model import AQuantities, GeneratorPair, compute_A
 from .record import Record, store
-from .reduction import (CQuantities, ReducedSystem, compute_C, objective_B1,
-                        pivot, pivot_modulus, z1_star, z3_quadratic)
-from .scalars import (as_coefficient, binary_parts, certainly_positive,
-                      display, excludes_zero, is_exact_zero, refuse_foreign,
-                      refuse_irrational, sqrt, strictly_less, to_float,
-                      to_regime)
+from .reduction import (CQuantities, ReducedSystem, compute_C, objective_B0,
+                        objective_B1, pivot, pivot_modulus, z1_star,
+                        z3_quadratic)
+from .scalars import (agreement, as_coefficient, binary_parts,
+                      certainly_positive, display, excludes_zero,
+                      is_exact_zero, refuse_foreign, refuse_irrational, sqrt,
+                      strictly_less, to_float, to_regime)
 
 
 class RecoveredParameters(Record):
@@ -154,6 +155,29 @@ def level1_block(params: RecoveredParameters, a_reg=Fraction(0),
         A3=c.C1 + z1 * z1 * c.C2 + a_reg * a_reg * w4,
         A4=scale * scale * z3_quadratic(c, z3) + b_reg * b_reg * w5,
         A5=a15)
+
+
+def cross_check(params: RecoveredParameters) -> dict:
+    """Reduction identities vs the definition-level oracle, on the core pair:
+    the ``compute_A`` block against the ``level1_block`` one, and the
+    oracle's contraction ratio c against B_0(C; Z_3, Z_1).
+
+    Exact equality for exact values; enclosures agree when they meet.
+    """
+    core = params.pair.with_registers(Fraction(0), Fraction(0))
+    q1 = compute_A(core, params.rs.seq, 1, params.regime)
+    pred = level1_block(params)
+    gap, coupling = q1.contraction_sides()
+    report = {
+        "A13_from_C": agreement(q1.A3, pred.A3),
+        "A14_from_C": agreement(q1.A4, pred.A4),
+        "A12_sq_from_C": agreement(q1.A2 * q1.A2, pred.A2 * pred.A2),
+        "A15_engineered": agreement(q1.A5, pred.A5),
+        "c_equals_B0": agreement(gap / abs(coupling),
+                                 objective_B0(params.c, params.z3, params.z1)),
+    }
+    report["all_equal"] = all(v["equal"] for v in report.values())
+    return report
 
 
 def max_register_estimate(params: RecoveredParameters) -> float:

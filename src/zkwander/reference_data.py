@@ -7,6 +7,7 @@ the printed precision (some of the printed values are truncated rather
 than rounded, so both conventions are accepted).
 """
 
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -153,21 +154,6 @@ def in_published_interval(value, center_half) -> bool:
     return center - half <= v <= center + half
 
 
-def _split_printed(printed: str):
-    s = printed.strip().lower()
-    neg = s.startswith("-")
-    if neg:
-        s = s[1:]
-    if "e" in s:
-        mant, exp = s.split("e")
-        exp = int(exp)
-    else:
-        mant, exp = s, 0
-    digits = mant.replace(".", "")
-    decimals = len(mant.split(".")[1]) if "." in mant else 0
-    return neg, int(digits), decimals, exp
-
-
 def agrees_with_printed(value, printed: str) -> bool:
     """Does the exact value match the printed decimal at its own precision?
 
@@ -175,15 +161,10 @@ def agrees_with_printed(value, printed: str) -> bool:
     because the printed tables mix both (e.g. the scaled weight for t=k+3
     is a truncation of 3.3232930569...e-3).
     """
-    neg, digits, decimals, exp = _split_printed(printed)
+    sign, digits, exp = Decimal(printed).as_tuple()
+    shown = int("".join(map(str, digits)))
     v = value if isinstance(value, Fraction) else Fraction(value)
-    if neg != (v < 0) and digits != 0:
+    if sign != (v < 0) and shown != 0:
         return False
-    scaled = abs(v) * Fraction(10) ** (decimals - exp)
-    truncated = scaled.numerator // scaled.denominator
-    rounded = (scaled + Fraction(1, 2)).numerator // (scaled + Fraction(1, 2)).denominator
-    return digits in (truncated, rounded)
-
-
-def printed_as_fraction(printed: str) -> Fraction:
-    return Fraction(printed.replace("e", "E"))
+    scaled = abs(v) * Fraction(10) ** -exp
+    return shown in (int(scaled), int(scaled + Fraction(1, 2)))

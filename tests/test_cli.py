@@ -221,10 +221,12 @@ class TestBadInput:
         ("eval", "--alpha", "127/2", "--k", "6", "--phi3", "20000",
          "--regime", "interval"),
         ("eval", "--alpha", "-16001/1001", "--regime", "interval"),
+        ("eval", "--alpha", "-16", "--gamma", "0,1,2,3,4", "--d", "1,4,6"),
     ], ids=["d-not-positive", "gamma-not-integer", "z1-not-positive",
             "complex-z3-rational", "complex-z3-interval",
             "complex-z3-interval-pipeline", "z1-without-z3",
-            "interval-weight-overflows", "alpha-denominator-above-bound"])
+            "interval-weight-overflows", "alpha-denominator-above-bound",
+            "gamma-five-degrees"])
     def test_bad_argument(self, capsys, tmp_path, argv):
         code, out, err = run(capsys, *argv, *(
             ("--out", str(tmp_path / "cert.json"))

@@ -7,10 +7,11 @@ to the power alpha or reads text as a Fraction, no certifying module holds a
 tolerance or tests a double for zero, no module but search holds a small
 float literal, no module but reduction spells C_5, no module has json indent
 its output, the package imports exactly the third-party modules
-pyproject.toml lists, the search subcommand's options are the fields of
-SearchConfig and --out, a search reduces one system, no module but scalars
-reads a Radical's .coeff or .roots, and a rational verify's inner products
-build no Radical per term."""
+pyproject.toml lists, certify imports no reference code, the search
+subcommand's options are the fields of SearchConfig and --out, a search
+reduces one system, no module but scalars reads a Radical's .coeff or
+.roots, and a rational verify's inner products build no Radical per
+term."""
 
 import argparse
 import ast
@@ -513,6 +514,15 @@ def test_third_party_imports_are_the_declared_dependencies():
     imported = set().union(*map(_third_party_imports,
                                 _package_trees().values()))
     assert imported == declared
+
+
+def test_the_checker_imports_no_reference_code():
+    # a replay trusts certify and what it imports: the reduction, the
+    # recovery and their cross_check oracle stay outside it
+    tree = ast.parse((PACKAGE / "certify.py").read_text())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert imported == {"errors", "model", "record", "scalars", "weights"}
 
 
 def test_search_options_are_the_config_fields():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from zkwander.errors import InvalidPatternError
 from zkwander.model import (DegreePattern, GeneratorPair, _f3_from_level1,
-                            compute_A, inner_product, norm_sq)
+                            compute_A, inner_product)
 from zkwander.scalars import RATIONAL, is_exact_zero
 from zkwander.weights import dirichlet, weight
 
@@ -135,12 +135,6 @@ class TestInnerProduct:
         assert inner_product(f, g, {3: weight(seq, 3)}, RATIONAL, 1, 2) == \
             15 * weight(seq, 3)
 
-    def test_norm_sq_matches_inner_product(self):
-        seq = dirichlet(-2)
-        f = {0: Fraction(1), 3: Fraction(-2)}
-        assert norm_sq(f, seq, shift=6) == inner_product(
-            f, f, seq, shift_f=6, shift_g=6)
-
 
 def _rational_pair():
     return GeneratorPair(
@@ -181,6 +175,15 @@ class TestComputeA:
     def test_level_must_be_positive(self):
         with pytest.raises(ValueError):
             compute_A(_rational_pair(), dirichlet(-2), 0)
+
+    @pytest.mark.parametrize("block", ["a_low", "a_high", "b_low"])
+    def test_each_block_holds_four_coefficients(self, block):
+        blocks = {name: (Fraction(1),) * 4
+                  for name in ("a_low", "a_high", "b_low")}
+        blocks[block] = (Fraction(1),) * 3
+        with pytest.raises(ValueError,
+                           match=f"^{block} must hold 4 coefficients$"):
+            GeneratorPair(DegreePattern.default(6), **blocks)
 
     def test_adjacent_correlation_needs_the_high_block(self):
         # a one-block F_1 never meets its own k-shift, at any level

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zkwander.certify import cross_check, verify
+from zkwander.certify import verify
 from zkwander.errors import (DegeneratePairError, DegenerateReductionError,
                              DegenerateZ3Error, ModeUnsupportedError,
                              NoAdmissibleSystemError, RegisterTooLargeError)
 from zkwander.model import DegreePattern, compute_A
 from zkwander.recovery import (attach_register, auto_register, choose_Z3,
-                               level1_block, max_register_estimate, recover)
+                               cross_check, level1_block,
+                               max_register_estimate, recover)
 from zkwander.reduction import reduce_system
 from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
 from zkwander.scalars import (INTERVAL, Interval, Radical, is_exact_zero,

@@ -239,6 +239,12 @@ class TestCQuantities:
         with pytest.raises(ValueError):
             compute_C(rs16, (1, -4, 6))
 
+    @pytest.mark.parametrize("d", [(4, 6), (1, 1, 4, 6, 8)],
+                             ids=["two", "five"])
+    def test_d_must_hold_three_or_four_values(self, rs16, d):
+        with pytest.raises(ValueError, match="^d must supply 3 values"):
+            compute_C(rs16, d)
+
     def test_objectives_frozen(self, c16):
         assert _close(objective_B2(c16), B2_REF)
         assert _close(objective_B1(c16), B1_REF)
