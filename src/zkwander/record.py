@@ -1,16 +1,22 @@
 """Immutable value records, the one home of their value semantics.
 
-A record class names its fields (two or more) in ``__slots__``, and its
-``__init__`` sets each with its own ``store`` call: records are built in hot
-loops, where a loop over the slots costs more.  ``Record`` gives equality and
-hashing over the fields, the dataclass repr, refusal of assignment and
-deletion, and a ``__reduce__`` through ``__init__`` for copy and pickle.
-Unlike a dataclass it generates no code, so ``import zkwander`` stays cheap.
+A record class names its fields (two or more) in ``__slots__``; ``__init__``
+sets each by its own ``store`` call, or by a ``slot_setters`` setter in a
+record built once per operation or search point (a slot loop costs more).
+``Record`` gives equality and hashing over the fields, the dataclass repr,
+refusal of assignment and deletion, and ``__reduce__`` through ``__init__``
+for copy and pickle.  It generates no code, so ``import zkwander`` is cheap.
 """
 
 from operator import attrgetter
 
 store = object.__setattr__      # past Record.__setattr__, one lookup less
+
+
+def slot_setters(cls) -> tuple:
+    """The ``__set__`` of each slot of cls, in ``__slots__`` order: half the
+    cost of ``store``, for a record built per operation or search point."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
 class Record:

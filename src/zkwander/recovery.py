@@ -185,13 +185,26 @@ def max_register_estimate(params: RecoveredParameters) -> float:
     solved from the quadratic in t^2 (exact for symmetric registers).  The
     values scale with A_15^2 far past the doubles, so each is a double
     times a power of two, and only t is rounded into the doubles."""
-    q1 = level1_block(params)
-    gap, coupling = q1.contraction_sides()
-    return _register_estimate(params, q1, abs(coupling) - gap)
+    return _register_free(params)[2]
 
 
-def _register_estimate(params: RecoveredParameters, q1: AQuantities,
-                       slack) -> float:
+_free = [(None, None)]  # (last params asked, held so its id stays; result)
+
+
+def _register_free(params: RecoveredParameters) -> tuple:
+    """(gap, |coupling|, max_register_estimate) of the register-free
+    level-1 block, built once for a refusal and the auto_register after it."""
+    held, row = _free[0]
+    if held is not params:
+        q1 = level1_block(params)
+        gap, coupling = q1.contraction_sides()
+        row = gap, abs(coupling), _register_estimate(
+            params, q1, abs(coupling) - gap)
+        _free[0] = params, row
+    return row
+
+
+def _register_estimate(params, q1: AQuantities, slack) -> float:
     """max_register_estimate from the register-free block q1 and its slack."""
     if not certainly_positive(slack):
         return 0.0
@@ -231,15 +244,12 @@ def attach_register(params: RecoveredParameters, a_reg, b_reg) -> RecoveredParam
 def auto_register(params: RecoveredParameters):
     """Register magnitude policy: 1 when admissible, else half the estimate;
     none when the strict inequality fails, or is tight, with no register."""
-    q1 = level1_block(params)
-    gap, coupling = q1.contraction_sides()
-    rhs = abs(coupling)
+    gap, rhs, est = _register_free(params)
     if not strictly_less(gap, rhs):
         how = "is tight" if is_exact_zero(gap - rhs) else "fails"
         raise DegeneratePairError(
             f"no admissible register: A_13 A_14 - A_12^2 < |A_15 A_12| {how} "
             f"before any register is attached, c = {display(gap / rhs)}")
-    est = _register_estimate(params, q1, rhs - gap)
     if est > 1.0:
         return Fraction(1)
     if est == 0.0:

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from .errors import DegenerateReductionError, DegenerateZ3Error
 from .model import DegreePattern
-from .record import Record, store
+from .record import Record, slot_setters, store
 from .scalars import (RATIONAL, certainly_positive, check_regime,
                       cramer_solve3, excludes_zero, sqrt, to_rational,
                       to_regime)
@@ -102,12 +102,15 @@ class CQuantities(Record):
     __slots__ = ("d", "C1", "C2", "C3", "C4", "C5")
 
     def __init__(self, d: tuple, C1, C2, C3, C4, C5):
-        store(self, "d", d)     # d_0..d_3
-        store(self, "C1", C1)
-        store(self, "C2", C2)
-        store(self, "C3", C3)
-        store(self, "C4", C4)
-        store(self, "C5", C5)
+        _set_d(self, d)     # d_0..d_3
+        _set_C1(self, C1)
+        _set_C2(self, C2)
+        _set_C3(self, C3)
+        _set_C4(self, C4)
+        _set_C5(self, C5)
+
+
+_set_d, _set_C1, _set_C2, _set_C3, _set_C4, _set_C5 = slot_setters(CQuantities)
 
 
 def _normalize_d(d) -> tuple:

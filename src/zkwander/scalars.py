@@ -5,10 +5,11 @@ Two regimes run through the whole package, both with real scalars:
 * ``rational``  -- exact ``fractions.Fraction`` arithmetic (bigint backed).
   The only regime allowed to assert exact equalities.
 * ``interval``  -- closed float intervals with outward rounding via
-  ``math.nextafter``.  Hardware directed rounding is not reachable from pure
-  Python, so every endpoint operation is widened by one step; enclosures stay
-  valid at the cost of one ulp per operation.  A non-integer power
-  b**(p/q) is enclosed around its nearest double, which exact integer
+  ``math.nextafter``: pure Python has no directed rounding, so every endpoint
+  operation is widened by one step, at one ulp per operation.  ``Interval``
+  builds results through its slot setters, and a product of finite
+  nonnegative intervals from two endpoint products, not four.  A non-integer
+  power b**(p/q) is enclosed around its nearest double, which exact integer
   comparisons of q-th powers prove; q is bounded by MAX_ALPHA_DENOMINATOR.
   ``power`` proves each interval weight once, in a bounded memo.
 
@@ -39,21 +40,21 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import ModeUnsupportedError, SingularSystemError
-from .record import Record, store
+from .record import Record, slot_setters, store
 
 RATIONAL = "rational"
 INTERVAL = "interval"
 REGIMES = (RATIONAL, INTERVAL)
 
-_INF = math.inf
+_INF, _NINF, _next = math.inf, -math.inf, math.nextafter
 
 
 def _down(x: float) -> float:
-    return math.nextafter(x, -_INF)
+    return _next(x, _NINF)
 
 
 def _up(x: float) -> float:
-    return math.nextafter(x, _INF)
+    return _next(x, _INF)
 
 
 class Interval(Record):
@@ -61,9 +62,14 @@ class Interval(Record):
 
     An operation coerces only an operand that is not already an Interval
     (an int, Fraction or float, through ``exact``), and builds its result
-    through ``_interval``, the one constructor of results: it keeps the
-    endpoint guard, refusing NaN and inverted endpoints, without the
-    checks on caller input that ``Interval(lo, hi)`` makes.
+    through ``_interval``, the one constructor of results: it sets the slot
+    descriptors and keeps the endpoint guard, refusing NaN and inverted
+    endpoints, without the checks on caller input of ``Interval(lo, hi)``.
+
+    [a, b] * [c, d] with a, c >= 0 and b, d finite is [down(a c), up(b d)]:
+    no product is NaN and rounding is monotone, so a c is the least of the
+    four and b d the greatest, and a signed zero does not survive the
+    step.  An infinite end takes all four: b d could be inf * 0 = NaN.
     """
 
     __slots__ = ("lo", "hi")
@@ -84,6 +90,8 @@ class Interval(Record):
             return value
         if isinstance(value, float):
             return _interval(value, value)
+        if value.__class__ is int and -2 ** 53 <= value <= 2 ** 53:
+            return _interval(float(value), float(value))    # exact
         q = Fraction(value)
         try:
             f = float(q)
@@ -114,10 +122,11 @@ class Interval(Record):
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if other.__class__ is not Interval and (
+                other := _coerce(other)) is NotImplemented:
             return NotImplemented
-        return _interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
+        return _interval(_next(self.lo + other.lo, _NINF),
+                         _next(self.hi + other.hi, _INF))
 
     __radd__ = __add__
 
@@ -125,10 +134,11 @@ class Interval(Record):
         return _interval(-self.hi, -self.lo)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if other.__class__ is not Interval and (
+                other := _coerce(other)) is NotImplemented:
             return NotImplemented
-        return _interval(_down(self.lo - other.hi), _up(self.hi - other.lo))
+        return _interval(_next(self.lo - other.hi, _NINF),
+                         _next(self.hi - other.lo, _INF))
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -137,24 +147,26 @@ class Interval(Record):
         return _interval(_down(other.lo - self.hi), _up(other.hi - self.lo))
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if other.__class__ is not Interval and (
+                other := _coerce(other)) is NotImplemented:
             return NotImplemented
-        ps = (self.lo * other.lo, self.lo * other.hi,
-              self.hi * other.lo, self.hi * other.hi)
-        return _interval(_down(min(ps)), _up(max(ps)))
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if a >= 0.0 and c >= 0.0 and b < _INF and d < _INF:
+            return _interval(_next(a * c, _NINF), _next(b * d, _INF))
+        ps = (a * c, a * d, b * c, b * d)
+        return _interval(_next(min(ps), _NINF), _next(max(ps), _INF))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if other.__class__ is not Interval and (
+                other := _coerce(other)) is NotImplemented:
             return NotImplemented
-        if other.contains_zero():
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if c <= 0.0 <= d:
             raise ZeroDivisionError("interval divisor encloses zero")
-        ps = (self.lo / other.lo, self.lo / other.hi,
-              self.hi / other.lo, self.hi / other.hi)
-        return _interval(_down(min(ps)), _up(max(ps)))
+        ps = (a / c, a / d, b / c, b / d)
+        return _interval(_next(min(ps), _NINF), _next(max(ps), _INF))
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -180,6 +192,7 @@ class Interval(Record):
 
 
 _new_interval = object.__new__
+_set_lo, _set_hi = slot_setters(Interval)
 
 
 def _interval(lo: float, hi: float) -> Interval:
@@ -188,15 +201,13 @@ def _interval(lo: float, hi: float) -> Interval:
     if not lo <= hi:
         raise ValueError(f"bad interval endpoints [{lo}, {hi}]")
     iv = _new_interval(Interval)
-    store(iv, "lo", lo)
-    store(iv, "hi", hi)
+    _set_lo(iv, lo)
+    _set_hi(iv, hi)
     return iv
 
 
 def _coerce(value):
-    """An operand as an Interval, NotImplemented for a foreign type."""
-    if value.__class__ is Interval:
-        return value
+    """A non-Interval operand as an Interval, NotImplemented if foreign."""
     if isinstance(value, (int, float, Fraction)):
         return Interval.exact(value)
     return NotImplemented

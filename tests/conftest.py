@@ -4,14 +4,17 @@ import pytest
 
 from zkwander import (DegreePattern, attach_register, compute_C, dirichlet,
                       recover, reduce_system, verify)
+from zkwander import recovery
 from zkwander.reduction import _reduce
 
 
 @pytest.fixture(autouse=True)
 def cold_reduction():
-    """Each test starts with reduce_system's memo empty, so a test that
-    counts weights, determinants or solves sees a whole reduction."""
+    """Each test starts with reduce_system's memo and recovery's
+    register-free block empty, so a test that counts weights,
+    determinants, solves or blocks sees them all built."""
     _reduce.cache_clear()
+    recovery._free[0] = None, None
 
 
 # The headline configuration: alpha = -16, k = 6, consecutive degrees,

@@ -12,6 +12,7 @@ import pytest
 from zkwander import (Interval, Radical, SearchConfig, attach_register,
                       compute_A, minimize, perturbed, recover, reduce_system,
                       verify)
+from zkwander.reduction import c_values
 
 RECORD_CLASSES = ("Interval", "Radical", "WeightSequence", "DegreePattern",
                   "GeneratorPair", "AQuantities", "ReducedSystem",
@@ -63,3 +64,31 @@ def test_record_protocol(records, name):
     # the repr the dataclass of the same fields gives
     mirror = dataclasses.make_dataclass(name, list(fields))(**fields)
     assert repr(record) == OWN_REPR.get(name, repr(mirror))
+
+
+# records built past __init__, through their slot descriptors
+HOT_PATHS = {
+    "Interval+": lambda rs: Interval(0.5, 2.0) + Interval(1.0, 4.0),
+    "Interval-": lambda rs: Interval(0.5, 2.0) - Interval(1.0, 4.0),
+    "Interval*": lambda rs: Interval(0.5, 2.0) * Interval(1.0, 4.0),
+    "Interval/": lambda rs: Interval(0.5, 2.0) / Interval(1.0, 4.0),
+    "Interval.exact-int": lambda rs: Interval.exact(3),
+    "Interval.exact-Fraction": lambda rs: Interval.exact(Fraction(1, 3)),
+    "CQuantities": lambda rs: c_values(*rs.W[:2], rs.H, rs.D)(1, 1, 4, 6),
+}
+
+
+@pytest.mark.parametrize("path", sorted(HOT_PATHS))
+def test_a_record_built_on_the_hot_path(rs16, path):
+    record = HOT_PATHS[path](rs16)
+    fields = _fields(record)
+    twin = type(record)(**fields)
+    assert twin == record and hash(twin) == hash(record)
+    for field, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    for clone in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is type(record) and clone == record
+        assert hash(clone) == hash(record)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from zkwander import recovery
 from zkwander.certify import verify
 from zkwander.errors import (DegeneratePairError, DegenerateReductionError,
                              DegenerateZ3Error, ModeUnsupportedError,
@@ -231,6 +232,24 @@ class TestOverrideCorollary:
         done = attach_register(override_params, reg, reg)
         cert = verify(done.pair, done.rs.seq)
         assert cert.verdict == "pass"
+
+    def test_a_refusal_and_auto_register_share_one_register_free_block(
+            self, override_params, monkeypatch):
+        # the order of bench/workloads.py run_certify: unit registers are
+        # refused, auto_register picks r, and r is attached
+        seen = []
+        built = recovery.level1_block
+
+        def counting(params, a_reg=Fraction(0), b_reg=Fraction(0)):
+            seen.append((a_reg, b_reg))
+            return built(params, a_reg, b_reg)
+
+        monkeypatch.setattr(recovery, "level1_block", counting)
+        with pytest.raises(RegisterTooLargeError):
+            attach_register(override_params, 1, 1)
+        r = auto_register(override_params)
+        attach_register(override_params, r, r)
+        assert seen == [(1, 1), (0, 0), (r, r)]
 
 
 class TestRegimeOfArguments:

@@ -344,6 +344,12 @@ class TestIntervalKernelParity:
     @example(x=[math.inf, math.inf], y=[math.inf, math.inf], op="-")
     @example(x=[-0.0, -0.0], y=[0.0, 0.0], op="-")
     @example(x=[5e-324, 5e-324], y=[-5e-324, 5e-324], op="/")
+    @example(x=[1e308, 1e308], y=[10.0, 10.0], op="*")
+    @example(x=[5e-324, 5e-324], y=[0.5, 0.5], op="*")
+    @example(x=[-0.0, 1.0], y=[0.0, 2.0], op="*")
+    @example(x=[0.0, math.inf], y=[0.0, 0.0], op="*")
+    @example(x=[1.0, 2.0], y=[0.0, 1.0], op="/")
+    @example(x=[1.0, 2.0], y=[-0.0, 1.0], op="/")
     def test_interval_by_interval(self, x, y, op):
         assert _outcome(lambda: BINARY[op](Interval(*x), Interval(*y))) == \
             _outcome(lambda: BINARY[op](_OldInterval(*x), _OldInterval(*y)))
@@ -374,6 +380,11 @@ class TestIntervalKernelParity:
     @example(v=Fraction(1, 10 ** 400))
     @example(v=-0.0)
     @example(v=math.nan)
+    @example(v=2 ** 53)
+    @example(v=-2 ** 53)
+    @example(v=2 ** 53 + 1)
+    @example(v=-(2 ** 53 + 1))
+    @example(v=True)
     def test_exact(self, v):
         assert _outcome(lambda: Interval.exact(v)) == _outcome(
             lambda: _OldInterval.exact(v))
