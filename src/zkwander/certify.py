@@ -15,11 +15,13 @@ decay.  Floats locate a pair, they do not prove one: verify refuses any
 regime but rational and interval before it evaluates a weight.
 
 Only what the proof reads is evaluated: A_(s,1) and A_(s,5) for s >= 4
-multiply a zero coefficient (HIGHER_LEVELS), and the membership sweep runs
-only at the levels of the support lemma (``DegreePattern.sweep_overlaps``).
-Each input is evaluated once per verify call: the 14 embedded weights, into
-one table that every product reads, each generator's coefficient map, and
-the Cauchy-Schwarz gap that both the strict contraction and F_3 use.
+multiply a zero coefficient (HIGHER_LEVELS), and the membership sweep
+computes no product: at the levels of the support lemma
+(``DegreePattern.sweep_overlaps``) each one is empty, a proved zero cell or
+zero once the Cauchy-Schwarz gap is positive.  Each input is evaluated once
+per verify call: the 14 embedded weights, into one table that every product
+reads, each generator's coefficient map, and the gap that both the strict
+contraction and the sweep read.
 """
 
 from __future__ import annotations
@@ -27,15 +29,13 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
-from .errors import (CertificateError, DegeneratePairError,
-                     InvalidPatternError, ModeUnsupportedError)
-from .model import (AQuantities, DegreePattern, GeneratorPair,
-                    _f3_from_level1, inner_product, orthogonality_relations)
+from .errors import CertificateError, InvalidPatternError, ModeUnsupportedError
+from .model import DegreePattern, GeneratorPair, orthogonality_relations
 from .record import Record, store
-from .scalars import (MAX_ALPHA_DENOMINATOR, RATIONAL, check_regime,
-                      nonzero_evidence, refuse_foreign, scalar_from_json,
-                      scalar_text, scalar_to_json, strictly_less, to_float,
-                      zero_evidence)
+from .scalars import (MAX_ALPHA_DENOMINATOR, RATIONAL, certainly_positive,
+                      check_regime, nonzero_evidence, refuse_foreign,
+                      scalar_from_json, scalar_text, scalar_to_json,
+                      strictly_less, to_float, zero_evidence)
 from .weights import (WeightSequence, exact_regime, weight, weights_from_dict,
                       weights_to_dict)
 
@@ -209,10 +209,11 @@ class Certificate(Record):
 def verify(pair: GeneratorPair, seq: WeightSequence,
            regime: str = RATIONAL) -> Certificate:
     """Evaluate the four conditions from the raw coefficients: the level-1
-    block, A_(s,1) and A_(s,5) for s = 2, 3, and the membership sweep at
-    the levels of the support lemma.  An unknown regime, "float" among
-    them, and out-of-range inputs raise ValueError, the latter under the
-    bounds replay enforces, both before any weight is evaluated."""
+    block and A_(s,1) and A_(s,5) for s = 2, 3; the membership sweep at the
+    levels of the support lemma then follows from them and the gap.  An
+    unknown regime, "float" among them, and out-of-range inputs raise
+    ValueError, the latter under the bounds replay enforces, both before any
+    weight is evaluated."""
     check_regime(regime)
     check_bounds(pair.pattern, seq)
     refuse_foreign(regime, (*pair.a_low, *pair.a_high, *pair.b_low,
@@ -256,7 +257,7 @@ def verify(pair: GeneratorPair, seq: WeightSequence,
     membership = {}
     if all_hold:
         levels = sorted({s for s, _ in pair.pattern.sweep_overlaps()})
-        membership = _membership_sweep(f1, f2, w, k, regime, levels, q1, lhs)
+        membership = _membership_sweep(levels, lhs)
         if not membership["holds"]:
             all_hold = False
             reasons.append(
@@ -270,32 +271,23 @@ def verify(pair: GeneratorPair, seq: WeightSequence,
                        membership=membership)
 
 
-def _membership_sweep(f1: dict, f2: dict, w: dict, k: int, regime: str,
-                      levels: list, q1: AQuantities, gap) -> dict:
-    """Check that F_2 and F_3 really live in M (-) z^k M at the given levels.
+def _membership_sweep(levels: list, gap) -> dict:
+    """F_2 and F_3 lie in M (-) z^k M at the given levels: stated from the
+    zero cells, not computed.
 
-    F_3 is built from verify's maps f1 of F_1 and f2 of F_2 and its level-1
-    block q1 and gap, whose zero conditions have been proved; the sweep then
-    tests every projection directly, on verify's weight table w, so any
-    nonzero one flags an internal inconsistency.  At every other level the
-    support lemma leaves the products without a term.
+    With F_3 = F_1 + z^k sigma (A_13 F_2 - A_12 F_1), sigma = -A_15 / gap and
+    gap = A_13 A_14 - A_12^2, the support lemma leaves each product
+    <F, z^{ks} G>, F in {F_2, F_3}, G in {F_1, F_2}, without a term or equal
+    to A_(1,1), to A_(1,5) + sigma gap = 0, or to -sigma A_12 times A_(2,1)
+    or A_(2,5).  verify calls the sweep once those cells are proved zero, so
+    it holds exactly when the gap, which makes F_3 exist, is certainly
+    positive.  The identity holds for the exact values and an enclosure
+    proves each premise, so this holds in every regime.
     """
-    try:
-        f3 = _f3_from_level1(f1, f2, k, q1, gap)
-    except DegeneratePairError as exc:
-        return {"holds": False, "error": str(exc)}
-    worst = 0.0
-    for s in levels:
-        for tag, fmap in (("F2", f2), ("F3", f3)):
-            for gname, gmap in (("F1", f1), ("F2", f2)):
-                v = inner_product(fmap, gmap, w, regime,
-                                  shift_f=0, shift_g=k * s)
-                zok, info = zero_evidence(v)
-                if not zok:
-                    return {"holds": False,
-                            "first_failure": f"<{tag}, z^{k * s} {gname}> != 0"}
-                worst = max(worst, info.get("width", 0.0))
-    return {"holds": True, "levels": levels, "worst_residual": worst}
+    if not certainly_positive(gap):
+        return {"holds": False, "error": f"A_13 A_14 - |A_12|^2 = {gap!r} "
+                "is not certifiably positive"}
+    return {"holds": True, "levels": levels, "worst_residual": 0.0}
 
 
 # ---------------------------------------------------------------------------

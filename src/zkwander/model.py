@@ -20,10 +20,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict
 
-from .errors import DegeneratePairError, InvalidPatternError
+from .errors import InvalidPatternError
 from .record import Record, store
-from .scalars import (RATIONAL, certainly_positive, is_exact_zero,
-                      sum_of_products, to_regime)
+from .scalars import RATIONAL, is_exact_zero, sum_of_products, to_regime
 from .weights import WeightSequence, weight
 
 CoefficientMap = Dict[int, object]
@@ -254,26 +253,3 @@ def orthogonality_relations(f1: CoefficientMap, f2: CoefficientMap, seq,
         a1, a5 = adjacent_products(f1, f2, seq, k, s, regime)
         relations += [((s, 1), a1), ((s, 5), a5)]
     return q1, tuple(relations)
-
-
-def _f3_from_level1(f1: CoefficientMap, f2: CoefficientMap, k: int,
-                    q1: AQuantities, gap) -> CoefficientMap:
-    """Second spanning element of M (-) z^k M, as a coefficient map, from
-    the maps of F_1 and F_2 and a level-1 block whose orthogonality
-    relations are proved zero, with its Cauchy-Schwarz gap
-    A_13 A_14 - A_12^2 from ``contraction_sides``:
-
-        F_3 = F_1 + z^k * A_15 / (A_12^2 - A_13 A_14)
-                        * (A_13 F_2 - A_12 F_1)
-
-    The gap must be certified positive, which makes both norms nonzero.
-    """
-    if not certainly_positive(gap):
-        raise DegeneratePairError(
-            f"A_13 A_14 - |A_12|^2 = {gap!r} is not certifiably positive")
-    scale = q1.A5 / -gap
-    out: CoefficientMap = dict(f1)
-    for c, fmap in ((scale * q1.A3, f2), (-(scale * q1.A2), f1)):
-        for d, v in fmap.items():
-            _map_add(out, d + k, c * v)
-    return {d: v for d, v in sorted(out.items()) if not is_exact_zero(v)}

@@ -8,18 +8,23 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from zkwander.certify import (Certificate, check_bounds, check_certificate,
-                              json_text, save_certificate, verify)
-from zkwander.errors import CertificateError, ModeUnsupportedError
+from zkwander.certify import (MAX_DEGREE, MAX_K, Certificate, check_bounds,
+                              check_certificate, json_text, save_certificate,
+                              verify)
+from zkwander.errors import (CertificateError, ModeUnsupportedError,
+                             RegisterTooLargeError)
 from zkwander.model import AQuantities, DegreePattern, GeneratorPair
 from zkwander.recovery import attach_register, auto_register, recover
 from zkwander.reduction import reduce_system
-from zkwander.reference_data import TABLE2_ROWS
+from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
 from zkwander.scalars import INTERVAL, RATIONAL, Interval, Radical
 from zkwander.weights import dirichlet, exact_regime, perturbed, weight
+
+import sweep_oracle
+from sweep_oracle import membership_sweep
 
 C_FLAGSHIP = 0.18894510966828287
 DATA = Path(__file__).with_name("data")
@@ -70,25 +75,22 @@ class TestVerify:
 
     def test_a_nonzero_membership_product_fails_the_sweep(
             self, registered16, seq16, monkeypatch):
-        # the sweep tests every projection itself, those of F_3 included:
-        # one nonzero product, here <F_2, z^12 F_1> and then <F_3, z^6 F_2>,
-        # fails the certificate and is named
-        import zkwander.certify
-        inner_product = zkwander.certify.inner_product
-        f1, f2 = registered16.pair.f1_map(), registered16.pair.f2_map()
+        # verify computes no sweep product; the oracle it is checked
+        # against computes them all, those of F_3 included: one nonzero
+        # product, here <F_2, z^12 F_1> and then <F_3, z^6 F_2>, fails the
+        # oracle's sweep and is named
+        inner_product = sweep_oracle.inner_product
+        pair = registered16.pair
+        f1, f2 = pair.f1_map(), pair.f2_map()
 
         def skewed(f, g, seq, regime, shift_f=0, shift_g=0):
             v = inner_product(f, g, seq, regime, shift_f, shift_g)
             product = ("F2" if f == f2 else "F3", shift_g,
                        "F1" if g == f1 else "F2")
             return v + 1 if product == target else v
-        monkeypatch.setattr(zkwander.certify, "inner_product", skewed)
+        monkeypatch.setattr(sweep_oracle, "inner_product", skewed)
         for target in (("F2", 12, "F1"), ("F3", 6, "F2")):
-            cert = verify(registered16.pair, seq16)
-            assert cert.verdict == "fail"
-            assert cert.reasons == [
-                "membership sweep found a nonzero projection"]
-            assert cert.membership == {
+            assert membership_sweep(pair, seq16) == {
                 "holds": False, "first_failure": "<%s, z^%d %s> != 0" % target}
 
     def test_a_degenerate_gap_fails_the_sweep(self, registered16, seq16,
@@ -191,6 +193,39 @@ class TestVerify:
         assert cert.membership["levels"] == [1, 2]
 
 
+INTEGER_ROWS = tuple(row for row in TABLE1_ROWS + TABLE2_ROWS
+                     if row.alpha.denominator == 1)
+
+
+class TestMembershipOracle:
+    """verify states the membership sweep from the zero cells and the gap;
+    tests/sweep_oracle.py builds F_3 and computes the eight products, and
+    the two agree wherever verify sweeps (TestCorollary checks its pairs
+    too)."""
+
+    def test_the_headline(self, cert16):
+        assert cert16.membership == membership_sweep(cert16.pair, cert16.seq)
+
+    @seed(41)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(row=st.sampled_from(INTEGER_ROWS),
+           lam=st.fractions(Fraction(1, 99), 99, max_denominator=99),
+           register=st.fractions(Fraction(1, 9), 9, max_denominator=9))
+    def test_recovered_pairs_on_the_integer_published_rows(self, row, lam,
+                                                           register):
+        seq = dirichlet(row.alpha)
+        params = recover(reduce_system(seq, DegreePattern.from_phi(
+            row.k, row.phi2, row.phi3)), tuple(lam * v for v in (1,) + row.d))
+        try:
+            params = attach_register(params, register, register)
+        except RegisterTooLargeError:
+            r = auto_register(params)
+            params = attach_register(params, r, r)
+        cert = verify(params.pair, seq)
+        assert cert.passed
+        assert cert.membership == membership_sweep(params.pair, seq)
+
+
 @functools.lru_cache(maxsize=None)
 def _float_recovered_json() -> str:
     """The interval certificate of the headline pair with float
@@ -271,6 +306,42 @@ class TestIntervalRegime:
         assert report["ok"]
         assert report["recomputed_verdict"] == "fail"
 
+    @pytest.mark.parametrize("degenerate", [False, True],
+                             ids=["positive-gap", "degenerate-gap"])
+    def test_the_sweep_is_the_gap_in_every_regime(self, z3_main, monkeypatch,
+                                                  degenerate):
+        # with the zero cells proved, here forced to the point [0, 0], the
+        # sweep is "gap certainly positive" in the interval regime too; no
+        # rounded F_3 coefficient is left to widen <F_3, z^k F_2> past 0
+        import zkwander.certify
+        relations = zkwander.certify.orthogonality_relations
+        zero = Interval(0.0, 0.0)
+        blocks = []
+
+        def proved(f1, f2, seq, k, regime):
+            q1, cells = relations(f1, f2, seq, k, regime)
+            a13 = q1.A2 * q1.A2 / q1.A4 if degenerate else q1.A3
+            blocks.append(AQuantities(1, zero, q1.A2, a13, q1.A4, q1.A5))
+            return blocks[-1], tuple((cell, zero) for cell, _ in cells)
+        monkeypatch.setattr(zkwander.certify, "orthogonality_relations",
+                            proved)
+        seq = dirichlet(Fraction(-33, 2))
+        rs = reduce_system(seq, DegreePattern.default(6), INTERVAL)
+        params = attach_register(recover(rs, (1, 4, 6), z3=z3_main), 1, 1)
+        cert = verify(params.pair, seq, INTERVAL)
+        if not degenerate:
+            assert cert.verdict == "pass"
+            assert cert.membership == {"holds": True, "levels": [1, 2],
+                                       "worst_residual": 0.0}
+            return
+        gap = blocks[0].contraction_sides()[0]
+        assert gap.contains_zero()
+        error = f"A_13 A_14 - |A_12|^2 = {gap!r} is not certifiably positive"
+        assert cert.verdict == "fail"
+        assert cert.membership == {"holds": False, "error": error}
+        assert cert.reasons == ["membership sweep cannot build F_3: the "
+                                "Cauchy-Schwarz gap " + error]
+
     def test_boolean_coefficient_is_malformed(self):
         data = json.loads(INTERVAL_CERTIFICATE.read_text())
         assert data["coefficients"]["a_reg"] == "1"
@@ -343,6 +414,7 @@ class TestCorollary:
         data, headline = cert.to_dict(), cert16.to_dict()
         for field in ("A", "conditions", "c", "membership"):
             assert json_text(data[field]) == json_text(headline[field])
+        assert cert.membership == membership_sweep(cert.pair, cert.seq)
         report = check_certificate(json.loads(cert.to_json()))
         assert report["ok"] and report["recomputed_verdict"] == "pass"
 
@@ -681,6 +753,22 @@ def test_every_single_leaf_forgery_is_rejected(base):
         except CertificateError:
             pass
     assert replayed == []
+
+
+@pytest.mark.parametrize("k,gamma,accepted", [
+    (MAX_K, (0, 1, 2, 3, 4, 5), True),
+    (MAX_K + 1, (0, 1, 2, 3, 4, 5), False),
+    (6, (0, 1, 2, 3, MAX_DEGREE, 5), True),             # 10^6 = 4 mod 6
+    (6, (0, 1, 2, 3, 4, MAX_DEGREE + 1), False),
+], ids=["k-max", "k-past", "degree-max", "degree-past"])
+def test_check_bounds_at_its_edges(k, gamma, accepted):
+    pattern, seq = DegreePattern(k, gamma), dirichlet(-16)
+    if accepted:
+        check_bounds(pattern, seq)
+        return
+    with pytest.raises(ValueError, match=r"^k must lie in 1\.\.10000 and the "
+                       r"degrees in 0\.\.1000000$"):
+        check_bounds(pattern, seq)
 
 
 def test_alpha_past_the_digit_limit_gets_the_bound_refusal():

@@ -5,17 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zkwander.errors import InvalidPatternError
-from zkwander.model import (DegreePattern, GeneratorPair, _f3_from_level1,
-                            compute_A, inner_product)
+from zkwander.model import (DegreePattern, GeneratorPair, compute_A,
+                            inner_product)
 from zkwander.scalars import RATIONAL, is_exact_zero
 from zkwander.weights import dirichlet, weight
 
-
-def _f3(pair, seq):
-    """F_3 of a pair from its level-1 block, as verify builds it."""
-    q1 = compute_A(pair, seq, 1)
-    return _f3_from_level1(pair.f1_map(), pair.f2_map(), pair.pattern.k, q1,
-                           q1.contraction_sides()[0])
+from sweep_oracle import f3_map
 
 
 class TestDegreePattern:
@@ -109,7 +104,7 @@ class TestSupportLemma:
         pair = registered16.pair
         k = pair.pattern.k
         f1, f2 = set(pair.f1_map()), set(pair.f2_map())
-        assert set(_f3(pair, seq16)) <= f1 | {d + k for d in f1 | f2}
+        assert set(f3_map(pair, seq16)) <= f1 | {d + k for d in f1 | f2}
 
 
 class TestInnerProduct:
@@ -210,7 +205,7 @@ class TestSpanningElements:
     def test_f3_is_orthogonal_to_the_shifted_generators(self, registered16,
                                                         seq16):
         pair = registered16.pair
-        f3 = _f3(pair, seq16)
+        f3 = f3_map(pair, seq16)
         k = pair.pattern.k
         r1 = inner_product(f3, pair.f1_map(), seq16, shift_g=k)
         r2 = inner_product(f3, pair.f2_map(), seq16, shift_g=k)
