@@ -17,11 +17,14 @@ regime but rational and interval before it evaluates a weight.
 Only what the proof reads is evaluated: A_(s,1) and A_(s,5) for s >= 4
 multiply a zero coefficient (HIGHER_LEVELS), and the membership sweep
 computes no product: at the levels of the support lemma
-(``DegreePattern.sweep_overlaps``) each one is empty, a proved zero cell or
-zero once the Cauchy-Schwarz gap is positive.  Each input is evaluated once
-per verify call: the 14 embedded weights, into one table that every product
-reads, each generator's coefficient map, and the gap that both the strict
-contraction and the sweep read.
+(``DegreePattern.sweep_overlaps``, in closed form (1, k + gamma_r) for all
+six r and (1, 2k + gamma_r), (2, 2k + gamma_r) for r <= 3) each one is empty,
+a proved zero cell or zero once the Cauchy-Schwarz gap is positive, so a
+failing sweep has the one reason that the gap is not.  Each input is
+evaluated once per verify call: the 14 embedded weights, into one table that
+every product reads, each generator's coefficient map, which
+``orthogonality_relations`` builds from the pair, and the gap that both the
+strict contraction and the sweep read.
 """
 
 from __future__ import annotations
@@ -218,10 +221,8 @@ def verify(pair: GeneratorPair, seq: WeightSequence,
     check_bounds(pair.pattern, seq)
     refuse_foreign(regime, (*pair.a_low, *pair.a_high, *pair.b_low,
                             pair.a_reg, pair.b_reg))
-    k = pair.pattern.k
     w = {t: weight(seq, t, regime) for t in pair.pattern.embedded_indices()}
-    f1, f2 = pair.f1_map(), pair.f2_map()
-    q1, relations = orthogonality_relations(f1, f2, w, k, regime)
+    q1, relations = orthogonality_relations(pair, w, regime)
     a_table = {1: {f"A{i}": getattr(q1, f"A{i}") for i in range(1, 6)},
                2: {}, 3: {}}
     cells = []              # (certificate key, label, value)
@@ -260,10 +261,8 @@ def verify(pair: GeneratorPair, seq: WeightSequence,
         membership = _membership_sweep(levels, lhs)
         if not membership["holds"]:
             all_hold = False
-            reasons.append(
-                ("membership sweep cannot build F_3: the Cauchy-Schwarz gap "
-                 + membership["error"]) if "error" in membership
-                else "membership sweep found a nonzero projection")
+            reasons.append("membership sweep cannot build F_3: the "
+                           "Cauchy-Schwarz gap " + membership["error"])
 
     return Certificate(verdict="pass" if all_hold else "fail", regime=regime,
                        pair=pair, seq=seq, conditions=conditions,

@@ -302,18 +302,14 @@ def cmd_reproduce(args) -> int:
         return 0 if _reproduce_table3(args.out) else 2
     if args.table == 4:
         return 0 if _reproduce_table4(args.out) else 2
-    if args.table == 5:
-        report = asymptotic.reproduce_table5()
-        columns = ("k", "beta", "sigma", "printed_bound", "computed_bound",
-                   "printed_threshold", "computed_threshold",
-                   "sigma_condition", "threshold_match", "bound_below_one",
-                   "cap", "cap_ok")
-        _write_csv([[e[c] for c in columns] for e in report], columns,
-                   args.out)
-        checks = ("sigma_condition", "threshold_match", "bound_below_one",
-                  "cap_ok")
-        return 0 if all(e[c] for e in report for c in checks) else 2
-    raise ZkwanderError(f"unknown table {args.table}")
+    report = asymptotic.reproduce_table5()
+    columns = ("k", "beta", "sigma", "printed_bound", "computed_bound",
+               "printed_threshold", "computed_threshold", "sigma_condition",
+               "threshold_match", "bound_below_one", "cap", "cap_ok")
+    _write_csv([[e[c] for c in columns] for e in report], columns, args.out)
+    checks = ("sigma_condition", "threshold_match", "bound_below_one",
+              "cap_ok")
+    return 0 if all(e[c] for e in report for c in checks) else 2
 
 
 def cmd_asymptotic(args) -> int:

@@ -11,13 +11,14 @@ Everything the certificate asserts reduces to the cross inner products
 A_{s,1}..A_{s,5} between k-block shifts of F_1 and F_2.  This module computes
 them directly from coefficient maps; it is the slow, definition-level oracle
 against which the closed-form reduction is cross-checked.  Coefficients are
-real, so <f, g> = sum_t f_t g_t w_t needs no conjugate.
+real, so <f, g> = sum_t f_t g_t w_t needs no conjugate.  The support lemma,
+the levels and degrees at which the membership products have a term, is
+stated in closed form by ``DegreePattern.sweep_overlaps``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict
 
 from .errors import InvalidPatternError
@@ -26,13 +27,6 @@ from .scalars import RATIONAL, is_exact_zero, sum_of_products, to_regime
 from .weights import WeightSequence, weight
 
 CoefficientMap = Dict[int, object]
-
-
-# Supports of F_1, F_2 and F_3 = F_1 + z^k (c_2 F_2 + c_1 F_1) as
-# (block j, degree index r) pairs, the degree being j k + gamma_r.
-_F1_BLOCKS = frozenset({(j, r) for j in (0, 1) for r in range(4)} | {(0, 4)})
-_F2_BLOCKS = frozenset({(0, r) for r in range(4)} | {(0, 5)})
-_F3_BLOCKS = _F1_BLOCKS | {(j + 1, r) for j, r in _F1_BLOCKS | _F2_BLOCKS}
 
 
 class DegreePattern(Record):
@@ -93,25 +87,24 @@ class DegreePattern(Record):
         k, g = self.k, self.gamma
         return tuple(sorted({*self.matrix_indices(), k + g[4], k + g[5]}))
 
-    @lru_cache(maxsize=1)   # writing and replaying a certificate: 4 reads
     def sweep_overlaps(self) -> tuple:
         """The support lemma: the sorted (level s, degree t) pairs at which a
         membership product <F, z^{ks} G>, F in {F_2, F_3}, G in {F_1, F_2},
         s >= 1, has a term.
 
-        Every support degree is j k + gamma_r.  As the gamma_r are distinct
-        mod k, j k + gamma_r = (j' + s) k + gamma_r' only when r = r' and
-        j = j' + s, so the pairs follow from the block indices alone.  F_3
-        reaches block 2 and every G starts at block 0, hence s <= 2.
+        Every support degree is j k + gamma_r, in block j.  As the gamma_r
+        are distinct mod k, j k + gamma_r = (j' + s) k + gamma_r' only when
+        r = r' and j = j' + s.  F_1 holds block 0 at r <= 4 and block 1 at
+        r <= 3, F_2 block 0 at r <= 3 and r = 5, and F_3 = F_1 + z^k (c_2 F_2
+        + c_1 F_1) adds block 1 at all six r and block 2 at r <= 3.  F_2 lies
+        in block 0, so it meets no shifted G.  F_3's block 1 meets block 0 of
+        F_1 or F_2 at s = 1 for every r; its block 2 meets F_1's block 1 at
+        s = 1 and block 0 of either at s = 2, for r <= 3.
         """
-        out = set()
-        for f in (_F2_BLOCKS, _F3_BLOCKS):
-            for g in (_F1_BLOCKS, _F2_BLOCKS):
-                out.update((j - jg, j * self.k + self.gamma[r])
-                           for j, r in f for jg, rg in g
-                           if r == rg and j > jg)
-        return tuple(sorted(out))
-
+        k, gamma = self.k, self.gamma
+        return tuple(sorted([(1, k + x) for x in gamma]
+                            + [(s, 2 * k + x) for s in (1, 2)
+                               for x in gamma[:4]]))
 
 
 class GeneratorPair(Record):
@@ -180,11 +173,8 @@ class AQuantities(Record):
 
 
 def _map_add(m: CoefficientMap, degree: int, value):
-    if is_exact_zero(value):
-        return
-    if degree in m:
-        m[degree] = m[degree] + value
-    else:
+    # the degrees of one generator are distinct, so none is added twice
+    if not is_exact_zero(value):
         m[degree] = value
 
 
@@ -241,12 +231,13 @@ def compute_A(pair: GeneratorPair, seq: WeightSequence, s: int,
                         regime)
 
 
-def orthogonality_relations(f1: CoefficientMap, f2: CoefficientMap, seq,
-                            k: int, regime: str = RATIONAL) -> tuple:
-    """The level-1 block of the maps f1 of F_1 and f2 of F_2 on shift order
-    k, and the five relations the proof needs to vanish:
-    (q1, (((s, n), A_(s,n)), ...)) for A_(1,1), A_(2,1), A_(2,5), A_(3,1)
-    and A_(3,5).  Levels 2 and 3 need only the two adjacent products."""
+def orthogonality_relations(pair: GeneratorPair, seq,
+                            regime: str = RATIONAL) -> tuple:
+    """The level-1 block of the pair and the five relations the proof needs
+    to vanish: (q1, (((s, n), A_(s,n)), ...)) for A_(1,1), A_(2,1), A_(2,5),
+    A_(3,1) and A_(3,5).  Levels 2 and 3 need only the two adjacent
+    products.  Each coefficient map is built once."""
+    f1, f2, k = pair.f1_map(), pair.f2_map(), pair.pattern.k
     q1 = _level_block(f1, f2, seq, k, 1, regime)
     relations = [((1, 1), q1.A1)]
     for s in (2, 3):

@@ -32,6 +32,7 @@ from .scalars import (agreement, as_coefficient, binary_parts,
                       certainly_positive, display, excludes_zero,
                       is_exact_zero, refuse_foreign, refuse_irrational, sqrt,
                       strictly_less, to_float, to_regime)
+from .weights import weight
 
 
 class RecoveredParameters(Record):
@@ -129,9 +130,9 @@ def recover(rs: ReducedSystem, d, z3=None, z1=None, a15=None) -> RecoveredParame
 
 
 def _register_weights(params: RecoveredParameters):
-    k = params.rs.pattern.k
-    g4, g5 = params.rs.pattern.register_degrees
-    return params.rs.weight_at(k + g4), params.rs.weight_at(k + g5)
+    rs = params.rs
+    return tuple(weight(rs.seq, rs.pattern.k + g, rs.regime)
+                 for g in rs.pattern.register_degrees)
 
 
 def level1_block(params: RecoveredParameters, a_reg=Fraction(0),

@@ -63,9 +63,6 @@ class ReducedSystem(Record):
         store(self, "H", H)     # H_i = E_i^2
         store(self, "D", D)     # D_i = -G_i / E_i
 
-    def weight_at(self, t: int):
-        return weight(self.seq, t, self.regime)
-
 
 def reduce_system(seq: WeightSequence, pattern: DegreePattern,
                   regime: str = RATIONAL) -> ReducedSystem:

@@ -100,8 +100,8 @@ class TestVerify:
         import zkwander.certify
         relations = zkwander.certify.orthogonality_relations
 
-        def equality(f1, f2, seq, k, regime):
-            q1, cells = relations(f1, f2, seq, k, regime)
+        def equality(pair, seq, regime):
+            q1, cells = relations(pair, seq, regime)
             a13 = q1.A2 * q1.A2 / q1.A4
             return AQuantities(1, q1.A1, q1.A2, a13, q1.A4, q1.A5), cells
         monkeypatch.setattr(zkwander.certify, "orthogonality_relations",
@@ -318,8 +318,8 @@ class TestIntervalRegime:
         zero = Interval(0.0, 0.0)
         blocks = []
 
-        def proved(f1, f2, seq, k, regime):
-            q1, cells = relations(f1, f2, seq, k, regime)
+        def proved(pair, seq, regime):
+            q1, cells = relations(pair, seq, regime)
             a13 = q1.A2 * q1.A2 / q1.A4 if degenerate else q1.A3
             blocks.append(AQuantities(1, zero, q1.A2, a13, q1.A4, q1.A5))
             return blocks[-1], tuple((cell, zero) for cell, _ in cells)

@@ -222,11 +222,12 @@ class TestBadInput:
          "--regime", "interval"),
         ("eval", "--alpha", "-16001/1001", "--regime", "interval"),
         ("eval", "--alpha", "-16", "--gamma", "0,1,2,3,4", "--d", "1,4,6"),
+        ("search", "--alpha", "-64", "--k", "6", "--phi3", "100000"),
     ], ids=["d-not-positive", "gamma-not-integer", "z1-not-positive",
             "complex-z3-rational", "complex-z3-interval",
             "complex-z3-interval-pipeline", "z1-without-z3",
             "interval-weight-overflows", "alpha-denominator-above-bound",
-            "gamma-five-degrees"])
+            "gamma-five-degrees", "search-weight-past-the-doubles"])
     def test_bad_argument(self, capsys, tmp_path, argv):
         code, out, err = run(capsys, *argv, *(
             ("--out", str(tmp_path / "cert.json"))
@@ -516,6 +517,23 @@ class TestPipeline:
         assert code == 0
         assert "schema ok: True" in out
         assert "recomputed: pass" in out
+
+    def test_a_failing_certificate_names_each_reason(self, capsys, tmp_path):
+        # alpha = -33/2 is interval-only: no enclosure of a zero cell is
+        # the point 0, so each of the five prints its reason in cell order
+        cert = tmp_path / "cert.json"
+        code, out, _ = run(capsys, "pipeline", "--alpha", "-33/2",
+                           "--d", "1,4,6", "--z3", "-2e13",
+                           "--out", str(cert))
+        assert code == 2
+        assert "verdict: fail" in out
+        reasons = [line[len("reason: "):] for line in out.splitlines()
+                   if line.startswith("reason: ")]
+        assert [r.split(" enclosure contains 0 ")[0] for r in reasons] == [
+            "A_(1,1)", "A_(2,1)", "A_(2,5)", "A_(3,1)", "A_(3,5)"]
+        code, out, _ = run(capsys, "certify", "--check", str(cert))
+        assert code == 2
+        assert "recomputed: fail" in out
 
     def test_override_corollary(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zkwander.errors import InvalidPatternError
@@ -88,6 +88,11 @@ class TestSupportLemma:
 
     @settings(max_examples=150, deadline=None)
     @given(_patterns())
+    @example(DegreePattern(6, (5, 4, 3, 2, 1, 0)))              # reversed
+    @example(DegreePattern(7, (0, 1, 2, 3, 284, 285)))          # far registers
+    @example(DegreePattern.from_phi(6, 3, 17))                  # published
+    @example(DegreePattern.from_phi(88, 3, 166))                # published
+    @example(DegreePattern(120, (119, 118, 4917, 116, 0, 1)))   # top of k
     def test_overlaps_match_brute_force(self, pattern):
         assert pattern.sweep_overlaps() == _brute_force_overlaps(
             pattern.k, pattern.gamma)

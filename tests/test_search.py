@@ -159,6 +159,11 @@ class TestMinimize:
             minimize(SearchConfig(alpha=300000))
         with pytest.raises(ValueError, match=r"^k must lie in 1\.\.10000"):
             minimize(SearchConfig(alpha=-16, k=10001))
+        # inside them (gamma_3 = 600003) a weight with no double is refused
+        # by name
+        with pytest.raises(NoAdmissibleSystemError, match=r"^600010\^\(-64\) "
+                           "lies outside the range of doubles$"):
+            minimize(SearchConfig(alpha=-64, k=6, phi3=100000))
 
     def test_an_interval_c5_that_straddles_zero_is_undecided(self):
         # at the simplex point of this published row the interval
