@@ -8,8 +8,7 @@ from .errors import (CertificateError, DegeneratePairError,
                      InvalidPatternError, ModeUnsupportedError,
                      NoAdmissibleSystemError, RegisterTooLargeError,
                      SingularSystemError, ZkwanderError)
-from .model import (AQuantities, DegreePattern, GeneratorPair, compute_A,
-                    inner_product)
+from .model import AQuantities, DegreePattern, GeneratorPair, compute_A
 from .recovery import (RecoveredParameters, attach_register, auto_register,
                        choose_A15, choose_Z3, cross_check,
                        max_register_estimate, recover)
@@ -32,8 +31,7 @@ __all__ = [
     "SingularSystemError", "WeightSequence", "ZkwanderError",
     "attach_register", "auto_register", "b0_minimum", "check_certificate",
     "choose_A15", "choose_Z3", "compute_A", "compute_C", "cross_check",
-    "dirichlet", "inner_product", "max_register_estimate", "minimize",
-    "objective_B0", "objective_B1", "objective_B2", "perturbed", "recover",
-    "reduce_system", "save_certificate", "split_e", "verify", "weight",
-    "z1_star",
+    "dirichlet", "max_register_estimate", "minimize", "objective_B0",
+    "objective_B1", "objective_B2", "perturbed", "recover", "reduce_system",
+    "save_certificate", "split_e", "verify", "weight", "z1_star",
 ]

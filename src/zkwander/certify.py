@@ -22,8 +22,8 @@ six r and (1, 2k + gamma_r), (2, 2k + gamma_r) for r <= 3) each one is empty,
 a proved zero cell or zero once the Cauchy-Schwarz gap is positive, so a
 failing sweep has the one reason that the gap is not.  Each input is
 evaluated once per verify call: the 14 embedded weights, into one table that
-every product reads, each generator's coefficient map, which
-``orthogonality_relations`` builds from the pair, and the gap that both the
+every product reads as ``orthogonality_relations`` sums it over slot rows,
+the zero test of each of the pair's coefficients, and the gap that both the
 strict contraction and the sweep read.
 """
 

@@ -8,25 +8,26 @@ gamma_0..gamma_5 (distinct mod k):
     F_2 = sum_{i<4} b_i z^{gamma_i}  +  b_reg z^{gamma_5}
 
 Everything the certificate asserts reduces to the cross inner products
-A_{s,1}..A_{s,5} between k-block shifts of F_1 and F_2.  This module computes
-them directly from coefficient maps; it is the slow, definition-level oracle
-against which the closed-form reduction is cross-checked.  Coefficients are
-real, so <f, g> = sum_t f_t g_t w_t needs no conjugate.  The support lemma,
-the levels and degrees at which the membership products have a term, is
-stated in closed form by ``DegreePattern.sweep_overlaps``.
+A_{s,1}..A_{s,5} between k-block shifts of F_1 and F_2.  Coefficients are
+real, so <f, g> = sum_t f_t g_t w_t needs no conjugate.  As the gamma_r are
+distinct mod k, a level-s term pairs two coefficients of one gamma_r at the
+degree s k + gamma_r, the slot (s, r).  So this module sums each product over
+slot rows, with u = a_low, v = a_high, b = b_low and W_s[i] = w_{sk+gamma_i}:
+k enters only the weight keys and the ascending degree order of the terms,
+which the definition's sum takes and which fixes every enclosure bit.  The
+reduction's closed form is cross-checked against these sums.  The support
+lemma, the levels and degrees at which the membership products have a term,
+is stated in closed form by ``DegreePattern.sweep_overlaps``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict
 
 from .errors import InvalidPatternError
 from .record import Record, store
 from .scalars import RATIONAL, is_exact_zero, sum_of_products, to_regime
 from .weights import WeightSequence, weight
-
-CoefficientMap = Dict[int, object]
 
 
 class DegreePattern(Record):
@@ -128,23 +129,6 @@ class GeneratorPair(Record):
         return GeneratorPair(self.pattern, self.a_low, self.a_high,
                              self.b_low, a_reg, b_reg)
 
-    def f1_map(self) -> CoefficientMap:
-        p = self.pattern
-        out: CoefficientMap = {}
-        for i in range(4):
-            _map_add(out, p.gamma[i], self.a_low[i])
-            _map_add(out, p.k + p.gamma[i], self.a_high[i])
-        _map_add(out, p.gamma[4], self.a_reg)
-        return out
-
-    def f2_map(self) -> CoefficientMap:
-        p = self.pattern
-        out: CoefficientMap = {}
-        for i in range(4):
-            _map_add(out, p.gamma[i], self.b_low[i])
-        _map_add(out, p.gamma[5], self.b_reg)
-        return out
-
 
 class AQuantities(Record):
     """The five s-level inner products.
@@ -172,63 +156,59 @@ class AQuantities(Record):
         return self.A3 * self.A4 - self.A2 * self.A2, self.A5 * self.A2
 
 
-def _map_add(m: CoefficientMap, degree: int, value):
-    # the degrees of one generator are distinct, so none is added twice
-    if not is_exact_zero(value):
-        m[degree] = value
-
-
-def inner_product(f: CoefficientMap, g: CoefficientMap, seq: WeightSequence,
-                  regime: str = RATIONAL, shift_f: int = 0, shift_g: int = 0):
-    """<z^{shift_f} f, z^{shift_g} g> in the weighted space; seq may be a
-    table {degree: weight} in the regime holding every matched degree.
-
-    The matched terms are collected in ascending degree order, so interval
-    results are reproducible, and summed by ``sum_of_products``.
-    """
-    at = seq.__getitem__ if isinstance(seq, dict) else (
-        lambda t: weight(seq, t, regime))
-    terms = []
-    for d in sorted(f):
-        cg = g.get(d + shift_f - shift_g)
-        if cg is not None:
-            terms.append((f[d], cg, at(d + shift_f)))
-    if not terms:
+def _row_sum(terms, at, regime: str):
+    """x_1 y_1 w_{t_1} + ... over the (t, x, y) terms with no None factor,
+    in ascending degree t as the definition sums them, an order that fixes
+    every enclosure bit; an empty sum is 0 in the regime."""
+    kept = [(t, x, y) for t, x, y in terms if x is not None and y is not None]
+    if not kept:
         return to_regime(Fraction(0), regime)
-    return sum_of_products(terms)
+    kept.sort()     # the degrees of one sum are distinct
+    return sum_of_products([(x, y, at(t)) for t, x, y in kept])
 
 
-def adjacent_products(f1: CoefficientMap, f2: CoefficientMap, seq, k: int,
-                      s: int, regime: str = RATIONAL) -> tuple:
-    """(A_(s,1), A_(s,5)) of the maps f1 of F_1 and f2 of F_2 on shift order
-    k, the two level-s products the orthogonality relations read; both pair
-    z^{k(s-1)} F_1 with a generator at z^{ks}."""
-    lo, hi = k * (s - 1), k * s
-    return (inner_product(f1, f1, seq, regime, shift_f=lo, shift_g=hi),
-            inner_product(f1, f2, seq, regime, shift_f=lo, shift_g=hi))
+def _slot_rows(pair: GeneratorPair, seq, regime: str) -> tuple:
+    """((u, v, b, a_reg, b_reg), at): the rows a_low, a_high, b_low and the
+    one-slot register rows, each exact zero as None since it has no term (a
+    [0, 0] one would widen an enclosure), and the weight at a degree; seq
+    may be a table {degree: weight} in the regime."""
+    rows = [[None if is_exact_zero(x) else x for x in row]
+            for row in (pair.a_low, pair.a_high, pair.b_low, (pair.a_reg,),
+                        (pair.b_reg,))]
+    return rows, seq.__getitem__ if isinstance(seq, dict) else (
+        lambda t: weight(seq, t, regime))
 
 
-def _level_block(f1: CoefficientMap, f2: CoefficientMap, seq, k: int, s: int,
-                 regime: str) -> AQuantities:
-    hi = k * s
-    a1, a5 = adjacent_products(f1, f2, seq, k, s, regime)
+def _adjacent(rows, at, pattern: DegreePattern, s: int, regime: str):
+    """(A_(s,1), A_(s,5)) = (sum v_i u_i W_s[i], sum v_i b_i W_s[i])."""
+    u, v, b = rows[:3]
+    now = [s * pattern.k + g for g in pattern.gamma[:4]]
+    return (_row_sum(zip(now, v, u), at, regime),
+            _row_sum(zip(now, v, b), at, regime))
+
+
+def _slot_block(rows, at, pattern: DegreePattern, s: int, regime: str):
+    """The level-s block: A1 and A5 from _adjacent, A2 = sum u_i b_i W_s[i],
+    A3 = sum u_i^2 W_s[i] + a_reg^2 w_{sk+gamma_4} + sum v_i^2 W_{s+1}[i]
+    and A4 = sum b_i^2 W_s[i] + b_reg^2 w_{sk+gamma_5}."""
+    u, v, b, a_reg, b_reg = rows
+    now, up = ([j * pattern.k + g for g in pattern.gamma] for j in (s, s + 1))
+    a1, a5 = _adjacent(rows, at, pattern, s, regime)
     return AQuantities(
-        s=s,
-        A1=a1,
-        A2=inner_product(f1, f2, seq, regime, shift_f=hi, shift_g=hi),
-        A3=inner_product(f1, f1, seq, regime, shift_f=hi, shift_g=hi),
-        A4=inner_product(f2, f2, seq, regime, shift_f=hi, shift_g=hi),
-        A5=a5,
-    )
+        s, a1, _row_sum(zip(now, u, b), at, regime),
+        _row_sum([*zip(now, u, u), *zip(now[4:], a_reg, a_reg),
+                  *zip(up, v, v)], at, regime),
+        _row_sum([*zip(now, b, b), *zip(now[5:], b_reg, b_reg)], at, regime),
+        a5)
 
 
 def compute_A(pair: GeneratorPair, seq: WeightSequence, s: int,
               regime: str = RATIONAL) -> AQuantities:
-    """All five A-quantities at level s >= 1, straight from the definitions."""
+    """All five A-quantities at level s >= 1, summed over the slot rows."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    return _level_block(pair.f1_map(), pair.f2_map(), seq, pair.pattern.k, s,
-                        regime)
+    return _slot_block(*_slot_rows(pair, seq, regime), pair.pattern, s,
+                       regime)
 
 
 def orthogonality_relations(pair: GeneratorPair, seq,
@@ -236,11 +216,11 @@ def orthogonality_relations(pair: GeneratorPair, seq,
     """The level-1 block of the pair and the five relations the proof needs
     to vanish: (q1, (((s, n), A_(s,n)), ...)) for A_(1,1), A_(2,1), A_(2,5),
     A_(3,1) and A_(3,5).  Levels 2 and 3 need only the two adjacent
-    products.  Each coefficient map is built once."""
-    f1, f2, k = pair.f1_map(), pair.f2_map(), pair.pattern.k
-    q1 = _level_block(f1, f2, seq, k, 1, regime)
+    products.  The pair's coefficients are read once."""
+    rows, at = _slot_rows(pair, seq, regime)
+    q1 = _slot_block(rows, at, pair.pattern, 1, regime)
     relations = [((1, 1), q1.A1)]
     for s in (2, 3):
-        a1, a5 = adjacent_products(f1, f2, seq, k, s, regime)
+        a1, a5 = _adjacent(rows, at, pair.pattern, s, regime)
         relations += [((s, 1), a1), ((s, 5), a5)]
     return q1, tuple(relations)

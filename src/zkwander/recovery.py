@@ -159,9 +159,10 @@ def level1_block(params: RecoveredParameters, a_reg=Fraction(0),
 
 
 def cross_check(params: RecoveredParameters) -> dict:
-    """Reduction identities vs the definition-level oracle, on the core pair:
-    the ``compute_A`` block against the ``level1_block`` one, and the
-    oracle's contraction ratio c against B_0(C; Z_3, Z_1).
+    """Reduction identities vs the slot sums, on the core pair: the
+    ``compute_A`` block, summed over the pair's slot rows, against the
+    ``level1_block`` one, and its contraction ratio c against B_0(C; Z_3,
+    Z_1).
 
     Exact equality for exact values; enclosures agree when they meet.
     """

@@ -81,7 +81,7 @@ class TestVerify:
         # oracle's sweep and is named
         inner_product = sweep_oracle.inner_product
         pair = registered16.pair
-        f1, f2 = pair.f1_map(), pair.f2_map()
+        f1, f2 = sweep_oracle.f1_map(pair), sweep_oracle.f2_map(pair)
 
         def skewed(f, g, seq, regime, shift_f=0, shift_g=0):
             v = inner_product(f, g, seq, regime, shift_f, shift_g)
@@ -170,22 +170,22 @@ class TestVerify:
                                           monkeypatch):
         # the full block at level 1 only (the membership sweep reuses it),
         # A_(s,1) and A_(s,5) alone at levels 2 and 3; the spy also sees
-        # the level-1 pair that the block takes from adjacent_products
+        # the level-1 pair that the block takes from _adjacent
         import zkwander.model
         blocks, pairs = [], []
-        level_block = zkwander.model._level_block
-        adjacent_products = zkwander.model.adjacent_products
+        slot_block = zkwander.model._slot_block
+        adjacent = zkwander.model._adjacent
 
-        def counted_block(f1, f2, seq, k, s, regime):
+        def counted_block(rows, at, pattern, s, regime):
             blocks.append(s)
-            return level_block(f1, f2, seq, k, s, regime)
+            return slot_block(rows, at, pattern, s, regime)
 
-        def counted_pair(f1, f2, seq, k, s, regime):
+        def counted_pair(rows, at, pattern, s, regime):
             pairs.append(s)
-            return adjacent_products(f1, f2, seq, k, s, regime)
+            return adjacent(rows, at, pattern, s, regime)
         # model.orthogonality_relations computes all of them for verify
-        monkeypatch.setattr(zkwander.model, "_level_block", counted_block)
-        monkeypatch.setattr(zkwander.model, "adjacent_products", counted_pair)
+        monkeypatch.setattr(zkwander.model, "_slot_block", counted_block)
+        monkeypatch.setattr(zkwander.model, "_adjacent", counted_pair)
         cert = verify(registered16.pair, seq16)
         assert cert.passed
         assert blocks == [1]
@@ -867,32 +867,40 @@ class TestReadSet:
 
     def test_verify_evaluates_each_input_once(self, monkeypatch,
                                               registered16, seq16):
-        # one weight per embedded index, one map of each generator and
-        # one Cauchy-Schwarz gap per call, however many products read them
+        # one weight per embedded index, one zero test of each of the
+        # pair's 14 coefficients and one Cauchy-Schwarz gap per call,
+        # however many products read them
         import zkwander.certify
         import zkwander.model
         calls = []
         weight = zkwander.model.weight
+        is_exact_zero = zkwander.model.is_exact_zero
 
         def counted_weight(seq, t, regime="rational"):
             calls.append(t)
             return weight(seq, t, regime)
         for module in (zkwander.certify, zkwander.model):
             monkeypatch.setattr(module, "weight", counted_weight)
-        def counted(name, method):
-            def wrapper(self):
-                calls.append(name)
-                return method(self)
-            return wrapper
-        for owner, name in ((GeneratorPair, "f1_map"),
-                            (GeneratorPair, "f2_map"),
-                            (AQuantities, "contraction_sides")):
-            monkeypatch.setattr(owner, name,
-                                counted(name, getattr(owner, name)))
-        assert verify(registered16.pair, seq16).passed
-        embedded = registered16.pair.pattern.embedded_indices()
+
+        def counted_zero_test(x):
+            calls.append(("coefficient", id(x)))
+            return is_exact_zero(x)
+        monkeypatch.setattr(zkwander.model, "is_exact_zero",
+                            counted_zero_test)
+        contraction_sides = AQuantities.contraction_sides
+
+        def counted_sides(self):
+            calls.append("contraction_sides")
+            return contraction_sides(self)
+        monkeypatch.setattr(AQuantities, "contraction_sides", counted_sides)
+        pair = registered16.pair
+        assert verify(pair, seq16).passed
+        coefficients = (*pair.a_low, *pair.a_high, *pair.b_low, pair.a_reg,
+                        pair.b_reg)
         assert Counter(calls) == Counter(
-            [*embedded, "f1_map", "f2_map", "contraction_sides"])
+            [*pair.pattern.embedded_indices(),
+             *(("coefficient", id(x)) for x in coefficients),
+             "contraction_sides"])
 
     def test_table2_k88(self, monkeypatch):
         row = TABLE2_ROWS[-1]

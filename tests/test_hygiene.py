@@ -572,19 +572,19 @@ def test_only_scalars_reads_the_parts_of_a_radical():
 
 def test_a_rational_verify_sums_no_radical_objects(monkeypatch,
                                                    registered16, seq16):
-    # inner products run through scalars.sum_of_products in one integer
+    # the slot sums run through scalars.sum_of_products in one integer
     # pass: a return to one Radical product and sum per term fails here
     import zkwander.certify
     import zkwander.model
     from zkwander.scalars import Radical
     inside, entered, calls = [0], [], []
-    inner_product = zkwander.model.inner_product
+    sum_of_products = zkwander.model.sum_of_products
 
     def traced(*args, **kwargs):
         inside[0] += 1
         entered.append(1)
         try:
-            return inner_product(*args, **kwargs)
+            return sum_of_products(*args, **kwargs)
         finally:
             inside[0] -= 1
 
@@ -598,8 +598,8 @@ def test_a_rational_verify_sums_no_radical_objects(monkeypatch,
         return method
 
     # certify forms no product itself: it reaches them all through model
-    assert "inner_product" not in vars(zkwander.certify)
-    monkeypatch.setattr(zkwander.model, "inner_product", traced)
+    assert "sum_of_products" not in vars(zkwander.certify)
+    monkeypatch.setattr(zkwander.model, "sum_of_products", traced)
     for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
         monkeypatch.setattr(Radical, name, counted(name))
     cert = zkwander.certify.verify(registered16.pair, seq16)

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from zkwander.errors import InvalidPatternError
 from zkwander.model import (DegreePattern, GeneratorPair, compute_A,
-                            inner_product)
-from zkwander.scalars import RATIONAL, is_exact_zero
+                            orthogonality_relations)
+from zkwander.scalars import (INTERVAL, RATIONAL, Interval, Radical,
+                              is_exact_zero)
 from zkwander.weights import dirichlet, weight
 
-from sweep_oracle import f3_map
+from sweep_oracle import f1_map, f2_map, f3_map, inner_product, level_block
 
 
 class TestDegreePattern:
@@ -108,7 +109,7 @@ class TestSupportLemma:
     def test_f3_stays_inside_the_lemma_support(self, registered16, seq16):
         pair = registered16.pair
         k = pair.pattern.k
-        f1, f2 = set(pair.f1_map()), set(pair.f2_map())
+        f1, f2 = set(f1_map(pair)), set(f2_map(pair))
         assert set(f3_map(pair, seq16)) <= f1 | {d + k for d in f1 | f2}
 
 
@@ -205,6 +206,77 @@ class TestComputeA:
             assert compute_A(_rational_pair(), seq, s).A1 != 0
 
 
+_FIELDS = ("A1", "A2", "A3", "A4", "A5")
+_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=40)
+
+
+@st.composite
+def _slot_cases(draw, regime):
+    """A pair on six degrees below 5 k, distinct mod k, in random order, so
+    that degree order differs from slot order, with exact zeros among the
+    coefficients, registers included, and a Dirichlet weight sequence.  An
+    interval pair mixes Fractions and Interval.exact values; a rational one
+    scales the rows u and a_reg by sqrt(2), so every product is exact."""
+    k = draw(st.integers(min_value=6, max_value=40))
+    residues = draw(st.lists(st.integers(min_value=0, max_value=k - 1),
+                             min_size=6, max_size=6, unique=True))
+    blocks = draw(st.lists(st.integers(min_value=0, max_value=4),
+                           min_size=6, max_size=6))
+    pattern = DegreePattern(k, tuple(b * k + r for b, r in zip(blocks,
+                                                              residues)))
+    zero = st.sampled_from([Fraction(0), Interval.exact(0)])
+    if regime == INTERVAL:
+        plain = scaled = st.one_of(zero, _fractions,
+                                   _fractions.map(Interval.exact))
+        alpha = st.sampled_from([Fraction(-33, 2), Fraction(1, 3), -16])
+    else:
+        plain = st.one_of(st.just(Fraction(0)), _fractions)
+        scaled = plain.map(lambda q: q * Radical.sqrt(2))
+        alpha = st.sampled_from([-16, -2, 3])
+    a_low, a_high, b_low = (tuple(draw(row) for _ in range(4))
+                            for row in (scaled, plain, plain))
+    pair = GeneratorPair(pattern, a_low, a_high, b_low, draw(scaled),
+                         draw(plain))
+    return pair, dirichlet(draw(alpha))
+
+
+def _bits(x):
+    # an enclosure's endpoints bit for bit, -0.0 apart from 0.0
+    return (x.lo.hex(), x.hi.hex()) if isinstance(x, Interval) else x
+
+
+class TestSlotForm:
+    """compute_A and orthogonality_relations sum over slot rows; the
+    definition shifts coefficient maps and matches degrees.  Every result
+    is the same value, each enclosure the same to the bit: a slot sum
+    taken in slot order instead of ascending degree rounds differently."""
+
+    def _check(self, pair, seq, regime):
+        blocks = {s: level_block(pair, seq, s, regime) for s in (1, 2, 3)}
+        for s, block in blocks.items():
+            q = compute_A(pair, seq, s, regime)
+            assert [_bits(getattr(q, f)) for f in _FIELDS] == \
+                [_bits(getattr(block, f)) for f in _FIELDS]
+        table = {t: weight(seq, t, regime)
+                 for t in pair.pattern.embedded_indices()}
+        q1, relations = orthogonality_relations(pair, table, regime)
+        assert [_bits(getattr(q1, f)) for f in _FIELDS] == \
+            [_bits(getattr(blocks[1], f)) for f in _FIELDS]
+        assert [(key, _bits(v)) for key, v in relations] == [
+            ((s, n), _bits(getattr(blocks[s], f"A{n}")))
+            for s, n in ((1, 1), (2, 1), (2, 5), (3, 1), (3, 5))]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_slot_cases(INTERVAL))
+    def test_interval_sums_match_the_definition_bit_for_bit(self, case):
+        self._check(*case, INTERVAL)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(_slot_cases(RATIONAL))
+    def test_rational_sums_match_the_definition(self, case):
+        self._check(*case, RATIONAL)
+
+
 class TestSpanningElements:
 
     def test_f3_is_orthogonal_to_the_shifted_generators(self, registered16,
@@ -212,7 +284,7 @@ class TestSpanningElements:
         pair = registered16.pair
         f3 = f3_map(pair, seq16)
         k = pair.pattern.k
-        r1 = inner_product(f3, pair.f1_map(), seq16, shift_g=k)
-        r2 = inner_product(f3, pair.f2_map(), seq16, shift_g=k)
+        r1 = inner_product(f3, f1_map(pair), seq16, shift_g=k)
+        r2 = inner_product(f3, f2_map(pair), seq16, shift_g=k)
         assert is_exact_zero(r1)
         assert is_exact_zero(r2)
