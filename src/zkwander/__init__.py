@@ -8,7 +8,7 @@ from .errors import (CertificateError, DegeneratePairError,
                      InvalidPatternError, ModeUnsupportedError,
                      NoAdmissibleSystemError, RegisterTooLargeError,
                      SingularSystemError, ZkwanderError)
-from .model import AQuantities, DegreePattern, GeneratorPair, compute_A
+from .model import AQuantities, DegreePattern, GeneratorPair
 from .recovery import (RecoveredParameters, attach_register, auto_register,
                        choose_A15, choose_Z3, cross_check,
                        max_register_estimate, recover)
@@ -30,7 +30,7 @@ __all__ = [
     "RegisterTooLargeError", "SearchConfig", "SearchResult",
     "SingularSystemError", "WeightSequence", "ZkwanderError",
     "attach_register", "auto_register", "b0_minimum", "check_certificate",
-    "choose_A15", "choose_Z3", "compute_A", "compute_C", "cross_check",
+    "choose_A15", "choose_Z3", "compute_C", "cross_check",
     "dirichlet", "max_register_estimate", "minimize", "objective_B0",
     "objective_B1", "objective_B2", "perturbed", "recover", "reduce_system",
     "save_certificate", "split_e", "verify", "weight", "z1_star",

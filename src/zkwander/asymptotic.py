@@ -9,6 +9,7 @@ diagnostics behind them, and the table-reproduction report.
 """
 
 import math
+import sys
 import warnings as _warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -19,13 +20,20 @@ DEFAULT_SIGMA_GRID = (0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4,
                       0.9, 0.95, 0.985, 0.99)
 
 
+def _refuse_unsquarable(**named) -> None:
+    for name, value in named.items():   # the estimates square it in doubles
+        if abs(value) > math.sqrt(sys.float_info.max):
+            raise ValueError(f"|{name}| > 1.3e154: its square has no double")
+
+
 def _check_query(k: int, beta, sigma) -> None:
-    if not 0 < sigma < 1:
+    if not (0 < sigma < 1 and 0 < float(sigma) < 1):    # as a double too
         raise ValueError("sigma must lie in (0, 1)")
     if beta < 1:
         raise ValueError("beta must be >= 1")
     if k < 9:
         raise ValueError("the estimate chain needs k >= 9")
+    _refuse_unsquarable(k=k, beta=beta)
     if k == 9:
         _warnings.warn("k = 9 sits outside the main k >= 10 path; "
                        "the cap denominator (k-9)^2 vanishes", stacklevel=3)
@@ -96,6 +104,7 @@ def objective_bound(k: int, beta, sigma) -> float:
 def beta_cap(k: int) -> float:
     if k == 9:
         raise ValueError("the cap 5k + 700/(k-9)^2 is undefined at k = 9")
+    _refuse_unsquarable(k=k)
     return 5.0 * k + 700.0 / (k - 9) ** 2
 
 

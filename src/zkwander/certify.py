@@ -21,10 +21,10 @@ computes no product: at the levels of the support lemma
 six r and (1, 2k + gamma_r), (2, 2k + gamma_r) for r <= 3) each one is empty,
 a proved zero cell or zero once the Cauchy-Schwarz gap is positive, so a
 failing sweep has the one reason that the gap is not.  Each input is
-evaluated once per verify call: the 14 embedded weights, into one table that
-every product reads as ``orthogonality_relations`` sums it over slot rows,
-the zero test of each of the pair's coefficients, and the gap that both the
-strict contraction and the sweep read.
+evaluated once per verify call: the 14 embedded weights and the zero test
+of each of the pair's coefficients, both in ``orthogonality_relations``, the
+one evaluator of the products, and the gap that both the strict contraction
+and the sweep read.
 """
 
 from __future__ import annotations
@@ -221,8 +221,7 @@ def verify(pair: GeneratorPair, seq: WeightSequence,
     check_bounds(pair.pattern, seq)
     refuse_foreign(regime, (*pair.a_low, *pair.a_high, *pair.b_low,
                             pair.a_reg, pair.b_reg))
-    w = {t: weight(seq, t, regime) for t in pair.pattern.embedded_indices()}
-    q1, relations = orthogonality_relations(pair, w, regime)
+    q1, relations = orthogonality_relations(pair, seq, regime)
     a_table = {1: {f"A{i}": getattr(q1, f"A{i}") for i in range(1, 6)},
                2: {}, 3: {}}
     cells = []              # (certificate key, label, value)

@@ -328,11 +328,10 @@ def cmd_asymptotic(args) -> int:
         beta, sigma = found
         print(f"minimal beta = {beta} at sigma = {sigma} (cap {cap!r})")
         return 0
-    sigma = float(args.sigma)
     cap = asymptotic.beta_cap(args.k)
-    cond = asymptotic.sigma_condition(args.k, args.beta, sigma)
-    threshold = asymptotic.sigma_threshold(args.k, sigma)
-    bound = asymptotic.objective_bound(args.k, args.beta, sigma)
+    cond = asymptotic.sigma_condition(args.k, args.beta, args.sigma)
+    threshold = asymptotic.sigma_threshold(args.k, args.sigma)
+    bound = asymptotic.objective_bound(args.k, args.beta, args.sigma)
     print(f"sigma condition: {cond} (threshold {threshold!r})")
     print(f"objective bound: {bound!r}")
     print(f"a({args.k}) = {asymptotic.a_factor(args.k)!r}")

@@ -7,15 +7,15 @@ gamma_0..gamma_5 (distinct mod k):
         + sum_{i<4} a_{k+i} z^{k+gamma_i}
     F_2 = sum_{i<4} b_i z^{gamma_i}  +  b_reg z^{gamma_5}
 
-Everything the certificate asserts reduces to the cross inner products
-A_{s,1}..A_{s,5} between k-block shifts of F_1 and F_2.  Coefficients are
-real, so <f, g> = sum_t f_t g_t w_t needs no conjugate.  As the gamma_r are
-distinct mod k, a level-s term pairs two coefficients of one gamma_r at the
-degree s k + gamma_r, the slot (s, r).  So this module sums each product over
-slot rows, with u = a_low, v = a_high, b = b_low and W_s[i] = w_{sk+gamma_i}:
-k enters only the weight keys and the ascending degree order of the terms,
-which the definition's sum takes and which fixes every enclosure bit.  The
-reduction's closed form is cross-checked against these sums.  The support
+Everything the certificate asserts reduces to the level-1 block A_{1,n} and
+A_{s,1}, A_{s,5} at s = 2, 3, cross inner products of k-block shifts of F_1
+and F_2.  Coefficients are real, so <f, g> = sum_t f_t g_t w_t needs no
+conjugate.  As the gamma_r are distinct mod k, a level-s term pairs two
+coefficients of one gamma_r at the degree s k + gamma_r, the slot (s, r).
+So ``orthogonality_relations``, their one evaluator, sums over slot rows,
+with u = a_low, v = a_high, b = b_low and W_s[i] = w_{sk+gamma_i}: k enters
+only the weight keys and the ascending degree order of the terms, which the
+definition's sum takes and which fixes every enclosure bit.  The support
 lemma, the levels and degrees at which the membership products have a term,
 is stated in closed form by ``DegreePattern.sweep_overlaps``.
 """
@@ -131,32 +131,30 @@ class GeneratorPair(Record):
 
 
 class AQuantities(Record):
-    """The five s-level inner products.
+    """The five level-1 inner products, the block a certificate reads.
 
-    A1 = <z^{k(s-1)} F_1, z^{ks} F_1>     (adjacent block correlation)
-    A2 = <z^{ks} F_1,     z^{ks} F_2>
-    A3 = ||z^{ks} F_1||^2
-    A4 = ||z^{ks} F_2||^2
-    A5 = <z^{k(s-1)} F_1, z^{ks} F_2>
+    A1 = <F_1, z^k F_1>         (adjacent block correlation)
+    A2 = <z^k F_1, z^k F_2>
+    A3 = ||z^k F_1||^2
+    A4 = ||z^k F_2||^2
+    A5 = <F_1, z^k F_2>
+
+    A_(s,n) is A_(1,n) with both shifts raised by k(s-1).
     """
 
-    __slots__ = ("s", "A1", "A2", "A3", "A4", "A5")
+    __slots__ = ("A1", "A2", "A3", "A4", "A5")
 
-    def __init__(self, s: int, A1, A2, A3, A4, A5):
-        store(self, "s", s)
-        store(self, "A1", A1)
-        store(self, "A2", A2)
-        store(self, "A3", A3)
-        store(self, "A4", A4)
-        store(self, "A5", A5)
+    def __init__(self, A1, A2, A3, A4, A5):
+        for name, value in zip(self.__slots__, (A1, A2, A3, A4, A5)):
+            store(self, name, value)
 
     def contraction_sides(self) -> tuple:
-        """(A_13 A_14 - A_12^2, A_15 A_12) of a level-1 block; the strict
-        contraction inequality is lhs < |rhs|."""
+        """(A_13 A_14 - A_12^2, A_15 A_12); the strict contraction
+        inequality is lhs < |rhs|."""
         return self.A3 * self.A4 - self.A2 * self.A2, self.A5 * self.A2
 
 
-def _row_sum(terms, at, regime: str):
+def _row_sum(terms, w: dict, regime: str):
     """x_1 y_1 w_{t_1} + ... over the (t, x, y) terms with no None factor,
     in ascending degree t as the definition sums them, an order that fixes
     every enclosure bit; an empty sum is 0 in the regime."""
@@ -164,63 +162,45 @@ def _row_sum(terms, at, regime: str):
     if not kept:
         return to_regime(Fraction(0), regime)
     kept.sort()     # the degrees of one sum are distinct
-    return sum_of_products([(x, y, at(t)) for t, x, y in kept])
+    return sum_of_products([(x, y, w[t]) for t, x, y in kept])
 
 
-def _slot_rows(pair: GeneratorPair, seq, regime: str) -> tuple:
-    """((u, v, b, a_reg, b_reg), at): the rows a_low, a_high, b_low and the
-    one-slot register rows, each exact zero as None since it has no term (a
-    [0, 0] one would widen an enclosure), and the weight at a degree; seq
-    may be a table {degree: weight} in the regime."""
-    rows = [[None if is_exact_zero(x) else x for x in row]
-            for row in (pair.a_low, pair.a_high, pair.b_low, (pair.a_reg,),
-                        (pair.b_reg,))]
-    return rows, seq.__getitem__ if isinstance(seq, dict) else (
-        lambda t: weight(seq, t, regime))
-
-
-def _adjacent(rows, at, pattern: DegreePattern, s: int, regime: str):
+def _adjacent(rows, w, pattern: DegreePattern, s: int, regime: str):
     """(A_(s,1), A_(s,5)) = (sum v_i u_i W_s[i], sum v_i b_i W_s[i])."""
     u, v, b = rows[:3]
     now = [s * pattern.k + g for g in pattern.gamma[:4]]
-    return (_row_sum(zip(now, v, u), at, regime),
-            _row_sum(zip(now, v, b), at, regime))
+    return (_row_sum(zip(now, v, u), w, regime),
+            _row_sum(zip(now, v, b), w, regime))
 
 
-def _slot_block(rows, at, pattern: DegreePattern, s: int, regime: str):
-    """The level-s block: A1 and A5 from _adjacent, A2 = sum u_i b_i W_s[i],
-    A3 = sum u_i^2 W_s[i] + a_reg^2 w_{sk+gamma_4} + sum v_i^2 W_{s+1}[i]
-    and A4 = sum b_i^2 W_s[i] + b_reg^2 w_{sk+gamma_5}."""
+def _slot_block(rows, w, pattern: DegreePattern, regime: str, a1, a5):
+    """The level-1 block: A1 and A5 as given, A2 = sum u_i b_i W_1[i],
+    A3 = sum u_i^2 W_1[i] + a_reg^2 w_{k+gamma_4} + sum v_i^2 W_2[i] and
+    A4 = sum b_i^2 W_1[i] + b_reg^2 w_{k+gamma_5}."""
     u, v, b, a_reg, b_reg = rows
-    now, up = ([j * pattern.k + g for g in pattern.gamma] for j in (s, s + 1))
-    a1, a5 = _adjacent(rows, at, pattern, s, regime)
+    now, up = ([j * pattern.k + g for g in pattern.gamma] for j in (1, 2))
     return AQuantities(
-        s, a1, _row_sum(zip(now, u, b), at, regime),
+        a1, _row_sum(zip(now, u, b), w, regime),
         _row_sum([*zip(now, u, u), *zip(now[4:], a_reg, a_reg),
-                  *zip(up, v, v)], at, regime),
-        _row_sum([*zip(now, b, b), *zip(now[5:], b_reg, b_reg)], at, regime),
+                  *zip(up, v, v)], w, regime),
+        _row_sum([*zip(now, b, b), *zip(now[5:], b_reg, b_reg)], w, regime),
         a5)
 
 
-def compute_A(pair: GeneratorPair, seq: WeightSequence, s: int,
-              regime: str = RATIONAL) -> AQuantities:
-    """All five A-quantities at level s >= 1, summed over the slot rows."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    return _slot_block(*_slot_rows(pair, seq, regime), pair.pattern, s,
-                       regime)
-
-
-def orthogonality_relations(pair: GeneratorPair, seq,
+def orthogonality_relations(pair: GeneratorPair, seq: WeightSequence,
                             regime: str = RATIONAL) -> tuple:
     """The level-1 block of the pair and the five relations the proof needs
     to vanish: (q1, (((s, n), A_(s,n)), ...)) for A_(1,1), A_(2,1), A_(2,5),
-    A_(3,1) and A_(3,5).  Levels 2 and 3 need only the two adjacent
-    products.  The pair's coefficients are read once."""
-    rows, at = _slot_rows(pair, seq, regime)
-    q1 = _slot_block(rows, at, pair.pattern, 1, regime)
-    relations = [((1, 1), q1.A1)]
-    for s in (2, 3):
-        a1, a5 = _adjacent(rows, at, pair.pattern, s, regime)
-        relations += [((s, 1), a1), ((s, 5), a5)]
-    return q1, tuple(relations)
+    A_(3,1) and A_(3,5).  Each of the 14 embedded weights is evaluated once,
+    and each coefficient read once into the rows u, v, b, (a_reg,) and
+    (b_reg,), an exact zero as None: a [0, 0] term would widen an enclosure."""
+    p = pair.pattern
+    w = {t: weight(seq, t, regime) for t in p.embedded_indices()}
+    rows = [[None if is_exact_zero(x) else x for x in row]
+            for row in (pair.a_low, pair.a_high, pair.b_low, (pair.a_reg,),
+                        (pair.b_reg,))]
+    (a11, a15), (a21, a25), (a31, a35) = (
+        _adjacent(rows, w, p, s, regime) for s in (1, 2, 3))
+    return _slot_block(rows, w, p, regime, a11, a15), (
+        ((1, 1), a11), ((2, 1), a21), ((2, 5), a25), ((3, 1), a31),
+        ((3, 5), a35))

@@ -21,14 +21,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import (DegeneratePairError, NoAdmissibleSystemError,
-                     RegisterTooLargeError)
-from .model import AQuantities, GeneratorPair, compute_A
+from .errors import (DegeneratePairError, ModeUnsupportedError,
+                     NoAdmissibleSystemError, RegisterTooLargeError)
+from .model import AQuantities, GeneratorPair, orthogonality_relations
 from .record import Record, store
 from .reduction import (CQuantities, ReducedSystem, compute_C, objective_B0,
                         objective_B1, pivot, pivot_modulus, z1_star,
                         z3_quadratic)
-from .scalars import (agreement, as_coefficient, binary_parts,
+from .scalars import (_normal, agreement, as_coefficient, binary_parts,
                       certainly_positive, display, excludes_zero,
                       is_exact_zero, refuse_foreign, refuse_irrational, sqrt,
                       strictly_less, to_float, to_regime)
@@ -94,8 +94,9 @@ def recover(rs: ReducedSystem, d, z3=None, z1=None, a15=None) -> RecoveredParame
     """Build the engineered generator pair at the point d.
 
     Z_3 defaults to ``choose_Z3``; Z_1, in every regime, to the minimizer
-    sqrt(e_0/e_1) rounded to 9 digits (any positive Z_1 keeps the relations,
-    only the reported ratio moves); A_15 to the normalizing root.  A given
+    sqrt(e_0/e_1) rounded to 9 digits through its double, refused when that
+    is not normal (any positive Z_1 keeps the relations, only the reported
+    ratio moves); A_15 to the normalizing root.  A given
     value is read as ``attach_register`` reads a register, but an irrational
     Z_3 or Z_1 is refused, and A_15 must be nonzero exactly or by an
     enclosure that excludes 0.
@@ -109,7 +110,15 @@ def recover(rs: ReducedSystem, d, z3=None, z1=None, a15=None) -> RecoveredParame
     if z3 is None:
         z3 = to_regime(choose_Z3(c), regime)
     if z1 is None:
-        z1 = to_regime(_round_significant(to_float(z1_star(c, z3))), regime)
+        star = z1_star(c, z3)
+        try:
+            near = _normal(to_float(star))
+        except OverflowError:
+            raise ModeUnsupportedError(
+                f"Z_1* = {display(star)} lies outside the normal doubles, "
+                "2.2e-308 to 1.8e+308, through which it is rounded to 9 "
+                "digits") from None
+        z1 = to_regime(_round_significant(near), regime)
     if not certainly_positive(z1):
         raise ValueError("Z_1 must be positive")
     if a15 is None:
@@ -138,8 +147,8 @@ def _register_weights(params: RecoveredParameters):
 def level1_block(params: RecoveredParameters, a_reg=Fraction(0),
                  b_reg=Fraction(0)) -> AQuantities:
     """The level-1 block of the pair with registers (a_reg, b_reg), from the
-    reduction alone; the closed form of
-    ``compute_A(params.pair.with_registers(a_reg, b_reg), seq, 1)``:
+    reduction alone; the closed form of the block that
+    ``orthogonality_relations`` sums for ``params.pair`` so registered:
 
       A_11 = 0
       A_12 = (A_15/Z_1)(C_1 Z_3 - C_3/2)
@@ -151,7 +160,7 @@ def level1_block(params: RecoveredParameters, a_reg=Fraction(0),
     w4, w5 = _register_weights(params)
     scale = a15 / z1
     return AQuantities(
-        s=1, A1=to_regime(Fraction(0), params.regime),
+        A1=to_regime(Fraction(0), params.regime),
         A2=scale * pivot(c, z3),
         A3=c.C1 + z1 * z1 * c.C2 + a_reg * a_reg * w4,
         A4=scale * scale * z3_quadratic(c, z3) + b_reg * b_reg * w5,
@@ -159,15 +168,15 @@ def level1_block(params: RecoveredParameters, a_reg=Fraction(0),
 
 
 def cross_check(params: RecoveredParameters) -> dict:
-    """Reduction identities vs the slot sums, on the core pair: the
-    ``compute_A`` block, summed over the pair's slot rows, against the
-    ``level1_block`` one, and its contraction ratio c against B_0(C; Z_3,
-    Z_1).
+    """Reduction identities vs the slot sums, on the core pair: the level-1
+    block of ``orthogonality_relations``, summed over the pair's slot rows,
+    against the ``level1_block`` one, and its contraction ratio c against
+    B_0(C; Z_3, Z_1).
 
     Exact equality for exact values; enclosures agree when they meet.
     """
     core = params.pair.with_registers(Fraction(0), Fraction(0))
-    q1 = compute_A(core, params.rs.seq, 1, params.regime)
+    q1 = orthogonality_relations(core, params.rs.seq, params.regime)[0]
     pred = level1_block(params)
     gap, coupling = q1.contraction_sides()
     report = {

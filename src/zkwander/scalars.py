@@ -377,12 +377,6 @@ class Radical(Record):
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
     def _inverse(self) -> "Radical":
         # 1 / (c sqrt(r1..rn)) = (1 / (c r1..rn)) sqrt(r1..rn)
         prod = self.coeff

@@ -13,7 +13,7 @@ support lemma, and answers in the certificate's ``membership`` form.
 from fractions import Fraction
 
 from zkwander.errors import DegeneratePairError
-from zkwander.model import AQuantities, compute_A
+from zkwander.model import orthogonality_relations
 from zkwander.scalars import (RATIONAL, certainly_positive, is_exact_zero,
                               sum_of_products, to_regime)
 from zkwander.weights import weight
@@ -48,17 +48,18 @@ def inner_product(f: dict, g: dict, seq, regime=RATIONAL, shift_f=0,
     return sum_of_products(terms) if terms else to_regime(Fraction(0), regime)
 
 
-def level_block(pair, seq, s: int, regime=RATIONAL) -> AQuantities:
-    """The five level-s products as ``AQuantities`` defines them, each by
-    shifting the maps and matching degrees."""
+def level_block(pair, seq, s: int, regime=RATIONAL) -> dict:
+    """The five level-s products {"A1": A_(s,1), ..., "A5": A_(s,5)}, each
+    by shifting the maps and matching degrees: ``AQuantities``'s products
+    with both shifts raised by k(s-1)."""
     f1, f2, k = f1_map(pair), f2_map(pair), pair.pattern.k
     lo, hi = k * (s - 1), k * s
 
     def product(f, g, shift_f):
         return inner_product(f, g, seq, regime, shift_f, hi)
-    return AQuantities(s, product(f1, f1, lo), product(f1, f2, hi),
-                       product(f1, f1, hi), product(f2, f2, hi),
-                       product(f1, f2, lo))
+    return {"A1": product(f1, f1, lo), "A2": product(f1, f2, hi),
+            "A3": product(f1, f1, hi), "A4": product(f2, f2, hi),
+            "A5": product(f1, f2, lo)}
 
 
 def f3_map(pair, seq, regime=RATIONAL) -> dict:
@@ -68,7 +69,7 @@ def f3_map(pair, seq, regime=RATIONAL) -> dict:
 
     with the Cauchy-Schwarz gap A_13 A_14 - A_12^2, which must be certainly
     positive; DegeneratePairError otherwise."""
-    q1 = compute_A(pair, seq, 1, regime)
+    q1 = orthogonality_relations(pair, seq, regime)[0]
     gap = q1.contraction_sides()[0]
     if not certainly_positive(gap):
         raise DegeneratePairError(

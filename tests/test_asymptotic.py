@@ -86,6 +86,24 @@ class TestConditions:
         with pytest.raises(ValueError):
             sigma_condition(8, 100, 0.5)
 
+    @pytest.mark.parametrize("sigma", [
+        Fraction(10 ** 400), Fraction(-(10 ** 400)), Fraction(1, 10 ** 400),
+        1 - Fraction(1, 10 ** 20)], ids=["above", "below", "double-0",
+                                         "double-1"])
+    def test_sigma_is_refused_unless_its_double_is_in_the_range(self, sigma):
+        # an exact sigma, as the CLI passes it, is refused as its double is
+        with pytest.raises(ValueError, match=r"^sigma must lie in \(0, 1\)$"):
+            sigma_condition(10, 100, sigma)
+
+    @pytest.mark.parametrize("k,beta", [
+        (10, 10 ** 400), (10 ** 400, 100), (10, 10 ** 155), (10 ** 155, 100)],
+        ids=["beta-no-double", "k-no-double", "beta-square", "k-square"])
+    def test_a_value_whose_square_has_no_double_is_refused(self, k, beta):
+        name = "beta" if beta > k else "k"
+        with pytest.raises(ValueError, match=fr"^\|{name}\| > 1.3e154: its "
+                                             "square has no double$"):
+            objective_bound(k, beta, 0.5)
+
     def test_k9_warns_about_the_cap(self):
         with pytest.warns(UserWarning):
             sigma_condition(9, 1000, 0.5)
@@ -129,6 +147,13 @@ class TestMinimalBeta:
     def test_cap_values(self):
         assert beta_cap(10) == pytest.approx(750.0)
         assert beta_cap(11) == pytest.approx(230.0)
+
+    @pytest.mark.parametrize("k", [10 ** 155, -(10 ** 400)],
+                             ids=["square", "no-double"])
+    def test_the_cap_of_a_k_whose_square_has_no_double_is_refused(self, k):
+        assert beta_cap(10 ** 150) == 5.0 * 10 ** 150
+        with pytest.raises(ValueError, match=r"^\|k\| > 1.3e154: its square"):
+            beta_cap(k)
 
 
 class TestEBracket:

@@ -103,7 +103,7 @@ class TestVerify:
         def equality(pair, seq, regime):
             q1, cells = relations(pair, seq, regime)
             a13 = q1.A2 * q1.A2 / q1.A4
-            return AQuantities(1, q1.A1, q1.A2, a13, q1.A4, q1.A5), cells
+            return AQuantities(q1.A1, q1.A2, a13, q1.A4, q1.A5), cells
         monkeypatch.setattr(zkwander.certify, "orthogonality_relations",
                             equality)
         cert = verify(registered16.pair, seq16)
@@ -170,19 +170,19 @@ class TestVerify:
                                           monkeypatch):
         # the full block at level 1 only (the membership sweep reuses it),
         # A_(s,1) and A_(s,5) alone at levels 2 and 3; the spy also sees
-        # the level-1 pair that the block takes from _adjacent
+        # the level-1 pair that the block is given
         import zkwander.model
         blocks, pairs = [], []
         slot_block = zkwander.model._slot_block
         adjacent = zkwander.model._adjacent
 
-        def counted_block(rows, at, pattern, s, regime):
-            blocks.append(s)
-            return slot_block(rows, at, pattern, s, regime)
+        def counted_block(rows, w, pattern, regime, a1, a5):
+            blocks.append(1)
+            return slot_block(rows, w, pattern, regime, a1, a5)
 
-        def counted_pair(rows, at, pattern, s, regime):
+        def counted_pair(rows, w, pattern, s, regime):
             pairs.append(s)
-            return adjacent(rows, at, pattern, s, regime)
+            return adjacent(rows, w, pattern, s, regime)
         # model.orthogonality_relations computes all of them for verify
         monkeypatch.setattr(zkwander.model, "_slot_block", counted_block)
         monkeypatch.setattr(zkwander.model, "_adjacent", counted_pair)
@@ -321,7 +321,7 @@ class TestIntervalRegime:
         def proved(pair, seq, regime):
             q1, cells = relations(pair, seq, regime)
             a13 = q1.A2 * q1.A2 / q1.A4 if degenerate else q1.A3
-            blocks.append(AQuantities(1, zero, q1.A2, a13, q1.A4, q1.A5))
+            blocks.append(AQuantities(zero, q1.A2, a13, q1.A4, q1.A5))
             return blocks[-1], tuple((cell, zero) for cell, _ in cells)
         monkeypatch.setattr(zkwander.certify, "orthogonality_relations",
                             proved)

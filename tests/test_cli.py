@@ -223,11 +223,19 @@ class TestBadInput:
         ("eval", "--alpha", "-16001/1001", "--regime", "interval"),
         ("eval", "--alpha", "-16", "--gamma", "0,1,2,3,4", "--d", "1,4,6"),
         ("search", "--alpha", "-64", "--k", "6", "--phi3", "100000"),
+        ("asymptotic", "--k", "10", "--beta", "50", "--sigma", "1e400"),
+        ("asymptotic", "--k", "10", "--beta", "50", "--sigma", "-1e400"),
+        ("asymptotic", "--k", "10", "--beta", str(10 ** 400), "--sigma",
+         "0.5"),
+        ("asymptotic", "--k", str(10 ** 400), "--beta", "50", "--sigma",
+         "0.5"),
     ], ids=["d-not-positive", "gamma-not-integer", "z1-not-positive",
             "complex-z3-rational", "complex-z3-interval",
             "complex-z3-interval-pipeline", "z1-without-z3",
             "interval-weight-overflows", "alpha-denominator-above-bound",
-            "gamma-five-degrees", "search-weight-past-the-doubles"])
+            "gamma-five-degrees", "search-weight-past-the-doubles",
+            "sigma-above-the-doubles", "sigma-below-the-doubles",
+            "beta-past-the-doubles", "k-past-the-doubles"])
     def test_bad_argument(self, capsys, tmp_path, argv):
         code, out, err = run(capsys, *argv, *(
             ("--out", str(tmp_path / "cert.json"))
@@ -534,6 +542,25 @@ class TestPipeline:
         code, out, _ = run(capsys, "certify", "--check", str(cert))
         assert code == 2
         assert "recomputed: fail" in out
+
+    @pytest.mark.parametrize("d,z3,star", [
+        ("1,4,6", "1e400", "~2.260247e-386"),
+        ("1,4,6", "1e330", "2.26024697e-316"),
+        ("1e700,1e700,1e700", "-2e13", "~5.239739e+350"),
+    ], ids=["below", "subnormal", "above"])
+    def test_a_z1_star_outside_the_normal_doubles_is_refused(
+            self, capsys, tmp_path, d, z3, star):
+        # Z_1* is rounded to 9 digits through its double, so one that has
+        # no normal double is refused by name, not read as Z_1 = 0
+        cert = tmp_path / "cert.json"
+        code, out, err = run(capsys, "pipeline", "--alpha", "-16", "--d", d,
+                             f"--z3={z3}", "--out", str(cert))
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: Z_1* = {star} lies outside the normal "
+                       "doubles, 2.2e-308 to 1.8e+308, through which it is "
+                       "rounded to 9 digits\n")
+        assert not cert.exists()
 
     def test_override_corollary(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"

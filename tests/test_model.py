@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zkwander.errors import InvalidPatternError
-from zkwander.model import (DegreePattern, GeneratorPair, compute_A,
+from zkwander.model import (DegreePattern, GeneratorPair,
                             orthogonality_relations)
 from zkwander.scalars import (INTERVAL, RATIONAL, Interval, Radical,
                               is_exact_zero)
@@ -146,7 +146,17 @@ def _rational_pair():
     )
 
 
+def _level1(pair, seq):
+    return orthogonality_relations(pair, seq)[0]
+
+
+def _adjacent_correlations(pair, seq):
+    # A_(1,1), A_(2,1), A_(3,1)
+    return [v for (_, n), v in orthogonality_relations(pair, seq)[1] if n == 1]
+
+
 class TestComputeA:
+    """The products of a pair as ``orthogonality_relations`` forms them."""
 
     def test_level_one_against_hand_sums(self):
         """The five products written out term by term from the definitions."""
@@ -154,7 +164,7 @@ class TestComputeA:
         pair = _rational_pair()
         a, ah, b = (1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12)
         w = [weight(seq, 6 + i) for i in range(4)]
-        q = compute_A(pair, seq, 1)
+        q = _level1(pair, seq)
         assert q.A1 == sum(ah[i] * a[i] * w[i] for i in range(4))
         assert q.A2 == sum(a[i] * b[i] * w[i] for i in range(4))
         assert q.A5 == sum(ah[i] * b[i] * w[i] for i in range(4))
@@ -167,15 +177,11 @@ class TestComputeA:
         seq = dirichlet(-2)
         plain = _rational_pair()
         reg = plain.with_registers(Fraction(2), Fraction(3))
-        q0 = compute_A(plain, seq, 1)
-        q1 = compute_A(reg, seq, 1)
+        q0 = _level1(plain, seq)
+        q1 = _level1(reg, seq)
         assert q1.A1 == q0.A1 and q1.A2 == q0.A2 and q1.A5 == q0.A5
         assert q1.A3 == q0.A3 + 4 * weight(seq, 10)
         assert q1.A4 == q0.A4 + 9 * weight(seq, 11)
-
-    def test_level_must_be_positive(self):
-        with pytest.raises(ValueError):
-            compute_A(_rational_pair(), dirichlet(-2), 0)
 
     @pytest.mark.parametrize("block", ["a_low", "a_high", "b_low"])
     def test_each_block_holds_four_coefficients(self, block):
@@ -195,15 +201,13 @@ class TestComputeA:
             a_high=(Fraction(0),) * 4,
             b_low=tuple(Fraction(v) for v in (9, 10, 11, 12)),
         )
-        for s in (1, 2, 3):
-            assert compute_A(pair, seq, s).A1 == 0
+        assert _adjacent_correlations(pair, seq) == [0, 0, 0]
 
     def test_two_block_f1_keeps_correlating(self):
         # with both blocks populated the overlap survives every level, so
         # the vanishing of A_(s,1) really is an engineered property
-        seq = dirichlet(-2)
-        for s in (1, 2, 3):
-            assert compute_A(_rational_pair(), seq, s).A1 != 0
+        for a1 in _adjacent_correlations(_rational_pair(), dirichlet(-2)):
+            assert a1 != 0
 
 
 _FIELDS = ("A1", "A2", "A3", "A4", "A5")
@@ -246,24 +250,18 @@ def _bits(x):
 
 
 class TestSlotForm:
-    """compute_A and orthogonality_relations sum over slot rows; the
-    definition shifts coefficient maps and matches degrees.  Every result
-    is the same value, each enclosure the same to the bit: a slot sum
-    taken in slot order instead of ascending degree rounds differently."""
+    """orthogonality_relations sums over slot rows; the definition shifts
+    coefficient maps and matches degrees.  Every result is the same value,
+    each enclosure the same to the bit: a slot sum taken in slot order
+    instead of ascending degree rounds differently."""
 
     def _check(self, pair, seq, regime):
         blocks = {s: level_block(pair, seq, s, regime) for s in (1, 2, 3)}
-        for s, block in blocks.items():
-            q = compute_A(pair, seq, s, regime)
-            assert [_bits(getattr(q, f)) for f in _FIELDS] == \
-                [_bits(getattr(block, f)) for f in _FIELDS]
-        table = {t: weight(seq, t, regime)
-                 for t in pair.pattern.embedded_indices()}
-        q1, relations = orthogonality_relations(pair, table, regime)
+        q1, relations = orthogonality_relations(pair, seq, regime)
         assert [_bits(getattr(q1, f)) for f in _FIELDS] == \
-            [_bits(getattr(blocks[1], f)) for f in _FIELDS]
+            [_bits(blocks[1][f]) for f in _FIELDS]
         assert [(key, _bits(v)) for key, v in relations] == [
-            ((s, n), _bits(getattr(blocks[s], f"A{n}")))
+            ((s, n), _bits(blocks[s][f"A{n}"]))
             for s, n in ((1, 1), (2, 1), (2, 5), (3, 1), (3, 5))]
 
     @settings(max_examples=60, deadline=None, derandomize=True)

@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 
 from zkwander import (Interval, Radical, SearchConfig, attach_register,
-                      compute_A, minimize, perturbed, recover, reduce_system,
-                      verify)
+                      minimize, perturbed, recover, reduce_system, verify)
+from zkwander.model import orthogonality_relations
 from zkwander.reduction import c_values
 
 RECORD_CLASSES = ("Interval", "Radical", "WeightSequence", "DegreePattern",
@@ -31,8 +31,8 @@ def records(seq16, pattern6):
     config = SearchConfig(alpha=-16, strategy="grid")
     found = [Interval(0.5, 2.0), 3 * Radical.sqrt(2),
              perturbed(seq16, {3: Fraction(1, 7)}), pattern6, params.pair,
-             compute_A(params.pair, seq16, 1), rs, params.c, params, config,
-             minimize(config), verify(params.pair, seq16)]
+             orthogonality_relations(params.pair, seq16)[0], rs, params.c,
+             params, config, minimize(config), verify(params.pair, seq16)]
     return {type(r).__name__: r for r in found}
 
 

@@ -10,7 +10,7 @@ from zkwander.certify import verify
 from zkwander.errors import (DegeneratePairError, DegenerateReductionError,
                              DegenerateZ3Error, ModeUnsupportedError,
                              NoAdmissibleSystemError, RegisterTooLargeError)
-from zkwander.model import DegreePattern, compute_A
+from zkwander.model import DegreePattern, orthogonality_relations
 from zkwander.recovery import (attach_register, auto_register, choose_Z3,
                                cross_check, level1_block,
                                max_register_estimate, recover)
@@ -30,9 +30,7 @@ INTERVAL_SYSTEMS = tuple(
 
 
 def _orthogonality_residuals(pair, seq):
-    table = {s: compute_A(pair, seq, s) for s in (1, 2, 3)}
-    return (table[1].A1, table[2].A1, table[3].A1,
-            table[2].A5, table[3].A5)
+    return [v for _, v in orthogonality_relations(pair, seq)[1]]
 
 
 class TestEngineeredRelations:
@@ -47,13 +45,13 @@ class TestEngineeredRelations:
             assert is_exact_zero(r)
 
     def test_normalization_makes_unit_coupling(self, params16, seq16):
-        q1 = compute_A(params16.pair, seq16, 1)
+        q1 = orthogonality_relations(params16.pair, seq16)[0]
         prod = (q1.A5 * q1.A5) * (q1.A2 * q1.A2)
         assert prod == 1 and isinstance(prod, Fraction)
 
     def test_requested_a15_is_reproduced(self, rs16, z3_main, seq16):
         params = recover(rs16, (1, 4, 6), z3=z3_main, a15=Fraction(3))
-        q1 = compute_A(params.pair, seq16, 1)
+        q1 = orthogonality_relations(params.pair, seq16)[0]
         assert q1.A5 == 3
 
     def test_contraction_identities_match_oracle(self, params16):
@@ -88,8 +86,8 @@ class TestLevel1Block:
             params = recover(rs16, d, z3=z3)
         except (DegenerateReductionError, DegenerateZ3Error):
             assume(False)
-        oracle = compute_A(params.pair.with_registers(a_reg, b_reg),
-                           rs16.seq, 1)
+        oracle = orthogonality_relations(
+            params.pair.with_registers(a_reg, b_reg), rs16.seq)[0]
         block = level1_block(params, a_reg, b_reg)
         assert block.A1 == oracle.A1 == 0
         assert isinstance(block.A1, Fraction)

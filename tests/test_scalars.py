@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from zkwander import scalars
 from zkwander.certify import check_certificate, verify
 from zkwander.errors import ModeUnsupportedError, SingularSystemError
-from zkwander.model import DegreePattern, compute_A
+from zkwander.model import DegreePattern, orthogonality_relations
 from zkwander.recovery import attach_register, recover
 from zkwander.reduction import compute_C, reduce_system
 from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
@@ -94,6 +94,31 @@ class TestInterval:
     def test_division_through_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
             Interval.exact(1) / Interval(-1.0, 1.0)
+
+    def test_abs_of_each_sign(self):
+        nonnegative = Interval(0.0, 2.0)
+        assert abs(nonnegative) is nonnegative
+        assert abs(Interval(-2.0, -0.5)) == Interval(0.5, 2.0)
+        assert abs(Interval(-3.0, 2.0)) == Interval(0.0, 3.0)
+        assert abs(Interval(-1.0, 2.0)) == Interval(0.0, 2.0)
+
+    def test_sqrt_reaching_below_zero_is_refused(self):
+        with pytest.raises(ValueError, match="reaching below zero"):
+            Interval(-1e-300, 4.0).sqrt()
+
+    @pytest.mark.parametrize("base", [0, -2, Fraction(-1, 3)])
+    def test_power_interval_needs_a_positive_base(self, base):
+        with pytest.raises(ValueError, match="needs a positive base"):
+            power_interval(base, Fraction(-1, 2))
+
+    @pytest.mark.parametrize("op", [
+        lambda x, y: x - y, lambda x, y: x * y, lambda x, y: y * x,
+        lambda x, y: x / y, lambda x, y: y / x, lambda x, y: y + x],
+        ids=["sub", "mul", "rmul", "truediv", "rtruediv", "radd"])
+    def test_every_operator_refuses_a_foreign_operand(self, op):
+        # each returns NotImplemented, so Python raises TypeError
+        with pytest.raises(TypeError):
+            op(Interval(1.0, 2.0), object())
 
     def test_contains_zero_and_sign_queries(self):
         assert Interval(-1.0, 2.0).contains_zero()
@@ -464,6 +489,27 @@ class TestRadical:
         with pytest.raises(ModeUnsupportedError):
             a + b
 
+    def test_sqrt_of_a_negative_is_refused(self):
+        with pytest.raises(ValueError, match="sqrt of a negative rational"):
+            Radical.sqrt(Fraction(-2, 3))
+
+    @pytest.mark.parametrize("op", [
+        lambda x, y: x + y, lambda x, y: y + x, lambda x, y: x * y,
+        lambda x, y: y * x, lambda x, y: x / y, lambda x, y: y / x],
+        ids=["add", "radd", "mul", "rmul", "truediv", "rtruediv"])
+    @pytest.mark.parametrize("foreign", [object(), 1.5, Interval(1.0, 2.0)],
+                             ids=["object", "float", "interval"])
+    def test_every_operator_refuses_a_foreign_operand(self, op, foreign):
+        with pytest.raises(TypeError):
+            op(Radical.sqrt(2), foreign)
+
+    @pytest.mark.parametrize("op", [lambda x, y: x - y, lambda x, y: y - x],
+                             ids=["sub", "rsub"])
+    def test_no_difference_has_a_radical_operand(self, op):
+        # the package forms every difference of rationals or of intervals
+        with pytest.raises(TypeError):
+            op(Radical.sqrt(2), Fraction(1))
+
     def test_division(self):
         a = Radical.sqrt(2)
         assert (1 / a) * a == 1 and isinstance((1 / a) * a, Fraction)
@@ -690,7 +736,8 @@ class TestSumOfProducts:
         assert total == Radical(Fraction(3, 2), (Fraction(2),))
 
     def test_the_headline_a21_is_a_plain_zero(self, registered16, seq16):
-        a21 = compute_A(registered16.pair, seq16, 2).A1
+        relations = orthogonality_relations(registered16.pair, seq16)[1]
+        a21 = dict(relations)[2, 1]
         assert a21 == 0 and type(a21) is Fraction
 
 
@@ -903,6 +950,13 @@ class TestSmallMatrix:
             cramer_solve3([[Fraction(1), 0, 0, 0]] * 3, (1, 0, 0))
         with pytest.raises(ValueError):
             cramer_solve3([[Fraction(1), 0, 0]] * 2, (1, 0, 0))
+
+    @pytest.mark.parametrize("rhs", [(1, 0), (1, 0, 0, 0)])
+    def test_each_right_hand_side_has_three_entries(self, rhs):
+        identity = [[Fraction(int(i == j)) for j in range(3)]
+                    for i in range(3)]
+        with pytest.raises(ValueError, match="rhs must have 3 entries"):
+            cramer_solve3(identity, (0, 1, 0), rhs)
 
     @given(entries=st.lists(rationals, min_size=9, max_size=9))
     @settings(max_examples=40)
