@@ -94,11 +94,17 @@ def p13_poly(k) -> int:
 
 def objective_bound(k: int, beta, sigma) -> float:
     """432 beta^2 / ((1-sigma)^4 k^2) * a(k)^beta; reported regardless of
-    whether the sigma-condition holds."""
+    whether the sigma-condition holds.  Where the prefactor overflows and
+    the power underflows, inf * 0, the product is taken in logs."""
     _check_query(k, beta, sigma)
     b = float(beta)
     prefactor = 432.0 * b * b / ((1.0 - float(sigma)) ** 4 * k * k)
-    return prefactor * a_factor(k) ** b
+    power = a_factor(k) ** b
+    if prefactor == math.inf and power == 0.0:
+        return math.exp(math.log(432.0) + 2 * math.log(b)
+                        - 4 * math.log1p(-float(sigma)) - 2 * math.log(k)
+                        + b * math.log(a_factor(k)))
+    return prefactor * power
 
 
 def beta_cap(k: int) -> float:

@@ -55,8 +55,10 @@ def _round_significant(x: float, digits: int = 9) -> Fraction:
     if x == 0:
         return Fraction(0)
     exp = math.floor(math.log10(abs(x))) - digits + 1
-    mant = round(x / 10 ** exp)
-    return Fraction(mant) * Fraction(10) ** exp
+    scale = Fraction(10) ** exp
+    # below 1e-307, 10 ** exp is not a normal double: divide exactly
+    mant = round(x / 10 ** exp) if exp >= -307 else round(Fraction(x) / scale)
+    return Fraction(mant) * scale
 
 
 def choose_Z3(c: CQuantities) -> Fraction:
@@ -138,12 +140,6 @@ def recover(rs: ReducedSystem, d, z3=None, z1=None, a15=None) -> RecoveredParame
     return RecoveredParameters(rs=rs, c=c, z3=z3, z1=z1, a15=a15, pair=pair)
 
 
-def _register_weights(params: RecoveredParameters):
-    rs = params.rs
-    return tuple(weight(rs.seq, rs.pattern.k + g, rs.regime)
-                 for g in rs.pattern.register_degrees)
-
-
 def level1_block(params: RecoveredParameters, a_reg=Fraction(0),
                  b_reg=Fraction(0)) -> AQuantities:
     """The level-1 block of the pair with registers (a_reg, b_reg), from the
@@ -155,16 +151,13 @@ def level1_block(params: RecoveredParameters, a_reg=Fraction(0),
       A_13 = C_1 + Z_1^2 C_2 + a_reg^2 w_{k+gamma_4}
       A_14 = (A_15^2/Z_1^2)(C_1 Z_3^2 - C_3 Z_3 + C_4) + b_reg^2 w_{k+gamma_5}
       A_15 = A_15
+
+    Only the register terms are formed per call; ``_register_free`` holds
+    the rest.
     """
-    c, z3, z1, a15 = params.c, params.z3, params.z1, params.a15
-    w4, w5 = _register_weights(params)
-    scale = a15 / z1
-    return AQuantities(
-        A1=to_regime(Fraction(0), params.regime),
-        A2=scale * pivot(c, z3),
-        A3=c.C1 + z1 * z1 * c.C2 + a_reg * a_reg * w4,
-        A4=scale * scale * z3_quadratic(c, z3) + b_reg * b_reg * w5,
-        A5=a15)
+    a1, a2, a3, a4, w4, w5, _ = _register_free(params)
+    return AQuantities(A1=a1, A2=a2, A3=a3 + a_reg * a_reg * w4,
+                       A4=a4 + b_reg * b_reg * w5, A5=params.a15)
 
 
 def cross_check(params: RecoveredParameters) -> dict:
@@ -196,31 +189,49 @@ def max_register_estimate(params: RecoveredParameters) -> float:
     solved from the quadratic in t^2 (exact for symmetric registers).  The
     values scale with A_15^2 far past the doubles, so each is a double
     times a power of two, and only t is rounded into the doubles."""
-    return _register_free(params)[2]
+    return _free_sides(params)[2]
 
 
-_free = [(None, None)]  # (last params asked, held so its id stays; result)
+_free = [(None, None)]  # (last params asked, held so its id stays; parts)
 
 
-def _register_free(params: RecoveredParameters) -> tuple:
-    """(gap, |coupling|, max_register_estimate) of the register-free
-    level-1 block, built once for a refusal and the auto_register after it."""
-    held, row = _free[0]
+def _register_free(params: RecoveredParameters) -> list:
+    """The register-free parts of the level-1 block, formed once per
+    recovery: [A_11, A_12, C_1 + Z_1^2 C_2, (A_15/Z_1)^2 (C_1 Z_3^2 - C_3 Z_3
+    + C_4), w_{k+gamma_4}, w_{k+gamma_5}, ``_free_sides`` once asked].
+    level1_block adds a_reg^2 w_{k+gamma_4} and b_reg^2 w_{k+gamma_5} last,
+    as the closed form's sums do, so no enclosure bit moves."""
+    held, parts = _free[0]
     if held is not params:
+        c, z3, z1, rs = params.c, params.z3, params.z1, params.rs
+        scale = params.a15 / z1
+        parts = [to_regime(Fraction(0), rs.regime), scale * pivot(c, z3),
+                 c.C1 + z1 * z1 * c.C2, scale * scale * z3_quadratic(c, z3),
+                 *(weight(rs.seq, rs.pattern.k + g, rs.regime)
+                   for g in rs.pattern.register_degrees), None]
+        _free[0] = params, parts
+    return parts
+
+
+def _free_sides(params: RecoveredParameters) -> tuple:
+    """(gap, |coupling|, max_register_estimate) of the register-free
+    level-1 block, held with its parts."""
+    parts = _register_free(params)
+    if parts[6] is None:
         q1 = level1_block(params)
         gap, coupling = q1.contraction_sides()
-        row = gap, abs(coupling), _register_estimate(
-            params, q1, abs(coupling) - gap)
-        _free[0] = params, row
-    return row
+        parts[6] = gap, abs(coupling), _register_estimate(
+            parts[4:6], q1, abs(coupling) - gap)
+    return parts[6]
 
 
-def _register_estimate(params, q1: AQuantities, slack) -> float:
-    """max_register_estimate from the register-free block q1 and its slack."""
+def _register_estimate(weights, q1: AQuantities, slack) -> float:
+    """max_register_estimate from the register weights, the register-free
+    block q1 and its slack."""
     if not certainly_positive(slack):
         return 0.0
     (s, es), (w4, e4), (w5, e5), (a13, e13), (a14, e14) = map(
-        binary_parts, (slack, *_register_weights(params), q1.A3, q1.A4))
+        binary_parts, (slack, *weights, q1.A3, q1.A4))
     # slack > u beta + u^2 w4 w5, u = t^2, beta = w4 a14 + w5 a13.  With u =
     # 4^n v, 4^n near the smaller of slack / beta and sqrt(slack / w4 w5),
     # 1 = c v + r v^2 with c, r < 16 and one of them near 1; the root is
@@ -255,7 +266,7 @@ def attach_register(params: RecoveredParameters, a_reg, b_reg) -> RecoveredParam
 def auto_register(params: RecoveredParameters):
     """Register magnitude policy: 1 when admissible, else half the estimate;
     none when the strict inequality fails, or is tight, with no register."""
-    gap, rhs, est = _register_free(params)
+    gap, rhs, est = _free_sides(params)
     if not strictly_less(gap, rhs):
         how = "is tight" if is_exact_zero(gap - rhs) else "fails"
         raise DegeneratePairError(

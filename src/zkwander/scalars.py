@@ -28,7 +28,9 @@ refuses, and display.  The modules above never branch on it
 
 Determinants of the 3x3 weight matrix are taken by cofactor expansion.
 Entries span ~50 orders of magnitude, which would destroy float pivoting
-anyway; exact or interval entries make expansion the right tool.
+anyway; exact or interval entries make expansion the right tool.  Rational
+rows are first scaled to integers, so the exact solve normalises a
+Fraction once per unknown, not at every step.
 """
 
 from __future__ import annotations
@@ -303,6 +305,9 @@ def _power_enclosure(base: int, num: int, den: int) -> Interval:
     return v
 
 
+_ONE = Fraction(1)     # the coefficient of every Radical.sqrt
+
+
 class Radical(Record):
     """Exact c * sqrt(r_1) * ... * sqrt(r_n), c != 0 rational, n >= 1 atoms.
 
@@ -327,14 +332,15 @@ class Radical(Record):
     @classmethod
     def sqrt(cls, value):
         """Exact square root of a nonnegative rational; a Fraction when the
-        root is rational."""
-        q = Fraction(value)
+        root is rational.  A Fraction is kept as the atom, not copied, and
+        every result shares one coefficient 1."""
+        q = value if value.__class__ is Fraction else Fraction(value)
         if q < 0:
             raise ValueError("sqrt of a negative rational")
         num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
         if num * num == q.numerator and den * den == q.denominator:
             return Fraction(num, den)
-        return cls(Fraction(1), (q,))
+        return cls(_ONE, (q,))
 
     def __float__(self) -> float:
         # atom by atom while every atom and partial product is a normal
@@ -741,7 +747,7 @@ def scalar_from_json(obj):
                 r = rational_from_json(r)
                 if r <= 0:
                     raise ValueError("radical atoms must be positive")
-                value = value * Radical.sqrt(r)
+                value = Radical.sqrt(r) * value
             return value
         if "lo" in obj:
             return Interval(obj["lo"], obj["hi"])
@@ -771,15 +777,36 @@ def det3(m: Sequence[Sequence]):
 
 def cramer_solve3(m: Sequence[Sequence], *rhs: Sequence) -> tuple:
     """(det m, x_1, x_2, ...) with m x_j = rhs[j], by Cramer's rule taking
-    det m once; raises on a (possibly) singular m."""
+    det m once; raises on a (possibly) singular m.
+
+    When every entry, right-hand ones included, is a Fraction or an int,
+    row i and its right-hand entries are scaled to integers by the lcm L_i
+    of their denominators, so no step normalises a Fraction: with D the
+    scaled determinant, det m = D / (L_1 L_2 L_3) and each unknown is one
+    Fraction(numerator, D).  Any other entry, an Interval above all, keeps
+    the cofactor expansion on the entries themselves."""
     if len(m) != 3 or any(len(row) != 3 for row in m):
         raise ValueError("only 3x3 matrices are supported")
     if any(len(b) != 3 for b in rhs):
         raise ValueError("rhs must have 3 entries")
+    rational = all(v.__class__ is Fraction or v.__class__ is int
+                   for row in (*m, *rhs) for v in row)
+    if rational:
+        scale = [math.lcm(*(v.denominator
+                            for v in (*m[i], *(b[i] for b in rhs))))
+                 for i in range(3)]
+        m = [[v.numerator * (scale[i] // v.denominator) for v in m[i]]
+             for i in range(3)]
+        rhs = [[b[i].numerator * (scale[i] // b[i].denominator)
+                for i in range(3)] for b in rhs]
     d = det3(m)
     # an interval determinant that straddles zero cannot certify invertibility
     if not excludes_zero(d):
         raise SingularSystemError(
             "3x3 weight system is singular (or not certifiably nonsingular)")
+    if rational:
+        return (Fraction(d, math.prod(scale)),) + tuple(
+            tuple(Fraction(det3(_replace_col(m, j, b)), d) for j in range(3))
+            for b in rhs)
     return (d,) + tuple(tuple(det3(_replace_col(m, j, b)) / d
                               for j in range(3)) for b in rhs)

@@ -1,4 +1,5 @@
 import math
+import signal
 from fractions import Fraction
 
 import pytest
@@ -138,6 +139,42 @@ class TestMinimalBeta:
     def test_the_scan_start_changes_nothing(self):
         for k in range(10, 151):
             assert minimal_beta(k) == self._full_scan(k)
+
+    @staticmethod
+    def _within_one_second(k):
+        """minimal_beta(k), failing once it runs past 1 s."""
+        def expire(signum, frame):
+            raise TimeoutError(f"minimal_beta({k}) ran past 1 s")
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            return minimal_beta(k)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("k", [2 * 10 ** 152, 10 ** 153],
+                             ids=["2e152", "1e153"])
+    def test_a_bound_past_the_doubles_ends_the_scan(self, k):
+        # here the prefactor overflows while a(k)^beta underflows: inf * 0
+        # was nan, never < 1, and the scan walked about 10^152 betas
+        beta, sigma = self._within_one_second(k)
+        assert beta <= beta_cap(k)
+        assert sigma_condition(k, beta, sigma)
+        assert objective_bound(k, beta, sigma) < 1
+
+    @pytest.mark.parametrize("k, beta", [
+        (10, 10 ** 4), (10, 10 ** 100), (10, 10 ** 153), (10 ** 60, 10 ** 62),
+        (2 * 10 ** 152, 8 * 10 ** 152), (10 ** 153, 5 * 10 ** 153)],
+        ids=["10-1e4", "10-1e100", "10-1e153", "1e60-1e62", "2e152-8e152",
+             "1e153-5e153"])
+    def test_only_the_nan_product_is_taken_in_logs(self, k, beta):
+        for sigma in (0.01, 0.5, 0.99):
+            b = float(beta)
+            plain = (432.0 * b * b / ((1.0 - sigma) ** 4 * k * k)
+                     * a_factor(k) ** b)
+            bound = objective_bound(k, beta, sigma)
+            assert bound == (0.0 if math.isnan(plain) else plain)
 
     @pytest.mark.parametrize("k", [-1, 0, 5, 8])
     def test_k_below_nine_still_raises(self, k):

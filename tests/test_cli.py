@@ -819,6 +819,16 @@ class TestAsymptotic:
         assert proc.returncode == 0
         assert proc.stdout.startswith("minimal beta = 4219198 at sigma = 0.99")
 
+    def test_minimal_scan_past_the_doubles_is_quick(self):
+        # the bound's inf * 0 read nan there, and the scan never ended
+        proc = subprocess.run(
+            [sys.executable, "-m", "zkwander", "asymptotic", "--k",
+             str(2 * 10 ** 152), "--minimal"], capture_output=True, text=True,
+            timeout=10)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("minimal beta = 8438370196")
+        assert proc.stdout.endswith("at sigma = 0.99 (cap 1e+153)\n")
+
     def test_missing_parameters(self, capsys):
         code, _, err = run(capsys, "asymptotic", "--k", "11")
         assert code == 1

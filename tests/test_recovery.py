@@ -1,4 +1,6 @@
-from decimal import Decimal, localcontext
+import math
+import random
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -11,9 +13,9 @@ from zkwander.errors import (DegeneratePairError, DegenerateReductionError,
                              DegenerateZ3Error, ModeUnsupportedError,
                              NoAdmissibleSystemError, RegisterTooLargeError)
 from zkwander.model import DegreePattern, orthogonality_relations
-from zkwander.recovery import (attach_register, auto_register, choose_Z3,
-                               cross_check, level1_block,
-                               max_register_estimate, recover)
+from zkwander.recovery import (_round_significant, attach_register,
+                               auto_register, choose_Z3, cross_check,
+                               level1_block, max_register_estimate, recover)
 from zkwander.reduction import reduce_system
 from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
 from zkwander.scalars import (INTERVAL, Interval, Radical, is_exact_zero,
@@ -248,6 +250,70 @@ class TestOverrideCorollary:
         r = auto_register(override_params)
         attach_register(override_params, r, r)
         assert seen == [(1, 1), (0, 0), (r, r)]
+
+
+class TestRegisterFreeParts:
+    """level1_block adds the two register terms to parts held once per
+    recovery."""
+
+    def test_a_refusal_auto_register_and_attach_form_them_once(
+            self, override_params, monkeypatch):
+        # the order of bench/workloads.py run_certify, counting the pivot
+        # and the Z_3 quadratic as recovery binds them
+        calls = {"pivot": 0, "z3_quadratic": 0}
+        for name in calls:
+            def counting(*args, _name=name, _real=getattr(recovery, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(recovery, name, counting)
+        with pytest.raises(RegisterTooLargeError):
+            attach_register(override_params, 1, 1)
+        r = auto_register(override_params)
+        attach_register(override_params, r, r)
+        assert calls == {"pivot": 1, "z3_quadratic": 1}
+
+    @pytest.mark.parametrize("r", [Fraction(0), Fraction(1), Fraction(1, 3)],
+                             ids=["0", "1", "1/3"])
+    @pytest.mark.parametrize("alpha,pattern,d", INTERVAL_SYSTEMS,
+                             ids=[str(s[0]) for s in INTERVAL_SYSTEMS])
+    def test_the_interval_block_is_the_inline_formula(self, alpha, pattern,
+                                                      d, r):
+        rs = reduce_system(dirichlet(alpha), pattern, INTERVAL)
+        params = recover(rs, d)
+        c, z3, z1, a15 = params.c, params.z3, params.z1, params.a15
+        w4, w5 = (weight(rs.seq, pattern.k + g, INTERVAL)
+                  for g in pattern.register_degrees)
+        scale = a15 / z1
+        inline = (Interval.exact(0), scale * (c.C1 * z3 - c.C3 / 2),
+                  c.C1 + z1 * z1 * c.C2 + r * r * w4,
+                  scale * scale * (c.C1 * (z3 * z3) - c.C3 * z3 + c.C4)
+                  + r * r * w5, a15)
+        level1_block(params)            # the parts are held from here on
+        block = level1_block(params, r, r)
+        for name, want in zip(("A1", "A2", "A3", "A4", "A5"), inline):
+            got = getattr(block, name)
+            assert (got.lo, got.hi) == (want.lo, want.hi), name
+
+
+class TestRoundSignificant:
+
+    def test_below_the_normal_powers_of_ten_it_rounds_exactly(self):
+        # there 10 ** exp is subnormal; decimal at precision 9 is the oracle
+        rng, nine = random.Random(45), Context(prec=9)
+        xs = [rng.choice((1, -1)) * 10.0 ** rng.uniform(-307, -299)
+              for _ in range(3000)]
+        wrong = [x for x in xs if _round_significant(x)
+                 != Fraction(nine.plus(Decimal(x)))]
+        assert wrong == []
+
+    @pytest.mark.parametrize("digits", [3, 9])
+    def test_elsewhere_the_float_path_is_unchanged(self, digits):
+        rng = random.Random(46)
+        for _ in range(2000):
+            x = rng.choice((1, -1)) * 10.0 ** rng.uniform(-290, 290)
+            exp = math.floor(math.log10(abs(x))) - digits + 1
+            assert _round_significant(x, digits) == (
+                Fraction(round(x / 10 ** exp)) * Fraction(10) ** exp)
 
 
 class TestRegimeOfArguments:

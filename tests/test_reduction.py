@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -85,6 +86,25 @@ class TestReducedSystem:
         assert calls == {"weight": 12, "det3": 7}
         compute_C(rs, (1, 4, 6))
         assert calls["weight"] == 12
+
+    @pytest.mark.parametrize("alpha, k, digest", [
+        (-64, 27, "eb9f7b1116b7df1c733c17a627c123a29b8c135c2470826fe440233841effc1d"),
+        (-52, 62, "17d752a4275aab58dd0aa06c844c090dcef76ca7f64dcf04c0cdb31dba3edb88"),
+    ], ids=["-64-k27", "-52-k62"])
+    def test_a_reduction_below_the_doubles_is_pinned(self, alpha, k, digest):
+        # det N_1 lies below the normal doubles at both; the digest of the
+        # exact strings was taken from the Fraction cofactor route
+        seq, pattern = dirichlet(alpha), DegreePattern.default(k)
+        rs = reduce_system(seq, pattern)
+        values = (rs.det_N1, *rs.E, *rs.G, *rs.H, *rs.D)
+        assert all(v.__class__ is Fraction for v in values)
+        text = " ".join(str(v) for v in values)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        w = [row[1:] for row in rs.W]
+        assert rs.det_N1 == det3(w)
+        for s in range(3):
+            assert sum(w[s][i] * rs.E[i] for i in range(3)) == -rs.W[s][0]
+            assert sum(w[s][i] * rs.G[i] for i in range(3)) == (s == 0)
 
     def test_det_against_frozen_value(self, rs16):
         assert _close(rs16.det_N1, DET_N1)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -978,6 +979,69 @@ class TestSmallMatrix:
         assert det == det3(rows)
         for i in range(3):
             assert sum(rows[i][j] * x[j] for j in range(3)) == rhs[i]
+
+    @staticmethod
+    def _cofactor_route(m, *rhs):
+        """cramer_solve3 as the cofactor expansion on the entries gives it."""
+        def replaced(j, b):
+            return [[b[i] if c == j else m[i][c] for c in range(3)]
+                    for i in range(3)]
+        d = det3(m)
+        if not excludes_zero(d):
+            raise SingularSystemError(
+                "3x3 weight system is singular (or not certifiably "
+                "nonsingular)")
+        return (d,) + tuple(tuple(det3(replaced(j, b)) / d for j in range(3))
+                            for b in rhs)
+
+    small = st.one_of(st.integers(-9, 9), st.fractions(-50, 50,
+                                                       max_denominator=12))
+
+    @seed(45)
+    @settings(max_examples=150, deadline=None)
+    @given(entries=st.lists(small, min_size=15, max_size=15))
+    def test_the_integer_pass_is_the_fraction_route(self, entries):
+        m = [entries[0:3], entries[3:6], entries[6:9]]
+        rhs = (entries[9:12], entries[12:15])
+        exact = [[Fraction(v) for v in row] for row in m]
+        try:
+            want = self._cofactor_route(exact, *(
+                [Fraction(v) for v in b] for b in rhs))
+        except SingularSystemError as exc:
+            with pytest.raises(SingularSystemError,
+                               match=f"^{re.escape(str(exc))}$"):
+                cramer_solve3(m, *rhs)
+            return
+        got = cramer_solve3(m, *rhs)
+        assert got == want
+        assert all(v.__class__ is Fraction for v in (got[0], *got[1], *got[2]))
+
+    @example([[Fraction(1, 3), 2, -1], [0, Fraction(-5, 7), 4], [3, 0, 0]],
+             [0, 1, Fraction(2, 9)], 0)
+    @seed(45)
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.lists(st.lists(small, min_size=3, max_size=3), min_size=3,
+                      max_size=3),
+           b=st.lists(small, min_size=3, max_size=3), at=st.integers(0, 8))
+    def test_an_interval_entry_keeps_the_cofactor_route(self, m, b, at):
+        m[at // 3][at % 3] = Interval.exact(m[at // 3][at % 3])
+        try:
+            want = self._cofactor_route(m, b, [1, 0, 0])
+        except SingularSystemError as exc:
+            with pytest.raises(SingularSystemError,
+                               match=f"^{re.escape(str(exc))}$"):
+                cramer_solve3(m, b, [1, 0, 0])
+            return
+        got = cramer_solve3(m, b, [1, 0, 0])
+        for g, w in zip((got[0], *got[1], *got[2]),
+                        (want[0], *want[1], *want[2])):
+            assert (g.lo, g.hi) == (w.lo, w.hi)
+
+    def test_a_rational_singular_matrix_is_refused(self):
+        m = [[1, 2, 3], [Fraction(1, 2), 1, Fraction(3, 2)], [0, 5, -7]]
+        with pytest.raises(SingularSystemError, match=r"^3x3 weight system "
+                           r"is singular \(or not certifiably nonsingular\)$"):
+            cramer_solve3(m, (1, 0, 0))
 
     @given(entries=st.lists(rationals, min_size=9, max_size=9))
     @settings(max_examples=30)
