@@ -46,11 +46,12 @@ class DegeneratePairError(ZkwanderError):
 class RegisterTooLargeError(ZkwanderError):
     """Register coefficients destroy the strict contraction inequality.
 
-    ``max_register`` carries a conservative estimate of the largest admissible
-    common magnitude |a4| = |b5|.
+    ``max_register`` carries the estimate of the largest admissible common
+    magnitude |a4| = |b5|, a Fraction of 20 significant digits (0 when no
+    register fits).
     """
 
-    def __init__(self, message: str, max_register: float):
+    def __init__(self, message: str, max_register):
         super().__init__(message)
         self.max_register = max_register
 

@@ -18,20 +18,20 @@ the published constants use; the contraction ratio does not depend on A_15.
 
 from __future__ import annotations
 
-import math
+from decimal import localcontext
 from fractions import Fraction
 
-from .errors import (DegeneratePairError, ModeUnsupportedError,
-                     NoAdmissibleSystemError, RegisterTooLargeError)
+from .errors import (DegeneratePairError, NoAdmissibleSystemError,
+                     RegisterTooLargeError)
 from .model import AQuantities, GeneratorPair, orthogonality_relations
 from .record import Record, store
 from .reduction import (CQuantities, ReducedSystem, compute_C, objective_B0,
-                        objective_B1, pivot, pivot_modulus, z1_star,
+                        objective_B1, pivot, pivot_modulus, split_e,
                         z3_quadratic)
-from .scalars import (_normal, agreement, as_coefficient, binary_parts,
-                      certainly_positive, display, excludes_zero,
-                      is_exact_zero, refuse_foreign, refuse_irrational, sqrt,
-                      strictly_less, to_float, to_regime)
+from .scalars import (DECIMAL, agreement, as_coefficient, certainly_positive,
+                      display, excludes_zero, is_exact_zero, refuse_foreign,
+                      refuse_irrational, round_significant, sqrt,
+                      strictly_less, to_decimal, to_regime)
 from .weights import weight
 
 
@@ -51,16 +51,6 @@ class RecoveredParameters(Record):
         return self.rs.regime
 
 
-def _round_significant(x: float, digits: int = 9) -> Fraction:
-    if x == 0:
-        return Fraction(0)
-    exp = math.floor(math.log10(abs(x))) - digits + 1
-    scale = Fraction(10) ** exp
-    # below 1e-307, 10 ** exp is not a normal double: divide exactly
-    mant = round(x / 10 ** exp) if exp >= -307 else round(Fraction(x) / scale)
-    return Fraction(mant) * scale
-
-
 def choose_Z3(c: CQuantities) -> Fraction:
     """Default real Z_3: negative, with C_5/|C_1 Z_3 - C_3/2|^2 < (1-B_1)/2.
 
@@ -68,21 +58,21 @@ def choose_Z3(c: CQuantities) -> Fraction:
     stays below 1 (B_0^2 <= B_1 (1 + C_5/|..|^2) < B_1 + (1-B_1) = 1).
     Z_3 = (C_3/2 - m sqrt(2 C_5/(1-B_1))) / C_1 rounded to three digits, for
     the first margin m = 2, 4, ..., 2**17 whose rounded value clears the rule.
+    Each value is read once with ``to_decimal`` and combined in ``DECIMAL``.
     """
-    b1 = objective_B1(c)
-    b1f = to_float(b1)
-    if b1f >= 1:
+    b1 = to_decimal(objective_B1(c))
+    if b1 >= 1:
         raise NoAdmissibleSystemError(
-            f"B_1 = {b1f:.6g} >= 1; no Z_3 can rescue this point")
-    bound = math.sqrt(to_float(c.C5) * 2.0 / (1.0 - b1f))
-    for margin in (2 ** n for n in range(1, 18)):
-        x = _round_significant(
-            (to_float(c.C3) / 2 - margin * bound) / to_float(c.C1), 3)
-        # confirm the rounded value still clears the margin rule
-        mod = pivot_modulus(c, x)
-        lhs = to_float(c.C5) / to_float(mod) ** 2
-        if lhs < (1.0 - b1f) / 2.0:
-            return x
+            f"B_1 = {b1:.6g} >= 1; no Z_3 can rescue this point")
+    c1, c3, c5 = map(to_decimal, (c.C1, c.C3, c.C5))
+    with localcontext(DECIMAL):
+        bound = (c5 * 2 / (1 - b1)).sqrt()
+        for margin in (2 ** n for n in range(1, 18)):
+            x = round_significant((c3 / 2 - margin * bound) / c1, 3)
+            # confirm the rounded value still clears the margin rule
+            lhs = c5 / to_decimal(pivot_modulus(c, x)) ** 2
+            if lhs < (1 - b1) / 2:
+                return x
     raise NoAdmissibleSystemError(
         f"no rounded Z_3 clears the margin rule up to margin {margin}")
 
@@ -96,12 +86,12 @@ def recover(rs: ReducedSystem, d, z3=None, z1=None, a15=None) -> RecoveredParame
     """Build the engineered generator pair at the point d.
 
     Z_3 defaults to ``choose_Z3``; Z_1, in every regime, to the minimizer
-    sqrt(e_0/e_1) rounded to 9 digits through its double, refused when that
-    is not normal (any positive Z_1 keeps the relations, only the reported
-    ratio moves); A_15 to the normalizing root.  A given
-    value is read as ``attach_register`` reads a register, but an irrational
-    Z_3 or Z_1 is refused, and A_15 must be nonzero exactly or by an
-    enclosure that excludes 0.
+    sqrt(e_0/e_1), read with ``to_decimal`` and rounded to 9 digits (any
+    positive Z_1 keeps the relations, only the reported ratio moves); A_15
+    to the normalizing root.  None of these choices passes through a
+    double.  A given value is read as ``attach_register`` reads a register,
+    but an irrational Z_3 or Z_1 is refused, and A_15 must be nonzero
+    exactly or by an enclosure that excludes 0.
     """
     regime = rs.regime
     refuse_foreign(regime, (z3, z1, a15))
@@ -112,15 +102,9 @@ def recover(rs: ReducedSystem, d, z3=None, z1=None, a15=None) -> RecoveredParame
     if z3 is None:
         z3 = to_regime(choose_Z3(c), regime)
     if z1 is None:
-        star = z1_star(c, z3)
-        try:
-            near = _normal(to_float(star))
-        except OverflowError:
-            raise ModeUnsupportedError(
-                f"Z_1* = {display(star)} lies outside the normal doubles, "
-                "2.2e-308 to 1.8e+308, through which it is rounded to 9 "
-                "digits") from None
-        z1 = to_regime(_round_significant(near), regime)
+        e0, e1 = split_e(c, z3)
+        z1 = to_regime(round_significant(DECIMAL.sqrt(to_decimal(e0 / e1))),
+                       regime)
     if not certainly_positive(z1):
         raise ValueError("Z_1 must be positive")
     if a15 is None:
@@ -184,11 +168,11 @@ def cross_check(params: RecoveredParameters) -> dict:
     return report
 
 
-def max_register_estimate(params: RecoveredParameters) -> float:
+def max_register_estimate(params: RecoveredParameters) -> Fraction:
     """Largest common |a4| = |b5| magnitude keeping the inequality strict,
-    solved from the quadratic in t^2 (exact for symmetric registers).  The
-    values scale with A_15^2 far past the doubles, so each is a double
-    times a power of two, and only t is rounded into the doubles."""
+    solved from the quadratic in t^2 (exact for symmetric registers) in
+    ``DECIMAL``, whose exponents do not run out as the values scale with
+    A_15^2; 0 when no register fits."""
     return _free_sides(params)[2]
 
 
@@ -225,24 +209,18 @@ def _free_sides(params: RecoveredParameters) -> tuple:
     return parts[6]
 
 
-def _register_estimate(weights, q1: AQuantities, slack) -> float:
+def _register_estimate(weights, q1: AQuantities, slack) -> Fraction:
     """max_register_estimate from the register weights, the register-free
     block q1 and its slack."""
     if not certainly_positive(slack):
-        return 0.0
-    (s, es), (w4, e4), (w5, e5), (a13, e13), (a14, e14) = map(
-        binary_parts, (slack, *weights, q1.A3, q1.A4))
-    # slack > u beta + u^2 w4 w5, u = t^2, beta = w4 a14 + w5 a13.  With u =
-    # 4^n v, 4^n near the smaller of slack / beta and sqrt(slack / w4 w5),
-    # 1 = c v + r v^2 with c, r < 16 and one of them near 1; the root is
-    # subtraction-free, as beta^2 can dwarf the slack.
-    eb = max(e4 + e14, e5 + e13)
-    b = (math.ldexp(w4 * a14, e4 + e14 - eb)
-         + math.ldexp(w5 * a13, e5 + e13 - eb))
-    n = min(es - eb, (es - e4 - e5) // 2) // 2
-    c = math.ldexp(b / s, eb + 2 * n - es)
-    r = math.ldexp(w4 * w5 / s, e4 + e5 + 4 * n - es)
-    return math.ldexp(math.sqrt(2 / (c + math.hypot(c, 2 * math.sqrt(r)))), n)
+        return Fraction(0)
+    s, w4, w5, a13, a14 = map(to_decimal, (slack, *weights, q1.A3, q1.A4))
+    # slack > u beta + u^2 w4 w5, u = t^2, beta = w4 a14 + w5 a13; the root
+    # is subtraction-free, as beta^2 can dwarf the slack
+    with localcontext(DECIMAL):
+        beta = w4 * a14 + w5 * a13
+        u = 2 * s / (beta + (beta * beta + 4 * w4 * w5 * s).sqrt())
+        return Fraction(u.sqrt())
 
 
 def attach_register(params: RecoveredParameters, a_reg, b_reg) -> RecoveredParameters:
@@ -255,9 +233,9 @@ def attach_register(params: RecoveredParameters, a_reg, b_reg) -> RecoveredParam
     if not strictly_less(gap, abs(coupling)):
         est = max_register_estimate(params)
         raise RegisterTooLargeError(
-            f"registers |a4|={abs(to_float(a_reg)):.3g}, "
-            f"|b5|={abs(to_float(b_reg)):.3g} break the strict "
-            f"inequality; max common magnitude ~ {est:.3g}", est)
+            f"registers |a4|={display(abs(a_reg))}, "
+            f"|b5|={display(abs(b_reg))} break the strict "
+            f"inequality; max common magnitude ~ {to_decimal(est):.3g}", est)
     return RecoveredParameters(params.rs, params.c, params.z3, params.z1,
                                params.a15,
                                params.pair.with_registers(a_reg, b_reg))
@@ -272,9 +250,6 @@ def auto_register(params: RecoveredParameters):
         raise DegeneratePairError(
             f"no admissible register: A_13 A_14 - A_12^2 < |A_15 A_12| {how} "
             f"before any register is attached, c = {display(gap / rhs)}")
-    if est > 1.0:
+    if est > 1:
         return Fraction(1)
-    if est == 0.0:
-        raise DegeneratePairError("no admissible register: the largest one "
-                                  "is below the smallest double")
-    return _round_significant(est / 2, 3)
+    return round_significant(est / 2, 3)

@@ -24,7 +24,9 @@ Every choice that depends on the regime is made here, mostly by the type of
 the scalar: powers and square roots, the zero and sign tests with their
 evidence, the refusal of an unknown regime, the scalar types a regime
 refuses, and display.  The modules above never branch on it
-(tests/test_hygiene.py checks that).
+(tests/test_hygiene.py checks that).  ``to_decimal`` reads an exact value,
+or an interval's midpoint, into a ``decimal`` context with no exponent
+range to leave; recovery chooses its free scalars there.
 
 Determinants of the 3x3 weight matrix are taken by cofactor expansion.
 Entries span ~50 orders of magnitude, which would destroy float pivoting
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import math
 import sys
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -609,15 +612,30 @@ def to_float(x) -> float:
     return float(x)
 
 
-def binary_parts(x) -> tuple:
-    """(m, e) with x = m 2^e, m a double in [0.5, 2], for an exact x > 0
-    of any size or an interval's midpoint: one rounding, and no exponent
-    range to leave."""
+@lru_cache(maxsize=16)
+def _decimal_context(digits: int) -> Context:
+    return Context(prec=digits, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN,
+                   Emax=MAX_EMAX)
+
+
+DECIMAL = _decimal_context(20)
+
+
+def to_decimal(x, digits: int = 20) -> Decimal:
+    """An exact value (a Fraction, int, float or Decimal), or an interval's
+    midpoint, correctly rounded half-even to digits significant digits: a
+    double with no exponent range to leave.  ``DECIMAL`` is the 20-digit
+    context its values are combined in."""
+    context = _decimal_context(digits)
     if isinstance(x, Interval):
-        return math.frexp(x.mid)
-    n, d = x.numerator, x.denominator
-    e = n.bit_length() - d.bit_length()
-    return (n << -e) / d if e < 0 else n / (d << e), e
+        return context.plus(Decimal(x.mid))
+    n, d = x.as_integer_ratio()
+    return context.divide(n, d)
+
+
+def round_significant(x, digits: int = 9) -> Fraction:
+    """x rounded half-even to digits significant digits, as a Fraction."""
+    return Fraction(to_decimal(x, digits))
 
 
 def as_coefficient(v):

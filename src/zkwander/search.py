@@ -20,10 +20,9 @@ from .errors import (DegenerateReductionError, ModeUnsupportedError,
                      NoAdmissibleSystemError, SingularSystemError)
 from .model import DegreePattern
 from .record import Record, store
-from .recovery import _round_significant
 from .reduction import (ReducedSystem, c_grid, c_values, compute_C,
                         objective_B1, reduce_system)
-from .scalars import scalar_text, strictly_less, to_float
+from .scalars import round_significant, scalar_text, strictly_less, to_float
 from .weights import WeightSequence, dirichlet, exact_regime
 
 # d ranges over five-plus orders of magnitude in the published tables,
@@ -313,7 +312,7 @@ def minimize(config: SearchConfig) -> SearchResult:
     if not math.isfinite(value):
         raise NoAdmissibleSystemError(
             f"B_1 is not finite at any of the {evals} points searched")
-    reported = tuple(_round_significant(v, 9) for v in point)
+    reported = tuple(round_significant(v, 9) for v in point)
     vf, vrepr, regime, side = _confirm(system, reported)
     return SearchResult(
         alpha=config.alpha, k=config.k, phi2=config.phi2, phi3=config.phi3,

@@ -18,7 +18,7 @@ from zkwander.asymptotic import a_factor, reproduce_table5
 from zkwander.errors import (DegenerateReductionError, DegenerateZ3Error,
                              RegisterTooLargeError, SingularSystemError)
 from zkwander.model import GeneratorPair
-from zkwander.recovery import _round_significant, auto_register, cross_check
+from zkwander.recovery import auto_register, cross_check
 from zkwander.reduction import objective_B0, objective_B1, objective_B2, split_e
 from zkwander.reference_data import (B2_PUBLISHED_BOUND, D_SQ_UPPER,
                                      DET_N1_INTERVAL, E_INTERVALS, G_INTERVALS,
@@ -26,7 +26,7 @@ from zkwander.reference_data import (B2_PUBLISHED_BOUND, D_SQ_UPPER,
                                      TABLE4_BAND, TABLE4_PRINTED,
                                      agrees_with_printed, in_published_interval,
                                      TABLE3_SCALED)
-from zkwander.scalars import RATIONAL, to_float
+from zkwander.scalars import RATIONAL, round_significant, to_float
 from zkwander.search import confirm_value
 from zkwander.weights import perturbed, weight
 
@@ -172,9 +172,9 @@ def test_criterion_09_reduction_identities_on_random_points(rs16):
     start = time.perf_counter()
     done = skipped = 0
     while done < 100:
-        d = tuple(_round_significant(10.0 ** rng.uniform(-2, 4), 6)
+        d = tuple(round_significant(10.0 ** rng.uniform(-2, 4), 6)
                   for _ in range(3))
-        magnitude = _round_significant(
+        magnitude = round_significant(
             rng.uniform(1.0, 9.0) * 10.0 ** rng.randint(12, 15), 6)
         z3 = magnitude if rng.random() < 0.5 else -magnitude
         try:

@@ -543,23 +543,45 @@ class TestPipeline:
         assert code == 2
         assert "recomputed: fail" in out
 
-    @pytest.mark.parametrize("d,z3,star", [
-        ("1,4,6", "1e400", "~2.260247e-386"),
-        ("1,4,6", "1e330", "2.26024697e-316"),
-        ("1e700,1e700,1e700", "-2e13", "~5.239739e+350"),
+    @pytest.mark.parametrize("d,z3", [
+        ("1,4,6", "1e400"),
+        ("1,4,6", "1e330"),
+        ("1e700,1e700,1e700", "-2e13"),
     ], ids=["below", "subnormal", "above"])
     def test_a_z1_star_outside_the_normal_doubles_is_refused(
-            self, capsys, tmp_path, d, z3, star):
-        # Z_1* is rounded to 9 digits through its double, so one that has
-        # no normal double is refused by name, not read as Z_1 = 0
+            self, capsys, tmp_path, d, z3):
+        # Z_1* is rounded to 9 digits in a decimal with no exponent range
+        # to leave, so a Z_1* below the normal doubles (~2.3e-386, ~2.3e-316)
+        # certifies; the one above them (~5.2e+350) is refused only for
+        # what its point is: no register fits there
         cert = tmp_path / "cert.json"
         code, out, err = run(capsys, "pipeline", "--alpha", "-16", "--d", d,
                              f"--z3={z3}", "--out", str(cert))
-        assert code == 1
-        assert out == ""
-        assert err == (f"error: Z_1* = {star} lies outside the normal "
-                       "doubles, 2.2e-308 to 1.8e+308, through which it is "
-                       "rounded to 9 digits\n")
+        if d == "1,4,6":
+            assert (code, err) == (0, "")
+            assert "verdict: pass  c = 0.363334962129787\n" in out
+            code, out, _ = run(capsys, "certify", "--check", str(cert))
+            assert code == 0
+            assert "recomputed: pass" in out and "mismatch" not in out
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith(
+                "no admissible register: A_13 A_14 - A_12^2 < |A_15 A_12| "
+                "fails before any register is attached, c = ")
+            assert not cert.exists()
+
+    def test_c_values_past_the_doubles_reach_a_named_error(self, capsys,
+                                                            tmp_path):
+        # d_1 ~ 5e199 puts C_4 near 3.5e291 and C_5 / |pivot|^2 past the
+        # doubles; Z_3 is chosen without one, and the run stops at the
+        # certificate format's digit limit, by name
+        cert = tmp_path / "cert.json"
+        code, out, err = run(capsys, "pipeline", "--alpha", "-64", "--k",
+                             "27", "--d", "4.974313e199,4.759219e2,5.864152e2",
+                             "--out", str(cert))
+        assert (code, out) == (1, "")
+        assert err == ("error: the certificate format cannot carry an exact "
+                       "value with more than 4300 digits\n")
         assert not cert.exists()
 
     def test_override_corollary(self, capsys, tmp_path):

@@ -10,8 +10,8 @@ its output, the package imports exactly the third-party modules
 pyproject.toml lists, certify imports no reference code, the search
 subcommand's options are the fields of SearchConfig and --out, a search
 reduces one system, no module but scalars reads a Radical's .coeff or
-.roots, and a rational verify's inner products build no Radical per
-term."""
+.roots, a rational verify's inner products build no Radical per term, and
+recovery chooses its parameters with no double (no math, no to_float)."""
 
 import argparse
 import ast
@@ -442,6 +442,29 @@ def test_only_reduction_spells_c5():
                for path, tree in _package_trees().items()}
     assert spelled.pop("reduction")
     assert {stem: lines for stem, lines in spelled.items() if lines} == {}
+
+
+def _float_path(tree: ast.Module) -> list:
+    """Lines that import math or name to_float."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            and any(alias.name == "math" for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "math"
+            or isinstance(node, ast.Name) and node.id == "to_float"
+            or isinstance(node, ast.Attribute) and node.attr == "to_float"
+            or isinstance(node, ast.alias) and node.name == "to_float"]
+
+
+def test_recovery_chooses_its_parameters_without_doubles():
+    # Z_3, Z_1 and the register are read with to_decimal, whose exponents
+    # do not run out: a double on that path ends a valid point in
+    # OverflowError or ZeroDivisionError
+    assert _float_path(ast.parse(
+        "import math\nfrom math import sqrt\n"
+        "from .scalars import to_float\nscalars.to_float(x)")) == [
+        1, 2, 3, 4]
+    tree = ast.parse((PACKAGE / "recovery.py").read_text())
+    assert _float_path(tree) == []
 
 
 def _indented_json_calls(tree: ast.Module) -> list:

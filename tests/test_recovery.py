@@ -13,13 +13,13 @@ from zkwander.errors import (DegeneratePairError, DegenerateReductionError,
                              DegenerateZ3Error, ModeUnsupportedError,
                              NoAdmissibleSystemError, RegisterTooLargeError)
 from zkwander.model import DegreePattern, orthogonality_relations
-from zkwander.recovery import (_round_significant, attach_register,
-                               auto_register, choose_Z3, cross_check,
-                               level1_block, max_register_estimate, recover)
+from zkwander.recovery import (attach_register, auto_register, choose_Z3,
+                               cross_check, level1_block,
+                               max_register_estimate, recover)
 from zkwander.reduction import reduce_system
 from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
 from zkwander.scalars import (INTERVAL, Interval, Radical, is_exact_zero,
-                              to_float)
+                              round_significant, to_float)
 from zkwander.weights import dirichlet, perturbed, weight
 
 # the interval-regime systems: the non-integer published rows and -33/2
@@ -141,28 +141,19 @@ class TestRegisters:
                                                               seq16,
                                                               z3_main):
         # both sides scale with A_15^2, so at A_15 = 10^-200 the slack,
-        # about 10^-400, underflows a double; the estimate keeps each value
-        # as a double times a power of two and rounds only the register
-        params = recover(rs16, (1, 4, 6), z3=z3_main,
-                         a15=Fraction(1, 10 ** 200))
-        est = max_register_estimate(params)
-        assert est == pytest.approx(7.351360226388178e-186, rel=1e-12)
-        reg = auto_register(params)
-        assert reg == Fraction(368, 10 ** 188)
-        cert = verify(attach_register(params, reg, reg).pair, seq16)
-        assert (cert.verdict, cert.regime) == ("pass", "rational")
-
-    def test_a_register_below_the_smallest_double_is_refused(self, rs16,
-                                                             z3_main):
-        # at A_15 = 10^-400 the largest register, ~10^-386, rounds to the
-        # double 0, which is no magnitude to attach
-        params = recover(rs16, (1, 4, 6), z3=z3_main,
-                         a15=Fraction(1, 10 ** 400))
-        assert max_register_estimate(params) == 0.0
-        with pytest.raises(DegeneratePairError, match="^no admissible "
-                           "register: the largest one is below the "
-                           "smallest double$"):
-            auto_register(params)
+        # about 10^-400, underflows a double, and at A_15 = 10^-400 so does
+        # the register itself, ~10^-386; the estimate is solved in a decimal
+        # whose exponent range these never leave
+        for e in (200, 400):
+            params = recover(rs16, (1, 4, 6), z3=z3_main,
+                             a15=Fraction(1, 10 ** e))
+            est = max_register_estimate(params)
+            assert est * 10 ** (e - 200) == pytest.approx(
+                7.351360226388178e-186, rel=1e-12)
+            reg = auto_register(params)
+            assert reg == Fraction(368, 10 ** (e - 12))
+            cert = verify(attach_register(params, reg, reg).pair, seq16)
+            assert (cert.verdict, cert.regime) == ("pass", "rational")
 
     def test_the_estimate_survives_a_huge_z3(self, rs16):
         # beta^2 overflows a double from |Z_3| ~ 10^100 on; the estimate
@@ -296,13 +287,15 @@ class TestRegisterFreeParts:
 
 
 class TestRoundSignificant:
+    """scalars.round_significant is one correctly rounded division; on
+    doubles it agrees with the former round(x / 10 ** exp) rule."""
 
     def test_below_the_normal_powers_of_ten_it_rounds_exactly(self):
         # there 10 ** exp is subnormal; decimal at precision 9 is the oracle
         rng, nine = random.Random(45), Context(prec=9)
         xs = [rng.choice((1, -1)) * 10.0 ** rng.uniform(-307, -299)
               for _ in range(3000)]
-        wrong = [x for x in xs if _round_significant(x)
+        wrong = [x for x in xs if round_significant(x)
                  != Fraction(nine.plus(Decimal(x)))]
         assert wrong == []
 
@@ -312,7 +305,7 @@ class TestRoundSignificant:
         for _ in range(2000):
             x = rng.choice((1, -1)) * 10.0 ** rng.uniform(-290, 290)
             exp = math.floor(math.log10(abs(x))) - digits + 1
-            assert _round_significant(x, digits) == (
+            assert round_significant(x, digits) == (
                 Fraction(round(x / 10 ** exp)) * Fraction(10) ** exp)
 
 
@@ -378,6 +371,19 @@ class TestDefaults:
         done = attach_register(params, auto_register(params), auto_register(params))
         cert = verify(done.pair, seq16)
         assert cert.verdict == "pass"
+
+
+    def test_every_scale_of_the_headline_d_certifies(self, rs16, seq16):
+        # B_1 does not change when d is scaled, so neither may the outcome:
+        # across 10^-400..10^400 the C values leave the doubles, and no
+        # parameter choice may end in OverflowError or ZeroDivisionError
+        rng = random.Random(46)
+        for n in (rng.randint(-400, 400) for _ in range(40)):
+            d = tuple(v * Fraction(10) ** n for v in (1, 1, 4, 6))
+            params = recover(rs16, d)
+            reg = auto_register(params)
+            done = attach_register(params, reg, reg)
+            assert verify(done.pair, seq16).verdict == "pass", n
 
 
 class TestValidation:
