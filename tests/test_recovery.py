@@ -141,19 +141,32 @@ class TestRegisters:
                                                               seq16,
                                                               z3_main):
         # both sides scale with A_15^2, so at A_15 = 10^-200 the slack,
-        # about 10^-400, underflows a double, and at A_15 = 10^-400 so does
-        # the register itself, ~10^-386; the estimate is solved in a decimal
-        # whose exponent range these never leave
-        for e in (200, 400):
-            params = recover(rs16, (1, 4, 6), z3=z3_main,
-                             a15=Fraction(1, 10 ** e))
-            est = max_register_estimate(params)
-            assert est * 10 ** (e - 200) == pytest.approx(
-                7.351360226388178e-186, rel=1e-12)
-            reg = auto_register(params)
-            assert reg == Fraction(368, 10 ** (e - 12))
-            cert = verify(attach_register(params, reg, reg).pair, seq16)
-            assert (cert.verdict, cert.regime) == ("pass", "rational")
+        # about 10^-400, underflows a double; the estimate is solved in a
+        # decimal whose exponent range it never leaves
+        params = recover(rs16, (1, 4, 6), z3=z3_main,
+                         a15=Fraction(1, 10 ** 200))
+        est = max_register_estimate(params)
+        assert est == pytest.approx(7.351360226388178e-186, rel=1e-12)
+        reg = auto_register(params)
+        assert reg == Fraction(368, 10 ** 188)
+        cert = verify(attach_register(params, reg, reg).pair, seq16)
+        assert (cert.verdict, cert.regime) == ("pass", "rational")
+
+    def test_a_register_below_the_smallest_double_is_attached(self, rs16,
+                                                              seq16,
+                                                              z3_main):
+        # at A_15 = 10^-400 the largest register, ~10^-386, is below the
+        # smallest double; it was refused while the estimate was a double,
+        # and the decimal estimate now gives a register that verifies
+        params = recover(rs16, (1, 4, 6), z3=z3_main,
+                         a15=Fraction(1, 10 ** 400))
+        est = max_register_estimate(params)
+        assert est * 10 ** 200 == pytest.approx(7.351360226388178e-186,
+                                                rel=1e-12)
+        reg = auto_register(params)
+        assert reg == Fraction(368, 10 ** 388)
+        cert = verify(attach_register(params, reg, reg).pair, seq16)
+        assert (cert.verdict, cert.regime) == ("pass", "rational")
 
     def test_the_estimate_survives_a_huge_z3(self, rs16):
         # beta^2 overflows a double from |Z_3| ~ 10^100 on; the estimate
