@@ -16,8 +16,9 @@ into five positive reals C_1..C_5 and the contraction objectives
 
 A value B_0 < 1 at admissible parameters is exactly the strict inequality
 the certificate needs.  ``c_values`` holds C_1..C_5 in any arithmetic, the
-search's doubles included, as one evaluator per system (``c_grid`` over a
-grid); ``compute_C`` wraps it in a regime.
+search's doubles included, as one evaluator of plain values per system
+(``c_grid`` yields records over a grid); ``compute_C`` wraps its values in
+a regime and a record, and ``b1_value`` is B_1 of the values.
 
 Every scalar is real.  A complex Z_3 would reach nothing more: since
 C_1 (C_1 |Z_3|^2 - C_3 Re Z_3 + C_4) = |P|^2 + C_5 with P = C_1 Z_3 - C_3/2,
@@ -123,7 +124,7 @@ def _normalize_d(d) -> tuple:
 
 
 def c_values(w1, w2, H, D):
-    """at(d_0, .., d_3) -> the CQuantities record at d, from rows 1 and 2
+    """at(d_0, .., d_3) -> (C_1, C_2, C_3, C_4, C_5) at d, from rows 1 and 2
     of the weight block, H and D, in the arithmetic of its arguments.
 
     The d-free parts (unpacked rows, H_i w2_i, D_i D_i) are formed once per
@@ -138,21 +139,20 @@ def c_values(w1, w2, H, D):
     D1, D2, D3 = D
     DD1, DD2, DD3 = D1 * D1, D2 * D2, D3 * D3
 
-    def at(d0, d1, d2, d3) -> CQuantities:
+    def at(d0, d1, d2, d3) -> tuple:
         c1 = 0 + d0 * w10 + d1 * w11 + d2 * w12 + d3 * w13
         c2 = w20 / d0 + hw1 / d1 + hw2 / d2 + hw3 / d3
         c3 = 2 * (0 + D1 * d1 * w11 + D2 * d2 * w12 + D3 * d3 * w13)
         c4 = 0 + DD1 * d1 * w11 + DD2 * d2 * w12 + DD3 * d3 * w13
-        return CQuantities((d0, d1, d2, d3), c1, c2, c3, c4,
-                           c1 * c4 - c3 * c3 / 4)
+        return c1, c2, c3, c4, c1 * c4 - c3 * c3 / 4
     return at
 
 
 def c_grid(w1, w2, H, D, values):
-    """``c_values(w1, w2, H, D)``'s records at (1.0, d_1, d_2, d_3) for
-    (d_1, d_2, d_3) in product(values, repeat=3), in that order and of the
-    same bits, in doubles: each axis's terms are formed once per system, and
-    each sum adds them in ``at``'s left-to-right order."""
+    """Records of ``c_values(w1, w2, H, D)``'s values at (1.0, d_1, d_2, d_3)
+    for (d_1, d_2, d_3) in product(values, repeat=3), in that order and of
+    the same bits, in doubles: each axis's terms are formed once per system,
+    and each sum adds them in ``at``'s left-to-right order."""
     axes = [[(d, d * w1[i], H[i - 1] * w2[i] / d, D[i - 1] * d * w1[i],
               D[i - 1] * D[i - 1] * d * w1[i]) for d in values]
             for i in (1, 2, 3)]
@@ -168,14 +168,20 @@ def c_grid(w1, w2, H, D, values):
 
 
 def compute_C(rs: ReducedSystem, d) -> CQuantities:
-    """The five reduced constants at squared moduli d = (d_0, .., d_3)."""
+    """The five reduced constants at squared moduli d = (d_0, .., d_3), each
+    d_i and C_1, C_2, C_4, C_5 certified positive in the regime."""
     dd = tuple(to_regime(v, rs.regime) for v in _normalize_d(d))
-    c = c_values(rs.W[0], rs.W[1], rs.H, rs.D)(*dd)
-    for name, v in zip(("C1", "C2", "C4", "C5"), (c.C1, c.C2, c.C4, c.C5)):
+    _certify_positive(zip(("d0", "d1", "d2", "d3"), dd))
+    c1, c2, c3, c4, c5 = c_values(rs.W[0], rs.W[1], rs.H, rs.D)(*dd)
+    _certify_positive(zip(("C1", "C2", "C4", "C5"), (c1, c2, c4, c5)))
+    return CQuantities(dd, c1, c2, c3, c4, c5)
+
+
+def _certify_positive(named) -> None:
+    for name, v in named:
         if not certainly_positive(v):
             raise DegenerateReductionError(
                 f"{name} = {v!r} is not certifiably positive")
-    return c
 
 
 def objective_B2(c: CQuantities):
@@ -187,9 +193,14 @@ def objective_B2(c: CQuantities):
     return 4 * c.C2 * c.C4
 
 
+def b1_value(c1, c2, c5):
+    """B_1 = 4 C_2 C_5 / C_1 from the values, in their arithmetic."""
+    return 4 * c2 * c5 / c1
+
+
 def objective_B1(c: CQuantities):
-    """Large-|Z_3| objective 4 C_2 C_5 / C_1; invariant under d -> lambda d."""
-    return 4 * c.C2 * c.C5 / c.C1
+    """Large-|Z_3| objective B_1 of a record; invariant under d -> lambda d."""
+    return b1_value(c.C1, c.C2, c.C5)
 
 
 def pivot(c: CQuantities, z3):

@@ -2,12 +2,11 @@
 
 A search takes one system, fixed by alpha, k and phi as a row of the
 published tables is.  It is reduced once, in the regime that proves it
-(``exact_regime``), and searched in doubles of that reduction for speed,
-through ``c_grid`` on the grid and ``c_values`` after it, which form the
-system's d-free parts once; the search is a heuristic.  The point it finds
-is re-evaluated on the same reduced system before being reported, so the
-reported value and landing side are rigorous even though the path that
-found the point is not.  Every search lands against B_1 = 1.
+(``exact_regime``), and searched in doubles of that reduction for speed:
+the grid through ``c_grid``'s records, the refinement through ``c_values``
+and ``b1_value`` with no record per point.  The search is a heuristic, but
+the point it finds is re-evaluated on the same reduced system before being
+reported, so its value and its landing side against B_1 = 1 are rigorous.
 """
 
 import math
@@ -20,8 +19,8 @@ from .errors import (DegenerateReductionError, ModeUnsupportedError,
                      NoAdmissibleSystemError, SingularSystemError)
 from .model import DegreePattern
 from .record import Record, store
-from .reduction import (ReducedSystem, c_grid, c_values, compute_C,
-                        objective_B1, reduce_system)
+from .reduction import (ReducedSystem, b1_value, c_grid, c_values,
+                        compute_C, objective_B1, reduce_system)
 from .scalars import round_significant, scalar_text, strictly_less, to_float
 from .weights import WeightSequence, dirichlet, exact_regime
 
@@ -109,19 +108,19 @@ def _doubles(rs: ReducedSystem) -> list:
     return rows
 
 
-def _evaluator(rs, objective):
-    """f(d1, d2, d3), the objective at (1, d1, d2, d3) of the system in
-    doubles ``rs``; +inf unless C_1, C_2, C_4 and C_5 > 0."""
+def _evaluator(rs):
+    """f(d1, d2, d3), B_1 of ``c_values``' values at (1, d1, d2, d3) of the
+    system in doubles ``rs``; +inf unless C_1, C_2, C_4 and C_5 > 0."""
     at = c_values(*rs)
 
     def f(d1, d2, d3) -> float:
         try:
-            c = at(1.0, d1, d2, d3)
+            c1, c2, _, c4, c5 = at(1.0, d1, d2, d3)
         except ZeroDivisionError:
             return math.inf
-        if not (c.C1 > 0 and c.C2 > 0 and c.C4 > 0 and c.C5 > 0):
+        if not (c1 > 0 and c2 > 0 and c4 > 0 and c5 > 0):
             return math.inf
-        return float(objective(c))
+        return b1_value(c1, c2, c5)
     return f
 
 
@@ -298,16 +297,16 @@ def minimize(config: SearchConfig) -> SearchResult:
     try:
         system = reduce_system(seq, pattern,
                                exact_regime(seq, pattern.matrix_indices()))
-        rows, objective = _doubles(system), _OBJECTIVES["B1"]
+        rows = _doubles(system)
     except (SingularSystemError, DegenerateReductionError) as exc:
         raise NoAdmissibleSystemError(
             f"the system is singular or degenerate: {exc}") from exc
     except ModeUnsupportedError as exc:
         raise NoAdmissibleSystemError(str(exc)) from exc
-    point, value, evals = _scan(rows, objective)
+    point, value, evals = _scan(rows, _OBJECTIVES["B1"])
     if config.strategy != "grid":
         refine = _simplex if config.strategy == "simplex" else _descend
-        point, value, n = refine(_evaluator(rows, objective), point, value)
+        point, value, n = refine(_evaluator(rows), point, value)
         evals += n
     if not math.isfinite(value):
         raise NoAdmissibleSystemError(

@@ -584,6 +584,22 @@ class TestPipeline:
                        "value with more than 4300 digits\n")
         assert not cert.exists()
 
+    @pytest.mark.parametrize("sub", ["eval", "pipeline"])
+    def test_a_d_below_the_doubles_is_refused_in_the_interval_regime(
+            self, capsys, tmp_path, sub):
+        # 1e-400 has no double, so its enclosure contains 0: d_1 is named
+        # before any C_i divides by it
+        cert = tmp_path / "cert.json"
+        code, out, err = run(capsys, sub, "--alpha", "-33/2",
+                             "--d", "1e-400,4e-400,6e-400", *(
+                                 ("--out", str(cert))
+                                 if sub == "pipeline" else ()))
+        assert code == 1
+        assert err == ("error: d1 = [-5e-324, 5e-324] is not certifiably "
+                       "positive\n")
+        assert "C1" not in out
+        assert not cert.exists()
+
     def test_override_corollary(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"
         code, out, _ = run(capsys, "pipeline", "--alpha", "-16",

@@ -5,8 +5,8 @@ no module builds a complex value or reads its parts, every memo has an int
 bound, no module but scalars branches on the scalar regime, raises a number
 to the power alpha or reads text as a Fraction, no certifying module holds a
 tolerance or tests a double for zero, no module but search holds a small
-float literal, no module but reduction spells C_5, no module has json indent
-its output, the package imports exactly the third-party modules
+float literal, no module but reduction spells C_5 or B_1, no module has json
+indent its output, the package imports exactly the third-party modules
 pyproject.toml lists, certify imports no reference code, the search
 subcommand's options are the fields of SearchConfig and --out, a search
 reduces one system, no module but scalars reads a Radical's .coeff or
@@ -441,6 +441,34 @@ def test_only_reduction_spells_c5():
     spelled = {path.stem: _c5_forms(tree)
                for path, tree in _package_trees().items()}
     assert spelled.pop("reduction")
+    assert {stem: lines for stem, lines in spelled.items() if lines} == {}
+
+
+def _factors(node) -> list:
+    """The operands of a product tree, flattened."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _factors(node.left) + _factors(node.right)
+    return [node]
+
+
+def _b1_forms(tree: ast.Module) -> list:
+    """Lines of 4 times two factors over a third, the shape of
+    B_1 = 4 C_2 C_5 / C_1 however its operands are named or grouped."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and len(factors := _factors(node.left)) == 3
+            and any(isinstance(f, ast.Constant) and f.value == 4
+                    for f in factors)]
+
+
+def test_only_reduction_spells_b1():
+    # one home for B_1: a refinement that inlines it spells it twice
+    assert _b1_forms(ast.parse("4 * c2 * c5 / c1")) == [1]
+    assert _b1_forms(ast.parse("c.C2 * (4 * c.C5) / c.C1")) == [1]
+    assert _b1_forms(ast.parse("4 * c.C2 * c.C4")) == []
+    spelled = {path.stem: _b1_forms(tree)
+               for path, tree in _package_trees().items()}
+    assert len(spelled.pop("reduction")) == 1
     assert {stem: lines for stem, lines in spelled.items() if lines} == {}
 
 

@@ -12,7 +12,7 @@ import pytest
 from zkwander import (Interval, Radical, SearchConfig, attach_register,
                       minimize, perturbed, recover, reduce_system, verify)
 from zkwander.model import orthogonality_relations
-from zkwander.reduction import c_values
+from zkwander.reduction import compute_C
 
 RECORD_CLASSES = ("Interval", "Radical", "WeightSequence", "DegreePattern",
                   "GeneratorPair", "AQuantities", "ReducedSystem",
@@ -74,7 +74,7 @@ HOT_PATHS = {
     "Interval/": lambda rs: Interval(0.5, 2.0) / Interval(1.0, 4.0),
     "Interval.exact-int": lambda rs: Interval.exact(3),
     "Interval.exact-Fraction": lambda rs: Interval.exact(Fraction(1, 3)),
-    "CQuantities": lambda rs: c_values(*rs.W[:2], rs.H, rs.D)(1, 1, 4, 6),
+    "CQuantities": lambda rs: compute_C(rs, (1, 1, 4, 6)),
 }
 
 

@@ -259,6 +259,18 @@ class TestCQuantities:
         with pytest.raises(ValueError):
             compute_C(rs16, (1, -4, 6))
 
+    def test_a_d_the_regime_cannot_certify_positive_is_refused(self):
+        # 10^-400 has no double: its enclosure holds 0, so the interval
+        # regime names d_i rather than divide by it; exact d is positive
+        seq, pattern = dirichlet(Fraction(-33, 2)), DegreePattern.default(6)
+        d = (Fraction(1, 10 ** 400), Fraction(4, 10 ** 400), Fraction(6))
+        with pytest.raises(DegenerateReductionError,
+                           match=r"^d1 = \[-5e-324, 5e-324\] is not "
+                                 r"certifiably positive$"):
+            compute_C(reduce_system(seq, pattern, INTERVAL), d)
+        c = compute_C(reduce_system(dirichlet(-16), pattern), d)
+        assert c.d == (1,) + d
+
     @pytest.mark.parametrize("d", [(4, 6), (1, 1, 4, 6, 8)],
                              ids=["two", "five"])
     def test_d_must_hold_three_or_four_values(self, rs16, d):

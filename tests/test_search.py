@@ -11,7 +11,8 @@ import pytest
 from zkwander.certify import verify
 from zkwander.errors import InvalidPatternError, NoAdmissibleSystemError
 from zkwander.recovery import attach_register, auto_register, recover
-from zkwander.reduction import c_grid, c_values, objective_B1, reduce_system
+from zkwander.reduction import (CQuantities, c_grid, c_values, objective_B1,
+                                reduce_system)
 from zkwander.reference_data import TABLE1_ROWS, TABLE2_ROWS
 from zkwander.search import (_GRID, DEFAULT_D_GRID, SIMPLEX_FATOL,
                              SIMPLEX_MAXITER, SIMPLEX_XATOL, SearchConfig,
@@ -321,7 +322,7 @@ class TestCValues:
             at = c_values(*args)
             for d in _exact_points(row):
                 dd = tuple(to_regime(v, regime) for v in d)
-                got, ref = _fields(at(*dd)), _reference_c_values(*args, dd)
+                got, ref = at(*dd), _reference_c_values(*args, dd)
                 if regime == INTERVAL:
                     assert [(c.lo, c.hi) for c in got] == \
                         [(c.lo, c.hi) for c in ref]
@@ -341,7 +342,7 @@ class TestCValues:
                   + [tuple(10 ** rng.uniform(-3, 7) for _ in range(4))
                      for _ in range(20)])
         for dd in points:
-            assert [c.hex() for c in _fields(at(*dd))] == \
+            assert [c.hex() for c in at(*dd)] == \
                 [c.hex() for c in _reference_c_values(*rows, dd)]
 
     @pytest.mark.parametrize("row", TABLE1_ROWS + TABLE2_ROWS, ids=_row_id)
@@ -356,7 +357,7 @@ class TestCValues:
             assert [c.d for c in records] == [(1.0, *p) for p in _GRID]
             for p, c in zip(_GRID, records):
                 assert [v.hex() for v in _fields(c)] == \
-                    [v.hex() for v in _fields(at(1.0, *p))]
+                    [v.hex() for v in at(1.0, *p)]
 
 
 class TestFloatSystem:
@@ -366,7 +367,7 @@ class TestFloatSystem:
     def test_b1_agrees_with_confirm_value(self, row):
         seq = dirichlet(row.alpha)
         pattern = DegreePattern.from_phi(row.k, row.phi2, row.phi3)
-        f = _evaluator(_system_in_doubles(row.alpha, pattern), objective_B1)
+        f = _evaluator(_system_in_doubles(row.alpha, pattern))
         grid = list(product(DEFAULT_D_GRID, repeat=3))
         for d in [tuple(map(float, row.d))] + grid[::37]:
             exact = confirm_value(seq, pattern, d)[0]
@@ -376,7 +377,7 @@ class TestFloatSystem:
         # 10^-400 is 0.0 in doubles: like an overflow, a +inf, never an
         # error raised out of minimize
         f = _log_objective(_evaluator(
-            _system_in_doubles(-16, DegreePattern.default(6)), objective_B1))
+            _system_in_doubles(-16, DegreePattern.default(6))))
         assert f([-400.0, 0.0, 0.0]) == math.inf
         assert f([400.0, 0.0, 0.0]) == math.inf
         assert math.isfinite(f([0.0, 0.0, 0.0]))
@@ -392,7 +393,37 @@ class TestFloatSystem:
         point, value, evals = _scan(rows, counted)
         assert len(calls) == evals == 729
         assert calls == [(1.0, *p) for p in _GRID]
-        assert value == _evaluator(rows, objective_B1)(*point)
+        assert value == _evaluator(rows)(*point)
+
+
+class TestRefinement:
+    """The refinement's f against the grid scan's objective, and the
+    records a search builds."""
+
+    @pytest.mark.parametrize("row", TABLE1_ROWS + TABLE2_ROWS, ids=_row_id)
+    def test_f_gives_the_scans_bits_at_every_grid_point(self, row):
+        rows = _system_in_doubles(
+            row.alpha, DegreePattern.from_phi(row.k, row.phi2, row.phi3))
+        f = _evaluator(rows)
+        scanned = [float(objective_B1(c))
+                   if c.C1 > 0 and c.C2 > 0 and c.C4 > 0 and c.C5 > 0
+                   else math.inf for c in c_grid(*rows, DEFAULT_D_GRID)]
+        assert [f(*p).hex() for p in _GRID] == [v.hex() for v in scanned]
+
+    def test_a_descent_builds_records_for_the_scan_and_confirmation(
+            self, monkeypatch):
+        built = []
+        init = CQuantities.__init__
+
+        def counted(self, d, *c):
+            built.append(d)
+            init(self, d, *c)
+        monkeypatch.setattr(CQuantities, "__init__", counted)
+        res = minimize(SearchConfig(alpha=-16, strategy="coordinate-descent"))
+        assert res.evaluations > len(_GRID) + 1
+        assert len(built) == len(_GRID) + 1
+        assert built[:-1] == [(1.0, *p) for p in _GRID]
+        assert built[-1] == (1,) + res.d
 
 
 class TestTables:
@@ -440,7 +471,7 @@ class TestNelderMead:
         pattern = DegreePattern.from_phi(row.k, row.phi2, row.phi3)
         rows = _system_in_doubles(row.alpha, pattern)
         seed, _, _ = _scan(rows, objective_B1)
-        f = _log_objective(_evaluator(rows, objective_B1))
+        f = _log_objective(_evaluator(rows))
         x0 = [math.log10(v) for v in seed]
         assert _nelder_mead(f, x0) == _scipy_nelder_mead(f, x0)
 
