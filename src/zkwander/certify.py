@@ -1,8 +1,10 @@
 """Verification of engineered pairs and self-contained certificates.
 
-A certificate records the generator coefficients, the weights they touch, and
-the four conditions that make M = [F_1, F_2] a counterexample to the
-wandering property of z^k:
+A certificate (schema v3) stores the inputs that fix the proof, k, gamma,
+the weights and the generator coefficients, with its regime and its claim,
+the verdict and the reasons.  ``verify`` derives from the inputs the four
+conditions that make M = [F_1, F_2] a counterexample to the wandering
+property of z^k:
 
   adjacent_zero       A_{1,1} = 0
   higher_zero         A_{2,1} = A_{3,1} = A_{2,5} = A_{3,5} = 0
@@ -11,20 +13,22 @@ wandering property of z^k:
 
 All four together give z^{gamma_4} in M but orthogonal to the span of the
 wandering vectors, with contraction ratio c < 1 certifying the geometric
-decay.  Floats locate a pair, they do not prove one: verify refuses any
-regime but rational and interval before it evaluates a weight.
+decay.  The conditions, the A table, c and the membership sweep are the
+in-memory report, not stored: ``check_certificate`` re-derives them.
+Floats locate a pair, they do not prove one: verify refuses any regime but
+rational and interval before it evaluates a weight.
 
 Only what the proof reads is evaluated: A_(s,1) and A_(s,5) for s >= 4
-multiply a zero coefficient (HIGHER_LEVELS), and the membership sweep
-computes no product: at the levels of the support lemma
-(``DegreePattern.sweep_overlaps``, in closed form (1, k + gamma_r) for all
-six r and (1, 2k + gamma_r), (2, 2k + gamma_r) for r <= 3) each one is empty,
-a proved zero cell or zero once the Cauchy-Schwarz gap is positive, so a
-failing sweep has the one reason that the gap is not.  Each input is
-evaluated once per verify call: the 14 embedded weights and the zero test
-of each of the pair's coefficients, both in ``orthogonality_relations``, the
-one evaluator of the products, and the gap that both the strict contraction
-and the sweep read.
+multiply a zero coefficient, and the membership sweep computes no product:
+at the levels of the support lemma (``DegreePattern.sweep_overlaps``, in
+closed form (1, k + gamma_r) for all six r and (1, 2k + gamma_r),
+(2, 2k + gamma_r) for r <= 3) each one is empty, a proved zero cell or
+zero once the Cauchy-Schwarz gap is positive, so a failing sweep has the
+one reason that the gap is not.  Each input is evaluated once per verify
+call: the 14 embedded weights and the zero test of each of the pair's
+coefficients, both in ``orthogonality_relations``, the one evaluator of
+the products, and the gap that both the strict contraction and the sweep
+read.
 """
 
 from __future__ import annotations
@@ -38,14 +42,10 @@ from .record import Record, store
 from .scalars import (MAX_ALPHA_DENOMINATOR, RATIONAL, certainly_positive,
                       check_regime, nonzero_evidence, refuse_foreign,
                       scalar_from_json, scalar_text, scalar_to_json,
-                      strictly_less, to_float, zero_evidence)
-from .weights import (WeightSequence, exact_regime, weight, weights_from_dict,
-                      weights_to_dict)
+                      strictly_less, zero_evidence)
+from .weights import WeightSequence, weights_from_dict, weights_to_dict
 
-SCHEMA = "zkwander-certificate/v2"
-
-HIGHER_LEVELS = ("A_(s,1) and A_(s,5) for s >= 4 multiply a zero coefficient "
-                 "in the membership recursion; they are not evaluated")
+SCHEMA = "zkwander-certificate/v3"
 
 # ranges verify and check_certificate accept, above every published row
 # (|alpha| <= 16 with denominator <= 1000, k <= 88, degrees <= 14611); the
@@ -171,38 +171,22 @@ class Certificate(Record):
         return self.verdict == "pass"
 
     def to_dict(self) -> dict:
-        p = self.pair.pattern
-        embedded = {str(t): scalar_to_json(
-            weight(self.seq, t, exact_regime(self.seq, (t,))))
-            for t in p.embedded_indices()}
-        a_enc = {str(s): {n: scalar_to_json(v) for n, v in q.items()}
-                 for s, q in sorted(self.a_table.items())}
+        p = self.pair
         return {
             "schema": SCHEMA,
-            "verdict": self.verdict,
             "regime": self.regime,
-            "k": p.k,
-            "gamma": list(p.gamma),
+            "k": p.pattern.k,
+            "gamma": list(p.pattern.gamma),
             "weights": weights_to_dict(self.seq),
-            "weights_at_matrix_indices": embedded,
             "coefficients": {
-                "a_low": [scalar_to_json(v) for v in self.pair.a_low],
-                "a_high": [scalar_to_json(v) for v in self.pair.a_high],
-                "b_low": [scalar_to_json(v) for v in self.pair.b_low],
-                "a_reg": scalar_to_json(self.pair.a_reg),
-                "b_reg": scalar_to_json(self.pair.b_reg),
+                "a_low": [scalar_to_json(v) for v in p.a_low],
+                "a_high": [scalar_to_json(v) for v in p.a_high],
+                "b_low": [scalar_to_json(v) for v in p.b_low],
+                "a_reg": scalar_to_json(p.a_reg),
+                "b_reg": scalar_to_json(p.b_reg),
             },
-            "support_lemma": {
-                "overlaps": [list(o) for o in p.sweep_overlaps()],
-                "higher_levels": HIGHER_LEVELS,
-            },
-            "A": a_enc,
-            "conditions": self.conditions,
-            "c": None if self.c_value is None else scalar_to_json(self.c_value),
-            "c_float": None if self.c_value is None else to_float(self.c_value),
+            "verdict": self.verdict,
             "reasons": self.reasons,
-            "warnings": [],         # a v2 field that nothing fills any more
-            "membership": self.membership,
         }
 
     def to_json(self) -> str:
@@ -244,12 +228,8 @@ def verify(pair: GeneratorPair, seq: WeightSequence,
     rhs = abs(coupling)
     strict = strictly_less(lhs, rhs)
     c_value = lhs / rhs if ok else None
-    conditions["strict_contraction"] = {
-        "holds": strict,
-        "lhs": scalar_to_json(lhs),
-        "rhs": scalar_to_json(rhs),
-        "c": None if c_value is None else to_float(c_value),
-    }
+    conditions["strict_contraction"] = {"holds": strict, "lhs": lhs,
+                                        "rhs": rhs}
     if not strict:
         reasons.append("A_(1,3) A_(1,4) - |A_(1,2)|^2 >= |A_(1,5) A_(1,2)|")
 
@@ -285,15 +265,17 @@ def _membership_sweep(levels: list, gap) -> dict:
     if not certainly_positive(gap):
         return {"holds": False, "error": f"A_13 A_14 - |A_12|^2 = {gap!r} "
                 "is not certifiably positive"}
-    return {"holds": True, "levels": levels, "worst_residual": 0.0}
+    return {"holds": True, "levels": levels}
 
 
 # ---------------------------------------------------------------------------
 # certificate io and independent re-check
 
 def save_certificate(cert: Certificate, path: str) -> None:
+    # formed before the file is opened, so a refused write leaves no file
+    text = cert.to_json()
     with open(path, "w") as fh:
-        fh.write(cert.to_json())
+        fh.write(text)
 
 
 def _pair_from_dict(obj: dict) -> GeneratorPair:
@@ -359,9 +341,11 @@ def check_certificate(source) -> dict:
 
     Decodes and bounds the inputs (regime, k, gamma, weights and
     coefficients), re-runs the verifier in the recorded regime and compares
-    every other field with the replay's.  Returns a report dict
-    whose mismatches name each differing field by the path of its first
-    differing leaf; input it cannot replay raises CertificateError.
+    the stored file with the replay's: the verdict, the reasons, and any
+    field the v3 schema does not hold.  Returns a report dict whose
+    mismatches name each differing field by the path of its first
+    differing leaf; input it cannot replay, a v1 or v2 file among it,
+    raises CertificateError.
     """
     if isinstance(source, str):
         try:

@@ -87,7 +87,7 @@ def membership_sweep(pair, seq, regime=RATIONAL) -> dict:
     """The membership dict verify writes for a pair whose four conditions
     hold, computed: the gap's error, the first product not proved 0, by
     name, or the levels swept.  An enclosure proves 0 only as [0, 0], so
-    the worst residual of a sweep that holds is 0.0."""
+    a sweep that holds leaves no residual."""
     try:
         f3 = f3_map(pair, seq, regime)
     except DegeneratePairError as exc:
@@ -101,4 +101,4 @@ def membership_sweep(pair, seq, regime=RATIONAL) -> dict:
                 if not is_exact_zero(v):
                     name = f"<{tag}, z^{k * s} {gname}>"
                     return {"holds": False, "first_failure": f"{name} != 0"}
-    return {"holds": True, "levels": levels, "worst_residual": 0.0}
+    return {"holds": True, "levels": levels}

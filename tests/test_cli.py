@@ -2,7 +2,6 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -570,19 +569,26 @@ class TestPipeline:
                 "fails before any register is attached, c = ")
             assert not cert.exists()
 
-    def test_c_values_past_the_doubles_reach_a_named_error(self, capsys,
-                                                            tmp_path):
-        # d_1 ~ 5e199 puts C_4 near 3.5e291 and C_5 / |pivot|^2 past the
-        # doubles; Z_3 is chosen without one, and the run stops at the
-        # certificate format's digit limit, by name
+    @pytest.mark.parametrize("argv,c", [
+        (("--alpha", "-64", "--k", "27", "--d",
+          "4.974313e199,4.759219e2,5.864152e2"), "0.2508808957092147"),
+        (("--alpha", "-64", "--k", "27"), "2.138697346488448e-09"),
+        (("--alpha", "-52", "--k", "62"), "4.3924990689703526e-07"),
+    ], ids=["large-d", "searched-64-27", "searched-52-62"])
+    def test_c_values_past_the_doubles_certify(self, capsys, tmp_path,
+                                               argv, c):
+        # exact values past 4300 digits: at d_1 ~ 5e199, C_4 is near
+        # 3.5e291 and C_5 / |pivot|^2 past the doubles, and det N_1 of
+        # either searched system underflows them.  The file holds only the
+        # pair's coefficients, which stay within the digit limit
         cert = tmp_path / "cert.json"
-        code, out, err = run(capsys, "pipeline", "--alpha", "-64", "--k",
-                             "27", "--d", "4.974313e199,4.759219e2,5.864152e2",
-                             "--out", str(cert))
-        assert (code, out) == (1, "")
-        assert err == ("error: the certificate format cannot carry an exact "
-                       "value with more than 4300 digits\n")
-        assert not cert.exists()
+        code, out, err = run(capsys, "pipeline", *argv, "--out", str(cert))
+        assert (code, err) == (0, "")
+        assert out.startswith(f"verdict: pass  c = {c}\n")
+        assert json.loads(cert.read_text())["regime"] == "rational"
+        code, out, _ = run(capsys, "certify", "--check", str(cert))
+        assert code == 0
+        assert "recomputed: pass" in out and "mismatch" not in out
 
     @pytest.mark.parametrize("sub", ["eval", "pipeline"])
     def test_a_d_below_the_doubles_is_refused_in_the_interval_regime(
@@ -656,9 +662,15 @@ class TestPipeline:
                "'interval')" in err
         assert not cert.exists()
 
-    def test_a_float_certificate_is_refused_on_replay(self, capsys):
-        # written by `pipeline --regime float` when floats were a regime
-        cert = Path(__file__).with_name("data") / "float_certificate_v2.json"
+    def test_a_float_certificate_is_refused_on_replay(self, capsys,
+                                                      tmp_path):
+        # as `pipeline --regime float` wrote it when floats were a regime
+        cert = tmp_path / "cert.json"
+        run(capsys, "pipeline", "--alpha", "-16", "--d", "1,4,6",
+            "--z3", "-2e13", "--out", str(cert))
+        data = json.loads(cert.read_text())
+        data["regime"] = "float"
+        cert.write_text(json.dumps(data))
         code, out, err = run(capsys, "certify", "--check", str(cert))
         assert code == 1
         assert out == ""
@@ -769,11 +781,12 @@ class TestPipeline:
         run(capsys, "pipeline", "--alpha", "-16", "--d", "1,4,6",
             "--z3", "-2e13", "--out", str(cert))
         data = json.loads(cert.read_text())
-        data["A"]["2"]["A1"] = "5"
+        data["reasons"] = ["A_(2,1) != 0"]
         cert.write_text(json.dumps(data))
         code, out, _ = run(capsys, "certify", "--check", str(cert))
         assert code == 2
-        assert 'mismatch: A.2.A1: stored "5", recomputed "0"\n' in out
+        assert ('mismatch: reasons.0: stored "A_(2,1) != 0", recomputed '
+                'nothing\n') in out
         assert "recomputed: pass" in out
 
 
