@@ -412,11 +412,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        folder = os.path.dirname(getattr(args, "out", None) or "")
+        out = getattr(args, "out", None)
+        # refused before any search, certificate or table is computed
+        if out is not None and (out == "" or os.path.isdir(out)):
+            raise ZkwanderError(f"cannot write {out!r}: --out must name a "
+                                "file")
+        folder = os.path.dirname(out or "")
         if folder and not os.path.isdir(folder):
-            # refused before any search, certificate or table is computed
-            raise ZkwanderError(f"cannot write {args.out}: no directory "
-                                f"{folder}")
+            raise ZkwanderError(f"cannot write {out}: no directory {folder}")
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

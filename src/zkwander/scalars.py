@@ -498,7 +498,7 @@ def _exact_evidence(x) -> dict:
         raise ModeUnsupportedError(
             "floats locate, they do not prove: certify in the rational or "
             "interval regime")
-    return {"exact": True, "value": scalar_to_json(x)}
+    return {"exact": True, "value": x}
 
 
 def is_exact_zero(x) -> bool:
@@ -508,7 +508,7 @@ def is_exact_zero(x) -> bool:
 
 
 def zero_evidence(x) -> tuple:
-    """(x = 0 proved, the evidence as a JSON dict).
+    """(x = 0 proved, the evidence as a dict).
 
     Exact for rational and Radical values.  An interval proves 0 only as
     the point [0, 0]: containing 0 does not prove that the value is 0.  A
@@ -528,7 +528,7 @@ def excludes_zero(x) -> bool:
 
 
 def nonzero_evidence(x) -> tuple:
-    """(x != 0 proved, the evidence as a JSON dict); a float is refused."""
+    """(x != 0 proved, the evidence as a dict); a float is refused."""
     ok = excludes_zero(x)
     if isinstance(x, Interval):
         return ok, {"excludes_zero": ok}

@@ -399,6 +399,28 @@ class TestBadInput:
         assert err.startswith("error: ")
         assert str(path) in err
 
+    @pytest.mark.parametrize("kind", ["directory", "empty"])
+    @pytest.mark.parametrize("argv", [
+        ("search", "--alpha", "-16"),
+        ("pipeline", "--alpha", "-16"),
+        ("reproduce", "--table", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_out_that_names_no_file(self, capsys, tmp_path, monkeypatch,
+                                    argv, kind):
+        # refused before the work, which would write ./certificate.json
+        # for an empty pipeline --out and nothing for an empty search --out
+        monkeypatch.chdir(tmp_path)
+        path = ""
+        if kind == "directory":
+            path = str(tmp_path / "folder")
+            (tmp_path / "folder").mkdir()
+        code, out, err = run(capsys, *argv, "--out", path)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: cannot write {path!r}: --out must name a file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["folder"] if path else [])
+
     @pytest.mark.parametrize("alpha", ["-65", "-100"])
     def test_alpha_outside_replay_bounds(self, capsys, tmp_path, alpha):
         # verify applies the bounds replay applies, so no certificate is

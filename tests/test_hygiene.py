@@ -1,17 +1,18 @@
 """Source hygiene: no package module imports a name it never uses, no private
 module-level name or library function is left that no module loads, every
-public function has a caller in the package or is a named reference oracle,
-no module builds a complex value or reads its parts, every memo has an int
-bound, no module but scalars branches on the scalar regime, raises a number
-to the power alpha or reads text as a Fraction, no certifying module holds a
-tolerance or tests a double for zero, no module but search holds a small
-float literal, no module but reduction spells C_5 or B_1, no module has json
-indent its output, the package imports exactly the third-party modules
-pyproject.toml lists, certify imports no reference code, the search
-subcommand's options are the fields of SearchConfig and --out, a search
-reduces one system, no module but scalars reads a Radical's .coeff or
-.roots, a rational verify's inner products build no Radical per term, and
-recovery chooses its parameters with no double (no math, no to_float)."""
+public function has a caller in the package or is a named reference oracle, no
+module builds a complex value or reads its parts, every memo has an int bound,
+no module but scalars branches on the scalar regime, raises a number to the
+power alpha or reads text as a Fraction, no certifying module holds a tolerance
+or tests a double for zero, no module but search holds a small float literal,
+no module but reduction spells C_5 or B_1, only certify.json_text has json
+indent its output, only Certificate.to_dict encodes a scalar, the package
+imports exactly the third-party modules pyproject.toml lists, certify imports
+no reference code, the search subcommand's options are the fields of
+SearchConfig and --out, a search reduces one system, no module but scalars
+reads a Radical's .coeff or .roots, a rational verify's inner products build no
+Radical per term, and recovery chooses its parameters with no double (no math,
+no to_float)."""
 
 import argparse
 import ast
@@ -495,23 +496,61 @@ def test_recovery_chooses_its_parameters_without_doubles():
     assert _float_path(tree) == []
 
 
-def _indented_json_calls(tree: ast.Module) -> list:
-    """Lines of json.dump/json.dumps calls given an indent: json encodes
-    those in pure Python, where certify.json_text writes the same text."""
-    return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
+def _scopes(tree: ast.Module, matches) -> set:
+    """The qualified names of the functions and classes that hold a node
+    for which matches is true; a module-level one is "<module>"."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if matches(child):
+                found.add(".".join(scope) or "<module>")
+            visit(child, scope)
+    visit(tree, ())
+    return found
+
+
+def _indents_json(node) -> bool:
+    """A json.dump or json.dumps call given an indent."""
+    return (isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and node.func.attr in ("dump", "dumps")
             and isinstance(node.func.value, ast.Name)
             and node.func.value.id == "json"
-            and any(kw.arg == "indent" for kw in node.keywords)]
+            and any(kw.arg == "indent" for kw in node.keywords))
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda p: p.stem)
 def test_no_module_indents_json(path):
+    # certify.json_text is the one home of the output format, for
+    # certificates and search --out alike
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert _indented_json_calls(tree) == []
+    assert _scopes(tree, _indents_json) == (
+        {"json_text"} if path.stem == "certify" else set())
+
+
+def _reads_scalar_to_json(node) -> bool:
+    """A read of scalar_to_json, called or passed."""
+    return (isinstance(node, ast.Name) and node.id == "scalar_to_json"
+            or isinstance(node, ast.Attribute)
+            and node.attr == "scalar_to_json")
+
+
+def test_only_to_dict_encodes_a_scalar():
+    # the file format's digit limit binds only what a caller writes: a
+    # report that encoded its values could not hold one past the limit
+    assert _scopes(ast.parse("class C:\n    def f(self):\n"
+                             "        return [scalar_to_json(v) for v in x]\n"
+                             "y = map(scalars.scalar_to_json, z)"),
+                   _reads_scalar_to_json) == {"C.f", "<module>"}
+    found = {f"{path.stem}.{scope}"
+             for path, tree in _package_trees().items()
+             for scope in _scopes(tree, _reads_scalar_to_json)}
+    assert found == {"certify.Certificate.to_dict"}
 
 
 def test_import_loads_neither_scipy_nor_numpy():
